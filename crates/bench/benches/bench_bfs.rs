@@ -4,9 +4,13 @@
 //! R-MAT instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use snap::kernels::{
-    bfs, par_bfs_hybrid, par_bfs_hybrid_stats, par_bfs_push, par_bfs_vertex_partitioned,
-    HybridConfig,
+use snap::kernels::{bfs, par_bfs, par_bfs_hybrid_stats, par_bfs_vertex_partitioned, HybridConfig};
+
+/// alpha = 0 makes the push → pull trigger unreachable: the hybrid engine,
+/// never pulling.
+const PUSH_ONLY: HybridConfig = HybridConfig {
+    alpha: 0.0,
+    beta: 24.0,
 };
 
 fn bench_bfs(c: &mut Criterion) {
@@ -21,10 +25,10 @@ fn bench_bfs(c: &mut Criterion) {
             b.iter(|| bfs(g, 0))
         });
         group.bench_with_input(BenchmarkId::new("hybrid", scale), &g, |b, g| {
-            b.iter(|| par_bfs_hybrid(g, 0))
+            b.iter(|| par_bfs(g, 0))
         });
         group.bench_with_input(BenchmarkId::new("push-only", scale), &g, |b, g| {
-            b.iter(|| par_bfs_push(g, 0))
+            b.iter(|| par_bfs_hybrid_stats(g, 0, &PUSH_ONLY))
         });
         group.bench_with_input(
             BenchmarkId::new("parallel-vertex-partitioned", scale),
@@ -44,14 +48,7 @@ fn bench_bfs(c: &mut Criterion) {
             }
             {
                 let _span = snap::obs::span("push-only");
-                par_bfs_hybrid_stats(
-                    &g,
-                    0,
-                    &HybridConfig {
-                        alpha: 0.0,
-                        beta: 24.0,
-                    },
-                );
+                par_bfs_hybrid_stats(&g, 0, &PUSH_ONLY);
             }
         });
         eprint!("{}", report.render());

@@ -13,7 +13,7 @@
 //! edges the push-only traversal must touch, at equal distances.
 
 use snap::graph::Graph;
-use snap::kernels::{par_bfs_hybrid_stats, par_bfs_push, par_bfs_vertex_partitioned, HybridConfig};
+use snap::kernels::{par_bfs_hybrid_stats, par_bfs_vertex_partitioned, HybridConfig};
 use snap_bench::{fmt_duration, time};
 
 fn main() {
@@ -50,7 +50,9 @@ fn main() {
             .unwrap();
         let ((_, hybrid), t_hybrid) =
             time(|| par_bfs_hybrid_stats(&g, src, &HybridConfig::default()));
-        let ((_, push), _) = time(|| {
+        // alpha = 0 makes the push → pull trigger unreachable: the same
+        // engine, never pulling.
+        let ((_, push), t_push) = time(|| {
             par_bfs_hybrid_stats(
                 &g,
                 src,
@@ -60,7 +62,6 @@ fn main() {
                 },
             )
         });
-        let (_, t_push) = time(|| par_bfs_push(&g, src));
         let (_, t_vp) = time(|| par_bfs_vertex_partitioned(&g, src));
         let he = hybrid.total_edges_examined();
         let pe = push.total_edges_examined();

@@ -3,10 +3,9 @@
 //! Times the multi-source kernels (sampled betweenness, exact closeness,
 //! sampled path statistics, hybrid BFS), the compressed-CSR A/B pairs
 //! (`csr_bfs` vs `ccsr_bfs` — identical `work_units` asserted), the
-//! bucket kernels (`kcore`, `sssp_delta_flat` vs `sssp_delta_buckets` —
-//! bit-identical distances asserted), and the streaming/serving loops on
-//! deterministic R-MAT/ER instances, emitting a machine-readable
-//! `BENCH_kernels.json`:
+//! bucket kernels (`kcore`, `sssp_delta_buckets`), and the
+//! streaming/serving loops on deterministic R-MAT/ER instances, emitting
+//! a machine-readable `BENCH_kernels.json`:
 //!
 //! ```text
 //! [{"bench": "...", "n": 32768, "m": 219382, "wall_ms": 1234.5,
@@ -227,14 +226,13 @@ fn main() {
     // backend that decoded a different adjacency would shift the
     // direction-optimizing traversal's edge count. `kcore` runs the
     // bucket-peeling coreness kernel (work = degree decrements);
-    // `sssp_delta_flat` / `sssp_delta_buckets` A/B the Δ-stepping
-    // refactor onto the shared `Buckets` structure (work = relaxations,
-    // distances asserted bit-identical). The flat graph is dropped
+    // `sssp_delta_buckets` runs Δ-stepping on the same shared `Buckets`
+    // structure (work = relaxations). The flat graph is dropped
     // before the compressed rows' observed runs, so the `peak_bytes`
     // columns compare resident footprints.
     {
         use snap::graph::CompressedCsrGraph;
-        use snap::kernels::{coreness, delta_stepping, delta_stepping_flat_reference};
+        use snap::kernels::{coreness, delta_stepping};
 
         let s = scale.saturating_sub(2);
         let n = 1usize << s;
@@ -271,32 +269,12 @@ fn main() {
         entries.push(entry_nm("kcore", gn, gm, wall, core_csr.decrements, peak));
 
         let sssp_source = sources[0];
-        let wall = min_wall(reps, || {
-            time(|| delta_stepping_flat_reference(&g, sssp_source, 0)).1
-        });
-        let flat_dist = delta_stepping_flat_reference(&g, sssp_source, 0).dist;
-        let (node, _, peak) = observed_spans("sssp_delta_flat", "relaxations", || {
-            let _ = delta_stepping_flat_reference(&g, sssp_source, 0);
-        });
-        bench_spans.push(node);
-        entries.push(entry_nm("sssp_delta_flat", gn, gm, wall, 0, peak));
-
         let wall = min_wall(reps, || time(|| delta_stepping(&g, sssp_source, 0)).1);
-        let bucket_result = delta_stepping(&g, sssp_source, 0);
-        assert_eq!(
-            flat_dist, bucket_result.dist,
-            "Buckets Δ-stepping must be bit-identical to the flat reference"
-        );
         let (node, relax, peak) = observed_spans("sssp_delta_buckets", "relaxations", || {
             let _ = delta_stepping(&g, sssp_source, 0);
         });
         bench_spans.push(node);
         entries.push(entry_nm("sssp_delta_buckets", gn, gm, wall, relax, peak));
-        // Backfill the flat row's work with the same relaxation count —
-        // identical by the bit-identity assert above.
-        if let Some(e) = entries.iter_mut().find(|e| e.bench == "sssp_delta_flat") {
-            e.work_units = relax;
-        }
 
         // Cross-backend equivalence, then drop the flat graph so the
         // compressed rows' peaks reflect the compressed-resident state.

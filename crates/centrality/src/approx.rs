@@ -10,84 +10,41 @@
 //! targets (exactly the entities pBD cares about).
 
 use crate::brandes::{
-    accumulate_source, try_betweenness_from_sources_with_workspace, BetweennessScores,
-    PartialBetweenness,
+    accumulate_source, betweenness_from_sources_in, BetweennessScores, PartialBetweenness,
 };
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use snap_budget::Budget;
-use snap_graph::{Graph, TraversalWorkspace, VertexId, WorkspacePool};
+use snap_graph::{Graph, TraversalWorkspace, VertexId};
+use snap_kernels::Exec;
 
 /// Estimate vertex and edge betweenness from a random `frac` fraction of
 /// sources (at least one). Unbiased; variance shrinks with `frac`.
 /// Parallel over the sampled sources.
 pub fn approx_betweenness<G: Graph>(g: &G, frac: f64, seed: u64) -> BetweennessScores {
-    approx_betweenness_with_workspace(g, frac, seed, &WorkspacePool::new())
+    approx_betweenness_in(g, frac, seed, &Exec::default()).scores
 }
 
-/// [`approx_betweenness`] drawing traversal scratch from `pool`.
-pub fn approx_betweenness_with_workspace<G: Graph>(
+/// [`approx_betweenness`] with `exec`'s budget and workspace pool:
+/// accumulates sampled sources until the budget trips and rescales by the
+/// sources actually processed. Because the sample order is already a
+/// uniform shuffle, the processed prefix is itself a uniform sample — the
+/// estimate stays unbiased, only its variance grows. pBD holds one `Exec`
+/// across its betweenness rounds so each round's traversals reuse the
+/// previous round's slot arrays.
+pub fn approx_betweenness_in<G: Graph>(
     g: &G,
     frac: f64,
     seed: u64,
-    pool: &WorkspacePool,
-) -> BetweennessScores {
-    let _span = snap_obs::span("centrality.approx_betweenness");
-    let n = g.num_vertices();
-    if n == 0 {
-        return BetweennessScores {
-            vertex: Vec::new(),
-            edge: Vec::new(),
-        };
-    }
-    let k = ((n as f64 * frac).ceil() as usize).clamp(1, n);
-    snap_obs::add("samples_drawn", k as u64);
-    snap_obs::gauge("sample_fraction", frac);
-    let sources = sample_sources(n, k, seed);
-    crate::brandes::betweenness_from_sources_with_workspace(g, &sources, pool)
-}
-
-/// [`approx_betweenness`] under a compute [`Budget`]: accumulates sampled
-/// sources until the budget trips and rescales by the sources actually
-/// processed. Because the sample order is already a uniform shuffle, the
-/// processed prefix is itself a uniform sample — the estimate stays
-/// unbiased, only its variance grows.
-pub fn approx_betweenness_with_budget<G: Graph>(
-    g: &G,
-    frac: f64,
-    seed: u64,
-    budget: &Budget,
-) -> PartialBetweenness {
-    approx_betweenness_with_budget_and_workspace(g, frac, seed, budget, &WorkspacePool::new())
-}
-
-/// [`approx_betweenness_with_budget`] drawing traversal scratch from
-/// `pool`. pBD holds one pool across its betweenness rounds so each
-/// round's traversals reuse the previous round's slot arrays.
-pub fn approx_betweenness_with_budget_and_workspace<G: Graph>(
-    g: &G,
-    frac: f64,
-    seed: u64,
-    budget: &Budget,
-    pool: &WorkspacePool,
+    exec: &Exec,
 ) -> PartialBetweenness {
     let _span = snap_obs::span("centrality.approx_betweenness");
     let n = g.num_vertices();
-    if n == 0 {
-        return PartialBetweenness {
-            scores: BetweennessScores {
-                vertex: Vec::new(),
-                edge: Vec::new(),
-            },
-            sources_used: 0,
-            sources_requested: 0,
-        };
-    }
-    let k = ((n as f64 * frac).ceil() as usize).clamp(1, n);
+    // At least one source, except on the empty graph.
+    let k = ((n as f64 * frac).ceil() as usize).clamp(n.min(1), n);
     snap_obs::add("samples_drawn", k as u64);
     snap_obs::gauge("sample_fraction", frac);
     let sources = sample_sources(n, k, seed);
-    try_betweenness_from_sources_with_workspace(g, &sources, budget, pool)
+    betweenness_from_sources_in(g, &sources, exec)
 }
 
 /// Result of the adaptive single-entity estimator.

@@ -9,9 +9,9 @@
 //! the sequential kernel and that coarse-grained parallel scheme.
 
 use rayon::prelude::*;
-use snap_budget::Budget;
 use snap_graph::scratch::{stamped, BrandesSlot, PredArc};
-use snap_graph::{Graph, TraversalWorkspace, VertexId, WorkspacePool};
+use snap_graph::{Graph, TraversalWorkspace, VertexId};
+use snap_kernels::Exec;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Betweenness scores for all vertices and edges.
@@ -191,58 +191,15 @@ pub fn brandes<G: Graph>(g: &G) -> BetweennessScores {
 /// assert_eq!(snap_graph::Graph::edge_endpoints(&g, top_edge), (2, 3));
 /// ```
 pub fn par_brandes<G: Graph>(g: &G) -> BetweennessScores {
-    par_brandes_with_workspace(g, &WorkspacePool::new())
-}
-
-/// [`par_brandes`] drawing traversal scratch from `pool` (see
-/// [`betweenness_from_sources_with_workspace`]).
-pub fn par_brandes_with_workspace<G: Graph>(g: &G, pool: &WorkspacePool) -> BetweennessScores {
-    betweenness_from_sources_scaled(g, None, 1.0, pool)
+    let all: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+    betweenness_from_sources(g, &all)
 }
 
 /// Betweenness accumulated from an explicit set of sources, scaled by
-/// `scale` (used by the sampling-based approximations: `scale = n / k`
-/// turns a k-source sample into an unbiased estimate of the full sum).
+/// `n / sources.len()` (which turns a k-source sample into an unbiased
+/// estimate of the full sum, and is exactly 1 for all sources).
 pub fn betweenness_from_sources<G: Graph>(g: &G, sources: &[VertexId]) -> BetweennessScores {
-    betweenness_from_sources_with_workspace(g, sources, &WorkspacePool::new())
-}
-
-/// [`betweenness_from_sources`] drawing traversal scratch from `pool`.
-/// Callers that recompute betweenness repeatedly (GN rounds, pBD
-/// phases, a serving session) hold one pool across calls so every
-/// traversal after the first reuses warm slot arrays.
-pub fn betweenness_from_sources_with_workspace<G: Graph>(
-    g: &G,
-    sources: &[VertexId],
-    pool: &WorkspacePool,
-) -> BetweennessScores {
-    let scale = if sources.is_empty() {
-        1.0
-    } else {
-        g.num_vertices() as f64 / sources.len() as f64
-    };
-    betweenness_from_sources_scaled(g, Some(sources), scale, pool)
-}
-
-fn betweenness_from_sources_scaled<G: Graph>(
-    g: &G,
-    sources: Option<&[VertexId]>,
-    scale: f64,
-    pool: &WorkspacePool,
-) -> BetweennessScores {
-    let n = g.num_vertices();
-    let all: Vec<VertexId>;
-    let sources = match sources {
-        Some(s) => s,
-        None => {
-            all = (0..n as VertexId).collect();
-            &all
-        }
-    };
-    let (vertex, edge, _) = accumulate_sources_budgeted(g, sources, &Budget::unlimited(), pool);
-    let vertex = vertex.into_iter().map(|x| x * scale).collect();
-    let edge = edge.into_iter().map(|x| x * scale).collect();
-    finalize(g, vertex, edge)
+    betweenness_from_sources_in(g, sources, &Exec::default()).scores
 }
 
 /// A betweenness estimate computed from however many sources the budget
@@ -265,31 +222,21 @@ impl PartialBetweenness {
     }
 }
 
-/// Betweenness from an explicit source set under a compute [`Budget`].
+/// [`betweenness_from_sources`] with `exec`'s budget and workspace pool.
 ///
 /// Sources are processed until the budget trips; the accumulated sums are
 /// then scaled by `n / sources_used`, turning the processed prefix into a
 /// sampled estimate (pass a *shuffled* source order — e.g. from
 /// [`crate::approx::sample_sources`] — so the prefix is a uniform
-/// sample). With an unlimited budget this equals
-/// [`betweenness_from_sources`].
-pub fn try_betweenness_from_sources<G: Graph>(
+/// sample). Callers that recompute betweenness repeatedly (GN rounds, pBD
+/// phases, a serving session) hold one `Exec` across calls so every
+/// traversal after the first reuses warm slot arrays.
+pub fn betweenness_from_sources_in<G: Graph>(
     g: &G,
     sources: &[VertexId],
-    budget: &Budget,
+    exec: &Exec,
 ) -> PartialBetweenness {
-    try_betweenness_from_sources_with_workspace(g, sources, budget, &WorkspacePool::new())
-}
-
-/// [`try_betweenness_from_sources`] drawing traversal scratch from
-/// `pool` (see [`betweenness_from_sources_with_workspace`]).
-pub fn try_betweenness_from_sources_with_workspace<G: Graph>(
-    g: &G,
-    sources: &[VertexId],
-    budget: &Budget,
-    pool: &WorkspacePool,
-) -> PartialBetweenness {
-    let (vertex, edge, used) = accumulate_sources_budgeted(g, sources, budget, pool);
+    let (vertex, edge, used) = accumulate_sources_budgeted(g, sources, exec);
     let scale = if used == 0 {
         1.0
     } else {
@@ -298,7 +245,7 @@ pub fn try_betweenness_from_sources_with_workspace<G: Graph>(
     let vertex = vertex.into_iter().map(|x| x * scale).collect();
     let edge = edge.into_iter().map(|x| x * scale).collect();
     if used < sources.len() {
-        if let Some(why) = budget.exhaustion() {
+        if let Some(why) = exec.budget.exhaustion() {
             snap_obs::meta("degraded", why);
         }
         snap_obs::add("sources_skipped", (sources.len() - used) as u64);
@@ -311,15 +258,15 @@ pub fn try_betweenness_from_sources_with_workspace<G: Graph>(
 }
 
 /// Coarse-grained parallel accumulation over `sources`, skipping sources
-/// once `budget` trips. Returns unscaled sums plus the number of sources
+/// once the budget trips. Returns unscaled sums plus the number of sources
 /// actually processed.
 fn accumulate_sources_budgeted<G: Graph>(
     g: &G,
     sources: &[VertexId],
-    budget: &Budget,
-    pool: &WorkspacePool,
+    exec: &Exec,
 ) -> (Vec<f64>, Vec<f64>, usize) {
     let _span = snap_obs::span("centrality.betweenness");
+    let (budget, pool) = (&exec.budget, &*exec.pool);
     let n = g.num_vertices();
     let m = g.edge_id_bound();
     // Handles are captured by the worker closures: every rayon worker

@@ -16,6 +16,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use snap_graph::{Graph, PooledWorkspace, TraversalWorkspace, VertexId, WorkspacePool};
 use snap_kernels::bfs::bfs_levels_into;
+use snap_kernels::Exec;
 
 /// Exact closeness for every vertex, parallel over sources.
 ///
@@ -25,17 +26,19 @@ use snap_kernels::bfs::bfs_levels_into;
 /// vertices in small components do not get inflated scores. Isolated
 /// vertices score 0.
 pub fn closeness<G: Graph>(g: &G) -> Vec<f64> {
-    closeness_with_workspace(g, &WorkspacePool::new())
+    closeness_in(g, &Exec::default())
 }
 
-/// [`closeness`] drawing traversal scratch from `pool`. Sessions that
-/// interleave centrality queries hold one pool so the slot arrays warm
-/// up once.
-pub fn closeness_with_workspace<G: Graph>(g: &G, pool: &WorkspacePool) -> Vec<f64> {
+/// [`closeness`] drawing traversal scratch from `exec`'s pool. Sessions
+/// that interleave centrality queries hold one `Exec` so the slot arrays
+/// warm up once. Only the pool is used: the sweep never probes the
+/// budget.
+pub fn closeness_in<G: Graph>(g: &G, exec: &Exec) -> Vec<f64> {
     let n = g.num_vertices();
     if n <= 1 {
         return vec![0.0; n];
     }
+    let pool = &*exec.pool;
     let _span = snap_obs::span("centrality.closeness");
     let sources_processed = snap_obs::counter("sources_processed");
     let source_us = snap_obs::hist("source_us");
@@ -73,18 +76,14 @@ pub fn closeness_with_workspace<G: Graph>(g: &G, pool: &WorkspacePool) -> Vec<f6
 
 /// Closeness of a single vertex.
 pub fn closeness_of<G: Graph>(g: &G, v: VertexId) -> f64 {
-    closeness_of_with_workspace(g, v, &mut TraversalWorkspace::new())
+    closeness_of_into(g, v, &mut TraversalWorkspace::new())
 }
 
 /// [`closeness_of`] on a reusable workspace: a batch of single-vertex
 /// queries pays no per-query allocation — the traversal state, queue,
 /// and discovery order all live in `ws` (no per-call `Frontier` or
 /// dense distance vector is built at all).
-pub fn closeness_of_with_workspace<G: Graph>(
-    g: &G,
-    v: VertexId,
-    ws: &mut TraversalWorkspace,
-) -> f64 {
+pub fn closeness_of_into<G: Graph>(g: &G, v: VertexId, ws: &mut TraversalWorkspace) -> f64 {
     let n = g.num_vertices();
     if n <= 1 {
         return 0.0;
@@ -114,20 +113,11 @@ fn closeness_from_workspace(n: usize, ws: &TraversalWorkspace) -> f64 {
 /// Sampled closeness: average distance from `k` random sources, inverted.
 /// Unbiased for connected graphs up to sampling noise; `O(k (m + n))`.
 pub fn sampled_closeness<G: Graph>(g: &G, k: usize, seed: u64) -> Vec<f64> {
-    sampled_closeness_with_workspace(g, k, seed, &WorkspacePool::new())
-}
-
-/// [`sampled_closeness`] drawing traversal scratch from `pool`.
-pub fn sampled_closeness_with_workspace<G: Graph>(
-    g: &G,
-    k: usize,
-    seed: u64,
-    pool: &WorkspacePool,
-) -> Vec<f64> {
     let n = g.num_vertices();
     if n == 0 {
         return Vec::new();
     }
+    let pool = WorkspacePool::new();
     let _span = snap_obs::span("centrality.closeness");
     let sources_processed = snap_obs::counter("sources_processed");
     let source_us = snap_obs::hist("source_us");
@@ -220,7 +210,7 @@ mod tests {
             assert_eq!(cc[v as usize], closeness_of(&g, v), "v{v}");
             assert_eq!(
                 cc[v as usize],
-                closeness_of_with_workspace(&g, v, &mut ws),
+                closeness_of_into(&g, v, &mut ws),
                 "v{v} (reused workspace)"
             );
         }

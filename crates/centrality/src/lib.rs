@@ -14,17 +14,12 @@ pub mod weighted;
 
 pub use approx::{
     adaptive_edge_betweenness, adaptive_vertex_betweenness, approx_betweenness,
-    approx_betweenness_with_budget, approx_betweenness_with_budget_and_workspace,
-    approx_betweenness_with_workspace, sample_sources, AdaptiveEstimate,
+    approx_betweenness_in, sample_sources, AdaptiveEstimate,
 };
 pub use brandes::{
-    betweenness_from_sources, betweenness_from_sources_with_workspace, brandes, par_brandes,
-    par_brandes_with_workspace, try_betweenness_from_sources,
-    try_betweenness_from_sources_with_workspace, BetweennessScores, PartialBetweenness,
+    betweenness_from_sources, betweenness_from_sources_in, brandes, par_brandes, BetweennessScores,
+    PartialBetweenness,
 };
-pub use closeness::{
-    closeness, closeness_of, closeness_of_with_workspace, closeness_with_workspace,
-    sampled_closeness, sampled_closeness_with_workspace,
-};
+pub use closeness::{closeness, closeness_in, closeness_of, closeness_of_into, sampled_closeness};
 pub use degree::{degree_centrality, normalized_degree_centrality, top_degree_vertices};
 pub use weighted::weighted_betweenness;

@@ -9,8 +9,9 @@
 
 use crate::clustering::Clustering;
 use crate::divisive::DivisiveEngine;
-use snap_centrality::brandes::betweenness_from_sources_with_workspace;
-use snap_graph::{CsrGraph, EdgeId, Graph, VertexId, WorkspacePool};
+use snap_centrality::betweenness_from_sources_in;
+use snap_graph::{CsrGraph, EdgeId, Graph, VertexId};
+use snap_kernels::Exec;
 
 /// Configuration for [`girvan_newman`].
 #[derive(Clone, Debug, Default)]
@@ -38,21 +39,32 @@ pub struct DivisiveResult {
 
 /// Run Girvan–Newman on `g`.
 pub fn girvan_newman(g: &CsrGraph, cfg: &GnConfig) -> DivisiveResult {
+    girvan_newman_in(g, cfg, &Exec::default())
+}
+
+/// Run Girvan–Newman with `exec`'s budget and workspace pool. The pool
+/// serves all removal rounds: each round's betweenness pass rebinds the
+/// predecessor offsets to the mutated view but reuses every slot array.
+/// When the budget trips the schedule stops cutting, and the
+/// best-modularity prefix of the removals made so far is the answer.
+pub fn girvan_newman_in(g: &CsrGraph, cfg: &GnConfig, exec: &Exec) -> DivisiveResult {
     let m = g.num_edges();
     let mut engine = DivisiveEngine::new(g, m as f64);
     let mut removals = Vec::new();
     let max_removals = cfg.max_removals.unwrap_or(m).min(m);
     let all_sources: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
     let mut since_best = 0usize;
-    // One workspace pool across all removal rounds: each round's
-    // betweenness pass rebinds the predecessor offsets to the mutated
-    // view but reuses every slot array.
-    let pool = WorkspacePool::new();
 
     while removals.len() < max_removals && engine.live_edges() > 0 {
         // Exact edge betweenness on the current filtered view,
-        // parallelized over sources.
-        let bc = betweenness_from_sources_with_workspace(&engine.view, &all_sources, &pool);
+        // parallelized over sources. A pass the budget cut short would
+        // rank edges by a biased partial sum (the source order is not
+        // shuffled): stop cutting instead.
+        let partial = betweenness_from_sources_in(&engine.view, &all_sources, exec);
+        if partial.degraded() {
+            break;
+        }
+        let bc = partial.scores;
         let best_edge = engine
             .view
             .live_edge_ids()
@@ -178,6 +190,20 @@ mod tests {
             "karate GN modularity {} (paper: 0.401)",
             r.q
         );
+    }
+
+    #[test]
+    fn tripped_budget_stops_the_schedule_at_a_valid_prefix() {
+        let g = snap_io::karate_club();
+        // Room for a few exact betweenness passes, not the full schedule.
+        let exec = Exec {
+            budget: snap_budget::Budget::with_work_cap(4 * 34 * 35),
+            ..Exec::default()
+        };
+        let r = girvan_newman_in(&g, &GnConfig::default(), &exec);
+        assert!(!r.removals.is_empty() && r.removals.len() < g.num_edges());
+        assert!(exec.budget.is_exhausted());
+        assert!((r.q - modularity(&g, &r.clustering)).abs() < 1e-12);
     }
 
     #[test]

@@ -40,9 +40,9 @@ pub mod spectral;
 pub use anneal::{anneal, anneal_from, AnnealConfig, AnnealResult};
 pub use clustering::{normalized_mutual_information, Clustering};
 pub use dendrogram::{Dendrogram, Merge};
-pub use gn::{girvan_newman, DivisiveResult, GnConfig};
+pub use gn::{girvan_newman, girvan_newman_in, DivisiveResult, GnConfig};
 pub use modularity::{modularity, weighted_modularity, ModularityTracker};
-pub use pbd::{pbd, pbd_with_budget, PbdConfig};
-pub use pla::{pla, pla_view, pla_with_budget, PlaConfig, PlaResult};
-pub use pma::{pma, pma_with_budget, AgglomerativeResult, PmaConfig};
+pub use pbd::{pbd, pbd_in, PbdConfig};
+pub use pla::{pla, pla_in, pla_view, PlaConfig, PlaResult};
+pub use pma::{pma, pma_in, AgglomerativeResult, PmaConfig};
 pub use spectral::{spectral_communities, SpectralCommunityConfig, SpectralCommunityResult};

@@ -24,12 +24,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use snap_budget::Budget;
-use snap_centrality::approx_betweenness_with_budget_and_workspace;
-use snap_centrality::brandes::{
-    betweenness_from_sources_with_workspace, try_betweenness_from_sources_with_workspace,
-};
-use snap_graph::{CsrGraph, Graph, InducedSubgraph, VertexId, WorkspacePool};
-use snap_kernels::{bfs_limited, biconnected_components};
+use snap_centrality::{approx_betweenness_in, betweenness_from_sources_in};
+use snap_graph::{CsrGraph, Graph, InducedSubgraph, VertexId};
+use snap_kernels::{bfs_limited, biconnected_components, Exec};
 
 /// Configuration for [`pbd`].
 #[derive(Clone, Debug)]
@@ -79,16 +76,19 @@ impl Default for PbdConfig {
 
 /// Run pBD on `g`.
 pub fn pbd(g: &CsrGraph, cfg: &PbdConfig) -> DivisiveResult {
-    pbd_with_budget(g, cfg, &Budget::unlimited())
+    pbd_in(g, cfg, &Exec::default())
 }
 
-/// Run pBD under a compute [`Budget`]. Every phase checks the budget
-/// cooperatively: the fine and bridge phases stop cutting when it trips
-/// (the engine's best-modularity prefix is the answer), and the coarse
-/// phase leaves remaining components unrefined. With an unlimited budget
-/// the result is identical to [`pbd`].
-pub fn pbd_with_budget(g: &CsrGraph, cfg: &PbdConfig, budget: &Budget) -> DivisiveResult {
+/// Run pBD with `exec`'s budget and workspace pool. Every phase checks
+/// the budget cooperatively: the fine and bridge phases stop cutting when
+/// it trips (the engine's best-modularity prefix is the answer), and the
+/// coarse phase leaves remaining components unrefined. The pool serves
+/// every betweenness round of the fine and granularity-bridge phases:
+/// each round rebinds the predecessor offsets to the mutated view, the
+/// slot arrays warm up once.
+pub fn pbd_in(g: &CsrGraph, cfg: &PbdConfig, exec: &Exec) -> DivisiveResult {
     let _span = snap_obs::span("community.pbd");
+    let budget = &exec.budget;
     let m = g.num_edges();
     let n = g.num_vertices();
     let mut engine = DivisiveEngine::new(g, m as f64);
@@ -127,10 +127,6 @@ pub fn pbd_with_budget(g: &CsrGraph, cfg: &PbdConfig, budget: &Budget) -> Divisi
     }
 
     // --- Fine-grained phase: sampled betweenness, cut the top edges. ---
-    // One workspace pool across every betweenness round of the fine and
-    // granularity-bridge phases: each round rebinds the predecessor
-    // offsets to the mutated view, the slot arrays warm up once.
-    let pool = WorkspacePool::new();
     let fine_phase = snap_obs::span("fine_phase");
     // Per-round latency: early rounds run betweenness on the giant
     // component and dwarf later rounds, so the spread is the signal.
@@ -160,13 +156,7 @@ pub fn pbd_with_budget(g: &CsrGraph, cfg: &PbdConfig, budget: &Budget) -> Divisi
             .sample_frac
             .max(cfg.min_sources as f64 / n.max(1) as f64)
             .min(1.0);
-        let partial = approx_betweenness_with_budget_and_workspace(
-            &engine.view,
-            frac,
-            cfg.seed ^ round,
-            budget,
-            &pool,
-        );
+        let partial = approx_betweenness_in(&engine.view, frac, cfg.seed ^ round, exec);
         if partial.sources_used == 0 {
             break; // no traversal completed: no ranking to cut by
         }
@@ -244,8 +234,7 @@ pub fn pbd_with_budget(g: &CsrGraph, cfg: &PbdConfig, budget: &Budget) -> Divisi
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0x6272_6467 ^ round);
         sources.shuffle(&mut rng);
         sources.truncate(k);
-        let partial =
-            try_betweenness_from_sources_with_workspace(&engine.view, &sources, budget, &pool);
+        let partial = betweenness_from_sources_in(&engine.view, &sources, exec);
         if partial.sources_used == 0 {
             break;
         }
@@ -389,9 +378,12 @@ fn refine_components(
             }
             local.reset_best();
             let q_before = local.q();
-            // Exact divisive run to completion on this small component;
-            // the pool persists across its whole dendrogram.
-            let pool = WorkspacePool::new();
+            // Exact divisive run to completion on this small component,
+            // on a pool of its own that persists across its whole
+            // dendrogram. Each round is charged up front and then runs
+            // unbudgeted: a round cut short would rank edges by a
+            // partial sum.
+            let unbudgeted = Exec::default();
             let sources: Vec<VertexId> = (0..base_sub.graph.num_vertices() as VertexId).collect();
             while local.live_edges() > 0 {
                 if budget
@@ -400,7 +392,7 @@ fn refine_components(
                 {
                     break; // best prefix of the dendrogram still stands
                 }
-                let bc = betweenness_from_sources_with_workspace(&local.view, &sources, &pool);
+                let bc = betweenness_from_sources_in(&local.view, &sources, &unbudgeted).scores;
                 let best_edge = local
                     .view
                     .live_edge_ids()

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use snap_budget::Budget;
 use snap_graph::{CsrGraph, FilteredGraph, Graph, VertexId};
-use snap_kernels::{biconnected_components, connected_components};
+use snap_kernels::{biconnected_components, connected_components, Exec};
 
 /// Configuration for [`pla`].
 #[derive(Clone, Debug)]
@@ -53,12 +53,12 @@ pub fn pla(g: &CsrGraph, cfg: &PlaConfig) -> PlaResult {
     pla_impl(g, FilteredGraph::new(g), cfg, &Budget::unlimited())
 }
 
-/// Run pLA under a compute [`Budget`]. Degrades gracefully: when the
+/// Run pLA under `exec`'s compute budget. Degrades gracefully: when the
 /// budget trips, vertices not yet aggregated stay singletons and the
 /// amalgamation pass stops early — the returned clustering is always
 /// valid, just coarser-grained than the unbudgeted answer.
-pub fn pla_with_budget(g: &CsrGraph, cfg: &PlaConfig, budget: &Budget) -> PlaResult {
-    pla_impl(g, FilteredGraph::new(g), cfg, budget)
+pub fn pla_in(g: &CsrGraph, cfg: &PlaConfig, exec: &Exec) -> PlaResult {
+    pla_impl(g, FilteredGraph::new(g), cfg, &exec.budget)
 }
 
 /// Run pLA on a [`FilteredGraph`] view (e.g. a graph with edges deleted

@@ -12,8 +12,8 @@
 use crate::clustering::Clustering;
 use crate::dendrogram::Dendrogram;
 use crate::dq::DqMatrix;
-use snap_budget::Budget;
 use snap_graph::{CsrGraph, Graph, VertexId};
+use snap_kernels::Exec;
 
 /// Configuration for [`pma`].
 #[derive(Clone, Debug)]
@@ -58,14 +58,15 @@ pub struct AgglomerativeResult {
 /// assert!(result.q > 0.3);
 /// ```
 pub fn pma(g: &CsrGraph, cfg: &PmaConfig) -> AgglomerativeResult {
-    pma_with_budget(g, cfg, &Budget::unlimited())
+    pma_in(g, cfg, &Exec::default())
 }
 
-/// Run pMA under a compute [`Budget`]. The greedy merge loop is charged
+/// Run pMA under `exec`'s compute budget. The greedy merge loop is charged
 /// per merge; when the budget trips, the dendrogram built so far is cut
 /// at its best prefix — a valid (if coarser-than-optimal) clustering.
-pub fn pma_with_budget(g: &CsrGraph, cfg: &PmaConfig, budget: &Budget) -> AgglomerativeResult {
+pub fn pma_in(g: &CsrGraph, cfg: &PmaConfig, exec: &Exec) -> AgglomerativeResult {
     let _span = snap_obs::span("community.pma");
+    let budget = &exec.budget;
     assert!(
         !g.is_directed(),
         "community detection treats graphs as undirected"

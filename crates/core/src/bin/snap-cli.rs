@@ -4,7 +4,7 @@
 //! snap-cli summary      <graph> [--directed] [--seed S]
 //! snap-cli bfs          <graph> [--source V] [--alpha A] [--beta B] [--directed]
 //! snap-cli communities  <graph> [--algorithm gn|pbd|pma|pla|spectral] [--members]
-//! snap-cli partition    <graph> --parts K [--method kway|recur|rqi|lanczos] [--seed S]
+//! snap-cli partition    <graph> --parts K [--method kway|recursive|rqi|lanczos] [--seed S]
 //! snap-cli centrality   <graph> [--approx FRAC] [--top K] [--seed S]
 //! snap-cli kcore        <graph> [--backend csr|compressed] [--directed] [--top K]
 //! snap-cli run          <graph> [--source V] [--algorithm A] [--parts K] [--approx FRAC] [--seed S]
@@ -134,7 +134,7 @@ commands:
   summary      <graph> [--directed] [--seed S]
   bfs          <graph> [--source V] [--alpha A] [--beta B] [--directed]
   communities  <graph> [--algorithm gn|pbd|pma|pla|spectral] [--members]
-  partition    <graph> --parts K [--method kway|recur|rqi|lanczos] [--seed S]
+  partition    <graph> --parts K [--method kway|recursive|rqi|lanczos] [--seed S]
   centrality   <graph> [--approx FRAC] [--top K] [--seed S]
   kcore        <graph> [--backend csr|compressed] [--directed] [--top K]
   run          <graph> [--source V] [--algorithm A] [--parts K] [--approx FRAC] [--seed S]
@@ -619,25 +619,10 @@ fn input_path(args: &Args) -> &str {
         .unwrap_or_else(|| usage())
 }
 
-fn parse_algorithm(name: &str) -> CommunityAlgorithm {
-    match name {
-        "gn" => CommunityAlgorithm::GirvanNewman,
-        "pbd" => CommunityAlgorithm::Divisive,
-        "pma" => CommunityAlgorithm::Agglomerative,
-        "pla" => CommunityAlgorithm::LocalAggregation,
-        "spectral" => CommunityAlgorithm::Spectral,
-        other => fail(&format!("unknown algorithm {other}")),
-    }
-}
-
-fn parse_method(name: &str) -> PartitionMethod {
-    match name {
-        "kway" => PartitionMethod::MultilevelKway,
-        "recur" => PartitionMethod::MultilevelRecursive,
-        "rqi" => PartitionMethod::SpectralRqi,
-        "lanczos" => PartitionMethod::SpectralLanczos,
-        other => fail(&format!("unknown method {other}")),
-    }
+/// Parse an `--algorithm` / `--method` name (the spellings are owned by
+/// the types' `FromStr`, shared with `serve`) or exit with its error.
+fn parse_name<T: std::str::FromStr<Err = String>>(name: &str) -> T {
+    name.parse().unwrap_or_else(|e: String| fail(&e))
 }
 
 fn cmd_summary(args: &Args) {
@@ -646,7 +631,8 @@ fn cmd_summary(args: &Args) {
     let budget = parse_budget(args);
     let obs = Obs::parse(args);
     obs.begin("summary", path);
-    let summary = snap::metrics::summarize_with_budget(&g, args.flag_parse("seed", 0u64), &budget);
+    let net = Network::new(g).with_budget(budget.clone());
+    let summary = net.summary_with_seed(args.flag_parse("seed", 0u64));
     say!(obs, "{summary}");
     note_budget(&obs, &budget);
     obs.emit();
@@ -671,7 +657,8 @@ fn cmd_bfs(args: &Args) {
     let budget = parse_budget(args);
     let obs = Obs::parse(args);
     obs.begin("bfs", path);
-    let (r, stats) = match snap::kernels::try_par_bfs_hybrid_stats(&g, source, &cfg, &budget) {
+    let net = Network::new(g).with_budget(budget.clone());
+    let (r, stats) = match net.try_bfs_stats_with(source, &cfg) {
         Ok(out) => out,
         Err(why) => {
             // A partial traversal is meaningless: report the cancellation
@@ -727,7 +714,7 @@ fn cmd_bfs(args: &Args) {
 fn cmd_communities(args: &Args) {
     let path = input_path(args);
     let g = load(args, path, false);
-    let algorithm = parse_algorithm(args.flag("algorithm").unwrap_or("pma"));
+    let algorithm: CommunityAlgorithm = parse_name(args.flag("algorithm").unwrap_or("pma"));
     let budget = parse_budget(args);
     let obs = Obs::parse(args);
     obs.begin("communities", path);
@@ -761,17 +748,18 @@ fn cmd_partition(args: &Args) {
     if parts < 2 {
         fail("--parts K (>= 2) is required");
     }
-    let method = parse_method(args.flag("method").unwrap_or("kway"));
+    let method: PartitionMethod = parse_name(args.flag("method").unwrap_or("kway"));
     let seed = args.flag_parse("seed", 1u64);
     let budget = parse_budget(args);
     let obs = Obs::parse(args);
     obs.begin("partition", path);
-    match snap::partition::partition_with_budget(&g, method, parts, seed, &budget) {
+    let net = Network::new(g).with_budget(budget.clone());
+    match net.partition(method, parts, seed) {
         Ok(p) => {
             say!(
                 obs,
                 "edge cut {} | imbalance {:.3} | sizes {:?}",
-                snap::partition::edge_cut(&g, &p),
+                snap::partition::edge_cut(net.graph(), &p),
                 snap::partition::imbalance(&p, None),
                 p.sizes()
             );
@@ -909,8 +897,12 @@ fn cmd_kcore(args: &Args) {
     obs.begin("kcore", path);
     let backend = Backend::select(args, &obs, g);
     snap::obs::meta("backend", backend.name());
+    let exec = snap::Exec {
+        budget: budget.clone(),
+        ..Default::default()
+    };
     let r = with_backend!(backend, |g| {
-        match snap::kernels::try_coreness(g, &budget) {
+        match snap::kernels::try_coreness(g, &exec) {
             Ok(r) => r,
             Err(why) => {
                 // A partial peel is not a decomposition; report the
@@ -1034,12 +1026,12 @@ fn cmd_run(args: &Args) {
     if source as usize >= n {
         fail(&format!("--source {source} out of range (n = {n})"));
     }
-    let algorithm = parse_algorithm(args.flag("algorithm").unwrap_or("pma"));
+    let algorithm: CommunityAlgorithm = parse_name(args.flag("algorithm").unwrap_or("pma"));
     let parts: usize = args.flag_parse("parts", 4);
     if parts < 2 {
         fail("--parts K (>= 2) is required");
     }
-    let method = parse_method(args.flag("method").unwrap_or("kway"));
+    let method: PartitionMethod = parse_name(args.flag("method").unwrap_or("kway"));
     let frac: f64 = args.flag_parse("approx", 0.1);
     let seed = args.flag_parse("seed", 1u64);
     let budget = parse_budget(args);

@@ -43,6 +43,7 @@ mod session;
 
 pub use session::{Communities, CommunityAlgorithm, Network, Observed};
 pub use snap_budget::{Budget, Exhausted};
+pub use snap_kernels::Exec;
 
 /// Commonly used items in one import.
 pub mod prelude {

@@ -138,7 +138,7 @@ impl Query {
                 key
             }
             Query::Communities { algorithm } => {
-                format!("communities algorithm={}", algorithm_name(*algorithm))
+                format!("communities algorithm={}", algorithm.name())
             }
             Query::Partition {
                 method,
@@ -146,7 +146,7 @@ impl Query {
                 seed,
             } => format!(
                 "partition method={} parts={parts} seed={seed}",
-                method_name(*method)
+                method.name()
             ),
             Query::Coreness => "coreness".to_string(),
             Query::Epoch => "epoch".to_string(),
@@ -154,46 +154,6 @@ impl Query {
             Query::Dump => "dump".to_string(),
         }
     }
-}
-
-fn algorithm_name(a: CommunityAlgorithm) -> &'static str {
-    match a {
-        CommunityAlgorithm::GirvanNewman => "gn",
-        CommunityAlgorithm::Divisive => "pbd",
-        CommunityAlgorithm::Agglomerative => "pma",
-        CommunityAlgorithm::LocalAggregation => "pla",
-        CommunityAlgorithm::Spectral => "spectral",
-    }
-}
-
-fn parse_algorithm(s: &str) -> Result<CommunityAlgorithm, String> {
-    Ok(match s {
-        "gn" => CommunityAlgorithm::GirvanNewman,
-        "pbd" => CommunityAlgorithm::Divisive,
-        "pma" => CommunityAlgorithm::Agglomerative,
-        "pla" => CommunityAlgorithm::LocalAggregation,
-        "spectral" => CommunityAlgorithm::Spectral,
-        other => return Err(format!("unknown algorithm {other:?}")),
-    })
-}
-
-fn method_name(m: PartitionMethod) -> &'static str {
-    match m {
-        PartitionMethod::MultilevelKway => "kway",
-        PartitionMethod::MultilevelRecursive => "recursive",
-        PartitionMethod::SpectralRqi => "rqi",
-        PartitionMethod::SpectralLanczos => "lanczos",
-    }
-}
-
-fn parse_method(s: &str) -> Result<PartitionMethod, String> {
-    Ok(match s {
-        "kway" => PartitionMethod::MultilevelKway,
-        "recursive" => PartitionMethod::MultilevelRecursive,
-        "rqi" => PartitionMethod::SpectralRqi,
-        "lanczos" => PartitionMethod::SpectralLanczos,
-        other => return Err(format!("unknown method {other:?}")),
-    })
 }
 
 /// One wire request: a line of JSON.
@@ -242,6 +202,7 @@ impl Request {
             .and_then(Json::as_str)
             .ok_or_else(|| "missing \"query\" field".to_string())?;
         let seed = v.get("seed").and_then(Json::as_u64).unwrap_or(0);
+        let name = |key, default| v.get(key).and_then(Json::as_str).unwrap_or(default);
         let query = match kind {
             "summary" => Query::Summary { seed },
             "bfs" => Query::Bfs {
@@ -257,12 +218,10 @@ impl Request {
                 top: v.get("top").and_then(Json::as_u64).unwrap_or(10) as usize,
             },
             "communities" => Query::Communities {
-                algorithm: parse_algorithm(
-                    v.get("algorithm").and_then(Json::as_str).unwrap_or("pla"),
-                )?,
+                algorithm: name("algorithm", "pla").parse()?,
             },
             "partition" => Query::Partition {
-                method: parse_method(v.get("method").and_then(Json::as_str).unwrap_or("kway"))?,
+                method: name("method", "kway").parse()?,
                 parts: v.get("parts").and_then(Json::as_u64).unwrap_or(2) as usize,
                 seed,
             },
@@ -1377,6 +1336,18 @@ mod tests {
         assert!(Request::parse("{\"id\":1}").is_err());
         let d = Request::parse(r#"{"query":"summary","deadline_ms":250}"#).unwrap();
         assert_eq!(d.deadline, Some(Duration::from_millis(250)));
+        // Both spellings of the recursive partitioner parse (the CLI's
+        // and the protocol's, owned by `Method::from_str`) to one cache
+        // key.
+        let long = Request::parse(r#"{"query":"partition","method":"recursive"}"#).unwrap();
+        let short = Request::parse(r#"{"query":"partition","method":"recur"}"#).unwrap();
+        assert_eq!(
+            long.query.cache_key(),
+            "partition method=recursive parts=2 seed=0"
+        );
+        assert_eq!(short.query.cache_key(), long.query.cache_key());
+        assert!(Request::parse(r#"{"query":"partition","method":"metis"}"#).is_err());
+        assert!(Request::parse(r#"{"query":"communities","algorithm":"cnm"}"#).is_err());
     }
 
     #[test]

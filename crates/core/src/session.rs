@@ -8,8 +8,8 @@ use snap_centrality::BetweennessScores;
 use snap_community::{
     Clustering, GnConfig, PbdConfig, PlaConfig, PmaConfig, SpectralCommunityConfig,
 };
-use snap_graph::{CsrGraph, Graph, VertexId, WorkspacePool};
-use snap_kernels::{BfsResult, HybridConfig, TraversalStats};
+use snap_graph::{CsrGraph, Graph, VertexId};
+use snap_kernels::{BfsResult, Exec, HybridConfig, TraversalStats};
 use snap_metrics::GraphSummary;
 use snap_partition::{Method as PartitionMethod, Partition, SpectralError};
 use std::sync::Arc;
@@ -28,6 +28,41 @@ pub enum CommunityAlgorithm {
     /// Leading-eigenvector spectral modularity (Newman 2006) — the
     /// paper's "ongoing work" direction, included as an extension.
     Spectral,
+}
+
+impl CommunityAlgorithm {
+    /// Every algorithm, in declaration order.
+    pub const ALL: [CommunityAlgorithm; 5] = [
+        CommunityAlgorithm::GirvanNewman,
+        CommunityAlgorithm::Divisive,
+        CommunityAlgorithm::Agglomerative,
+        CommunityAlgorithm::LocalAggregation,
+        CommunityAlgorithm::Spectral,
+    ];
+
+    /// Canonical query name: what the CLI's `--algorithm` and the serve
+    /// protocol's `"algorithm"` accept (via [`FromStr`](std::str::FromStr))
+    /// and what serve cache keys are built from.
+    pub fn name(&self) -> &'static str {
+        match self {
+            CommunityAlgorithm::GirvanNewman => "gn",
+            CommunityAlgorithm::Divisive => "pbd",
+            CommunityAlgorithm::Agglomerative => "pma",
+            CommunityAlgorithm::LocalAggregation => "pla",
+            CommunityAlgorithm::Spectral => "spectral",
+        }
+    }
+}
+
+impl std::str::FromStr for CommunityAlgorithm {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<CommunityAlgorithm, String> {
+        CommunityAlgorithm::ALL
+            .into_iter()
+            .find(|a| a.name() == s)
+            .ok_or_else(|| format!("unknown algorithm {s:?}"))
+    }
 }
 
 /// A community-detection outcome.
@@ -58,12 +93,11 @@ pub struct Network {
     // (`snap_graph::stream::Snapshot`) analyze the published epoch
     // without copying the CSR; `&self.graph` derefs transparently.
     graph: Arc<CsrGraph>,
-    budget: Budget,
-    // Traversal scratch shared by every multi-source analysis call on
-    // this session (clones share it too — it is a cache, not state): the
-    // slot arrays warm up on the first centrality query and are reused
-    // by every later one.
-    pool: Arc<WorkspacePool>,
+    // The budget attached via `with_budget`, and the traversal scratch
+    // shared by every analysis call on this session (clones share the
+    // pool too — it is a cache, not state): the slot arrays warm up on
+    // the first multi-source query and are reused by every later one.
+    exec: Exec,
 }
 
 impl Network {
@@ -89,8 +123,7 @@ impl Network {
     pub fn from_shared(graph: Arc<CsrGraph>) -> Self {
         Network {
             graph,
-            budget: Budget::unlimited(),
-            pool: Arc::new(WorkspacePool::new()),
+            exec: Exec::default(),
         }
     }
 
@@ -124,7 +157,7 @@ impl Network {
     /// let _ = net.summary();
     /// ```
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = if budget.is_exhausted() {
+        self.exec.budget = if budget.is_exhausted() {
             budget.renew()
         } else {
             budget
@@ -135,7 +168,7 @@ impl Network {
     /// The budget attached via [`Self::with_budget`] (unlimited by
     /// default).
     pub fn budget(&self) -> &Budget {
-        &self.budget
+        &self.exec.budget
     }
 
     /// The underlying graph.
@@ -164,7 +197,7 @@ impl Network {
     /// path-length estimates (recorded in the observability report for
     /// reproducibility).
     pub fn summary_with_seed(&self, seed: u64) -> GraphSummary {
-        snap_metrics::summarize_with_budget(self.graph(), seed, &self.budget)
+        snap_metrics::summarize_in(self.graph(), seed, &self.exec)
     }
 
     /// Start an observed analysis session: enables `snap-obs` collection
@@ -213,47 +246,34 @@ impl Network {
         source: VertexId,
         cfg: &HybridConfig,
     ) -> Result<(BfsResult, TraversalStats), Exhausted> {
-        snap_kernels::try_par_bfs_hybrid_stats(self.graph(), source, cfg, &self.budget)
+        snap_kernels::try_par_bfs_hybrid_stats(self.graph(), source, cfg, &self.exec)
     }
 
     /// Exact betweenness centrality (vertices and edges), parallel over
     /// sources.
     pub fn betweenness(&self) -> BetweennessScores {
-        if self.budget.is_limited() {
-            // Degradation path: accumulate shuffled sources until the
-            // budget trips, rescaling by the sources processed — the
-            // prefix of a uniform shuffle is itself a uniform sample.
-            let n = self.graph.num_vertices();
-            let sources = snap_centrality::sample_sources(n, n, 0);
-            return snap_centrality::try_betweenness_from_sources_with_workspace(
-                self.graph(),
-                &sources,
-                &self.budget,
-                &self.pool,
-            )
-            .scores;
-        }
-        snap_centrality::par_brandes_with_workspace(self.graph(), &self.pool)
+        let n = self.graph.num_vertices();
+        // A budget that trips keeps a prefix of the source order and
+        // rescales by the sources processed, so under a limit the order
+        // is a uniform shuffle (its prefix is itself a uniform sample).
+        // Without one, vertex order keeps the f64 accumulation order —
+        // and so every bit — of `par_brandes`.
+        let sources = if self.exec.budget.is_limited() {
+            snap_centrality::sample_sources(n, n, 0)
+        } else {
+            (0..n as VertexId).collect()
+        };
+        snap_centrality::betweenness_from_sources_in(self.graph(), &sources, &self.exec).scores
     }
 
     /// Sampled approximate betweenness (fraction of sources).
     pub fn approx_betweenness(&self, frac: f64, seed: u64) -> BetweennessScores {
-        if self.budget.is_limited() {
-            return snap_centrality::approx_betweenness_with_budget_and_workspace(
-                self.graph(),
-                frac,
-                seed,
-                &self.budget,
-                &self.pool,
-            )
-            .scores;
-        }
-        snap_centrality::approx_betweenness_with_workspace(self.graph(), frac, seed, &self.pool)
+        snap_centrality::approx_betweenness_in(self.graph(), frac, seed, &self.exec).scores
     }
 
     /// Closeness centrality for every vertex.
     pub fn closeness(&self) -> Vec<f64> {
-        snap_centrality::closeness_with_workspace(self.graph(), &self.pool)
+        snap_centrality::closeness_in(self.graph(), &self.exec)
     }
 
     /// Weighted betweenness centrality (shortest paths by edge weight;
@@ -265,44 +285,38 @@ impl Network {
     /// Detect communities with the chosen algorithm (default
     /// configurations).
     pub fn communities(&self, algorithm: CommunityAlgorithm) -> Communities {
-        let budget = &self.budget;
+        let (g, exec) = (self.graph(), &self.exec);
         let (clustering, modularity) = match algorithm {
             CommunityAlgorithm::GirvanNewman | CommunityAlgorithm::Divisive
-                if budget.is_exhausted() =>
+                if exec.budget.is_exhausted() =>
             {
                 // The divisive algorithms cannot even bootstrap on a spent
                 // budget; fall back to pLA, whose degraded form (singleton
                 // leftovers) is still a valid clustering.
                 snap_obs::meta("degraded", "divisive->pla (budget exhausted)");
                 snap_obs::add("budget_degradations", 1);
-                let r =
-                    snap_community::pla_with_budget(self.graph(), &PlaConfig::default(), budget);
+                let r = snap_community::pla_in(g, &PlaConfig::default(), exec);
                 (r.clustering, r.q)
             }
             CommunityAlgorithm::GirvanNewman => {
-                let r = snap_community::girvan_newman(self.graph(), &GnConfig::default());
+                let r = snap_community::girvan_newman_in(g, &GnConfig::default(), exec);
                 (r.clustering, r.q)
             }
             CommunityAlgorithm::Divisive => {
-                let r =
-                    snap_community::pbd_with_budget(self.graph(), &PbdConfig::default(), budget);
+                let r = snap_community::pbd_in(g, &PbdConfig::default(), exec);
                 (r.clustering, r.q)
             }
             CommunityAlgorithm::Agglomerative => {
-                let r =
-                    snap_community::pma_with_budget(self.graph(), &PmaConfig::default(), budget);
+                let r = snap_community::pma_in(g, &PmaConfig::default(), exec);
                 (r.clustering, r.q)
             }
             CommunityAlgorithm::LocalAggregation => {
-                let r =
-                    snap_community::pla_with_budget(self.graph(), &PlaConfig::default(), budget);
+                let r = snap_community::pla_in(g, &PlaConfig::default(), exec);
                 (r.clustering, r.q)
             }
             CommunityAlgorithm::Spectral => {
-                let r = snap_community::spectral_communities(
-                    self.graph(),
-                    &SpectralCommunityConfig::default(),
-                );
+                let r =
+                    snap_community::spectral_communities(g, &SpectralCommunityConfig::default());
                 (r.clustering, r.q)
             }
         };
@@ -323,7 +337,7 @@ impl Network {
     /// decomposition, so exhaustion cancels with [`Exhausted`] instead
     /// of degrading.
     pub fn try_coreness(&self) -> Result<snap_kernels::CorenessResult, Exhausted> {
-        snap_kernels::try_coreness(self.graph(), &self.budget)
+        snap_kernels::try_coreness(self.graph(), &self.exec)
     }
 
     /// Modularity of an arbitrary clustering against this network.
@@ -338,7 +352,7 @@ impl Network {
         parts: usize,
         seed: u64,
     ) -> Result<Partition, SpectralError> {
-        snap_partition::partition_with_budget(self.graph(), method, parts, seed, &self.budget)
+        snap_partition::partition_in(self.graph(), method, parts, seed, &self.exec)
     }
 }
 
@@ -420,6 +434,14 @@ mod tests {
         assert_eq!(s.n, 6);
         assert_eq!(s.m, 7);
         assert_eq!(s.components, 1);
+    }
+
+    #[test]
+    fn algorithm_names_round_trip() {
+        for algorithm in CommunityAlgorithm::ALL {
+            assert_eq!(algorithm.name().parse(), Ok(algorithm));
+        }
+        assert!("louvain".parse::<CommunityAlgorithm>().is_err());
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //! vertex. The direction-optimizing scheme (Beamer, Asanović & Patterson,
 //! SC 2012) expands such levels bottom-up instead — every *unvisited*
 //! vertex scans its own adjacency for a frontier parent and stops at the
-//! first hit — and [`par_bfs_hybrid`] switches between the two directions
+//! first hit — and [`par_bfs`] switches between the two directions
 //! per level with the classic α/β occupancy heuristics, backed by the
 //! sparse/dense [`Frontier`] representation from `snap-graph`.
 
+use crate::Exec;
 use rayon::prelude::*;
-use snap_budget::{Budget, Exhausted};
+use snap_budget::Exhausted;
 use snap_graph::scratch::{dist_of, stamped};
 use snap_graph::{AtomicBitmap, Frontier, Graph, TraversalWorkspace, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -132,7 +133,7 @@ impl TraversalStats {
     }
 }
 
-/// Switching thresholds for [`par_bfs_hybrid_with`] (Beamer's α and β).
+/// Switching thresholds for [`par_bfs_hybrid_stats`] (Beamer's α and β).
 #[derive(Clone, Copy, Debug)]
 pub struct HybridConfig {
     /// Switch push → pull when the arcs out of the frontier exceed
@@ -259,27 +260,17 @@ pub fn export_bfs(n: usize, ws: &TraversalWorkspace, tag: u64) -> BfsResult {
     BfsResult { dist, parent }
 }
 
-/// Parallel BFS. Distances are exact BFS distances (identical to
-/// [`bfs`]); parents are *a* valid BFS-tree parent, which may differ from
-/// the sequential tree when several frontier vertices race for a child.
+/// Parallel BFS: the direction-optimizing hybrid with default
+/// [`HybridConfig`] thresholds. Distances are exact BFS distances
+/// (identical to [`bfs`]); parents are *a* valid BFS-tree parent, which
+/// may differ from the sequential tree when several frontier vertices
+/// race for a child.
 ///
-/// On undirected graphs this is the direction-optimizing hybrid
-/// ([`par_bfs_hybrid`]); on directed graphs it is the push-only
-/// level-synchronous BFS ([`par_bfs_push`]), since the bottom-up step
-/// scans out-arcs and therefore needs an undirected adjacency.
+/// Directed graphs run the same engine and simply never pull: the
+/// bottom-up step scans out-arcs, which only coincide with in-arcs on an
+/// undirected adjacency.
 pub fn par_bfs<G: Graph>(g: &G, source: VertexId) -> BfsResult {
-    par_bfs_hybrid(g, source)
-}
-
-/// Direction-optimizing BFS with default [`HybridConfig`] thresholds.
-pub fn par_bfs_hybrid<G: Graph>(g: &G, source: VertexId) -> BfsResult {
-    par_bfs_hybrid_with(g, source, &HybridConfig::default())
-}
-
-/// Direction-optimizing BFS with explicit thresholds, returning only the
-/// result. See [`par_bfs_hybrid_stats`] for the observable variant.
-pub fn par_bfs_hybrid_with<G: Graph>(g: &G, source: VertexId, cfg: &HybridConfig) -> BfsResult {
-    par_bfs_hybrid_stats(g, source, cfg).0
+    par_bfs_hybrid_stats(g, source, &HybridConfig::default()).0
 }
 
 /// Direction-optimizing BFS returning per-level [`TraversalStats`].
@@ -296,11 +287,11 @@ pub fn par_bfs_hybrid_stats<G: Graph>(
     source: VertexId,
     cfg: &HybridConfig,
 ) -> (BfsResult, TraversalStats) {
-    try_par_bfs_hybrid_stats(g, source, cfg, &Budget::unlimited())
+    try_par_bfs_hybrid_stats(g, source, cfg, &Exec::default())
         .expect("unlimited budget cannot be exhausted")
 }
 
-/// [`par_bfs_hybrid_stats`] under a compute [`Budget`]: the budget is
+/// [`par_bfs_hybrid_stats`] under `exec`'s compute budget: the budget is
 /// probed once per level (a traversal has O(diameter) levels) and charged
 /// for the arcs each level examined. A partial BFS has no meaningful
 /// distances, so exhaustion aborts with `Err` rather than degrading.
@@ -308,9 +299,10 @@ pub fn try_par_bfs_hybrid_stats<G: Graph>(
     g: &G,
     source: VertexId,
     cfg: &HybridConfig,
-    budget: &Budget,
+    exec: &Exec,
 ) -> Result<(BfsResult, TraversalStats), Exhausted> {
     let _span = snap_obs::span("bfs.hybrid");
+    let budget = &exec.budget;
     let n = g.num_vertices();
     let visited = AtomicBitmap::new(n);
     let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHABLE)).collect();
@@ -442,51 +434,11 @@ pub fn try_par_bfs_hybrid_stats<G: Graph>(
     ))
 }
 
-/// Push-only lock-free level-synchronous parallel BFS (the pre-hybrid
-/// engine, kept as an ablation baseline and as the engine for directed
-/// graphs).
-pub fn par_bfs_push<G: Graph>(g: &G, source: VertexId) -> BfsResult {
-    let n = g.num_vertices();
-    let visited = AtomicBitmap::new(n);
-    let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHABLE)).collect();
-    let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_PARENT)).collect();
-
-    visited.test_and_set(source as usize);
-    dist[source as usize].store(0, Ordering::Relaxed);
-    let mut frontier: Vec<VertexId> = vec![source];
-    let mut level: u32 = 0;
-
-    while !frontier.is_empty() {
-        level += 1;
-        // Degree-aware expansion: flat_map over (vertex, adjacency) pairs
-        // lets rayon split a hub's adjacency across workers.
-        let next: Vec<VertexId> = frontier
-            .par_iter()
-            .flat_map_iter(|&u| g.neighbors(u).map(move |v| (u, v)))
-            .filter_map(|(u, v)| {
-                if visited.test_and_set(v as usize) {
-                    dist[v as usize].store(level, Ordering::Relaxed);
-                    parent[v as usize].store(u, Ordering::Relaxed);
-                    Some(v)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        frontier = next;
-    }
-
-    BfsResult {
-        dist: dist.into_iter().map(|d| d.into_inner()).collect(),
-        parent: parent.into_iter().map(|p| p.into_inner()).collect(),
-    }
-}
-
 /// Naive parallel BFS: the frontier is split per *vertex* (one task per
 /// frontier vertex, adjacency scanned serially inside the task). On
 /// skewed degree distributions one worker draws the hub and serializes
 /// the level — this is the ablation baseline showing why the
-/// degree-aware assignment in [`par_bfs_push`] matters.
+/// degree-aware assignment in the hybrid's push step matters.
 pub fn par_bfs_vertex_partitioned<G: Graph>(g: &G, source: VertexId) -> BfsResult {
     let n = g.num_vertices();
     let visited = AtomicBitmap::new(n);
@@ -610,8 +562,6 @@ mod tests {
         let seq = bfs(&g, 0);
         let par = par_bfs(&g, 0);
         assert_eq!(seq.dist, par.dist);
-        let push = par_bfs_push(&g, 0);
-        assert_eq!(seq.dist, push.dist);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (decompose, then analyze components concurrently), so all three
 //! variants are tuned and cross-checked against each other.
 
-use crate::bfs::{par_bfs_hybrid, UNREACHABLE};
+use crate::bfs::{par_bfs, UNREACHABLE};
 use rayon::prelude::*;
 use snap_graph::{Graph, VertexId};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -93,7 +93,7 @@ pub fn connected_components<G: Graph>(g: &G) -> Components {
 }
 
 /// Connected components with the giant component swept by the
-/// direction-optimizing parallel BFS ([`par_bfs_hybrid`]) and the
+/// direction-optimizing parallel BFS ([`par_bfs`]) and the
 /// remainder by a sequential sweep.
 ///
 /// Small-world graphs concentrate almost every vertex in one giant
@@ -113,7 +113,7 @@ pub fn par_components_hybrid<G: Graph>(g: &G) -> Components {
     let seed = (0..n as VertexId)
         .max_by_key(|&v| g.degree(v))
         .expect("n > 0");
-    let r = par_bfs_hybrid(g, seed);
+    let r = par_bfs(g, seed);
     for (v, &d) in r.dist.iter().enumerate() {
         if d != UNREACHABLE {
             comp[v] = 0;

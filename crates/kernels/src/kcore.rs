@@ -22,8 +22,9 @@
 //! contributes `bucket_relaxations`.
 
 use crate::buckets::Buckets;
+use crate::Exec;
 use rayon::prelude::*;
-use snap_budget::{Budget, Exhausted};
+use snap_budget::Exhausted;
 use snap_graph::{Graph, VertexId};
 
 /// Output of [`coreness`].
@@ -62,14 +63,15 @@ impl CorenessResult {
 /// over the stored arcs (callers wanting total-degree cores should
 /// symmetrize first).
 pub fn coreness<G: Graph>(g: &G) -> CorenessResult {
-    try_coreness(g, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
+    try_coreness(g, &Exec::default()).expect("unlimited budget cannot be exhausted")
 }
 
-/// [`coreness`] under a compute [`Budget`]: probed once per peeling
+/// [`coreness`] under `exec`'s compute budget: probed once per peeling
 /// round, charged per degree decrement. A partial peel is not a valid
 /// decomposition, so exhaustion aborts with `Err`.
-pub fn try_coreness<G: Graph>(g: &G, budget: &Budget) -> Result<CorenessResult, Exhausted> {
+pub fn try_coreness<G: Graph>(g: &G, exec: &Exec) -> Result<CorenessResult, Exhausted> {
     let _span = snap_obs::span("kcore.peel");
+    let budget = &exec.budget;
     let n = g.num_vertices();
     let mut coreness = vec![0u32; n];
     let mut deg: Vec<u32> = (0..n).map(|v| g.degree(v as VertexId) as u32).collect();
@@ -207,7 +209,10 @@ mod tests {
         // work cap is exceeded well before the peel completes.
         let edges: Vec<(u32, u32)> = (0..255u32).map(|i| (i, i + 1)).collect();
         let g = from_edges(256, &edges);
-        let budget = Budget::with_work_cap(1);
-        assert!(try_coreness(&g, &budget).is_err());
+        let exec = Exec {
+            budget: snap_budget::Budget::with_work_cap(1),
+            ..Exec::default()
+        };
+        assert!(try_coreness(&g, &exec).is_err());
     }
 }

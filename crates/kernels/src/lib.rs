@@ -29,15 +29,16 @@ pub mod buckets;
 pub mod components;
 pub mod dynbfs;
 pub mod dyncc;
+mod exec;
 pub mod kcore;
 pub mod spanning;
 pub mod sssp;
 pub mod stcon;
 
 pub use bfs::{
-    bfs, bfs_into, bfs_limited, export_bfs, par_bfs, par_bfs_hybrid, par_bfs_hybrid_stats,
-    par_bfs_hybrid_with, par_bfs_push, par_bfs_vertex_partitioned, try_par_bfs_hybrid_stats,
-    BfsResult, Direction, HybridConfig, LevelStats, TraversalStats, NO_PARENT, UNREACHABLE,
+    bfs, bfs_into, bfs_limited, export_bfs, par_bfs, par_bfs_hybrid_stats,
+    par_bfs_vertex_partitioned, try_par_bfs_hybrid_stats, BfsResult, Direction, HybridConfig,
+    LevelStats, TraversalStats, NO_PARENT, UNREACHABLE,
 };
 pub use bicc::{biconnected_components, Bicc};
 pub use boruvka::{boruvka_msf, Msf};
@@ -47,10 +48,8 @@ pub use components::{
 };
 pub use dynbfs::IncrementalBfs;
 pub use dyncc::{DynamicComponents, IncrementalComponents};
+pub use exec::Exec;
 pub use kcore::{coreness, try_coreness, CorenessResult};
 pub use spanning::{par_spanning_forest, spanning_forest, SpanningForest};
-pub use sssp::{
-    delta_stepping, delta_stepping_flat_reference, dijkstra, try_delta_stepping,
-    try_delta_stepping_flat_reference, SsspResult, INF,
-};
-pub use stcon::{st_connectivity, st_connectivity_with_workspace, StResult};
+pub use sssp::{delta_stepping, dijkstra, try_delta_stepping, SsspResult, INF};
+pub use stcon::{st_connectivity, st_connectivity_into, StResult};

@@ -9,13 +9,13 @@
 //! phases; with Δ = 1 (unweighted) it is level-synchronous BFS.
 //!
 //! The bucket array lives in the shared [`Buckets`] structure (also
-//! under k-core peeling); [`try_delta_stepping_flat_reference`] keeps
-//! the pre-extraction inline-bucket implementation for A/B testing —
-//! the two are bit-identical on distances.
+//! under k-core peeling). Shortest-path distances are unique, so
+//! [`dijkstra`] is the reference every Δ-stepping test compares against.
 
 use crate::buckets::Buckets;
+use crate::Exec;
 use rayon::prelude::*;
-use snap_budget::{Budget, Exhausted};
+use snap_budget::Exhausted;
 use snap_graph::{VertexId, WeightedGraph};
 
 /// Distance assigned to unreachable vertices.
@@ -58,7 +58,7 @@ pub fn dijkstra<G: WeightedGraph>(g: &G, source: VertexId) -> SsspResult {
 /// Δ-stepping SSSP. `delta = 0` selects a heuristic Δ (average edge
 /// weight, clamped to ≥ 1).
 pub fn delta_stepping<G: WeightedGraph>(g: &G, source: VertexId, delta: u64) -> SsspResult {
-    try_delta_stepping(g, source, delta, &Budget::unlimited())
+    try_delta_stepping(g, source, delta, &Exec::default())
         .expect("unlimited budget cannot be exhausted")
 }
 
@@ -81,7 +81,7 @@ fn pick_delta<G: WeightedGraph>(g: &G, delta: u64) -> u64 {
     total.checked_div(arcs).map_or(1, |avg| avg.max(1))
 }
 
-/// [`delta_stepping`] under a compute [`Budget`]: probed once per bucket
+/// [`delta_stepping`] under `exec`'s compute budget: probed once per bucket
 /// and per light-edge phase, charged per relaxation request. Partial
 /// tentative distances are not shortest paths, so exhaustion aborts with
 /// `Err` rather than degrading.
@@ -89,9 +89,10 @@ pub fn try_delta_stepping<G: WeightedGraph>(
     g: &G,
     source: VertexId,
     delta: u64,
-    budget: &Budget,
+    exec: &Exec,
 ) -> Result<SsspResult, Exhausted> {
     let _span = snap_obs::span("sssp.delta_stepping");
+    let budget = &exec.budget;
     let n = g.num_vertices();
     if n == 0 {
         return Ok(SsspResult { dist: Vec::new() });
@@ -233,114 +234,6 @@ fn apply_requests(
     (relaxed, re_relaxed)
 }
 
-/// The pre-`Buckets` Δ-stepping implementation, with the bucket array
-/// inlined. Retained as the A/B reference for the extraction: same
-/// relaxation-request order, same clamping, bit-identical distances
-/// (asserted by tests and the `sssp_delta_flat` perf-suite row).
-pub fn delta_stepping_flat_reference<G: WeightedGraph>(
-    g: &G,
-    source: VertexId,
-    delta: u64,
-) -> SsspResult {
-    try_delta_stepping_flat_reference(g, source, delta, &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted")
-}
-
-/// Budgeted form of [`delta_stepping_flat_reference`].
-pub fn try_delta_stepping_flat_reference<G: WeightedGraph>(
-    g: &G,
-    source: VertexId,
-    delta: u64,
-    budget: &Budget,
-) -> Result<SsspResult, Exhausted> {
-    let _span = snap_obs::span("sssp.delta_stepping_flat");
-    let n = g.num_vertices();
-    if n == 0 {
-        return Ok(SsspResult { dist: Vec::new() });
-    }
-    let delta = pick_delta(g, delta);
-
-    let mut dist = vec![INF; n];
-    dist[source as usize] = 0;
-    let mut buckets: Vec<Vec<VertexId>> = vec![vec![source]];
-    let mut bucket_of = vec![usize::MAX; n];
-    bucket_of[source as usize] = 0;
-
-    let mut i = 0usize;
-    while i < buckets.len() {
-        budget.check()?;
-        let mut settled: Vec<VertexId> = Vec::new();
-        while !buckets[i].is_empty() {
-            if budget.is_exhausted() {
-                return Err(budget.exhaustion().unwrap_or(Exhausted::Deadline));
-            }
-            let current = std::mem::take(&mut buckets[i]);
-            let requests: Vec<(VertexId, u64)> = current
-                .par_iter()
-                .filter(|&&u| bucket_of[u as usize] == i)
-                .flat_map_iter(|&u| {
-                    let du = dist[u as usize];
-                    g.neighbors_weighted(u).filter_map(move |(v, _, w)| {
-                        let w = w as u64;
-                        if w <= delta {
-                            Some((v, du + w))
-                        } else {
-                            None
-                        }
-                    })
-                })
-                .collect();
-            for &u in &current {
-                if bucket_of[u as usize] == i {
-                    bucket_of[u as usize] = usize::MAX;
-                    settled.push(u);
-                }
-            }
-            let _ = budget.charge(requests.len() as u64 + 1);
-            apply_requests_flat(requests, &mut dist, &mut buckets, &mut bucket_of, delta, i);
-        }
-        let requests: Vec<(VertexId, u64)> = settled
-            .par_iter()
-            .flat_map_iter(|&u| {
-                let du = dist[u as usize];
-                g.neighbors_weighted(u).filter_map(move |(v, _, w)| {
-                    let w = w as u64;
-                    if w > delta {
-                        Some((v, du + w))
-                    } else {
-                        None
-                    }
-                })
-            })
-            .collect();
-        let _ = budget.charge(requests.len() as u64 + 1);
-        apply_requests_flat(requests, &mut dist, &mut buckets, &mut bucket_of, delta, i);
-        i += 1;
-    }
-    Ok(SsspResult { dist })
-}
-
-fn apply_requests_flat(
-    requests: Vec<(VertexId, u64)>,
-    dist: &mut [u64],
-    buckets: &mut Vec<Vec<VertexId>>,
-    bucket_of: &mut [usize],
-    delta: u64,
-    current_bucket: usize,
-) {
-    for (v, nd) in requests {
-        if nd < dist[v as usize] {
-            dist[v as usize] = nd;
-            let b = ((nd / delta) as usize).max(current_bucket);
-            if b >= buckets.len() {
-                buckets.resize_with(b + 1, Vec::new);
-            }
-            buckets[b].push(v);
-            bucket_of[v as usize] = b;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,8 +303,10 @@ mod tests {
 
     #[test]
     fn bucketed_matches_flat_reference_bit_identical() {
-        // The Buckets extraction must not change distances at all —
-        // same request order, same clamp, same lazy deletion.
+        // Lazy deletion and clamping in `Buckets` may reorder work but
+        // must not change a single distance, for any source or Δ.
+        // Shortest-path distances are unique, so Dijkstra is the
+        // reference.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(97);
         let n = 200;
@@ -425,8 +320,8 @@ mod tests {
         }
         let g = weighted(n, &edges);
         for source in [0u32, 17, 59] {
+            let a = dijkstra(&g, source);
             for delta in [0u64, 1, 4, 16, 100] {
-                let a = delta_stepping_flat_reference(&g, source, delta);
                 let b = delta_stepping(&g, source, delta);
                 assert_eq!(a.dist, b.dist, "source = {source}, delta = {delta}");
             }

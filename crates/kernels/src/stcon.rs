@@ -24,7 +24,7 @@ pub struct StResult {
 
 /// Bidirectional BFS between `s` and `t`.
 pub fn st_connectivity<G: Graph>(g: &G, s: VertexId, t: VertexId) -> StResult {
-    st_connectivity_with_workspace(g, s, t, &mut TraversalWorkspace::new())
+    st_connectivity_into(g, s, t, &mut TraversalWorkspace::new())
 }
 
 /// Side marker packed into bit 31 of the workspace distance word: clear
@@ -39,7 +39,7 @@ const DEPTH: u32 = !(T_SIDE as u32);
 /// ownership and per-vertex depth both live in the epoch-stamped `dist`
 /// word (unvisited ⇔ stale slot, side ⇔ bit 31), so a batch of queries
 /// pays no per-query allocation or clear for the per-vertex state.
-pub fn st_connectivity_with_workspace<G: Graph>(
+pub fn st_connectivity_into<G: Graph>(
     g: &G,
     s: VertexId,
     t: VertexId,

@@ -23,21 +23,20 @@ fn arb_graph() -> impl Strategy<Value = snap_graph::CsrGraph> {
 
 proptest! {
     /// Every parallel BFS variant produces sequential BFS distances from
-    /// every source: the push-only engine, the vertex-partitioned
-    /// ablation, and the direction-optimizing hybrid at the default,
-    /// never-pull, and always-pull thresholds.
+    /// every source: the vertex-partitioned ablation, and the
+    /// direction-optimizing hybrid at the default, never-pull, and
+    /// always-pull thresholds.
     #[test]
     fn par_bfs_matches_seq(g in arb_graph()) {
         for s in 0..g.num_vertices().min(5) {
             let a = bfs(&g, s as VertexId);
             let variants = [
-                ("push", par_bfs_push(&g, s as VertexId)),
                 ("vertex-partitioned", par_bfs_vertex_partitioned(&g, s as VertexId)),
-                ("hybrid", par_bfs_hybrid(&g, s as VertexId)),
-                ("hybrid-no-pull", par_bfs_hybrid_with(
-                    &g, s as VertexId, &HybridConfig { alpha: 0.0, beta: 24.0 })),
-                ("hybrid-all-pull", par_bfs_hybrid_with(
-                    &g, s as VertexId, &HybridConfig { alpha: f64::INFINITY, beta: 24.0 })),
+                ("hybrid", par_bfs(&g, s as VertexId)),
+                ("hybrid-no-pull", par_bfs_hybrid_stats(
+                    &g, s as VertexId, &HybridConfig { alpha: 0.0, beta: 24.0 }).0),
+                ("hybrid-all-pull", par_bfs_hybrid_stats(
+                    &g, s as VertexId, &HybridConfig { alpha: f64::INFINITY, beta: 24.0 }).0),
             ];
             for (name, b) in variants {
                 prop_assert_eq!(&a.dist, &b.dist, "variant {} from {}", name, s);
@@ -51,7 +50,7 @@ proptest! {
     #[test]
     fn hybrid_parents_form_bfs_tree(g in arb_graph()) {
         for alpha in [0.0, 14.0, f64::INFINITY] {
-            let r = par_bfs_hybrid_with(&g, 0, &HybridConfig { alpha, beta: 24.0 });
+            let r = par_bfs_hybrid_stats(&g, 0, &HybridConfig { alpha, beta: 24.0 }).0;
             prop_assert_eq!(r.dist[0], 0);
             for v in 1..g.num_vertices() {
                 if r.dist[v] == UNREACHABLE {
@@ -167,21 +166,13 @@ fn bfs_variants_agree_across_generators_and_thread_counts() {
                 .build()
                 .expect("building rayon pool");
             pool.install(|| {
+                let forced =
+                    |alpha| par_bfs_hybrid_stats(g, 0, &HybridConfig { alpha, beta: 24.0 }).0;
                 let variants = [
-                    ("push", par_bfs_push(g, 0)),
                     ("vertex-partitioned", par_bfs_vertex_partitioned(g, 0)),
-                    ("hybrid", par_bfs_hybrid(g, 0)),
-                    (
-                        "hybrid-all-pull",
-                        par_bfs_hybrid_with(
-                            g,
-                            0,
-                            &HybridConfig {
-                                alpha: f64::INFINITY,
-                                beta: 24.0,
-                            },
-                        ),
-                    ),
+                    ("hybrid", par_bfs(g, 0)),
+                    ("hybrid-no-pull", forced(0.0)),
+                    ("hybrid-all-pull", forced(f64::INFINITY)),
                 ];
                 for (vname, r) in variants {
                     assert_eq!(seq.dist, r.dist, "{name}/{vname} @ {threads} threads");

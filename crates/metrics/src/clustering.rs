@@ -6,8 +6,8 @@
 //! embarrassingly parallel over vertices.
 
 use rayon::prelude::*;
-use snap_budget::Budget;
 use snap_graph::{CsrGraph, Graph, VertexId};
+use snap_kernels::Exec;
 
 /// Number of triangles through each vertex.
 pub fn triangles_per_vertex(g: &CsrGraph) -> Vec<u64> {
@@ -115,63 +115,56 @@ impl PartialClustering {
     }
 }
 
-/// Average clustering and transitivity under a compute [`Budget`]: the
-/// triangle sweep (the `O(Σ deg²)` cost) charges per adjacency-merge and
-/// skips remaining vertices once the budget trips. The estimates over the
-/// processed subset stay consistent; only their variance grows.
-pub fn clustering_with_budget(g: &CsrGraph, budget: &Budget) -> PartialClustering {
+/// [`average_clustering`] and [`transitivity`] from one triangle sweep
+/// under `exec`'s compute budget: the sweep (the `O(Σ deg²)` cost) charges
+/// per adjacency-merge and skips remaining vertices once the budget
+/// trips. The estimates over the processed subset stay consistent; only
+/// their variance grows. With nothing skipped both values equal the two
+/// single-purpose functions bit for bit, at any thread count.
+pub fn clustering_in(g: &CsrGraph, exec: &Exec) -> PartialClustering {
     assert!(
         !g.is_directed(),
         "triangle counting assumes undirected input"
     );
     let n = g.num_vertices();
-    if n == 0 {
-        return PartialClustering {
-            average: 0.0,
-            transitivity: 0.0,
-            vertices_used: 0,
-            vertices_total: 0,
-        };
-    }
-    // (Σ local coefficients, Σ triangles, Σ wedges, vertices processed).
-    let (coeff, tri, wedges, used) = (0..n as VertexId)
+    let budget = &exec.budget;
+    // (local coefficient, triangles, wedges) of every processed vertex,
+    // in vertex order. Collected rather than folded per rayon chunk so
+    // the f64 coefficients are summed in one fixed order below: a
+    // per-chunk fold makes the low bits of `average` depend on the
+    // thread count.
+    let per_vertex: Vec<(f64, u64, u64)> = (0..n as VertexId)
         .into_par_iter()
-        .fold(
-            || (0.0f64, 0u64, 0u64, 0usize),
-            |(mut coeff, mut tri, mut wedges, mut used), u| {
-                if budget.is_exhausted() {
-                    return (coeff, tri, wedges, used);
-                }
-                let nu = g.neighbor_slice(u);
-                let mut count = 0u64;
-                let mut cost = 1 + nu.len() as u64;
-                for &v in nu {
-                    let nv = g.neighbor_slice(v);
-                    cost += nv.len() as u64;
-                    count += sorted_intersection_size(nu, nv);
-                }
-                if budget.charge(cost).is_err() {
-                    return (coeff, tri, wedges, used);
-                }
-                let t = count / 2;
-                let d = nu.len() as u64;
-                let w = d * d.saturating_sub(1) / 2;
-                if d >= 2 {
-                    coeff += t as f64 / w as f64;
-                }
-                tri += t;
-                wedges += w;
-                used += 1;
-                (coeff, tri, wedges, used)
-            },
-        )
-        .reduce(
-            || (0.0f64, 0u64, 0u64, 0usize),
-            |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
-        );
+        .filter_map(|u| {
+            if budget.is_exhausted() {
+                return None;
+            }
+            let nu = g.neighbor_slice(u);
+            let mut count = 0u64;
+            let mut cost = 1 + nu.len() as u64;
+            for &v in nu {
+                let nv = g.neighbor_slice(v);
+                cost += nv.len() as u64;
+                count += sorted_intersection_size(nu, nv);
+            }
+            budget.charge(cost).ok()?;
+            let t = count / 2;
+            let d = nu.len() as u64;
+            let coeff = if d < 2 {
+                0.0
+            } else {
+                2.0 * t as f64 / (d * (d - 1)) as f64
+            };
+            Some((coeff, t, d * d.saturating_sub(1) / 2))
+        })
+        .collect();
+    let used = per_vertex.len();
     if used < n {
         snap_obs::add("clustering_vertices_skipped", (n - used) as u64);
     }
+    let coeff: f64 = per_vertex.iter().map(|&(c, _, _)| c).sum();
+    let tri: u64 = per_vertex.iter().map(|&(_, t, _)| t).sum();
+    let wedges: u64 = per_vertex.iter().map(|&(_, _, w)| w).sum();
     PartialClustering {
         average: if used == 0 { 0.0 } else { coeff / used as f64 },
         transitivity: if wedges == 0 {
@@ -227,6 +220,34 @@ mod tests {
         assert_eq!(triangle_count(&g), 10); // C(5,3)
         assert!((average_clustering(&g) - 1.0).abs() < 1e-12);
         assert!((transitivity(&g) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_sweep_equals_the_oracles_bit_for_bit() {
+        // 2048 vertices: above the size where the sweep is actually split
+        // across workers, so a chunk-order-dependent sum would show.
+        let g = snap_gen::rmat(&snap_gen::RmatConfig::small_world(11, 16384), 5);
+        let (average, trans) = (average_clustering(&g), transitivity(&g));
+        let untripped = Exec {
+            budget: snap_budget::Budget::with_deadline(std::time::Duration::from_secs(3600)),
+            ..Exec::default()
+        };
+        for threads in [1usize, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for exec in [&Exec::default(), &untripped] {
+                let c = pool.install(|| clustering_in(&g, exec));
+                assert!(!c.degraded());
+                assert_eq!(c.average.to_bits(), average.to_bits(), "{threads} threads");
+                assert_eq!(
+                    c.transitivity.to_bits(),
+                    trans.to_bits(),
+                    "{threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

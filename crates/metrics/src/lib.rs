@@ -20,14 +20,12 @@ pub mod summary;
 
 pub use assortativity::{average_neighbor_degree, degree_assortativity, neighbor_connectivity};
 pub use clustering::{
-    average_clustering, clustering_with_budget, local_clustering, transitivity, triangle_count,
+    average_clustering, clustering_in, local_clustering, transitivity, triangle_count,
     triangles_per_vertex, PartialClustering,
 };
 pub use degree_dist::{degree_ccdf, degree_histogram, degree_stats, DegreeStats};
 pub use pathlen::{
-    path_stats_exact, path_stats_exact_with_workspace, path_stats_sampled,
-    path_stats_sampled_with_workspace, path_stats_with_budget,
-    path_stats_with_budget_and_workspace, PartialPathStats, PathStats,
+    path_stats_exact, path_stats_in, path_stats_sampled, PartialPathStats, PathStats,
 };
 pub use richclub::{rich_club_coefficient, rich_club_curve};
-pub use summary::{summarize, summarize_with_budget, GraphSummary};
+pub use summary::{summarize, summarize_in, GraphSummary};

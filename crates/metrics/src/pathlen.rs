@@ -5,13 +5,14 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use snap_budget::Budget;
-use snap_graph::{Graph, PooledWorkspace, TraversalWorkspace, VertexId, WorkspacePool};
-use snap_kernels::bfs::{bfs_levels_into, par_bfs_hybrid, UNREACHABLE};
+use snap_graph::{Graph, PooledWorkspace, TraversalWorkspace, VertexId};
+use snap_kernels::bfs::{bfs_levels_into, par_bfs, UNREACHABLE};
+use snap_kernels::Exec;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Path-length statistics over (a sample of) source vertices.
-#[derive(Clone, Copy, Debug)]
+/// Path-length statistics over (a sample of) source vertices; all zero
+/// when no reachable pair was observed.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PathStats {
     /// Mean distance over reachable ordered pairs.
     pub average: f64,
@@ -24,34 +25,15 @@ pub struct PathStats {
 }
 
 /// Exact statistics via all-pairs BFS (`O(n(m + n))`; small graphs only).
+/// The statistics are read off a histogram of integer distance counts,
+/// so the order the sources are swept in cannot change them.
 pub fn path_stats_exact<G: Graph>(g: &G) -> PathStats {
-    path_stats_exact_with_workspace(g, &WorkspacePool::new())
-}
-
-/// [`path_stats_exact`] drawing traversal scratch from `pool`.
-pub fn path_stats_exact_with_workspace<G: Graph>(g: &G, pool: &WorkspacePool) -> PathStats {
-    let sources: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-    path_stats_from_sources(g, &sources, pool)
+    path_stats_in(g, g.num_vertices(), 0, &Exec::default()).stats
 }
 
 /// Sampled statistics from `k` random sources.
 pub fn path_stats_sampled<G: Graph>(g: &G, k: usize, seed: u64) -> PathStats {
-    path_stats_sampled_with_workspace(g, k, seed, &WorkspacePool::new())
-}
-
-/// [`path_stats_sampled`] drawing traversal scratch from `pool`.
-pub fn path_stats_sampled_with_workspace<G: Graph>(
-    g: &G,
-    k: usize,
-    seed: u64,
-    pool: &WorkspacePool,
-) -> PathStats {
-    let n = g.num_vertices();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut sources: Vec<VertexId> = (0..n as VertexId).collect();
-    sources.shuffle(&mut rng);
-    sources.truncate(k.max(1).min(n.max(1)));
-    path_stats_from_sources(g, &sources, pool)
+    path_stats_in(g, k, seed, &Exec::default()).stats
 }
 
 /// Path statistics computed from however many BFS sources the budget
@@ -73,42 +55,26 @@ impl PartialPathStats {
     }
 }
 
-/// Sampled path statistics under a compute [`Budget`]: traverses sampled
-/// sources until the budget trips. The processed prefix of the shuffled
-/// sample is itself a uniform sample, so the averages stay unbiased —
-/// only the variance grows. Pass `k = n` for budget-degraded "exact"
-/// statistics.
-pub fn path_stats_with_budget<G: Graph>(
-    g: &G,
-    k: usize,
-    seed: u64,
-    budget: &Budget,
-) -> PartialPathStats {
-    path_stats_with_budget_and_workspace(g, k, seed, budget, &WorkspacePool::new())
-}
-
-/// [`path_stats_with_budget`] drawing traversal scratch from `pool`.
-pub fn path_stats_with_budget_and_workspace<G: Graph>(
-    g: &G,
-    k: usize,
-    seed: u64,
-    budget: &Budget,
-    pool: &WorkspacePool,
-) -> PartialPathStats {
+/// [`path_stats_sampled`] with `exec`'s budget and workspace pool:
+/// traverses sampled sources until the budget trips. The processed prefix
+/// of the shuffled sample is itself a uniform sample, so the averages
+/// stay unbiased — only the variance grows. Pass `k = n` for
+/// budget-degraded "exact" statistics.
+pub fn path_stats_in<G: Graph>(g: &G, k: usize, seed: u64, exec: &Exec) -> PartialPathStats {
     let n = g.num_vertices();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut sources: Vec<VertexId> = (0..n as VertexId).collect();
     sources.shuffle(&mut rng);
     sources.truncate(k.max(1).min(n.max(1)));
-    let (stats, used) = path_stats_from_sources_budgeted(g, &sources, budget, pool);
+    let (hist, used) = distance_histogram(g, &sources, exec);
     if used < sources.len() {
-        if let Some(why) = budget.exhaustion() {
+        if let Some(why) = exec.budget.exhaustion() {
             snap_obs::meta("degraded", why);
         }
         snap_obs::add("sources_skipped", (sources.len() - used) as u64);
     }
     PartialPathStats {
-        stats,
+        stats: stats_of(&hist),
         sources_used: used,
         sources_requested: sources.len(),
     }
@@ -145,23 +111,12 @@ fn add_distances_ws(acc: &mut Vec<u64>, ws: &TraversalWorkspace) {
     }
 }
 
-fn path_stats_from_sources<G: Graph>(
-    g: &G,
-    sources: &[VertexId],
-    pool: &WorkspacePool,
-) -> PathStats {
-    path_stats_from_sources_budgeted(g, sources, &Budget::unlimited(), pool).0
-}
-
-fn path_stats_from_sources_budgeted<G: Graph>(
-    g: &G,
-    sources: &[VertexId],
-    budget: &Budget,
-    pool: &WorkspacePool,
-) -> (PathStats, usize) {
-    // Histogram of distances (small-world graphs have tiny diameters, so
-    // a growable histogram beats storing all pair distances).
-    //
+/// Histogram of the distances from `sources` (small-world graphs have
+/// tiny diameters, so a growable histogram beats storing all pair
+/// distances), plus how many sources were traversed before the budget
+/// tripped.
+fn distance_histogram<G: Graph>(g: &G, sources: &[VertexId], exec: &Exec) -> (Vec<u64>, usize) {
+    let (budget, pool) = (&exec.budget, &*exec.pool);
     // Too few sources cannot saturate a source-parallel sweep, so below
     // one source per worker each traversal runs on the parallel
     // direction-optimizing engine instead. With plenty of sources, one
@@ -176,7 +131,7 @@ fn path_stats_from_sources_budgeted<G: Graph>(
             if budget.check().is_err() {
                 break;
             }
-            let r = par_bfs_hybrid(g, s);
+            let r = par_bfs(g, s);
             let _ = budget.charge(n as u64 + 1);
             processed.fetch_add(1, Ordering::Relaxed);
             add_distances(&mut acc, s, &r.dist);
@@ -211,19 +166,14 @@ fn path_stats_from_sources_budgeted<G: Graph>(
             })
     };
     pool.flush_obs();
-    let processed = processed.load(Ordering::Relaxed) as usize;
+    (hist, processed.load(Ordering::Relaxed) as usize)
+}
 
+/// Read the statistics off a distance histogram.
+fn stats_of(hist: &[u64]) -> PathStats {
     let pairs: u64 = hist.iter().sum();
     if pairs == 0 {
-        return (
-            PathStats {
-                average: 0.0,
-                max: 0,
-                effective_diameter: 0.0,
-                pairs: 0,
-            },
-            processed,
-        );
+        return PathStats::default();
     }
     let total: u64 = hist.iter().enumerate().map(|(d, &c)| d as u64 * c).sum();
     let max = (hist.len() - 1) as u32;
@@ -245,15 +195,12 @@ fn path_stats_from_sources_budgeted<G: Graph>(
             break;
         }
     }
-    (
-        PathStats {
-            average: total as f64 / pairs as f64,
-            max,
-            effective_diameter: eff.max(0.0),
-            pairs,
-        },
-        processed,
-    )
+    PathStats {
+        average: total as f64 / pairs as f64,
+        max,
+        effective_diameter: eff.max(0.0),
+        pairs,
+    }
 }
 
 #[cfg(test)]

@@ -3,12 +3,11 @@
 //! of topological metrics".
 
 use crate::assortativity::degree_assortativity;
-use crate::clustering::{average_clustering, clustering_with_budget, transitivity};
+use crate::clustering::clustering_in;
 use crate::degree_dist::{degree_stats, DegreeStats};
-use crate::pathlen::{path_stats_exact, path_stats_sampled, path_stats_with_budget, PathStats};
-use snap_budget::Budget;
+use crate::pathlen::{path_stats_in, PathStats};
 use snap_graph::{CsrGraph, Graph};
-use snap_kernels::connected_components;
+use snap_kernels::{connected_components, Exec};
 
 /// Aggregate topology report for a network.
 #[derive(Clone, Debug)]
@@ -44,49 +43,32 @@ const PATH_SAMPLES: usize = 64;
 /// Compute the full summary. Cost: triangle counting plus
 /// `min(n, PATH_SAMPLES)` BFS traversals.
 pub fn summarize(g: &CsrGraph, seed: u64) -> GraphSummary {
-    summarize_with_budget(g, seed, &Budget::unlimited())
+    summarize_in(g, seed, &Exec::default())
 }
 
-/// [`summarize`] under a compute [`Budget`]. The path-statistics BFS
-/// sweep — the dominant cost on large graphs — degrades to however many
-/// sampled sources the budget allows; `paths_sampled` is set whenever the
-/// sweep was cut short of an exact all-pairs pass.
-pub fn summarize_with_budget(g: &CsrGraph, seed: u64, budget: &Budget) -> GraphSummary {
+/// [`summarize`] with `exec`'s budget and workspace pool. The
+/// path-statistics BFS sweep — the dominant cost on large graphs —
+/// degrades to however many sampled sources the budget allows;
+/// `paths_sampled` is set whenever the sweep was cut short of an exact
+/// all-pairs pass. The triangle sweep degrades to the vertices it reached.
+pub fn summarize_in(g: &CsrGraph, seed: u64, exec: &Exec) -> GraphSummary {
     let _span = snap_obs::span("metrics.summary");
     snap_obs::meta("seed", seed);
     let n = g.num_vertices();
     let comps = connected_components(g);
-    let (paths, paths_sampled, path_sources) = if n <= EXACT_PATH_LIMIT {
-        if budget.is_limited() {
-            let p = path_stats_with_budget(g, n, seed, budget);
-            (p.stats, p.degraded(), p.sources_used)
-        } else {
-            (path_stats_exact(g), false, n)
+    let exact = n <= EXACT_PATH_LIMIT;
+    let p = path_stats_in(g, if exact { n } else { PATH_SAMPLES }, seed, exec);
+    let c = clustering_in(g, exec);
+    if c.degraded() {
+        if let Some(why) = exec.budget.exhaustion() {
+            snap_obs::meta("degraded", why);
         }
-    } else if budget.is_limited() {
-        let p = path_stats_with_budget(g, PATH_SAMPLES, seed, budget);
-        (p.stats, true, p.sources_used)
-    } else {
-        (path_stats_sampled(g, PATH_SAMPLES, seed), true, {
-            PATH_SAMPLES.min(n)
-        })
-    };
-    let (clustering, transitivity) = if budget.is_limited() {
-        let c = clustering_with_budget(g, budget);
-        if c.degraded() {
-            if let Some(why) = budget.exhaustion() {
-                snap_obs::meta("degraded", why);
-            }
-        }
-        (c.average, c.transitivity)
-    } else {
-        (average_clustering(g), transitivity(g))
-    };
+    }
     if snap_obs::is_enabled() {
         snap_obs::add("n", n as u64);
         snap_obs::add("m", g.num_edges() as u64);
         snap_obs::add("components", comps.count as u64);
-        snap_obs::add("path_sources", path_sources as u64);
+        snap_obs::add("path_sources", p.sources_used as u64);
     }
     GraphSummary {
         n,
@@ -98,11 +80,11 @@ pub fn summarize_with_budget(g: &CsrGraph, seed: u64, budget: &Budget) -> GraphS
         } else {
             comps.giant_size() as f64 / n as f64
         },
-        clustering,
-        transitivity,
+        clustering: c.average,
+        transitivity: c.transitivity,
         assortativity: degree_assortativity(g),
-        paths,
-        paths_sampled,
+        paths: p.stats,
+        paths_sampled: !exact || p.degraded(),
     }
 }
 

@@ -43,7 +43,7 @@ pub fn multilevel_bisect(g: &CsrGraph, vwgt: &[u32], target0: u64, cfg: &BisectC
 /// every level is budgeted, and once the budget trips remaining levels
 /// project the coarse side up without refining. The result is always a
 /// valid (if rougher) bisection.
-pub fn multilevel_bisect_budgeted(
+pub(crate) fn multilevel_bisect_budgeted(
     g: &CsrGraph,
     vwgt: &[u32],
     target0: u64,

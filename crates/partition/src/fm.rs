@@ -66,7 +66,7 @@ pub fn fm_refine(
 /// best prefix, so `side` is always left in a valid (refined-so-far)
 /// state.
 #[allow(clippy::too_many_arguments)]
-pub fn fm_refine_budgeted(
+pub(crate) fn fm_refine_budgeted(
     g: &CsrGraph,
     vwgt: &[u32],
     side: &mut [u8],

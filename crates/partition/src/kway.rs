@@ -8,6 +8,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use snap_budget::Budget;
 use snap_graph::{CsrGraph, Graph, InducedSubgraph, VertexId, WeightedGraph};
+use snap_kernels::Exec;
 
 /// Configuration for the k-way partitioners.
 #[derive(Clone, Copy, Debug)]
@@ -52,15 +53,16 @@ impl KwayConfig {
 /// Partition `g` into `cfg.parts` parts by recursive multilevel
 /// bisection (+ optional k-way refinement).
 pub fn kway_partition(g: &CsrGraph, cfg: &KwayConfig) -> Partition {
-    kway_partition_with_budget(g, cfg, &Budget::unlimited())
+    kway_partition_in(g, cfg, &Exec::default())
 }
 
-/// [`kway_partition`] under a compute [`Budget`]. When the budget trips,
+/// [`kway_partition`] under `exec`'s compute budget. When the budget trips,
 /// remaining recursive bisections fall back to unrefined round-robin
 /// splits (balanced, every part non-empty) and refinement passes stop
 /// early — the returned partition is always valid.
-pub fn kway_partition_with_budget(g: &CsrGraph, cfg: &KwayConfig, budget: &Budget) -> Partition {
+pub fn kway_partition_in(g: &CsrGraph, cfg: &KwayConfig, exec: &Exec) -> Partition {
     let _span = snap_obs::span("partition.multilevel");
+    let budget = &exec.budget;
     assert!(cfg.parts >= 1, "parts must be positive");
     let n = g.num_vertices();
     let mut assignment = vec![0u32; n];
@@ -85,7 +87,7 @@ pub fn kway_partition_with_budget(g: &CsrGraph, cfg: &KwayConfig, budget: &Budge
         parts: cfg.parts,
     };
     if cfg.kway_refine_passes > 0 {
-        kway_refine_budgeted(
+        kway_refine(
             g,
             &mut p,
             cfg.tolerance,
@@ -174,15 +176,11 @@ fn rb(
 }
 
 /// Greedy direct k-way refinement: boundary vertices move to the adjacent
-/// part with the largest positive gain, balance permitting.
-pub fn kway_refine(g: &CsrGraph, p: &mut Partition, tolerance: f64, passes: usize, seed: u64) {
-    kway_refine_budgeted(g, p, tolerance, passes, seed, &Budget::unlimited());
-}
-
-/// [`kway_refine`] under a compute [`Budget`]: refinement stops at the
-/// first exhausted pass boundary or mid-pass vertex. Every applied move
-/// preserves balance, so the partition stays valid wherever it stops.
-pub fn kway_refine_budgeted(
+/// part with the largest positive gain, balance permitting. Refinement
+/// stops at the first exhausted pass boundary or mid-pass vertex; every
+/// applied move preserves balance, so the partition stays valid wherever
+/// it stops.
+fn kway_refine(
     g: &CsrGraph,
     p: &mut Partition,
     tolerance: f64,

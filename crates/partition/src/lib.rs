@@ -22,22 +22,18 @@ pub mod matching;
 pub mod metrics;
 pub mod spectral;
 
-pub use bisect::{
-    bisect_with_cut, initial_bisect, multilevel_bisect, multilevel_bisect_budgeted, BisectConfig,
-};
+pub use bisect::{bisect_with_cut, initial_bisect, multilevel_bisect, BisectConfig};
 pub use coarsen::{coarsen, CoarseLevel};
-pub use fm::{bisection_cut, fm_refine, fm_refine_budgeted};
-pub use kway::{
-    kway_partition, kway_partition_with_budget, kway_refine, kway_refine_budgeted, KwayConfig,
-};
+pub use fm::{bisection_cut, fm_refine};
+pub use kway::{kway_partition, kway_partition_in, KwayConfig};
 pub use matching::{heavy_edge_matching, is_valid_matching};
 pub use metrics::{conductance, edge_cut, imbalance, Partition};
 pub use spectral::{
     fiedler_lanczos, fiedler_power, spectral_partition, Eigensolver, SpectralConfig, SpectralError,
 };
 
-use snap_budget::Budget;
 use snap_graph::CsrGraph;
+use snap_kernels::Exec;
 
 /// The four partitioning methods of Table 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,6 +58,42 @@ impl Method {
             Method::SpectralLanczos => "Chaco-LAN",
         }
     }
+
+    /// Every method, in Table 1 order.
+    pub const ALL: [Method; 4] = [
+        Method::MultilevelKway,
+        Method::MultilevelRecursive,
+        Method::SpectralRqi,
+        Method::SpectralLanczos,
+    ];
+
+    /// Canonical query name: what the CLI's `--method` and the serve
+    /// protocol's `"method"` accept (via [`FromStr`](std::str::FromStr))
+    /// and what serve cache keys are built from.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Method::MultilevelKway => "kway",
+            Method::MultilevelRecursive => "recursive",
+            Method::SpectralRqi => "rqi",
+            Method::SpectralLanczos => "lanczos",
+        }
+    }
+}
+
+impl std::str::FromStr for Method {
+    type Err = String;
+
+    /// Parses a [`Method::name`]; `recur` is accepted as an alias of
+    /// `recursive`.
+    fn from_str(s: &str) -> Result<Method, String> {
+        match s {
+            "recur" => Ok(Method::MultilevelRecursive),
+            _ => Method::ALL
+                .into_iter()
+                .find(|m| m.name() == s)
+                .ok_or_else(|| format!("unknown method {s:?}")),
+        }
+    }
 }
 
 /// Partition `g` into `parts` parts with the chosen method. Spectral
@@ -83,34 +115,30 @@ pub fn partition(
     parts: usize,
     seed: u64,
 ) -> Result<Partition, SpectralError> {
-    partition_with_budget(g, method, parts, seed, &Budget::unlimited())
+    partition_in(g, method, parts, seed, &Exec::default())
 }
 
-/// [`partition`] under a compute [`Budget`]. The multilevel methods
+/// [`partition`] under `exec`'s compute budget. The multilevel methods
 /// degrade gracefully (budgeted FM / k-way refinement, round-robin
 /// fallback splits); the spectral solvers are bounded by their own
 /// iteration caps and run to completion.
-pub fn partition_with_budget(
+pub fn partition_in(
     g: &CsrGraph,
     method: Method,
     parts: usize,
     seed: u64,
-    budget: &Budget,
+    exec: &Exec,
 ) -> Result<Partition, SpectralError> {
     let _span = snap_obs::span("partition");
     snap_obs::meta("method", method.label());
     snap_obs::meta("parts", parts);
     snap_obs::meta("seed", seed);
     let result = match method {
-        Method::MultilevelKway => Ok(kway_partition_with_budget(
-            g,
-            &KwayConfig::kway(parts, seed),
-            budget,
-        )),
-        Method::MultilevelRecursive => Ok(kway_partition_with_budget(
+        Method::MultilevelKway => Ok(kway_partition_in(g, &KwayConfig::kway(parts, seed), exec)),
+        Method::MultilevelRecursive => Ok(kway_partition_in(
             g,
             &KwayConfig::recursive(parts, seed),
-            budget,
+            exec,
         )),
         Method::SpectralRqi => spectral_partition(g, &SpectralConfig::rqi(parts, seed)),
         Method::SpectralLanczos => spectral_partition(g, &SpectralConfig::lanczos(parts, seed)),
@@ -124,4 +152,18 @@ pub fn partition_with_budget(
         }
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn method_names_round_trip() {
+        for method in Method::ALL {
+            assert_eq!(method.name().parse(), Ok(method));
+        }
+        assert_eq!("recur".parse(), Ok(Method::MultilevelRecursive));
+        assert!("metis".parse::<Method>().is_err());
+    }
 }

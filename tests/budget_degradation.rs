@@ -3,8 +3,15 @@
 //! (degraded) results, and cancellations surface through the run report.
 
 use snap::prelude::*;
-use snap::{Budget, CommunityAlgorithm, Exhausted, Network};
+use snap::{with_threads, Budget, CommunityAlgorithm, Exec, Exhausted, Network};
 use std::time::Duration;
+
+fn exec_with(budget: Budget) -> Exec {
+    Exec {
+        budget,
+        ..Exec::default()
+    }
+}
 
 fn planted() -> CsrGraph {
     let cfg = snap::gen::PlantedConfig::uniform(4, 30, 0.4, 0.02);
@@ -44,6 +51,59 @@ fn unlimited_budget_is_bit_identical() {
             .unwrap(),
     );
     assert_eq!(pa.assignment, pb.assignment);
+}
+
+/// A limit that never trips must not change a single bit, at any thread
+/// count: `Network` and `summarize` run the same code whether or not a
+/// budget is attached (no `is_limited()` fork), and `serve` caches
+/// payloads under keys that carry no deadline.
+#[test]
+fn untripped_limit_is_bit_identical_at_every_thread_count() {
+    let rmat = snap::gen::rmat(&snap::gen::RmatConfig::small_world(10, 8192), 7);
+    let cfg = snap::gen::PlantedConfig::with_target_degrees(4096, 16, 8.0, 2.0);
+    let planted = snap::gen::planted_partition(&cfg, 7).0;
+    for (name, g) in [("rmat", rmat), ("planted", planted)] {
+        let plain = Network::new(g);
+        let fingerprint = |net: &Network| {
+            let s = net.summary_with_seed(3);
+            let bc = net.approx_betweenness(0.05, 11);
+            // FNV-1a over the score bits: a mismatch prints one word, not
+            // two score vectors.
+            let bc_hash = bc
+                .vertex
+                .iter()
+                .chain(&bc.edge)
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+                    (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
+                });
+            [
+                ("clustering", s.clustering.to_bits()),
+                ("transitivity", s.transitivity.to_bits()),
+                ("assortativity", s.assortativity.to_bits()),
+                ("paths.average", s.paths.average.to_bits()),
+                (
+                    "paths.effective_diameter",
+                    s.paths.effective_diameter.to_bits(),
+                ),
+                ("paths.max", u64::from(s.paths.max)),
+                ("paths.pairs", s.paths.pairs),
+                ("paths_sampled", u64::from(s.paths_sampled)),
+                ("approx_betweenness", bc_hash),
+            ]
+        };
+        let reference = with_threads(1, || fingerprint(&plain));
+        for threads in [1usize, 2, 8] {
+            let limited = plain
+                .clone()
+                .with_budget(Budget::with_deadline(Duration::from_secs(3600)));
+            let (a, b) = with_threads(threads, || (fingerprint(&plain), fingerprint(&limited)));
+            assert_eq!(a, reference, "{name}: unlimited @ {threads} threads");
+            assert_eq!(
+                b, reference,
+                "{name}: one-hour deadline @ {threads} threads"
+            );
+        }
+    }
 }
 
 #[test]
@@ -90,8 +150,8 @@ fn work_cap_limits_betweenness_sources() {
     let g = planted();
     let sources: Vec<u32> = (0..g.num_vertices() as u32).collect();
     // Enough work for a handful of sources only.
-    let budget = Budget::with_work_cap(10 * g.num_vertices() as u64);
-    let partial = snap::centrality::try_betweenness_from_sources(&g, &sources, &budget);
+    let exec = exec_with(Budget::with_work_cap(10 * g.num_vertices() as u64));
+    let partial = snap::centrality::betweenness_from_sources_in(&g, &sources, &exec);
     assert!(partial.degraded());
     assert!(partial.sources_used < partial.sources_requested);
     assert!(partial.sources_used > 0, "some sources should fit");
@@ -102,15 +162,15 @@ fn work_cap_limits_betweenness_sources() {
 #[test]
 fn kernels_cancel_cleanly_on_expired_deadline() {
     let g = planted();
-    let budget = Budget::with_deadline(Duration::ZERO);
+    let exec = exec_with(Budget::with_deadline(Duration::ZERO));
     assert!(snap::kernels::try_par_bfs_hybrid_stats(
         &g,
         0,
         &snap::kernels::HybridConfig::default(),
-        &budget
+        &exec
     )
     .is_err());
-    assert!(snap::kernels::try_delta_stepping(&g, 0, 0, &budget).is_err());
+    assert!(snap::kernels::try_delta_stepping(&g, 0, 0, &exec).is_err());
 }
 
 #[test]

@@ -76,24 +76,29 @@ fn partition_reports_cut() {
         ])
         .output()
         .unwrap();
-    let out = cli()
-        .args([
-            "partition",
-            path.to_str().unwrap(),
-            "--parts",
-            "4",
-            "--method",
-            "recur",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(text.contains("edge cut"), "{text}");
+    // `recursive` is the canonical name (shared with `serve`), `recur`
+    // its alias: both must run the same partitioner.
+    let [long, short] = ["recursive", "recur"].map(|method| {
+        let out = cli()
+            .args([
+                "partition",
+                path.to_str().unwrap(),
+                "--parts",
+                "4",
+                "--method",
+                method,
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).to_string()
+    });
+    assert!(long.contains("edge cut"), "{long}");
+    assert_eq!(long, short);
     std::fs::remove_file(&path).ok();
 }
 
