@@ -1,121 +1,8 @@
-//! fixture_hash — prints FNV-1a hashes of kernel outputs on the fixed
-//! regression instances used by `tests/workspace_reuse.rs`.
-//!
-//! The traversal-workspace layer must keep every public kernel result
-//! bit-identical to the pre-workspace implementation. This binary computes
-//! the fixture hashes on whatever tree it is built from; the values
-//! captured on the pre-change tree are committed as constants in the
-//! regression test, so any accumulation-order drift fails loudly.
-//!
-//! Thread-sensitive kernels (the source-parallel betweenness fold reduces
-//! per-chunk accumulators, and chunking follows the worker count) are
-//! pinned to a 2-thread pool so the hashes are host-independent.
-
-use snap::centrality::{
-    betweenness_from_sources, brandes, closeness, sampled_closeness, weighted_betweenness,
-};
-use snap::gen::{erdos_renyi, rmat, watts_strogatz, RmatConfig};
-use snap::graph::{FilteredGraph, Graph};
-use snap::kernels::st_connectivity;
-use snap::metrics::{path_stats_exact, path_stats_sampled, PathStats};
-use snap_centrality::sample_sources;
-
-/// FNV-1a over a stream of u64 words (f64 values hashed via `to_bits`).
-pub struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn f64s(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.word(x.to_bits());
-        }
-    }
-
-    fn done(self) -> u64 {
-        self.0
-    }
-}
-
-fn hash_scores(s: &snap::centrality::BetweennessScores) -> u64 {
-    let mut h = Fnv::new();
-    h.f64s(&s.vertex);
-    h.f64s(&s.edge);
-    h.done()
-}
-
-fn hash_path_stats(p: &PathStats) -> u64 {
-    let mut h = Fnv::new();
-    h.word(p.average.to_bits());
-    h.word(p.max as u64);
-    h.word(p.effective_diameter.to_bits());
-    h.word(p.pairs);
-    h.done()
-}
+//! fixture_hash — prints [`snap_bench::fixture_hashes`], one
+//! `name = 0x…` line per pinned kernel output.
 
 fn main() {
-    let g1 = rmat(&RmatConfig::small_world(8, 1024), 42);
-    let g2 = erdos_renyi(500, 2000, 7);
-    let g3 = watts_strogatz(256, 8, 0.1, 11);
-    let mut view = FilteredGraph::new(&g1);
-    for e in g1.edge_ids().step_by(5) {
-        view.delete_edge(e);
+    for (name, hash) in snap_bench::fixture_hashes() {
+        println!("{name} = {hash:#018x}");
     }
-
-    println!("brandes_rmat8 = {:#018x}", hash_scores(&brandes(&g1)));
-    println!("closeness_rmat8 = {:#018x}", {
-        let mut h = Fnv::new();
-        h.f64s(&closeness(&g1));
-        h.done()
-    });
-    println!(
-        "path_stats_exact_rmat8 = {:#018x}",
-        hash_path_stats(&path_stats_exact(&g1))
-    );
-    println!("closeness_er500 = {:#018x}", {
-        let mut h = Fnv::new();
-        h.f64s(&sampled_closeness(&g2, 16, 5));
-        h.done()
-    });
-    println!(
-        "path_stats_sampled_er500 = {:#018x}",
-        hash_path_stats(&path_stats_sampled(&g2, 32, 9))
-    );
-    println!(
-        "weighted_betweenness_ws256 = {:#018x}",
-        hash_scores(&weighted_betweenness(&g3))
-    );
-    println!("stcon_ws256 = {:#018x}", {
-        let mut h = Fnv::new();
-        for s in 0..8u32 {
-            for t in 200..216u32 {
-                let r = st_connectivity(&g3, s, t);
-                h.word(r.connected as u64);
-                h.word(r.distance.map_or(u64::MAX, |d| d as u64));
-            }
-        }
-        h.done()
-    });
-    // Thread-pinned: chunked fold/reduce order follows the worker count.
-    snap::with_threads(2, || {
-        let sources = sample_sources(g2.num_vertices(), 32, 3);
-        println!(
-            "betweenness_k32_er500_t2 = {:#018x}",
-            hash_scores(&betweenness_from_sources(&g2, &sources))
-        );
-        let vsources = sample_sources(g1.num_vertices(), 32, 3);
-        println!(
-            "betweenness_k32_filtered_t2 = {:#018x}",
-            hash_scores(&betweenness_from_sources(&view, &vsources))
-        );
-    });
 }

@@ -147,7 +147,32 @@ pub(crate) fn accumulate_source<G: Graph>(
     }
 }
 
-fn finalize<G: Graph>(g: &G, mut vertex: Vec<f64>, mut edge: Vec<f64>) -> BetweennessScores {
+/// Sum two per-chunk `(vertex, edge)` accumulators; an empty pair (the
+/// reduce identity, or a chunk the budget skipped whole) contributes
+/// nothing.
+pub(crate) fn add_accumulators(
+    (mut va, mut ea): (Vec<f64>, Vec<f64>),
+    (vb, eb): (Vec<f64>, Vec<f64>),
+) -> (Vec<f64>, Vec<f64>) {
+    if va.is_empty() {
+        return (vb, eb);
+    }
+    if !vb.is_empty() {
+        for (x, y) in va.iter_mut().zip(vb) {
+            *x += y;
+        }
+        for (x, y) in ea.iter_mut().zip(eb) {
+            *x += y;
+        }
+    }
+    (va, ea)
+}
+
+pub(crate) fn finalize<G: Graph>(
+    g: &G,
+    mut vertex: Vec<f64>,
+    mut edge: Vec<f64>,
+) -> BetweennessScores {
     if !g.is_directed() {
         for x in vertex.iter_mut() {
             *x *= 0.5;
@@ -320,23 +345,7 @@ fn accumulate_sources_budgeted<G: Graph>(
             }
             (vacc, eacc)
         })
-        .reduce(
-            || (Vec::new(), Vec::new()),
-            |(mut va, mut ea), (vb, eb)| {
-                if va.is_empty() {
-                    return (vb, eb);
-                }
-                if !vb.is_empty() {
-                    for (x, y) in va.iter_mut().zip(vb) {
-                        *x += y;
-                    }
-                    for (x, y) in ea.iter_mut().zip(eb) {
-                        *x += y;
-                    }
-                }
-                (va, ea)
-            },
-        );
+        .reduce(|| (Vec::new(), Vec::new()), add_accumulators);
     // Workers have no snap-obs context of their own; their workspace
     // counters rode back on the pool and are emitted here, inside the
     // kernel span, by the thread that owns it.

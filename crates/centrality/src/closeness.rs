@@ -129,16 +129,20 @@ pub fn sampled_closeness<G: Graph>(g: &G, k: usize, seed: u64) -> Vec<f64> {
 
     // Sum of distances to each vertex from the sampled sources. The
     // per-source scatter walks the touched set only; the u64 sums make
-    // the result independent of accumulation order.
+    // the result independent of accumulation order. Explicit chunks,
+    // sized as Brandes sizes its source chunks: a k-source sample is far
+    // below the shim's auto-parallel threshold, so `par_iter` would run
+    // the whole sweep on one thread.
+    let per = sources.len().div_ceil(64).max(16);
     let sums: Vec<u64> = sources
-        .par_iter()
-        .fold(
-            || (None::<PooledWorkspace<'_>>, vec![0u64; n]),
-            |(mut ws, mut acc), &s| {
-                let w = ws.get_or_insert_with(|| pool.acquire());
+        .par_chunks(per)
+        .map(|chunk| {
+            let mut acc = vec![0u64; n];
+            let mut w = pool.acquire();
+            for &s in chunk {
                 let _task = snap_obs::task("closeness.source");
                 let timer = source_us.start();
-                bfs_levels_into(g, s, w);
+                bfs_levels_into(g, s, &mut w);
                 // Per-vertex sums need a scatter, but the depth runs let
                 // it stream over `order` without re-reading a dist word
                 // per vertex.
@@ -149,10 +153,9 @@ pub fn sampled_closeness<G: Graph>(g: &G, k: usize, seed: u64) -> Vec<f64> {
                 }
                 source_us.stop_us(timer);
                 sources_processed.incr();
-                (ws, acc)
-            },
-        )
-        .map(|(_ws, acc)| acc)
+            }
+            acc
+        })
         .reduce(
             || vec![0u64; n],
             |mut a, b| {

@@ -5,7 +5,7 @@
 //! shortest paths by weight, dependency accumulation in non-increasing
 //! distance order (Dijkstra settle order reversed).
 
-use crate::brandes::BetweennessScores;
+use crate::brandes::{add_accumulators, finalize, BetweennessScores};
 use rayon::prelude::*;
 use snap_graph::{VertexId, WeightedGraph};
 use std::cmp::Reverse;
@@ -65,51 +65,24 @@ fn accumulate_weighted<G: WeightedGraph>(g: &G, s: VertexId, vacc: &mut [f64], e
 pub fn weighted_betweenness<G: WeightedGraph>(g: &G) -> BetweennessScores {
     let n = g.num_vertices();
     let m = g.edge_id_bound();
-    let (vertex, edge) = (0..n as VertexId)
-        .into_par_iter()
-        .fold(
-            || (Vec::new(), Vec::new()),
-            |(mut vacc, mut eacc): (Vec<f64>, Vec<f64>), s| {
-                if vacc.is_empty() {
-                    vacc = vec![0.0; n];
-                    eacc = vec![0.0; m];
-                }
+    let sources: Vec<VertexId> = (0..n as VertexId).collect();
+    // As in `accumulate_sources_budgeted`: the chunking reads the source
+    // count only and the per-chunk f64 sums reduce in chunk order, so
+    // the bracketing — every output bit — is the same at any thread
+    // count. Dijkstra per source is heavy; below 1024 sources one chunk
+    // runs them in order.
+    let per = n.div_ceil(64).max(1024);
+    let (vertex, edge) = sources
+        .par_chunks(per)
+        .map(|chunk| {
+            let (mut vacc, mut eacc) = (vec![0.0; n], vec![0.0; m]);
+            for &s in chunk {
                 accumulate_weighted(g, s, &mut vacc, &mut eacc);
-                (vacc, eacc)
-            },
-        )
-        .reduce(
-            || (Vec::new(), Vec::new()),
-            |(mut va, mut ea), (vb, eb)| {
-                if va.is_empty() {
-                    return (vb, eb);
-                }
-                if !vb.is_empty() {
-                    for (x, y) in va.iter_mut().zip(vb) {
-                        *x += y;
-                    }
-                    for (x, y) in ea.iter_mut().zip(eb) {
-                        *x += y;
-                    }
-                }
-                (va, ea)
-            },
-        );
-    let mut vertex = if vertex.is_empty() {
-        vec![0.0; n]
-    } else {
-        vertex
-    };
-    let mut edge = if edge.is_empty() { vec![0.0; m] } else { edge };
-    if !g.is_directed() {
-        for x in vertex.iter_mut() {
-            *x *= 0.5;
-        }
-        for x in edge.iter_mut() {
-            *x *= 0.5;
-        }
-    }
-    BetweennessScores { vertex, edge }
+            }
+            (vacc, eacc)
+        })
+        .reduce(|| (Vec::new(), Vec::new()), add_accumulators);
+    finalize(g, vertex, edge)
 }
 
 #[cfg(test)]
@@ -142,6 +115,26 @@ mod tests {
         }
         for e in 0..snap_graph::Graph::num_edges(&g) {
             assert!((a.edge[e] - b.edge[e]).abs() < 1e-9, "e{e}");
+        }
+    }
+
+    #[test]
+    fn scores_are_bit_identical_at_every_thread_count() {
+        // 2048 sources: two chunks, so a thread-count-dependent split or
+        // reduce order would change the f64 bracketing.
+        let g = snap_gen::rmat(&snap_gen::RmatConfig::small_world(11, 4096), 5);
+        let bits = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let bc = pool.install(|| weighted_betweenness(&g));
+            let words = bc.vertex.iter().chain(&bc.edge);
+            words.map(|x| x.to_bits()).collect::<Vec<u64>>()
+        };
+        let reference = bits(1);
+        for threads in [2usize, 8] {
+            assert!(bits(threads) == reference, "{threads} threads");
         }
     }
 

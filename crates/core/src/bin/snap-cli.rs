@@ -59,8 +59,8 @@
 //! `--backend` the `run` pipeline switches to the
 //! representation-agnostic kernels (BFS, connected components, k-core,
 //! Δ-stepping SSSP) and prints a `fixture_hash` fingerprint of every
-//! kernel output — bit-identical across backends, which is what the CI
-//! compressed-smoke job asserts.
+//! kernel output — bit-identical across backends, which `tests/cli.rs`
+//! asserts.
 //!
 //! Graph files may be whitespace edge lists (`u v [w]`, `#` comments,
 //! 0-based ids), DIMACS shortest-path files (`.gr`), or METIS files
@@ -86,9 +86,9 @@
 //!
 //! `obs diff` aligns two saved reports by span path and prints wall-time
 //! and counter deltas; with `--fail-over-pct` it exits non-zero when any
-//! span regressed past the threshold (the CI hook), and
-//! `--fail-mem-over-pct` does the same for allocated/peak memory
-//! (`--min-bytes`, default 4096, suppresses noise-level deltas).
+//! span regressed past the threshold, and `--fail-mem-over-pct` does the
+//! same for allocated/peak memory (`--min-bytes`, default 4096,
+//! suppresses noise-level deltas).
 //! `obs top` ranks spans by self time (total minus children — the
 //! flamegraph view); `--by-mem` ranks by self-allocated bytes instead.
 //!
@@ -100,7 +100,7 @@
 //! chain and attributes self-time along it. Both print human-readable
 //! text or one line of JSON with `--json`. `obs diff --fail-eff-drop P`
 //! exits non-zero when a span's `parallel_efficiency_pct` gauge fell
-//! more than P percent below the baseline — the CI efficiency gate.
+//! more than P percent below the baseline.
 //! `--trace-buf N` (or `SNAP_TRACE_BUF=N`) sets the per-thread event
 //! ring capacity (default 8192 events); overflow drops the oldest
 //! events and is reported per thread in `trace_events_dropped.tid*`
@@ -941,7 +941,7 @@ fn cmd_kcore(args: &Args) {
 /// The representation-agnostic pipeline behind `run --backend`: BFS,
 /// connected components, k-core, and Δ-stepping SSSP over any `Graph`
 /// backend, fingerprinting every kernel output. The fingerprint must be
-/// bit-identical across backends (the CI compressed-smoke assertion).
+/// bit-identical across backends (`tests/cli.rs` compares the two).
 fn run_generic_pipeline<G: snap::graph::WeightedGraph>(obs: &Obs, g: &G, source: u32) {
     let n = g.num_vertices();
 

@@ -493,8 +493,8 @@ pub struct ServeConfig {
     pub max_pending: usize,
     /// Slow-query threshold: requests whose total wall time (queue +
     /// compute) reaches this many milliseconds join the worst-K log.
-    /// `None` disables the log; `Some(0)` records every request (how the
-    /// CI smoke exercises the path).
+    /// `None` disables the log; `Some(0)` records every request (how
+    /// `tests/cli.rs` exercises the path).
     pub slow_ms: Option<u64>,
     /// How many worst exemplars the slow-query log retains.
     pub slow_log_entries: usize,

@@ -187,8 +187,8 @@ impl DecodeScratch {
 /// Behaviorally identical to the [`CsrGraph`] it was built from: same
 /// vertices, same edges, same edge ids, same sorted neighbor order —
 /// every [`Graph`] kernel produces bit-identical output on either
-/// backend (enforced by the equivalence proptests and the CI
-/// `fixture_hash` cross-check). Edge *payload* (canonical endpoints,
+/// backend (enforced by the equivalence proptests and the `run
+/// --backend` fingerprint comparison in `tests/cli.rs`). Edge *payload* (canonical endpoints,
 /// weights) stays flat: `edge_endpoints(e)` must be O(1) for the
 /// edge-centric algorithms, and those arrays are per-edge, not per-arc.
 #[derive(Clone, Debug)]

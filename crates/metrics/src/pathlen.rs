@@ -138,23 +138,29 @@ fn distance_histogram<G: Graph>(g: &G, sources: &[VertexId], exec: &Exec) -> (Ve
         }
         acc
     } else {
+        // Explicit chunks, sized as Brandes sizes its source chunks: a
+        // 64-source sample is far below the shim's auto-parallel
+        // threshold, so `par_iter` would run the whole sweep on one
+        // thread. The counts are integers, so chunking cannot change them.
+        let per = sources.len().div_ceil(64).max(16);
         sources
-            .par_iter()
-            .fold(
-                || (None::<PooledWorkspace<'_>>, Vec::<u64>::new()),
-                |(mut ws, mut acc), &s| {
+            .par_chunks(per)
+            .map(|chunk| {
+                let mut acc = Vec::<u64>::new();
+                let mut ws = None::<PooledWorkspace<'_>>;
+                for &s in chunk {
                     if budget.is_exhausted() {
-                        return (ws, acc);
+                        break;
                     }
                     let w = ws.get_or_insert_with(|| pool.acquire());
+                    let _task = snap_obs::task("pathlen.source");
                     bfs_levels_into(g, s, w);
                     let _ = budget.charge(n as u64 + 1);
                     processed.fetch_add(1, Ordering::Relaxed);
                     add_distances_ws(&mut acc, w);
-                    (ws, acc)
-                },
-            )
-            .map(|(_ws, acc)| acc)
+                }
+                acc
+            })
             .reduce(Vec::new, |mut a, b| {
                 if a.len() < b.len() {
                     a.resize(b.len(), 0);

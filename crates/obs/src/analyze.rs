@@ -24,7 +24,7 @@
 //! [`annotate`] folds the three headline numbers back into the report's
 //! root gauges (`parallel_efficiency_pct`, `critical_path_us`,
 //! `imbalance_skew`) so [`crate::diff`] can gate efficiency regressions
-//! in CI exactly like wall time and memory.
+//! exactly like wall time and memory.
 //!
 //! A timeline that lost events to ring wraparound would silently skew
 //! every number here, so both analyses surface the drop counters the

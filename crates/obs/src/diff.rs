@@ -48,7 +48,7 @@ pub struct MemRegression {
 }
 
 /// A gauge that fell below its baseline by more than the allowed drop —
-/// how `--fail-eff-drop-pct` gates `parallel_efficiency_pct` in CI.
+/// how `obs diff --fail-eff-drop` gates `parallel_efficiency_pct`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GaugeDrop {
     pub path: String,
@@ -531,7 +531,7 @@ mod tests {
         let r = report(root);
         let entries = diff(&r, &r);
         assert!(regressions(&entries, 0.0, 0).is_empty());
-        // Self-diff is also memory-clean — the CI sanity gate.
+        // Self-diff is also memory-clean.
         assert!(mem_regressions(&entries, 0.0, 0).is_empty());
     }
 

@@ -1,8 +1,9 @@
 //! Minimal JSON value, writer, and recursive-descent parser.
 //!
 //! The workspace is offline, so `snap-obs` carries its own JSON layer:
-//! enough to serialize a [`crate::RunReport`], parse it back for
-//! round-trip tests, and let the CI smoke job validate emitted reports.
+//! enough to serialize a [`crate::RunReport`], parse it back, and let
+//! the tests read everything the CLI emits (reports, traces, telemetry,
+//! `serve` responses) field by field.
 //! Numbers are `f64` (report counters fit: they are far below 2^53 in
 //! practice); non-finite floats serialize as `null`.
 

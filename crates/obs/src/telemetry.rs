@@ -353,8 +353,8 @@ fn openmetrics_text(sample: &Sample) -> String {
     }
     // Histograms export as quantile gauges with plain suffixed names
     // (`snap_hit_us_p50 42`, not label syntax) so the exposition stays
-    // strictly `name value` lines — the invariant check_metrics.py and
-    // the no-deps scrapers in CI rely on.
+    // strictly `name value` lines — the invariant the unit tests below
+    // hold and line-splitting scrapers rely on.
     for (name, h) in &sample.hists {
         let base = metric_name(name);
         gauge(&format!("{base}_count"), h.count.to_string());
@@ -433,8 +433,22 @@ mod tests {
         assert!(text.contains("# TYPE snap_mem_bytes_live gauge"), "{text}");
         assert!(text.contains("snap_telemetry_om_count_total 7"), "{text}");
         assert!(text.contains("snap_telemetry_om_gauge 2.25"), "{text}");
-        // Every exposition line is a comment or `name value`.
+        assert_complete_exposition(&text);
+    }
+
+    /// A complete OpenMetrics document: terminated by `# EOF`, and every
+    /// other line a comment or a `name value` sample whose name stays in
+    /// the metric charset, whose value is a number, and whose family was
+    /// declared by an earlier `# TYPE` line (counters sample as
+    /// `<family>_total`).
+    fn assert_complete_exposition(text: &str) {
+        assert!(text.ends_with("# EOF\n"), "{text}");
+        let mut typed = std::collections::HashSet::new();
         for line in text.lines() {
+            if let Some(decl) = line.strip_prefix("# TYPE ") {
+                typed.insert(decl.split(' ').next().unwrap());
+                continue;
+            }
             if line.starts_with('#') {
                 continue;
             }
@@ -445,6 +459,11 @@ mod tests {
                 .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'));
             parts.next().unwrap().parse::<f64>().unwrap();
             assert!(parts.next().is_none());
+            let family = name.strip_suffix("_total").unwrap_or(name);
+            assert!(
+                typed.contains(name) || typed.contains(family),
+                "{name} sampled before its # TYPE line: {text}"
+            );
         }
     }
 
@@ -564,26 +583,35 @@ mod tests {
         let ndjson = dir.join("metrics.ndjson");
         let config = SamplerConfig::new(&ndjson, Duration::from_millis(5));
         let sampler = Sampler::start(config.clone()).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
+        // Scrape while the sampler is still rewriting the file: the
+        // rename makes every read a complete document, never a prefix.
+        let samples = || std::fs::read_to_string(&ndjson).map_or(0, |s| s.lines().count());
+        while samples() < 3 {
+            if let Ok(mid_run) = std::fs::read_to_string(&config.openmetrics) {
+                assert_complete_exposition(&mid_run);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
         sampler.stop().unwrap();
-        let lines: Vec<String> = std::fs::read_to_string(&ndjson)
-            .unwrap()
-            .lines()
-            .map(str::to_string)
-            .collect();
-        assert!(lines.len() >= 2, "expected several samples: {lines:?}");
-        let mut last_ts = 0;
-        for (i, line) in lines.iter().enumerate() {
+        let text = std::fs::read_to_string(&ndjson).unwrap();
+        // seq 0,1,2,…; timestamps and the allocator's cumulative counters
+        // never step back.
+        let mut last = [0u64; 4];
+        for (i, line) in text.lines().enumerate() {
             let v = Json::parse(line).unwrap();
-            assert_eq!(v.get("seq").and_then(Json::as_u64), Some(i as u64));
-            let ts = v.get("ts_ms").and_then(Json::as_u64).unwrap();
-            assert!(ts >= last_ts, "timestamps must be monotonic");
-            last_ts = ts;
-            assert!(v.get("bytes_live").and_then(Json::as_u64).is_some());
-            assert!(v.get("peak_bytes").and_then(Json::as_u64).is_some());
+            let field = |key: &str| v.get(key).and_then(Json::as_u64).expect(key);
+            assert_eq!(field("seq"), i as u64);
+            let now = ["ts_ms", "allocs", "allocated", "freed"].map(field);
+            assert!(
+                now.iter().zip(&last).all(|(n, l)| n >= l),
+                "sample {i} regressed: {last:?} -> {now:?}"
+            );
+            last = now;
+            field("bytes_live");
+            field("peak_bytes");
         }
         let om = std::fs::read_to_string(&config.openmetrics).unwrap();
-        assert!(om.ends_with("# EOF\n"));
+        assert_complete_exposition(&om);
         assert!(om.contains("snap_mem_peak_bytes"));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,15 +1,69 @@
-//! End-to-end tests of the `snap-cli` binary.
+//! End-to-end tests of the `snap-cli` binary. Everything the binary
+//! writes as JSON — reports, traces, telemetry, `serve` responses,
+//! analyzer output — is read back through `snap::obs::Json`, never
+//! substring-matched.
 
+use snap::obs::{Json, RunReport};
 use std::process::Command;
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_snap-cli"))
 }
 
+/// Member `key` of a JSON object the CLI emitted; a missing key fails
+/// the test with the object in the message.
+fn field<'a>(v: &'a Json, key: &str) -> &'a Json {
+    v.get(key)
+        .unwrap_or_else(|| panic!("missing {key:?} in {}", v.to_string_compact()))
+}
+
+fn num(v: &Json, key: &str) -> u64 {
+    field(v, key)
+        .as_u64()
+        .unwrap_or_else(|| panic!("{key:?} is not a count in {}", v.to_string_compact()))
+}
+
+fn text<'a>(v: &'a Json, key: &str) -> &'a str {
+    field(v, key)
+        .as_str()
+        .unwrap_or_else(|| panic!("{key:?} is not a string in {}", v.to_string_compact()))
+}
+
+/// The JSON lines of a command's stdout, parsed (human banner lines are
+/// skipped; a line that opens like JSON must be JSON).
+fn json_lines(stdout: &[u8]) -> Vec<Json> {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .filter(|l| l.starts_with('{'))
+        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect()
+}
+
 fn scratch(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("snap-cli-test-{}-{name}", std::process::id()));
     p
+}
+
+/// Run to completion; anything but exit 0 fails the test with the
+/// command's stderr.
+fn run_ok(command: &mut Command) -> std::process::Output {
+    let out = command.output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    out
+}
+
+/// `snap-cli generate FAMILY --scale SCALE` (m = 8n) into a scratch file.
+fn generate(name: &str, family: &str, scale: u32) -> std::path::PathBuf {
+    let path = scratch(name);
+    let scale = scale.to_string();
+    run_ok(
+        cli()
+            .args(["generate", family, "--scale", &scale, "--out"])
+            .arg(&path),
+    );
+    path
 }
 
 #[test]
@@ -138,20 +192,7 @@ fn centrality_lists_top_vertices() {
 
 #[test]
 fn timeout_zero_run_exits_cleanly_with_degraded_report() {
-    let path = scratch("t.txt");
-    cli()
-        .args([
-            "generate",
-            "rmat",
-            "--scale",
-            "10",
-            "--edges",
-            "8192",
-            "--out",
-            path.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
+    let path = generate("t.txt", "rmat", 10);
     let out = cli()
         .args([
             "run",
@@ -171,12 +212,26 @@ fn timeout_zero_run_exits_cleanly_with_degraded_report() {
     let human = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(human.contains("budget exhausted"), "{human}");
     assert!(human.contains("bfs cancelled"), "{human}");
-    // Stdout carries exactly the JSON report; it must parse and mark the
-    // cancelled traversal.
-    let json = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(json.trim_start().starts_with('{'), "{json}");
-    assert!(json.contains("\"cancelled\""), "{json}");
-    assert!(json.contains("deadline passed"), "{json}");
+    // Stdout carries exactly the JSON report; it must parse, mark the
+    // cancelled traversal, and blame the budget on every marker.
+    let report = RunReport::from_json(&String::from_utf8_lossy(&out.stdout))
+        .expect("stdout is a well-formed run report");
+    fn markers<'a>(node: &'a snap::obs::ReportNode, out: &mut Vec<(&'a str, &'a str)>) {
+        for key in ["degraded", "cancelled"] {
+            out.extend(node.meta_value(key).map(|why| (node.name.as_str(), why)));
+        }
+        node.children.iter().for_each(|c| markers(c, out));
+    }
+    let mut found = Vec::new();
+    markers(&report.root, &mut found);
+    let bfs = report.find("bfs.hybrid").expect("bfs span recorded");
+    assert!(bfs.meta_value("cancelled").is_some(), "{found:?}");
+    assert!(
+        found
+            .iter()
+            .all(|(_, why)| *why == "budget exhausted: deadline passed"),
+        "{found:?}"
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -238,43 +293,41 @@ fn generous_timeout_changes_nothing() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Minimal structural validation of a Chrome trace-event file: every
-/// per-tid stream must be timestamp-sorted with strictly nested B/E
-/// pairs, and the events must span at least `min_tids` threads.
-fn check_chrome_trace(text: &str, min_tids: usize) {
-    // Hand-rolled scan (no JSON dep in the test): split on "},{" after
-    // locating the traceEvents array.
-    assert!(text.contains("\"traceEvents\""), "{text}");
-    let mut by_tid: std::collections::BTreeMap<u64, Vec<(u64, bool, String)>> = Default::default();
-    for ev in text.split("{\"name\":").skip(1) {
-        let name = ev.split('"').nth(1).unwrap_or("").to_string();
-        if ev.contains("\"ph\":\"C\"") {
-            // Counter samples (the memory track) carry a value instead
-            // of nesting; they don't participate in the B/E stack.
-            assert!(ev.contains("\"args\""), "counter event without args: {ev}");
-            continue;
-        }
-        let ph_begin = ev.contains("\"ph\":\"B\"");
-        assert!(
-            ph_begin || ev.contains("\"ph\":\"E\""),
-            "event without B/E/C phase: {ev}"
+/// Structural validation of a Chrome trace-event file: every event
+/// carries `name`/`ph`/`ts`/`pid`/`tid`, `C` counter samples carry
+/// numeric `args`, and each per-tid B/E stream is timestamp-sorted and
+/// strictly nested over at least `min_tids` threads (Perfetto renders an
+/// unbalanced stream misleadingly). Returns the `(ph, name)` pairs seen.
+fn check_chrome_trace(
+    trace: &str,
+    min_tids: usize,
+) -> std::collections::BTreeSet<(String, String)> {
+    let doc = Json::parse(trace).expect("trace file is JSON");
+    let events = field(&doc, "traceEvents").as_arr().expect("event array");
+    let mut seen = std::collections::BTreeSet::new();
+    let mut by_tid: std::collections::BTreeMap<u64, Vec<(u64, bool, &str)>> = Default::default();
+    for ev in events {
+        let (name, ph, ts, tid) = (
+            text(ev, "name"),
+            text(ev, "ph"),
+            num(ev, "ts"),
+            num(ev, "tid"),
         );
-        let field = |key: &str| -> u64 {
-            ev.split(&format!("\"{key}\":"))
-                .nth(1)
-                .and_then(|s| {
-                    s.chars()
-                        .take_while(|c| c.is_ascii_digit())
-                        .collect::<String>()
-                        .parse()
-                        .ok()
-                })
-                .unwrap_or_else(|| panic!("event missing {key}: {ev}"))
-        };
-        by_tid
-            .entry(field("tid"))
-            .or_default()
-            .push((field("ts"), ph_begin, name));
+        num(ev, "pid");
+        seen.insert((ph.to_string(), name.to_string()));
+        match ph {
+            // Counter samples (the memory track) carry values instead of
+            // nesting; they stay out of the B/E stacks.
+            "C" => {
+                let args = field(ev, "args").as_obj().expect("args object");
+                assert!(
+                    !args.is_empty() && args.iter().all(|(_, v)| v.as_f64().is_some()),
+                    "counter event needs numeric args: {ev:?}"
+                );
+            }
+            "B" | "E" => by_tid.entry(tid).or_default().push((ts, ph == "B", name)),
+            other => panic!("event with ph {other:?}, want B, E or C: {ev:?}"),
+        }
     }
     assert!(
         by_tid.len() >= min_tids,
@@ -290,64 +343,118 @@ fn check_chrome_trace(text: &str, min_tids: usize) {
             if begin {
                 stack.push(name);
             } else {
-                assert_eq!(stack.pop().as_deref(), Some(name.as_str()), "tid {tid}");
+                assert_eq!(stack.pop(), Some(name), "tid {tid}");
             }
         }
         assert!(stack.is_empty(), "tid {tid}: unclosed spans {stack:?}");
     }
+    seen
+}
+
+/// Hold `obs efficiency --json` / `obs critical-path --json` to their own
+/// arithmetic on the saved report at `report`: busy time sums to threads ×
+/// wall × efficiency (within 5 %: the output is rounded), the skew is
+/// max/mean ≥ 1, and the critical path is a root-to-leaf chain whose
+/// self-times sum exactly to its length. Returns the thread count.
+fn check_analyzers(report: &str) -> u64 {
+    let analyze = |what: &str| {
+        let out = run_ok(cli().args(["obs", what, report, "--json"]));
+        json_lines(&out.stdout).pop().expect("one line of JSON")
+    };
+    let eff = analyze("efficiency");
+    let busy: Vec<u64> = field(&eff, "per_thread")
+        .as_arr()
+        .expect("per_thread rows")
+        .iter()
+        .map(|t| num(t, "busy_us"))
+        .collect();
+    let (wall, threads) = (num(&eff, "wall_us"), num(&eff, "threads"));
+    let total: u64 = busy.iter().sum();
+    assert!(wall > 0 && busy.len() as u64 == threads, "{eff:?}");
+    assert_eq!(total, num(&eff, "total_busy_us"));
+    assert!(
+        busy.iter().all(|&b| b <= wall),
+        "a thread busier than the wall: {eff:?}"
+    );
+    let pct = field(&eff, "parallel_efficiency_pct").as_f64().unwrap();
+    let ideal = threads as f64 * wall as f64 * pct / 100.0;
+    assert!(
+        (0.0..=100.0).contains(&pct) && (total as f64 - ideal).abs() <= 0.05 * ideal,
+        "{eff:?}"
+    );
+    let skew = field(&eff, "imbalance_skew").as_f64().unwrap();
+    let max_over_mean = *busy.iter().max().unwrap() as f64 * threads as f64 / total as f64;
+    assert!(
+        skew >= 1.0 && (skew - max_over_mean).abs() <= 0.011,
+        "{eff:?}"
+    );
+
+    let crit = analyze("critical-path");
+    let steps = field(&crit, "steps").as_arr().expect("steps");
+    assert!(!steps.is_empty() && num(&crit, "span_count") >= steps.len() as u64);
+    for (depth, step) in steps.iter().enumerate() {
+        assert_eq!(num(step, "depth"), depth as u64, "{crit:?}");
+        assert!(num(step, "self_us") <= num(step, "total_us") && num(step, "calls") >= 1);
+    }
+    let self_sum: u64 = steps.iter().map(|s| num(s, "self_us")).sum();
+    assert_eq!(self_sum, num(&crit, "critical_path_us"), "{crit:?}");
+    assert!(steps
+        .windows(2)
+        .all(|w| num(&w[1], "total_us") <= num(&w[0], "total_us")));
+    threads
 }
 
 #[test]
 fn trace_out_writes_loadable_chrome_trace() {
-    let graph = scratch("tr.txt");
+    let graph = generate("tr.txt", "rmat", 10);
     let trace = scratch("tr-trace.json");
-    cli()
-        .args([
-            "generate",
-            "rmat",
-            "--scale",
-            "10",
-            "--edges",
-            "8192",
-            "--out",
-            graph.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    let out = cli()
-        .args([
-            "run",
-            graph.to_str().unwrap(),
-            "--threads",
-            "4",
-            "--trace-out",
-            trace.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    let report = scratch("tr-report.json");
+    let sinks = [
+        "--trace-out",
+        trace.to_str().unwrap(),
+        "--report",
+        &format!("json={}", report.display()),
+    ];
+    run_ok(
+        cli()
+            .arg("run")
+            .arg(&graph)
+            .args(["--threads", "4"])
+            .args(sinks),
     );
-    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let timeline = std::fs::read_to_string(&trace).expect("trace file written");
     // Worker threads must show up: the parallel kernels emit per-task
     // events from their own rings, not just the coordinating thread.
-    check_chrome_trace(&text, 2);
-    assert!(
-        text.contains("brandes.source"),
-        "worker task events missing"
-    );
-    // With the tracking allocator installed the trace also carries the
-    // Perfetto memory counter track.
-    if cfg!(feature = "mem-track") {
-        assert!(
-            text.contains("mem.bytes_live") && text.contains("\"ph\":\"C\""),
-            "memory counter track missing"
-        );
+    let seen = check_chrome_trace(&timeline, 2);
+    let has = |ph: &str, name: &str| seen.contains(&(ph.to_string(), name.to_string()));
+    assert!(has("B", "brandes.source"), "worker task events missing");
+    assert!(has("B", "pathlen.source"), "worker task events missing");
+
+    // The saved report of the same run covers every pipeline stage and
+    // feeds the analyzers, which see the workers too.
+    let saved = std::fs::read_to_string(&report).expect("report file written");
+    let run = RunReport::from_json(&saved).expect("report parses back");
+    for span in [
+        "metrics.summary",
+        "bfs.hybrid",
+        "community.pma",
+        "centrality.approx_betweenness",
+        "partition",
+    ] {
+        assert!(run.find(span).is_some(), "missing span {span}");
     }
-    std::fs::remove_file(&graph).ok();
-    std::fs::remove_file(&trace).ok();
+    let threads = check_analyzers(report.to_str().unwrap());
+    assert!(threads >= 2, "{threads} thread(s) contributed busy time");
+    // With the tracking allocator installed the trace also carries the
+    // Perfetto memory counter track, and spans their heap traffic.
+    if cfg!(feature = "mem-track") {
+        assert!(has("C", "mem.bytes_live"), "memory counter track missing");
+        let summary = run.find("metrics.summary").unwrap();
+        assert!(summary.mem.is_some_and(|m| m.allocated > 0), "{summary:?}");
+    }
+    for path in [&graph, &trace, &report] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 #[test]
@@ -506,6 +613,20 @@ fn obs_top_by_mem_ranks_self_allocated() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The `name value` samples of a finished OpenMetrics file (the format
+/// itself is held by `snap-obs`'s telemetry unit tests).
+fn openmetrics_series(path: &str) -> std::collections::BTreeMap<String, f64> {
+    let om = std::fs::read_to_string(path).expect("OpenMetrics written");
+    assert!(om.ends_with("# EOF\n"), "{om}");
+    om.lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let (name, value) = l.split_once(' ').expect("name value");
+            (name.to_string(), value.parse().expect("numeric sample"))
+        })
+        .collect()
+}
+
 #[test]
 fn metrics_out_writes_ndjson_and_openmetrics() {
     let metrics = scratch("metrics.ndjson");
@@ -527,22 +648,20 @@ fn metrics_out_writes_ndjson_and_openmetrics() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let ndjson = std::fs::read_to_string(&metrics).expect("NDJSON written");
-    assert!(!ndjson.is_empty());
-    for line in ndjson.lines() {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(line.contains("\"bytes_live\":"), "{line}");
-        assert!(line.contains("\"peak_bytes\":"), "{line}");
+    let samples = json_lines(&std::fs::read(&metrics).expect("NDJSON written"));
+    for (seq, sample) in samples.iter().enumerate() {
+        assert_eq!(num(sample, "seq"), seq as u64);
+        num(sample, "bytes_live");
+        num(sample, "peak_bytes");
     }
     // The stream command exports merge/edge counters into the registry;
     // the final sample (written at sampler stop) must carry them.
-    let last = ndjson.lines().last().unwrap();
-    assert!(last.contains("\"merges\":"), "{last}");
+    let last = samples.last().expect("at least the final sample");
+    assert!(num(field(last, "counters"), "merges") > 0, "{last:?}");
     let om_path = format!("{}.om", metrics.to_str().unwrap());
-    let om = std::fs::read_to_string(&om_path).expect("OpenMetrics written");
-    assert!(om.ends_with("# EOF\n"), "{om}");
-    assert!(om.contains("snap_mem_peak_bytes"), "{om}");
-    assert!(om.contains("snap_merges_total"), "{om}");
+    let series = openmetrics_series(&om_path);
+    assert!(series.contains_key("snap_mem_peak_bytes"), "{series:?}");
+    assert!(series["snap_merges_total"] > 0.0, "{series:?}");
     std::fs::remove_file(&metrics).ok();
     std::fs::remove_file(&om_path).ok();
 }
@@ -725,120 +844,254 @@ fn stream_rejects_malformed_op_lines() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Spawn `snap-cli serve GRAPH ARGS…` with piped stdio.
+fn spawn_serve(graph: &std::path::Path, args: &[&str]) -> std::process::Child {
+    use std::process::Stdio;
+    let mut serve = cli();
+    serve.arg("serve").arg(graph).args(args);
+    serve.stdin(Stdio::piped()).stdout(Stdio::piped());
+    serve.stderr(Stdio::piped()).spawn().unwrap()
+}
+
+/// One whole `serve` session over stdin: write every request line, close
+/// stdin (the server must exit 0 on EOF), and return the parsed response
+/// lines plus the human banner around them.
+fn serve_session(graph: &std::path::Path, args: &[&str], requests: &[&str]) -> (Vec<Json>, String) {
+    use std::io::Write;
+    let mut child = spawn_serve(graph, args);
+    let mut stdin = child.stdin.take().unwrap();
+    for line in requests {
+        writeln!(stdin, "{line}").unwrap();
+    }
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let banner = String::from_utf8_lossy(&out.stdout).to_string();
+    (json_lines(&out.stdout), banner)
+}
+
+/// The response echoing `id` (the protocol answers in completion order).
+fn response(responses: &[Json], id: u64) -> &Json {
+    let echo = responses.iter().find(|r| num(r, "id") == id);
+    echo.unwrap_or_else(|| panic!("no response for id {id} in {responses:?}"))
+}
+
 /// Full round trip through `snap-cli serve` over stdin: misses compute,
-/// repeats hit with identical payload bytes, meta queries answer live,
-/// malformed lines get error responses, and EOF shuts down with exit 0.
+/// repeats hit with the identical payload, meta queries answer live and
+/// agree with the responses, malformed lines get error responses, and
+/// EOF shuts down with exit 0. `--slow-ms 0 --trace-sample 1` puts every
+/// request in the slow log with a span tree; `--metrics-out` exports the
+/// engine's counters.
 #[test]
 fn serve_answers_queries_over_stdin() {
-    use std::io::{BufRead, BufReader, Write};
-
-    let path = scratch("serve.txt");
-    cli()
-        .args([
-            "generate",
-            "rmat",
-            "--scale",
-            "7",
-            "--out",
-            path.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-
-    let mut child = cli()
-        .args(["serve", path.to_str().unwrap(), "--workers", "1"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut stdin = child.stdin.take().unwrap();
-    for line in [
+    let path = generate("serve.txt", "rmat", 7);
+    let metrics = scratch("serve-metrics.ndjson");
+    // One worker: requests are answered in order, so the meta queries at
+    // the end see everything before them.
+    let mut flags = vec!["--workers", "1", "--slow-ms", "0", "--trace-sample", "1"];
+    flags.extend(["--metrics-out", metrics.to_str().unwrap()]);
+    let requests = [
         r#"{"id":1,"query":"bfs","source":3}"#,
         r#"{"id":2,"query":"bfs","source":3}"#,
         r#"{"id":3,"query":"epoch"}"#,
         r#"{"id":4,"query":"nope"}"#,
-    ] {
-        writeln!(stdin, "{line}").unwrap();
-    }
-    drop(stdin);
+        r#"{"id":5,"query":"#,
+        r#"{"id":6,"query":"stats"}"#,
+        r#"{"id":7,"query":"dump"}"#,
+    ];
+    let (responses, banner) = serve_session(&path, &flags, &requests);
+    assert_eq!(responses.len(), requests.len(), "{responses:?}");
+    assert!(banner.contains("1 hit(s)"), "{banner}");
 
-    let out = child.wait_with_output().unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let lines: Vec<String> = BufReader::new(&out.stdout[..])
-        .lines()
-        .map(Result::unwrap)
-        .filter(|l| l.starts_with('{'))
-        .collect();
-    assert_eq!(lines.len(), 4, "{lines:?}");
-    let find = |id: &str| {
-        lines
-            .iter()
-            .find(|l| l.contains(&format!("\"id\":{id}")))
-            .unwrap_or_else(|| panic!("no response for id {id} in {lines:?}"))
+    // Errors: an unknown query echoes its id; a line that is not JSON has
+    // no id to echo and answers under id 0.
+    text(response(&responses, 4), "error");
+    text(response(&responses, 0), "error");
+    let answered = |r: &&Json| r.get("error").is_none();
+    let answers: Vec<&Json> = responses.iter().filter(answered).collect();
+    for key in ["kind", "epoch", "cache", "degraded", "wall_us", "payload"] {
+        answers.iter().for_each(|r| _ = field(r, key));
+    }
+    let mut trace_ids: Vec<u64> = answers.iter().map(|r| num(r, "trace_id")).collect();
+    trace_ids.sort_unstable();
+    trace_ids.dedup();
+    assert_eq!(trace_ids.len(), answers.len(), "trace ids repeat");
+    assert!(trace_ids[0] > 0, "{trace_ids:?}");
+
+    let (miss, hit) = (response(&responses, 1), response(&responses, 2));
+    assert_eq!((text(miss, "cache"), text(hit, "cache")), ("miss", "hit"));
+    assert_eq!(field(miss, "payload"), field(hit, "payload"));
+    assert_eq!(num(field(miss, "payload"), "source"), 3);
+    let epoch = response(&responses, 3);
+    assert_eq!(text(epoch, "kind"), "epoch");
+    assert_eq!(num(field(epoch, "payload"), "n"), 128);
+
+    // `stats` agrees with a tally of the analysis responses (meta queries
+    // touch no cache counter) and carries the slow log: queue wait split
+    // from compute, and the sampled `serve.request` span tree.
+    let stats = field(response(&responses, 6), "payload");
+    let tally = |outcome: &str| {
+        let analysis = answers.iter().filter(|r| text(r, "kind") == "bfs");
+        analysis.filter(|r| text(r, "cache") == outcome).count() as u64
     };
-    let miss = find("1");
-    let hit = find("2");
-    assert!(miss.contains("\"cache\":\"miss\""), "{miss}");
-    assert!(hit.contains("\"cache\":\"hit\""), "{hit}");
-    let payload = |l: &str| l.split(",\"payload\":").nth(1).map(str::to_owned);
-    assert_eq!(payload(miss), payload(hit), "hit must be bit-identical");
-    assert!(find("3").contains("\"kind\":\"epoch\""));
-    assert!(find("4").contains("\"error\""));
-    let text = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(text.contains("1 hit(s)"), "{text}");
-    std::fs::remove_file(&path).ok();
+    assert_eq!(num(stats, "cache_hits"), tally("hit"));
+    assert_eq!(num(stats, "cache_misses"), tally("miss"));
+    assert_eq!((num(stats, "shed"), num(stats, "degraded")), (0, 0));
+    let slow = field(stats, "slow_queries").as_arr().expect("slow log");
+    assert!(!slow.is_empty(), "--slow-ms 0 must fill the slow-query log");
+    for entry in slow {
+        assert!(trace_ids.contains(&num(entry, "trace_id")), "{entry:?}");
+        let (wall, compute) = (num(entry, "wall_us"), num(entry, "compute_us"));
+        assert!(wall >= compute + num(entry, "queue_us"), "{entry:?}");
+        let tree = field(entry, "trace").to_string_compact();
+        let tree = RunReport::from_json(&tree).expect("sampled trace is a report tree");
+        assert!(tree.find("serve.request").is_some(), "{entry:?}");
+    }
+
+    // `dump` returns the flight recorder's ring: every request so far.
+    let dump = field(response(&responses, 7), "payload");
+    let ring = field(dump, "ring").as_arr().expect("ring");
+    assert_eq!(ring.len() as u64, num(dump, "events"));
+    let requests_seen = ring.iter().filter(|ev| text(ev, "what") == "request");
+    assert_eq!(requests_seen.count(), 4, "{ring:?}");
+    for ev in ring {
+        assert!(num(ev, "ts_us") > 0 && !text(ev, "outcome").is_empty());
+        assert!(trace_ids.contains(&num(ev, "trace_id")), "{ev:?}");
+        num(ev, "wall_us");
+    }
+
+    // The exported series count what the engine handled: five requests
+    // (the two malformed lines never reached it), one hit.
+    let om_path = format!("{}.om", metrics.display());
+    let series = openmetrics_series(&om_path);
+    for name in [
+        "snap_serve_cache_misses_total",
+        "snap_serve_shed_total",
+        "snap_serve_degraded_total",
+        "snap_serve_cache_bytes",
+        "snap_serve_cache_entries",
+        "snap_serve_epoch",
+    ] {
+        assert!(series.contains_key(name), "{name} missing: {series:?}");
+    }
+    assert_eq!(series["snap_serve_requests_total"], 5.0);
+    assert_eq!(series["snap_serve_cache_hits_total"], 1.0);
+    for file in [path.as_path(), metrics.as_path(), om_path.as_ref()] {
+        std::fs::remove_file(file).ok();
+    }
 }
 
 /// A zero deadline on a cold query trips the budget immediately; the
-/// service still answers (degraded, exit 0) rather than erroring out.
+/// service still answers (degraded, exit 0) rather than erroring out,
+/// and does not cache the partial answer.
 #[test]
 fn serve_answers_over_deadline_requests_degraded() {
-    use std::io::Write;
+    let path = generate("serve-deadline.txt", "rmat", 8);
+    let requests = [
+        r#"{"id":1,"query":"bfs","source":9,"deadline_ms":0}"#,
+        r#"{"id":2,"query":"bfs","source":9}"#,
+        r#"{"id":3,"query":"stats"}"#,
+    ];
+    let (responses, _) = serve_session(&path, &["--workers", "1"], &requests);
+    let (degraded, clean) = (response(&responses, 1), response(&responses, 2));
+    assert_eq!(field(degraded, "degraded"), &Json::Bool(true));
+    assert_eq!(field(clean, "degraded"), &Json::Bool(false));
+    assert_eq!(text(clean, "cache"), "miss", "{clean:?}");
+    let stats = field(response(&responses, 3), "payload");
+    assert_eq!(num(stats, "degraded"), 1, "{stats:?}");
+    std::fs::remove_file(&path).ok();
+}
 
-    let path = scratch("serve-deadline.txt");
-    cli()
-        .args([
-            "generate",
-            "rmat",
-            "--scale",
-            "8",
-            "--out",
-            path.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    let mut child = cli()
-        .args(["serve", path.to_str().unwrap(), "--workers", "1"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
+/// `serve --stream OPS --churn-ms MS` replays edge ops behind the
+/// running server: a repeated query hits while the epoch stands and
+/// re-misses, never a stale hit, once a merge advances it.
+#[test]
+fn serve_under_churn_remisses_after_the_epoch_advances() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
+
+    let path = generate("serve-churn.txt", "rmat", 7);
+    let ops = scratch("serve-churn-ops.txt");
+    // Eight merges, 100 ms apart, each with edges no earlier batch had
+    // (vertex u to u + 1 + i / 128): the first request lands long before
+    // the last of them.
+    let op = |i: u32| format!("+ {} {}\n", i % 128, (i % 128 + 1 + i / 128) % 128);
+    std::fs::write(&ops, (0..2048).map(op).collect::<String>()).unwrap();
+    let mut flags = vec!["--workers", "1", "--stream", ops.to_str().unwrap()];
+    flags.extend(["--merge-every", "256", "--churn-ms", "100"]);
+
+    let mut child = spawn_serve(&path, &flags);
     let mut stdin = child.stdin.take().unwrap();
-    writeln!(
-        stdin,
-        r#"{{"id":1,"query":"bfs","source":9,"deadline_ms":0}}"#
-    )
-    .unwrap();
-    writeln!(stdin, r#"{{"id":2,"query":"bfs","source":9}}"#).unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut ask = |id: u64| {
+        writeln!(stdin, r#"{{"id":{id},"query":"bfs","source":5}}"#).unwrap();
+        let mut line = String::new();
+        while !line.starts_with('{') {
+            line.clear();
+            let read = stdout.read_line(&mut line).unwrap();
+            assert!(read > 0, "server closed stdout");
+        }
+        Json::parse(line.trim_end()).expect("response is JSON")
+    };
+    let first = ask(1);
+    assert_eq!(text(&first, "cache"), "miss", "{first:?}");
+    let give_up = Instant::now() + Duration::from_secs(30);
+    loop {
+        let again = ask(2);
+        if num(&again, "epoch") > num(&first, "epoch") {
+            assert_eq!(text(&again, "cache"), "miss", "stale hit: {again:?}");
+            break;
+        }
+        assert_eq!(text(&again, "cache"), "hit", "{again:?}");
+        assert!(Instant::now() < give_up, "epoch never advanced");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     drop(stdin);
-    let out = child.wait_with_output().unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout).to_string();
-    let degraded = text
-        .lines()
-        .find(|l| l.contains("\"id\":1"))
-        .expect("response for id 1");
-    assert!(degraded.contains("\"degraded\":true"), "{degraded}");
-    let clean = text
-        .lines()
-        .find(|l| l.contains("\"id\":2"))
-        .expect("response for id 2");
-    assert!(clean.contains("\"degraded\":false"), "{clean}");
+    assert!(child.wait().unwrap().success());
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&ops).ok();
+}
+
+/// The representation-agnostic pipeline prints the same fingerprint of
+/// every kernel output, and the same BFS edge-inspection count, over
+/// flat and compressed adjacency; `kcore` peels both to the same
+/// degeneracy.
+#[test]
+fn backends_print_the_same_fingerprint_and_degeneracy() {
+    let path = generate("backend.txt", "rmat", 10);
+    // `--report json` claims stdout, so the human lines arrive on stderr.
+    let line_with = |command: &str, backend: &str, needle: &str| {
+        let mut run = cli();
+        run.arg(command).arg(&path);
+        let out = run_ok(run.args(["--backend", backend, "--report", "json"]));
+        let report = RunReport::from_json(&String::from_utf8_lossy(&out.stdout));
+        let report = report.expect("stdout is a well-formed run report");
+        assert_eq!(report.root.meta_value("backend"), Some(backend));
+        let human = String::from_utf8_lossy(&out.stderr).to_string();
+        let announced = human.contains("compressed adjacency:");
+        assert_eq!(announced, backend == "compressed", "{human}");
+        let line = human.lines().find(|l| l.contains(needle));
+        (line.expect(needle).to_string(), report)
+    };
+    let (flat, report) = line_with("run", "csr", "fixture_hash 0x");
+    let (compressed, _) = line_with("run", "compressed", "fixture_hash 0x");
+    assert_eq!(flat, compressed);
+    let work_units = report.root.counter("work_units").expect("work_units");
+    let hash = report
+        .root
+        .meta_value("fixture_hash")
+        .expect("fixture_hash");
+    assert!(work_units > 0, "{flat}");
+    assert_eq!(
+        flat,
+        format!("fixture_hash {hash} | work_units {work_units}")
+    );
+
+    let degeneracy = |backend: &str| {
+        let (line, _) = line_with("kcore", backend, "degeneracy ");
+        line.split(" | ").next().unwrap().to_string()
+    };
+    assert_eq!(degeneracy("csr"), degeneracy("compressed"));
     std::fs::remove_file(&path).ok();
 }

@@ -39,6 +39,7 @@ fn pipeline_report_is_well_formed_and_covers_kernels() {
     let _ = obs.summary_with_seed(3);
     let _ = obs.bfs_stats(0);
     let _ = obs.communities(CommunityAlgorithm::Divisive);
+    let _ = obs.communities(CommunityAlgorithm::Agglomerative);
     let _ = obs.approx_betweenness(0.2, 11);
     let _ = obs.partition(PartitionMethod::MultilevelKway, 4, 1);
     let report = obs.finish();
@@ -47,6 +48,7 @@ fn pipeline_report_is_well_formed_and_covers_kernels() {
         "metrics.summary",
         "bfs.hybrid",
         "community.pbd",
+        "community.pma",
         "centrality.approx_betweenness",
         "centrality.betweenness",
         "partition",
@@ -112,8 +114,8 @@ fn critical_path_analysis_is_deterministic_across_thread_counts() {
     // The analyzer is pure post-processing: feeding the *same* fixture
     // report through `analyze::critical_path` / `analyze::efficiency`
     // while the runtime pool is sized 1, 4, or 8 threads must produce
-    // byte-identical text and JSON. This is what lets CI compare
-    // `obs critical-path` output across machines.
+    // byte-identical text and JSON. This is what makes `obs
+    // critical-path` output comparable across machines.
     let net = small_world();
     let obs = net.observed();
     snap::obs::enable_tracing();
@@ -139,8 +141,8 @@ fn critical_path_analysis_is_deterministic_across_thread_counts() {
     }
 
     // And the analysis is self-consistent: every critical-path step names
-    // a span that exists in the report, and the gauges the bench suite
-    // folds into baselines match a fresh analysis.
+    // a span that exists in the report, and the gauges `annotate` folds
+    // onto a report's root match a fresh analysis.
     let cp = snap::obs::analyze::critical_path(&fixture);
     assert!(!cp.steps.is_empty());
     for step in &cp.steps {

@@ -70,3 +70,28 @@ fn msf_thread_invariant() {
     assert_eq!(m1.total_weight, m4.total_weight);
     assert_eq!(m1.edges, m4.edges);
 }
+
+/// The 64-source sweeps behind `summary` and `sampled_closeness` fan out
+/// although 64 items is far below the runtime's auto-parallel threshold:
+/// every explicit source chunk is spawned on its own thread, so under a
+/// pool of more than one thread the per-source tasks land on at least
+/// two trace thread ids — by construction, not by timing. Nothing else
+/// in this binary collects a report or runs these sweeps, so the drained
+/// timeline is this test's alone.
+#[test]
+fn sampled_sweeps_fan_out_across_threads() {
+    let g = test_graph();
+    snap::obs::enable();
+    snap::obs::enable_tracing();
+    with_threads(4, || {
+        let _ = snap::metrics::path_stats_sampled(&g, 64, 3);
+        let _ = snap::centrality::sampled_closeness(&g, 64, 3);
+    });
+    let report = snap::obs::finish().expect("collection was on");
+    snap::obs::disable_tracing();
+    for task in ["pathlen.source", "closeness.source"] {
+        let begun = report.trace.iter().filter(|e| e.begin && e.name == task);
+        let tids: std::collections::BTreeSet<u32> = begun.map(|e| e.tid).collect();
+        assert!(tids.len() >= 2, "{task} ran on thread id(s) {tids:?}");
+    }
+}

@@ -1,0 +1,164 @@
+//! Source-shape rules of this repository, run in tier-1. Each rule is a
+//! matcher over one line of Rust plus a sweep of the files it governs;
+//! every matcher is first shown a violating and a clean sample, so a
+//! lint that has stopped matching anything fails instead of passing.
+
+use std::path::Path;
+
+/// Every `.rs` file under `roots` (files or directories, relative to the
+/// repository root) as `(relative path, contents)`.
+fn rust_sources(roots: &[&str]) -> Vec<(String, String)> {
+    fn walk(repo: &Path, rel: &str, out: &mut Vec<(String, String)>) {
+        let path = repo.join(rel);
+        if path.is_dir() {
+            for entry in std::fs::read_dir(&path).unwrap() {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                walk(repo, &format!("{rel}/{name}"), out);
+            }
+        } else if rel.ends_with(".rs") {
+            out.push((rel.to_string(), std::fs::read_to_string(&path).unwrap()));
+        }
+    }
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut out = Vec::new();
+    for root in roots {
+        walk(&repo, root, &mut out);
+    }
+    assert!(!out.is_empty(), "no sources under {roots:?}");
+    out
+}
+
+/// The lines of `sources` that `matcher` flags, as `path: text` with the
+/// text's whitespace collapsed.
+fn flagged(sources: &[(String, String)], matcher: fn(&str) -> bool) -> Vec<String> {
+    let mut hits = Vec::new();
+    for (path, text) in sources {
+        for line in text.lines().filter(|l| matcher(l)) {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            hits.push(format!("{path}: {}", words.join(" ")));
+        }
+    }
+    hits
+}
+
+/// `0..<receiver>num_edges()` outside a comment line.
+fn flat_edge_sweep(line: &str) -> bool {
+    let receiver = |c: char| c.is_ascii_alphanumeric() || "_.()".contains(c);
+    !line.trim_start().starts_with("//")
+        && line.match_indices("..").any(|(at, _)| {
+            let upper = line[at + 2..].trim_start();
+            line[..at].trim_end().ends_with('0')
+                && upper
+                    .match_indices("num_edges()")
+                    .any(|(end, _)| upper[..end].trim_end().chars().all(receiver))
+        })
+}
+
+/// Flat `0..num_edges()` edge sweeps silently read dead edges on a
+/// `FilteredGraph` (its live ids are non-contiguous). Outside the
+/// representation layer, iterate `Graph::edge_ids()` instead.
+#[test]
+fn no_flat_edge_id_sweeps_outside_the_representation_layer() {
+    assert!(flat_edge_sweep("    for e in 0..g.num_edges() {"));
+    assert!(flat_edge_sweep(
+        "    (0 .. self.graph().num_edges() as u32)"
+    ));
+    assert!(!flat_edge_sweep("    for e in g.edge_ids() {"));
+    assert!(!flat_edge_sweep(
+        "    // 0..g.num_edges() would read dead ids"
+    ));
+    let mut sources = rust_sources(&["crates", "tests", "examples"]);
+    sources.retain(|(path, _)| !path.starts_with("crates/graph/") && path != "tests/repo_lints.rs");
+    let hits = flagged(&sources, flat_edge_sweep);
+    assert!(
+        hits.is_empty(),
+        "use Graph::edge_ids():\n{}",
+        hits.join("\n")
+    );
+}
+
+/// `fn <name>_with_budget…` / `fn <name>_with_workspace…`.
+fn resource_suffixed_fn(line: &str) -> bool {
+    line.match_indices("fn ").any(|(at, _)| {
+        let ident = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+        let name = line[at + 3..].split(|c| !ident(c)).next().unwrap();
+        ["_with_budget", "_with_workspace"]
+            .iter()
+            .any(|suffix| name.find(suffix).is_some_and(|stem| stem > 0))
+    })
+}
+
+/// How a kernel receives its budget and scratch is one value
+/// (`snap_kernels::Exec`, DESIGN.md §10), not a function-name suffix:
+/// each kernel has its plain name plus at most one `*_in` / `try_*` form
+/// taking `&Exec`. A new suffixed function grows the variant matrix back.
+#[test]
+fn one_entry_point_per_kernel() {
+    assert!(resource_suffixed_fn(
+        "pub fn closeness_with_workspace<G: Graph>("
+    ));
+    assert!(resource_suffixed_fn(
+        "fn path_stats_with_budget_and_workspace("
+    ));
+    assert!(!resource_suffixed_fn(
+        "pub fn closeness_in<G: Graph>(g: &G, exec: &Exec)"
+    ));
+    assert!(!resource_suffixed_fn(
+        "    pub fn with_budget(mut self, budget: Budget) -> Self {"
+    ));
+    let mut sources = rust_sources(&["crates"]);
+    sources.retain(|(path, _)| path.split('/').nth(2) == Some("src"));
+    let hits = flagged(&sources, resource_suffixed_fn);
+    assert!(hits.is_empty(), "take &Exec instead:\n{}", hits.join("\n"));
+}
+
+/// `vec![<elem>; <len>]` with a per-graph length: `n`, `m`,
+/// `g.num_vertices()` or `g.edge_id_bound()`.
+fn dense_alloc(line: &str) -> bool {
+    line.match_indices("vec![").any(|(at, _)| {
+        let parts = line[at + 5..].split_once(';');
+        let len = parts.and_then(|(_, rest)| rest.split_once(']'));
+        let per_graph = ["n", "m", "g.num_vertices()", "g.edge_id_bound()"];
+        len.is_some_and(|(len, _)| per_graph.contains(&len.trim()))
+    })
+}
+
+/// Multi-source kernels draw their per-source scratch from an
+/// epoch-stamped `TraversalWorkspace` (DESIGN.md §11) and the
+/// dynamic-graph path allocates per batch, never per op. Every
+/// per-graph-sized `vec!` in the audited files is listed in
+/// `tests/data/dense_alloc_allowlist.txt`; a new one fails here until it
+/// is moved onto a workspace or — being per call or per worker chunk —
+/// added to the list (the failure prints the lines to paste).
+#[test]
+fn dense_allocations_are_on_the_allow_list() {
+    assert!(dense_alloc("        let mut dist = vec![u64::MAX; n];"));
+    assert!(dense_alloc(
+        "    let mut mark = vec![false; g.num_vertices()];"
+    ));
+    assert!(!dense_alloc("        let mut acc = vec![0u64; levels];"));
+    let mut found = flagged(
+        &rust_sources(&[
+            "crates/centrality/src",
+            "crates/metrics/src",
+            "crates/graph/src/dynamic.rs",
+            "crates/graph/src/treap.rs",
+            "crates/graph/src/stream.rs",
+            "crates/graph/src/compressed.rs",
+            "crates/kernels/src/dyncc.rs",
+            "crates/kernels/src/dynbfs.rs",
+            "crates/kernels/src/buckets.rs",
+            "crates/kernels/src/kcore.rs",
+        ]),
+        dense_alloc,
+    );
+    let list = include_str!("data/dense_alloc_allowlist.txt");
+    let mut allowed: Vec<&str> = list.lines().collect();
+    found.sort();
+    allowed.sort();
+    assert!(
+        found == allowed,
+        "dense per-graph allocations changed in an audited file; the list should read:\n{}",
+        found.join("\n")
+    );
+}
