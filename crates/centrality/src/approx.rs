@@ -12,9 +12,8 @@
 use crate::brandes::{
     accumulate_source, betweenness_from_sources_in, BetweennessScores, PartialBetweenness,
 };
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use snap_graph::{Graph, TraversalWorkspace, VertexId};
+use snap_kernels::sweep::sample_sources;
 use snap_kernels::Exec;
 
 /// Estimate vertex and edge betweenness from a random `frac` fraction of
@@ -66,30 +65,7 @@ pub fn adaptive_vertex_betweenness<G: Graph>(
     alpha: f64,
     seed: u64,
 ) -> AdaptiveEstimate {
-    let n = g.num_vertices();
-    let m = g.edge_id_bound();
-    let sources = sample_sources(n, n, seed);
-    let mut ws = TraversalWorkspace::new();
-    ws.bind_preds(g);
-    let mut vacc = vec![0.0; n];
-    let mut eacc = vec![0.0; m];
-    let threshold = alpha * n as f64;
-    let mut used = 0usize;
-    for &s in &sources {
-        accumulate_source(g, s, &mut ws, &mut vacc, &mut eacc);
-        used += 1;
-        if vacc[target as usize] >= threshold {
-            break;
-        }
-    }
-    let mut est = vacc[target as usize] * n as f64 / used as f64;
-    if !g.is_directed() {
-        est *= 0.5;
-    }
-    AdaptiveEstimate {
-        estimate: est,
-        samples: used,
-    }
+    adaptive_betweenness(g, alpha, seed, |vacc, _| vacc[target as usize])
 }
 
 /// Adaptively estimate the betweenness of a single edge, same stopping
@@ -100,23 +76,33 @@ pub fn adaptive_edge_betweenness<G: Graph>(
     alpha: f64,
     seed: u64,
 ) -> AdaptiveEstimate {
+    adaptive_betweenness(g, alpha, seed, |_, eacc| eacc[target as usize])
+}
+
+/// The adaptive loop; `dependency` reads the target entity's running sum
+/// out of the `(vertex, edge)` accumulators.
+fn adaptive_betweenness<G: Graph>(
+    g: &G,
+    alpha: f64,
+    seed: u64,
+    dependency: impl Fn(&[f64], &[f64]) -> f64,
+) -> AdaptiveEstimate {
     let n = g.num_vertices();
-    let m = g.edge_id_bound();
     let sources = sample_sources(n, n, seed);
     let mut ws = TraversalWorkspace::new();
     ws.bind_preds(g);
     let mut vacc = vec![0.0; n];
-    let mut eacc = vec![0.0; m];
+    let mut eacc = vec![0.0; g.edge_id_bound()];
     let threshold = alpha * n as f64;
     let mut used = 0usize;
     for &s in &sources {
         accumulate_source(g, s, &mut ws, &mut vacc, &mut eacc);
         used += 1;
-        if eacc[target as usize] >= threshold {
+        if dependency(&vacc, &eacc) >= threshold {
             break;
         }
     }
-    let mut est = eacc[target as usize] * n as f64 / used as f64;
+    let mut est = dependency(&vacc, &eacc) * n as f64 / used as f64;
     if !g.is_directed() {
         est *= 0.5;
     }
@@ -124,17 +110,6 @@ pub fn adaptive_edge_betweenness<G: Graph>(
         estimate: est,
         samples: used,
     }
-}
-
-/// Draw `k` distinct sources uniformly at random (a seeded shuffle
-/// truncated to `k`) — the sampling primitive shared by the estimators
-/// and by budget-degraded exact betweenness.
-pub fn sample_sources(n: usize, k: usize, seed: u64) -> Vec<VertexId> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut all: Vec<VertexId> = (0..n as VertexId).collect();
-    all.shuffle(&mut rng);
-    all.truncate(k.min(n));
-    all
 }
 
 #[cfg(test)]

@@ -6,13 +6,13 @@
 //! distributes the `n` source traversals over workers, each with private
 //! accumulators that are summed at the end — `O(p(m + n))` memory, no
 //! fine-grained synchronization on the hot path. This module implements
-//! the sequential kernel and that coarse-grained parallel scheme.
+//! the per-source kernel; the coarse-grained scheme around it is
+//! [`snap_kernels::sweep`].
 
-use rayon::prelude::*;
 use snap_graph::scratch::{stamped, BrandesSlot, PredArc};
 use snap_graph::{Graph, TraversalWorkspace, VertexId};
+use snap_kernels::sweep::sweep;
 use snap_kernels::Exec;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Betweenness scores for all vertices and edges.
 ///
@@ -147,23 +147,16 @@ pub(crate) fn accumulate_source<G: Graph>(
     }
 }
 
-/// Sum two per-chunk `(vertex, edge)` accumulators; an empty pair (the
-/// reduce identity, or a chunk the budget skipped whole) contributes
-/// nothing.
+/// Sum two per-chunk `(vertex, edge)` accumulators element-wise.
 pub(crate) fn add_accumulators(
     (mut va, mut ea): (Vec<f64>, Vec<f64>),
     (vb, eb): (Vec<f64>, Vec<f64>),
 ) -> (Vec<f64>, Vec<f64>) {
-    if va.is_empty() {
-        return (vb, eb);
+    for (x, y) in va.iter_mut().zip(vb) {
+        *x += y;
     }
-    if !vb.is_empty() {
-        for (x, y) in va.iter_mut().zip(vb) {
-            *x += y;
-        }
-        for (x, y) in ea.iter_mut().zip(eb) {
-            *x += y;
-        }
+    for (x, y) in ea.iter_mut().zip(eb) {
+        *x += y;
     }
     (va, ea)
 }
@@ -252,111 +245,52 @@ impl PartialBetweenness {
 /// Sources are processed until the budget trips; the accumulated sums are
 /// then scaled by `n / sources_used`, turning the processed prefix into a
 /// sampled estimate (pass a *shuffled* source order — e.g. from
-/// [`crate::approx::sample_sources`] — so the prefix is a uniform
-/// sample). Callers that recompute betweenness repeatedly (GN rounds, pBD
-/// phases, a serving session) hold one `Exec` across calls so every
-/// traversal after the first reuses warm slot arrays.
+/// [`crate::sample_sources`] — so the prefix is a uniform sample).
+/// Callers that recompute betweenness repeatedly (GN rounds, pBD phases,
+/// a serving session) hold one `Exec` across calls so every traversal
+/// after the first reuses warm slot arrays.
 pub fn betweenness_from_sources_in<G: Graph>(
     g: &G,
     sources: &[VertexId],
     exec: &Exec,
 ) -> PartialBetweenness {
-    let (vertex, edge, used) = accumulate_sources_budgeted(g, sources, exec);
+    let n = g.num_vertices();
+    let m = g.edge_id_bound();
+    let (sums, used) = {
+        let _span = snap_obs::span("centrality.betweenness");
+        let frontier_vertices = snap_obs::counter("frontier_vertices");
+        sweep(
+            exec,
+            sources,
+            "brandes.source",
+            16,
+            // The offsets bind is amortized over every source the chunk
+            // runs.
+            |ws| {
+                ws.bind_preds(g);
+                (vec![0.0; n], vec![0.0; m])
+            },
+            |(vacc, eacc), s, ws| {
+                accumulate_source(g, s, ws, vacc, eacc);
+                frontier_vertices.add(ws.order.len() as u64);
+                ws.order.len() as u64 + 1
+            },
+            add_accumulators,
+        )
+    };
+    let (vertex, edge) = sums.unwrap_or_else(|| (vec![0.0; n], vec![0.0; m]));
     let scale = if used == 0 {
         1.0
     } else {
-        g.num_vertices() as f64 / used as f64
+        n as f64 / used as f64
     };
     let vertex = vertex.into_iter().map(|x| x * scale).collect();
     let edge = edge.into_iter().map(|x| x * scale).collect();
-    if used < sources.len() {
-        if let Some(why) = exec.budget.exhaustion() {
-            snap_obs::meta("degraded", why);
-        }
-        snap_obs::add("sources_skipped", (sources.len() - used) as u64);
-    }
     PartialBetweenness {
         scores: finalize(g, vertex, edge),
         sources_used: used,
         sources_requested: sources.len(),
     }
-}
-
-/// Coarse-grained parallel accumulation over `sources`, skipping sources
-/// once the budget trips. Returns unscaled sums plus the number of sources
-/// actually processed.
-fn accumulate_sources_budgeted<G: Graph>(
-    g: &G,
-    sources: &[VertexId],
-    exec: &Exec,
-) -> (Vec<f64>, Vec<f64>, usize) {
-    let _span = snap_obs::span("centrality.betweenness");
-    let (budget, pool) = (&exec.budget, &*exec.pool);
-    let n = g.num_vertices();
-    let m = g.edge_id_bound();
-    // Handles are captured by the worker closures: every rayon worker
-    // lands its per-source tallies in the same relaxed atomics, and the
-    // per-source latency distribution merges by relaxed bucket adds.
-    let sources_processed = snap_obs::counter("sources_processed");
-    let frontier_vertices = snap_obs::counter("frontier_vertices");
-    let source_us = snap_obs::hist("source_us");
-    let processed = AtomicU64::new(0);
-    // Coarse-grained fan-out: explicit multi-source chunks. A plain
-    // par_iter would fall below the shim's small-input threshold for
-    // short source lists (a k = 64 sample), serializing work where each
-    // item is a whole graph traversal; par_chunks makes the granularity
-    // the caller's call. The chunk size depends only on the source count,
-    // never the thread count: per-chunk f64 accumulators reduce in chunk
-    // order, so a thread-count-independent chunking keeps the floating
-    // point bracketing — and therefore every downstream tie-break (pBD
-    // edge ranking) — bit-identical from 1 thread to 64.
-    let per = sources.len().div_ceil(64).max(16);
-    let (vertex, edge) = sources
-        .par_chunks(per)
-        .map(|chunk| {
-            let mut vacc = Vec::new();
-            let mut eacc = Vec::new();
-            let mut scratch = None::<snap_graph::PooledWorkspace<'_>>;
-            for &s in chunk {
-                // The budget gate costs one relaxed load per source; a
-                // tripped budget skips the chunk's remaining sources.
-                if budget.is_exhausted() {
-                    break;
-                }
-                if vacc.is_empty() {
-                    vacc = vec![0.0; n];
-                    eacc = vec![0.0; m];
-                }
-                let ws = scratch.get_or_insert_with(|| {
-                    // One checkout per chunk; the offsets bind is
-                    // amortized over every source the chunk runs.
-                    let mut ws = pool.acquire();
-                    ws.bind_preds(g);
-                    ws
-                });
-                let _task = snap_obs::task("brandes.source");
-                let timer = source_us.start();
-                accumulate_source(g, s, ws, &mut vacc, &mut eacc);
-                source_us.stop_us(timer);
-                processed.fetch_add(1, Ordering::Relaxed);
-                sources_processed.incr();
-                frontier_vertices.add(ws.order.len() as u64);
-                let _ = budget.charge(ws.order.len() as u64 + 1);
-            }
-            (vacc, eacc)
-        })
-        .reduce(|| (Vec::new(), Vec::new()), add_accumulators);
-    // Workers have no snap-obs context of their own; their workspace
-    // counters rode back on the pool and are emitted here, inside the
-    // kernel span, by the thread that owns it.
-    pool.flush_obs();
-    let vertex = if vertex.is_empty() {
-        vec![0.0; n]
-    } else {
-        vertex
-    };
-    let edge = if edge.is_empty() { vec![0.0; m] } else { edge };
-    (vertex, edge, processed.load(Ordering::Relaxed) as usize)
 }
 
 #[cfg(test)]

@@ -5,17 +5,14 @@
 //! subset of sources (the standard Eppstein–Wang style approximation the
 //! paper's exploratory workflow calls for).
 //!
-//! All per-source traversals run on pooled epoch-stamped
-//! [`TraversalWorkspace`]s: each worker checks one workspace out for its
-//! whole chunk of sources, so an n-source exact pass performs O(workers)
-//! allocations instead of O(n), and the per-source distance sums walk the
-//! *touched* vertex set (`ws.order`) instead of scanning all n slots.
+//! Both multi-source passes run through [`snap_kernels::sweep`]: one
+//! pooled epoch-stamped [`TraversalWorkspace`] per chunk of sources, and
+//! per-source distance sums that walk the *touched* vertex set
+//! (`ws.order`) instead of scanning all n slots.
 
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rayon::prelude::*;
-use snap_graph::{Graph, PooledWorkspace, TraversalWorkspace, VertexId, WorkspacePool};
+use snap_graph::{Graph, TraversalWorkspace, VertexId};
 use snap_kernels::bfs::bfs_levels_into;
+use snap_kernels::sweep::{sample_sources, sweep};
 use snap_kernels::Exec;
 
 /// Exact closeness for every vertex, parallel over sources.
@@ -29,48 +26,39 @@ pub fn closeness<G: Graph>(g: &G) -> Vec<f64> {
     closeness_in(g, &Exec::default())
 }
 
-/// [`closeness`] drawing traversal scratch from `exec`'s pool. Sessions
-/// that interleave centrality queries hold one `Exec` so the slot arrays
-/// warm up once. Only the pool is used: the sweep never probes the
-/// budget.
+/// [`closeness`] with `exec`'s budget and workspace pool. Sessions that
+/// interleave centrality queries hold one `Exec` so the slot arrays warm
+/// up once. Every score is its own traversal, so a budget that trips
+/// leaves the vertices it skipped at 0 (counted in `sources_skipped`).
 pub fn closeness_in<G: Graph>(g: &G, exec: &Exec) -> Vec<f64> {
     let n = g.num_vertices();
     if n <= 1 {
         return vec![0.0; n];
     }
-    let pool = &*exec.pool;
     let _span = snap_obs::span("centrality.closeness");
-    let sources_processed = snap_obs::counter("sources_processed");
-    let source_us = snap_obs::hist("source_us");
-    // One sequential BFS per worker: with n sources there is plenty of
-    // outer parallelism, so the cheapest traversal per source wins. Each
-    // worker folds into (workspace, scores) and the scores scatter back
-    // by vertex id, keeping the output independent of chunking.
-    let scored: Vec<(VertexId, f64)> = (0..n as VertexId)
-        .into_par_iter()
-        .fold(
-            || (None::<PooledWorkspace<'_>>, Vec::new()),
-            |(mut ws, mut acc), v| {
-                let w = ws.get_or_insert_with(|| pool.acquire());
-                let _task = snap_obs::task("closeness.source");
-                let timer = source_us.start();
-                bfs_levels_into(g, v, w);
-                acc.push((v, closeness_from_workspace(n, w)));
-                source_us.stop_us(timer);
-                sources_processed.incr();
-                (ws, acc)
-            },
-        )
-        .map(|(_ws, acc)| acc)
-        .reduce(Vec::new, |mut a, mut b| {
+    let sources: Vec<VertexId> = (0..n as VertexId).collect();
+    // Each chunk lists its `(vertex, score)` pairs and the scores scatter
+    // back by vertex id, so the output cannot depend on the chunking.
+    let (scored, _) = sweep(
+        exec,
+        &sources,
+        "closeness.source",
+        16,
+        |_| Vec::new(),
+        |acc, v, ws| {
+            bfs_levels_into(g, v, ws);
+            acc.push((v, closeness_from_workspace(n, ws)));
+            ws.order.len() as u64 + 1
+        },
+        |mut a, mut b| {
             a.append(&mut b);
             a
-        });
+        },
+    );
     let mut out = vec![0.0; n];
-    for (v, cc) in scored {
+    for (v, cc) in scored.unwrap_or_default() {
         out[v as usize] = cc;
     }
-    pool.flush_obs();
     out
 }
 
@@ -117,59 +105,43 @@ pub fn sampled_closeness<G: Graph>(g: &G, k: usize, seed: u64) -> Vec<f64> {
     if n == 0 {
         return Vec::new();
     }
-    let pool = WorkspacePool::new();
     let _span = snap_obs::span("centrality.closeness");
-    let sources_processed = snap_obs::counter("sources_processed");
-    let source_us = snap_obs::hist("source_us");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut sources: Vec<VertexId> = (0..n as VertexId).collect();
-    sources.shuffle(&mut rng);
-    sources.truncate(k.max(1).min(n));
+    let sources = sample_sources(n, k.max(1), seed);
     snap_obs::add("samples_drawn", sources.len() as u64);
 
     // Sum of distances to each vertex from the sampled sources. The
     // per-source scatter walks the touched set only; the u64 sums make
-    // the result independent of accumulation order. Explicit chunks,
-    // sized as Brandes sizes its source chunks: a k-source sample is far
-    // below the shim's auto-parallel threshold, so `par_iter` would run
-    // the whole sweep on one thread.
-    let per = sources.len().div_ceil(64).max(16);
-    let sums: Vec<u64> = sources
-        .par_chunks(per)
-        .map(|chunk| {
-            let mut acc = vec![0u64; n];
-            let mut w = pool.acquire();
-            for &s in chunk {
-                let _task = snap_obs::task("closeness.source");
-                let timer = source_us.start();
-                bfs_levels_into(g, s, &mut w);
-                // Per-vertex sums need a scatter, but the depth runs let
-                // it stream over `order` without re-reading a dist word
-                // per vertex.
-                for (d, run) in w.depth_runs() {
-                    for &u in &w.order[run] {
-                        acc[u as usize] += d as u64;
-                    }
+    // the result independent of accumulation order.
+    let (sums, _) = sweep(
+        &Exec::default(),
+        &sources,
+        "closeness.source",
+        16,
+        |_| vec![0u64; n],
+        |acc, s, ws| {
+            bfs_levels_into(g, s, ws);
+            // Per-vertex sums need a scatter, but the depth runs let it
+            // stream over `order` without re-reading a dist word per
+            // vertex.
+            for (d, run) in ws.depth_runs() {
+                for &u in &ws.order[run] {
+                    acc[u as usize] += d as u64;
                 }
-                source_us.stop_us(timer);
-                sources_processed.incr();
             }
-            acc
-        })
-        .reduce(
-            || vec![0u64; n],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        );
-    pool.flush_obs();
+            0
+        },
+        |mut a, b| {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x += y;
+            }
+            a
+        },
+    );
     let k = sources.len() as f64;
     // E[sampled sum] = k/n * (full distance sum), so scale by n/k and
     // invert with the usual (n - 1) numerator.
-    sums.into_iter()
+    sums.expect("at least one source ran")
+        .into_iter()
         .map(|s| {
             if s == 0 {
                 0.0

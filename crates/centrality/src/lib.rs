@@ -14,7 +14,7 @@ pub mod weighted;
 
 pub use approx::{
     adaptive_edge_betweenness, adaptive_vertex_betweenness, approx_betweenness,
-    approx_betweenness_in, sample_sources, AdaptiveEstimate,
+    approx_betweenness_in, AdaptiveEstimate,
 };
 pub use brandes::{
     betweenness_from_sources, betweenness_from_sources_in, brandes, par_brandes, BetweennessScores,
@@ -22,4 +22,5 @@ pub use brandes::{
 };
 pub use closeness::{closeness, closeness_in, closeness_of, closeness_of_into, sampled_closeness};
 pub use degree::{degree_centrality, normalized_degree_centrality, top_degree_vertices};
+pub use snap_kernels::sweep::sample_sources;
 pub use weighted::weighted_betweenness;

@@ -6,8 +6,9 @@
 //! distance order (Dijkstra settle order reversed).
 
 use crate::brandes::{add_accumulators, finalize, BetweennessScores};
-use rayon::prelude::*;
 use snap_graph::{VertexId, WeightedGraph};
+use snap_kernels::sweep::sweep;
+use snap_kernels::Exec;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -66,22 +67,21 @@ pub fn weighted_betweenness<G: WeightedGraph>(g: &G) -> BetweennessScores {
     let n = g.num_vertices();
     let m = g.edge_id_bound();
     let sources: Vec<VertexId> = (0..n as VertexId).collect();
-    // As in `accumulate_sources_budgeted`: the chunking reads the source
-    // count only and the per-chunk f64 sums reduce in chunk order, so
-    // the bracketing — every output bit — is the same at any thread
-    // count. Dijkstra per source is heavy; below 1024 sources one chunk
-    // runs them in order.
-    let per = n.div_ceil(64).max(1024);
-    let (vertex, edge) = sources
-        .par_chunks(per)
-        .map(|chunk| {
-            let (mut vacc, mut eacc) = (vec![0.0; n], vec![0.0; m]);
-            for &s in chunk {
-                accumulate_weighted(g, s, &mut vacc, &mut eacc);
-            }
-            (vacc, eacc)
-        })
-        .reduce(|| (Vec::new(), Vec::new()), add_accumulators);
+    // Dijkstra per source is heavy and keeps its own state, not the
+    // chunk's workspace; below 1024 sources one chunk runs them in order.
+    let (sums, _) = sweep(
+        &Exec::default(),
+        &sources,
+        "weighted.source",
+        1024,
+        |_| (vec![0.0; n], vec![0.0; m]),
+        |(vacc, eacc), s, _| {
+            accumulate_weighted(g, s, vacc, eacc);
+            0
+        },
+        add_accumulators,
+    );
+    let (vertex, edge) = sums.unwrap_or_default();
     finalize(g, vertex, edge)
 }
 

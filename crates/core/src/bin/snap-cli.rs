@@ -16,7 +16,7 @@
 //!                       [--slow-ms MS] [--trace-sample N] [--postmortem PATH]
 //! snap-cli generate     rmat|er|ws|grid|planted --out FILE [--scale S] [--edges M] [--seed S]
 //! snap-cli obs diff     BASE.json CURRENT.json [--fail-over-pct P] [--min-ms M]
-//!                       [--fail-mem-over-pct P] [--min-bytes B] [--fail-eff-drop P]
+//!                       [--fail-mem-over-pct P] [--min-bytes B]
 //! snap-cli obs top      REPORT.json [--limit N] [--by-mem]
 //! snap-cli obs efficiency    REPORT.json [--json]
 //! snap-cli obs critical-path REPORT.json [--json]
@@ -98,9 +98,7 @@
 //! with `--trace-out`, or `--report json=PATH` after `--trace-out`
 //! enabled tracing); `obs critical-path` walks the span tree's heaviest
 //! chain and attributes self-time along it. Both print human-readable
-//! text or one line of JSON with `--json`. `obs diff --fail-eff-drop P`
-//! exits non-zero when a span's `parallel_efficiency_pct` gauge fell
-//! more than P percent below the baseline.
+//! text or one line of JSON with `--json`.
 //! `--trace-buf N` (or `SNAP_TRACE_BUF=N`) sets the per-thread event
 //! ring capacity (default 8192 events); overflow drops the oldest
 //! events and is reported per thread in `trace_events_dropped.tid*`
@@ -146,7 +144,7 @@ commands:
                [--slow-ms MS] [--trace-sample N] [--postmortem PATH]
   generate     rmat|er|ws|grid|planted --out FILE [--scale S] [--edges M] [--seed S]
   obs diff     BASE.json CURRENT.json [--fail-over-pct P] [--min-ms M]
-               [--fail-mem-over-pct P] [--min-bytes B] [--fail-eff-drop P]
+               [--fail-mem-over-pct P] [--min-bytes B]
   obs top      REPORT.json [--limit N] [--by-mem]
   obs efficiency    REPORT.json [--json]
   obs critical-path REPORT.json [--json]
@@ -543,24 +541,6 @@ fn cmd_obs(args: &Args) {
                             "  {}  {}: {} -> {} bytes",
                             r.path, r.metric, r.base_bytes, r.cur_bytes
                         );
-                    }
-                    exit(1);
-                }
-            }
-            if let Some(pct) = args.flag("fail-eff-drop") {
-                let pct: f64 = pct
-                    .parse()
-                    .ok()
-                    .filter(|p: &f64| p.is_finite() && *p >= 0.0)
-                    .unwrap_or_else(|| fail("bad value for --fail-eff-drop"));
-                let drops = snap::obs::diff::gauge_drops(&entries, "parallel_efficiency_pct", pct);
-                if !drops.is_empty() {
-                    eprintln!(
-                        "obs diff: {} span(s) lost more than {pct}% parallel efficiency:",
-                        drops.len()
-                    );
-                    for d in &drops {
-                        eprintln!("  {}  {:.1}% -> {:.1}%", d.path, d.base, d.cur);
                     }
                     exit(1);
                 }

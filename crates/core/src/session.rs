@@ -209,30 +209,11 @@ impl Network {
         Observed { network: self }
     }
 
-    /// Parallel direction-optimizing BFS from `source`.
-    pub fn bfs(&self, source: VertexId) -> BfsResult {
-        snap_kernels::par_bfs(self.graph(), source)
-    }
-
     /// Parallel direction-optimizing BFS from `source` with per-level
     /// [`TraversalStats`]: direction taken (push/pull), frontier size,
-    /// vertices discovered, and edges examined at every level.
-    pub fn bfs_stats(&self, source: VertexId) -> (BfsResult, TraversalStats) {
-        self.bfs_stats_with(source, &HybridConfig::default())
-    }
-
-    /// [`Self::bfs_stats`] with explicit α/β direction-switch thresholds.
-    pub fn bfs_stats_with(
-        &self,
-        source: VertexId,
-        cfg: &HybridConfig,
-    ) -> (BfsResult, TraversalStats) {
-        snap_kernels::par_bfs_hybrid_stats(self.graph(), source, cfg)
-    }
-
-    /// Budget-aware [`Self::bfs_stats`]: a partial traversal has no
-    /// meaningful interpretation, so exhaustion cancels the run with
-    /// [`Exhausted`] instead of degrading.
+    /// vertices discovered, and edges examined at every level. A partial
+    /// traversal has no meaningful interpretation, so an exhausted budget
+    /// cancels the run with [`Exhausted`] instead of degrading.
     pub fn try_bfs_stats(
         &self,
         source: VertexId,
@@ -328,14 +309,8 @@ impl Network {
 
     /// K-core decomposition: the coreness (largest k such that the
     /// vertex survives in the k-core) of every vertex, by parallel
-    /// bucket peeling.
-    pub fn coreness(&self) -> snap_kernels::CorenessResult {
-        snap_kernels::coreness(self.graph())
-    }
-
-    /// Budget-aware [`Self::coreness`]: a partial peel is not a valid
-    /// decomposition, so exhaustion cancels with [`Exhausted`] instead
-    /// of degrading.
+    /// bucket peeling. A partial peel is not a valid decomposition, so an
+    /// exhausted budget cancels with [`Exhausted`] instead of degrading.
     pub fn try_coreness(&self) -> Result<snap_kernels::CorenessResult, Exhausted> {
         snap_kernels::try_coreness(self.graph(), &self.exec)
     }
@@ -368,7 +343,7 @@ impl Network {
 ///
 /// let net = Network::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
 /// let obs = net.observed();
-/// let _ = obs.bfs(0);
+/// let _ = obs.try_bfs_stats(0);
 /// let report = obs.finish();
 /// assert!(report.find("bfs.hybrid").is_some());
 /// ```
@@ -463,20 +438,18 @@ mod tests {
     #[test]
     fn bfs_stats_cover_the_traversal() {
         let net = barbell();
-        let (r, stats) = net.bfs_stats(0);
+        let (r, stats) = net.try_bfs_stats(0).unwrap();
         assert_eq!(r.dist[5], 3);
         assert_eq!(stats.depth(), 3);
         let discovered: usize = stats.levels.iter().map(|l| l.discovered).sum();
         assert_eq!(discovered, 5); // everyone but the source
         assert!(stats.total_edges_examined() > 0);
         // Push-only run must examine every arc of this connected graph.
-        let (_, push) = net.bfs_stats_with(
-            0,
-            &snap_kernels::HybridConfig {
-                alpha: 0.0,
-                beta: 24.0,
-            },
-        );
+        let push_only = HybridConfig {
+            alpha: 0.0,
+            beta: 24.0,
+        };
+        let (_, push) = net.try_bfs_stats_with(0, &push_only).unwrap();
         assert_eq!(push.pull_levels(), 0);
         assert_eq!(push.total_edges_examined(), net.graph().num_arcs() as u64);
     }
@@ -493,16 +466,16 @@ mod tests {
     fn nested_observed_guards_do_not_kill_the_outer_scope() {
         let net = barbell();
         let outer = net.observed();
-        let _ = outer.bfs(0);
+        let _ = outer.try_bfs_stats(0);
         {
             // Overlapping guard on the same thread (the per-request shape
             // on a pooled worker). Before the depth-counted fix, dropping
             // it disabled collection for the outer scope too.
             let inner = net.observed();
-            let _ = inner.bfs(1);
+            let _ = inner.try_bfs_stats(1);
         }
         assert!(snap_obs::is_enabled(), "outer scope must still collect");
-        let _ = outer.bfs(2);
+        let _ = outer.try_bfs_stats(2);
         let report = outer.finish();
         assert!(!snap_obs::is_enabled());
         let bfs = report.find("bfs.hybrid").expect("bfs spans collected");
@@ -515,7 +488,7 @@ mod tests {
         let net = barbell();
         let outer = net.observed();
         let inner = net.observed();
-        let _ = inner.bfs(0);
+        let _ = inner.try_bfs_stats(0);
         let _ = inner.finish();
         // `finish()` = snapshot + one disable; the guard must not disable
         // again on drop, or the outer scope would be popped here too.
@@ -557,11 +530,32 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_budget_stops_every_traversal_entry_point() {
+        let net = barbell();
+        let budget = Budget::with_deadline(std::time::Duration::from_secs(3600));
+        let session = net.clone().with_budget(budget.clone());
+        budget.cancel();
+        // Single traversals cancel ...
+        assert!(session.try_bfs_stats(0).is_err());
+        let cfg = HybridConfig::default();
+        assert!(session.try_bfs_stats_with(0, &cfg).is_err());
+        assert!(session.try_coreness().is_err());
+        // ... and the multi-source sweeps run no source at all.
+        let untouched = |scores: &[f64]| scores.iter().all(|&x| x == 0.0);
+        assert!(!untouched(&net.closeness()));
+        assert!(untouched(&session.closeness()));
+        assert!(untouched(&session.betweenness().vertex));
+        assert!(untouched(&session.approx_betweenness(1.0, 0).edge));
+        assert_eq!(net.summary().paths.pairs, 30);
+        assert_eq!(session.summary().paths.pairs, 0);
+    }
+
+    #[test]
     fn coreness_on_barbell() {
         // Two triangles joined by a bridge: everything sits in the
         // 2-core, nothing in a 3-core.
         let net = barbell();
-        let r = net.coreness();
+        let r = net.try_coreness().unwrap();
         assert_eq!(r.coreness, vec![2; 6]);
         assert_eq!(r.max_core, 2);
         let budgeted = net

@@ -374,10 +374,12 @@ pub struct Slots<'w> {
 }
 
 /// A checkout pool of [`TraversalWorkspace`]s for source-parallel
-/// kernels: each rayon chunk acquires one workspace for its whole run,
-/// so a k-source sweep on `p` workers allocates at most `p` workspaces
-/// regardless of `k` — and a pool held across kernel calls (pBD rounds,
-/// the `Network` session) allocates none at all after warm-up.
+/// kernels: each source chunk acquires one workspace for its whole run,
+/// so a k-source sweep allocates at most one workspace per concurrently
+/// running chunk regardless of `k` — and a pool held across kernel calls
+/// (pBD rounds, the `Network` session) allocates none at all after
+/// warm-up. The bound is per chunk (up to 64), not per thread: the
+/// runtime gives every chunk its own thread until ROADMAP item 1.
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
     free: Mutex<Vec<TraversalWorkspace>>,

@@ -66,11 +66,14 @@ impl Components {
 /// Sequential connected components via repeated BFS. Ground truth for the
 /// parallel variants.
 pub fn connected_components<G: Graph>(g: &G) -> Components {
-    let n = g.num_vertices();
-    let mut comp = vec![u32::MAX; n];
-    let mut count = 0u32;
+    label_remaining(g, vec![u32::MAX; g.num_vertices()], 0)
+}
+
+/// The sequential sweep: BFS from every vertex still labelled `u32::MAX`
+/// in `comp`, numbering the components it finds from `count` up.
+fn label_remaining<G: Graph>(g: &G, mut comp: Vec<u32>, mut count: u32) -> Components {
     let mut queue = std::collections::VecDeque::new();
-    for s in 0..n {
+    for s in 0..comp.len() {
         if comp[s] != u32::MAX {
             continue;
         }
@@ -103,44 +106,17 @@ pub fn connected_components<G: Graph>(g: &G) -> Components {
 /// size.
 pub fn par_components_hybrid<G: Graph>(g: &G) -> Components {
     let n = g.num_vertices();
-    if n == 0 {
-        return Components {
-            comp: Vec::new(),
-            count: 0,
-        };
-    }
+    let Some(seed) = (0..n as VertexId).max_by_key(|&v| g.degree(v)) else {
+        return connected_components(g);
+    };
     let mut comp = vec![u32::MAX; n];
-    let seed = (0..n as VertexId)
-        .max_by_key(|&v| g.degree(v))
-        .expect("n > 0");
     let r = par_bfs(g, seed);
     for (v, &d) in r.dist.iter().enumerate() {
         if d != UNREACHABLE {
             comp[v] = 0;
         }
     }
-    let mut count = 1u32;
-    let mut queue = std::collections::VecDeque::new();
-    for s in 0..n {
-        if comp[s] != u32::MAX {
-            continue;
-        }
-        comp[s] = count;
-        queue.push_back(s as VertexId);
-        while let Some(u) = queue.pop_front() {
-            for v in g.neighbors(u) {
-                if comp[v as usize] == u32::MAX {
-                    comp[v as usize] = count;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count += 1;
-    }
-    Components {
-        comp,
-        count: count as usize,
-    }
+    label_remaining(g, comp, 1)
 }
 
 /// Parallel label propagation: every vertex repeatedly adopts the minimum

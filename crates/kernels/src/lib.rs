@@ -18,6 +18,8 @@
 //!   with deleted edges, or an extracted component.
 //! * **Julienne-style bucketing** ([`buckets::Buckets`]) shared between
 //!   Δ-stepping SSSP and k-core decomposition ([`kcore::coreness`]).
+//! * **Coarse-grained source parallelism** written once
+//!   ([`sweep::sweep`]) for the centrality and path-length crates.
 //!
 //! Parallel kernels use the ambient rayon thread pool; callers control
 //! parallelism by installing a pool (`ThreadPool::install`).
@@ -34,6 +36,7 @@ pub mod kcore;
 pub mod spanning;
 pub mod sssp;
 pub mod stcon;
+pub mod sweep;
 
 pub use bfs::{
     bfs, bfs_into, bfs_limited, export_bfs, par_bfs, par_bfs_hybrid_stats,

@@ -2,13 +2,10 @@
 //! the sampled estimators the paper's exploratory workflow uses on large
 //! graphs (where all-pairs BFS is out of reach).
 
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rayon::prelude::*;
-use snap_graph::{Graph, PooledWorkspace, TraversalWorkspace, VertexId};
+use snap_graph::{Graph, TraversalWorkspace, VertexId};
 use snap_kernels::bfs::{bfs_levels_into, par_bfs, UNREACHABLE};
+use snap_kernels::sweep::{record_skipped, sample_sources, sweep};
 use snap_kernels::Exec;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Path-length statistics over (a sample of) source vertices; all zero
 /// when no reachable pair was observed.
@@ -61,18 +58,8 @@ impl PartialPathStats {
 /// stay unbiased — only the variance grows. Pass `k = n` for
 /// budget-degraded "exact" statistics.
 pub fn path_stats_in<G: Graph>(g: &G, k: usize, seed: u64, exec: &Exec) -> PartialPathStats {
-    let n = g.num_vertices();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut sources: Vec<VertexId> = (0..n as VertexId).collect();
-    sources.shuffle(&mut rng);
-    sources.truncate(k.max(1).min(n.max(1)));
+    let sources = sample_sources(g.num_vertices(), k.max(1), seed);
     let (hist, used) = distance_histogram(g, &sources, exec);
-    if used < sources.len() {
-        if let Some(why) = exec.budget.exhaustion() {
-            snap_obs::meta("degraded", why);
-        }
-        snap_obs::add("sources_skipped", (sources.len() - used) as u64);
-    }
     PartialPathStats {
         stats: stats_of(&hist),
         sources_used: used,
@@ -116,63 +103,51 @@ fn add_distances_ws(acc: &mut Vec<u64>, ws: &TraversalWorkspace) {
 /// distances), plus how many sources were traversed before the budget
 /// tripped.
 fn distance_histogram<G: Graph>(g: &G, sources: &[VertexId], exec: &Exec) -> (Vec<u64>, usize) {
-    let (budget, pool) = (&exec.budget, &*exec.pool);
     // Too few sources cannot saturate a source-parallel sweep, so below
     // one source per worker each traversal runs on the parallel
     // direction-optimizing engine instead. With plenty of sources, one
     // sequential BFS per worker wins: no atomic traffic, no level
-    // barriers. The budget is gated once per source (one relaxed load)
-    // and charged per traversal.
+    // barriers.
     let n = g.num_vertices();
-    let processed = AtomicU64::new(0);
-    let hist = if sources.len() < rayon::current_num_threads() {
+    if sources.len() < rayon::current_num_threads() {
+        let budget = &exec.budget;
         let mut acc = Vec::new();
+        let mut used = 0;
         for &s in sources {
             if budget.check().is_err() {
                 break;
             }
             let r = par_bfs(g, s);
             let _ = budget.charge(n as u64 + 1);
-            processed.fetch_add(1, Ordering::Relaxed);
+            used += 1;
             add_distances(&mut acc, s, &r.dist);
         }
-        acc
-    } else {
-        // Explicit chunks, sized as Brandes sizes its source chunks: a
-        // 64-source sample is far below the shim's auto-parallel
-        // threshold, so `par_iter` would run the whole sweep on one
-        // thread. The counts are integers, so chunking cannot change them.
-        let per = sources.len().div_ceil(64).max(16);
-        sources
-            .par_chunks(per)
-            .map(|chunk| {
-                let mut acc = Vec::<u64>::new();
-                let mut ws = None::<PooledWorkspace<'_>>;
-                for &s in chunk {
-                    if budget.is_exhausted() {
-                        break;
-                    }
-                    let w = ws.get_or_insert_with(|| pool.acquire());
-                    let _task = snap_obs::task("pathlen.source");
-                    bfs_levels_into(g, s, w);
-                    let _ = budget.charge(n as u64 + 1);
-                    processed.fetch_add(1, Ordering::Relaxed);
-                    add_distances_ws(&mut acc, w);
-                }
-                acc
-            })
-            .reduce(Vec::new, |mut a, b| {
-                if a.len() < b.len() {
-                    a.resize(b.len(), 0);
-                }
-                for (i, y) in b.into_iter().enumerate() {
-                    a[i] += y;
-                }
-                a
-            })
-    };
-    pool.flush_obs();
-    (hist, processed.load(Ordering::Relaxed) as usize)
+        record_skipped(budget, sources.len(), used);
+        return (acc, used);
+    }
+    // The counts are integers, so chunking cannot change them.
+    let (hist, used) = sweep(
+        exec,
+        sources,
+        "pathlen.source",
+        16,
+        |_| Vec::new(),
+        |acc, s, ws| {
+            bfs_levels_into(g, s, ws);
+            add_distances_ws(acc, ws);
+            n as u64 + 1
+        },
+        |mut a, b| {
+            if a.len() < b.len() {
+                a.resize(b.len(), 0);
+            }
+            for (i, y) in b.into_iter().enumerate() {
+                a[i] += y;
+            }
+            a
+        },
+    );
+    (hist.unwrap_or_default(), used)
 }
 
 /// Read the statistics off a distance histogram.

@@ -21,11 +21,6 @@
 //!   duration minus children): the longest serial chain through the
 //!   tree, which parallelizing siblings cannot shorten.
 //!
-//! [`annotate`] folds the three headline numbers back into the report's
-//! root gauges (`parallel_efficiency_pct`, `critical_path_us`,
-//! `imbalance_skew`) so [`crate::diff`] can gate efficiency regressions
-//! exactly like wall time and memory.
-//!
 //! A timeline that lost events to ring wraparound would silently skew
 //! every number here, so both analyses surface the drop counters the
 //! drain recorded ([`Efficiency::dropped_events`] / per-thread
@@ -280,34 +275,6 @@ pub fn critical_path(report: &RunReport) -> CriticalPath {
         critical_path_us,
         steps,
         span_count: report.root.span_count(),
-    }
-}
-
-/// The three headline gauges [`annotate`] folds into a report's root.
-pub fn key_gauges(report: &RunReport) -> Vec<(String, f64)> {
-    let eff = efficiency(report);
-    let crit = critical_path(report);
-    vec![
-        (
-            "parallel_efficiency_pct".to_string(),
-            eff.parallel_efficiency_pct,
-        ),
-        ("critical_path_us".to_string(), crit.critical_path_us as f64),
-        ("imbalance_skew".to_string(), eff.imbalance_skew),
-    ]
-}
-
-/// Compute [`key_gauges`] and set them on `report.root`, replacing any
-/// previous values (idempotent), so `obs diff` can gate efficiency the
-/// way it gates wall time and memory.
-pub fn annotate(report: &mut RunReport) {
-    let gauges = key_gauges(report);
-    for (name, value) in gauges {
-        if let Some(slot) = report.root.gauges.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = value;
-        } else {
-            report.root.gauges.push((name, value));
-        }
     }
 }
 
@@ -618,25 +585,6 @@ mod tests {
         let r = report_with(Vec::new(), tree);
         let c = critical_path(&r);
         assert_eq!(c.steps[1].name, "first");
-    }
-
-    #[test]
-    fn annotate_folds_gauges_onto_the_root_idempotently() {
-        let mut r = report_with(
-            vec![ev(1, true, 0), ev(1, false, 1000)],
-            node("root", 1000, Vec::new()),
-        );
-        annotate(&mut r);
-        assert_eq!(r.root.gauge("parallel_efficiency_pct"), Some(100.0));
-        assert_eq!(r.root.gauge("critical_path_us"), Some(1000.0));
-        assert_eq!(r.root.gauge("imbalance_skew"), Some(1.0));
-        let before = r.root.gauges.len();
-        annotate(&mut r);
-        assert_eq!(
-            r.root.gauges.len(),
-            before,
-            "annotate must replace, not append"
-        );
     }
 
     #[test]

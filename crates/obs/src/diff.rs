@@ -25,9 +25,7 @@ pub struct DiffEntry {
     /// Counter values on both sides (union of names), in baseline order
     /// then new-in-current order.
     pub counters: Vec<(String, Option<u64>, Option<u64>)>,
-    /// Gauge values on both sides (union of names, same order rule) —
-    /// how the analyzer's `parallel_efficiency_pct` and friends ride
-    /// the diff.
+    /// Gauge values on both sides (union of names, same order rule).
     pub gauges: Vec<(String, Option<f64>, Option<f64>)>,
     /// Baseline memory attribution (when the baseline was collected
     /// with memory tracking).
@@ -45,17 +43,6 @@ pub struct MemRegression {
     pub metric: &'static str,
     pub base_bytes: u64,
     pub cur_bytes: u64,
-}
-
-/// A gauge that fell below its baseline by more than the allowed drop —
-/// how `obs diff --fail-eff-drop` gates `parallel_efficiency_pct`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GaugeDrop {
-    pub path: String,
-    /// Gauge name, e.g. `parallel_efficiency_pct`.
-    pub name: String,
-    pub base: f64,
-    pub cur: f64,
 }
 
 impl DiffEntry {
@@ -190,31 +177,6 @@ pub fn regressions(entries: &[DiffEntry], fail_over_pct: f64, min_us: u64) -> Ve
     entries
         .iter()
         .filter(|e| e.is_regression(fail_over_pct, min_us))
-        .collect()
-}
-
-/// Spans where gauge `name` dropped more than `fail_drop_pct` percent
-/// (relative) below its baseline. One-sided spans — or spans missing
-/// the gauge on either side, like pre-analyzer baselines — never trip,
-/// so old baseline files keep working until regenerated.
-pub fn gauge_drops(entries: &[DiffEntry], name: &str, fail_drop_pct: f64) -> Vec<GaugeDrop> {
-    entries
-        .iter()
-        .flat_map(|e| {
-            e.gauges
-                .iter()
-                .filter(|(n, b, c)| {
-                    n == name
-                        && matches!((b, c), (Some(b), Some(c))
-                            if *c < *b * (1.0 - fail_drop_pct / 100.0))
-                })
-                .map(|(n, b, c)| GaugeDrop {
-                    path: e.path.clone(),
-                    name: n.clone(),
-                    base: b.unwrap(),
-                    cur: c.unwrap(),
-                })
-        })
         .collect()
 }
 
@@ -475,8 +437,10 @@ mod tests {
     fn counter_deltas_surface_in_render() {
         let mut b = node("run", 10, vec![]);
         b.counters = vec![("edges".to_string(), 100)];
+        b.gauges = vec![("sample_fraction".to_string(), 0.5)];
         let mut c = node("run", 10, vec![]);
         c.counters = vec![("edges".to_string(), 150), ("fresh".to_string(), 1)];
+        c.gauges = vec![("sample_fraction".to_string(), 0.25)];
         let entries = diff(&report(b), &report(c));
         assert_eq!(
             entries[0].counters,
@@ -488,40 +452,7 @@ mod tests {
         let text = render(&entries);
         assert!(text.contains("edges  100 -> 150"), "{text}");
         assert!(text.contains("fresh  - -> 1"), "{text}");
-    }
-
-    #[test]
-    fn gauge_drops_gate_efficiency_but_tolerate_old_baselines() {
-        let gauge = |v: f64| {
-            let mut n = node("run", 10, vec![]);
-            n.gauges = vec![("parallel_efficiency_pct".to_string(), v)];
-            report(n)
-        };
-        // 80% -> 30% efficiency is a 62.5% relative drop: trips a 50%
-        // gate but not a 70% one.
-        let entries = diff(&gauge(80.0), &gauge(30.0));
-        let drops = gauge_drops(&entries, "parallel_efficiency_pct", 50.0);
-        assert_eq!(drops.len(), 1);
-        assert_eq!(drops[0].path, "run");
-        assert_eq!(drops[0].base, 80.0);
-        assert_eq!(drops[0].cur, 30.0);
-        assert!(gauge_drops(&entries, "parallel_efficiency_pct", 70.0).is_empty());
-        // 80 -> 70 is only a 12.5% drop.
-        let entries = diff(&gauge(80.0), &gauge(70.0));
-        assert!(gauge_drops(&entries, "parallel_efficiency_pct", 50.0).is_empty());
-        // Baselines predating the analyzer carry no gauge — never trip.
-        let entries = diff(&report(node("run", 10, vec![])), &gauge(5.0));
-        assert_eq!(entries[0].gauges.len(), 1);
-        assert!(gauge_drops(&entries, "parallel_efficiency_pct", 0.0).is_empty());
-        // Other gauge names are ignored by the gate.
-        let entries = diff(&gauge(80.0), &gauge(30.0));
-        assert!(gauge_drops(&entries, "imbalance_skew", 50.0).is_empty());
-        // Gauge deltas surface in the human rendering.
-        let text = render(&entries);
-        assert!(
-            text.contains("parallel_efficiency_pct  80.00 -> 30.00"),
-            "{text}"
-        );
+        assert!(text.contains("sample_fraction  0.50 -> 0.25"), "{text}");
     }
 
     #[test]

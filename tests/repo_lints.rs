@@ -162,3 +162,34 @@ fn dense_allocations_are_on_the_allow_list() {
         found.join("\n")
     );
 }
+
+/// `.par_chunks(` or `div_ceil(64)`: an explicit source chunking.
+fn source_chunking(line: &str) -> bool {
+    line.contains(".par_chunks(") || line.contains("div_ceil(64)")
+}
+
+/// How a list of sources is chunked, gated on the budget, traversed and
+/// its partials reduced is one function (`snap_kernels::sweep`, DESIGN.md
+/// §10): a second hand-rolled chunk loop is a second place for the
+/// thread-count-independence rule to drift.
+#[test]
+fn source_sweeps_are_chunked_in_one_place() {
+    assert!(source_chunking("    let hist = sources.par_chunks(per)"));
+    assert!(source_chunking(
+        "    let per = sources.len().div_ceil(64).max(16);"
+    ));
+    assert!(!source_chunking(
+        "    let (sums, used) = sweep(exec, sources, \"x.source\", 16, init, body, add);"
+    ));
+    assert!(!source_chunking("    for part in edges.chunks(1024) {"));
+    let mut sources = rust_sources(&["crates"]);
+    sources.retain(|(path, _)| {
+        path.split('/').nth(2) == Some("src") && path != "crates/kernels/src/sweep.rs"
+    });
+    let hits = flagged(&sources, source_chunking);
+    assert!(
+        hits.is_empty(),
+        "go through snap_kernels::sweep:\n{}",
+        hits.join("\n")
+    );
+}
