@@ -31,15 +31,18 @@
 //! full recompute on the published snapshot (exit 1 on divergence).
 //!
 //! `serve` holds the graph resident and answers line-delimited JSON
-//! queries (one request per line on stdin — or per connection line with
-//! `--socket PATH` — one JSON response per line on stdout) through the
-//! `snap::serve` engine: worker-pool dispatch, an epoch-keyed result
-//! cache, per-request deadline budgets, and load shedding past
-//! `--max-pending`. With `--stream OPFILE` a background thread replays
-//! edge ops and merges every `--merge-every` ops (pausing `--churn-ms`
-//! between merges), so the cache invalidates live while queries run.
-//! `--metrics-out` exports `snap_serve_*` counters from the running
-//! server. EOF on stdin (or an empty line) shuts down cleanly.
+//! queries — one request per line on stdin, or on each connection to
+//! `--socket PATH`; one JSON response per line back the same way, in
+//! completion order, correlated by the echoed `id` — through
+//! `snap::serve`: one pool of `--workers` threads for every connection, an
+//! epoch-keyed result cache, per-request deadline budgets, and load
+//! shedding past `--max-pending`. A bad line costs its sender one
+//! `{"id":…,"error":…}` line and nothing else. With `--stream OPFILE` a
+//! background thread replays edge ops and merges every `--merge-every`
+//! ops (pausing `--churn-ms` between merges), so the cache invalidates
+//! live while queries run. `--metrics-out` exports `snap_serve_*`
+//! counters from the running server. EOF on stdin (or an empty line)
+//! shuts down cleanly; `--socket` serves until killed.
 //!
 //! Serving observability: every response carries an engine-assigned
 //! `trace_id`; `--slow-ms MS` records requests at or over the threshold
@@ -210,13 +213,15 @@ impl Args {
         self.flags.get(name).map(|s| s.as_str())
     }
 
+    /// `--name` parsed (exiting on a bad value); `None` when absent.
+    fn flag_opt<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let v = self.flag(name)?;
+        let parsed = v.parse().ok();
+        Some(parsed.unwrap_or_else(|| fail(&format!("bad value for --{name}: {v}"))))
+    }
+
     fn flag_parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.flag(name) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| fail(&format!("bad value for --{name}: {v}"))),
-            None => default,
-        }
+        self.flag_opt(name).unwrap_or(default)
     }
 }
 
@@ -1097,35 +1102,20 @@ fn cmd_run_backend(args: &Args) {
     obs.emit();
 }
 
-/// Parse one edge-op line: `+ u v`, `- u v`, or bare `u v` (insert).
-fn parse_op(line: &str, lineno: usize, path: &str) -> Option<EdgeOp> {
-    let line = line.split('#').next().unwrap_or("").trim();
-    if line.is_empty() {
-        return None;
+/// Read an edge-op file (`EdgeOp`'s `FromStr` spelling, one op per line,
+/// `#` comments and blank lines skipped), exiting on the first bad line.
+fn read_ops(path: &str) -> Vec<EdgeOp> {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot open {path}: {e}")));
+    let mut ops = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if !line.is_empty() {
+            let op = line.parse::<EdgeOp>();
+            ops.push(op.unwrap_or_else(|e| fail(&format!("{path}:{}: {e}", i + 1))));
+        }
     }
-    let bad = || -> ! { fail(&format!("{path}:{lineno}: bad op line: {line:?}")) };
-    let mut fields = line.split_whitespace();
-    let (sign, first) = match fields.next().unwrap() {
-        "+" => (true, None),
-        "-" => (false, None),
-        v => (true, Some(v)),
-    };
-    let mut next_id = |field: Option<&str>| -> u32 {
-        field
-            .or_else(|| fields.next())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| bad())
-    };
-    let u = next_id(first);
-    let v = next_id(None);
-    if fields.next().is_some() {
-        bad();
-    }
-    Some(if sign {
-        EdgeOp::Insert(u, v)
-    } else {
-        EdgeOp::Delete(u, v)
-    })
+    ops
 }
 
 fn cmd_stream(args: &Args) {
@@ -1137,13 +1127,7 @@ fn cmd_stream(args: &Args) {
     let source: u32 = args.flag_parse("source", 0u32);
     let check = args.flag("check").is_some();
 
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot open {path}: {e}")));
-    let ops: Vec<EdgeOp> = text
-        .lines()
-        .enumerate()
-        .filter_map(|(i, line)| parse_op(line, i + 1, path))
-        .collect();
+    let ops = read_ops(path);
 
     let obs = Obs::parse(args);
     obs.begin("stream", path);
@@ -1276,10 +1260,9 @@ fn verify_epoch(
 }
 
 /// `serve` — hold the graph resident and answer line-delimited JSON
-/// queries through the `snap::serve` engine (see the module docs for the
-/// wire protocol). Requests are dispatched to a worker pool; responses
-/// come back one JSON line each, in completion order, correlated by the
-/// echoed `id`.
+/// queries (see the module docs for the wire protocol). This is the
+/// front end only — flags, the input to listen on, the churn thread, the
+/// banner and summary lines; the request path is `snap::serve::serve`.
 fn cmd_serve(args: &Args) {
     use snap::serve::{Engine, ServeConfig};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1288,18 +1271,13 @@ fn cmd_serve(args: &Args) {
     let g = load(args, path, false);
     let workers: usize = args.flag_parse("workers", 4usize).max(1);
     let config = ServeConfig {
-        workers,
         cache_entries: args.flag_parse("cache-entries", 4096usize).max(1),
         cache_bytes: args.flag_parse("cache-bytes", 32usize << 20),
-        default_deadline: args.flag("deadline-ms").map(|v| match v.parse::<u64>() {
-            Ok(ms) => std::time::Duration::from_millis(ms),
-            Err(_) => fail(&format!("bad value for --deadline-ms: {v}")),
-        }),
+        default_deadline: args
+            .flag_opt("deadline-ms")
+            .map(std::time::Duration::from_millis),
         max_pending: args.flag_parse("max-pending", 1024usize),
-        slow_ms: args.flag("slow-ms").map(|v| match v.parse::<u64>() {
-            Ok(ms) => ms,
-            Err(_) => fail(&format!("bad value for --slow-ms: {v}")),
-        }),
+        slow_ms: args.flag_opt("slow-ms"),
         slow_log_entries: args.flag_parse("slow-log", 8usize).max(1),
         trace_sample: args.flag_parse("trace-sample", 0u64),
         flight_entries: args.flag_parse("flight-entries", 256usize).max(1),
@@ -1314,30 +1292,20 @@ fn cmd_serve(args: &Args) {
     if dropped > 0 {
         say!(obs, "{path}: dropped {dropped} self-loop(s)");
     }
-    let engine = Engine::new(sg.reader(), config);
     say!(
         obs,
         "serving {path}: n = {}, m = {}, {workers} worker(s), cache {} entries / {} bytes",
         sg.num_vertices(),
         sg.num_edges(),
-        engine.config().cache_entries,
-        engine.config().cache_bytes
+        config.cache_entries,
+        config.cache_bytes
     );
+    let engine = Engine::new(sg.reader(), config);
 
     // Optional background churn: replay an op file through the streaming
     // layer, merging (and thus bumping the epoch / invalidating cache
     // entries) every --merge-every ops while queries keep arriving.
-    let churn_ops: Vec<EdgeOp> = match args.flag("stream") {
-        Some(ops_path) => {
-            let text = std::fs::read_to_string(ops_path)
-                .unwrap_or_else(|e| fail(&format!("cannot open {ops_path}: {e}")));
-            text.lines()
-                .enumerate()
-                .filter_map(|(i, line)| parse_op(line, i + 1, ops_path))
-                .collect()
-        }
-        None => Vec::new(),
-    };
+    let churn_ops = args.flag("stream").map(read_ops).unwrap_or_default();
     let merge_every: usize = args.flag_parse("merge-every", 256usize).max(1);
     let churn_ms: u64 = args.flag_parse("churn-ms", 1u64);
     let stop = AtomicBool::new(false);
@@ -1366,9 +1334,25 @@ fn cmd_serve(args: &Args) {
                 }
             });
         }
+        // Stdin/stdout is one connection; each stream accepted on the
+        // socket is one more.
         match args.flag("socket") {
-            Some(socket) => serve_socket(&engine, socket, &obs),
-            None => serve_stdin(&engine, workers),
+            #[cfg(unix)]
+            Some(socket) => {
+                let _ = std::fs::remove_file(socket);
+                let listener = std::os::unix::net::UnixListener::bind(socket)
+                    .unwrap_or_else(|e| fail(&format!("cannot bind socket {socket}: {e}")));
+                say!(obs, "listening on {socket}");
+                let streams = listener.incoming().filter_map(Result::ok);
+                let halves = streams.filter_map(|s| Some((BufReader::new(s.try_clone().ok()?), s)));
+                snap::serve::serve(&engine, workers, halves);
+            }
+            #[cfg(not(unix))]
+            Some(_) => fail("--socket requires a unix platform"),
+            None => {
+                let stdio = (BufReader::new(std::io::stdin()), std::io::stdout());
+                snap::serve::serve(&engine, workers, std::iter::once(stdio));
+            }
         }
         stop.store(true, Ordering::Relaxed);
     });
@@ -1385,138 +1369,6 @@ fn cmd_serve(args: &Args) {
         sg.epoch()
     );
     obs.emit();
-}
-
-/// Emit one response line on stdout; concurrent calls never interleave
-/// (each `writeln!` takes the stdout lock once). Exits quietly on EPIPE.
-fn respond_line(line: &str) {
-    stdout_line(format_args!("{line}"));
-}
-
-/// Error response for an unparseable request line, echoing the client's
-/// `id` when the line was at least valid JSON (so the client can still
-/// correlate the failure).
-fn serve_error_line(line: &str, error: &str) -> String {
-    let id = snap::obs::Json::parse(line)
-        .ok()
-        .and_then(|v| v.get("id").and_then(snap::obs::Json::as_u64))
-        .unwrap_or(0);
-    let mut out = format!("{{\"id\":{id},\"error\":");
-    snap::obs::json::write_escaped(&mut out, error);
-    out.push('}');
-    out
-}
-
-/// Worker-pool dispatch over stdin: the main thread reads and admits
-/// request lines, workers compute and write responses. Each queued
-/// request carries its admission timestamp so the engine can report
-/// queue wait separately from compute time in the slow-query log. EOF
-/// (or an empty line) drains the queue and returns.
-fn serve_stdin(engine: &snap::serve::Engine, workers: usize) {
-    use snap::serve::{AdmitPermit, Request};
-    use std::io::BufRead;
-    use std::time::Instant;
-
-    let (tx, rx) = std::sync::mpsc::channel::<(Request, AdmitPermit<'_>, Instant)>();
-    let rx = std::sync::Mutex::new(rx);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let rx = &rx;
-            scope.spawn(move || {
-                loop {
-                    // Hold the receiver lock only for the dequeue.
-                    let msg = rx.lock().unwrap().recv();
-                    let Ok((req, permit, admitted)) = msg else {
-                        break;
-                    };
-                    let queue_us = admitted.elapsed().as_micros() as u64;
-                    let resp = engine.handle_with_queue(&req, queue_us);
-                    drop(permit);
-                    respond_line(&resp.to_json_line());
-                }
-            });
-        }
-        for line in std::io::stdin().lock().lines() {
-            let Ok(line) = line else { break };
-            let line = line.trim();
-            if line.is_empty() {
-                break;
-            }
-            match Request::parse(line) {
-                Err(e) => respond_line(&serve_error_line(line, &e)),
-                Ok(req) => match engine.admit() {
-                    None => respond_line(&engine.shed_response(&req).to_json_line()),
-                    Some(permit) => {
-                        // Queue full only if workers died; then answer inline.
-                        if let Err(back) = tx.send((req, permit, Instant::now())) {
-                            let (req, permit, _) = back.0;
-                            let resp = engine.handle(&req);
-                            drop(permit);
-                            respond_line(&resp.to_json_line());
-                        }
-                    }
-                },
-            }
-        }
-        drop(tx);
-    });
-}
-
-/// Serve over a unix-domain socket: one thread per connection, each
-/// running the same parse/admit/answer loop on its stream. Concurrency
-/// comes from concurrent connections; admission control is global to the
-/// engine. Runs until the process is killed.
-#[cfg(unix)]
-fn serve_socket(engine: &snap::serve::Engine, socket: &str, obs: &Obs) {
-    use snap::serve::Request;
-    use std::io::{BufRead, Write};
-    use std::os::unix::net::UnixListener;
-
-    let _ = std::fs::remove_file(socket);
-    let listener = UnixListener::bind(socket)
-        .unwrap_or_else(|e| fail(&format!("cannot bind socket {socket}: {e}")));
-    say!(obs, "listening on {socket}");
-    std::thread::scope(|scope| {
-        for conn in listener.incoming() {
-            let Ok(conn) = conn else { continue };
-            scope.spawn(move || {
-                let reader = BufReader::new(match conn.try_clone() {
-                    Ok(c) => c,
-                    Err(_) => return,
-                });
-                let mut writer = BufWriter::new(conn);
-                for line in reader.lines() {
-                    let Ok(line) = line else { break };
-                    let line = line.trim();
-                    if line.is_empty() {
-                        break;
-                    }
-                    let out = match Request::parse(line) {
-                        Err(e) => serve_error_line(line, &e),
-                        Ok(req) => match engine.admit() {
-                            None => engine.shed_response(&req).to_json_line(),
-                            Some(permit) => {
-                                let resp = engine.handle(&req);
-                                drop(permit);
-                                resp.to_json_line()
-                            }
-                        },
-                    };
-                    if writeln!(writer, "{out}")
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-}
-
-#[cfg(not(unix))]
-fn serve_socket(_engine: &snap::serve::Engine, _socket: &str, _obs: &Obs) {
-    fail("--socket requires a unix platform");
 }
 
 fn cmd_generate(args: &Args) {

@@ -52,11 +52,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of (not yet deduplicated) edges added so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add an unweighted edge.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> &mut Self {
         self.add_weighted_edge(u, v, 1)

@@ -81,6 +81,26 @@ pub enum EdgeOp {
     Delete(VertexId, VertexId),
 }
 
+/// The op-file spelling: `+ u v` inserts, `- u v` deletes, a bare `u v`
+/// inserts. Comments and blank lines are the caller's to strip.
+impl std::str::FromStr for EdgeOp {
+    type Err = String;
+
+    fn from_str(line: &str) -> Result<EdgeOp, String> {
+        let mut fields = line.split_whitespace().peekable();
+        let op = match fields.peek() {
+            Some(&"+") | Some(&"-") => fields.next(),
+            _ => None,
+        };
+        let mut id = || fields.next().and_then(|f| f.parse::<VertexId>().ok());
+        match (id(), id(), fields.next()) {
+            (Some(u), Some(v), None) if op == Some("-") => Ok(EdgeOp::Delete(u, v)),
+            (Some(u), Some(v), None) => Ok(EdgeOp::Insert(u, v)),
+            _ => Err(format!("bad op line: {line:?}")),
+        }
+    }
+}
+
 /// An immutable, complete version of the graph. Cheap to clone (the
 /// graph is shared behind an `Arc`); cloning is how readers detach from
 /// the writer.
@@ -496,6 +516,28 @@ mod tests {
         let ea: Vec<_> = a.edges().map(|(_, u, v)| (u, v)).collect();
         let eb: Vec<_> = b.edges().map(|(_, u, v)| (u, v)).collect();
         assert_eq!(ea, eb);
+    }
+
+    #[test]
+    fn edge_ops_parse_from_their_op_file_spelling() {
+        assert_eq!("+ 3 4".parse(), Ok(EdgeOp::Insert(3, 4)));
+        assert_eq!("  -\t3   4 ".parse(), Ok(EdgeOp::Delete(3, 4)));
+        assert_eq!("7 0".parse(), Ok(EdgeOp::Insert(7, 0)));
+        for bad in [
+            "",
+            "+",
+            "+ 1",
+            "1",
+            "+ 1 2 3",
+            "1 2 3",
+            "+ nope 2",
+            "+ 1 -2",
+            "* 1 2",
+            "+ 1 4294967296",
+        ] {
+            let err = bad.parse::<EdgeOp>().unwrap_err();
+            assert_eq!(err, format!("bad op line: {bad:?}"));
+        }
     }
 
     #[test]

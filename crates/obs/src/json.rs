@@ -48,6 +48,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -174,9 +175,16 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. A constant, not
+/// an option: it bounds the parser's recursion (a hostile line must not
+/// overflow the stack of a resident server) and is far above any
+/// report's span depth.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -221,8 +229,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error("nesting too deep"));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
@@ -284,50 +303,47 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: accept but map lone
-                            // surrogates to the replacement character.
-                            let ch = if (0xd800..0xe000).contains(&cp) {
-                                char::REPLACEMENT_CHARACTER
-                            } else {
-                                char::from_u32(cp).unwrap_or(char::REPLACEMENT_CHARACTER)
-                            };
-                            out.push(ch);
-                            continue;
-                        }
-                        _ => return Err(self.error("invalid escape sequence")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid utf-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash in one step
+            // (both are ASCII, so the run ends on a character boundary
+            // of the `&str` input): every byte is looked at once.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+            self.pos += run.unwrap_or(rest.len());
+            let Some(run) = run else {
+                return Err(self.error("unterminated string"));
+            };
+            out.push_str(
+                std::str::from_utf8(&rest[..run]).map_err(|_| self.error("invalid utf-8"))?,
+            );
+            self.pos += 1;
+            if rest[run] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    self.pos += 1;
+                    let cp = self.hex4()?;
+                    // Surrogate pairs: accept but map lone
+                    // surrogates to the replacement character.
+                    let ch = if (0xd800..0xe000).contains(&cp) {
+                        char::REPLACEMENT_CHARACTER
+                    } else {
+                        char::from_u32(cp).unwrap_or(char::REPLACEMENT_CHARACTER)
+                    };
+                    out.push(ch);
+                    continue;
+                }
+                _ => return Err(self.error("invalid escape sequence")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -429,5 +445,41 @@ mod tests {
         assert_eq!(back.get("f").and_then(Json::as_f64), Some(0.1));
         assert_eq!(back.get("big").and_then(Json::as_u64), Some(1_000_000));
         assert_eq!(back.get("nan"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(300_000);
+            let err = Json::parse(&deep).unwrap_err();
+            assert_eq!(err.message, "nesting too deep");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(Json::parse(&over).is_err());
+    }
+
+    /// `string()` used to re-validate the whole remaining input per
+    /// character; four times the input must cost about four times the
+    /// time, not sixteen. Fastest of five runs on each side, so a
+    /// descheduled run cannot fail it.
+    #[test]
+    fn string_parsing_is_linear_in_its_length() {
+        let fastest = |len: usize| {
+            let doc = format!("\"{}\"", "é\\n".repeat(len / 4));
+            let run = || {
+                let t0 = std::time::Instant::now();
+                let parsed = Json::parse(&doc).unwrap();
+                assert_eq!(parsed.as_str().map(str::len), Some(len / 4 * 3));
+                t0.elapsed()
+            };
+            (0..5).map(|_| run()).min().unwrap()
+        };
+        let (small, large) = (fastest(250_000), fastest(1_000_000));
+        assert!(
+            large < small * 8,
+            "250 KB took {small:?}, 1 MB took {large:?}"
+        );
     }
 }

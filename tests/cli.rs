@@ -1053,6 +1053,56 @@ fn serve_under_churn_remisses_after_the_epoch_advances() {
     std::fs::remove_file(&ops).ok();
 }
 
+/// `serve --socket PATH`: the same request path as stdin, per connection.
+/// A hostile line costs its sender one error line, the request after it
+/// is answered, and a second connection finds the first one's answer in
+/// the shared cache.
+#[cfg(unix)]
+#[test]
+fn serve_answers_each_connection_on_a_unix_socket() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let path = generate("serve-socket.txt", "rmat", 7);
+    let socket = scratch("serve.sock");
+    let mut child = spawn_serve(
+        &path,
+        &["--workers", "1", "--socket", socket.to_str().unwrap()],
+    );
+    let mut banner = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    while !line.starts_with("listening on") {
+        line.clear();
+        assert!(banner.read_line(&mut line).unwrap() > 0, "server exited");
+    }
+    let converse = |requests: &str| {
+        let mut client = UnixStream::connect(&socket).expect("connect");
+        client.write_all(requests.as_bytes()).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut answers = Vec::new();
+        client.read_to_end(&mut answers).unwrap();
+        json_lines(&answers)
+    };
+    let first = converse(
+        "{\"id\":1,\"query\":\"bfs\",\"source\":3}\n\u{0}[[[\n{\"id\":2,\"query\":\"epoch\"}\n",
+    );
+    assert_eq!(first.len(), 3, "{first:?}");
+    text(response(&first, 0), "error");
+    assert_eq!(text(response(&first, 1), "cache"), "miss");
+    assert_eq!(num(field(response(&first, 2), "payload"), "n"), 128);
+    let second = converse("{\"id\":7,\"query\":\"bfs\",\"source\":3}\n");
+    assert_eq!(text(response(&second, 7), "cache"), "hit", "{second:?}");
+    assert_eq!(
+        field(response(&second, 7), "payload"),
+        field(response(&first, 1), "payload")
+    );
+    child.kill().unwrap();
+    child.wait().unwrap();
+    for file in [&path, &socket] {
+        std::fs::remove_file(file).ok();
+    }
+}
+
 /// The representation-agnostic pipeline prints the same fingerprint of
 /// every kernel output, and the same BFS edge-inspection count, over
 /// flat and compressed adjacency; `kcore` peels both to the same

@@ -1,5 +1,6 @@
 //! Source-shape rules of this repository, run in tier-1. Each rule is a
-//! matcher over one line of Rust plus a sweep of the files it governs;
+//! matcher over one line of Rust (one rule: over a whole file) plus a
+//! sweep of the files it governs;
 //! every matcher is first shown a violating and a clean sample, so a
 //! lint that has stopped matching anything fails instead of passing.
 
@@ -192,4 +193,62 @@ fn source_sweeps_are_chunked_in_one_place() {
         "go through snap_kernels::sweep:\n{}",
         hits.join("\n")
     );
+}
+
+/// A call into the request path: parse, admit, shed, handle or encode.
+fn request_path_step(line: &str) -> bool {
+    let steps = [
+        "Request::parse",
+        ".admit()",
+        "shed_response",
+        "handle_with_queue",
+        "to_json_line",
+    ];
+    steps.iter().any(|step| line.contains(step))
+}
+
+/// The path from a request line to a response line is written once, in
+/// `snap::serve::serve` (DESIGN.md §15), where it is unit-tested over
+/// in-memory connections. `snap-cli serve` opens the input and calls it;
+/// a step of the path in the binary is a second copy only a spawned
+/// process can exercise.
+#[test]
+fn front_end_holds_no_protocol() {
+    assert!(request_path_step(
+        "            match Request::parse(line) {"
+    ));
+    assert!(request_path_step(
+        "    None => respond_line(&engine.shed_response(&req).to_json_line()),"
+    ));
+    assert!(request_path_step(
+        "        Ok(req) => match engine.admit() {"
+    ));
+    assert!(!request_path_step(
+        "    snap::serve::serve(&engine, workers, std::iter::once(stdio));"
+    ));
+    let hits = flagged(&rust_sources(&["crates/core/src/bin"]), request_path_step);
+    assert!(
+        hits.is_empty(),
+        "go through snap::serve::serve:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// More than 700 lines.
+fn over_long(text: &str) -> bool {
+    text.lines().count() > 700
+}
+
+/// A library file of the facade crate holds one concept (`serve/` is
+/// protocol, cache, recorder, engine and transport, not one 1 654-line
+/// file). The binary is a front end over all of them and is exempt.
+#[test]
+fn core_files_hold_one_concept() {
+    assert!(over_long(&"fn f() {}\n".repeat(701)));
+    assert!(!over_long(&"fn f() {}\n".repeat(700)));
+    let mut sources = rust_sources(&["crates/core/src"]);
+    sources.retain(|(path, _)| !path.starts_with("crates/core/src/bin/"));
+    let long = sources.iter().filter(|(_, text)| over_long(text));
+    let long: Vec<&str> = long.map(|(path, _)| path.as_str()).collect();
+    assert!(long.is_empty(), "split by concept: {long:?}");
 }
