@@ -1,5 +1,6 @@
 //! Partitioner costs: multilevel vs spectral on a mesh and a small-world
-//! graph (the Table 1 workload at micro scale).
+//! graph (the Table 1 workload at micro scale), and 4-way kway on the
+//! planted 2^14 graph the system benchmark's `explore` workload uses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snap::partition::Method;
@@ -20,6 +21,14 @@ fn bench_partition(c: &mut Criterion) {
             });
         }
     }
+    let cfg = snap::gen::PlantedConfig::with_target_degrees(1 << 14, 16, 8.0, 2.0);
+    let planted = snap::gen::planted_partition(&cfg, 3).0;
+    let kway = Method::MultilevelKway;
+    group.bench_with_input(
+        BenchmarkId::new(kway.label(), "planted-16k"),
+        &planted,
+        |b, g| b.iter(|| snap::partition::partition(g, kway, 4, 1)),
+    );
     group.finish();
 }
 

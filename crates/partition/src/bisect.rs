@@ -66,42 +66,21 @@ pub(crate) fn multilevel_bisect_budgeted(
         return side;
     }
     let _ = budget.charge(n as u64 + 1);
-    if n <= cfg.coarse_limit {
-        let mut side = initial_bisect(g, vwgt, target0, cfg.seed);
-        fm_refine_budgeted(
-            g,
-            vwgt,
-            &mut side,
-            target0,
-            cfg.tolerance,
-            cfg.fm_passes,
-            budget,
-        );
-        return side;
-    }
-    let level = coarsen(g, vwgt, cfg.seed);
-    snap_obs::add("coarsen_levels", 1);
-    // Coarsening stall (e.g. star graphs): bisect directly.
-    if level.graph.num_vertices() as f64 > 0.95 * n as f64 {
-        let mut side = initial_bisect(g, vwgt, target0, cfg.seed);
-        fm_refine_budgeted(
-            g,
-            vwgt,
-            &mut side,
-            target0,
-            cfg.tolerance,
-            cfg.fm_passes,
-            budget,
-        );
-        return side;
-    }
-    let mut sub_cfg = *cfg;
-    sub_cfg.seed = cfg.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-    let coarse_side =
-        multilevel_bisect_budgeted(&level.graph, &level.vwgt, target0, &sub_cfg, budget);
-
-    // Project to the fine level and refine.
-    let mut side: Vec<u8> = (0..n).map(|v| coarse_side[level.map[v] as usize]).collect();
+    let level = (n > cfg.coarse_limit)
+        .then(|| coarsen(g, vwgt, cfg.seed))
+        // Coarsening stall (e.g. star graphs): bisect directly.
+        .filter(|level| level.graph.num_vertices() as f64 <= 0.95 * n as f64);
+    let mut side = match level {
+        Some(level) => {
+            let mut sub_cfg = *cfg;
+            sub_cfg.seed = cfg.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
+            let coarse_side =
+                multilevel_bisect_budgeted(&level.graph, &level.vwgt, target0, &sub_cfg, budget);
+            // Project to the fine level.
+            (0..n).map(|v| coarse_side[level.map[v] as usize]).collect()
+        }
+        None => initial_bisect(g, vwgt, target0, cfg.seed),
+    };
     fm_refine_budgeted(
         g,
         vwgt,
@@ -118,6 +97,7 @@ pub(crate) fn multilevel_bisect_budgeted(
 /// vertex: grab vertices in BFS order until side 0 reaches the target
 /// weight.
 pub fn initial_bisect(g: &CsrGraph, vwgt: &[u32], target0: u64, seed: u64) -> Vec<u8> {
+    let _span = snap_obs::span("partition.initial");
     let n = g.num_vertices();
     if n == 0 {
         return Vec::new();

@@ -18,6 +18,8 @@ pub struct CoarseLevel {
 /// Contract `g` along a heavy-edge matching. `vwgt` are the current
 /// vertex weights (unit at the finest level).
 pub fn coarsen(g: &CsrGraph, vwgt: &[u32], seed: u64) -> CoarseLevel {
+    let _span = snap_obs::span("partition.coarsen");
+    snap_obs::add("coarsen_levels", 1);
     let n = g.num_vertices();
     let mate = heavy_edge_matching(g, seed);
 

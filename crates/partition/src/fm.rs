@@ -40,8 +40,9 @@ pub fn bisection_cut(g: &CsrGraph, side: &[u8]) -> u64 {
 /// * `vwgt` — vertex weights;
 /// * `target0` — desired total weight of side 0;
 /// * `tolerance` — allowed relative deviation (e.g. 0.05 = ±5%);
-/// * `max_passes` — FM passes (each pass is a full greedy move sequence
-///   with rollback to its best prefix).
+/// * `max_passes` — FM passes (each pass is a greedy move sequence that
+///   ends after `max(n/8, 100)` consecutive moves setting no new best
+///   prefix, then rolls back to that prefix).
 pub fn fm_refine(
     g: &CsrGraph,
     vwgt: &[u32],
@@ -75,6 +76,7 @@ pub(crate) fn fm_refine_budgeted(
     max_passes: usize,
     budget: &Budget,
 ) {
+    let _span = snap_obs::span("partition.fm");
     let n = g.num_vertices();
     if n == 0 {
         return;
@@ -88,9 +90,18 @@ pub(crate) fn fm_refine_budgeted(
     let lo0 = (target0 as i64 - slack).max(1);
     let hi0 = (target0 as i64 + slack).min(total as i64 - 1);
 
-    let mut obs_passes = 0u64;
-    let mut obs_moves = 0u64;
-    let mut obs_gain = 0i64;
+    // A pass ends after this many consecutive moves that set no new best
+    // prefix: what lies past the best prefix is rolled back anyway.
+    let bound = (n / 8).max(100);
+    let mut gains = vec![0i64; n];
+    let mut locked = vec![false; n];
+    // Lazy max-heap of (gain, vertex).
+    let mut heap: BinaryHeap<(i64, VertexId)> = BinaryHeap::with_capacity(n);
+    let mut moves: Vec<VertexId> = Vec::new();
+
+    let (mut obs_passes, mut obs_moves, mut obs_gain) = (0u64, 0u64, 0i64);
+    let (mut obs_applied, mut obs_pops, mut obs_stale, mut obs_bound_exits) =
+        (0u64, 0u64, 0u64, 0u64);
     for _pass in 0..max_passes {
         if budget.check().is_err() {
             break;
@@ -100,19 +111,21 @@ pub(crate) fn fm_refine_budgeted(
             .filter(|&v| side[v] == 0)
             .map(|v| vwgt[v] as i64)
             .sum();
-        let mut gains: Vec<i64> = (0..n as VertexId).map(|v| gain(g, side, v)).collect();
-        let mut locked = vec![false; n];
-        // Lazy max-heap of (gain, vertex).
-        let mut heap: BinaryHeap<(i64, VertexId)> =
-            (0..n as VertexId).map(|v| (gains[v as usize], v)).collect();
-
-        let mut moves: Vec<VertexId> = Vec::new();
+        for (v, gv) in gains.iter_mut().enumerate() {
+            *gv = gain(g, side, v as VertexId);
+        }
+        locked.fill(false);
+        heap.clear();
+        heap.extend((0..n as VertexId).map(|v| (gains[v as usize], v)));
+        moves.clear();
         let mut cum: i64 = 0;
         let mut best_cum: i64 = 0;
         let mut best_len = 0usize;
 
         while let Some((gval, v)) = heap.pop() {
+            obs_pops += 1;
             if locked[v as usize] || gval != gains[v as usize] {
+                obs_stale += 1;
                 continue; // stale entry
             }
             if budget.charge(1 + g.degree(v) as u64).is_err() {
@@ -138,6 +151,9 @@ pub(crate) fn fm_refine_budgeted(
             if cum > best_cum {
                 best_cum = cum;
                 best_len = moves.len();
+            } else if moves.len() - best_len >= bound {
+                obs_bound_exits += 1;
+                break;
             }
             // Update neighbor gains.
             for (u, e) in g.neighbors_with_eid(v) {
@@ -160,6 +176,7 @@ pub(crate) fn fm_refine_budgeted(
         for &v in &moves[best_len..] {
             side[v as usize] = 1 - side[v as usize];
         }
+        obs_applied += moves.len() as u64;
         obs_moves += best_len as u64;
         if best_cum <= 0 {
             break; // pass produced no improvement
@@ -170,6 +187,10 @@ pub(crate) fn fm_refine_budgeted(
         snap_obs::add("fm_passes", obs_passes);
         snap_obs::add("fm_moves", obs_moves);
         snap_obs::add("fm_gain", obs_gain.max(0) as u64);
+        snap_obs::add("fm_applied", obs_applied);
+        snap_obs::add("fm_pops", obs_pops);
+        snap_obs::add("fm_stale", obs_stale);
+        snap_obs::add("fm_bound_exits", obs_bound_exits);
     }
 }
 

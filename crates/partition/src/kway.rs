@@ -133,7 +133,10 @@ fn rb(
         *next_label += parts as u32;
         return;
     }
-    let sub = InducedSubgraph::extract(g, vertices);
+    let sub = {
+        let _span = snap_obs::span("partition.extract");
+        InducedSubgraph::extract(g, vertices)
+    };
     let sub_vwgt: Vec<u32> = sub.to_global.iter().map(|&v| vwgt[v as usize]).collect();
     let total: u64 = sub_vwgt.iter().map(|&w| w as u64).sum();
     let kl = parts / 2;
@@ -142,10 +145,13 @@ fn rb(
 
     let mut cfg = *bisect_cfg;
     cfg.seed = seed;
-    let side = multilevel_bisect_budgeted(&sub.graph, &sub_vwgt, target0, &cfg, budget);
+    let side = {
+        let _span = snap_obs::span("partition.bisect");
+        multilevel_bisect_budgeted(&sub.graph, &sub_vwgt, target0, &cfg, budget)
+    };
 
-    let mut left = Vec::new();
-    let mut right = Vec::new();
+    let mut left = Vec::with_capacity(vertices.len());
+    let mut right = Vec::with_capacity(vertices.len());
     for (local, &global) in sub.to_global.iter().enumerate() {
         if side[local] == 0 {
             left.push(global);
@@ -188,6 +194,7 @@ fn kway_refine(
     seed: u64,
     budget: &Budget,
 ) {
+    let _span = snap_obs::span("partition.kway_refine");
     let n = g.num_vertices();
     let k = p.parts;
     if n == 0 || k <= 1 {
@@ -206,6 +213,7 @@ fn kway_refine(
 
     // Edge weight from the vertex into each part (sparse scratch).
     let mut wto = vec![0i64; k];
+    let mut touched: Vec<usize> = Vec::with_capacity(k);
     let mut obs_moves = 0u64;
     let mut obs_passes = 0u64;
     'passes: for _ in 0..passes {
@@ -219,7 +227,6 @@ fn kway_refine(
                 break 'passes;
             }
             let cur = p.assignment[v as usize] as usize;
-            let mut touched: Vec<usize> = Vec::new();
             for (u, e) in g.neighbors_with_eid(v) {
                 let part = p.assignment[u as usize] as usize;
                 if wto[part] == 0 {
@@ -240,7 +247,7 @@ fn kway_refine(
                     }
                 }
             }
-            for &part in &touched {
+            for part in touched.drain(..) {
                 wto[part] = 0;
             }
             if best.0 != cur {

@@ -9,6 +9,7 @@ use snap_graph::{CsrGraph, Graph, VertexId, WeightedGraph};
 
 /// `mate[v]` is `v`'s matching partner (or `v` itself if unmatched).
 pub fn heavy_edge_matching(g: &CsrGraph, seed: u64) -> Vec<VertexId> {
+    let _span = snap_obs::span("partition.matching");
     let n = g.num_vertices();
     let mut mate: Vec<VertexId> = (0..n as VertexId).collect();
     let mut matched = vec![false; n];

@@ -84,16 +84,26 @@ proptest! {
         prop_assert!(coarse_weight <= g.num_edges() as u64);
     }
 
-    /// FM refinement never worsens the cut.
+    /// FM refinement never worsens the cut and, started inside the
+    /// balance window, ends inside it — after one pass and after six.
     #[test]
     fn fm_never_worsens(g in arb_graph(), seed in 0u64..4) {
         let n = g.num_vertices();
         let vwgt = vec![1u32; n];
-        let mut side: Vec<u8> = (0..n).map(|v| ((v as u64 ^ seed) % 2) as u8).collect();
-        let before = bisection_cut(&g, &side);
-        fm_refine(&g, &vwgt, &mut side, (n as u64) / 2, 0.1, 4);
-        let after = bisection_cut(&g, &side);
-        prop_assert!(after <= before, "{before} -> {after}");
+        let start: Vec<u8> = (0..n).map(|v| ((v as u64 ^ seed) % 2) as u8).collect();
+        let before = bisection_cut(&g, &start);
+        let target0 = n as i64 / 2;
+        let slack = ((n as f64 * 0.1).floor() as i64).max(1);
+        let window = (target0 - slack).max(1)..=(target0 + slack).min(n as i64 - 1);
+        let load0 = |side: &[u8]| side.iter().filter(|&&s| s == 0).count() as i64;
+        prop_assert!(window.contains(&load0(&start)));
+        for passes in [1, 6] {
+            let mut side = start.clone();
+            fm_refine(&g, &vwgt, &mut side, target0 as u64, 0.1, passes);
+            let after = bisection_cut(&g, &side);
+            prop_assert!(after <= before, "{passes} passes: {before} -> {after}");
+            prop_assert!(window.contains(&load0(&side)), "{passes} passes: load {}", load0(&side));
+        }
     }
 
     /// Spectral partitioning, when it converges, yields a valid balanced

@@ -215,3 +215,46 @@ fn mid_pipeline_report_keeps_open_spans() {
         fin.render()
     );
 }
+
+#[test]
+fn partitioner_phases_are_spans_under_multilevel() {
+    let cfg = snap::gen::PlantedConfig::with_target_degrees(1 << 12, 16, 8.0, 2.0);
+    let net = Network::new(snap::gen::planted_partition(&cfg, 5).0);
+    let obs = net.observed();
+    let _ = obs.partition(PartitionMethod::MultilevelKway, 4, 5);
+    let report = obs.finish();
+
+    let multilevel = report.find("partition.multilevel").expect("multilevel");
+    for span in [
+        "partition.extract",
+        "partition.bisect",
+        "partition.coarsen",
+        "partition.matching",
+        "partition.initial",
+        "partition.fm",
+        "partition.kway_refine",
+    ] {
+        assert!(multilevel.find(span).is_some(), "missing span {span}");
+    }
+    let bisect = multilevel.find("partition.bisect").unwrap();
+    for child in ["partition.coarsen", "partition.initial", "partition.fm"] {
+        assert!(
+            bisect.children.iter().any(|c| c.name == child),
+            "{}",
+            report.render()
+        );
+    }
+    // The phases account for the partitioner's time.
+    let covered: u64 = multilevel.children.iter().map(|c| c.duration_us).sum();
+    assert!(
+        multilevel.duration_us - covered <= multilevel.duration_us / 10,
+        "{}",
+        report.render()
+    );
+    let fm = multilevel.find("partition.fm").unwrap();
+    let counter = |name| fm.counter(name).unwrap_or_else(|| panic!("no {name}"));
+    assert!(counter("fm_applied") >= counter("fm_moves"));
+    assert!(counter("fm_pops") >= counter("fm_applied"));
+    assert!(counter("fm_pops") >= counter("fm_stale"));
+    assert!(counter("fm_passes") >= counter("fm_bound_exits"));
+}
