@@ -77,14 +77,11 @@ impl GraphBuilder {
     }
 
     /// Add a batch of unweighted edges.
-    pub fn add_edges<I>(mut self, edges: I) -> Self
+    pub fn add_edges<I>(self, edges: I) -> Self
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
-        for (u, v) in edges {
-            self.add_edge(u, v);
-        }
-        self
+        self.add_weighted_edges(edges.into_iter().map(|(u, v)| (u, v, 1)))
     }
 
     /// Add a batch of weighted edges.
@@ -92,6 +89,8 @@ impl GraphBuilder {
     where
         I: IntoIterator<Item = (VertexId, VertexId, Weight)>,
     {
+        let edges = edges.into_iter();
+        self.edges.reserve(edges.size_hint().0);
         for (u, v, w) in edges {
             self.add_weighted_edge(u, v, w);
         }
@@ -105,23 +104,24 @@ impl GraphBuilder {
         // Canonical order so duplicates become adjacent.
         self.edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
 
-        // Deduplicate, merging weights; drop self-loops unless kept. Any
-        // merge makes the graph weighted even if every input weight was 1
-        // (parallel unit edges collapse to a weight-2 edge — the coarse
-        // graphs of the multilevel partitioner rely on this).
-        let mut uniq: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(self.edges.len());
-        for (u, v, w) in self.edges {
-            if u == v && !self.keep_self_loops {
-                continue;
-            }
-            match uniq.last_mut() {
-                Some(last) if last.0 == u && last.1 == v => {
-                    last.2 = last.2.saturating_add(w);
-                    self.weighted = true;
-                }
-                _ => uniq.push((u, v, w)),
-            }
+        // Drop self-loops unless kept, then deduplicate in place, merging
+        // weights. Any merge makes the graph weighted even if every input
+        // weight was 1 (parallel unit edges collapse to a weight-2 edge —
+        // the coarse graphs of the multilevel partitioner rely on this).
+        if !self.keep_self_loops {
+            self.edges.retain(|&(u, v, _)| u != v);
         }
+        let mut merged = false;
+        self.edges.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 = kept.2.saturating_add(next.2);
+                merged = true;
+            }
+            same
+        });
+        self.weighted |= merged;
+        let uniq = self.edges;
         assert!(uniq.len() <= u32::MAX as usize, "edge ids must fit in u32");
 
         // Count arcs per vertex.
@@ -197,6 +197,53 @@ mod tests {
             .build();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_weight(0), 5);
+    }
+
+    /// `(edge id, u, v, weight)` in edge-id order.
+    fn edge_rows(g: &CsrGraph) -> Vec<(EdgeId, VertexId, VertexId, Weight)> {
+        g.edges()
+            .map(|(e, u, v)| (e, u, v, g.edge_weight(e)))
+            .collect()
+    }
+
+    #[test]
+    fn merged_weights_saturate() {
+        let g = GraphBuilder::undirected(2)
+            .add_weighted_edges([(0, 1, Weight::MAX), (1, 0, 5), (0, 1, 7)])
+            .build();
+        assert_eq!(edge_rows(&g), [(0, 0, 1, Weight::MAX)]);
+    }
+
+    #[test]
+    fn any_merge_makes_the_graph_weighted() {
+        let merged = from_edges(3, &[(1, 2), (0, 1), (1, 0)]);
+        assert!(merged.is_weighted());
+        assert_eq!(edge_rows(&merged), [(0, 0, 1, 2), (1, 1, 2, 1)]);
+        assert!(!from_edges(3, &[(1, 2), (0, 1)]).is_weighted());
+    }
+
+    #[test]
+    fn dedup_skips_self_loops_between_duplicates_and_keeps_id_order() {
+        // Sorted, the input reads (0,0) (0,1) (0,1) (1,1) (1,2) (1,2) (2,2):
+        // every kept edge sits behind a dropped one, so the write index
+        // trails the read index from the first element on.
+        let edges = [(2, 1), (1, 1), (0, 1), (2, 2), (1, 0), (1, 2), (0, 0)];
+        let g = from_edges(3, &edges);
+        assert_eq!(edge_rows(&g), [(0, 0, 1, 2), (1, 1, 2, 2)]);
+        assert_eq!(g.neighbor_slice(1), &[0, 2]);
+        assert_eq!(g.eid_slice(1), &[0, 1]);
+        let kept = GraphBuilder::undirected(3)
+            .with_self_loops()
+            .add_edges(edges)
+            .build();
+        let want = [(0, 0, 1), (0, 1, 2), (1, 1, 1), (1, 2, 2), (2, 2, 1)];
+        let want: Vec<_> = (0..).zip(want).map(|(e, (u, v, w))| (e, u, v, w)).collect();
+        assert_eq!(edge_rows(&kept), want);
+        kept.validate().unwrap();
+        let directed = GraphBuilder::directed(3).add_edges(edges).build();
+        let pairs: Vec<_> = directed.edges().map(|(_, u, v)| (u, v)).collect();
+        assert_eq!(pairs, [(0, 1), (1, 0), (1, 2), (2, 1)]);
+        assert!(!directed.is_weighted());
     }
 
     #[test]

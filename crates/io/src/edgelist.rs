@@ -2,47 +2,36 @@
 //! comments. The most common interchange format for the network datasets
 //! the paper draws on (Newman's collections, SNAP-Stanford dumps).
 
-use crate::{parse_err, IoError};
+use crate::scan::{Printer, Scanner, U32};
+use crate::IoError;
 use snap_graph::{CsrGraph, Graph, GraphBuilder, VertexId, Weight, WeightedGraph};
 use std::io::{BufRead, Write};
 
 /// Read an edge list. Vertex ids are 0-based; `n` is inferred as
 /// `max id + 1` unless a larger `min_vertices` is given (for graphs with
-/// trailing isolated vertices).
+/// trailing isolated vertices). Tokens after the weight are ignored.
 pub fn read_edge_list<R: BufRead>(
-    reader: R,
+    mut reader: R,
     directed: bool,
     min_vertices: usize,
 ) -> Result<CsrGraph, IoError> {
+    let mut buf = Vec::new();
+    reader.read_to_end(&mut buf)?;
+    let mut sc = Scanner::new(&buf);
     let mut edges: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-    let mut max_id: i64 = min_vertices as i64 - 1;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-            continue;
+    let mut n = min_vertices;
+    // `n = max id + 1` must itself fit in u32.
+    let ids = || 0..=u32::MAX as u64 - 1;
+    while !sc.at_eof() {
+        if !matches!(sc.peek(), None | Some(b'#' | b'%')) {
+            let u = sc.number("source vertex", ids())? as VertexId;
+            let v = sc.number("target vertex", ids())? as VertexId;
+            let w = sc.optional("weight", U32)?.unwrap_or(1) as Weight;
+            n = n.max(u.max(v) as usize + 1);
+            edges.push((u, v, w));
         }
-        let mut it = line.split_whitespace();
-        let u: VertexId = it
-            .next()
-            .ok_or_else(|| parse_err(lineno + 1, "missing source vertex"))?
-            .parse()
-            .map_err(|e| parse_err(lineno + 1, format!("bad source vertex: {e}")))?;
-        let v: VertexId = it
-            .next()
-            .ok_or_else(|| parse_err(lineno + 1, "missing target vertex"))?
-            .parse()
-            .map_err(|e| parse_err(lineno + 1, format!("bad target vertex: {e}")))?;
-        let w: Weight = match it.next() {
-            Some(tok) => tok
-                .parse()
-                .map_err(|e| parse_err(lineno + 1, format!("bad weight: {e}")))?,
-            None => 1,
-        };
-        max_id = max_id.max(u as i64).max(v as i64);
-        edges.push((u, v, w));
+        sc.next_line();
     }
-    let n = (max_id + 1).max(0) as usize;
     let builder = if directed {
         GraphBuilder::directed(n)
     } else {
@@ -53,30 +42,26 @@ pub fn read_edge_list<R: BufRead>(
 
 /// Write a graph as an edge list with a `# n m directed` header comment.
 pub fn write_edge_list<W: Write, G: Graph + WeightedGraph>(
-    mut writer: W,
+    writer: W,
     g: &G,
 ) -> Result<(), IoError> {
-    writeln!(
-        writer,
-        "# {} {} {}",
-        g.num_vertices(),
-        g.num_edges(),
-        if g.is_directed() {
-            "directed"
-        } else {
-            "undirected"
-        }
-    )?;
+    let mut out = Printer::new(writer);
+    let kind = if g.is_directed() {
+        "directed"
+    } else {
+        "undirected"
+    };
+    out.word("#").number(g.num_vertices() as u64);
+    out.number(g.num_edges() as u64).word(kind).end_line()?;
     for e in g.edge_ids() {
         let (u, v) = g.edge_endpoints(e);
-        let w = g.edge_weight(e);
-        if w == 1 {
-            writeln!(writer, "{u} {v}")?;
-        } else {
-            writeln!(writer, "{u} {v} {w}")?;
+        out.number(u).number(v);
+        if g.edge_weight(e) != 1 {
+            out.number(g.edge_weight(e));
         }
+        out.end_line()?;
     }
-    Ok(())
+    Ok(out.finish()?)
 }
 
 #[cfg(test)]
@@ -111,6 +96,46 @@ mod tests {
             IoError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected: {other}"),
         }
+    }
+
+    fn parse_line(text: &str) -> usize {
+        crate::parse_error(read_edge_list(text.as_bytes(), false, 0)).0
+    }
+
+    #[test]
+    fn grammar_blanks_signs_extra_tokens_and_no_final_newline() {
+        let text = "  # n m\r\n\t0\t+1\r\n\n 1 2 5 trailing tokens\n%\n2\x0b0 \x0c";
+        let g = read_edge_list(text.as_bytes(), false, 0).unwrap();
+        let rows: Vec<_> = g
+            .edges()
+            .map(|(e, u, v)| (u, v, g.edge_weight(e)))
+            .collect();
+        assert_eq!(rows, [(0, 1, 1), (0, 2, 1), (1, 2, 5)]);
+    }
+
+    #[test]
+    fn ids_that_leave_no_room_for_n_are_errors() {
+        assert_eq!(parse_line("0 1\n4294967295 0"), 2);
+        assert_eq!(parse_line("0 4294967295\n"), 1);
+        assert_eq!(parse_line("\n\n99999999999999999999999 0\n"), 3);
+        assert_eq!(parse_line("0 1 4294967296\n"), 1);
+        let g = read_edge_list("0 1 4294967295\n".as_bytes(), false, 0).unwrap();
+        assert_eq!(g.edge_weight(0), Weight::MAX);
+    }
+
+    #[test]
+    fn malformed_lines_name_their_line() {
+        assert_eq!(parse_line("0 1\n2\n"), 2);
+        assert_eq!(parse_line("0 1\n2"), 2);
+        assert_eq!(parse_line("0 1\n\n0 -1\n"), 3);
+        assert_eq!(parse_line("0 1 # comment\n"), 1);
+        assert_eq!(parse_line("# ok\n0 1\n0 1\u{e9}\n"), 3);
+        // Not UTF-8: a parse error with its line, and only where a number
+        // is expected.
+        let err = read_edge_list(&b"0 1\n\xff 2\n"[..], false, 0).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 2, .. }), "{err}");
+        assert!(read_edge_list(&b"# \xff\n0 1\n"[..], false, 0).is_ok());
+        assert_eq!(parse_line("0 1.5\n"), 1);
     }
 
     #[test]

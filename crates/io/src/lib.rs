@@ -3,12 +3,15 @@
 //! Graph serialization for the SNAP reproduction: whitespace edge lists,
 //! DIMACS shortest-path format, and METIS adjacency format, plus the
 //! embedded reference datasets used by the paper's Table 2 (Zachary's
-//! karate club, the one redistributable network).
+//! karate club, the one redistributable network). Every reader and writer
+//! goes through the one tokenizer and printer in `scan.rs`; README.md
+//! ("What the readers accept") states the grammar.
 
 pub mod datasets;
 pub mod dimacs;
 pub mod edgelist;
 pub mod metis;
+mod scan;
 
 pub use datasets::karate_club;
 
@@ -47,9 +50,12 @@ impl From<std::io::Error> for IoError {
     }
 }
 
-pub(crate) fn parse_err(line: usize, message: impl Into<String>) -> IoError {
-    IoError::Parse {
-        line,
-        message: message.into(),
+#[cfg(test)]
+/// The 1-based line and the message of the parse error `result` must be.
+pub(crate) fn parse_error<T>(result: Result<T, IoError>) -> (usize, String) {
+    match result {
+        Err(IoError::Parse { line, message }) => (line, message),
+        Err(other) => panic!("unexpected: {other}"),
+        Ok(_) => panic!("expected a parse error"),
     }
 }

@@ -3,141 +3,103 @@
 //! when `fmt` has the edge-weight bit (001) set. This is the native input
 //! format of the partitioning packages Table 1 compares against.
 
-use crate::{parse_err, IoError};
+use crate::scan::{Printer, Scanner, U32};
+use crate::IoError;
 use snap_graph::{CsrGraph, Graph, GraphBuilder, VertexId, Weight, WeightedGraph};
 use std::io::{BufRead, Write};
 
 /// Read a METIS graph file (always undirected, per the format spec).
-pub fn read_metis<R: BufRead>(reader: R) -> Result<CsrGraph, IoError> {
-    let mut lines = reader.lines().enumerate();
+pub fn read_metis<R: BufRead>(mut reader: R) -> Result<CsrGraph, IoError> {
+    let mut buf = Vec::new();
+    reader.read_to_end(&mut buf)?;
+    let mut sc = Scanner::new(&buf);
 
-    // Header: first non-comment line.
-    let (mut n, mut m, mut has_ewts) = (0usize, 0usize, false);
-    let mut header_seen = false;
-    let mut body_start = 0usize;
-    for (lineno, line) in lines.by_ref() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('%') {
-            continue;
+    // Header: the first line that is neither blank nor a comment.
+    while matches!(sc.peek(), None | Some(b'%')) {
+        if sc.at_eof() {
+            return Err(sc.error("missing METIS header"));
         }
-        let mut it = line.split_whitespace();
-        n = it
-            .next()
-            .ok_or_else(|| parse_err(lineno + 1, "missing n"))?
-            .parse()
-            .map_err(|e| parse_err(lineno + 1, format!("bad n: {e}")))?;
-        m = it
-            .next()
-            .ok_or_else(|| parse_err(lineno + 1, "missing m"))?
-            .parse()
-            .map_err(|e| parse_err(lineno + 1, format!("bad m: {e}")))?;
-        if let Some(fmt) = it.next() {
-            // fmt is a 3-digit flag string: vertex sizes / vertex weights /
-            // edge weights. Only edge weights are supported here.
-            has_ewts = fmt.ends_with('1');
-            if fmt.len() == 3 && &fmt[..2] != "00" {
-                return Err(parse_err(lineno + 1, "vertex weights not supported"));
-            }
-        }
-        header_seen = true;
-        body_start = lineno + 1;
-        break;
+        sc.next_line();
     }
-    if !header_seen {
-        return Err(parse_err(0, "missing METIS header"));
-    }
+    let header = sc.pos();
+    let n = sc.number("n", U32)? as usize;
+    let m = sc.number("m", U32)? as usize;
+    // `fmt` is up to three flag digits, leading zeros optional: vertex
+    // sizes / vertex weights / edge weights. Only the last is supported.
+    let has_ewts = match sc.optional("fmt", 0..=999)? {
+        None | Some(0) => false,
+        Some(1) => true,
+        Some(_) => return Err(sc.error("vertex weights not supported")),
+    };
+    sc.next_line();
 
-    let mut builder = GraphBuilder::undirected(n).with_capacity(m);
+    // An edge takes at least four bytes of the file ("2\n1\n"), so the
+    // header cannot reserve more than the file could hold.
+    let mut builder = GraphBuilder::undirected(n).with_capacity(m.min(buf.len() / 4));
     let mut vertex = 0usize;
-    for (lineno, line) in lines {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.starts_with('%') {
-            continue;
-        }
-        if vertex >= n {
-            if trimmed.is_empty() {
-                continue;
+    while !sc.at_eof() {
+        match sc.peek() {
+            Some(b'%') => {}
+            None if vertex >= n => {}
+            Some(_) if vertex >= n => {
+                return Err(sc.error("more adjacency lines than vertices"));
             }
-            return Err(parse_err(lineno + 1, "more adjacency lines than vertices"));
-        }
-        let mut it = trimmed.split_whitespace();
-        while let Some(tok) = it.next() {
-            let nbr: u64 = tok
-                .parse()
-                .map_err(|e| parse_err(lineno + 1, format!("bad neighbor: {e}")))?;
-            if nbr == 0 || nbr as usize > n {
-                return Err(parse_err(
-                    lineno + 1,
-                    format!("neighbor {nbr} out of range"),
-                ));
-            }
-            let w: Weight = if has_ewts {
-                it.next()
-                    .ok_or_else(|| parse_err(lineno + 1, "missing edge weight"))?
-                    .parse()
-                    .map_err(|e| parse_err(lineno + 1, format!("bad edge weight: {e}")))?
-            } else {
-                1
-            };
-            let u = vertex as VertexId;
-            let v = (nbr - 1) as VertexId;
-            // Each undirected edge appears in both endpoint lines; add once.
-            if u <= v {
-                builder.add_weighted_edge(u, v, w);
+            _ => {
+                let u = vertex as VertexId;
+                while sc.peek().is_some() {
+                    let v = (sc.number("neighbor", 1..=n as u64)? - 1) as VertexId;
+                    let w = if has_ewts {
+                        sc.number("edge weight", U32)? as Weight
+                    } else {
+                        1
+                    };
+                    // Each undirected edge appears in both endpoint lines; add once.
+                    if u <= v {
+                        builder.add_weighted_edge(u, v, w);
+                    }
+                }
+                vertex += 1;
             }
         }
-        vertex += 1;
+        sc.next_line();
     }
     if vertex != n {
-        return Err(parse_err(
-            body_start,
-            format!("expected {n} adjacency lines, found {vertex}"),
-        ));
+        let message = format!("expected {n} adjacency lines, found {vertex}");
+        return Err(sc.error_at(header, message));
     }
     let g = builder.build();
     if g.num_edges() != m {
-        return Err(parse_err(
-            body_start,
-            format!("header declared {m} edges, found {}", g.num_edges()),
-        ));
+        let message = format!("header declared {m} edges, found {}", g.num_edges());
+        return Err(sc.error_at(header, message));
     }
     Ok(g)
 }
 
 /// Write an undirected graph in METIS format. Weighted graphs get the
 /// `001` fmt flag with interleaved weights.
-pub fn write_metis<W: Write, G: Graph + WeightedGraph>(
-    mut writer: W,
-    g: &G,
-) -> Result<(), IoError> {
+pub fn write_metis<W: Write, G: Graph + WeightedGraph>(writer: W, g: &G) -> Result<(), IoError> {
     assert!(!g.is_directed(), "METIS format is undirected");
     // Probe only the live edges: on a filtered view, flat ids up to
     // `num_edges()` would read weights of edges that may be deleted (or
     // miss live ones above the count).
     let weighted = g.edge_ids().any(|e| g.edge_weight(e) != 1);
+    let mut out = Printer::new(writer);
+    out.number(g.num_vertices() as u64);
+    out.number(g.num_edges() as u64);
     if weighted {
-        writeln!(writer, "{} {} 001", g.num_vertices(), g.num_edges())?;
-    } else {
-        writeln!(writer, "{} {}", g.num_vertices(), g.num_edges())?;
+        out.word("001");
     }
+    out.end_line()?;
     for v in g.vertices() {
-        let mut first = true;
         for (u, e) in g.neighbors_with_eid(v) {
-            if !first {
-                write!(writer, " ")?;
-            }
-            first = false;
+            out.number(u + 1);
             if weighted {
-                write!(writer, "{} {}", u + 1, g.edge_weight(e))?;
-            } else {
-                write!(writer, "{}", u + 1)?;
+                out.number(g.edge_weight(e));
             }
         }
-        writeln!(writer)?;
+        out.end_line()?;
     }
-    Ok(())
+    Ok(out.finish()?)
 }
 
 #[cfg(test)]
@@ -179,6 +141,52 @@ mod tests {
     fn out_of_range_neighbor_is_error() {
         let text = "2 1\n3\n\n";
         assert!(read_metis(text.as_bytes()).is_err());
+    }
+
+    fn parse_error(text: &str) -> (usize, String) {
+        crate::parse_error(read_metis(text.as_bytes()))
+    }
+
+    #[test]
+    fn header_counts_are_bounded_before_anything_is_allocated() {
+        assert_eq!(parse_error("99999999999 0\n").0, 1);
+        assert_eq!(parse_error("% c\n1 99999999999\n\n").0, 2);
+        // In range, but more than the file could hold.
+        assert_eq!(parse_error("2 4294967295\n2\n1\n").0, 1);
+        assert_eq!(parse_error("4294967295 0\n\n").0, 1);
+        assert_eq!(parse_error("% only a comment\n\n").0, 3);
+    }
+
+    #[test]
+    fn fmt_is_three_flag_digits_with_optional_leading_zeros() {
+        for fmt in ["", "0", "00", "000"] {
+            let g = read_metis(format!("2 1 {fmt}\n2\n1\n").as_bytes()).unwrap();
+            assert!(!g.is_weighted(), "{fmt:?}");
+        }
+        for fmt in ["1", "01", "001", "1 3"] {
+            let g = read_metis(format!("2 1 {fmt}\n2 9\n1 9\n").as_bytes()).unwrap();
+            assert_eq!(g.edge_weight(0), 9, "{fmt:?}");
+        }
+        for fmt in ["10", "11", "010", "011", "100", "101", "110", "111", "2"] {
+            let (line, message) = parse_error(&format!("%\n2 1 {fmt}\n2 1 1\n1 1 1\n"));
+            assert_eq!(
+                (line, message.as_str()),
+                (2, "vertex weights not supported")
+            );
+        }
+        // Used to slice `&fmt[..2]` inside the two-byte `é`.
+        assert_eq!(parse_error("1 0 1\u{e9}\n\n").0, 1);
+        assert_eq!(parse_error("1 0 0x1\n\n").0, 1);
+    }
+
+    #[test]
+    fn body_errors_name_their_line() {
+        assert_eq!(parse_error("2 1\n2\n0\n").0, 3);
+        assert_eq!(parse_error("2 1\n2\n3\n").0, 3);
+        assert_eq!(parse_error("2 1\n2\n4294967297\n").0, 3);
+        assert_eq!(parse_error("2 1 1\n2 7\n1\n").0, 3);
+        assert_eq!(parse_error("2 1\n2\n1\n\n% fine\n1\n").0, 6);
+        assert_eq!(parse_error("2 1\n2 x\n1\n").0, 2);
     }
 
     #[test]

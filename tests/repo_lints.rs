@@ -239,6 +239,52 @@ fn front_end_holds_no_protocol() {
     );
 }
 
+/// A line-based read or a `core::fmt` write of file content: `.lines()`,
+/// `split_whitespace`, `str::parse` in any spelling, `writeln!`.
+fn second_number_path(line: &str) -> bool {
+    let calls = [
+        ".lines()",
+        "split_whitespace",
+        ".parse()",
+        ".parse::<",
+        "str::parse",
+        "writeln!",
+    ];
+    !line.trim_start().starts_with("//") && calls.iter().any(|call| line.contains(call))
+}
+
+/// `snap-io` has one way to read a number from a file and one way to
+/// write one, both in `crates/io/src/scan.rs` (DESIGN.md §2): a reader
+/// walks the file's bytes with its `Scanner`, a writer fills one buffer
+/// through `push_decimal`. A per-line `String` loop or a `writeln!` per
+/// edge beside it is the load path this crate had three copies of. Unit
+/// tests (below a file's `#[cfg(test)]`) may use either.
+#[test]
+fn io_reads_and_writes_numbers_in_one_place() {
+    assert!(second_number_path(
+        "    for (lineno, line) in reader.lines().enumerate() {"
+    ));
+    assert!(second_number_path(
+        "        let mut it = line.split_whitespace();"
+    ));
+    assert!(second_number_path("            .parse::<u32>()"));
+    assert!(second_number_path(
+        "            writeln!(writer, \"{u} {v}\")?;"
+    ));
+    assert!(!second_number_path(
+        "            let u = sc.number(\"source vertex\", MAX_ID)? as VertexId;"
+    ));
+    assert!(!second_number_path("    // the old readers used .lines()"));
+    let mut sources = rust_sources(&["crates/io/src"]);
+    sources.retain(|(path, _)| path != "crates/io/src/scan.rs");
+    for (_, text) in &mut sources {
+        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+        text.truncate(end);
+    }
+    let hits = flagged(&sources, second_number_path);
+    assert!(hits.is_empty(), "go through scan.rs:\n{}", hits.join("\n"));
+}
+
 /// More than 700 lines.
 fn over_long(text: &str) -> bool {
     text.lines().count() > 700
