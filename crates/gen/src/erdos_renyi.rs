@@ -18,7 +18,7 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
     // Rejection sampling is fine in the sparse regime the paper uses
     // (m ~ 5n). For dense requests fall back to reservoir-free enumeration.
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::undirected(n).with_capacity(m);
+    let mut edges = Vec::with_capacity(m);
     if m * 3 < max_edges {
         let mut seen: HashSet<u64> = HashSet::with_capacity(m * 2);
         while seen.len() < m {
@@ -29,7 +29,7 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
             }
             let key = ((u.min(v) as u64) << 32) | u.max(v) as u64;
             if seen.insert(key) {
-                builder.add_edge(u, v);
+                edges.push((u, v, 1));
             }
         }
     } else {
@@ -42,10 +42,10 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
                 chosen.insert(idx);
             }
             let (u, v) = unrank_edge(idx, n);
-            builder.add_edge(u, v);
+            edges.push((u, v, 1));
         }
     }
-    builder.build()
+    GraphBuilder::undirected(n).with_edges(edges).build()
 }
 
 /// Map a linear index in `0..n(n-1)/2` to an edge `(u, v)` with `u < v`.

@@ -28,24 +28,24 @@ pub fn road_grid(
     let n = rows * cols;
     let mut rng = StdRng::seed_from_u64(seed);
     let id = |r: usize, c: usize| (r * cols + c) as VertexId;
-    let mut builder = GraphBuilder::undirected(n).with_capacity(2 * n);
+    let mut edges = Vec::with_capacity(2 * n);
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols && rng.gen::<f64>() >= drop_prob {
-                builder.add_edge(id(r, c), id(r, c + 1));
+                edges.push((id(r, c), id(r, c + 1), 1));
             }
             if r + 1 < rows && rng.gen::<f64>() >= drop_prob {
-                builder.add_edge(id(r, c), id(r + 1, c));
+                edges.push((id(r, c), id(r + 1, c), 1));
             }
             if r + 1 < rows && c + 1 < cols && rng.gen::<f64>() < diagonal_prob {
-                builder.add_edge(id(r, c), id(r + 1, c + 1));
+                edges.push((id(r, c), id(r + 1, c + 1), 1));
             }
             if r + 1 < rows && c >= 1 && rng.gen::<f64>() < diagonal_prob {
-                builder.add_edge(id(r, c), id(r + 1, c - 1));
+                edges.push((id(r, c), id(r + 1, c - 1), 1));
             }
         }
     }
-    builder.build()
+    GraphBuilder::undirected(n).with_edges(edges).build()
 }
 
 #[cfg(test)]

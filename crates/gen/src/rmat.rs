@@ -75,26 +75,23 @@ pub fn rmat(config: &RmatConfig, seed: u64) -> CsrGraph {
     let n = config.vertices.unwrap_or(full);
     assert!(n <= full, "vertices override exceeds 2^scale");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = if config.directed {
-        GraphBuilder::directed(n)
-    } else {
-        GraphBuilder::undirected(n)
-    }
-    .with_capacity(config.edges);
-
-    let mut placed = 0usize;
+    let mut edges = Vec::with_capacity(config.edges);
     let mut attempts = 0usize;
     let attempt_cap = config.edges.saturating_mul(20).max(1024);
-    while placed < config.edges && attempts < attempt_cap {
+    while edges.len() < config.edges && attempts < attempt_cap {
         attempts += 1;
         let (u, v) = sample_edge(config, &mut rng);
         if u == v || (u as usize) >= n || (v as usize) >= n {
             continue;
         }
-        builder.add_edge(u, v);
-        placed += 1;
+        edges.push((u, v, 1));
     }
-    builder.build()
+    let builder = if config.directed {
+        GraphBuilder::directed(n)
+    } else {
+        GraphBuilder::undirected(n)
+    };
+    builder.with_edges(edges).build()
 }
 
 fn sample_edge(config: &RmatConfig, rng: &mut StdRng) -> (VertexId, VertexId) {

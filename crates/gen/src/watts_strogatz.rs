@@ -57,15 +57,11 @@ pub fn watts_strogatz(n: usize, k: usize, p: f64, seed: u64) -> CsrGraph {
         }
     }
 
-    let mut builder = GraphBuilder::undirected(n).with_capacity(n * k);
-    for (u, set) in adj.iter().enumerate() {
-        for &v in set {
-            if (u as VertexId) < v {
-                builder.add_edge(u as VertexId, v);
-            }
-        }
+    let mut edges = Vec::with_capacity(n * k);
+    for (u, set) in (0..).zip(&adj) {
+        edges.extend(set.range(u + 1..).map(|&v| (u, v, 1)));
     }
-    builder.build()
+    GraphBuilder::undirected(n).with_edges(edges).build()
 }
 
 #[cfg(test)]

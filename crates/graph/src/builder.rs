@@ -1,7 +1,7 @@
 //! Edge-list accumulator that produces a validated [`CsrGraph`].
 
 use crate::csr::CsrGraph;
-use crate::{EdgeId, VertexId, Weight};
+use crate::{VertexId, Weight};
 
 /// Accumulates edges and builds a [`CsrGraph`].
 ///
@@ -46,9 +46,18 @@ impl GraphBuilder {
         self
     }
 
-    /// Pre-allocate for `m` edges.
-    pub fn with_capacity(mut self, m: usize) -> Self {
-        self.edges.reserve(m);
+    /// Add a vector of weighted edges, taking it over rather than copying
+    /// it: a reader or generator that collected its edges hands them in
+    /// here.
+    pub fn with_edges(mut self, mut edges: Vec<(VertexId, VertexId, Weight)>) -> Self {
+        for edge in &mut edges {
+            *edge = self.admit(*edge);
+        }
+        if self.edges.is_empty() {
+            self.edges = edges;
+        } else {
+            self.edges.append(&mut edges);
+        }
         self
     }
 
@@ -59,21 +68,25 @@ impl GraphBuilder {
 
     /// Add a weighted edge. Duplicate edges accumulate weight.
     pub fn add_weighted_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> &mut Self {
+        let edge = self.admit((u, v, w));
+        self.edges.push(edge);
+        self
+    }
+
+    /// Range-check one edge, note a non-unit weight, and canonicalize it.
+    #[inline]
+    fn admit(&mut self, (u, v, w): (VertexId, VertexId, Weight)) -> (VertexId, VertexId, Weight) {
         assert!(
             (u as usize) < self.n && (v as usize) < self.n,
             "edge ({u}, {v}) out of range for n = {}",
             self.n
         );
-        if w != 1 {
-            self.weighted = true;
-        }
-        let (a, b) = if self.directed || u <= v {
-            (u, v)
+        self.weighted |= w != 1;
+        if self.directed || u <= v {
+            (u, v, w)
         } else {
-            (v, u)
-        };
-        self.edges.push((a, b, w));
-        self
+            (v, u, w)
+        }
     }
 
     /// Add a batch of unweighted edges.
@@ -85,96 +98,51 @@ impl GraphBuilder {
     }
 
     /// Add a batch of weighted edges.
-    pub fn add_weighted_edges<I>(mut self, edges: I) -> Self
+    pub fn add_weighted_edges<I>(self, edges: I) -> Self
     where
         I: IntoIterator<Item = (VertexId, VertexId, Weight)>,
     {
-        let edges = edges.into_iter();
-        self.edges.reserve(edges.size_hint().0);
-        for (u, v, w) in edges {
-            self.add_weighted_edge(u, v, w);
-        }
-        self
+        self.with_edges(edges.into_iter().collect())
     }
 
-    /// Build the CSR graph: sort, deduplicate, expand arcs, prefix-sum.
-    pub fn build(mut self) -> CsrGraph {
-        let n = self.n;
+    /// Build the CSR graph: sort unless already sorted, drop self-loops,
+    /// merge duplicates, then hand the edges to `CsrGraph::fill`.
+    pub fn build(self) -> CsrGraph {
+        let _span = snap_obs::span("csr.build");
+        let GraphBuilder {
+            n,
+            directed,
+            keep_self_loops,
+            mut edges,
+            mut weighted,
+        } = self;
+        snap_obs::add("build_edges_in", edges.len() as u64);
 
-        // Canonical order so duplicates become adjacent.
-        self.edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        // Canonical order so duplicates become adjacent. Files snap-io
+        // wrote, METIS rows, subgraphs and view rebuilds arrive in it.
+        let sorted = edges.is_sorted_by_key(|&(u, v, _)| (u, v));
+        if !sorted {
+            edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        }
+        snap_obs::add("build_sorted_input", sorted as u64);
 
         // Drop self-loops unless kept, then deduplicate in place, merging
         // weights. Any merge makes the graph weighted even if every input
         // weight was 1 (parallel unit edges collapse to a weight-2 edge —
         // the coarse graphs of the multilevel partitioner rely on this).
-        if !self.keep_self_loops {
-            self.edges.retain(|&(u, v, _)| u != v);
+        if !keep_self_loops {
+            edges.retain(|&(u, v, _)| u != v);
         }
-        let mut merged = false;
-        self.edges.dedup_by(|next, kept| {
+        edges.dedup_by(|next, kept| {
             let same = (next.0, next.1) == (kept.0, kept.1);
             if same {
                 kept.2 = kept.2.saturating_add(next.2);
-                merged = true;
+                weighted = true;
             }
             same
         });
-        self.weighted |= merged;
-        let uniq = self.edges;
-        assert!(uniq.len() <= u32::MAX as usize, "edge ids must fit in u32");
-
-        // Count arcs per vertex.
-        let mut counts = vec![0usize; n + 1];
-        for &(u, v, _) in &uniq {
-            counts[u as usize + 1] += 1;
-            if !self.directed && u != v {
-                counts[v as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts;
-        let num_arcs = offsets[n];
-
-        // Fill arcs.
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0 as VertexId; num_arcs];
-        let mut arc_edge_ids = vec![0 as EdgeId; num_arcs];
-        let mut endpoints = Vec::with_capacity(uniq.len());
-        let mut weights = Vec::new();
-        if self.weighted {
-            weights.reserve(uniq.len());
-        }
-        for (eid, &(u, v, w)) in uniq.iter().enumerate() {
-            let e = eid as EdgeId;
-            endpoints.push((u, v));
-            if self.weighted {
-                weights.push(w);
-            }
-            let cu = &mut cursor[u as usize];
-            targets[*cu] = v;
-            arc_edge_ids[*cu] = e;
-            *cu += 1;
-            if !self.directed && u != v {
-                let cv = &mut cursor[v as usize];
-                targets[*cv] = u;
-                arc_edge_ids[*cv] = e;
-                *cv += 1;
-            }
-        }
-
-        let g = CsrGraph {
-            offsets,
-            targets,
-            arc_edge_ids,
-            endpoints,
-            weights,
-            directed: self.directed,
-        };
-        debug_assert_eq!(g.validate(), Ok(()));
-        g
+        snap_obs::add("build_edges_kept", edges.len() as u64);
+        CsrGraph::fill(n, directed, edges, weighted)
     }
 }
 
@@ -189,6 +157,7 @@ pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> CsrGraph {
 mod tests {
     use super::*;
     use crate::traits::{Graph, WeightedGraph};
+    use crate::EdgeId;
 
     #[test]
     fn dedup_merges_weights() {
@@ -225,8 +194,7 @@ mod tests {
     #[test]
     fn dedup_skips_self_loops_between_duplicates_and_keeps_id_order() {
         // Sorted, the input reads (0,0) (0,1) (0,1) (1,1) (1,2) (1,2) (2,2):
-        // every kept edge sits behind a dropped one, so the write index
-        // trails the read index from the first element on.
+        // every kept edge sits behind a dropped one.
         let edges = [(2, 1), (1, 1), (0, 1), (2, 2), (1, 0), (1, 2), (0, 0)];
         let g = from_edges(3, &edges);
         assert_eq!(edge_rows(&g), [(0, 0, 1, 2), (1, 1, 2, 2)]);

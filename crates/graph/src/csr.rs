@@ -10,7 +10,8 @@ use crate::{EdgeId, VertexId, Weight};
 /// Immutable adjacency-array graph.
 ///
 /// Construct via [`crate::GraphBuilder`]; direct field construction is not
-/// exposed so the invariants below always hold:
+/// exposed, and every constructor ends in one fill (`CsrGraph::fill`),
+/// so the invariants below always hold:
 ///
 /// * `offsets.len() == n + 1`, monotonically non-decreasing,
 ///   `offsets[n] == targets.len()`;
@@ -30,17 +31,109 @@ pub struct CsrGraph {
     pub(crate) directed: bool,
 }
 
+/// Reverse arcs are staged by blocks of `1 << FILL_BLOCK_SHIFT` target
+/// vertices, so their scatter stays inside one block's rows (a few tens of
+/// KiB of `targets` and `arc_edge_ids`) instead of writing at random
+/// across both arrays.
+const FILL_BLOCK_SHIFT: u32 = 9;
+
 impl CsrGraph {
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize, directed: bool) -> Self {
-        CsrGraph {
-            offsets: vec![0; n + 1],
-            targets: Vec::new(),
-            arc_edge_ids: Vec::new(),
-            endpoints: Vec::new(),
-            weights: Vec::new(),
-            directed,
+        Self::fill(n, directed, Vec::new(), false)
+    }
+
+    /// The one CSR fill: every graph is made here. `edges` must be
+    /// strictly ascending in `(u, v)` (sorted, duplicate-free, `u <= v`
+    /// when undirected); edge `e` is `edges[e]`, and its weight is kept
+    /// when `weighted`.
+    ///
+    /// Endpoints and weights are split out once. A vertex's row is then
+    /// its reverse arcs (edges `(u, x)`, `u < x`, of an undirected graph)
+    /// followed by its forward arcs (edges `(x, v)`), each in edge-id
+    /// order, so rows come out ascending. Forward arcs are written in edge
+    /// order, which is row order. Reverse arcs are first bucketed by
+    /// target block into `edges`' own buffer, then scattered block by
+    /// block.
+    pub(crate) fn fill(
+        n: usize,
+        directed: bool,
+        edges: Vec<(VertexId, VertexId, Weight)>,
+        weighted: bool,
+    ) -> Self {
+        assert!(edges.len() <= u32::MAX as usize, "edge ids must fit in u32");
+        debug_assert!(
+            edges
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "sorted, unique"
+        );
+        let endpoints: Vec<_> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
+        let weights = match weighted {
+            true => edges.iter().map(|&(_, _, w)| w).collect(),
+            false => Vec::new(),
+        };
+        let reverse = |u: VertexId, v: VertexId| !directed && u != v;
+        let block = |v: VertexId| (v >> FILL_BLOCK_SHIFT) as usize;
+
+        // Row lengths, and reverse arcs per target block, as prefix sums.
+        let mut offsets = vec![0usize; n + 1];
+        let mut block_starts = vec![0usize; (n >> FILL_BLOCK_SHIFT) + 2];
+        for &(u, v) in &endpoints {
+            offsets[u as usize + 1] += 1;
+            if reverse(u, v) {
+                offsets[v as usize + 1] += 1;
+                block_starts[block(v) + 1] += 1;
+            }
         }
+        for counts in [&mut offsets, &mut block_starts] {
+            let mut sum = 0;
+            for c in counts.iter_mut() {
+                sum += *c;
+                *c = sum;
+            }
+        }
+
+        // Bucket `(target, source, edge id)` into the input's buffer, whose
+        // pages are already touched: edge-id order within a block.
+        let mut staged = edges;
+        staged.truncate(*block_starts.last().unwrap());
+        for (e, &(u, v)) in (0..).zip(&endpoints) {
+            if reverse(u, v) {
+                let slot = &mut block_starts[block(v)];
+                staged[*slot] = (v, u, e);
+                *slot += 1;
+            }
+        }
+
+        // Scatter: reverse arcs open each row, forward arcs close it.
+        let num_arcs = offsets[n];
+        let mut targets = vec![0 as VertexId; num_arcs];
+        let mut arc_edge_ids = vec![0 as EdgeId; num_arcs];
+        let mut cursor = offsets.clone();
+        let mut place = |row: VertexId, target: VertexId, e: EdgeId| {
+            let slot = &mut cursor[row as usize];
+            targets[*slot] = target;
+            arc_edge_ids[*slot] = e;
+            *slot += 1;
+        };
+        for (v, u, e) in staged {
+            place(v, u, e);
+        }
+        for (e, &(u, v)) in (0..).zip(&endpoints) {
+            place(u, v, e);
+        }
+
+        let g = CsrGraph {
+            offsets,
+            targets,
+            arc_edge_ids,
+            endpoints,
+            weights,
+            directed,
+        };
+        debug_assert_eq!(g.validate(), Ok(()));
+        g
     }
 
     /// Slice of out-neighbors of `v` (fast path used by the kernels when the

@@ -211,15 +211,13 @@ impl DynGraph {
 
     /// Freeze into the static CSR representation.
     pub fn to_csr(&self) -> CsrGraph {
-        let mut b = GraphBuilder::undirected(self.num_vertices()).with_capacity(self.num_edges);
+        let mut edges = Vec::with_capacity(self.num_edges);
         for u in 0..self.num_vertices() as VertexId {
-            for v in self.neighbors(u) {
-                if u <= v {
-                    b.add_edge(u, v);
-                }
-            }
+            edges.extend(self.neighbors(u).filter(|&v| u <= v).map(|v| (u, v, 1)));
         }
-        b.build()
+        GraphBuilder::undirected(self.num_vertices())
+            .with_edges(edges)
+            .build()
     }
 }
 

@@ -13,17 +13,15 @@ pub fn apply_permutation(g: &CsrGraph, perm: &[VertexId]) -> CsrGraph {
     let n = g.num_vertices();
     assert_eq!(perm.len(), n, "permutation length mismatch");
     debug_assert!(is_permutation(perm));
-    let mut b = if g.is_directed() {
+    let edges = g
+        .edges()
+        .map(|(e, u, v)| (perm[u as usize], perm[v as usize], g.edge_weight(e)));
+    let b = if g.is_directed() {
         GraphBuilder::directed(n)
     } else {
         GraphBuilder::undirected(n)
-    }
-    .with_capacity(g.num_edges());
-    for e in 0..g.num_edges() as u32 {
-        let (u, v) = g.edge_endpoints(e);
-        b.add_weighted_edge(perm[u as usize], perm[v as usize], g.edge_weight(e));
-    }
-    b.build()
+    };
+    b.add_weighted_edges(edges).build()
 }
 
 fn is_permutation(perm: &[VertexId]) -> bool {

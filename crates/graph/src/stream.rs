@@ -49,7 +49,7 @@
 use crate::csr::CsrGraph;
 use crate::dynamic::DynGraph;
 use crate::traits::{Graph, WeightedGraph};
-use crate::{EdgeId, VertexId, Weight};
+use crate::{VertexId, Weight};
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -411,93 +411,37 @@ impl StreamingGraph {
 
 /// Build the successor CSR from `base` by a linear merge-walk against the
 /// sorted `added` / `removed` edge deltas (all canonical `u <= v`,
-/// strictly ascending). Weights of surviving edges are preserved; added
-/// edges get weight 1.
+/// strictly ascending), then the one fill (`CsrGraph::fill`). Weights
+/// of surviving edges are preserved; added edges get weight 1. The delta
+/// layer holds no self-loops, but the base snapshot may (a seed CSR built
+/// `with_self_loops` that dropped nothing); the fill gives each one arc.
 fn merge_csr(
     base: &CsrGraph,
     n: usize,
     added: &[(VertexId, VertexId)],
     removed: &[(VertexId, VertexId)],
 ) -> CsrGraph {
-    let weighted = base.is_weighted();
     let m_new = base.num_edges() + added.len() - removed.len();
-    let mut endpoints: Vec<(VertexId, VertexId)> = Vec::with_capacity(m_new);
-    let mut weights: Vec<Weight> = Vec::with_capacity(if weighted { m_new } else { 0 });
+    let mut edges: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(m_new);
 
     // Merge two sorted runs: the base edge list (minus `removed`) and
     // `added`. Both are duplicate-free and disjoint by construction.
-    let mut ai = 0usize;
+    let mut added = added.iter().map(|&(u, v)| (u, v, 1)).peekable();
     let mut ri = 0usize;
     for (e, u, v) in base.edges() {
-        while ai < added.len() && added[ai] < (u, v) {
-            endpoints.push(added[ai]);
-            if weighted {
-                weights.push(1);
-            }
-            ai += 1;
+        while let Some(edge) = added.next_if(|&(a, b, _)| (a, b) < (u, v)) {
+            edges.push(edge);
         }
         if ri < removed.len() && removed[ri] == (u, v) {
             ri += 1;
             continue;
         }
-        endpoints.push((u, v));
-        if weighted {
-            weights.push(base.edge_weight(e));
-        }
+        edges.push((u, v, base.edge_weight(e)));
     }
-    while ai < added.len() {
-        endpoints.push(added[ai]);
-        if weighted {
-            weights.push(1);
-        }
-        ai += 1;
-    }
+    edges.extend(added);
     debug_assert_eq!(ri, removed.len(), "every removed edge was in the base");
-    debug_assert_eq!(endpoints.len(), m_new);
-    debug_assert!(endpoints.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
-
-    // Prefix-sum offsets and arc fill, exactly as GraphBuilder does for a
-    // sorted, deduplicated edge list. The delta layer holds no self-loops,
-    // but the base snapshot may (a seed CSR built `with_self_loops` that
-    // dropped nothing): an undirected self-loop contributes one arc.
-    let mut offsets = vec![0usize; n + 1];
-    for &(u, v) in &endpoints {
-        offsets[u as usize + 1] += 1;
-        if u != v {
-            offsets[v as usize + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    let num_arcs = offsets[n];
-    let mut cursor = offsets.clone();
-    let mut targets = vec![0 as VertexId; num_arcs];
-    let mut arc_edge_ids = vec![0 as EdgeId; num_arcs];
-    for (eid, &(u, v)) in endpoints.iter().enumerate() {
-        let e = eid as EdgeId;
-        let cu = &mut cursor[u as usize];
-        targets[*cu] = v;
-        arc_edge_ids[*cu] = e;
-        *cu += 1;
-        if u != v {
-            let cv = &mut cursor[v as usize];
-            targets[*cv] = u;
-            arc_edge_ids[*cv] = e;
-            *cv += 1;
-        }
-    }
-
-    let g = CsrGraph {
-        offsets,
-        targets,
-        arc_edge_ids,
-        endpoints,
-        weights,
-        directed: false,
-    };
-    debug_assert_eq!(g.validate(), Ok(()));
-    g
+    debug_assert_eq!(edges.len(), m_new);
+    CsrGraph::fill(n, false, edges, base.is_weighted())
 }
 
 #[cfg(test)]

@@ -39,45 +39,34 @@ impl InducedSubgraph {
             }
         }
 
-        let mut builder = GraphBuilder::undirected(to_global.len());
         let mut edge_keys: Vec<(VertexId, VertexId, EdgeId)> = Vec::new();
-        if g.is_directed() {
-            builder = GraphBuilder::directed(to_global.len());
-        }
         for (lu, &gu) in to_global.iter().enumerate() {
+            let lu = lu as VertexId;
             for (gv, e) in g.neighbors_with_eid(gu) {
                 let lv = local_of[gv as usize];
-                if lv == u32::MAX {
+                // Skip vertices outside the subset and self-loops (the
+                // builder drops them, directed or not), and emit each
+                // undirected edge once, from its canonical side.
+                if lv == u32::MAX || lu == lv || (!g.is_directed() && lu > lv) {
                     continue;
                 }
-                let lu = lu as VertexId;
-                // Emit each undirected edge once (from its canonical side).
-                if !g.is_directed() && lu > lv {
-                    continue;
-                }
-                if !g.is_directed() && lu == lv {
-                    continue; // self-loop; builder would drop it anyway
-                }
-                let (a, b) = if g.is_directed() || lu <= lv {
-                    (lu, lv)
-                } else {
-                    (lv, lu)
-                };
-                edge_keys.push((a, b, e));
+                edge_keys.push((lu, lv, e));
             }
         }
-        // The builder sorts and assigns edge ids in (u, v) order, so sort
-        // the key list the same way to align local edge ids with globals.
+        // The builder assigns edge ids in (u, v) order, so sort the key
+        // list the same way to align local edge ids with globals; the
+        // builder then finds it sorted and does not sort again.
         edge_keys.sort_unstable_by_key(|&(u, v, _)| (u, v));
         edge_keys.dedup_by_key(|&mut (u, v, _)| (u, v));
-        let mut b = builder;
-        let mut edge_to_global = Vec::with_capacity(edge_keys.len());
-        for &(u, v, e) in &edge_keys {
-            b.add_weighted_edge(u, v, g.edge_weight(e));
-            edge_to_global.push(e);
-        }
+        let edge_to_global = edge_keys.iter().map(|&(_, _, e)| e).collect();
+        let edges = edge_keys.iter().map(|&(u, v, e)| (u, v, g.edge_weight(e)));
+        let builder = if g.is_directed() {
+            GraphBuilder::directed(to_global.len())
+        } else {
+            GraphBuilder::undirected(to_global.len())
+        };
         InducedSubgraph {
-            graph: b.build(),
+            graph: builder.add_weighted_edges(edges).build(),
             to_global,
             edge_to_global,
         }
@@ -105,6 +94,22 @@ mod tests {
             let mapped = (sub.to_global[lu as usize], sub.to_global[lv as usize]);
             assert_eq!((mapped.0.min(mapped.1), mapped.0.max(mapped.1)), (gu, gv));
         }
+    }
+
+    #[test]
+    fn directed_self_loops_keep_edge_ids_aligned() {
+        let g = GraphBuilder::directed(3)
+            .with_self_loops()
+            .add_edges([(0, 0), (0, 1), (1, 2)])
+            .build();
+        let sub = InducedSubgraph::extract(&g, &[0, 1, 2]);
+        assert_eq!(sub.edge_to_global.len(), sub.graph.num_edges());
+        for (le, &ge) in sub.edge_to_global.iter().enumerate() {
+            let (lu, lv) = sub.graph.edge_endpoints(le as EdgeId);
+            let mapped = (sub.to_global[lu as usize], sub.to_global[lv as usize]);
+            assert_eq!(mapped, g.edge_endpoints(ge), "local edge {le}");
+        }
+        assert_eq!(sub.edge_to_global, [1, 2]);
     }
 
     #[test]

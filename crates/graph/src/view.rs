@@ -89,18 +89,16 @@ impl<'g, G: WeightedGraph> FilteredGraph<'g, G> {
     /// reference implementation the filtered-view regression tests compare
     /// against; also useful when a long-lived result should not pin the base.
     pub fn rebuild(&self) -> CsrGraph {
-        let mut b = if self.base.is_directed() {
+        let edges = self.live_edge_ids().map(|e| {
+            let (u, v) = self.base.edge_endpoints(e);
+            (u, v, self.base.edge_weight(e))
+        });
+        let b = if self.base.is_directed() {
             crate::builder::GraphBuilder::directed(self.base.num_vertices())
         } else {
             crate::builder::GraphBuilder::undirected(self.base.num_vertices())
-        }
-        .with_self_loops()
-        .with_capacity(self.live_edges);
-        for e in self.live_edge_ids() {
-            let (u, v) = self.base.edge_endpoints(e);
-            b.add_weighted_edge(u, v, self.base.edge_weight(e));
-        }
-        b.build()
+        };
+        b.with_self_loops().add_weighted_edges(edges).build()
     }
 }
 

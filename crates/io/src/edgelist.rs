@@ -37,7 +37,7 @@ pub fn read_edge_list<R: BufRead>(
     } else {
         GraphBuilder::undirected(n)
     };
-    Ok(builder.add_weighted_edges(edges).build())
+    Ok(builder.with_edges(edges).build())
 }
 
 /// Write a graph as an edge list with a `# n m directed` header comment.

@@ -35,7 +35,7 @@ pub fn read_metis<R: BufRead>(mut reader: R) -> Result<CsrGraph, IoError> {
 
     // An edge takes at least four bytes of the file ("2\n1\n"), so the
     // header cannot reserve more than the file could hold.
-    let mut builder = GraphBuilder::undirected(n).with_capacity(m.min(buf.len() / 4));
+    let mut edges = Vec::with_capacity(m.min(buf.len() / 4));
     let mut vertex = 0usize;
     while !sc.at_eof() {
         match sc.peek() {
@@ -55,7 +55,7 @@ pub fn read_metis<R: BufRead>(mut reader: R) -> Result<CsrGraph, IoError> {
                     };
                     // Each undirected edge appears in both endpoint lines; add once.
                     if u <= v {
-                        builder.add_weighted_edge(u, v, w);
+                        edges.push((u, v, w));
                     }
                 }
                 vertex += 1;
@@ -67,7 +67,7 @@ pub fn read_metis<R: BufRead>(mut reader: R) -> Result<CsrGraph, IoError> {
         let message = format!("expected {n} adjacency lines, found {vertex}");
         return Err(sc.error_at(header, message));
     }
-    let g = builder.build();
+    let g = GraphBuilder::undirected(n).with_edges(edges).build();
     if g.num_edges() != m {
         let message = format!("header declared {m} edges, found {}", g.num_edges());
         return Err(sc.error_at(header, message));

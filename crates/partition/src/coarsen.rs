@@ -44,16 +44,16 @@ pub fn coarsen(g: &CsrGraph, vwgt: &[u32], seed: u64) -> CoarseLevel {
         cw[map[v] as usize] += vwgt[v];
     }
 
-    let mut builder = GraphBuilder::undirected(cn).with_capacity(g.num_edges());
+    let mut edges = Vec::with_capacity(g.num_edges());
     for e in g.edge_ids() {
         let (u, v) = g.edge_endpoints(e);
         let (cu, cv) = (map[u as usize], map[v as usize]);
         if cu != cv {
-            builder.add_weighted_edge(cu, cv, g.edge_weight(e));
+            edges.push((cu, cv, g.edge_weight(e)));
         }
     }
     CoarseLevel {
-        graph: builder.build(),
+        graph: GraphBuilder::undirected(cn).with_edges(edges).build(),
         vwgt: cw,
         map,
     }

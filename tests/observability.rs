@@ -251,6 +251,13 @@ fn partitioner_phases_are_spans_under_multilevel() {
         "{}",
         report.render()
     );
+    // Contraction and the CSR fill it ends in split coarsening's time.
+    let coarsen = multilevel.find("partition.coarsen").unwrap();
+    let build = coarsen.children.iter().find(|c| c.name == "csr.build");
+    let build = build.unwrap_or_else(|| panic!("{}", report.render()));
+    let edges = |name| build.counter(name).unwrap_or_else(|| panic!("no {name}"));
+    assert!(edges("build_edges_in") >= edges("build_edges_kept"));
+    assert!(edges("build_edges_kept") > 0 && edges("build_sorted_input") <= build.calls);
     let fm = multilevel.find("partition.fm").unwrap();
     let counter = |name| fm.counter(name).unwrap_or_else(|| panic!("no {name}"));
     assert!(counter("fm_applied") >= counter("fm_moves"));

@@ -113,20 +113,21 @@ fn one_entry_point_per_kernel() {
     assert!(hits.is_empty(), "take &Exec instead:\n{}", hits.join("\n"));
 }
 
-/// `vec![<elem>; <len>]` with a per-graph length: `n`, `m`,
+/// `vec![<elem>; <len>]` with a per-graph length: `n`, `n + 1`, `m`,
 /// `g.num_vertices()` or `g.edge_id_bound()`.
 fn dense_alloc(line: &str) -> bool {
     line.match_indices("vec![").any(|(at, _)| {
         let parts = line[at + 5..].split_once(';');
         let len = parts.and_then(|(_, rest)| rest.split_once(']'));
-        let per_graph = ["n", "m", "g.num_vertices()", "g.edge_id_bound()"];
+        let per_graph = ["n", "n + 1", "m", "g.num_vertices()", "g.edge_id_bound()"];
         len.is_some_and(|(len, _)| per_graph.contains(&len.trim()))
     })
 }
 
 /// Multi-source kernels draw their per-source scratch from an
 /// epoch-stamped `TraversalWorkspace` (DESIGN.md §11), the
-/// dynamic-graph path allocates per batch, never per op, and the
+/// dynamic-graph path allocates per batch, never per op (its merge fills
+/// through `CsrGraph::fill`, which allocates per call), and the
 /// multilevel partitioner's refinement allocates per call, never per
 /// pass. Every
 /// per-graph-sized `vec!` in the audited files is listed in
@@ -139,11 +140,15 @@ fn dense_allocations_are_on_the_allow_list() {
     assert!(dense_alloc(
         "    let mut mark = vec![false; g.num_vertices()];"
     ));
+    assert!(dense_alloc(
+        "        let mut offsets = vec![0usize; n + 1];"
+    ));
     assert!(!dense_alloc("        let mut acc = vec![0u64; levels];"));
     let mut found = flagged(
         &rust_sources(&[
             "crates/centrality/src",
             "crates/metrics/src",
+            "crates/graph/src/csr.rs",
             "crates/graph/src/dynamic.rs",
             "crates/graph/src/treap.rs",
             "crates/graph/src/stream.rs",
@@ -283,6 +288,54 @@ fn io_reads_and_writes_numbers_in_one_place() {
     }
     let hits = flagged(&sources, second_number_path);
     assert!(hits.is_empty(), "go through scan.rs:\n{}", hits.join("\n"));
+}
+
+/// A `CsrGraph { .. }` struct literal: the name, optionally path-qualified,
+/// where a value goes, not after `->`, `&`, `impl`, `for` or `struct`.
+fn csr_literal(line: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    !line.trim_start().starts_with("//")
+        && line.match_indices("CsrGraph {").any(|(at, _)| {
+            let before = &line[..at];
+            let head = before.trim_end_matches(|c: char| ident(c) || c == ':');
+            let type_position = ["->", "&", "impl", "for", "struct"];
+            !before.ends_with(ident) && !type_position.iter().any(|t| head.trim_end().ends_with(t))
+        })
+}
+
+/// Every CSR is filled by one function, `CsrGraph::fill` in
+/// `crates/graph/src/csr.rs` (DESIGN.md §2): the builder, the streaming
+/// merge and `CsrGraph::empty` call it. A second hand-written prefix sum
+/// and arc scatter is how the merge once drifted from the builder. Unit
+/// tests (below a file's `#[cfg(test)]`) are not swept.
+#[test]
+fn csr_is_filled_in_one_place() {
+    assert!(csr_literal("        let g = CsrGraph {"));
+    assert!(csr_literal("    CsrGraph {"));
+    assert!(csr_literal(
+        "    Ok(snap_graph::CsrGraph { offsets, targets,"
+    ));
+    assert!(!csr_literal("    pub fn graph(&self) -> &CsrGraph {"));
+    assert!(!csr_literal(
+        "fn load(path: &str) -> snap_graph::CsrGraph {"
+    ));
+    assert!(!csr_literal("impl WeightedGraph for CsrGraph {"));
+    assert!(!csr_literal("pub struct CsrGraph {"));
+    assert!(!csr_literal("        let ccsr = CompressedCsrGraph {"));
+    assert!(!csr_literal("    // a CsrGraph { .. } literal"));
+    let mut sources = rust_sources(&["crates"]);
+    sources.retain(|(path, _)| path.split('/').nth(2) == Some("src"));
+    for (_, text) in &mut sources {
+        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+        text.truncate(end);
+    }
+    let hits = flagged(&sources, csr_literal);
+    let fill = ["crates/graph/src/csr.rs: let g = CsrGraph {"];
+    assert!(
+        hits == fill,
+        "build through CsrGraph::fill:\n{}",
+        hits.join("\n")
+    );
 }
 
 /// More than 700 lines.
