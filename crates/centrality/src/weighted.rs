@@ -68,7 +68,8 @@ pub fn weighted_betweenness<G: WeightedGraph>(g: &G) -> BetweennessScores {
     let m = g.edge_id_bound();
     let sources: Vec<VertexId> = (0..n as VertexId).collect();
     // Dijkstra per source is heavy and keeps its own state, not the
-    // chunk's workspace; below 1024 sources one chunk runs them in order.
+    // chunk's workspace; from 17 to 1024 sources one chunk runs them in
+    // order (at most 16 run one per chunk when threads take part).
     let (sums, _) = sweep(
         &Exec::default(),
         &sources,

@@ -345,10 +345,12 @@ fn refine_components(
 
     // Refine each component independently; modularity is separable across
     // components, so per-component optima compose into the global optimum
-    // of this refinement step.
+    // of this refinement step. Each component is its own work unit; when
+    // several share the threads, each one's betweenness sweeps run inline.
     let results: Vec<(Vec<VertexId>, Vec<u32>, f64, f64)> = components
-        .par_iter()
-        .map(|verts| {
+        .par_chunks(1)
+        .map(|unit| {
+            let verts = unit[0];
             if budget.is_exhausted() {
                 // Leave the component unrefined: one cluster, zero
                 // modularity delta — same shape as a skipped component.

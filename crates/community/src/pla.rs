@@ -102,12 +102,13 @@ fn pla_impl<G: Graph>(
     snap_obs::add("components", members.len() as u64);
 
     // Step 3: greedy local aggregation inside each component, in
-    // parallel. Labels are local (0-based per component) and offset
-    // afterwards.
+    // parallel, one work unit per component however few there are.
+    // Labels are local (0-based per component) and offset afterwards.
     let locals: Vec<(Vec<VertexId>, Vec<u32>, u64)> = members
-        .par_iter()
+        .par_chunks(1)
         .enumerate()
-        .map(|(ci, verts)| {
+        .map(|(ci, unit)| {
+            let verts = &unit[0];
             let (labels, flips) = aggregate_component(
                 g,
                 &view,

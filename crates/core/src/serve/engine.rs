@@ -144,7 +144,8 @@ impl Tele {
 /// The resident analysis engine. Thread-safe: any number of worker
 /// threads call [`handle`](Engine::handle) concurrently; reads run on
 /// cloned `Arc` snapshots and only brief internal locks (cache, base
-/// session) are shared. See the [module docs](self) for the guarantees.
+/// session) are shared. See the [module docs](crate::serve) for the
+/// guarantees.
 pub struct Engine {
     reader: SnapshotReader,
     cache: Mutex<ResultCache>,

@@ -17,7 +17,8 @@
 //!   cold run that produced it. Eviction is LRU under both an entry cap
 //!   and a byte budget ([`ResultCache`]).
 //! * **Budget admission control.** Every request gets a *fresh*
-//!   [`Budget`] derived from its deadline ([`Budget::renew`] semantics:
+//!   [`Budget`](snap_budget::Budget) derived from its deadline
+//!   ([`Budget::renew`](snap_budget::Budget::renew) semantics:
 //!   exhaustion never leaks across requests); over-capacity requests are
 //!   shed before any work happens ([`Engine::admit`]); over-deadline
 //!   requests are still answered, degraded, by the PR 3 machinery.

@@ -65,6 +65,16 @@ pub const DEFAULT_HUB_THRESHOLD: usize = 1024;
 /// Vertices per parallel encode/decode chunk.
 const CHUNK: usize = 1024;
 
+/// The `[lo, hi)` vertex ranges of the encode/decode chunks. Each is its
+/// own work unit (`par_chunks(1)`): 128 of them at R-MAT scale 17 would
+/// be a single unit as a plain element iterator.
+fn chunk_bounds(n: usize) -> Vec<(usize, usize)> {
+    (0..n)
+        .step_by(CHUNK)
+        .map(|lo| (lo, (lo + CHUNK).min(n)))
+        .collect()
+}
+
 /// Variable-length integer and zig-zag primitives for the adjacency
 /// stream. Public so the round-trip property tests exercise the codec
 /// directly.
@@ -234,20 +244,16 @@ impl CompressedCsrGraph {
         let _span = snap_obs::span("ccsr.encode");
         let n = g.num_vertices();
         let directed = g.is_directed();
-        let chunk_bounds: Vec<(usize, usize)> = (0..n)
-            .step_by(CHUNK.max(1))
-            .map(|lo| (lo, (lo + CHUNK).min(n)))
-            .collect();
         // Encode each chunk into its own buffer in parallel, tracking
         // per-vertex block lengths for the offset prefix sum.
         type EncodedChunk = (Vec<u8>, Vec<u32>, usize);
-        let encoded: Vec<Result<EncodedChunk, String>> = chunk_bounds
-            .par_iter()
-            .map(|&(lo, hi)| {
+        let encoded: Vec<Result<EncodedChunk, String>> = chunk_bounds(n)
+            .par_chunks(1)
+            .map(|unit| {
                 let mut buf = Vec::new();
-                let mut lens = Vec::with_capacity(hi - lo);
+                let mut lens = Vec::with_capacity(CHUNK);
                 let mut raw_blocks = 0usize;
-                for v in lo..hi {
+                for v in unit.iter().flat_map(|&(lo, hi)| lo..hi) {
                     let before = buf.len();
                     let v = v as VertexId;
                     let raw = encode_block(
@@ -361,20 +367,16 @@ impl CompressedCsrGraph {
     where
         F: Fn(VertexId, &[VertexId], &[EdgeId]) + Sync,
     {
-        let n = self.num_vertices();
-        let chunk_bounds: Vec<(usize, usize)> = (0..n)
-            .step_by(CHUNK)
-            .map(|lo| (lo, (lo + CHUNK).min(n)))
-            .collect();
-        chunk_bounds.par_iter().for_each(|&(lo, hi)| {
+        let chunks = chunk_bounds(self.num_vertices());
+        chunks.par_chunks(1).for_each(|unit| {
             let mut scratch = pool.acquire();
-            for v in lo..hi {
+            for v in unit.iter().flat_map(|&(lo, hi)| lo..hi) {
                 let v = v as VertexId;
                 let (targets, eids) = self.decode_into(v, &mut scratch);
                 f(v, targets, eids);
             }
         });
-        snap_obs::add("decode_chunks", chunk_bounds.len() as u64);
+        snap_obs::add("decode_chunks", chunks.len() as u64);
     }
 
     /// Check structural invariants against the flat edge payload:

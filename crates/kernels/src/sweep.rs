@@ -15,17 +15,25 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `snap-graph`, the one crate below all its callers that links `rand`.
 pub use snap_graph::perm::sample_sources;
 
+/// Sweeps of at most this many sources run one source per work unit
+/// when more than one thread takes part (see [`sweep`]).
+const FEW_SOURCES: usize = 16;
+
 /// Run `per_source` once per source, in parallel over chunks of
 /// `sources`, and combine the per-chunk results with `merge`. Returns the
 /// combined result (`None` when no source ran) and how many sources ran
 /// before `exec`'s budget tripped.
 ///
 /// * **Chunks** hold `sources.len().div_ceil(64).max(min_per_chunk)`
-///   sources — the source count decides, never the thread count — and
-///   `merge` folds the partials left to right in chunk order, so f64
-///   sums bracket, and every output bit reads, the same from 1 thread
-///   to 64. Explicit chunks also keep a 64-source sample, each item a
-///   whole traversal, off the runtime's small-input serial path.
+///   sources, and `merge` folds the partials left to right in chunk
+///   order, so f64 sums bracket the same from 1 thread to 64: the source
+///   count decides the bits. A sweep of at most 16 sources — one
+///   chunk by that rule — runs one source per chunk when more than one
+///   thread takes part, so a few whole traversals spread over the
+///   threads. Its bits do not move: every accumulator slot receives at
+///   most one addition per source, starting from +0.0, so per-source
+///   partials folded left to right reproduce the one-chunk sums exactly.
+///   Each chunk is its own work unit, however few there are.
 ///   `min_per_chunk` is 16 for BFS bodies, 1024 for Dijkstra bodies.
 /// * **Scratch**: a chunk checks one workspace out of `exec.pool` at its
 ///   first source and `init` builds the chunk's accumulator on it; a
@@ -55,7 +63,11 @@ where
     let sources_processed = snap_obs::counter("sources_processed");
     let source_us = snap_obs::hist("source_us");
     let used = AtomicUsize::new(0);
-    let per = sources.len().div_ceil(64).max(min_per_chunk);
+    let per = if sources.len() <= FEW_SOURCES && rayon::current_num_threads() > 1 {
+        1
+    } else {
+        sources.len().div_ceil(64).max(min_per_chunk)
+    };
     let merged = sources
         .par_chunks(per)
         .map(|chunk| {
@@ -150,6 +162,18 @@ mod tests {
             listed(&Exec::default(), &[], &AtomicUsize::new(0)),
             (None, 0)
         );
+    }
+
+    #[test]
+    fn few_sources_run_one_per_chunk_only_when_threads_take_part() {
+        let sources: Vec<VertexId> = (0..4).collect();
+        for (threads, chunks) in [(1usize, 1usize), (2, 4), (8, 4)] {
+            let inits = AtomicUsize::new(0);
+            let (merged, used) =
+                with_threads(threads, || listed(&Exec::default(), &sources, &inits));
+            assert_eq!(merged.as_deref(), Some(&sources[..]), "{threads} threads");
+            assert_eq!((used, inits.into_inner()), (4, chunks), "{threads} threads");
+        }
     }
 
     #[test]

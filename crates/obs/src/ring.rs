@@ -9,10 +9,10 @@
 //!
 //! ## Memory model
 //!
-//! Each ring has exactly **one writer at a time**: the owning thread while
-//! it lives, or — for a [`crate::TaskGuard`] that outlives its worker (the
-//! rayon shim joins every scoped worker before control returns to the
-//! caller) — the thread that drops the guard afterwards. A write loads
+//! Each ring has exactly **one writer at a time**: its owning thread. The
+//! rayon shim's workers live for the process and run each work unit
+//! start to finish, so a [`crate::TaskGuard`] opened in a unit is closed
+//! on the thread whose ring it writes. A write loads
 //! `head` with `Acquire`, fills the slot with `Relaxed` stores, and
 //! publishes with a `Release` store of `head + 1`; the handoff between
 //! successive writers and between writer and drainer goes through that

@@ -10,6 +10,8 @@
 //! with each other exactly.
 
 use snap::centrality::{betweenness_from_sources, brandes, closeness, closeness_of};
+use snap::centrality::{sample_sources, sampled_closeness, weighted_betweenness};
+use snap::graph::subgraph::InducedSubgraph;
 use snap::graph::{CompressedCsrGraph, CsrGraph, FilteredGraph, Graph, GraphBuilder};
 use snap::graph::{VertexId, WeightedGraph};
 use snap::kernels::{
@@ -265,4 +267,51 @@ fn rmat_scale_10() {
 fn erdos_renyi_400() {
     let g = snap::gen::erdos_renyi(400, 1200, 42);
     check_every_representation("er400", &g, |e| e % 3 == 0);
+}
+
+/// The weighted subgraph induced by the `k` vertices nearest vertex 0:
+/// `weighted_betweenness` runs one source per vertex, so this is a
+/// `k`-source sweep over a connected piece of `g`.
+fn nearest(g: &CsrGraph, k: usize) -> CsrGraph {
+    let dist = bfs(g, 0).dist;
+    let mut near: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+        .filter(|&v| dist[v as usize] != UNREACHABLE)
+        .collect();
+    near.sort_by_key(|&v| (dist[v as usize], v));
+    near.truncate(k);
+    InducedSubgraph::extract(g, &near).graph
+}
+
+/// Sweeps of at most 16 sources run one source per work unit when
+/// threads take part and as one chunk at one thread: every f64 bit of
+/// the four multi-source kernels must read the same at 1, 2 and 8
+/// threads, for every source count from 1 to 16.
+#[test]
+fn few_source_sweeps_are_bit_identical_at_every_thread_count() {
+    let rmat = snap::gen::rmat(&snap::gen::RmatConfig::small_world(10, 2048), 77);
+    let er = snap::gen::erdos_renyi(400, 1200, 42);
+    for (name, g) in [("rmat10", weighted(&rmat)), ("er400", weighted(&er))] {
+        for k in 1..=16usize {
+            let sub = nearest(&g, k);
+            let run = || {
+                let bc = betweenness_from_sources(&g, &sample_sources(g.num_vertices(), k, 5));
+                let wbc = weighted_betweenness(&sub);
+                let paths = path_stats_sampled(&g, k, 5);
+                (
+                    bits(&[bc.vertex, bc.edge].concat()),
+                    bits(&sampled_closeness(&g, k, 5)),
+                    bits(&[wbc.vertex, wbc.edge].concat()),
+                    [paths.pairs, paths.max as u64, paths.average.to_bits()],
+                    paths.effective_diameter.to_bits(),
+                )
+            };
+            let one = with_threads(1, run);
+            for threads in [2usize, 8] {
+                assert!(
+                    with_threads(threads, run) == one,
+                    "{name}, {k} sources: {threads} threads differ from 1"
+                );
+            }
+        }
+    }
 }

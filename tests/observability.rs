@@ -3,6 +3,15 @@
 //! round-tripping, and thread-count invariance.
 
 use snap::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// Tracing is process-global and a drain takes every thread's ring, so
+/// the tests of this file run one at a time: a span recorded by one
+/// test must not land in another's trace.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A connected small-world instance (Watts–Strogatz keeps the base ring,
 /// so every vertex is reachable from every source).
@@ -12,6 +21,7 @@ fn small_world() -> Network {
 
 #[test]
 fn push_only_bfs_reports_every_arc() {
+    let _serial = serial();
     let net = small_world();
     let obs = net.observed();
     let _ = obs.try_bfs_stats_with(
@@ -34,6 +44,7 @@ fn push_only_bfs_reports_every_arc() {
 
 #[test]
 fn pipeline_report_is_well_formed_and_covers_kernels() {
+    let _serial = serial();
     let net = small_world();
     let obs = net.observed();
     let _ = obs.summary_with_seed(3);
@@ -66,6 +77,7 @@ fn pipeline_report_is_well_formed_and_covers_kernels() {
 
 #[test]
 fn report_round_trips_through_json() {
+    let _serial = serial();
     let net = small_world();
     let obs = net.observed();
     let _ = obs.try_bfs_stats(0);
@@ -83,6 +95,7 @@ fn report_round_trips_through_json() {
 
 #[test]
 fn counters_agree_across_thread_counts() {
+    let _serial = serial();
     let g = snap::gen::watts_strogatz(192, 4, 0.1, 9);
     let mut results = Vec::new();
     for threads in [1usize, 4, 8] {
@@ -111,6 +124,7 @@ fn counters_agree_across_thread_counts() {
 
 #[test]
 fn critical_path_analysis_is_deterministic_across_thread_counts() {
+    let _serial = serial();
     // The analyzer is pure post-processing: feeding the *same* fixture
     // report through `analyze::critical_path` / `analyze::efficiency`
     // while the runtime pool is sized 1, 4, or 8 threads must produce
@@ -164,6 +178,7 @@ fn critical_path_analysis_is_deterministic_across_thread_counts() {
 
 #[test]
 fn kernels_attach_latency_histograms() {
+    let _serial = serial();
     let net = small_world();
     let obs = net.observed();
     let _ = obs.try_bfs_stats(0);
@@ -193,6 +208,7 @@ fn kernels_attach_latency_histograms() {
 
 #[test]
 fn mid_pipeline_report_keeps_open_spans() {
+    let _serial = serial();
     // Snapshotting from *inside* a running pipeline must not truncate the
     // spans still on the stack: `Observed::report` folds their elapsed
     // time in, and the remainder accrues to the next snapshot.
@@ -218,6 +234,7 @@ fn mid_pipeline_report_keeps_open_spans() {
 
 #[test]
 fn partitioner_phases_are_spans_under_multilevel() {
+    let _serial = serial();
     let cfg = snap::gen::PlantedConfig::with_target_degrees(1 << 12, 16, 8.0, 2.0);
     let net = Network::new(snap::gen::planted_partition(&cfg, 5).0);
     let obs = net.observed();
@@ -264,4 +281,43 @@ fn partitioner_phases_are_spans_under_multilevel() {
     assert!(counter("fm_pops") >= counter("fm_applied"));
     assert!(counter("fm_pops") >= counter("fm_stale"));
     assert!(counter("fm_passes") >= counter("fm_bound_exits"));
+}
+
+#[test]
+fn trace_rings_are_bounded_by_the_pool() {
+    // A thread that records an event registers a ring of its own for
+    // the process's life, so the rings are bounded only if the threads
+    // serving parallel calls are: at 2 threads, the caller and one pool
+    // worker, whatever the number of calls (a third tid is slack).
+    let _serial = serial();
+    let net = small_world();
+    let obs = net.observed();
+    snap::obs::enable_tracing();
+    snap::with_threads(2, || {
+        for _ in 0..200 {
+            let _ = obs.try_bfs_stats(0);
+            // 64 sources: four 16-source chunks, each a traced task.
+            let _ = obs.approx_betweenness(0.25, 11);
+        }
+    });
+    let report = obs.finish();
+    snap::obs::disable_tracing();
+    let chrome = report.to_chrome_trace();
+    let mut tids: Vec<u64> = chrome
+        .split("\"tid\":")
+        .skip(1)
+        .map(|rest| {
+            let digits = rest.split(|c: char| !c.is_ascii_digit()).next().unwrap();
+            digits.parse().unwrap()
+        })
+        .filter(|&tid| tid != 0) // the memory track, not a thread
+        .collect();
+    tids.sort_unstable();
+    tids.dedup();
+    assert!(report.trace.iter().any(|e| e.name == "brandes.source"));
+    assert!(
+        !tids.is_empty() && tids.len() <= 3,
+        "{} distinct tids in the trace",
+        tids.len()
+    );
 }

@@ -174,18 +174,24 @@ fn dense_allocations_are_on_the_allow_list() {
     );
 }
 
-/// `.par_chunks(` or `div_ceil(64)`: an explicit source chunking.
+/// `.par_chunks(<size>)` with any size but 1, or `div_ceil(64)`: an
+/// explicit source chunking.
 fn source_chunking(line: &str) -> bool {
-    line.contains(".par_chunks(") || line.contains("div_ceil(64)")
+    line.match_indices(".par_chunks(")
+        .any(|(at, _)| !line[at..].starts_with(".par_chunks(1)"))
+        || line.contains("div_ceil(64)")
 }
 
 /// How a list of sources is chunked, gated on the budget, traversed and
 /// its partials reduced is one function (`snap_kernels::sweep`, DESIGN.md
 /// §10): a second hand-rolled chunk loop is a second place for the
-/// thread-count-independence rule to drift.
+/// thread-count-independence rule to drift. `par_chunks(1)` — every item
+/// its own work unit, as for the compressed backend's vertex chunks and
+/// the per-component loops — chooses no grain and may appear anywhere.
 #[test]
 fn source_sweeps_are_chunked_in_one_place() {
     assert!(source_chunking("    let hist = sources.par_chunks(per)"));
+    assert!(source_chunking("        .par_chunks(16)"));
     assert!(source_chunking(
         "    let per = sources.len().div_ceil(64).max(16);"
     ));
@@ -193,6 +199,9 @@ fn source_sweeps_are_chunked_in_one_place() {
         "    let (sums, used) = sweep(exec, sources, \"x.source\", 16, init, body, add);"
     ));
     assert!(!source_chunking("    for part in edges.chunks(1024) {"));
+    assert!(!source_chunking(
+        "    chunks.par_chunks(1).for_each(|unit| {"
+    ));
     let mut sources = rust_sources(&["crates"]);
     sources.retain(|(path, _)| {
         path.split('/').nth(2) == Some("src") && path != "crates/kernels/src/sweep.rs"
@@ -355,4 +364,54 @@ fn core_files_hold_one_concept() {
     let long = sources.iter().filter(|(_, text)| over_long(text));
     let long: Vec<&str> = long.map(|(path, _)| path.as_str()).collect();
     assert!(long.is_empty(), "split by concept: {long:?}");
+}
+
+/// A boxed iterator or a scoped thread: per-call machinery the shim's
+/// parked pool replaced.
+fn per_call_machinery(line: &str) -> bool {
+    !line.trim_start().starts_with("//")
+        && (line.contains("dyn Iterator") || line.contains("thread::scope"))
+}
+
+/// A thread start outside a comment line.
+fn spawn_site(line: &str) -> bool {
+    !line.trim_start().starts_with("//") && line.contains("spawn(")
+}
+
+/// The rayon shim (`vendor/rayon`, DESIGN.md §18) starts its workers once,
+/// at one site, and parks them between calls; its adapters are generic
+/// types. A boxed iterator, a scoped thread or a second thread start is
+/// the spawn-per-call, box-per-chunk design it replaced. Unit tests (below
+/// the file's `#[cfg(test)]`) are not swept.
+#[test]
+fn rayon_shim_has_one_spawn_site() {
+    assert!(per_call_machinery(
+        "    type ChunkIter<'a, T> = Box<dyn Iterator<Item = T> + 'a>;"
+    ));
+    assert!(per_call_machinery("            std::thread::scope(|s| {"));
+    assert!(!per_call_machinery(
+        "    F: Fn(P::Item) -> I + Sync, I: IntoIterator,"
+    ));
+    assert!(spawn_site("                        s.spawn(move || {"));
+    assert!(spawn_site(
+        "                    .spawn(move || worker(index))"
+    ));
+    assert!(!spawn_site("    // a worker is never spawn()ed per call"));
+    assert!(!spawn_site(
+        "    pool::execute(units, threads, &body, || ());"
+    ));
+    let mut sources = rust_sources(&["vendor/rayon/src"]);
+    for (_, text) in &mut sources {
+        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+        text.truncate(end);
+    }
+    let hits = flagged(&sources, per_call_machinery);
+    assert!(hits.is_empty(), "use the pool:\n{}", hits.join("\n"));
+    let spawns = flagged(&sources, spawn_site);
+    assert_eq!(
+        spawns.len(),
+        1,
+        "one worker start-up site:\n{}",
+        spawns.join("\n")
+    );
 }
