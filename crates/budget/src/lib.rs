@@ -117,11 +117,6 @@ impl Budget {
         Budget::new(None, cap)
     }
 
-    /// Budget with both a deadline and a work cap; whichever trips first wins.
-    pub fn with_deadline_and_cap(timeout: Duration, cap: u64) -> Self {
-        Budget::new(Some(timeout), cap)
-    }
-
     /// A fresh budget with the same *limits* as this one but none of its
     /// *state*: zero work charged, nothing tripped, and (when a timeout
     /// was set) a deadline re-anchored at `now + timeout`.
@@ -219,30 +214,24 @@ impl Budget {
         Ok(())
     }
 
-    /// Total work charged so far (0 for unlimited budgets).
-    pub fn work_charged(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.work.load(Ordering::Relaxed))
-    }
-
     /// Manually trip the budget (cooperative cancellation from outside).
     pub fn cancel(&self) {
         if let Some(inner) = &self.inner {
             inner.trip(Exhausted::Deadline);
         }
     }
-
-    /// Time left before the deadline, if one is set and not yet passed.
-    pub fn remaining_time(&self) -> Option<Duration> {
-        let deadline = self.inner.as_ref()?.deadline?;
-        Some(deadline.saturating_duration_since(Instant::now()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn deadline_of(b: &Budget) -> Instant {
+        b.inner
+            .as_ref()
+            .and_then(|i| i.deadline)
+            .expect("a deadline")
+    }
 
     #[test]
     fn unlimited_is_never_exhausted() {
@@ -253,7 +242,7 @@ mod tests {
         for _ in 0..10 {
             assert!(b.charge(u64::MAX / 16).is_ok());
         }
-        assert_eq!(b.work_charged(), 0);
+        assert!(!b.is_exhausted());
         assert_eq!(b.exhaustion(), None);
     }
 
@@ -313,7 +302,7 @@ mod tests {
         assert!(b.check().is_ok());
         assert!(b.charge(PROBE_GRANULE * 4).is_ok());
         assert!(!b.is_exhausted());
-        assert!(b.remaining_time().unwrap() > Duration::from_secs(3000));
+        assert!(deadline_of(&b) > Instant::now() + Duration::from_secs(3000));
     }
 
     #[test]
@@ -326,7 +315,7 @@ mod tests {
 
     #[test]
     fn deadline_and_cap_first_wins() {
-        let b = Budget::with_deadline_and_cap(Duration::from_secs(3600), 10);
+        let b = Budget::new(Some(Duration::from_secs(3600)), 10);
         assert_eq!(b.charge(11), Err(Exhausted::WorkCap));
         assert_eq!(b.exhaustion(), Some(Exhausted::WorkCap));
     }
@@ -340,7 +329,10 @@ mod tests {
         // Independent state: the renewed handle starts live with the full
         // cap, and tripping it does not reach back to the original.
         assert!(!fresh.is_exhausted());
-        assert_eq!(fresh.work_charged(), 0);
+        assert_eq!(
+            fresh.inner.as_ref().unwrap().work.load(Ordering::Relaxed),
+            0
+        );
         assert!(fresh.charge(60).is_ok());
         assert_eq!(fresh.charge(60), Err(Exhausted::WorkCap));
         assert_eq!(b.exhaustion(), Some(Exhausted::WorkCap));
@@ -354,7 +346,7 @@ mod tests {
         let fresh = b.renew();
         assert!(!fresh.is_exhausted());
         assert!(fresh.check().is_ok());
-        assert!(fresh.remaining_time().unwrap() > Duration::from_secs(3000));
+        assert!(deadline_of(&fresh) > Instant::now() + Duration::from_secs(3000));
     }
 
     #[test]

@@ -204,37 +204,6 @@ impl ModularityTracker {
         self.q += gain;
         self.q
     }
-
-    /// Split cluster `c` by carving out a part with `part_intra` internal
-    /// edges and `part_degsum` degree mass; the part becomes a new cluster
-    /// whose label is returned. `cut` is the number of base-graph edges
-    /// between the part and the remainder of `c` (those become
-    /// inter-cluster). Returns `(new_label, new_q)`.
-    pub fn apply_split(
-        &mut self,
-        c: u32,
-        part_intra: f64,
-        part_degsum: f64,
-        cut: f64,
-    ) -> (u32, f64) {
-        let new = self.intra.len() as u32;
-        self.intra.push(part_intra);
-        self.degsum.push(part_degsum);
-        self.intra[c as usize] -= part_intra + cut;
-        self.degsum[c as usize] -= part_degsum;
-        self.q = self.recompute_q();
-        (new, self.q)
-    }
-
-    /// Gain of adding an outside vertex `v` (degree `deg_v`, with
-    /// `edges_to_c` edges into cluster `c`) to `c`, treating `v` as a
-    /// singleton: `ΔQ = e_vc/m − d_c·d_v/(2m²)`.
-    pub fn attach_gain(&self, c: u32, deg_v: f64, edges_to_c: f64) -> f64 {
-        if self.m == 0.0 {
-            return 0.0;
-        }
-        edges_to_c / self.m - self.degsum[c as usize] * deg_v / (2.0 * self.m * self.m)
-    }
 }
 
 #[cfg(test)]
@@ -315,29 +284,6 @@ mod tests {
         let gain = t.merge_gain(1, 2, 2.0);
         let merged = Clustering::from_labels(&[0, 0, 1, 1, 1, 1]);
         assert!((before + gain - modularity(&g, &merged)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tracker_split_matches_rebuild() {
-        let g = barbell();
-        let one = Clustering::single_cluster(6);
-        let mut t = ModularityTracker::new(&g, &one);
-        // Split out {3,4,5}: intra 3, degsum 7, cut 1 (edge 2-3).
-        let (_, q) = t.apply_split(0, 3.0, 7.0, 1.0);
-        let split = Clustering::from_labels(&[0, 0, 0, 1, 1, 1]);
-        assert!((q - modularity(&g, &split)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn attach_gain_matches_rebuild() {
-        let g = barbell();
-        // Clusters: {0,1,2} and singletons 3,4,5.
-        let c = Clustering::from_labels(&[0, 0, 0, 1, 2, 3]);
-        let t = ModularityTracker::new(&g, &c);
-        let gain = t.attach_gain(1, g.degree(4) as f64, 1.0); // add 4 to {3}
-        let merged = Clustering::from_labels(&[0, 0, 0, 1, 1, 2]);
-        let q_direct = modularity(&g, &merged);
-        assert!((t.q() + gain - q_direct).abs() < 1e-12);
     }
 
     #[test]

@@ -17,9 +17,7 @@
 //! snap-cli generate     rmat|er|ws|grid|planted --out FILE [--scale S] [--edges M] [--seed S]
 //! snap-cli obs diff     BASE.json CURRENT.json [--fail-over-pct P] [--min-ms M]
 //!                       [--fail-mem-over-pct P] [--min-bytes B]
-//! snap-cli obs top      REPORT.json [--limit N] [--by-mem]
-//! snap-cli obs efficiency    REPORT.json [--json]
-//! snap-cli obs critical-path REPORT.json [--json]
+//! snap-cli obs explain  REPORT.json [--limit N] [--json]
 //! ```
 //!
 //! `stream` replays an edge-op file (`+ u v` inserts, `- u v` deletes,
@@ -92,20 +90,19 @@
 //! span regressed past the threshold, and `--fail-mem-over-pct` does the
 //! same for allocated/peak memory (`--min-bytes`, default 4096,
 //! suppresses noise-level deltas).
-//! `obs top` ranks spans by self time (total minus children — the
-//! flamegraph view); `--by-mem` ranks by self-allocated bytes instead.
-//!
-//! `obs efficiency` computes parallel efficiency, per-thread busy/idle
-//! shares, load-imbalance skew, and the serial fraction (with its Amdahl
-//! speedup ceiling) from a saved report's event timeline (collect one
-//! with `--trace-out`, or `--report json=PATH` after `--trace-out`
-//! enabled tracing); `obs critical-path` walks the span tree's heaviest
-//! chain and attributes self-time along it. Both print human-readable
-//! text or one line of JSON with `--json`.
-//! `--trace-buf N` (or `SNAP_TRACE_BUF=N`) sets the per-thread event
-//! ring capacity (default 8192 events); overflow drops the oldest
-//! events and is reported per thread in `trace_events_dropped.tid*`
-//! counters, which the analyzer surfaces as a truncation warning.
+//! `obs explain` answers "where did the time and the bytes go, and why
+//! didn't it scale" for one saved report: dropped-event warnings, spans
+//! ranked by self time (total minus children — the flamegraph view) and,
+//! with memory data, by self-allocated bytes (`--limit` rows each), the
+//! critical path through the span tree, and — when the report carries a
+//! timeline (`--trace-out` with `--report json=PATH`) — parallel
+//! efficiency, per-thread busy time, imbalance skew and the serial
+//! fraction with its Amdahl ceiling. Human-readable text, or one line of
+//! JSON with `--json`.
+//! `--trace-buf N` sets the per-thread event ring capacity (default 8192
+//! events); overflow drops the oldest events and is reported per thread
+//! in `trace_events_dropped.tid*` counters, which `obs explain` surfaces
+//! as a warning.
 //!
 //! `--timeout SECS` attaches a wall-clock deadline: kernels check it
 //! cooperatively and degrade (sampling, coarser clusterings) or cancel
@@ -148,9 +145,7 @@ commands:
   generate     rmat|er|ws|grid|planted --out FILE [--scale S] [--edges M] [--seed S]
   obs diff     BASE.json CURRENT.json [--fail-over-pct P] [--min-ms M]
                [--fail-mem-over-pct P] [--min-bytes B]
-  obs top      REPORT.json [--limit N] [--by-mem]
-  obs efficiency    REPORT.json [--json]
-  obs critical-path REPORT.json [--json]
+  obs explain  REPORT.json [--limit N] [--json]
 
 common options:
   --format edgelist|dimacs|metis   input format (default: by extension)
@@ -163,7 +158,7 @@ common options:
   --stats-every MS                 telemetry sampling period (default 100)
   --threads N                      worker threads (default: host cores)
   --trace-buf N                    per-thread event-ring capacity in events
-                                   (default 8192; also SNAP_TRACE_BUF=N)
+                                   (default 8192)
   --timeout SECS                   wall-clock budget: analysis degrades
                                    gracefully or cancels cleanly (never hangs)"
     );
@@ -443,16 +438,10 @@ fn main() {
 
     // Event-ring capacity must be set before any ring is lazily created,
     // i.e. before the first traced span of the command.
-    let trace_buf = args
-        .flag("trace-buf")
-        .map(str::to_string)
-        .or_else(|| std::env::var("SNAP_TRACE_BUF").ok());
-    if let Some(v) = trace_buf {
-        let events: usize = v
-            .parse()
-            .ok()
-            .filter(|&e: &usize| e >= 1)
-            .unwrap_or_else(|| fail(&format!("bad value for --trace-buf/SNAP_TRACE_BUF: {v}")));
+    if let Some(events) = args.flag_opt::<usize>("trace-buf") {
+        if events == 0 {
+            fail("bad value for --trace-buf: 0");
+        }
         snap::obs::set_trace_capacity(events);
     }
 
@@ -491,7 +480,7 @@ fn load_report(path: &str) -> snap::obs::RunReport {
         .unwrap_or_else(|e| fail(&format!("cannot parse report {path}: {e}")))
 }
 
-/// `obs diff` / `obs top` — offline analysis of saved run reports.
+/// `obs diff` / `obs explain` — offline analysis of saved run reports.
 fn cmd_obs(args: &Args) {
     match args.positional.first().map(|s| s.as_str()) {
         Some("diff") => {
@@ -551,49 +540,21 @@ fn cmd_obs(args: &Args) {
                 }
             }
         }
-        Some("top") => {
+        Some("explain") => {
             let path = args
                 .positional
                 .get(1)
                 .map(|s| s.as_str())
-                .unwrap_or_else(|| fail("obs top needs REPORT.json"));
-            let report = load_report(path);
+                .unwrap_or_else(|| fail("obs explain needs REPORT.json"));
+            let explain = snap::obs::analyze::explain(&load_report(path));
             let limit: usize = args.flag_parse("limit", 20);
-            if args.flag("by-mem").is_some() {
-                let rows = snap::obs::diff::top_by_mem(&report);
-                print!("{}", snap::obs::diff::render_top_mem(&rows, limit));
-            } else {
-                let rows = snap::obs::diff::top(&report);
-                print!("{}", snap::obs::diff::render_top(&rows, limit));
-            }
-        }
-        Some("efficiency") => {
-            let path = args
-                .positional
-                .get(1)
-                .map(|s| s.as_str())
-                .unwrap_or_else(|| fail("obs efficiency needs REPORT.json"));
-            let eff = snap::obs::analyze::efficiency(&load_report(path));
             if args.flag("json").is_some() {
-                stdout_line(format_args!("{}", eff.to_json()));
+                stdout_line(format_args!("{}", explain.to_json(limit)));
             } else {
-                print!("{}", eff.render());
+                print!("{}", explain.render(limit));
             }
         }
-        Some("critical-path") => {
-            let path = args
-                .positional
-                .get(1)
-                .map(|s| s.as_str())
-                .unwrap_or_else(|| fail("obs critical-path needs REPORT.json"));
-            let cp = snap::obs::analyze::critical_path(&load_report(path));
-            if args.flag("json").is_some() {
-                stdout_line(format_args!("{}", cp.to_json()));
-            } else {
-                print!("{}", cp.render());
-            }
-        }
-        _ => fail("obs needs a subcommand: diff, top, efficiency, or critical-path"),
+        _ => fail("obs needs a subcommand: diff or explain"),
     }
 }
 
@@ -1278,9 +1239,7 @@ fn cmd_serve(args: &Args) {
             .map(std::time::Duration::from_millis),
         max_pending: args.flag_parse("max-pending", 1024usize),
         slow_ms: args.flag_opt("slow-ms"),
-        slow_log_entries: args.flag_parse("slow-log", 8usize).max(1),
         trace_sample: args.flag_parse("trace-sample", 0u64),
-        flight_entries: args.flag_parse("flight-entries", 256usize).max(1),
         postmortem_path: args.flag("postmortem").map(str::to_string),
     };
 

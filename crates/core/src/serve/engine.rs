@@ -11,6 +11,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// How many worst exemplars the slow-query log retains.
+pub const SLOW_LOG_ENTRIES: usize = 8;
+
 /// Engine tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -28,15 +31,10 @@ pub struct ServeConfig {
     /// `None` disables the log; `Some(0)` records every request (how
     /// `tests/cli.rs` exercises the path).
     pub slow_ms: Option<u64>,
-    /// How many worst exemplars the slow-query log retains.
-    pub slow_log_entries: usize,
     /// Capture a span trace for every Nth request even without
     /// `"report":true` (`0` = only on request). Sampled traces ride the
     /// slow-query exemplar, not the wire response.
     pub trace_sample: u64,
-    /// Flight-recorder ring capacity (request / merge / shed / panic
-    /// summaries). The recorder is always on and O(1) per event.
-    pub flight_entries: usize,
     /// Where post-mortem NDJSON dumps of the flight ring are written —
     /// on a `dump` query, on shed, on a panic, and on a cancelled
     /// request. `None` keeps the ring in memory only.
@@ -51,9 +49,7 @@ impl Default for ServeConfig {
             default_deadline: None,
             max_pending: 1024,
             slow_ms: None,
-            slow_log_entries: 8,
             trace_sample: 0,
-            flight_entries: 256,
             postmortem_path: None,
         }
     }
@@ -172,7 +168,7 @@ impl Engine {
         let session = Network::from_shared(Arc::clone(&snap.graph));
         let tele = Tele::new();
         tele.epoch.set(snap.epoch as f64);
-        let flight = FlightRecorder::new(config.flight_entries, config.postmortem_path.clone());
+        let flight = FlightRecorder::new(config.postmortem_path.clone());
         Engine {
             reader,
             cache: Mutex::new(ResultCache::new(config.cache_entries, config.cache_bytes)),
@@ -403,7 +399,7 @@ impl Engine {
         let mut log = self.slow.lock().unwrap_or_else(|e| e.into_inner());
         log.push(entry);
         log.sort_by(|a, b| b.wall_us.cmp(&a.wall_us).then(a.trace_id.cmp(&b.trace_id)));
-        log.truncate(self.config.slow_log_entries.max(1));
+        log.truncate(SLOW_LOG_ENTRIES);
     }
 
     fn answer(&self, req: &Request, snap: &Snapshot) -> (Outcome, bool, Arc<str>) {

@@ -42,9 +42,9 @@ mod recorder;
 mod transport;
 
 pub use cache::{PutOutcome, ResultCache};
-pub use engine::{AdmitPermit, Engine, ServeConfig, ServeStats};
+pub use engine::{AdmitPermit, Engine, ServeConfig, ServeStats, SLOW_LOG_ENTRIES};
 pub use protocol::{compute_payload, Outcome, Query, QueryResult, Request, Response};
-pub use recorder::{FlightEvent, SlowQuery};
+pub use recorder::{FlightEvent, SlowQuery, FLIGHT_ENTRIES};
 pub use transport::{serve, MAX_CONNECTIONS, MAX_REQUEST_LINE};
 
 #[cfg(test)]
@@ -309,24 +309,30 @@ mod tests {
             64,
             ServeConfig {
                 slow_ms: Some(0), // record everything
-                slow_log_entries: 2,
-                trace_sample: 1, // trace everything
+                trace_sample: 1,  // trace everything
                 ..ServeConfig::default()
             },
         );
-        // Three requests with distinct queue waits; the two largest
+        // Two more requests than the log keeps, with distinct queue
+        // waits 1 s apart in a scrambled order; the largest waits
         // dominate wall time, so they are the worst-K survivors.
-        for (i, queue_us) in [5_000_000u64, 1, 9_000_000].iter().enumerate() {
+        let requests = SLOW_LOG_ENTRIES as u64 + 2;
+        for i in 0..requests {
+            let queue_us = 1 + (i * 7 % requests) * 1_000_000;
             let r =
-                engine.handle_with_queue(&Request::new(Query::Bfs { source: i as u32 }), *queue_us);
+                engine.handle_with_queue(&Request::new(Query::Bfs { source: i as u32 }), queue_us);
             // Sampled traces stay off the wire unless asked for.
             assert!(r.report.is_none());
         }
         let slow = engine.slow_queries();
-        assert_eq!(slow.len(), 2, "worst-K cap");
-        assert!(slow[0].wall_us >= slow[1].wall_us, "slowest first");
-        assert_eq!(slow[0].queue_us, 9_000_000);
-        assert_eq!(slow[1].queue_us, 5_000_000);
+        assert_eq!(slow.len(), SLOW_LOG_ENTRIES, "worst-K cap");
+        assert!(
+            slow.windows(2).all(|w| w[0].wall_us >= w[1].wall_us),
+            "slowest first"
+        );
+        assert_eq!(slow[0].queue_us, 1 + (requests - 1) * 1_000_000);
+        assert_eq!(slow[1].queue_us, 1 + (requests - 2) * 1_000_000);
+        assert_eq!(slow[SLOW_LOG_ENTRIES - 1].queue_us, 1 + 2 * 1_000_000);
         assert_eq!(slow[0].wall_us, slow[0].queue_us + slow[0].compute_us);
         assert!(slow[0].trace_id > 0);
         // Every request was sampled: the exemplar carries a span tree.
@@ -340,25 +346,19 @@ mod tests {
             .get("slow_queries")
             .and_then(Json::as_arr)
             .expect("slow_queries should be an array");
-        assert_eq!(items.len(), 2);
+        assert_eq!(items.len(), SLOW_LOG_ENTRIES);
         assert!(items[0].get("trace_id").and_then(Json::as_u64).is_some());
         assert!(items[0].get("trace").is_some(), "exemplar embeds the trace");
     }
 
     #[test]
     fn flight_recorder_is_bounded_and_dump_returns_the_ring() {
-        let engine = engine_on(
-            16,
-            ServeConfig {
-                flight_entries: 4,
-                ..ServeConfig::default()
-            },
-        );
-        for i in 0..6 {
-            engine.handle(&Request::new(Query::Bfs { source: i }));
+        let engine = engine_on(16, ServeConfig::default());
+        for i in 0..FLIGHT_ENTRIES as u32 + 2 {
+            engine.handle(&Request::new(Query::Bfs { source: i % 16 }));
         }
         let (events, dropped) = engine.flight_events();
-        assert_eq!(events.len(), 4, "ring stays bounded");
+        assert_eq!(events.len(), FLIGHT_ENTRIES, "ring stays bounded");
         assert_eq!(dropped, 2);
         assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
         assert!(events.iter().all(|e| e.what == "request" && e.bytes > 0));
@@ -366,16 +366,19 @@ mod tests {
         let dump = engine.handle(&Request::new(Query::Dump));
         assert_eq!(dump.outcome, Outcome::Miss);
         let parsed = Json::parse(&dump.payload).unwrap();
-        assert_eq!(parsed.get("events").and_then(Json::as_u64), Some(4));
+        assert_eq!(
+            parsed.get("events").and_then(Json::as_u64),
+            Some(FLIGHT_ENTRIES as u64)
+        );
         let ring = parsed
             .get("ring")
             .and_then(Json::as_arr)
             .expect("dump carries the ring");
-        assert_eq!(ring.len(), 4);
+        assert_eq!(ring.len(), FLIGHT_ENTRIES);
         assert!(ring[0].get("trace_id").and_then(Json::as_u64).is_some());
-        // Dump is a meta query: live, never cached (the six BFS answers
-        // are the only entries).
-        assert_eq!(engine.cache_occupancy().0, 6);
+        // Dump is a meta query: live, never cached (the sixteen BFS
+        // answers are the only entries).
+        assert_eq!(engine.cache_occupancy().0, 16);
     }
 
     #[test]

@@ -105,22 +105,23 @@ impl FlightEvent {
     }
 }
 
+/// Flight-recorder ring capacity: the request / merge / shed / panic
+/// summaries it keeps.
+pub const FLIGHT_ENTRIES: usize = 256;
+
 /// Always-on bounded ring of [`FlightEvent`]s. One mutex-guarded
 /// `VecDeque` push per event — O(1), no allocation once warm — so it can
 /// stay on in production without showing up in profiles.
 pub(super) struct FlightRecorder {
     ring: Mutex<(VecDeque<FlightEvent>, u64)>,
-    cap: usize,
     start: Instant,
     postmortem_path: Option<String>,
 }
 
 impl FlightRecorder {
-    pub(super) fn new(cap: usize, postmortem_path: Option<String>) -> FlightRecorder {
-        let cap = cap.max(1);
+    pub(super) fn new(postmortem_path: Option<String>) -> FlightRecorder {
         FlightRecorder {
-            ring: Mutex::new((VecDeque::with_capacity(cap), 0)),
-            cap,
+            ring: Mutex::new((VecDeque::with_capacity(FLIGHT_ENTRIES), 0)),
             start: Instant::now(),
             postmortem_path,
         }
@@ -132,7 +133,7 @@ impl FlightRecorder {
 
     pub(super) fn record(&self, ev: FlightEvent) {
         let mut g = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        if g.0.len() == self.cap {
+        if g.0.len() == FLIGHT_ENTRIES {
             g.0.pop_front();
             g.1 += 1;
         }

@@ -73,11 +73,6 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Reset all bits to zero, keeping the allocation.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Iterate over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -176,13 +171,6 @@ mod tests {
         }
         let v: Vec<usize> = b.iter_ones().collect();
         assert_eq!(v, vec![0, 63, 64, 128, 199]);
-    }
-
-    #[test]
-    fn clear_all_resets() {
-        let mut b = Bitmap::ones(100);
-        b.clear_all();
-        assert_eq!(b.count_ones(), 0);
     }
 
     #[test]

@@ -62,15 +62,6 @@ impl Frontier {
         }
     }
 
-    /// Dense frontier from a bitmap (`bits.len()` must equal `n`).
-    pub fn from_bitmap(bits: Bitmap) -> Self {
-        let count = bits.count_ones();
-        Frontier {
-            n: bits.len(),
-            repr: Repr::Dense { bits, count },
-        }
-    }
-
     /// Number of vertices the underlying graph has.
     pub fn universe(&self) -> usize {
         self.n
@@ -204,9 +195,9 @@ mod tests {
         assert_eq!(f.repr(), FrontierRepr::Dense);
         assert_eq!(f.len(), 7);
         // And back down once sparse again.
-        let mut small = Bitmap::new(100);
-        small.set(3);
-        let mut f = Frontier::from_bitmap(small);
+        let mut f = Frontier::singleton(100, 3);
+        f.ensure_dense();
+        assert_eq!(f.repr(), FrontierRepr::Dense);
         f.normalize();
         assert_eq!(f.repr(), FrontierRepr::Sparse);
         assert_eq!(f.ensure_sparse(), &[3]);

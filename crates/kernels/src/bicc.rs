@@ -26,11 +26,6 @@ pub struct Bicc {
 }
 
 impl Bicc {
-    /// Number of articulation points.
-    pub fn articulation_count(&self) -> usize {
-        self.articulation.iter().filter(|&&a| a).count()
-    }
-
     /// Is edge `e` a bridge? (`O(log b)` lookup; `bridges` is sorted.)
     pub fn is_bridge(&self, e: EdgeId) -> bool {
         self.bridges.binary_search(&e).is_ok()
@@ -174,7 +169,7 @@ mod tests {
         let b = biconnected_components(&g);
         assert!(b.bridges.is_empty());
         assert_eq!(b.count, 1);
-        assert_eq!(b.articulation_count(), 0);
+        assert!(!b.articulation.contains(&true));
     }
 
     #[test]
@@ -187,7 +182,7 @@ mod tests {
         let (u, v) = g.edge_endpoints(b.bridges[0]);
         assert_eq!((u, v), (2, 3));
         assert!(b.articulation[2] && b.articulation[3]);
-        assert_eq!(b.articulation_count(), 2);
+        assert_eq!(b.articulation.iter().filter(|&&a| a).count(), 2);
         // The two triangles land in different components.
         let tri1 = b.edge_comp[0]; // (0,1)
         assert_eq!(b.edge_comp[1], tri1); // (0,2)
@@ -213,7 +208,7 @@ mod tests {
         assert_eq!(b.count, 2);
         assert!(b.bridges.is_empty());
         assert!(b.articulation[0]);
-        assert_eq!(b.articulation_count(), 1);
+        assert_eq!(b.articulation.iter().filter(|&&a| a).count(), 1);
     }
 
     #[test]

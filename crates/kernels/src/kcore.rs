@@ -47,16 +47,6 @@ impl CorenessResult {
     pub fn core_size(&self, k: u32) -> usize {
         self.coreness.iter().filter(|&&c| c >= k).count()
     }
-
-    /// Vertex ids of the k-core (coreness ≥ `k`), ascending.
-    pub fn core_members(&self, k: u32) -> Vec<VertexId> {
-        self.coreness
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c >= k)
-            .map(|(v, _)| v as VertexId)
-            .collect()
-    }
 }
 
 /// Coreness of every vertex. Directed graphs are peeled by out-degree
@@ -173,7 +163,6 @@ mod tests {
         assert_eq!(r.coreness, vec![3, 3, 3, 3, 1, 1]);
         assert_eq!(r.max_core, 3);
         assert_eq!(r.core_size(3), 4);
-        assert_eq!(r.core_members(3), vec![0, 1, 2, 3]);
         assert_eq!(r.core_size(1), 6);
     }
 

@@ -55,10 +55,23 @@ pub fn summarize_in(g: &CsrGraph, seed: u64, exec: &Exec) -> GraphSummary {
     let _span = snap_obs::span("metrics.summary");
     snap_obs::meta("seed", seed);
     let n = g.num_vertices();
-    let comps = connected_components(g);
+    let comps = {
+        let _span = snap_obs::span("metrics.components");
+        connected_components(g)
+    };
     let exact = n <= EXACT_PATH_LIMIT;
-    let p = path_stats_in(g, if exact { n } else { PATH_SAMPLES }, seed, exec);
-    let c = clustering_in(g, exec);
+    let p = {
+        let _span = snap_obs::span("metrics.paths");
+        path_stats_in(g, if exact { n } else { PATH_SAMPLES }, seed, exec)
+    };
+    let c = {
+        let _span = snap_obs::span("metrics.clustering");
+        clustering_in(g, exec)
+    };
+    let assortativity = {
+        let _span = snap_obs::span("metrics.assortativity");
+        degree_assortativity(g)
+    };
     if c.degraded() {
         if let Some(why) = exec.budget.exhaustion() {
             snap_obs::meta("degraded", why);
@@ -82,7 +95,7 @@ pub fn summarize_in(g: &CsrGraph, seed: u64, exec: &Exec) -> GraphSummary {
         },
         clustering: c.average,
         transitivity: c.transitivity,
-        assortativity: degree_assortativity(g),
+        assortativity,
         paths: p.stats,
         paths_sampled: !exact || p.degraded(),
     }

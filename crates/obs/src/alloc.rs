@@ -64,7 +64,7 @@ pub fn disable_mem_tracking() {
 /// Also `false` when no [`TrackingAlloc`] is installed as the global
 /// allocator — the switch is only observed from inside the hooks.
 #[inline]
-pub fn is_mem_tracking() -> bool {
+pub(crate) fn is_mem_tracking() -> bool {
     MEM_TRACK.load(Ordering::Relaxed)
 }
 

@@ -1,5 +1,4 @@
-//! Cross-run report diffing (`snap-cli obs diff`) and flamegraph-style
-//! self-time aggregation (`snap-cli obs top`).
+//! Cross-run report diffing (`snap-cli obs diff`).
 //!
 //! Two span trees are aligned **by name-path**: the root pairs with the
 //! root, and children pair when they have the same name under paired
@@ -9,7 +8,7 @@
 //! baseline to regress against, and judging a removed span would flag
 //! every refactor.
 
-use crate::report::{fmt_bytes, MemStats, ReportNode, RunReport};
+use crate::report::{fmt_bytes, fmt_us, MemStats, ReportNode, RunReport};
 
 /// One aligned span pair (or an unmatched span from either side).
 #[derive(Clone, Debug, PartialEq)]
@@ -45,57 +44,11 @@ pub struct MemRegression {
     pub cur_bytes: u64,
 }
 
-impl DiffEntry {
-    /// Signed percent change of wall time, when both sides are present
-    /// and the baseline is nonzero.
-    pub fn pct_change(&self) -> Option<f64> {
-        match (self.base_us, self.cur_us) {
-            (Some(b), Some(c)) if b > 0 => Some((c as f64 - b as f64) / b as f64 * 100.0),
-            _ => None,
-        }
-    }
-
-    /// Whether this entry regresses past `fail_over_pct` percent *and*
-    /// by at least `min_us` microseconds of absolute growth (the floor
-    /// keeps sub-millisecond spans from tripping percentage thresholds
-    /// on timer noise).
-    pub fn is_regression(&self, fail_over_pct: f64, min_us: u64) -> bool {
-        match (self.base_us, self.cur_us) {
-            (Some(b), Some(c)) => {
-                c.saturating_sub(b) >= min_us
-                    && (c as f64) > (b as f64) * (1.0 + fail_over_pct / 100.0)
-            }
-            _ => false,
-        }
-    }
-
-    /// Memory regressions on this entry: `allocated` and `peak_delta`
-    /// each judged with the same pct-plus-absolute-floor rule as wall
-    /// time (`min_bytes` keeps tiny spans from tripping percentage
-    /// thresholds on allocator jitter). Spans present on only one side
-    /// — or without memory data on either side — never regress.
-    pub fn mem_regressions(&self, fail_over_pct: f64, min_bytes: u64) -> Vec<MemRegression> {
-        let (Some(base), Some(cur)) = (self.base_mem, self.cur_mem) else {
-            return Vec::new();
-        };
-        let judge = |metric: &'static str, b: u64, c: u64| -> Option<MemRegression> {
-            let grew = c.saturating_sub(b) >= min_bytes
-                && (c as f64) > (b as f64) * (1.0 + fail_over_pct / 100.0);
-            grew.then_some(MemRegression {
-                path: self.path.clone(),
-                metric,
-                base_bytes: b,
-                cur_bytes: c,
-            })
-        };
-        [
-            judge("allocated", base.allocated, cur.allocated),
-            judge("peak_delta", base.peak_delta, cur.peak_delta),
-        ]
-        .into_iter()
-        .flatten()
-        .collect()
-    }
+/// Whether `cur` exceeds `base` by more than `pct` percent *and* by at
+/// least `floor` in absolute terms (the floor keeps small spans from
+/// tripping percentage thresholds on timer or allocator noise).
+fn grew(base: u64, cur: u64, pct: f64, floor: u64) -> bool {
+    cur.saturating_sub(base) >= floor && (cur as f64) > (base as f64) * (1.0 + pct / 100.0)
 }
 
 /// Align two reports span-by-span (pre-order over the union tree).
@@ -171,26 +124,46 @@ fn diff_nodes(
     }
 }
 
-/// Entries that regress past the threshold (see
-/// [`DiffEntry::is_regression`]).
+/// Entries whose wall time grew past `fail_over_pct` percent and by at
+/// least `min_us` microseconds — the `--fail-over-pct` gate. Spans
+/// present on only one side never regress.
 pub fn regressions(entries: &[DiffEntry], fail_over_pct: f64, min_us: u64) -> Vec<&DiffEntry> {
-    entries
-        .iter()
-        .filter(|e| e.is_regression(fail_over_pct, min_us))
-        .collect()
+    let slower = |e: &&DiffEntry| match (e.base_us, e.cur_us) {
+        (Some(b), Some(c)) => grew(b, c, fail_over_pct, min_us),
+        _ => false,
+    };
+    entries.iter().filter(slower).collect()
 }
 
-/// Memory regressions across all entries (see
-/// [`DiffEntry::mem_regressions`]) — the `--fail-mem-over-pct` gate.
+/// Memory regressions across all entries — the `--fail-mem-over-pct`
+/// gate: `allocated` and `peak_delta` each judged by the wall-time rule
+/// with a `min_bytes` floor. Spans present on only one side, or without
+/// memory data on either, never regress.
 pub fn mem_regressions(
     entries: &[DiffEntry],
     fail_over_pct: f64,
     min_bytes: u64,
 ) -> Vec<MemRegression> {
-    entries
-        .iter()
-        .flat_map(|e| e.mem_regressions(fail_over_pct, min_bytes))
-        .collect()
+    let mut out = Vec::new();
+    for e in entries {
+        let (Some(base), Some(cur)) = (e.base_mem, e.cur_mem) else {
+            continue;
+        };
+        for (metric, b, c) in [
+            ("allocated", base.allocated, cur.allocated),
+            ("peak_delta", base.peak_delta, cur.peak_delta),
+        ] {
+            if grew(b, c, fail_over_pct, min_bytes) {
+                out.push(MemRegression {
+                    path: e.path.clone(),
+                    metric,
+                    base_bytes: b,
+                    cur_bytes: c,
+                });
+            }
+        }
+    }
+    out
 }
 
 /// Human-readable diff: one line per span with wall-time delta, plus
@@ -200,9 +173,10 @@ pub fn render(entries: &[DiffEntry]) -> String {
     for e in entries {
         match (e.base_us, e.cur_us) {
             (Some(b), Some(c)) => {
-                let delta = match e.pct_change() {
-                    Some(p) => format!("{p:+.1}%"),
-                    None => "n/a".to_string(),
+                let delta = if b > 0 {
+                    format!("{:+.1}%", (c as f64 - b as f64) / b as f64 * 100.0)
+                } else {
+                    "n/a".to_string()
                 };
                 out.push_str(&format!(
                     "{}  {} -> {}  {}\n",
@@ -266,111 +240,6 @@ pub fn render(entries: &[DiffEntry]) -> String {
     out
 }
 
-/// One row of the self-time profile: a span name aggregated over every
-/// position it appears at in the tree.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TopEntry {
-    pub name: String,
-    /// Time inside this span minus time inside its children (clamped at
-    /// zero per node: coalesced children can sum past their parent).
-    pub self_us: u64,
-    /// Total (inclusive) time, summed over appearances.
-    pub total_us: u64,
-    pub calls: u64,
-    /// Bytes allocated inside this span minus inside its children
-    /// (same clamped-self convention as `self_us`; 0 for reports
-    /// without memory tracking).
-    pub self_alloc: u64,
-    /// Total (inclusive) bytes allocated, summed over appearances.
-    pub total_alloc: u64,
-}
-
-/// Flamegraph-style self-time aggregation: for every span name, total
-/// self time (and self allocated bytes) across the tree, sorted by
-/// self time descending.
-pub fn top(report: &RunReport) -> Vec<TopEntry> {
-    let mut rows: Vec<TopEntry> = Vec::new();
-    fn walk(node: &ReportNode, rows: &mut Vec<TopEntry>) {
-        let child_us: u64 = node.children.iter().map(|c| c.duration_us).sum();
-        let self_us = node.duration_us.saturating_sub(child_us);
-        let alloc = |n: &ReportNode| n.mem.map_or(0, |m| m.allocated);
-        let child_alloc: u64 = node.children.iter().map(alloc).sum();
-        let self_alloc = alloc(node).saturating_sub(child_alloc);
-        match rows.iter_mut().find(|r| r.name == node.name) {
-            Some(r) => {
-                r.self_us += self_us;
-                r.total_us += node.duration_us;
-                r.calls += node.calls;
-                r.self_alloc += self_alloc;
-                r.total_alloc += alloc(node);
-            }
-            None => rows.push(TopEntry {
-                name: node.name.clone(),
-                self_us,
-                total_us: node.duration_us,
-                calls: node.calls,
-                self_alloc,
-                total_alloc: alloc(node),
-            }),
-        }
-        for c in &node.children {
-            walk(c, rows);
-        }
-    }
-    walk(&report.root, &mut rows);
-    rows.sort_by(|a, b| b.self_us.cmp(&a.self_us).then(a.name.cmp(&b.name)));
-    rows
-}
-
-/// [`top`] re-sorted by self allocated bytes descending — the
-/// `obs top --by-mem` view.
-pub fn top_by_mem(report: &RunReport) -> Vec<TopEntry> {
-    let mut rows = top(report);
-    rows.sort_by(|a, b| b.self_alloc.cmp(&a.self_alloc).then(a.name.cmp(&b.name)));
-    rows
-}
-
-/// Table rendering for [`top`], truncated to `limit` rows.
-pub fn render_top(rows: &[TopEntry], limit: usize) -> String {
-    let mut out = String::from("SELF       TOTAL      CALLS  SPAN\n");
-    for r in rows.iter().take(limit) {
-        out.push_str(&format!(
-            "{:<10} {:<10} {:<6} {}\n",
-            fmt_us(r.self_us),
-            fmt_us(r.total_us),
-            r.calls,
-            r.name
-        ));
-    }
-    out
-}
-
-/// Table rendering for [`top_by_mem`], truncated to `limit` rows.
-pub fn render_top_mem(rows: &[TopEntry], limit: usize) -> String {
-    let mut out = String::from("SELF-ALLOC   TOTAL-ALLOC  SELF-TIME  CALLS  SPAN\n");
-    for r in rows.iter().take(limit) {
-        out.push_str(&format!(
-            "{:<12} {:<12} {:<10} {:<6} {}\n",
-            fmt_bytes(r.self_alloc),
-            fmt_bytes(r.total_alloc),
-            fmt_us(r.self_us),
-            r.calls,
-            r.name
-        ));
-    }
-    out
-}
-
-fn fmt_us(us: u64) -> String {
-    if us >= 1_000_000 {
-        format!("{:.2}s", us as f64 / 1e6)
-    } else if us >= 1_000 {
-        format!("{:.2}ms", us as f64 / 1e3)
-    } else {
-        format!("{us}µs")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,10 +296,9 @@ mod tests {
         // A high absolute floor also clears it (grew by 400µs < 1000µs).
         assert!(regressions(&entries, 300.0, 1000).is_empty());
         // Added/removed spans are never regressions.
-        assert!(entries
+        assert!(regressions(&entries, 0.0, 0)
             .iter()
-            .filter(|e| e.base_us.is_none() || e.cur_us.is_none())
-            .all(|e| !e.is_regression(0.0, 0)));
+            .all(|e| e.base_us.is_some() && e.cur_us.is_some()));
     }
 
     #[test]
@@ -495,53 +363,5 @@ mod tests {
         c2.mem = mem(2_000_000, 900_000);
         let text = render(&diff(&report(b), &report(c2)));
         assert!(text.contains("mem  alloc="), "{text}");
-    }
-
-    #[test]
-    fn top_by_mem_sorts_by_self_allocated() {
-        let mut big = node("alloc_heavy", 10, vec![]);
-        big.mem = mem(8 << 20, 4 << 20);
-        let mut small = node("cpu_heavy", 900, vec![]);
-        small.mem = mem(1 << 10, 1 << 10);
-        let mut root = node("run", 1000, vec![big, small]);
-        root.mem = mem(9 << 20, 5 << 20);
-        let r = report(root);
-
-        let rows = top_by_mem(&r);
-        assert_eq!(rows[0].name, "alloc_heavy");
-        assert_eq!(rows[0].self_alloc, 8 << 20);
-        // Parent self-alloc is inclusive minus children.
-        let run = rows.iter().find(|r| r.name == "run").unwrap();
-        assert_eq!(run.self_alloc, (9 << 20) - (8 << 20) - (1 << 10));
-        // Time-sorted view puts cpu_heavy first instead.
-        assert_eq!(top(&r)[0].name, "cpu_heavy");
-        let text = render_top_mem(&rows, 10);
-        assert!(text.contains("SELF-ALLOC"), "{text}");
-        assert!(text.contains("alloc_heavy"), "{text}");
-    }
-
-    #[test]
-    fn top_aggregates_self_time_by_name() {
-        // run(1000) -> a(600) -> b(200); a appears again under c.
-        let r = report(node(
-            "run",
-            1000,
-            vec![
-                node("a", 600, vec![node("b", 200, vec![])]),
-                node("c", 300, vec![node("a", 100, vec![])]),
-            ],
-        ));
-        let rows = top(&r);
-        let a = rows.iter().find(|r| r.name == "a").unwrap();
-        assert_eq!(a.self_us, 400 + 100); // 600-200 plus leaf 100
-        assert_eq!(a.total_us, 700);
-        assert_eq!(a.calls, 2);
-        let run = rows.iter().find(|r| r.name == "run").unwrap();
-        assert_eq!(run.self_us, 100); // 1000 - 900
-                                      // Sorted by self time descending.
-        assert!(rows.windows(2).all(|w| w[0].self_us >= w[1].self_us));
-        let text = render_top(&rows, 3);
-        assert!(text.lines().count() <= 4);
-        assert!(text.contains("SPAN"));
     }
 }

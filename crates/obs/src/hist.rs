@@ -255,19 +255,6 @@ impl HistHandle {
             h.record(t.elapsed().as_micros() as u64);
         }
     }
-
-    /// Fold a free-standing histogram (e.g. a pool-owned one) into the
-    /// span histogram behind this handle.
-    pub fn merge_from(&self, other: &Histogram) {
-        if let Some(h) = &self.0 {
-            h.merge_from(other);
-        }
-    }
-
-    /// Whether this handle is wired to a live report.
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
-    }
 }
 
 #[cfg(test)]

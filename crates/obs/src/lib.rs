@@ -33,9 +33,10 @@
 //!   to lock-free per-thread rings; `take_report` drains them into
 //!   [`RunReport::trace`], exportable as Chrome trace-event JSON
 //!   ([`RunReport::to_chrome_trace`]) for Perfetto.
-//! - **Diffing** ([`diff`]): span-tree-aligned wall-time/counter deltas
-//!   between two reports plus flamegraph-style self-time aggregation,
-//!   driving `snap-cli obs diff` / `obs top`.
+//! - **Analysis** ([`diff`], [`analyze`]): span-tree-aligned
+//!   wall-time/counter deltas between two reports (`snap-cli obs diff`),
+//!   and one report explained as self time, self allocation, critical
+//!   path and parallel efficiency (`snap-cli obs explain`).
 //!
 //! ## Memory layer
 //!
@@ -43,8 +44,8 @@
 //! and [`enable_mem_tracking`] on (see DESIGN.md §14), the span layer
 //! attributes per-thread allocation deltas to the active span: each
 //! span reports bytes allocated/freed, allocation count, and its
-//! peak-live delta in [`RunReport`] (render, JSON, `obs diff`/`obs top
-//! --by-mem`). When event tracing is also on, live-bytes samples are
+//! peak-live delta in [`RunReport`] (render, JSON, `obs diff`, `obs
+//! explain`). When event tracing is also on, live-bytes samples are
 //! recorded at span boundaries and exported as Perfetto counter events.
 //! The [`telemetry`] module streams the same counters live (NDJSON +
 //! OpenMetrics) for long-running processes.
@@ -78,19 +79,17 @@ pub mod ring;
 pub mod telemetry;
 
 pub use alloc::{
-    disable_mem_tracking, enable_mem_tracking, is_mem_tracking, mem_snapshot, reset_peak_live,
-    thread_mem, MemSnapshot, ThreadMem, TrackingAlloc,
+    disable_mem_tracking, enable_mem_tracking, mem_snapshot, reset_peak_live, thread_mem,
+    MemSnapshot, ThreadMem, TrackingAlloc,
 };
 pub use hist::{HistHandle, HistSnapshot, Histogram};
 pub use json::{Json, JsonError};
 pub use report::{MemSample, MemStats, ReportNode, RunReport};
-pub use ring::{
-    disable_tracing, enable_tracing, is_tracing, set_trace_capacity, trace_capacity, TraceEvent,
-};
+pub use ring::{disable_tracing, enable_tracing, set_trace_capacity, trace_capacity, TraceEvent};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Number of threads with a live collection context. The global fast
@@ -101,48 +100,54 @@ thread_local! {
     static CONTEXT: RefCell<Option<Ctx>> = const { RefCell::new(None) };
 }
 
-/// A monotone counter updated with relaxed atomics — safe to hammer from
-/// every rayon worker at once.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
+/// Shared cells of one kind, keyed by name in insertion order: a span's
+/// counters, gauges and histograms, and the [`telemetry`] registry's
+/// counters and gauges. A lookup is one mutex and one linear scan; the
+/// order of first use is the order names appear in reports. Every update
+/// is one push of a whole entry, so a lock poisoned by a panic elsewhere
+/// still guards a valid table and is recovered.
+pub(crate) struct Cells<T>(Mutex<Vec<(String, Arc<T>)>>);
+
+impl<T: Default> Cells<T> {
+    pub(crate) const fn new() -> Cells<T> {
+        Cells(Mutex::new(Vec::new()))
+    }
+
+    /// The cell named `name`, created on first use.
+    pub(crate) fn get(&self, name: &str) -> Arc<T> {
+        let mut cells = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, cell)) = cells.iter().find(|(n, _)| n == name) {
+            return Arc::clone(cell);
+        }
+        let cell = Arc::new(T::default());
+        cells.push((name.to_string(), Arc::clone(&cell)));
+        cell
+    }
+
+    /// `(name, value)` for every cell `value` maps to `Some`, in
+    /// insertion order.
+    pub(crate) fn snapshot<V>(&self, value: impl Fn(&T) -> Option<V>) -> Vec<(String, V)> {
+        let cells = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        cells
+            .iter()
+            .filter_map(|(n, c)| Some((n.clone(), value(c)?)))
+            .collect()
+    }
 }
 
-impl Counter {
-    /// Add `delta`.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Raise the stored value to at least `v` (for peak-style counters).
-    #[inline]
-    pub fn record_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// Cheap cloneable handle to a [`Counter`] on a report node, or a no-op
-/// when collection is disabled. Capture one before a parallel section and
-/// share it with the workers.
+/// Cheap cloneable handle to a relaxed-atomic counter on a report node
+/// (or in the [`telemetry`] registry), or a no-op when collection is
+/// disabled. Capture one before a parallel section and share it with the
+/// workers: counts from 1, 4 or 8 rayon workers land in the same cell.
 #[derive(Clone, Debug, Default)]
-pub struct CounterHandle(Option<Arc<Counter>>);
+pub struct CounterHandle(Option<Arc<AtomicU64>>);
 
 impl CounterHandle {
-    pub(crate) fn from_cell(cell: Arc<Counter>) -> CounterHandle {
-        CounterHandle(Some(cell))
-    }
-
     /// Add `delta` (no-op without a live context).
     #[inline]
     pub fn add(&self, delta: u64) {
         if let Some(c) = &self.0 {
-            c.add(delta);
+            c.fetch_add(delta, Ordering::Relaxed);
         }
     }
 
@@ -154,20 +159,10 @@ impl CounterHandle {
 
     /// Raise the value to at least `v`.
     #[inline]
-    pub fn record_max(&self, v: u64) {
+    pub(crate) fn record_max(&self, v: u64) {
         if let Some(c) = &self.0 {
-            c.record_max(v);
+            c.fetch_max(v, Ordering::Relaxed);
         }
-    }
-
-    /// Current value (0 for a disabled handle).
-    pub fn value(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.get())
-    }
-
-    /// Whether this handle is wired to a live report.
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
     }
 }
 
@@ -177,20 +172,20 @@ impl CounterHandle {
 /// orders negative floats wrong), so concurrent reporters of
 /// peak-style gauges cannot regress the recorded peak.
 #[derive(Debug, Default)]
-pub struct Gauge {
+struct Gauge {
     bits: AtomicU64,
 }
 
 impl Gauge {
     /// Store `v` (last write wins).
     #[inline]
-    pub fn set(&self, v: f64) {
+    fn set(&self, v: f64) {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Raise the stored value to at least `v` (numeric max, correct for
     /// negative values too; NaN is ignored).
-    pub fn set_max(&self, v: f64) {
+    fn set_max(&self, v: f64) {
         let mut cur = self.bits.load(Ordering::Relaxed);
         while v > f64::from_bits(cur) {
             match self.bits.compare_exchange_weak(
@@ -206,47 +201,23 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
-/// Cheap cloneable handle to a [`Gauge`] on a report node (or in the
-/// [`telemetry`] export registry), or a no-op when collection is
-/// disabled. Like [`CounterHandle`], capture one before a parallel
-/// section and share it with the workers.
+/// Cheap cloneable handle to a gauge on a report node (or in the
+/// [`telemetry`] registry), or a no-op when collection is disabled.
 #[derive(Clone, Debug, Default)]
 pub struct GaugeHandle(Option<Arc<Gauge>>);
 
 impl GaugeHandle {
-    pub(crate) fn new(g: Option<Arc<Gauge>>) -> GaugeHandle {
-        GaugeHandle(g)
-    }
-
     /// Store `v` (last write wins; no-op without a live context).
     #[inline]
     pub fn set(&self, v: f64) {
         if let Some(g) = &self.0 {
             g.set(v);
         }
-    }
-
-    /// Raise the value to at least `v`.
-    #[inline]
-    pub fn set_max(&self, v: f64) {
-        if let Some(g) = &self.0 {
-            g.set_max(v);
-        }
-    }
-
-    /// Current value (0.0 for a disabled handle).
-    pub fn value(&self) -> f64 {
-        self.0.as_ref().map_or(0.0, |g| g.get())
-    }
-
-    /// Whether this handle is wired to a live report.
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
     }
 }
 
@@ -259,10 +230,10 @@ struct Node {
     calls: AtomicU64,
     /// Total time spent inside, microseconds (summed over activations).
     duration_us: AtomicU64,
-    counters: Mutex<Vec<(String, Arc<Counter>)>>,
-    gauges: Mutex<Vec<(String, Arc<Gauge>)>>,
+    counters: Cells<AtomicU64>,
+    gauges: Cells<Gauge>,
+    hists: Cells<Histogram>,
     meta: Mutex<Vec<(String, String)>>,
-    hists: Mutex<Vec<(String, Arc<Histogram>)>>,
     children: Mutex<Vec<Arc<Node>>>,
     /// Memory attributed to this span by closed (or snapshot-folded)
     /// activations. `peak_delta` keeps the max over activations so
@@ -280,10 +251,10 @@ impl Node {
             start_us,
             calls: AtomicU64::new(0),
             duration_us: AtomicU64::new(0),
-            counters: Mutex::new(Vec::new()),
-            gauges: Mutex::new(Vec::new()),
+            counters: Cells::new(),
+            gauges: Cells::new(),
+            hists: Cells::new(),
             meta: Mutex::new(Vec::new()),
-            hists: Mutex::new(Vec::new()),
             children: Mutex::new(Vec::new()),
             mem_allocated: AtomicU64::new(0),
             mem_freed: AtomicU64::new(0),
@@ -302,36 +273,6 @@ impl Node {
         let node = Node::new(name, start_us);
         children.push(Arc::clone(&node));
         node
-    }
-
-    fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut counters = self.counters.lock().unwrap();
-        if let Some((_, c)) = counters.iter().find(|(n, _)| n == name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::default());
-        counters.push((name.to_string(), Arc::clone(&c)));
-        c
-    }
-
-    fn hist(&self, name: &str) -> Arc<Histogram> {
-        let mut hists = self.hists.lock().unwrap();
-        if let Some((_, h)) = hists.iter().find(|(n, _)| n == name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::default());
-        hists.push((name.to_string(), Arc::clone(&h)));
-        h
-    }
-
-    fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut gauges = self.gauges.lock().unwrap();
-        if let Some((_, g)) = gauges.iter().find(|(n, _)| n == name) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::default());
-        gauges.push((name.to_string(), Arc::clone(&g)));
-        g
     }
 
     fn apply_mem(&self, delta: alloc::MemDelta) {
@@ -355,43 +296,24 @@ impl Node {
     }
 
     fn snapshot(&self) -> ReportNode {
+        let stats = MemStats {
+            allocated: self.mem_allocated.load(Ordering::Relaxed),
+            freed: self.mem_freed.load(Ordering::Relaxed),
+            allocs: self.mem_allocs.load(Ordering::Relaxed),
+            peak_delta: self.mem_peak_delta.load(Ordering::Relaxed),
+        };
         ReportNode {
             name: self.name.clone(),
             start_us: self.start_us,
             duration_us: self.duration_us.load(Ordering::Relaxed),
             calls: self.calls.load(Ordering::Relaxed),
-            counters: self
-                .counters
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(n, c)| (n.clone(), c.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(n, g)| (n.clone(), g.get()))
-                .collect(),
+            counters: self.counters.snapshot(|c| Some(c.load(Ordering::Relaxed))),
+            gauges: self.gauges.snapshot(|g| Some(g.get())),
             meta: self.meta.lock().unwrap().clone(),
-            mem: {
-                let stats = MemStats {
-                    allocated: self.mem_allocated.load(Ordering::Relaxed),
-                    freed: self.mem_freed.load(Ordering::Relaxed),
-                    allocs: self.mem_allocs.load(Ordering::Relaxed),
-                    peak_delta: self.mem_peak_delta.load(Ordering::Relaxed),
-                };
-                (!stats.is_empty()).then_some(stats)
-            },
+            mem: (!stats.is_empty()).then_some(stats),
             hists: self
                 .hists
-                .lock()
-                .unwrap()
-                .iter()
-                .filter(|(_, h)| h.count() > 0)
-                .map(|(n, h)| (n.clone(), h.snapshot()))
-                .collect(),
+                .snapshot(|h| (h.count() > 0).then(|| h.snapshot())),
             children: self
                 .children
                 .lock()
@@ -433,12 +355,23 @@ impl Ctx {
             mem: alloc::is_mem_tracking().then(alloc::begin_scope),
         }
     }
+
+    /// The innermost open span, else the root: where counters, gauges,
+    /// histograms, metadata and new child spans attach.
+    fn current(&self) -> &Arc<Node> {
+        self.stack.last().map_or(&self.root, |(node, _, _)| node)
+    }
 }
 
 impl Drop for Ctx {
     fn drop(&mut self) {
         ACTIVE.fetch_sub(1, Ordering::SeqCst);
     }
+}
+
+/// `f` applied to this thread's current span; `None` without a context.
+fn with_current<R>(f: impl FnOnce(&Node) -> R) -> Option<R> {
+    CONTEXT.with(|c| c.borrow().as_ref().map(|ctx| f(ctx.current())))
 }
 
 /// Start collecting on this thread. Subsequent [`span`]/[`add`]/[`gauge`]
@@ -580,6 +513,7 @@ fn drain_mem_samples() -> Vec<MemSample> {
 
 /// RAII guard for a scoped span; the span closes (and its duration is
 /// recorded) when the guard drops.
+#[derive(Default)]
 #[must_use = "a span closes when its guard drops; bind it with `let _span = ...`"]
 pub struct SpanGuard {
     node: Option<(Arc<Node>, Instant)>,
@@ -595,11 +529,7 @@ pub struct SpanGuard {
 #[inline]
 pub fn span(name: &str) -> SpanGuard {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
-        return SpanGuard {
-            node: None,
-            trace: None,
-            mem: None,
-        };
+        return SpanGuard::default();
     }
     span_slow(name)
 }
@@ -608,15 +538,10 @@ fn span_slow(name: &str) -> SpanGuard {
     CONTEXT.with(|c| {
         let mut slot = c.borrow_mut();
         let Some(ctx) = slot.as_mut() else {
-            return SpanGuard {
-                node: None,
-                trace: None,
-                mem: None,
-            };
+            return SpanGuard::default();
         };
         let start_us = ctx.epoch.elapsed().as_micros() as u64;
-        let parent = ctx.stack.last().map(|(n, _, _)| n).unwrap_or(&ctx.root);
-        let node = parent.child(name, start_us);
+        let node = ctx.current().child(name, start_us);
         let mem = alloc::is_mem_tracking().then(alloc::begin_scope);
         ctx.stack.push((Arc::clone(&node), Instant::now(), mem));
         let trace = if ring::is_tracing() {
@@ -708,16 +633,7 @@ pub fn counter(name: &str) -> CounterHandle {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return CounterHandle(None);
     }
-    CONTEXT.with(|c| {
-        let slot = c.borrow();
-        match slot.as_ref() {
-            Some(ctx) => {
-                let node = ctx.stack.last().map(|(n, _, _)| n).unwrap_or(&ctx.root);
-                CounterHandle(Some(node.counter(name)))
-            }
-            None => CounterHandle(None),
-        }
-    })
+    CounterHandle(with_current(|node| node.counters.get(name)))
 }
 
 /// Handle to latency histogram `name` on the current span (no-op when
@@ -730,16 +646,7 @@ pub fn hist(name: &str) -> HistHandle {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return HistHandle(None);
     }
-    CONTEXT.with(|c| {
-        let slot = c.borrow();
-        match slot.as_ref() {
-            Some(ctx) => {
-                let node = ctx.stack.last().map(|(n, _, _)| n).unwrap_or(&ctx.root);
-                HistHandle(Some(node.hist(name)))
-            }
-            None => HistHandle(None),
-        }
-    })
+    HistHandle(with_current(|node| node.hists.get(name)))
 }
 
 /// Add `delta` to counter `name` on the current span.
@@ -761,33 +668,21 @@ pub fn record_max(name: &str, v: u64) {
     counter(name).record_max(v);
 }
 
-/// Handle to gauge `name` on the current span (no-op when disabled).
-/// Capture once, then [`set`](GaugeHandle::set) /
-/// [`set_max`](GaugeHandle::set_max) freely from parallel workers.
+/// The gauge `name` on the current span, if collecting.
 #[inline]
-pub fn gauge_handle(name: &str) -> GaugeHandle {
+fn current_gauge(name: &str) -> Option<Arc<Gauge>> {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
-        return GaugeHandle(None);
+        return None;
     }
-    CONTEXT.with(|c| {
-        let slot = c.borrow();
-        match slot.as_ref() {
-            Some(ctx) => {
-                let node = ctx.stack.last().map(|(n, _, _)| n).unwrap_or(&ctx.root);
-                GaugeHandle(Some(node.gauge(name)))
-            }
-            None => GaugeHandle(None),
-        }
-    })
+    with_current(|node| node.gauges.get(name))
 }
 
 /// Set gauge `name` on the current span (last write wins).
 #[inline]
 pub fn gauge(name: &str, value: f64) {
-    if ACTIVE.load(Ordering::Relaxed) == 0 {
-        return;
+    if let Some(g) = current_gauge(name) {
+        g.set(value);
     }
-    gauge_handle(name).set(value);
 }
 
 /// Raise gauge `name` on the current span to at least `value` —
@@ -797,10 +692,9 @@ pub fn gauge(name: &str, value: f64) {
 /// it.
 #[inline]
 pub fn gauge_max(name: &str, value: f64) {
-    if ACTIVE.load(Ordering::Relaxed) == 0 {
-        return;
+    if let Some(g) = current_gauge(name) {
+        g.set_max(value);
     }
-    gauge_handle(name).set_max(value);
 }
 
 /// Attach string metadata `name = value` to the current span (last write
@@ -810,15 +704,7 @@ pub fn meta(name: &str, value: impl std::fmt::Display) {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return;
     }
-    CONTEXT.with(|c| {
-        if let Some(ctx) = c.borrow().as_ref() {
-            ctx.stack
-                .last()
-                .map(|(n, _, _)| n)
-                .unwrap_or(&ctx.root)
-                .set_meta(name, value.to_string());
-        }
-    });
+    with_current(|node| node.set_meta(name, value.to_string()));
 }
 
 /// Serializes tests that touch the global tracing state (rings, the
@@ -843,10 +729,10 @@ mod tests {
         meta("m", "v");
         let h = counter("c");
         h.incr();
-        assert!(!h.is_active());
+        assert!(h.0.is_none());
         let hh = hist("h");
         hh.record(1);
-        assert!(!hh.is_active());
+        assert!(hh.0.is_none());
         assert!(hh.start().is_none());
         assert!(take_report().is_none());
     }
@@ -1046,8 +932,7 @@ mod tests {
     #[test]
     fn gauge_max_never_regresses_under_concurrent_reporters() {
         enable();
-        let h = gauge_handle("pool_peak");
-        assert!(h.is_active());
+        let h = current_gauge("pool_peak").expect("collecting");
         // Eight threads race to report peaks in interleaved orders;
         // last-write-wins semantics would let a small late report
         // clobber the true maximum.

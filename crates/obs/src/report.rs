@@ -61,7 +61,7 @@ pub struct MemSample {
 }
 
 /// `1234567` → `"1.2 MiB"`: human-readable byte volumes for renderings.
-pub fn fmt_bytes(bytes: u64) -> String {
+pub(crate) fn fmt_bytes(bytes: u64) -> String {
     const KIB: u64 = 1 << 10;
     const MIB: u64 = 1 << 20;
     const GIB: u64 = 1 << 30;
@@ -164,30 +164,15 @@ impl ReportNode {
             ("calls".to_string(), Json::Num(self.calls as f64)),
             (
                 "counters".to_string(),
-                Json::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(n, v)| (n.clone(), Json::Num(*v as f64)))
-                        .collect(),
-                ),
+                object(&self.counters, |v| Json::Num(*v as f64)),
             ),
             (
                 "gauges".to_string(),
-                Json::Obj(
-                    self.gauges
-                        .iter()
-                        .map(|(n, v)| (n.clone(), Json::Num(*v)))
-                        .collect(),
-                ),
+                object(&self.gauges, |v| Json::Num(*v)),
             ),
             (
                 "meta".to_string(),
-                Json::Obj(
-                    self.meta
-                        .iter()
-                        .map(|(n, v)| (n.clone(), Json::Str(v.clone())))
-                        .collect(),
-                ),
+                object(&self.meta, |v| Json::Str(v.clone())),
             ),
             (
                 "children".to_string(),
@@ -199,12 +184,7 @@ impl ReportNode {
         if !self.hists.is_empty() {
             members.push((
                 "hists".to_string(),
-                Json::Obj(
-                    self.hists
-                        .iter()
-                        .map(|(n, h)| (n.clone(), h.to_json()))
-                        .collect(),
-                ),
+                object(&self.hists, HistSnapshot::to_json),
             ));
         }
         if let Some(mem) = self.mem.filter(|m| !m.is_empty()) {
@@ -218,65 +198,37 @@ impl ReportNode {
             offset: 0,
             message: format!("report node missing or malformed field: {what}"),
         };
+        let count = |key: &str| {
+            value
+                .get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| missing(key))
+        };
+        let members = |key: &str| {
+            value
+                .get(key)
+                .and_then(Json::as_obj)
+                .ok_or_else(|| missing(key))
+        };
         Ok(ReportNode {
             name: value
                 .get("name")
                 .and_then(Json::as_str)
                 .ok_or_else(|| missing("name"))?
                 .to_string(),
-            start_us: value
-                .get("start_us")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| missing("start_us"))?,
-            duration_us: value
-                .get("duration_us")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| missing("duration_us"))?,
-            calls: value
-                .get("calls")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| missing("calls"))?,
-            counters: value
-                .get("counters")
-                .and_then(Json::as_obj)
-                .ok_or_else(|| missing("counters"))?
-                .iter()
-                .map(|(n, v)| {
-                    v.as_u64()
-                        .map(|v| (n.clone(), v))
-                        .ok_or_else(|| missing("counter value"))
-                })
-                .collect::<Result<_, _>>()?,
-            gauges: value
-                .get("gauges")
-                .and_then(Json::as_obj)
-                .ok_or_else(|| missing("gauges"))?
-                .iter()
-                .map(|(n, v)| {
-                    v.as_f64()
-                        .map(|v| (n.clone(), v))
-                        .ok_or_else(|| missing("gauge value"))
-                })
-                .collect::<Result<_, _>>()?,
-            meta: value
-                .get("meta")
-                .and_then(Json::as_obj)
-                .ok_or_else(|| missing("meta"))?
-                .iter()
-                .map(|(n, v)| {
-                    v.as_str()
-                        .map(|v| (n.clone(), v.to_string()))
-                        .ok_or_else(|| missing("meta value"))
-                })
-                .collect::<Result<_, _>>()?,
+            start_us: count("start_us")?,
+            duration_us: count("duration_us")?,
+            calls: count("calls")?,
+            counters: parse_members(members("counters")?, Json::as_u64)
+                .ok_or_else(|| missing("counter value"))?,
+            gauges: parse_members(members("gauges")?, Json::as_f64)
+                .ok_or_else(|| missing("gauge value"))?,
+            meta: parse_members(members("meta")?, |v| v.as_str().map(str::to_string))
+                .ok_or_else(|| missing("meta value"))?,
             hists: match value.get("hists") {
                 None => Vec::new(),
-                Some(h) => h
-                    .as_obj()
-                    .ok_or_else(|| missing("hists"))?
-                    .iter()
-                    .map(|(n, v)| HistSnapshot::from_json(v).map(|h| (n.clone(), h)))
-                    .collect::<Result<_, _>>()?,
+                Some(_) => parse_members(members("hists")?, |v| HistSnapshot::from_json(v).ok())
+                    .ok_or_else(|| missing("histogram"))?,
             },
             mem: value.get("mem").map(MemStats::from_json),
             children: value
@@ -344,6 +296,23 @@ pub(crate) fn fmt_us(us: u64) -> String {
     } else {
         format!("{us}µs")
     }
+}
+
+/// `pairs` as a JSON object, each value through `value`.
+fn object<T>(pairs: &[(String, T)], value: impl Fn(&T) -> Json) -> Json {
+    Json::Obj(pairs.iter().map(|(n, v)| (n.clone(), value(v))).collect())
+}
+
+/// An object's members with every value through `parse`; `None` when
+/// one does not parse.
+fn parse_members<T>(
+    members: &[(String, Json)],
+    parse: impl Fn(&Json) -> Option<T>,
+) -> Option<Vec<(String, T)>> {
+    members
+        .iter()
+        .map(|(n, v)| Some((n.clone(), parse(v)?)))
+        .collect()
 }
 
 /// A finished observability run: the root span plus everything recorded

@@ -34,7 +34,7 @@ use std::time::Instant;
 /// Default events per thread ring. At 16 bytes per slot this is 128 KiB
 /// per worker thread; a drain resets the window, so only events between
 /// two `take_report` calls compete for capacity. Override with
-/// [`set_trace_capacity`] (CLI `--trace-buf` / `SNAP_TRACE_BUF`).
+/// [`set_trace_capacity`] (CLI `--trace-buf`).
 pub(crate) const RING_CAPACITY: usize = 8192;
 
 /// Floor for configured capacities: a ring must hold at least one
@@ -98,7 +98,7 @@ pub fn disable_tracing() {
 
 /// Whether event recording is on (one relaxed load).
 #[inline]
-pub fn is_tracing() -> bool {
+pub(crate) fn is_tracing() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
 

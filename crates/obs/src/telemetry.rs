@@ -23,114 +23,29 @@
 
 use crate::alloc;
 use crate::json::Json;
-use crate::{Counter, CounterHandle, Gauge, GaugeHandle, HistHandle, HistSnapshot, Histogram};
+use crate::{Cells, CounterHandle, Gauge, GaugeHandle};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
-struct Registry {
-    counters: Mutex<Vec<(String, Arc<Counter>)>>,
-    gauges: Mutex<Vec<(String, Arc<Gauge>)>>,
-    hists: Mutex<Vec<(String, Arc<Histogram>)>>,
-}
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        counters: Mutex::new(Vec::new()),
-        gauges: Mutex::new(Vec::new()),
-        hists: Mutex::new(Vec::new()),
-    })
-}
+/// The process-global export registry.
+static COUNTERS: Cells<AtomicU64> = Cells::new();
+static GAUGES: Cells<Gauge> = Cells::new();
 
 /// Handle to process-global exported counter `name`, created on first
 /// use. Unlike [`crate::counter`], the cell is always live (no span
 /// context needed) and is sampled by any running [`Sampler`].
 pub fn export_counter(name: &str) -> CounterHandle {
-    let mut counters = registry().counters.lock().unwrap();
-    let cell = match counters.iter().find(|(n, _)| n == name) {
-        Some((_, c)) => Arc::clone(c),
-        None => {
-            let c = Arc::new(Counter::default());
-            counters.push((name.to_string(), Arc::clone(&c)));
-            c
-        }
-    };
-    CounterHandle::from_cell(cell)
+    CounterHandle(Some(COUNTERS.get(name)))
 }
 
 /// Handle to process-global exported gauge `name`, created on first
 /// use.
 pub fn export_gauge(name: &str) -> GaugeHandle {
-    let mut gauges = registry().gauges.lock().unwrap();
-    let cell = match gauges.iter().find(|(n, _)| n == name) {
-        Some((_, g)) => Arc::clone(g),
-        None => {
-            let g = Arc::new(Gauge::default());
-            gauges.push((name.to_string(), Arc::clone(&g)));
-            g
-        }
-    };
-    GaugeHandle::new(Some(cell))
-}
-
-/// Handle to process-global exported histogram `name`, created on
-/// first use. Like [`mod@crate::hist`] but always live: recordings are
-/// visible to any running [`Sampler`], which exports p50/p90/p99
-/// quantile gauges (`snap_<name>_p50`, ...) through the OpenMetrics
-/// path and a `hists` object on each NDJSON sample.
-pub fn export_hist(name: &str) -> HistHandle {
-    let mut hists = registry().hists.lock().unwrap();
-    let cell = match hists.iter().find(|(n, _)| n == name) {
-        Some((_, h)) => Arc::clone(h),
-        None => {
-            let h = Arc::new(Histogram::default());
-            hists.push((name.to_string(), Arc::clone(&h)));
-            h
-        }
-    };
-    HistHandle(Some(cell))
-}
-
-/// Snapshot every exported histogram (sorted by name).
-pub fn export_hist_values() -> Vec<(String, HistSnapshot)> {
-    let mut hists: Vec<(String, HistSnapshot)> = registry()
-        .hists
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(n, h)| (n.clone(), h.snapshot()))
-        .collect();
-    hists.sort_by(|a, b| a.0.cmp(&b.0));
-    hists
-}
-
-/// Registry snapshot: counter and gauge `(name, value)` lists.
-pub type ExportSnapshot = (Vec<(String, u64)>, Vec<(String, f64)>);
-
-/// Snapshot every exported counter and gauge (sorted by name).
-pub fn export_values() -> ExportSnapshot {
-    let reg = registry();
-    let mut counters: Vec<(String, u64)> = reg
-        .counters
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(n, c)| (n.clone(), c.get()))
-        .collect();
-    let mut gauges: Vec<(String, f64)> = reg
-        .gauges
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(n, g)| (n.clone(), g.get()))
-        .collect();
-    counters.sort_by(|a, b| a.0.cmp(&b.0));
-    gauges.sort_by(|a, b| a.0.cmp(&b.0));
-    (counters, gauges)
+    GaugeHandle(Some(GAUGES.get(name)))
 }
 
 /// Where a [`Sampler`] writes.
@@ -235,25 +150,27 @@ fn sleep_interruptible(stop: &AtomicBool, total: Duration) {
     }
 }
 
-/// One telemetry sample: allocator counters plus the export registry.
+/// One telemetry sample: allocator counters plus the export registry,
+/// each list sorted by name.
 struct Sample {
     seq: u64,
     ts_ms: u64,
     mem: alloc::MemSnapshot,
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
-    hists: Vec<(String, HistSnapshot)>,
 }
 
 fn take_sample(seq: u64, ts_ms: u64) -> Sample {
-    let (counters, gauges) = export_values();
+    let mut counters = COUNTERS.snapshot(|c| Some(c.load(Ordering::Relaxed)));
+    let mut gauges = GAUGES.snapshot(|g| Some(g.get()));
+    counters.sort_by(|a, b| a.0.cmp(&b.0));
+    gauges.sort_by(|a, b| a.0.cmp(&b.0));
     Sample {
         seq,
         ts_ms,
         mem: alloc::mem_snapshot(),
         counters,
         gauges,
-        hists: export_hist_values(),
     }
 }
 
@@ -294,26 +211,6 @@ impl Sample {
                         .collect(),
                 ),
             ),
-            (
-                "hists".to_string(),
-                Json::Obj(
-                    self.hists
-                        .iter()
-                        .map(|(n, h)| {
-                            (
-                                n.clone(),
-                                Json::Obj(vec![
-                                    ("count".to_string(), Json::Num(h.count as f64)),
-                                    ("p50".to_string(), Json::Num(h.p50() as f64)),
-                                    ("p90".to_string(), Json::Num(h.p90() as f64)),
-                                    ("p99".to_string(), Json::Num(h.p99() as f64)),
-                                    ("max".to_string(), Json::Num(h.max as f64)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
         ])
         .to_string_compact()
     }
@@ -350,17 +247,6 @@ fn openmetrics_text(sample: &Sample) -> String {
         let mut rendered = String::new();
         crate::json::write_f64(&mut rendered, *value);
         gauge(&metric_name(name), rendered);
-    }
-    // Histograms export as quantile gauges with plain suffixed names
-    // (`snap_hit_us_p50 42`, not label syntax) so the exposition stays
-    // strictly `name value` lines — the invariant the unit tests below
-    // hold and line-splitting scrapers rely on.
-    for (name, h) in &sample.hists {
-        let base = metric_name(name);
-        gauge(&format!("{base}_count"), h.count.to_string());
-        gauge(&format!("{base}_p50"), h.p50().to_string());
-        gauge(&format!("{base}_p90"), h.p90().to_string());
-        gauge(&format!("{base}_p99"), h.p99().to_string());
     }
     let mut counter = |name: String, value: u64| {
         out.push_str(&format!("# TYPE {name} counter\n{name}_total {value}\n"));
@@ -403,18 +289,20 @@ mod tests {
         let c = export_counter("telemetry_test_events");
         c.add(3);
         export_counter("telemetry_test_events").add(2);
-        assert_eq!(c.value(), 5);
-        let g = export_gauge("telemetry_test_level");
-        g.set(1.5);
-        export_gauge("telemetry_test_level").set_max(0.5);
-        assert_eq!(g.value(), 1.5);
-        let (counters, gauges) = export_values();
-        assert!(counters
+        export_gauge("telemetry_test_level").set(1.5);
+        export_gauge("telemetry_test_level").set(2.5);
+        let sample = take_sample(0, 0);
+        assert!(sample
+            .counters
             .iter()
             .any(|(n, v)| n == "telemetry_test_events" && *v == 5));
-        assert!(gauges
+        let levels: Vec<f64> = sample
+            .gauges
             .iter()
-            .any(|(n, v)| n == "telemetry_test_level" && *v == 1.5));
+            .filter(|(n, _)| n == "telemetry_test_level")
+            .map(|&(_, v)| v)
+            .collect();
+        assert_eq!(levels, [2.5], "both handles hit the same cell");
     }
 
     #[test]
@@ -467,57 +355,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn histograms_export_quantile_series() {
-        let h = export_hist("telemetry_lat_us");
-        for v in [10u64, 20, 30, 40, 1000] {
-            h.record(v);
-        }
-        export_hist("telemetry_lat_us").record(2000);
-        let hists = export_hist_values();
-        let (_, snap) = hists
-            .iter()
-            .find(|(n, _)| n == "telemetry_lat_us")
-            .expect("registered histogram is sampled");
-        assert_eq!(snap.count, 6, "both handles hit the same cell");
-
-        let sample = take_sample(0, 1);
-        let text = openmetrics_text(&sample);
-        for series in [
-            "snap_telemetry_lat_us_count",
-            "snap_telemetry_lat_us_p50",
-            "snap_telemetry_lat_us_p90",
-            "snap_telemetry_lat_us_p99",
-        ] {
-            assert!(
-                text.contains(&format!("# TYPE {series} gauge")),
-                "{series} missing TYPE line in {text}"
-            );
-            assert!(text.contains(&format!("\n{series} ")), "{series} absent");
-        }
-        // Quantiles are ordered and plain `name value` (no label syntax).
-        assert!(!text.contains('{'), "label syntax would break the scrapers");
-        let get = |s: &str| -> u64 {
-            text.lines()
-                .find(|l| l.starts_with(&format!("{s} ")))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-                .unwrap()
-        };
-        assert!(
-            get("snap_telemetry_lat_us_p50") <= get("snap_telemetry_lat_us_p90")
-                && get("snap_telemetry_lat_us_p90") <= get("snap_telemetry_lat_us_p99")
-        );
-        // And the NDJSON line carries the same snapshot.
-        let v = Json::parse(&sample.to_ndjson()).unwrap();
-        let hist = v
-            .get("hists")
-            .and_then(|h| h.get("telemetry_lat_us"))
-            .unwrap();
-        assert_eq!(hist.get("count").and_then(Json::as_u64), Some(6));
-        assert!(hist.get("p99").and_then(Json::as_u64).unwrap() >= 1000);
-    }
-
     /// Shutdown-flush audit (regression guard): stopping the sampler
     /// mid-period must still write one final NDJSON line and a terminal
     /// OpenMetrics snapshot reflecting everything recorded *after* the
@@ -542,7 +379,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         export_counter("telemetry_flush_probe").add(41);
-        export_hist("telemetry_flush_us").record(77);
         sampler.stop().unwrap();
 
         let text = std::fs::read_to_string(&ndjson).unwrap();
@@ -564,10 +400,6 @@ mod tests {
         assert!(
             om.contains("snap_telemetry_flush_probe_total 41"),
             "terminal OpenMetrics must reflect the late counter: {om}"
-        );
-        assert!(
-            om.contains("snap_telemetry_flush_us_p50 77"),
-            "terminal OpenMetrics must reflect the late histogram: {om}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

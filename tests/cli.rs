@@ -351,53 +351,51 @@ fn check_chrome_trace(
     seen
 }
 
-/// Hold `obs efficiency --json` / `obs critical-path --json` to their own
-/// arithmetic on the saved report at `report`: busy time sums to threads ×
-/// wall × efficiency (within 5 %: the output is rounded), the skew is
-/// max/mean ≥ 1, and the critical path is a root-to-leaf chain whose
-/// self-times sum exactly to its length. Returns the thread count.
+/// Hold `obs explain --json` to its own arithmetic on the saved report
+/// at `report`: busy time sums to threads × wall × efficiency (within
+/// 5 %: the output is rounded), the skew is max/mean ≥ 1, and the
+/// critical path is a root-to-leaf chain whose self-times sum exactly to
+/// its length. Returns the thread count.
 fn check_analyzers(report: &str) -> u64 {
-    let analyze = |what: &str| {
-        let out = run_ok(cli().args(["obs", what, report, "--json"]));
-        json_lines(&out.stdout).pop().expect("one line of JSON")
-    };
-    let eff = analyze("efficiency");
-    let busy: Vec<u64> = field(&eff, "per_thread")
+    let out = run_ok(cli().args(["obs", "explain", report, "--json"]));
+    let explained = json_lines(&out.stdout).pop().expect("one line of JSON");
+    let eff = field(&explained, "efficiency");
+    let busy: Vec<u64> = field(eff, "per_thread")
         .as_arr()
         .expect("per_thread rows")
         .iter()
         .map(|t| num(t, "busy_us"))
         .collect();
-    let (wall, threads) = (num(&eff, "wall_us"), num(&eff, "threads"));
+    let (wall, threads) = (num(eff, "wall_us"), num(eff, "threads"));
     let total: u64 = busy.iter().sum();
     assert!(wall > 0 && busy.len() as u64 == threads, "{eff:?}");
-    assert_eq!(total, num(&eff, "total_busy_us"));
+    assert_eq!(total, num(eff, "total_busy_us"));
     assert!(
         busy.iter().all(|&b| b <= wall),
         "a thread busier than the wall: {eff:?}"
     );
-    let pct = field(&eff, "parallel_efficiency_pct").as_f64().unwrap();
+    let pct = field(eff, "parallel_efficiency_pct").as_f64().unwrap();
     let ideal = threads as f64 * wall as f64 * pct / 100.0;
     assert!(
         (0.0..=100.0).contains(&pct) && (total as f64 - ideal).abs() <= 0.05 * ideal,
         "{eff:?}"
     );
-    let skew = field(&eff, "imbalance_skew").as_f64().unwrap();
+    let skew = field(eff, "imbalance_skew").as_f64().unwrap();
     let max_over_mean = *busy.iter().max().unwrap() as f64 * threads as f64 / total as f64;
     assert!(
         skew >= 1.0 && (skew - max_over_mean).abs() <= 0.011,
         "{eff:?}"
     );
 
-    let crit = analyze("critical-path");
-    let steps = field(&crit, "steps").as_arr().expect("steps");
-    assert!(!steps.is_empty() && num(&crit, "span_count") >= steps.len() as u64);
+    let crit = field(&explained, "critical_path");
+    let steps = field(crit, "steps").as_arr().expect("steps");
+    assert!(!steps.is_empty() && num(crit, "span_count") >= steps.len() as u64);
     for (depth, step) in steps.iter().enumerate() {
         assert_eq!(num(step, "depth"), depth as u64, "{crit:?}");
         assert!(num(step, "self_us") <= num(step, "total_us") && num(step, "calls") >= 1);
     }
     let self_sum: u64 = steps.iter().map(|s| num(s, "self_us")).sum();
-    assert_eq!(self_sum, num(&crit, "critical_path_us"), "{crit:?}");
+    assert_eq!(self_sum, num(crit, "critical_path_us"), "{crit:?}");
     assert!(steps
         .windows(2)
         .all(|w| num(&w[1], "total_us") <= num(&w[0], "total_us")));
@@ -452,6 +450,39 @@ fn trace_out_writes_loadable_chrome_trace() {
         let summary = run.find("metrics.summary").unwrap();
         assert!(summary.mem.is_some_and(|m| m.allocated > 0), "{summary:?}");
     }
+    for path in [&graph, &trace, &report] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// `--trace-buf N` sizes the per-thread event rings: the same traced run
+/// loses more events from 64-slot rings than from the default 8192.
+#[test]
+fn trace_buf_bounds_the_event_rings() {
+    let graph = generate("tb.txt", "rmat", 10);
+    let (trace, report) = (scratch("tb-trace.json"), scratch("tb-report.json"));
+    let dropped = |trace_buf: &[&str]| {
+        run_ok(
+            cli()
+                .arg("run")
+                .arg(&graph)
+                .arg("--trace-out")
+                .arg(&trace)
+                .args(["--report", &format!("json={}", report.display())])
+                .args(trace_buf),
+        );
+        let text = std::fs::read_to_string(&report).expect("report file written");
+        let run = RunReport::from_json(&text).expect("report parses back");
+        run.root
+            .counter("trace_events_dropped")
+            .expect("drops counted")
+    };
+    let small = dropped(&["--trace-buf", "64"]);
+    let default = dropped(&[]);
+    assert!(
+        small > default,
+        "{small} dropped at 64 slots, {default} at the default"
+    );
     for path in [&graph, &trace, &report] {
         std::fs::remove_file(path).ok();
     }
@@ -601,14 +632,17 @@ fn obs_top_by_mem_ranks_self_allocated() {
     )
     .unwrap();
     let out = cli()
-        .args(["obs", "top", path.to_str().unwrap(), "--by-mem"])
+        .args(["obs", "explain", path.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(text.contains("SELF-ALLOC"), "{text}");
-    let hungry = text.find("hungry").expect("hungry listed");
-    let run = text.find("run").expect("run listed");
+    // The allocation ranking follows the time ranking (where `run`,
+    // with 90 ms of self time, leads).
+    let at = text.find("SELF-ALLOC").unwrap_or_else(|| panic!("{text}"));
+    let by_alloc = &text[at..];
+    let hungry = by_alloc.find("hungry").expect("hungry listed");
+    let run = by_alloc.find("run").expect("run listed");
     assert!(hungry < run, "{text}");
     std::fs::remove_file(&path).ok();
 }
@@ -685,7 +719,7 @@ fn obs_top_ranks_self_time() {
     )
     .unwrap();
     let out = cli()
-        .args(["obs", "top", path.to_str().unwrap()])
+        .args(["obs", "explain", path.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success());

@@ -126,10 +126,9 @@ fn counters_agree_across_thread_counts() {
 fn critical_path_analysis_is_deterministic_across_thread_counts() {
     let _serial = serial();
     // The analyzer is pure post-processing: feeding the *same* fixture
-    // report through `analyze::critical_path` / `analyze::efficiency`
-    // while the runtime pool is sized 1, 4, or 8 threads must produce
-    // byte-identical text and JSON. This is what makes `obs
-    // critical-path` output comparable across machines.
+    // report through `analyze::explain` while the runtime pool is sized
+    // 1, 4, or 8 threads must produce byte-identical text and JSON. This
+    // is what makes `obs explain` output comparable across machines.
     let net = small_world();
     let obs = net.observed();
     snap::obs::enable_tracing();
@@ -141,9 +140,8 @@ fn critical_path_analysis_is_deterministic_across_thread_counts() {
     let mut renders = Vec::new();
     for threads in [1usize, 4, 8] {
         let out = snap::with_threads(threads, || {
-            let cp = snap::obs::analyze::critical_path(&fixture);
-            let eff = snap::obs::analyze::efficiency(&fixture);
-            (cp.render(), cp.to_json(), eff.render(), eff.to_json())
+            let explained = snap::obs::analyze::explain(&fixture);
+            (explained.render(20), explained.to_json(20))
         });
         renders.push((threads, out));
     }
@@ -157,7 +155,8 @@ fn critical_path_analysis_is_deterministic_across_thread_counts() {
     // And the analysis is self-consistent: every critical-path step names
     // a span that exists in the report, the steps' self times sum to the
     // chain's length, and the busy time fits inside threads × wall.
-    let cp = snap::obs::analyze::critical_path(&fixture);
+    let explained = snap::obs::analyze::explain(&fixture);
+    let cp = &explained.critical_path;
     assert!(!cp.steps.is_empty());
     for step in &cp.steps {
         assert!(
@@ -168,7 +167,9 @@ fn critical_path_analysis_is_deterministic_across_thread_counts() {
     }
     let self_sum: u64 = cp.steps.iter().map(|s| s.self_us).sum();
     assert_eq!(cp.critical_path_us, self_sum);
-    let eff = snap::obs::analyze::efficiency(&fixture);
+    let eff = explained
+        .efficiency
+        .expect("a traced report has a timeline");
     assert!(eff.threads >= 1 && eff.total_busy_us > 0, "{eff:?}");
     assert!(
         eff.parallel_efficiency_pct > 0.0 && eff.parallel_efficiency_pct <= 100.0,
@@ -281,6 +282,36 @@ fn partitioner_phases_are_spans_under_multilevel() {
     assert!(counter("fm_pops") >= counter("fm_applied"));
     assert!(counter("fm_pops") >= counter("fm_stale"));
     assert!(counter("fm_passes") >= counter("fm_bound_exits"));
+}
+
+#[test]
+fn summary_phases_are_spans_under_metrics_summary() {
+    let _serial = serial();
+    let net = small_world();
+    let obs = net.observed();
+    let _ = obs.summary_with_seed(3);
+    let report = obs.finish();
+
+    let summary = report.find("metrics.summary").expect("summary span");
+    let phases: Vec<&str> = summary.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(
+        phases,
+        [
+            "metrics.components",
+            "metrics.paths",
+            "metrics.clustering",
+            "metrics.assortativity"
+        ],
+        "{}",
+        report.render()
+    );
+    let covered: u64 = summary.children.iter().map(|c| c.duration_us).sum();
+    assert!(covered <= summary.duration_us, "{}", report.render());
+    // The summary's own counters stay on it: 256 vertices, all of them
+    // path sources (exact below the sampling limit).
+    assert_eq!(summary.counter("path_sources"), Some(256));
+    let paths = summary.find("metrics.paths").unwrap();
+    assert_eq!(paths.counter("path_sources"), None);
 }
 
 #[test]

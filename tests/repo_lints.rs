@@ -415,3 +415,93 @@ fn rayon_shim_has_one_spawn_site() {
         spawns.join("\n")
     );
 }
+
+/// A `Mutex<Vec<(String, Arc<…>)>>` name-keyed cell list outside a comment.
+fn cell_list(line: &str) -> bool {
+    !line.trim_start().starts_with("//") && line.contains("Mutex<Vec<(String, Arc<")
+}
+
+/// Span counters, gauges and histograms and the telemetry registry all
+/// get-or-create their cells by name through one generic table,
+/// `snap_obs::Cells` (DESIGN.md §12); a second hand-written list is how
+/// the crate came to carry six copies of the same find-or-push.
+#[test]
+fn obs_cells_live_in_one_place() {
+    assert!(cell_list(
+        "    counters: Mutex<Vec<(String, Arc<Counter>)>>,"
+    ));
+    assert!(cell_list(
+        "    hists: Mutex<Vec<(String, Arc<Histogram>)>>,"
+    ));
+    assert!(!cell_list("    meta: Mutex<Vec<(String, String)>>,"));
+    assert!(!cell_list("    // a Mutex<Vec<(String, Arc<T>)>> per kind"));
+    let hits = flagged(&rust_sources(&["crates/obs/src"]), cell_list);
+    let generic =
+        ["crates/obs/src/lib.rs: pub(crate) struct Cells<T>(Mutex<Vec<(String, Arc<T>)>>);"];
+    assert!(
+        hits == generic,
+        "get or create through snap_obs::Cells:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// The name of the function a `pub fn` line declares.
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let rest = line.trim_start().strip_prefix("pub fn ")?;
+    Some(rest.split(|c| !ident(c)).next().unwrap()).filter(|name| !name.is_empty())
+}
+
+/// Whether `text` names `word` as a whole identifier.
+fn names(text: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(word)
+        .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + word.len()..].starts_with(ident))
+}
+
+/// Every public function of `snap-obs` has a caller outside the crate's
+/// sources (the CLI, another crate, a test or the benchmark); one that
+/// only its own unit tests call is crate-private or gone. A surface
+/// nothing uses is code to read, document and keep compiling for
+/// nobody.
+#[test]
+fn obs_public_functions_have_callers() {
+    assert_eq!(
+        pub_fn_name("    pub fn export_hist(name: &str) -> HistHandle {"),
+        Some("export_hist")
+    );
+    assert_eq!(
+        pub_fn_name("pub fn explain(report: &RunReport) -> Explain {"),
+        Some("explain")
+    );
+    assert_eq!(
+        pub_fn_name("    pub(crate) fn fmt_bytes(bytes: u64) -> String {"),
+        None
+    );
+    assert_eq!(
+        pub_fn_name("    fn top(report: &RunReport) -> Vec<TopEntry> {"),
+        None
+    );
+    assert!(names(
+        "let e = snap::obs::analyze::explain(&report);",
+        "explain"
+    ));
+    assert!(!names("obs explain_all", "explain"));
+    assert!(!names("fn is_active_now()", "is_active"));
+    let mut outside = rust_sources(&["crates", "tests", "benchmark/src"]);
+    outside
+        .retain(|(path, _)| !path.starts_with("crates/obs/src/") && path != "tests/repo_lints.rs");
+    let mut uncalled: Vec<String> = Vec::new();
+    for (path, text) in rust_sources(&["crates/obs/src"]) {
+        for name in text.lines().filter_map(pub_fn_name) {
+            if !outside.iter().any(|(_, other)| names(other, name)) {
+                uncalled.push(format!("{path}: {name}"));
+            }
+        }
+    }
+    assert!(
+        uncalled.is_empty(),
+        "call from outside snap-obs, make pub(crate), or delete:\n{}",
+        uncalled.join("\n")
+    );
+}
