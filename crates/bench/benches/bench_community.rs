@@ -26,6 +26,13 @@ fn bench_community(c: &mut Criterion) {
     group.bench_function("spectral-2k", |b| {
         b.iter(|| spectral_communities(&g, &SpectralCommunityConfig::default()))
     });
+    // The `explore` workload's planted shape: pLA's greedy growth at the
+    // size where it was a layer of its own.
+    let (big, _) = snap::gen::planted_partition(
+        &snap::gen::PlantedConfig::with_target_degrees(1 << 14, 16, 8.0, 2.0),
+        5,
+    );
+    group.bench_function("pla-16k", |b| b.iter(|| pla(&big, &PlaConfig::default())));
     group.finish();
 }
 

@@ -7,7 +7,8 @@
 //! `to_bits` of every f64 output must be equal at 1, 2 and 8 threads and
 //! agree with the oracle (f64 sums: to relative 1e-6, the oracle brackets
 //! them differently); representations of the same edge set must agree
-//! with each other exactly.
+//! with each other exactly. pMA and pLA have a row of their own: their
+//! labels must be the same at every thread count.
 
 use snap::centrality::{betweenness_from_sources, brandes, closeness, closeness_of};
 use snap::centrality::{sample_sources, sampled_closeness, weighted_betweenness};
@@ -267,6 +268,40 @@ fn rmat_scale_10() {
 fn erdos_renyi_400() {
     let g = snap::gen::erdos_renyi(400, 1200, 42);
     check_every_representation("er400", &g, |e| e % 3 == 0);
+}
+
+/// pMA's and pLA's labels, pLA's flip count and both modularities, on a
+/// planted graph and on a view of it with holes, must read the same at 1,
+/// 2 and 8 threads: pMA merges in one global order, and pLA grows each
+/// component serially inside its own work unit.
+#[test]
+fn community_labels_are_identical_at_every_thread_count() {
+    use snap::community::{pla, pla_view, pma, PlaConfig, PmaConfig};
+    let cfg = snap::gen::PlantedConfig::with_target_degrees(1 << 11, 16, 8.0, 2.0);
+    let (g, _) = snap::gen::planted_partition(&cfg, 13);
+    let mut view = FilteredGraph::new(&g);
+    for e in g.edge_ids().filter(|e| e % 7 == 3) {
+        view.delete_edge(e);
+    }
+    let run = || {
+        let agglomerative = pma(&g, &PmaConfig::default());
+        let local = [
+            pla(&g, &PlaConfig::default()),
+            pla_view(&view, &PlaConfig::default()),
+        ];
+        (
+            agglomerative.clustering,
+            agglomerative.q.to_bits(),
+            local.map(|r| (r.clustering, r.q.to_bits(), r.flips)),
+        )
+    };
+    let one = with_threads(1, run);
+    for threads in [2usize, 8] {
+        assert!(
+            with_threads(threads, run) == one,
+            "community labels at {threads} threads differ from 1"
+        );
+    }
 }
 
 /// The weighted subgraph induced by the `k` vertices nearest vertex 0:

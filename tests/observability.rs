@@ -285,6 +285,39 @@ fn partitioner_phases_are_spans_under_multilevel() {
 }
 
 #[test]
+fn pla_phases_are_spans_under_community_pla() {
+    let _serial = serial();
+    let cfg = snap::gen::PlantedConfig::with_target_degrees(1 << 12, 16, 8.0, 2.0);
+    let g = snap::gen::planted_partition(&cfg, 5).0;
+    snap::obs::enable();
+    let r = snap::community::pla(&g, &snap::community::PlaConfig::default());
+    let report = snap::obs::finish().expect("collection was on");
+
+    let pla = report.find("community.pla").expect("pla span");
+    for phase in [
+        "pla.bridges",
+        "pla.components",
+        "pla.grow",
+        "pla.amalgamate",
+    ] {
+        assert!(
+            pla.children.iter().any(|c| c.name == phase),
+            "missing {phase}: {}",
+            report.render()
+        );
+    }
+    let covered: u64 = pla.children.iter().map(|c| c.duration_us).sum();
+    assert!(covered <= pla.duration_us, "{}", report.render());
+    // The flip counter lives in the subtree, where the benchmark sums it.
+    fn subtree(node: &snap::obs::ReportNode, name: &str) -> u64 {
+        let own = node.counter(name).unwrap_or(0);
+        own + node.children.iter().map(|c| subtree(c, name)).sum::<u64>()
+    }
+    assert!(r.flips > 0);
+    assert_eq!(subtree(pla, "label_flips"), r.flips);
+}
+
+#[test]
 fn summary_phases_are_spans_under_metrics_summary() {
     let _serial = serial();
     let net = small_world();
