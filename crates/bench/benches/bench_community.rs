@@ -2,9 +2,7 @@
 //! partition instance (the Figure 2 workload at micro scale).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use snap::community::{
-    pbd, pla, pma, spectral_communities, PbdConfig, PlaConfig, PmaConfig, SpectralCommunityConfig,
-};
+use snap::community::{pbd, pla, pma, spectral_communities, PbdConfig, PlaConfig, PmaConfig};
 
 fn bench_community(c: &mut Criterion) {
     let mut group = c.benchmark_group("community");
@@ -23,9 +21,7 @@ fn bench_community(c: &mut Criterion) {
     });
     group.bench_function("pma-2k", |b| b.iter(|| pma(&g, &PmaConfig::default())));
     group.bench_function("pla-2k", |b| b.iter(|| pla(&g, &PlaConfig::default())));
-    group.bench_function("spectral-2k", |b| {
-        b.iter(|| spectral_communities(&g, &SpectralCommunityConfig::default()))
-    });
+    group.bench_function("spectral-2k", |b| b.iter(|| spectral_communities(&g)));
     // The `explore` workload's planted shape: pLA's greedy growth at the
     // size where it was a layer of its own.
     let (big, _) = snap::gen::planted_partition(

@@ -176,15 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_edge_finds_bridge_weight() {
-        let g = barbell();
-        let exact = brandes(&g);
-        let bridge = exact.max_edge().unwrap().0;
-        let est = adaptive_edge_betweenness(&g, bridge, 0.5, 13);
-        assert!(est.estimate > 0.5 * exact.edge[bridge as usize]);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let g = barbell();
         let a = approx_betweenness(&g, 0.5, 42);

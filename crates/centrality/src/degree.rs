@@ -37,33 +37,3 @@ pub fn top_degree_vertices<G: Graph>(g: &G, k: usize) -> Vec<(VertexId, usize)> 
     all.truncate(k);
     all
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use snap_graph::builder::from_edges;
-
-    #[test]
-    fn star_degrees() {
-        let g = from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        assert_eq!(degree_centrality(&g), vec![4, 1, 1, 1, 1]);
-        let norm = normalized_degree_centrality(&g);
-        assert!((norm[0] - 1.0).abs() < 1e-12);
-        assert!((norm[1] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn top_k_ordering() {
-        let g = from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 2)]);
-        let top = top_degree_vertices(&g, 2);
-        assert_eq!(top[0].0, 0);
-        assert_eq!(top[0].1, 3);
-        assert_eq!(top.len(), 2);
-    }
-
-    #[test]
-    fn single_vertex() {
-        let g = from_edges(1, &[]);
-        assert_eq!(normalized_degree_centrality(&g), vec![0.0]);
-    }
-}

@@ -93,3 +93,39 @@ proptest! {
         prop_assert_eq!(total, 2 * g.num_edges());
     }
 }
+
+#[test]
+fn star_degrees() {
+    let g = snap_graph::builder::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+    assert_eq!(degree_centrality(&g), vec![4, 1, 1, 1, 1]);
+    let norm = normalized_degree_centrality(&g);
+    assert!((norm[0] - 1.0).abs() < 1e-12);
+    assert!((norm[1] - 0.25).abs() < 1e-12);
+}
+
+#[test]
+fn top_k_ordering() {
+    let g = snap_graph::builder::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 2)]);
+    let top = top_degree_vertices(&g, 2);
+    assert_eq!(top[0].0, 0);
+    assert_eq!(top[0].1, 3);
+    assert_eq!(top.len(), 2);
+}
+
+#[test]
+fn single_vertex() {
+    let g = snap_graph::builder::from_edges(1, &[]);
+    assert_eq!(normalized_degree_centrality(&g), vec![0.0]);
+}
+
+#[test]
+fn adaptive_edge_finds_bridge_weight() {
+    let g = snap_graph::builder::from_edges(
+        6,
+        &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)],
+    );
+    let exact = brandes(&g);
+    let bridge = exact.max_edge().unwrap().0;
+    let est = adaptive_edge_betweenness(&g, bridge, 0.5, 13);
+    assert!(est.estimate > 0.5 * exact.edge[bridge as usize]);
+}

@@ -14,6 +14,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snap_graph::{CsrGraph, Graph, VertexId};
 
+/// Initial temperature.
+const T0: f64 = 2.5e-3;
+
+/// Geometric cooling factor per sweep.
+const COOLING: f64 = 0.975;
+
 /// Configuration for [`anneal`].
 #[derive(Clone, Debug)]
 pub struct AnnealConfig {
@@ -21,10 +27,6 @@ pub struct AnnealConfig {
     pub seed: u64,
     /// Number of sweeps; each sweep proposes `n` single-vertex moves.
     pub sweeps: usize,
-    /// Initial temperature.
-    pub t0: f64,
-    /// Geometric cooling factor per sweep.
-    pub cooling: f64,
 }
 
 impl Default for AnnealConfig {
@@ -32,8 +34,6 @@ impl Default for AnnealConfig {
         AnnealConfig {
             seed: 0xa11ea1,
             sweeps: 200,
-            t0: 2.5e-3,
-            cooling: 0.975,
         }
     }
 }
@@ -99,7 +99,7 @@ pub fn anneal_from(g: &CsrGraph, initial: &Clustering, cfg: &AnnealConfig) -> An
     let mut best_q = q;
     let mut best_labels = labels.clone();
 
-    let mut temp = cfg.t0;
+    let mut temp = T0;
     for _sweep in 0..cfg.sweeps {
         for _ in 0..n {
             let v = rng.gen_range(0..n) as VertexId;
@@ -160,7 +160,7 @@ pub fn anneal_from(g: &CsrGraph, initial: &Clustering, cfg: &AnnealConfig) -> An
                 best_labels.clone_from(&labels);
             }
         }
-        temp *= cfg.cooling;
+        temp *= COOLING;
     }
 
     let clustering = Clustering::from_labels(&best_labels);

@@ -22,15 +22,6 @@ impl Clustering {
         }
     }
 
-    /// All vertices in one cluster — the starting state of the divisive
-    /// algorithms.
-    pub fn single_cluster(n: usize) -> Self {
-        Clustering {
-            assignment: vec![0; n],
-            count: if n == 0 { 0 } else { 1 },
-        }
-    }
-
     /// Build from arbitrary labels, renumbering to consecutive `0..count`
     /// in first-appearance order.
     pub fn from_labels(labels: &[u32]) -> Self {
@@ -168,7 +159,7 @@ mod tests {
         let s = Clustering::singletons(4);
         assert_eq!(s.count, 4);
         s.validate().unwrap();
-        let one = Clustering::single_cluster(4);
+        let one = Clustering::from_labels(&[0; 4]);
         assert_eq!(one.count, 1);
         one.validate().unwrap();
     }

@@ -48,7 +48,7 @@ impl Dendrogram {
 
     /// Index (number of merges applied) of the prefix with maximum
     /// modularity; 0 means "no merges" (singletons).
-    pub fn best_step(&self) -> usize {
+    fn best_step(&self) -> usize {
         let mut best = self.q_initial;
         let mut best_idx = 0usize;
         for (i, m) in self.merges.iter().enumerate() {
@@ -61,7 +61,7 @@ impl Dendrogram {
     }
 
     /// Modularity of the best prefix.
-    pub fn best_q(&self) -> f64 {
+    pub(crate) fn best_q(&self) -> f64 {
         self.merges
             .iter()
             .map(|m| m.q_after)
@@ -98,7 +98,7 @@ impl Dendrogram {
     }
 
     /// The clustering with maximum modularity over the whole history.
-    pub fn best_clustering(&self) -> Clustering {
+    pub(crate) fn best_clustering(&self) -> Clustering {
         self.clustering_at(self.best_step())
     }
 }

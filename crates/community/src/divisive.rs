@@ -13,9 +13,9 @@ use snap_graph::{CsrGraph, EdgeId, FilteredGraph, Graph, VertexId};
 use snap_kernels::connected_components;
 
 /// Incremental divisive-clustering state over a base graph.
-pub struct DivisiveEngine<'g> {
+pub(crate) struct DivisiveEngine<'g> {
     /// The filtered view edges are deleted from.
-    pub view: FilteredGraph<'g>,
+    pub(crate) view: FilteredGraph<'g>,
     base: &'g CsrGraph,
     /// Current cluster (= component) label per vertex.
     comp: Vec<u32>,
@@ -38,15 +38,13 @@ pub struct DivisiveEngine<'g> {
     /// connectivity search.
     mark: Vec<bool>,
     mark2: Vec<bool>,
-    /// Live cluster count.
-    count: usize,
 }
 
 impl<'g> DivisiveEngine<'g> {
     /// Start from the connected components of `base`. `m_norm` is the
     /// edge count modularity is normalized by (pass `base.num_edges()`
     /// unless refining a component of a larger graph).
-    pub fn new(base: &'g CsrGraph, m_norm: f64) -> Self {
+    pub(crate) fn new(base: &'g CsrGraph, m_norm: f64) -> Self {
         Self::with_degree_bonus(base, m_norm, None)
     }
 
@@ -55,7 +53,11 @@ impl<'g> DivisiveEngine<'g> {
     /// extracted component: the bonus accounts for the vertex's base-graph
     /// edges into *other* components, which contribute to its degree term
     /// in the global modularity but are not present in the local graph.
-    pub fn with_degree_bonus(base: &'g CsrGraph, m_norm: f64, bonus: Option<&[f64]>) -> Self {
+    pub(crate) fn with_degree_bonus(
+        base: &'g CsrGraph,
+        m_norm: f64,
+        bonus: Option<&[f64]>,
+    ) -> Self {
         let comps = connected_components(base);
         let n = base.num_vertices();
         let k = comps.count;
@@ -93,55 +95,49 @@ impl<'g> DivisiveEngine<'g> {
             best_q: q,
             mark: vec![false; n],
             mark2: vec![false; n],
-            count: k,
         }
     }
 
     /// Forget the best-so-far state and restart best tracking from the
     /// current state. Used after replaying historic deletions into a
     /// freshly extracted component engine.
-    pub fn reset_best(&mut self) {
+    pub(crate) fn reset_best(&mut self) {
         self.best_q = self.q;
         self.best_comp.clone_from(&self.comp);
     }
 
     /// Current modularity (contribution, when running inside a component).
-    pub fn q(&self) -> f64 {
+    pub(crate) fn q(&self) -> f64 {
         self.q
     }
 
     /// Best modularity seen so far.
-    pub fn best_q(&self) -> f64 {
+    pub(crate) fn best_q(&self) -> f64 {
         self.best_q
     }
 
-    /// Number of live clusters.
-    pub fn cluster_count(&self) -> usize {
-        self.count
-    }
-
     /// Number of still-live edges in the view.
-    pub fn live_edges(&self) -> usize {
+    pub(crate) fn live_edges(&self) -> usize {
         self.view.num_edges()
     }
 
     /// Current cluster labels (not renumbered).
-    pub fn labels(&self) -> &[u32] {
+    pub(crate) fn labels(&self) -> &[u32] {
         &self.comp
     }
 
     /// The best clustering seen, renumbered consecutively.
-    pub fn best_clustering(&self) -> Clustering {
+    pub(crate) fn best_clustering(&self) -> Clustering {
         Clustering::from_labels(&self.best_comp)
     }
 
     /// The current clustering, renumbered consecutively.
-    pub fn current_clustering(&self) -> Clustering {
+    pub(crate) fn current_clustering(&self) -> Clustering {
         Clustering::from_labels(&self.comp)
     }
 
     /// Members of each current cluster, keyed by raw label.
-    pub fn cluster_members(&self) -> std::collections::HashMap<u32, Vec<VertexId>> {
+    pub(crate) fn cluster_members(&self) -> std::collections::HashMap<u32, Vec<VertexId>> {
         let mut map: std::collections::HashMap<u32, Vec<VertexId>> =
             std::collections::HashMap::new();
         for (v, &c) in self.comp.iter().enumerate() {
@@ -158,7 +154,7 @@ impl<'g> DivisiveEngine<'g> {
     /// so its cost is `O(min(side))` — crucial when the divisive
     /// algorithms perform `O(m)` deletions, most of which carve small
     /// pieces off a large component.
-    pub fn delete_edge(&mut self, e: EdgeId) -> f64 {
+    pub(crate) fn delete_edge(&mut self, e: EdgeId) -> f64 {
         if !self.view.delete_edge(e) {
             return self.q;
         }
@@ -302,7 +298,6 @@ impl<'g> DivisiveEngine<'g> {
         self.intra.push(part_intra);
         self.degsum.push(part_degsum);
         self.q += term(rem_intra, rem_degsum) + term(part_intra, part_degsum);
-        self.count += 1;
 
         for &x in &side {
             self.comp[x as usize] = new_label;
@@ -329,7 +324,7 @@ mod tests {
     fn initial_q_matches_direct() {
         let g = barbell();
         let eng = DivisiveEngine::new(&g, g.num_edges() as f64);
-        let direct = modularity(&g, &Clustering::single_cluster(6));
+        let direct = modularity(&g, &Clustering::from_labels(&[0; 6]));
         assert!((eng.q() - direct).abs() < 1e-12);
     }
 
@@ -340,7 +335,7 @@ mod tests {
         // Edge (2,3) is edge id... find it.
         let bridge = g.edges().find(|&(_, u, v)| (u, v) == (2, 3)).unwrap().0;
         let q = eng.delete_edge(bridge);
-        assert_eq!(eng.cluster_count(), 2);
+        assert_eq!(eng.current_clustering().count, 2);
         let direct = modularity(&g, &Clustering::from_labels(&[0, 0, 0, 1, 1, 1]));
         assert!((q - direct).abs() < 1e-12, "q {q} direct {direct}");
         assert!((eng.best_q() - q).abs() < 1e-12);
@@ -353,7 +348,7 @@ mod tests {
         let q0 = eng.q();
         let tri_edge = g.edges().find(|&(_, u, v)| (u, v) == (0, 1)).unwrap().0;
         let q = eng.delete_edge(tri_edge);
-        assert_eq!(eng.cluster_count(), 1);
+        assert_eq!(eng.current_clustering().count, 1);
         assert!((q - q0).abs() < 1e-12);
     }
 
@@ -364,7 +359,7 @@ mod tests {
         for e in g.edge_ids().collect::<Vec<_>>() {
             eng.delete_edge(e);
         }
-        assert_eq!(eng.cluster_count(), 6);
+        assert_eq!(eng.current_clustering().count, 6);
         let direct = modularity(&g, &Clustering::singletons(6));
         assert!((eng.q() - direct).abs() < 1e-12);
         // Best tracks the peak along this (id-order) deletion schedule

@@ -139,7 +139,7 @@ impl DqMatrix {
     /// Pop the best live merge candidate, or `None` when no candidate
     /// remains. Stale heap entries (superseded values, dead communities)
     /// are discarded lazily.
-    pub fn pop_best(&mut self) -> Option<(u32, u32, f64)> {
+    pub(crate) fn pop_best(&mut self) -> Option<(u32, u32, f64)> {
         while let Some(e) = self.heap.pop() {
             self.stats.heap_pops += 1;
             if !self.alive[e.i as usize] || !self.alive[e.j as usize] {

@@ -22,13 +22,12 @@
 //! * [`anneal()`](fn@anneal) — simulated annealing, standing in for the paper's
 //!   "best known" modularity column.
 //!
-//! Supporting types: [`Clustering`], [`modularity()`](fn@modularity), [`Dendrogram`], and
-//! the incremental [`divisive::DivisiveEngine`].
+//! Supporting types: [`Clustering`], [`modularity()`](fn@modularity) and [`Dendrogram`].
 
 pub mod anneal;
 pub mod clustering;
 pub mod dendrogram;
-pub mod divisive;
+mod divisive;
 mod dq;
 pub mod gn;
 pub mod modularity;
@@ -45,4 +44,4 @@ pub use modularity::{modularity, weighted_modularity, ModularityTracker};
 pub use pbd::{pbd, pbd_in, PbdConfig};
 pub use pla::{pla, pla_in, pla_view, PlaConfig, PlaResult};
 pub use pma::{pma, pma_in, AgglomerativeResult, PmaConfig};
-pub use spectral::{spectral_communities, SpectralCommunityConfig, SpectralCommunityResult};
+pub use spectral::{spectral_communities, SpectralCommunityResult};

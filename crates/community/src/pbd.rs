@@ -16,7 +16,7 @@
 //!    (components refined independently in parallel, with *exact*
 //!    betweenness, since each component is now small).
 //! 4. `O(m)`-work steps (modularity updates, component updates) stay
-//!    incremental via [`crate::divisive::DivisiveEngine`].
+//!    incremental via `DivisiveEngine` (`divisive.rs`).
 
 use crate::divisive::DivisiveEngine;
 use crate::gn::DivisiveResult;
@@ -28,15 +28,21 @@ use snap_centrality::{approx_betweenness_in, betweenness_from_sources_in};
 use snap_graph::{CsrGraph, Graph, InducedSubgraph, VertexId};
 use snap_kernels::{bfs_limited, biconnected_components, Exec};
 
+/// Lower bound on sampled sources per round: on small graphs a bare
+/// percentage gives too noisy a ranking to cut by.
+const MIN_SOURCES: usize = 96;
+
+/// Bridges are pre-cut only when both sides have at least this many
+/// vertices (pendant-edge bridges stay, as cutting them only strands
+/// leaves).
+const MIN_BRIDGE_SIDE: usize = 4;
+
 /// Configuration for [`pbd`].
 #[derive(Clone, Debug)]
 pub struct PbdConfig {
     /// Fraction of vertices sampled as betweenness sources per round
     /// (the paper's finding: 5% suffices for the top-centrality edges).
     pub sample_frac: f64,
-    /// Lower bound on sampled sources per round: on small graphs a bare
-    /// percentage gives too noisy a ranking to cut by.
-    pub min_sources: usize,
     /// Edges cut per betweenness recomputation. 1 reproduces the paper's
     /// schedule exactly; larger batches trade fidelity for speed on
     /// million-edge graphs.
@@ -45,10 +51,6 @@ pub struct PbdConfig {
     pub exact_threshold: usize,
     /// Run the biconnected-components bridge preprocessing (step 1).
     pub bridge_preprocess: bool,
-    /// Bridges are pre-cut only when both sides have at least this many
-    /// vertices (pendant-edge bridges stay, as cutting them only strands
-    /// leaves).
-    pub min_bridge_side: usize,
     /// Hard cap on total edge removals (`None` = no cap).
     pub max_removals: Option<usize>,
     /// Stop the fine-grained phase after this many rounds without a
@@ -62,11 +64,9 @@ impl Default for PbdConfig {
     fn default() -> Self {
         PbdConfig {
             sample_frac: 0.05,
-            min_sources: 96,
             batch: 1,
             exact_threshold: 220,
             bridge_preprocess: true,
-            min_bridge_side: 4,
             max_removals: None,
             patience: None,
             seed: 0x5bad,
@@ -106,19 +106,19 @@ pub fn pbd_in(g: &CsrGraph, cfg: &PbdConfig, exec: &Exec) -> DivisiveResult {
             }
             let (u, v) = g.edge_endpoints(e);
             // Cut only genuine inter-community bridges: both sides must
-            // hold at least `min_bridge_side` vertices. Side size probes
+            // hold at least `MIN_BRIDGE_SIDE` vertices. Side size probes
             // are BFS runs capped at the threshold.
             if !engine.view.is_live(e) {
                 continue;
             }
-            if budget.charge(2 * cfg.min_bridge_side as u64 + 1).is_err() {
+            if budget.charge(2 * MIN_BRIDGE_SIDE as u64 + 1).is_err() {
                 break;
             }
             engine.view.delete_edge(e);
-            let u_side = bfs_limited(&engine.view, u, cfg.min_bridge_side).len();
-            let v_side = bfs_limited(&engine.view, v, cfg.min_bridge_side).len();
+            let u_side = bfs_limited(&engine.view, u, MIN_BRIDGE_SIDE).len();
+            let v_side = bfs_limited(&engine.view, v, MIN_BRIDGE_SIDE).len();
             engine.view.restore_edge(e);
-            if u_side >= cfg.min_bridge_side && v_side >= cfg.min_bridge_side {
+            if u_side >= MIN_BRIDGE_SIDE && v_side >= MIN_BRIDGE_SIDE {
                 let q = engine.delete_edge(e);
                 removals.push((e, q));
             }
@@ -154,7 +154,7 @@ pub fn pbd_in(g: &CsrGraph, cfg: &PbdConfig, exec: &Exec) -> DivisiveResult {
         }
         let frac = cfg
             .sample_frac
-            .max(cfg.min_sources as f64 / n.max(1) as f64)
+            .max(MIN_SOURCES as f64 / n.max(1) as f64)
             .min(1.0);
         let partial = approx_betweenness_in(&engine.view, frac, cfg.seed ^ round, exec);
         if partial.sources_used == 0 {
@@ -227,7 +227,7 @@ pub fn pbd_in(g: &CsrGraph, cfg: &PbdConfig, exec: &Exec) -> DivisiveResult {
         let size = verts.len();
         let frac = cfg
             .sample_frac
-            .max(cfg.min_sources as f64 / size as f64)
+            .max(MIN_SOURCES as f64 / size as f64)
             .min(1.0);
         let k = ((size as f64 * frac).ceil() as usize).clamp(1, size);
         let mut sources = verts;
@@ -514,9 +514,11 @@ mod tests {
     #[test]
     fn bridge_preprocessing_cuts_real_bridges_only() {
         // Barbell with a pendant vertex: pendant bridge must survive the
-        // preprocessing, the central bridge must go first.
+        // preprocessing, the central bridge must go first. Both sides of
+        // the central bridge hold at least `MIN_BRIDGE_SIDE` (4)
+        // vertices, so this tests the constant.
         let g = from_edges(
-            9,
+            10,
             &[
                 (0, 1),
                 (1, 2),
@@ -526,15 +528,13 @@ mod tests {
                 (3, 4),
                 (4, 5),
                 (3, 5),
+                (4, 9),
+                (5, 9),
                 (1, 6),
                 (6, 7), // path pendant
             ],
         );
-        let cfg = PbdConfig {
-            min_bridge_side: 3,
-            ..Default::default()
-        };
-        let r = pbd(&g, &cfg);
+        let r = pbd(&g, &PbdConfig::default());
         // Vertex 8 (pendant) should end up with the cluster of 0, not
         // stranded alone.
         assert_eq!(r.clustering.cluster_of(8), r.clustering.cluster_of(0));

@@ -17,29 +17,17 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use snap_graph::{CsrGraph, Graph, VertexId};
 
-/// Configuration for [`spectral_communities`].
-#[derive(Clone, Debug)]
-pub struct SpectralCommunityConfig {
-    /// Power-iteration budget per split attempt.
-    pub max_iterations: usize,
-    /// Relative eigenvalue tolerance.
-    pub tolerance: f64,
-    /// Run the KL-style fine-tuning sweep after each spectral split.
-    pub fine_tune: bool,
-    /// RNG seed for start vectors.
-    pub seed: u64,
-}
+/// Power-iteration budget per split attempt.
+const MAX_ITERATIONS: usize = 400;
 
-impl Default for SpectralCommunityConfig {
-    fn default() -> Self {
-        SpectralCommunityConfig {
-            max_iterations: 400,
-            tolerance: 1e-9,
-            fine_tune: true,
-            seed: 0x59ec,
-        }
-    }
-}
+/// Relative eigenvalue tolerance.
+const TOLERANCE: f64 = 1e-9;
+
+/// Run the KL-style fine-tuning sweep after each spectral split.
+const FINE_TUNE: bool = true;
+
+/// RNG seed for start vectors.
+const SEED: u64 = 0x59ec;
 
 /// Result of a spectral community run.
 #[derive(Clone, Debug)]
@@ -53,10 +41,7 @@ pub struct SpectralCommunityResult {
 }
 
 /// Detect communities by recursive leading-eigenvector splitting.
-pub fn spectral_communities(
-    g: &CsrGraph,
-    cfg: &SpectralCommunityConfig,
-) -> SpectralCommunityResult {
+pub fn spectral_communities(g: &CsrGraph) -> SpectralCommunityResult {
     let n = g.num_vertices();
     let m2 = 2.0 * g.num_edges() as f64; // 2m
     if n == 0 || g.num_edges() == 0 {
@@ -78,16 +63,9 @@ pub fn spectral_communities(
         if members.len() < 2 {
             continue;
         }
-        let Some(mut signs) = leading_split(g, &deg, m2, &members, cfg) else {
+        let Some(signs) = split(g, &deg, m2, &members, FINE_TUNE) else {
             continue; // indivisible (or no convergence)
         };
-        if cfg.fine_tune {
-            fine_tune(g, &deg, m2, &members, &mut signs);
-        }
-        let gain = split_gain(g, &deg, m2, &members, &signs);
-        if gain <= 1e-12 {
-            continue; // indivisible after refinement
-        }
         let mut a = Vec::new();
         let mut b = Vec::new();
         for (i, &v) in members.iter().enumerate() {
@@ -117,6 +95,24 @@ pub fn spectral_communities(
         q,
         splits,
     }
+}
+
+/// One split attempt on `members`: the sign vector of the leading
+/// eigenvector, fine-tuned when `fine_tune` is set. `None` when the
+/// community is indivisible — spectrally, for want of convergence, or
+/// because the refined split gains nothing.
+fn split(
+    g: &CsrGraph,
+    deg: &[f64],
+    m2: f64,
+    members: &[VertexId],
+    fine_tune: bool,
+) -> Option<Vec<bool>> {
+    let mut signs = leading_split(g, deg, m2, members)?;
+    if fine_tune {
+        self::fine_tune(g, deg, m2, members, &mut signs);
+    }
+    (split_gain(g, deg, m2, members, &signs) > 1e-12).then_some(signs)
 }
 
 /// `y = (B^(S) + σI) x` for the generalized modularity matrix of the
@@ -154,13 +150,7 @@ fn modularity_matvec(
 /// leading eigenvector, or `None` when the leading eigenvalue is
 /// non-positive (community is spectrally indivisible) or the iteration
 /// fails to converge.
-fn leading_split(
-    g: &CsrGraph,
-    deg: &[f64],
-    m2: f64,
-    members: &[VertexId],
-    cfg: &SpectralCommunityConfig,
-) -> Option<Vec<bool>> {
+fn leading_split(g: &CsrGraph, deg: &[f64], m2: f64, members: &[VertexId]) -> Option<Vec<bool>> {
     let k = members.len();
     let local_of: std::collections::HashMap<VertexId, usize> =
         members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
@@ -181,13 +171,13 @@ fn leading_split(
     // σ = max row absolute sum bound of -B (degrees suffice).
     let sigma = members.iter().map(|&v| deg[v as usize]).fold(0.0, f64::max) * 2.0 + 1.0;
 
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ (k as u64) << 1);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED ^ (k as u64) << 1);
     let mut x: Vec<f64> = (0..k).map(|_| rng.gen::<f64>() - 0.5).collect();
     normalize(&mut x)?;
     let mut y = vec![0.0; k];
     let mut lambda_shifted = 0.0;
     let mut converged = false;
-    for _ in 0..cfg.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         modularity_matvec(g, deg, m2, members, &local_of, &rowsum, sigma, &x, &mut y);
         let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
         if norm == 0.0 {
@@ -198,7 +188,7 @@ fn leading_split(
         }
         std::mem::swap(&mut x, &mut y);
         let new_lambda = norm;
-        if (new_lambda - lambda_shifted).abs() <= cfg.tolerance * new_lambda.abs().max(1e-30) {
+        if (new_lambda - lambda_shifted).abs() <= TOLERANCE * new_lambda.abs().max(1e-30) {
             converged = true;
             lambda_shifted = new_lambda;
             break;
@@ -359,7 +349,7 @@ mod tests {
     #[test]
     fn splits_barbell() {
         let g = barbell();
-        let r = spectral_communities(&g, &SpectralCommunityConfig::default());
+        let r = spectral_communities(&g);
         assert_eq!(r.clustering.count, 2);
         assert_eq!(r.clustering.cluster_of(0), r.clustering.cluster_of(2));
         assert_ne!(r.clustering.cluster_of(0), r.clustering.cluster_of(3));
@@ -370,7 +360,7 @@ mod tests {
     #[test]
     fn karate_quality() {
         let g = snap_io::karate_club();
-        let r = spectral_communities(&g, &SpectralCommunityConfig::default());
+        let r = spectral_communities(&g);
         // Newman reports ~0.393 for the leading-eigenvector method with
         // fine-tuning on the karate club.
         assert!(r.q > 0.35, "karate spectral q = {}", r.q);
@@ -386,7 +376,7 @@ mod tests {
             }
         }
         let g = from_edges(6, &edges);
-        let r = spectral_communities(&g, &SpectralCommunityConfig::default());
+        let r = spectral_communities(&g);
         assert_eq!(r.clustering.count, 1);
         assert_eq!(r.splits, 0);
     }
@@ -395,7 +385,7 @@ mod tests {
     fn recovers_planted_partition() {
         let cfg = snap_gen::PlantedConfig::uniform(4, 20, 0.5, 0.02);
         let (g, truth) = snap_gen::planted_partition(&cfg, 17);
-        let r = spectral_communities(&g, &SpectralCommunityConfig::default());
+        let r = spectral_communities(&g);
         let nmi = crate::clustering::normalized_mutual_information(
             &r.clustering,
             &Clustering::from_labels(&truth),
@@ -406,22 +396,25 @@ mod tests {
     #[test]
     fn edgeless_graph() {
         let g = from_edges(4, &[]);
-        let r = spectral_communities(&g, &SpectralCommunityConfig::default());
+        let r = spectral_communities(&g);
         assert_eq!(r.clustering.count, 4);
         assert_eq!(r.q, 0.0);
     }
 
     #[test]
     fn fine_tune_does_not_hurt() {
+        // `spectral_communities` always fine-tunes (`FINE_TUNE`); compare
+        // the first split of the karate club with and without the sweep.
         let g = snap_io::karate_club();
-        let no_ft = spectral_communities(
-            &g,
-            &SpectralCommunityConfig {
-                fine_tune: false,
-                ..Default::default()
-            },
-        );
-        let ft = spectral_communities(&g, &SpectralCommunityConfig::default());
-        assert!(ft.q >= no_ft.q - 0.02, "ft {} vs raw {}", ft.q, no_ft.q);
+        let n = g.num_vertices();
+        let deg: Vec<f64> = (0..n as VertexId).map(|v| g.degree(v) as f64).collect();
+        let m2 = 2.0 * g.num_edges() as f64;
+        let members: Vec<VertexId> = (0..n as VertexId).collect();
+        let gain = |fine_tune| {
+            let signs = split(&g, &deg, m2, &members, fine_tune).expect("karate splits");
+            split_gain(&g, &deg, m2, &members, &signs)
+        };
+        let (raw, ft) = (gain(false), gain(true));
+        assert!(ft >= raw - 1e-12, "ft {ft} vs raw {raw}");
     }
 }

@@ -1303,7 +1303,11 @@ fn cmd_serve(args: &Args) {
                     .unwrap_or_else(|e| fail(&format!("cannot bind socket {socket}: {e}")));
                 say!(obs, "listening on {socket}");
                 let streams = listener.incoming().filter_map(Result::ok);
-                let halves = streams.filter_map(|s| Some((BufReader::new(s.try_clone().ok()?), s)));
+                // A client that goes silent gives its slot back.
+                let halves = streams.filter_map(|s| {
+                    s.set_read_timeout(Some(snap::serve::IDLE_TIMEOUT)).ok()?;
+                    Some((BufReader::new(s.try_clone().ok()?), s))
+                });
                 snap::serve::serve(&engine, workers, halves);
             }
             #[cfg(not(unix))]
@@ -1341,6 +1345,11 @@ fn cmd_generate(args: &Args) {
         .unwrap_or_else(|| fail("--out FILE is required"));
     let seed = args.flag_parse("seed", 42u64);
     let scale: u32 = args.flag_parse("scale", 12);
+    // The R-MAT generator keeps n = 2^scale in u32 range, so at most 2^30;
+    // every family takes the same bound, and 1 << scale cannot wrap.
+    if !(1..=30).contains(&scale) {
+        fail(&format!("--scale must be in 1..=30, got {scale}"));
+    }
     let n = 1usize << scale;
     let edges: usize = args.flag_parse("edges", n * 8);
     let g = match family {

@@ -28,7 +28,7 @@ pub struct PutOutcome {
 /// cap and a byte budget.
 ///
 /// Epoch handling: the cache tracks the newest epoch it has *observed*
-/// (via [`observe_epoch`](Self::observe_epoch), called by the engine with
+/// (via `observe_epoch`, called by the engine with
 /// every snapshot it serves). Observing a newer epoch drops exactly the
 /// entries computed on older epochs; lookups and inserts for epochs older
 /// than the observed newest are refused, so a raced request on a stale
@@ -78,7 +78,7 @@ impl ResultCache {
     /// Tell the cache a snapshot with this epoch is being served. A newer
     /// epoch invalidates (drops) every entry computed on an older one;
     /// returns how many were dropped.
-    pub fn observe_epoch(&mut self, epoch: u64) -> usize {
+    pub(crate) fn observe_epoch(&mut self, epoch: u64) -> usize {
         if epoch <= self.latest_epoch {
             return 0;
         }

@@ -156,7 +156,7 @@ pub struct Engine {
     trace_seq: AtomicU64,
     /// Worst-K slow-query exemplars, sorted slowest-first.
     slow: Mutex<Vec<SlowQuery>>,
-    flight: FlightRecorder,
+    pub(super) flight: FlightRecorder,
 }
 
 impl Engine {
@@ -273,11 +273,6 @@ impl Engine {
     /// Slow-query exemplars, slowest first.
     pub fn slow_queries(&self) -> Vec<SlowQuery> {
         self.slow.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// Flight-recorder snapshot `(events oldest-first, dropped)`.
-    pub fn flight_events(&self) -> (Vec<FlightEvent>, u64) {
-        self.flight.snapshot()
     }
 
     /// Record an epoch merge in the flight recorder (`bytes` carries the

@@ -45,7 +45,7 @@ pub use cache::{PutOutcome, ResultCache};
 pub use engine::{AdmitPermit, Engine, ServeConfig, ServeStats, SLOW_LOG_ENTRIES};
 pub use protocol::{compute_payload, Outcome, Query, QueryResult, Request, Response};
 pub use recorder::{FlightEvent, SlowQuery, FLIGHT_ENTRIES};
-pub use transport::{serve, MAX_CONNECTIONS, MAX_REQUEST_LINE};
+pub use transport::{serve, IDLE_TIMEOUT, MAX_CONNECTIONS, MAX_REQUEST_LINE};
 
 #[cfg(test)]
 mod tests {
@@ -357,7 +357,7 @@ mod tests {
         for i in 0..FLIGHT_ENTRIES as u32 + 2 {
             engine.handle(&Request::new(Query::Bfs { source: i % 16 }));
         }
-        let (events, dropped) = engine.flight_events();
+        let (events, dropped) = engine.flight.snapshot();
         assert_eq!(events.len(), FLIGHT_ENTRIES, "ring stays bounded");
         assert_eq!(dropped, 2);
         assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
@@ -397,7 +397,7 @@ mod tests {
         let shed = engine.shed_response(&Request::new(Query::Summary { seed: 0 }));
         assert_eq!(shed.outcome, Outcome::Shed);
 
-        let (events, _) = engine.flight_events();
+        let (events, _) = engine.flight.snapshot();
         let whats: Vec<&str> = events.iter().map(|e| e.what).collect();
         assert_eq!(whats, vec!["request", "merge", "shed"]);
         let merge = &events[1];

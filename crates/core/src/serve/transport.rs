@@ -12,7 +12,7 @@ use std::io::{BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Longest request line accepted, in bytes: what one client can make a
 /// pump buffer. A constant, like the cap below — DESIGN.md §15 says why.
@@ -21,6 +21,12 @@ pub const MAX_REQUEST_LINE: usize = 1 << 20;
 /// Connections pumped at once — the threads clients can make the service
 /// spawn; one more is told so and closed.
 pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long a socket connection may send nothing before its pump stops
+/// reading and its slot comes free (the read timeout `snap-cli serve
+/// --socket` sets on every accepted stream). A constant, like the cap
+/// above — DESIGN.md §15 says why.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// The answer to a line that never became a request.
 fn error_line(id: u64, error: &str) -> String {
@@ -341,7 +347,7 @@ mod tests {
         assert!(responses[1].get("payload").is_some(), "{responses:?}");
         assert_no_slot_leaked(&engine, max_pending);
 
-        let (events, _) = engine.flight_events();
+        let (events, _) = engine.flight.snapshot();
         let whats: Vec<&str> = events.iter().map(|e| e.what).collect();
         assert_eq!(whats, ["panic", "request"]);
         assert_eq!((events[0].kind, events[0].outcome), ("bfs", "panic"));
@@ -423,6 +429,53 @@ mod tests {
                     ids.collect::<Vec<u64>>()
                 );
             }
+        });
+        assert_eq!(engine.stats().requests, MAX_CONNECTIONS as u64);
+    }
+
+    /// A client that connects and then says nothing loses its slot once
+    /// the read timeout fires: its pump ends, the server closes the
+    /// stream, and a connection that the full cap refused before is
+    /// served. The silent client gets a short timeout in place of
+    /// [`IDLE_TIMEOUT`]; the others keep the real one and stay open.
+    #[test]
+    fn a_silent_connection_times_out_and_frees_its_slot() {
+        let engine = engine_on(16, ServeConfig::default());
+        let (tx, rx) = mpsc::channel();
+        let mut clients = Vec::new();
+        for i in 0..MAX_CONNECTIONS {
+            let (server, client) = socket();
+            let timeout = if i == 0 {
+                Duration::from_millis(50)
+            } else {
+                IDLE_TIMEOUT
+            };
+            server
+                .1
+                .set_read_timeout(Some(timeout))
+                .expect("read timeout");
+            tx.send(server).unwrap();
+            clients.push(client);
+        }
+        let mut silent = clients.remove(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| serve(&engine, 1, rx.into_iter()));
+            // The server closes the silent connection once its pump has
+            // given the slot back.
+            let mut nothing = Vec::new();
+            silent
+                .read_to_end(&mut nothing)
+                .expect("closed by the server");
+            assert!(nothing.is_empty(), "{nothing:?}");
+            let (extra_server, extra) = socket();
+            tx.send(extra_server).unwrap();
+            let answers = converse(extra, &bfs_requests(900..901));
+            assert_eq!(answers.iter().map(id).collect::<Vec<u64>>(), [900]);
+            for (i, client) in clients.into_iter().enumerate() {
+                let ids = i as u64..i as u64 + 1;
+                assert_eq!(converse(client, &bfs_requests(ids)).len(), 1);
+            }
+            drop(tx);
         });
         assert_eq!(engine.stats().requests, MAX_CONNECTIONS as u64);
     }

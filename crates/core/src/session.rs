@@ -5,9 +5,7 @@
 
 use snap_budget::{Budget, Exhausted};
 use snap_centrality::BetweennessScores;
-use snap_community::{
-    Clustering, GnConfig, PbdConfig, PlaConfig, PmaConfig, SpectralCommunityConfig,
-};
+use snap_community::{Clustering, GnConfig, PbdConfig, PlaConfig, PmaConfig};
 use snap_graph::{CsrGraph, Graph, VertexId};
 use snap_kernels::{BfsResult, Exec, HybridConfig, TraversalStats};
 use snap_metrics::GraphSummary;
@@ -296,8 +294,7 @@ impl Network {
                 (r.clustering, r.q)
             }
             CommunityAlgorithm::Spectral => {
-                let r =
-                    snap_community::spectral_communities(g, &SpectralCommunityConfig::default());
+                let r = snap_community::spectral_communities(g);
                 (r.clustering, r.q)
             }
         };

@@ -10,6 +10,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snap_graph::{CsrGraph, GraphBuilder, VertexId};
 
+/// Quadrant probabilities `(a, b, c)`; `d = 1 − a − b − c` = 0.25. This
+/// is the classic skewed small-world setting.
+const PROB_A: f64 = 0.45;
+const PROB_B: f64 = 0.15;
+const PROB_C: f64 = 0.15;
+
+/// Per-level multiplicative noise applied to the probabilities, as in
+/// the GTgraph/SSCA#2 generators SNAP builds on.
+const NOISE: f64 = 0.1;
+
 /// Parameters for the R-MAT generator.
 #[derive(Clone, Copy, Debug)]
 pub struct RmatConfig {
@@ -18,14 +28,6 @@ pub struct RmatConfig {
     /// Number of edge samples to draw (the final graph may have slightly
     /// fewer edges after duplicate/self-loop removal).
     pub edges: usize,
-    /// Quadrant probabilities; must sum to ~1. The classic skewed setting
-    /// is `(0.45, 0.15, 0.15, 0.25)`.
-    pub a: f64,
-    pub b: f64,
-    pub c: f64,
-    /// Per-level multiplicative noise applied to the probabilities, as in
-    /// the GTgraph/SSCA#2 generators SNAP builds on. 0 disables noise.
-    pub noise: f64,
     /// Build a directed graph (Table 3 lists directed web/citation
     /// networks); undirected otherwise.
     pub directed: bool,
@@ -41,10 +43,6 @@ impl RmatConfig {
         RmatConfig {
             scale,
             edges,
-            a: 0.45,
-            b: 0.15,
-            c: 0.15,
-            noise: 0.1,
             directed: false,
             vertices: None,
         }
@@ -58,19 +56,11 @@ impl RmatConfig {
         cfg.vertices = Some(n);
         cfg
     }
-
-    fn d(&self) -> f64 {
-        1.0 - self.a - self.b - self.c
-    }
 }
 
 /// Generate an R-MAT graph. Deterministic given `seed`.
 pub fn rmat(config: &RmatConfig, seed: u64) -> CsrGraph {
     assert!(config.scale < 31, "scale must keep n in u32 range");
-    assert!(
-        config.a > 0.0 && config.b >= 0.0 && config.c >= 0.0 && config.d() > 0.0,
-        "invalid quadrant probabilities"
-    );
     let full = 1usize << config.scale;
     let n = config.vertices.unwrap_or(full);
     assert!(n <= full, "vertices override exceeds 2^scale");
@@ -96,7 +86,7 @@ pub fn rmat(config: &RmatConfig, seed: u64) -> CsrGraph {
 
 fn sample_edge(config: &RmatConfig, rng: &mut StdRng) -> (VertexId, VertexId) {
     let (mut u, mut v) = (0u32, 0u32);
-    let (mut a, mut b, mut c) = (config.a, config.b, config.c);
+    let (mut a, mut b, mut c) = (PROB_A, PROB_B, PROB_C);
     for level in 0..config.scale {
         let bit = 1u32 << (config.scale - 1 - level);
         let d = 1.0 - a - b - c;
@@ -112,21 +102,19 @@ fn sample_edge(config: &RmatConfig, rng: &mut StdRng) -> (VertexId, VertexId) {
             u |= bit;
             v |= bit;
         }
-        if config.noise > 0.0 {
-            // Multiplicative noise, renormalized, keeps expected skew while
-            // avoiding the artificial self-similarity of pure R-MAT.
-            let mut na = a * (1.0 + config.noise * (rng.gen::<f64>() - 0.5));
-            let mut nb = b * (1.0 + config.noise * (rng.gen::<f64>() - 0.5));
-            let mut nc = c * (1.0 + config.noise * (rng.gen::<f64>() - 0.5));
-            let nd = d * (1.0 + config.noise * (rng.gen::<f64>() - 0.5));
-            let sum = na + nb + nc + nd;
-            na /= sum;
-            nb /= sum;
-            nc /= sum;
-            a = na;
-            b = nb;
-            c = nc;
-        }
+        // Multiplicative noise, renormalized, keeps expected skew while
+        // avoiding the artificial self-similarity of pure R-MAT.
+        let mut na = a * (1.0 + NOISE * (rng.gen::<f64>() - 0.5));
+        let mut nb = b * (1.0 + NOISE * (rng.gen::<f64>() - 0.5));
+        let mut nc = c * (1.0 + NOISE * (rng.gen::<f64>() - 0.5));
+        let nd = d * (1.0 + NOISE * (rng.gen::<f64>() - 0.5));
+        let sum = na + nb + nc + nd;
+        na /= sum;
+        nb /= sum;
+        nc /= sum;
+        a = na;
+        b = nb;
+        c = nc;
     }
     (u, v)
 }

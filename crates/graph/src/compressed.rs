@@ -213,8 +213,6 @@ pub struct CompressedCsrGraph {
     weights: Vec<Weight>,
     directed: bool,
     num_arcs: usize,
-    /// Degree threshold at or above which blocks were stored raw.
-    hub_threshold: usize,
     /// How many vertices ended up with raw blocks.
     raw_blocks: usize,
 }
@@ -240,7 +238,7 @@ impl CompressedCsrGraph {
 
     /// Fallible [`Self::from_csr_with_threshold`]: chunked parallel
     /// encode, `Err` on adjacencies no simple graph can have.
-    pub fn try_from_csr(g: &CsrGraph, hub_threshold: usize) -> Result<Self, String> {
+    fn try_from_csr(g: &CsrGraph, hub_threshold: usize) -> Result<Self, String> {
         let _span = snap_obs::span("ccsr.encode");
         let n = g.num_vertices();
         let directed = g.is_directed();
@@ -299,7 +297,6 @@ impl CompressedCsrGraph {
             },
             directed,
             num_arcs: g.num_arcs(),
-            hub_threshold,
             raw_blocks,
         };
         if snap_obs::is_enabled() {
@@ -314,11 +311,6 @@ impl CompressedCsrGraph {
     /// is identical on both and excluded from both.
     pub fn adjacency_bytes(&self) -> usize {
         self.byte_offsets.len() * std::mem::size_of::<usize>() + self.stream.len()
-    }
-
-    /// The degree threshold this graph was compressed with.
-    pub fn hub_threshold(&self) -> usize {
-        self.hub_threshold
     }
 
     /// How many vertices kept raw (uncompressed) blocks.
@@ -344,7 +336,7 @@ impl CompressedCsrGraph {
     /// neighbor and edge-id slices. The single-vertex primitive under
     /// [`Self::par_for_each_adjacency`]; also the fast path for callers
     /// that re-scan one row many times.
-    pub fn decode_into<'s>(
+    fn decode_into<'s>(
         &self,
         v: VertexId,
         scratch: &'s mut DecodeScratch,

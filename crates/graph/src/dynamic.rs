@@ -73,9 +73,9 @@ impl DynGraph {
     /// Import a static graph into the dynamic representation.
     ///
     /// `DynGraph` models a *simple* graph: self-loops and parallel edges of
-    /// the source CSR are stripped. This convenience wrapper discards the
-    /// drop count; use [`Self::from_csr_counted`] when the caller must
-    /// know whether `num_edges()` can disagree with the source.
+    /// the source CSR are stripped. This wrapper discards the drop count;
+    /// [`crate::StreamingGraph::from_csr`] returns it, for callers that
+    /// must know whether `num_edges()` can disagree with the source.
     pub fn from_csr(g: &CsrGraph) -> Self {
         Self::from_csr_counted(g).0
     }
@@ -84,7 +84,7 @@ impl DynGraph {
     /// deliberately stripped (self-loops, and duplicates of an edge already
     /// inserted) because the dynamic representation is a simple graph.
     /// `from_csr(g).num_edges() == g.num_edges() - dropped` always holds.
-    pub fn from_csr_counted(g: &CsrGraph) -> (Self, usize) {
+    pub(crate) fn from_csr_counted(g: &CsrGraph) -> (Self, usize) {
         assert!(!g.is_directed(), "DynGraph is undirected");
         let mut d = DynGraph::new(g.num_vertices());
         let mut dropped = 0usize;

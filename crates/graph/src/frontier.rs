@@ -18,15 +18,6 @@ use crate::VertexId;
 /// vector is to scan).
 pub const DENSE_DIVISOR: usize = 16;
 
-/// Which representation a [`Frontier`] currently holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontierRepr {
-    /// Membership list (`Vec<VertexId>`).
-    Sparse,
-    /// Membership bitmap over all `n` vertices.
-    Dense,
-}
-
 enum Repr {
     Sparse(Vec<VertexId>),
     Dense { bits: Bitmap, count: usize },
@@ -78,14 +69,6 @@ impl Frontier {
     /// True when no vertex is present.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Current representation.
-    pub fn repr(&self) -> FrontierRepr {
-        match &self.repr {
-            Repr::Sparse(_) => FrontierRepr::Sparse,
-            Repr::Dense { .. } => FrontierRepr::Dense,
-        }
     }
 
     /// Membership test. O(1) on the dense representation, O(len) on the
@@ -170,17 +153,21 @@ impl Frontier {
 mod tests {
     use super::*;
 
+    fn is_dense(f: &Frontier) -> bool {
+        matches!(f.repr, Repr::Dense { .. })
+    }
+
     #[test]
     fn singleton_roundtrip() {
         let mut f = Frontier::singleton(100, 42);
         assert_eq!(f.len(), 1);
-        assert_eq!(f.repr(), FrontierRepr::Sparse);
+        assert!(!is_dense(&f));
         assert!(f.contains(42));
         assert!(!f.contains(41));
         let bits = f.ensure_dense();
         assert!(bits.get(42));
         assert_eq!(f.len(), 1);
-        assert_eq!(f.repr(), FrontierRepr::Dense);
+        assert!(is_dense(&f));
         assert_eq!(f.ensure_sparse(), &[42]);
     }
 
@@ -189,17 +176,17 @@ mod tests {
         // 100 vertices: threshold is > 6 members for dense.
         let mut f = Frontier::from_vec(100, (0..6).collect());
         f.normalize();
-        assert_eq!(f.repr(), FrontierRepr::Sparse);
+        assert!(!is_dense(&f));
         let mut f = Frontier::from_vec(100, (0..7).collect());
         f.normalize();
-        assert_eq!(f.repr(), FrontierRepr::Dense);
+        assert!(is_dense(&f));
         assert_eq!(f.len(), 7);
         // And back down once sparse again.
         let mut f = Frontier::singleton(100, 3);
         f.ensure_dense();
-        assert_eq!(f.repr(), FrontierRepr::Dense);
+        assert!(is_dense(&f));
         f.normalize();
-        assert_eq!(f.repr(), FrontierRepr::Sparse);
+        assert!(!is_dense(&f));
         assert_eq!(f.ensure_sparse(), &[3]);
     }
 
@@ -219,7 +206,7 @@ mod tests {
         let mut f = Frontier::new(10);
         assert!(f.is_empty());
         f.normalize();
-        assert_eq!(f.repr(), FrontierRepr::Sparse);
+        assert!(!is_dense(&f));
         assert_eq!(f.iter().count(), 0);
     }
 }

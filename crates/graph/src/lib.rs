@@ -49,8 +49,7 @@ pub use builder::GraphBuilder;
 pub use compressed::{CompressedCsrGraph, DecodeScratch, DEFAULT_HUB_THRESHOLD};
 pub use csr::CsrGraph;
 pub use dynamic::DynGraph;
-pub use frontier::{Frontier, FrontierRepr};
-pub use perm::{apply_permutation, bfs_order, degree_order};
+pub use frontier::Frontier;
 pub use scratch::{
     PooledScratch, PooledWorkspace, ScratchPool, TraversalWorkspace, WorkspacePool, WorkspaceStats,
 };

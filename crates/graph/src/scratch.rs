@@ -378,8 +378,10 @@ pub struct Slots<'w> {
 /// so a k-source sweep allocates at most one workspace per concurrently
 /// running chunk regardless of `k` — and a pool held across kernel calls
 /// (pBD rounds, the `Network` session) allocates none at all after
-/// warm-up. The bound is per chunk (up to 64), not per thread: the
-/// runtime gives every chunk its own thread until ROADMAP item 1.
+/// warm-up. A chunk is one work unit of the rayon pool, which runs one
+/// unit per thread at a time and takes the workspace back when the unit
+/// ends, so at most one workspace per taking-part thread is checked out
+/// at once.
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
     free: Mutex<Vec<TraversalWorkspace>>,
@@ -451,7 +453,7 @@ impl WorkspacePool {
     }
 
     /// Bytes held by the workspaces currently checked in.
-    pub fn bytes_held(&self) -> usize {
+    fn bytes_held(&self) -> usize {
         self.free
             .lock()
             .expect("workspace pool poisoned")

@@ -148,9 +148,6 @@ pub struct BatchStats {
     /// No-op mutations: duplicate inserts, deletes of absent edges,
     /// self-loops.
     pub rejected: u64,
-    /// Set when the batch tripped the auto-merge policy; holds the epoch
-    /// that was published.
-    pub merged_epoch: Option<u64>,
 }
 
 impl BatchStats {
@@ -176,8 +173,6 @@ pub struct StreamingGraph {
     /// deleted within one epoch settles back to a no-op at merge time.
     pending: HashMap<(VertexId, VertexId), bool>,
     published: Arc<RwLock<Snapshot>>,
-    ops_since_merge: u64,
-    merge_every_ops: Option<u64>,
 }
 
 #[inline]
@@ -196,21 +191,19 @@ impl StreamingGraph {
     }
 
     /// Adopt an existing dynamic graph as epoch 0 (snapshotting it once).
-    pub fn from_dyn(live: DynGraph) -> Self {
+    fn from_dyn(live: DynGraph) -> Self {
         let graph = Arc::new(live.to_csr());
         StreamingGraph {
             live,
             pending: HashMap::new(),
             published: Arc::new(RwLock::new(Snapshot { epoch: 0, graph })),
-            ops_since_merge: 0,
-            merge_every_ops: None,
         }
     }
 
     /// Seed the stream from a static graph. The CSR becomes the epoch-0
     /// snapshot; the returned count is the number of source edges the
     /// simple-graph delta layer deliberately stripped (self-loops — see
-    /// [`DynGraph::from_csr_counted`]). When it is non-zero the epoch-0
+    /// `DynGraph::from_csr_counted`). When it is non-zero the epoch-0
     /// snapshot is re-frozen from the stripped graph so that snapshot and
     /// delta layer always agree.
     pub fn from_csr(g: &CsrGraph) -> (Self, usize) {
@@ -225,20 +218,9 @@ impl StreamingGraph {
                 live,
                 pending: HashMap::new(),
                 published: Arc::new(RwLock::new(Snapshot { epoch: 0, graph })),
-                ops_since_merge: 0,
-                merge_every_ops: None,
             },
             dropped,
         )
-    }
-
-    /// Publish a new epoch automatically once `k` ops have been ingested
-    /// since the last merge (checked at batch granularity, so a batch is
-    /// never split across epochs). Default: merge only on explicit
-    /// [`Self::merge`] calls.
-    pub fn with_merge_every(mut self, k: u64) -> Self {
-        self.merge_every_ops = Some(k.max(1));
-        self
     }
 
     /// The live (not yet snapshotted) graph.
@@ -261,11 +243,6 @@ impl StreamingGraph {
         self.pending.len()
     }
 
-    /// Ops ingested since the last published epoch.
-    pub fn ops_since_merge(&self) -> u64 {
-        self.ops_since_merge
-    }
-
     /// Epoch of the latest published snapshot.
     pub fn epoch(&self) -> u64 {
         read_published(&self.published).epoch
@@ -286,7 +263,6 @@ impl StreamingGraph {
     /// changed (the op was not a duplicate insert / absent delete /
     /// self-loop). Unknown vertex ids grow the vertex set.
     pub fn apply(&mut self, op: EdgeOp) -> bool {
-        self.ops_since_merge += 1;
         match op {
             EdgeOp::Insert(u, v) => {
                 if u == v {
@@ -319,18 +295,12 @@ impl StreamingGraph {
         self.pending.insert(canon(u, v), present);
     }
 
-    /// Ingest a batch of ops; auto-merges afterwards when a
-    /// [`Self::with_merge_every`] policy is set and due.
+    /// Ingest a batch of ops. Nothing is published until [`Self::merge`].
     pub fn apply_batch(&mut self, ops: &[EdgeOp]) -> BatchStats {
         let mut stats = BatchStats::default();
         for &op in ops {
             let changed = self.apply(op);
             stats.note(op, changed);
-        }
-        if let Some(k) = self.merge_every_ops {
-            if self.ops_since_merge >= k {
-                stats.merged_epoch = Some(self.merge().epoch);
-            }
         }
         stats
     }
@@ -356,7 +326,6 @@ impl StreamingGraph {
 
         let n = self.live.num_vertices().max(base.num_vertices());
         if self.pending.is_empty() && n == base.num_vertices() {
-            self.ops_since_merge = 0;
             merge_us.stop_us(timer);
             return Snapshot {
                 epoch: prev_epoch,
@@ -403,7 +372,6 @@ impl StreamingGraph {
         // pointer-sized value under the lock.
         *write_published(&self.published) = snap.clone();
         self.pending.clear();
-        self.ops_since_merge = 0;
         merge_us.stop_us(timer);
         snap
     }
@@ -556,16 +524,6 @@ mod tests {
             .map(|(e, u, v)| (u, v, snap.graph.edge_weight(e)))
             .collect();
         assert_eq!(w, vec![(0, 1, 5), (0, 3, 1), (2, 3, 9)]);
-    }
-
-    #[test]
-    fn auto_merge_policy_fires_at_batch_end() {
-        let mut sg = StreamingGraph::new(4).with_merge_every(3);
-        let st = sg.apply_batch(&[EdgeOp::Insert(0, 1), EdgeOp::Insert(1, 2)]);
-        assert_eq!(st.merged_epoch, None);
-        let st = sg.apply_batch(&[EdgeOp::Insert(2, 3)]);
-        assert_eq!(st.merged_epoch, Some(1));
-        assert_eq!(sg.snapshot().graph.num_edges(), 3);
     }
 
     #[test]

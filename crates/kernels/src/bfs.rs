@@ -46,16 +46,6 @@ impl BfsResult {
     pub fn reached(&self) -> usize {
         self.dist.iter().filter(|&&d| d != UNREACHABLE).count()
     }
-
-    /// Eccentricity of the source within its component.
-    pub fn max_distance(&self) -> u32 {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|&d| d != UNREACHABLE)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Expansion direction of one BFS level.
@@ -347,8 +337,10 @@ pub fn try_par_bfs_hybrid_stats<G: Graph>(
         let (next, edges_examined) = match direction {
             Direction::Push => {
                 let members = frontier.ensure_sparse();
-                // Degree-aware expansion: flat_map over (vertex, adjacency)
-                // pairs lets rayon split a hub's adjacency across workers.
+                // Work units split frontier positions, not arcs: a hub's
+                // whole adjacency runs in the unit that holds it, and a
+                // frontier under the pool's serial cutoff is one unit.
+                // Cutting units by arc ranges is ROADMAP item 4.
                 let next: Vec<VertexId> = members
                     .par_iter()
                     .flat_map_iter(|&u| g.neighbors(u).map(move |v| (u, v)))
@@ -533,7 +525,7 @@ mod tests {
         assert_eq!(r.dist, vec![0, 1, 2, 3, 4]);
         assert_eq!(r.parent[4], 3);
         assert_eq!(r.parent[0], NO_PARENT);
-        assert_eq!(r.max_distance(), 4);
+        assert_eq!(r.dist.iter().max(), Some(&4));
     }
 
     #[test]
@@ -664,7 +656,7 @@ mod tests {
     fn hybrid_stats_account_every_level() {
         let g = path5();
         let (r, stats) = par_bfs_hybrid_stats(&g, 0, &HybridConfig::default());
-        assert_eq!(stats.depth(), r.max_distance());
+        assert_eq!(Some(&stats.depth()), r.dist.iter().max());
         // Four discovering levels plus the final empty expansion of the
         // deepest frontier.
         assert_eq!(stats.levels.len(), 5);

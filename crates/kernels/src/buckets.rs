@@ -30,12 +30,12 @@
 use snap_graph::VertexId;
 
 /// Bucket id of a vertex that is settled (or was never inserted).
-pub const UNBUCKETED: usize = usize::MAX;
+pub(crate) const UNBUCKETED: usize = usize::MAX;
 
 /// An array of vertex buckets processed in increasing order, with lazy
 /// deletion (see the [module docs](self)).
 #[derive(Clone, Debug)]
-pub struct Buckets {
+pub(crate) struct Buckets {
     /// Pending entries per bucket; may contain stale entries for
     /// vertices that have since moved or settled.
     buckets: Vec<Vec<VertexId>>,
@@ -49,7 +49,7 @@ pub struct Buckets {
 
 impl Buckets {
     /// Empty structure over `n` vertices, positioned at bucket 0.
-    pub fn new(n: usize) -> Buckets {
+    pub(crate) fn new(n: usize) -> Buckets {
         Buckets {
             buckets: vec![Vec::new()],
             bucket_of: vec![UNBUCKETED; n],
@@ -58,16 +58,10 @@ impl Buckets {
         }
     }
 
-    /// The bucket currently being processed.
-    #[inline]
-    pub fn current(&self) -> usize {
-        self.current
-    }
-
     /// The bucket `v` is pending in, or `None` if settled / never
     /// inserted.
     #[inline]
-    pub fn bucket_of(&self, v: VertexId) -> Option<usize> {
+    pub(crate) fn bucket_of(&self, v: VertexId) -> Option<usize> {
         match self.bucket_of[v as usize] {
             UNBUCKETED => None,
             b => Some(b),
@@ -78,13 +72,13 @@ impl Buckets {
     /// the filter callers apply to a [`pop_current`](Self::pop_current)
     /// batch, including from inside a parallel iterator.
     #[inline]
-    pub fn is_pending(&self, v: VertexId) -> bool {
+    pub(crate) fn is_pending(&self, v: VertexId) -> bool {
         self.bucket_of[v as usize] == self.current
     }
 
     /// First placement of `v` into bucket `b` (no clamping — used for
     /// initial priorities before processing starts).
-    pub fn insert(&mut self, v: VertexId, b: usize) {
+    pub(crate) fn insert(&mut self, v: VertexId, b: usize) {
         debug_assert_eq!(
             self.bucket_of[v as usize], UNBUCKETED,
             "insert of a bucketed vertex"
@@ -98,7 +92,7 @@ impl Buckets {
     /// work never schedules behind the cursor). Lazy: a previous entry
     /// stays where it is and is skipped on pop. No-op when the clamped
     /// target equals `v`'s bucket.
-    pub fn update(&mut self, v: VertexId, b: usize) {
+    pub(crate) fn update(&mut self, v: VertexId, b: usize) {
         let b = b.max(self.current);
         if self.bucket_of[v as usize] == b {
             return;
@@ -115,7 +109,7 @@ impl Buckets {
     /// settled vertex whose tentative distance improves within the
     /// current bucket's range.)
     #[inline]
-    pub fn settle(&mut self, v: VertexId) {
+    pub(crate) fn settle(&mut self, v: VertexId) {
         self.bucket_of[v as usize] = UNBUCKETED;
     }
 
@@ -124,13 +118,13 @@ impl Buckets {
     /// [`is_pending`](Self::is_pending)). Empty when the bucket is
     /// drained.
     #[inline]
-    pub fn pop_current(&mut self) -> Vec<VertexId> {
+    pub(crate) fn pop_current(&mut self) -> Vec<VertexId> {
         std::mem::take(&mut self.buckets[self.current])
     }
 
     /// Advance to the next non-empty bucket (starting from the current
     /// one) and return its id; `None` when every bucket is empty.
-    pub fn next_bucket(&mut self) -> Option<usize> {
+    pub(crate) fn next_bucket(&mut self) -> Option<usize> {
         while self.current < self.buckets.len() {
             if !self.buckets[self.current].is_empty() {
                 return Some(self.current);
@@ -140,15 +134,9 @@ impl Buckets {
         None
     }
 
-    /// Relocations performed since construction or the last
-    /// [`flush_obs`](Self::flush_obs).
-    pub fn relocations(&self) -> u64 {
-        self.relocations
-    }
-
     /// Emit the relocation count as the `bucket_relaxations` obs
     /// counter (on the calling thread's active span) and reset it.
-    pub fn flush_obs(&mut self) {
+    pub(crate) fn flush_obs(&mut self) {
         if self.relocations > 0 && snap_obs::is_enabled() {
             snap_obs::add("bucket_relaxations", self.relocations);
         }
@@ -192,7 +180,7 @@ mod tests {
 
         assert_eq!(bk.next_bucket(), Some(4));
         assert_eq!(bk.bucket_of(2), Some(4));
-        assert_eq!(bk.relocations(), 1);
+        assert_eq!(bk.relocations, 1);
     }
 
     #[test]
@@ -204,9 +192,9 @@ mod tests {
         bk.update(1, 1);
         assert_eq!(bk.bucket_of(1), Some(3));
         // Updating to the bucket a vertex is already in is a no-op.
-        let before = bk.relocations();
+        let before = bk.relocations;
         bk.update(1, 0);
-        assert_eq!(bk.relocations(), before);
+        assert_eq!(bk.relocations, before);
     }
 
     #[test]

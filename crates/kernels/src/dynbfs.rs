@@ -53,12 +53,6 @@ impl IncrementalBfs {
         self.source
     }
 
-    /// Did a tree-edge deletion invalidate the labels since the last
-    /// repair?
-    pub fn is_stale(&self) -> bool {
-        self.stale
-    }
-
     /// Full recomputes performed so far (initial construction excluded).
     pub fn recomputes(&self) -> u64 {
         self.recomputes
@@ -232,7 +226,7 @@ mod tests {
         let non_tree = if b.parent[3] == 1 { (2, 3) } else { (1, 3) };
         g.delete_edge(non_tree.0, non_tree.1);
         b.apply(&g, EdgeOp::Delete(non_tree.0, non_tree.1), true);
-        assert!(!b.is_stale());
+        assert!(!b.stale);
         assert!(!b.end_batch(&g));
         assert_eq!(b.dist, full_bfs(&g, 0));
         check_parents(&b, &g);
@@ -248,7 +242,7 @@ mod tests {
         // (0, 1) is certainly a tree edge (dist[1] == 1).
         g.delete_edge(0, 1);
         b.apply(&g, EdgeOp::Delete(0, 1), true);
-        assert!(b.is_stale());
+        assert!(b.stale);
         assert!(b.end_batch(&g));
         assert_eq!(b.dist, full_bfs(&g, 0));
         assert_eq!(b.dist, vec![0, 3, 2, 1]);

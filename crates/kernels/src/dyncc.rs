@@ -161,12 +161,6 @@ impl DynamicComponents {
         }
     }
 
-    /// Is the structure currently an over-approximation (a deletion
-    /// happened since the last rebuild)?
-    pub fn is_stale(&self) -> bool {
-        self.stale
-    }
-
     /// Full recomputes performed so far.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
@@ -333,7 +327,7 @@ mod tests {
         // A real deletion splits {0,1,2}: the wrapper must recompute.
         let changed = g.delete_edge(1, 2);
         cc.apply(EdgeOp::Delete(1, 2), changed);
-        assert!(cc.is_stale());
+        assert!(cc.stale);
         assert!(cc.end_batch(&g));
         assert_eq!(cc.count(), 3);
         assert!(!cc.connected(0, 2));

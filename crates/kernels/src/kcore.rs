@@ -8,13 +8,13 @@
 //! removes the minimum-degree vertices: everything removed while the
 //! minimum is k has coreness k.
 //!
-//! This implementation runs the peel on the shared [`Buckets`]
+//! This implementation runs the peel on the shared `Buckets`
 //! structure: vertices are bucketed by current degree, the lowest
 //! bucket k is drained in rounds — each round settles the bucket's
 //! pending vertices at coreness k, gathers the induced degree
 //! decrements from their unsettled neighbors in parallel, and applies
 //! them sequentially (deterministic, so 1/4/8-thread runs agree
-//! bit-for-bit) with [`Buckets::update`] clamping every decrement at k:
+//! bit-for-bit) with `Buckets::update` clamping every decrement at k:
 //! a vertex cannot leave the core level currently being peeled.
 //!
 //! Observability: the kernel spans `kcore.peel`, counts `kcore_rounds`

@@ -16,7 +16,7 @@
 //! * Everything is generic over [`snap_graph::Graph`], so the same kernel
 //!   runs on a frozen CSR graph, a compressed CSR graph, a filtered view
 //!   with deleted edges, or an extracted component.
-//! * **Julienne-style bucketing** ([`buckets::Buckets`]) shared between
+//! * **Julienne-style bucketing** (`buckets.rs`) shared between
 //!   Δ-stepping SSSP and k-core decomposition ([`kcore::coreness`]).
 //! * **Coarse-grained source parallelism** written once
 //!   ([`sweep::sweep`]) for the centrality and path-length crates.
@@ -27,7 +27,7 @@
 pub mod bfs;
 pub mod bicc;
 pub mod boruvka;
-pub mod buckets;
+mod buckets;
 pub mod components;
 pub mod dynbfs;
 pub mod dyncc;
@@ -45,7 +45,6 @@ pub use bfs::{
 };
 pub use bicc::{biconnected_components, Bicc};
 pub use boruvka::{boruvka_msf, Msf};
-pub use buckets::{Buckets, UNBUCKETED};
 pub use components::{
     connected_components, par_components_hybrid, par_components_lp, par_components_sv, Components,
 };

@@ -121,16 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn par_forest_same_shape() {
-        let g = from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]);
-        let a = spanning_forest(&g);
-        let b = par_spanning_forest(&g);
-        assert_eq!(a.trees, b.trees);
-        assert_eq!(a.tree_edges.len(), b.tree_edges.len());
-        assert!(b.edge_count_consistent());
-    }
-
-    #[test]
     fn tree_edges_are_acyclic() {
         // Union-find over the reported tree edges must never find a cycle.
         let g = from_edges(

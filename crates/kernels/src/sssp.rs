@@ -8,7 +8,7 @@
 //! relaxed once. With Δ = max weight this degrades to Bellman-Ford-ish
 //! phases; with Δ = 1 (unweighted) it is level-synchronous BFS.
 //!
-//! The bucket array lives in the shared [`Buckets`] structure (also
+//! The bucket array lives in the shared `Buckets` structure (also
 //! under k-core peeling). Shortest-path distances are unique, so
 //! [`dijkstra`] is the reference every Δ-stepping test compares against.
 

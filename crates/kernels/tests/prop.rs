@@ -194,3 +194,13 @@ fn rmat_kernels_agree() {
     let b = par_bfs(&g, 0);
     assert_eq!(a.dist, b.dist);
 }
+
+#[test]
+fn par_forest_same_shape() {
+    let g = snap_graph::builder::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]);
+    let a = spanning_forest(&g);
+    let b = par_spanning_forest(&g);
+    assert_eq!(a.trees, b.trees);
+    assert_eq!(a.tree_edges.len(), b.tree_edges.len());
+    assert!(b.edge_count_consistent());
+}

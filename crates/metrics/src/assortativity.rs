@@ -122,21 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn average_neighbor_degree_star() {
-        let g = from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        let knn = average_neighbor_degree(&g);
-        assert_eq!(knn[0], 1.0); // hub's neighbors are leaves
-        assert_eq!(knn[1], 3.0); // leaf's neighbor is the hub
-    }
-
-    #[test]
-    fn neighbor_connectivity_buckets() {
-        let g = from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        let nc = neighbor_connectivity(&g);
-        assert_eq!(nc, vec![(1, 3.0), (3, 1.0)]);
-    }
-
-    #[test]
     fn empty_graph_is_zero() {
         let g = from_edges(3, &[]);
         assert_eq!(degree_assortativity(&g), 0.0);

@@ -96,7 +96,7 @@ pub fn transitivity(g: &CsrGraph) -> f64 {
 
 /// Clustering-coefficient estimates from a budgeted triangle sweep.
 #[derive(Clone, Copy, Debug)]
-pub struct PartialClustering {
+pub(crate) struct PartialClustering {
     /// Average local clustering coefficient over the processed vertices.
     pub average: f64,
     /// Transitivity estimate `Σ t(v) / Σ wedges(v)` over the processed
@@ -121,7 +121,7 @@ impl PartialClustering {
 /// trips. The estimates over the processed subset stay consistent; only
 /// their variance grows. With nothing skipped both values equal the two
 /// single-purpose functions bit for bit, at any thread count.
-pub fn clustering_in(g: &CsrGraph, exec: &Exec) -> PartialClustering {
+pub(crate) fn clustering_in(g: &CsrGraph, exec: &Exec) -> PartialClustering {
     assert!(
         !g.is_directed(),
         "triangle counting assumes undirected input"

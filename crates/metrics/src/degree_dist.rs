@@ -50,7 +50,7 @@ pub fn degree_ccdf<G: Graph>(g: &G) -> Vec<f64> {
 }
 
 /// Summary statistics.
-pub fn degree_stats<G: Graph>(g: &G) -> DegreeStats {
+pub(crate) fn degree_stats<G: Graph>(g: &G) -> DegreeStats {
     let n = g.num_vertices();
     if n == 0 {
         return DegreeStats {

@@ -20,10 +20,9 @@ pub mod summary;
 
 pub use assortativity::{average_neighbor_degree, degree_assortativity, neighbor_connectivity};
 pub use clustering::{
-    average_clustering, clustering_in, local_clustering, transitivity, triangle_count,
-    triangles_per_vertex, PartialClustering,
+    average_clustering, local_clustering, transitivity, triangle_count, triangles_per_vertex,
 };
-pub use degree_dist::{degree_ccdf, degree_histogram, degree_stats, DegreeStats};
+pub use degree_dist::{degree_ccdf, degree_histogram, DegreeStats};
 pub use pathlen::{
     path_stats_exact, path_stats_in, path_stats_sampled, PartialPathStats, PathStats,
 };

@@ -119,3 +119,18 @@ proptest! {
         prop_assert!((s.clustering - average_clustering(&g)).abs() < 1e-12);
     }
 }
+
+#[test]
+fn average_neighbor_degree_star() {
+    let g = snap_graph::builder::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
+    let knn = average_neighbor_degree(&g);
+    assert_eq!(knn[0], 1.0); // hub's neighbors are leaves
+    assert_eq!(knn[1], 3.0); // leaf's neighbor is the hub
+}
+
+#[test]
+fn neighbor_connectivity_buckets() {
+    let g = snap_graph::builder::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
+    let nc = neighbor_connectivity(&g);
+    assert_eq!(nc, vec![(1, 3.0), (3, 1.0)]);
+}

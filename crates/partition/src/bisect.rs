@@ -4,50 +4,32 @@
 //! compares against.
 
 use crate::coarsen::coarsen;
-use crate::fm::{bisection_cut, fm_refine_budgeted};
+use crate::fm::fm_refine_budgeted;
 use snap_budget::Budget;
 use snap_graph::{CsrGraph, Graph, VertexId};
 use snap_kernels::bfs;
 
-/// Tuning knobs for the multilevel bisection.
-#[derive(Clone, Copy, Debug)]
-pub struct BisectConfig {
-    /// Stop coarsening when the graph has at most this many vertices.
-    pub coarse_limit: usize,
-    /// FM passes per level.
-    pub fm_passes: usize,
-    /// Allowed balance deviation.
-    pub tolerance: f64,
-    /// RNG seed (matching order, initial-growth tie-breaks).
-    pub seed: u64,
-}
+/// Stop coarsening when the graph has at most this many vertices.
+const COARSE_LIMIT: usize = 64;
 
-impl Default for BisectConfig {
-    fn default() -> Self {
-        BisectConfig {
-            coarse_limit: 64,
-            fm_passes: 6,
-            tolerance: 0.03,
-            seed: 1,
-        }
-    }
-}
+/// FM passes per level.
+const FM_PASSES: usize = 6;
 
-/// Bisect `g` targeting total vertex weight `target0` on side 0.
-/// Returns a 0/1 side label per vertex.
-pub fn multilevel_bisect(g: &CsrGraph, vwgt: &[u32], target0: u64, cfg: &BisectConfig) -> Vec<u8> {
-    multilevel_bisect_budgeted(g, vwgt, target0, cfg, &Budget::unlimited())
-}
+/// Allowed balance deviation, of every bisection and of the k-way
+/// refinement.
+pub(crate) const TOLERANCE: f64 = 0.03;
 
-/// [`multilevel_bisect`] under a compute [`Budget`]: FM refinement at
-/// every level is budgeted, and once the budget trips remaining levels
-/// project the coarse side up without refining. The result is always a
-/// valid (if rougher) bisection.
+/// Bisect `g` targeting total vertex weight `target0` on side 0, with
+/// `seed` driving the matching order and the initial-growth tie-breaks.
+/// Returns a 0/1 side label per vertex. FM refinement at every level is
+/// budgeted, and once the budget trips remaining levels project the
+/// coarse side up without refining. The result is always a valid (if
+/// rougher) bisection.
 pub(crate) fn multilevel_bisect_budgeted(
     g: &CsrGraph,
     vwgt: &[u32],
     target0: u64,
-    cfg: &BisectConfig,
+    seed: u64,
     budget: &Budget,
 ) -> Vec<u8> {
     let n = g.num_vertices();
@@ -66,37 +48,28 @@ pub(crate) fn multilevel_bisect_budgeted(
         return side;
     }
     let _ = budget.charge(n as u64 + 1);
-    let level = (n > cfg.coarse_limit)
-        .then(|| coarsen(g, vwgt, cfg.seed))
+    let level = (n > COARSE_LIMIT)
+        .then(|| coarsen(g, vwgt, seed))
         // Coarsening stall (e.g. star graphs): bisect directly.
         .filter(|level| level.graph.num_vertices() as f64 <= 0.95 * n as f64);
     let mut side = match level {
         Some(level) => {
-            let mut sub_cfg = *cfg;
-            sub_cfg.seed = cfg.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
+            let sub_seed = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
             let coarse_side =
-                multilevel_bisect_budgeted(&level.graph, &level.vwgt, target0, &sub_cfg, budget);
+                multilevel_bisect_budgeted(&level.graph, &level.vwgt, target0, sub_seed, budget);
             // Project to the fine level.
             (0..n).map(|v| coarse_side[level.map[v] as usize]).collect()
         }
-        None => initial_bisect(g, vwgt, target0, cfg.seed),
+        None => initial_bisect(g, vwgt, target0, seed),
     };
-    fm_refine_budgeted(
-        g,
-        vwgt,
-        &mut side,
-        target0,
-        cfg.tolerance,
-        cfg.fm_passes,
-        budget,
-    );
+    fm_refine_budgeted(g, vwgt, &mut side, target0, TOLERANCE, FM_PASSES, budget);
     side
 }
 
 /// Initial bisection by BFS region growing from a pseudo-peripheral
 /// vertex: grab vertices in BFS order until side 0 reaches the target
 /// weight.
-pub fn initial_bisect(g: &CsrGraph, vwgt: &[u32], target0: u64, seed: u64) -> Vec<u8> {
+fn initial_bisect(g: &CsrGraph, vwgt: &[u32], target0: u64, seed: u64) -> Vec<u8> {
     let _span = snap_obs::span("partition.initial");
     let n = g.num_vertices();
     if n == 0 {
@@ -141,24 +114,25 @@ pub fn initial_bisect(g: &CsrGraph, vwgt: &[u32], target0: u64, seed: u64) -> Ve
     side
 }
 
-/// Convenience: bisect and report the cut.
-pub fn bisect_with_cut(g: &CsrGraph, cfg: &BisectConfig) -> (Vec<u8>, u64) {
-    let vwgt = vec![1u32; g.num_vertices()];
-    let target0 = (g.num_vertices() as u64).div_ceil(2);
-    let side = multilevel_bisect(g, &vwgt, target0, cfg);
-    let cut = bisection_cut(g, &side);
-    (side, cut)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fm::bisection_cut;
     use snap_graph::builder::from_edges;
+
+    /// Halve `g` with unit vertex weights at seed 1; report the cut.
+    fn bisect_with_cut(g: &CsrGraph) -> (Vec<u8>, u64) {
+        let vwgt = vec![1u32; g.num_vertices()];
+        let target0 = (g.num_vertices() as u64).div_ceil(2);
+        let side = multilevel_bisect_budgeted(g, &vwgt, target0, 1, &Budget::unlimited());
+        let cut = bisection_cut(g, &side);
+        (side, cut)
+    }
 
     #[test]
     fn bisects_barbell_at_bridge() {
         let g = from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]);
-        let (side, cut) = bisect_with_cut(&g, &BisectConfig::default());
+        let (side, cut) = bisect_with_cut(&g);
         assert_eq!(cut, 1);
         assert_eq!(side[0], side[1]);
         assert_eq!(side[3], side[5]);
@@ -181,7 +155,7 @@ mod tests {
             }
         }
         let g = from_edges(64, &edges);
-        let (side, cut) = bisect_with_cut(&g, &BisectConfig::default());
+        let (side, cut) = bisect_with_cut(&g);
         let n0 = side.iter().filter(|&&s| s == 0).count();
         assert!((28..=36).contains(&n0), "balance {n0}");
         assert!(cut <= 14, "cut {cut} too far from optimal 8");
@@ -192,7 +166,7 @@ mod tests {
         // Ring of 300 forces several coarsening levels.
         let edges: Vec<(u32, u32)> = (0..300u32).map(|v| (v, (v + 1) % 300)).collect();
         let g = from_edges(300, &edges);
-        let (side, cut) = bisect_with_cut(&g, &BisectConfig::default());
+        let (side, cut) = bisect_with_cut(&g);
         let n0 = side.iter().filter(|&&s| s == 0).count();
         assert!((135..=165).contains(&n0), "balance {n0}");
         assert_eq!(cut, 2, "a ring's optimal bisection cuts 2 edges");
@@ -201,7 +175,7 @@ mod tests {
     #[test]
     fn single_vertex() {
         let g = from_edges(1, &[]);
-        let (side, cut) = bisect_with_cut(&g, &BisectConfig::default());
+        let (side, cut) = bisect_with_cut(&g);
         assert_eq!(side.len(), 1);
         assert_eq!(cut, 0);
     }

@@ -2,7 +2,7 @@
 //! scheme), optionally followed by direct k-way greedy refinement (the
 //! kmetis-flavored variant).
 
-use crate::bisect::{multilevel_bisect_budgeted, BisectConfig};
+use crate::bisect::{multilevel_bisect_budgeted, TOLERANCE};
 use crate::metrics::Partition;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -15,12 +15,8 @@ use snap_kernels::Exec;
 pub struct KwayConfig {
     /// Number of parts.
     pub parts: usize,
-    /// Allowed balance deviation.
-    pub tolerance: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Multilevel knobs.
-    pub bisect: BisectConfig,
     /// Direct k-way refinement passes after recursive bisection (0
     /// disables; this is what distinguishes the kmetis-like variant).
     pub kway_refine_passes: usize,
@@ -31,12 +27,7 @@ impl KwayConfig {
     pub fn recursive(parts: usize, seed: u64) -> Self {
         KwayConfig {
             parts,
-            tolerance: 0.03,
             seed,
-            bisect: BisectConfig {
-                seed,
-                ..Default::default()
-            },
             kway_refine_passes: 0,
         }
     }
@@ -60,7 +51,7 @@ pub fn kway_partition(g: &CsrGraph, cfg: &KwayConfig) -> Partition {
 /// remaining recursive bisections fall back to unrefined round-robin
 /// splits (balanced, every part non-empty) and refinement passes stop
 /// early — the returned partition is always valid.
-pub fn kway_partition_in(g: &CsrGraph, cfg: &KwayConfig, exec: &Exec) -> Partition {
+pub(crate) fn kway_partition_in(g: &CsrGraph, cfg: &KwayConfig, exec: &Exec) -> Partition {
     let _span = snap_obs::span("partition.multilevel");
     let budget = &exec.budget;
     assert!(cfg.parts >= 1, "parts must be positive");
@@ -78,7 +69,6 @@ pub fn kway_partition_in(g: &CsrGraph, cfg: &KwayConfig, exec: &Exec) -> Partiti
             cfg.seed,
             &mut next_label,
             &mut assignment,
-            &cfg.bisect,
             budget,
         );
     }
@@ -87,14 +77,7 @@ pub fn kway_partition_in(g: &CsrGraph, cfg: &KwayConfig, exec: &Exec) -> Partiti
         parts: cfg.parts,
     };
     if cfg.kway_refine_passes > 0 {
-        kway_refine(
-            g,
-            &mut p,
-            cfg.tolerance,
-            cfg.kway_refine_passes,
-            cfg.seed,
-            budget,
-        );
+        kway_refine(g, &mut p, cfg.kway_refine_passes, cfg.seed, budget);
     }
     if let Some(why) = budget.exhaustion() {
         snap_obs::meta("degraded", why);
@@ -113,7 +96,6 @@ fn rb(
     seed: u64,
     next_label: &mut u32,
     out: &mut [u32],
-    bisect_cfg: &BisectConfig,
     budget: &Budget,
 ) {
     if parts == 1 || vertices.len() <= 1 {
@@ -143,11 +125,9 @@ fn rb(
     let kr = parts - kl;
     let target0 = total * kl as u64 / parts as u64;
 
-    let mut cfg = *bisect_cfg;
-    cfg.seed = seed;
     let side = {
         let _span = snap_obs::span("partition.bisect");
-        multilevel_bisect_budgeted(&sub.graph, &sub_vwgt, target0, &cfg, budget)
+        multilevel_bisect_budgeted(&sub.graph, &sub_vwgt, target0, seed, budget)
     };
 
     let mut left = Vec::with_capacity(vertices.len());
@@ -173,12 +153,8 @@ fn rb(
         seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(3),
         seed.wrapping_mul(0xc2b2ae3d27d4eb4f).wrapping_add(7),
     );
-    rb(
-        g, vwgt, &left, kl, seed_l, next_label, out, bisect_cfg, budget,
-    );
-    rb(
-        g, vwgt, &right, kr, seed_r, next_label, out, bisect_cfg, budget,
-    );
+    rb(g, vwgt, &left, kl, seed_l, next_label, out, budget);
+    rb(g, vwgt, &right, kr, seed_r, next_label, out, budget);
 }
 
 /// Greedy direct k-way refinement: boundary vertices move to the adjacent
@@ -186,14 +162,7 @@ fn rb(
 /// stops at the first exhausted pass boundary or mid-pass vertex; every
 /// applied move preserves balance, so the partition stays valid wherever
 /// it stops.
-fn kway_refine(
-    g: &CsrGraph,
-    p: &mut Partition,
-    tolerance: f64,
-    passes: usize,
-    seed: u64,
-    budget: &Budget,
-) {
+fn kway_refine(g: &CsrGraph, p: &mut Partition, passes: usize, seed: u64, budget: &Budget) {
     let _span = snap_obs::span("partition.kway_refine");
     let n = g.num_vertices();
     let k = p.parts;
@@ -205,7 +174,7 @@ fn kway_refine(
         loads[part as usize] += 1;
     }
     let ideal = (n as u64).div_ceil(k as u64);
-    let max_load = ((ideal as f64) * (1.0 + tolerance)).ceil() as u64;
+    let max_load = ((ideal as f64) * (1.0 + TOLERANCE)).ceil() as u64;
 
     let mut order: Vec<VertexId> = (0..n as VertexId).collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x6b77_6179); // "kway"

@@ -22,18 +22,17 @@ pub mod matching;
 pub mod metrics;
 pub mod spectral;
 
-pub use bisect::{bisect_with_cut, initial_bisect, multilevel_bisect, BisectConfig};
 pub use coarsen::{coarsen, CoarseLevel};
 pub use fm::{bisection_cut, fm_refine};
-pub use kway::{kway_partition, kway_partition_in, KwayConfig};
+pub use kway::{kway_partition, KwayConfig};
 pub use matching::{heavy_edge_matching, is_valid_matching};
 pub use metrics::{conductance, edge_cut, imbalance, Partition};
-pub use spectral::{
-    fiedler_lanczos, fiedler_power, spectral_partition, Eigensolver, SpectralConfig, SpectralError,
-};
+pub use spectral::{Eigensolver, SpectralConfig, SpectralError};
 
+use kway::kway_partition_in;
 use snap_graph::CsrGraph;
 use snap_kernels::Exec;
+use spectral::spectral_partition;
 
 /// The four partitioning methods of Table 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -129,7 +129,7 @@ fn normalize(x: &mut [f64]) -> f64 {
 /// hub-dominated small-world spectra the leading eigenvalues are
 /// near-degenerate (Mihail & Papadimitriou) and the iteration stalls —
 /// reported as [`SpectralError::NoConvergence`], the paper's "-".
-pub fn fiedler_power(
+fn fiedler_power(
     g: &CsrGraph,
     max_iterations: usize,
     tolerance: f64,
@@ -234,7 +234,7 @@ fn cg_solve_projected(g: &CsrGraph, b: &[f64], max_iters: usize, rtol: f64) -> (
 /// Fiedler vector by Lanczos: build a Krylov basis orthogonal to the
 /// all-ones vector, extract the smallest Ritz pair of the tridiagonal
 /// matrix by Sturm-sequence bisection.
-pub fn fiedler_lanczos(
+fn fiedler_lanczos(
     g: &CsrGraph,
     max_steps: usize,
     tolerance: f64,
@@ -482,7 +482,10 @@ fn tridiag_solve_shifted(alphas: &[f64], betas: &[f64], shift: f64, b: &[f64]) -
 }
 
 /// Spectral recursive bisection into `cfg.parts` parts.
-pub fn spectral_partition(g: &CsrGraph, cfg: &SpectralConfig) -> Result<Partition, SpectralError> {
+pub(crate) fn spectral_partition(
+    g: &CsrGraph,
+    cfg: &SpectralConfig,
+) -> Result<Partition, SpectralError> {
     assert!(cfg.parts >= 1);
     let n = g.num_vertices();
     let mut assignment = vec![0u32; n];

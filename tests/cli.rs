@@ -760,6 +760,22 @@ fn missing_file_fails_cleanly() {
 }
 
 #[test]
+fn generate_rejects_scale_out_of_range() {
+    let path = scratch("never_written.txt");
+    for (family, scale) in [("er", "64"), ("rmat", "31"), ("rmat", "0")] {
+        let out = cli()
+            .args(["generate", family, "--scale", scale])
+            .args(["--out", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{family} --scale {scale}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--scale must be in 1..=30"), "{stderr}");
+        assert!(!path.exists(), "nothing is written");
+    }
+}
+
+#[test]
 fn bad_algorithm_rejected() {
     let path = scratch("b.txt");
     cli()

@@ -80,6 +80,9 @@ fn coreness_oracle<G: Graph>(g: &G) -> Vec<u32> {
     core
 }
 
+/// Δ-stepping bucket widths: 0 picks the heuristic width.
+const DELTAS: [u64; 4] = [0, 1, 8, 64];
+
 const PATH_SAMPLES: usize = 48;
 const PATH_SEED: u64 = 3;
 
@@ -110,8 +113,8 @@ struct Outputs {
     components: [Vec<u32>; 3],
     /// Coreness, degeneracy, rounds, decrements.
     coreness: (Vec<u32>, u32, u64, u64),
-    /// Per source, for Δ = heuristic and Δ = 8.
-    sssp: Vec<[Vec<u64>; 2]>,
+    /// Per source, for each Δ of `DELTAS`.
+    sssp: Vec<[Vec<u64>; 4]>,
     /// Vertex then edge scores.
     betweenness: Vec<u64>,
     closeness: Vec<u64>,
@@ -152,7 +155,7 @@ fn run_kernels<G: WeightedGraph + Sync>(g: &G) -> Outputs {
         coreness: (core.coreness, core.max_core, core.rounds, core.decrements),
         sssp: sources_of(g)
             .iter()
-            .map(|&s| [delta_stepping(g, s, 0).dist, delta_stepping(g, s, 8).dist])
+            .map(|&s| DELTAS.map(|delta| delta_stepping(g, s, delta).dist))
             .collect(),
         betweenness: bits(&[bc.vertex, bc.edge].concat()),
         closeness: bits(&closeness(g)),
@@ -268,6 +271,12 @@ fn rmat_scale_10() {
 fn erdos_renyi_400() {
     let g = snap::gen::erdos_renyi(400, 1200, 42);
     check_every_representation("er400", &g, |e| e % 3 == 0);
+}
+
+#[test]
+fn watts_strogatz_256() {
+    let g = snap::gen::watts_strogatz(256, 6, 0.1, 11);
+    check_every_representation("ws256", &g, |e| e % 4 == 1);
 }
 
 /// pMA's and pLA's labels, pLA's flip count and both modularities, on a

@@ -385,3 +385,28 @@ fn trace_rings_are_bounded_by_the_pool() {
         tids.len()
     );
 }
+
+/// The 64-source sweeps behind `summary` and `sampled_closeness` fan out
+/// although 64 items is far below the pool's serial cutoff: every
+/// explicit source chunk is a work unit of its own, and a call's explicit
+/// units always reach at least two of the pool's threads, so under a pool
+/// of more than one thread the per-source tasks land on at least two
+/// trace thread ids — by construction, not by timing.
+#[test]
+fn sampled_sweeps_fan_out_across_threads() {
+    let _serial = serial();
+    let g = snap::gen::rmat(&snap::gen::RmatConfig::small_world(9, 2048), 77);
+    snap::obs::enable();
+    snap::obs::enable_tracing();
+    snap::with_threads(4, || {
+        let _ = snap::metrics::path_stats_sampled(&g, 64, 3);
+        let _ = snap::centrality::sampled_closeness(&g, 64, 3);
+    });
+    let report = snap::obs::finish().expect("collection was on");
+    snap::obs::disable_tracing();
+    for task in ["pathlen.source", "closeness.source"] {
+        let begun = report.trace.iter().filter(|e| e.begin && e.name == task);
+        let tids: std::collections::BTreeSet<u32> = begun.map(|e| e.tid).collect();
+        assert!(tids.len() >= 2, "{task} ran on thread id(s) {tids:?}");
+    }
+}

@@ -455,20 +455,90 @@ fn pub_fn_name(line: &str) -> Option<&str> {
     Some(rest.split(|c| !ident(c)).next().unwrap()).filter(|name| !name.is_empty())
 }
 
-/// Whether `text` names `word` as a whole identifier.
-fn names(text: &str, word: &str) -> bool {
+/// The identifiers `text` holds, in order.
+fn identifiers(text: &str) -> impl Iterator<Item = &str> {
     let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
-    text.match_indices(word)
-        .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + word.len()..].starts_with(ident))
+    text.split(move |c| !ident(c)).filter(|w| !w.is_empty())
 }
 
-/// Every public function of `snap-obs` has a caller outside the crate's
-/// sources (the CLI, another crate, a test or the benchmark); one that
-/// only its own unit tests call is crate-private or gone. A surface
-/// nothing uses is code to read, document and keep compiling for
-/// nobody.
+/// Whether `text` names `word` as a whole identifier.
+fn names(text: &str, word: &str) -> bool {
+    identifiers(text).any(|w| w == word)
+}
+
+/// `text` without its `pub use` statements (from a line that starts
+/// one through the line that ends it), which re-export a name rather
+/// than call it.
+fn without_reexports(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut in_reexport = false;
+    for line in text.lines() {
+        in_reexport |= line.trim_start().starts_with("pub use ");
+        if in_reexport {
+            in_reexport = !line.contains(';');
+        } else {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// The library sources of the crate `path` belongs to (`crates/X/src/`),
+/// or `None` for a file outside every library, a binary under
+/// `src/bin/` included: a binary is a crate of its own.
+fn library_of(path: &str) -> Option<String> {
+    let mut parts = path.split('/');
+    let (Some("crates"), Some(krate), Some("src"), Some(next)) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return None;
+    };
+    (next != "bin").then(|| format!("crates/{krate}/src/"))
+}
+
+/// Every `pub fn` in a library of `sources` whose name appears in no file
+/// outside that library, as `path: name`.
+fn uncalled_public_functions(sources: &[(String, String)]) -> Vec<String> {
+    use std::collections::{BTreeMap, BTreeSet, HashSet};
+    let texts: Vec<(Option<String>, String)> = sources
+        .iter()
+        .map(|(path, text)| (library_of(path), without_reexports(text)))
+        .collect();
+    let libraries: BTreeSet<&String> = texts.iter().filter_map(|(lib, _)| lib.as_ref()).collect();
+    // Per library, every identifier the files outside it name.
+    let named_outside: BTreeMap<&String, HashSet<&str>> = libraries
+        .into_iter()
+        .map(|lib| {
+            let others = texts.iter().filter(|(own, _)| own.as_ref() != Some(lib));
+            (
+                lib,
+                others.flat_map(|(_, text)| identifiers(text)).collect(),
+            )
+        })
+        .collect();
+    let mut uncalled = Vec::new();
+    for (path, text) in sources {
+        let Some(lib) = library_of(path) else {
+            continue;
+        };
+        for name in text.lines().filter_map(pub_fn_name) {
+            if !named_outside[&lib].contains(name) {
+                uncalled.push(format!("{path}: {name}"));
+            }
+        }
+    }
+    uncalled
+}
+
+/// Every public function of every crate has a caller outside the
+/// crate's library sources: another crate, a binary, a crate's
+/// integration tests, the benches, `tests/`, `examples/` or the
+/// benchmark. One that only its own crate calls is crate-private; one
+/// that only its own unit tests call is gone. A surface nothing uses is
+/// code to read, document and keep compiling for nobody.
 #[test]
-fn obs_public_functions_have_callers() {
+fn public_functions_have_callers() {
     assert_eq!(
         pub_fn_name("    pub fn export_hist(name: &str) -> HistHandle {"),
         Some("export_hist")
@@ -491,20 +561,29 @@ fn obs_public_functions_have_callers() {
     ));
     assert!(!names("obs explain_all", "explain"));
     assert!(!names("fn is_active_now()", "is_active"));
-    let mut outside = rust_sources(&["crates", "tests", "benchmark/src"]);
-    outside
-        .retain(|(path, _)| !path.starts_with("crates/obs/src/") && path != "tests/repo_lints.rs");
-    let mut uncalled: Vec<String> = Vec::new();
-    for (path, text) in rust_sources(&["crates/obs/src"]) {
-        for name in text.lines().filter_map(pub_fn_name) {
-            if !outside.iter().any(|(_, other)| names(other, name)) {
-                uncalled.push(format!("{path}: {name}"));
-            }
-        }
-    }
+    let file = |path: &str, text: &str| (path.to_string(), text.to_string());
+    let planted = [
+        file(
+            "crates/a/src/lib.rs",
+            "pub fn used() {}\npub fn unused() { used() }\n",
+        ),
+        file("crates/a/src/bin/tool.rs", "fn main() { a::used() }\n"),
+        file(
+            "crates/b/src/lib.rs",
+            "pub use a::unused;\npub fn run() {}\n",
+        ),
+        file("tests/t.rs", "fn t() { b::run() }\n"),
+    ];
+    assert_eq!(
+        uncalled_public_functions(&planted),
+        ["crates/a/src/lib.rs: unused"]
+    );
+    let mut sources = rust_sources(&["crates", "tests", "examples", "benchmark/src"]);
+    sources.retain(|(path, _)| path != "tests/repo_lints.rs");
+    let uncalled = uncalled_public_functions(&sources);
     assert!(
         uncalled.is_empty(),
-        "call from outside snap-obs, make pub(crate), or delete:\n{}",
+        "call from outside the crate, make pub(crate), or delete:\n{}",
         uncalled.join("\n")
     );
 }
