@@ -1,36 +1,24 @@
-//! Clustering coefficients via parallel triangle counting.
+//! Clustering coefficients via oriented triangle counting.
 //!
-//! Uses the sorted-adjacency merge intersection: for each edge (u, v),
-//! |N(u) ∩ N(v)| triangles, counted once per edge and accumulated to both
-//! endpoints. `O(Σ_v deg(v)^2)` worst case but cache-friendly and
-//! embarrassingly parallel over vertices.
+//! Vertices are ranked by `(degree, id)` and every edge points from its
+//! lower- to its higher-ranked endpoint (GBBS, arXiv 1805.05208). A
+//! triangle whose corners rank `u < v < w` is then found exactly once:
+//! at `u`, as `v ∈ out(u)` and `w ∈ out(u) ∩ out(v)`, where each `out`
+//! list keeps id order so the intersection is a merge. Ranking by
+//! degree keeps every out-list within `O(√m)`. Directed graphs are
+//! counted on their underlying undirected graph, as Stanford SNAP's
+//! `GetClustCf` does.
 
+use crate::block_len;
 use rayon::prelude::*;
-use snap_graph::{CsrGraph, Graph, VertexId};
+use snap_budget::Budget;
+use snap_graph::{CsrGraph, Graph, GraphBuilder, VertexId};
 use snap_kernels::Exec;
+use std::borrow::Cow;
 
 /// Number of triangles through each vertex.
 pub fn triangles_per_vertex(g: &CsrGraph) -> Vec<u64> {
-    assert!(
-        !g.is_directed(),
-        "triangle counting assumes undirected input"
-    );
-    let n = g.num_vertices();
-    // Count per-vertex by summing, for each vertex u, the triangles on its
-    // incident edges (u, v) with v > u; each triangle (u, v, w) is found
-    // exactly once from its smallest vertex... counting per-vertex instead:
-    // for vertex u, triangles(u) = (1/2) Σ_{v ∈ N(u)} |N(u) ∩ N(v)|.
-    (0..n as VertexId)
-        .into_par_iter()
-        .map(|u| {
-            let nu = g.neighbor_slice(u);
-            let mut count = 0u64;
-            for &v in nu {
-                count += sorted_intersection_size(nu, g.neighbor_slice(v));
-            }
-            count / 2
-        })
-        .collect()
+    triangles(&undirected(g), &Budget::default()).0
 }
 
 /// Total number of triangles in the graph.
@@ -38,71 +26,139 @@ pub fn triangle_count(g: &CsrGraph) -> u64 {
     triangles_per_vertex(g).into_iter().sum::<u64>() / 3
 }
 
-fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> u64 {
-    let (mut i, mut j, mut c) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                c += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    c
-}
-
 /// Local clustering coefficient of every vertex:
 /// `C(v) = 2·T(v) / (deg(v)·(deg(v) - 1))`, 0 for degree < 2.
 pub fn local_clustering(g: &CsrGraph) -> Vec<f64> {
-    triangles_per_vertex(g)
+    let g = undirected(g);
+    triangles(&g, &Budget::default())
+        .0
         .into_iter()
         .enumerate()
-        .map(|(v, t)| {
-            let d = g.degree(v as VertexId) as u64;
-            if d < 2 {
-                0.0
-            } else {
-                2.0 * t as f64 / (d * (d - 1)) as f64
-            }
-        })
+        .map(|(v, t)| coefficient(t, g.degree(v as VertexId) as u64))
         .collect()
 }
 
 /// Average of the local clustering coefficients (Watts–Strogatz "C").
 pub fn average_clustering(g: &CsrGraph) -> f64 {
-    let n = g.num_vertices();
-    if n == 0 {
-        return 0.0;
-    }
-    local_clustering(g).iter().sum::<f64>() / n as f64
+    clustering_in(g, &Exec::default()).average
 }
 
 /// Global transitivity: `3·triangles / open-or-closed wedges`.
 pub fn transitivity(g: &CsrGraph) -> f64 {
-    let wedges: u64 = (0..g.num_vertices() as VertexId)
-        .map(|v| {
-            let d = g.degree(v) as u64;
-            d * d.saturating_sub(1) / 2
-        })
-        .sum();
-    if wedges == 0 {
-        return 0.0;
+    clustering_in(g, &Exec::default()).transitivity
+}
+
+fn coefficient(t: u64, d: u64) -> f64 {
+    if d < 2 {
+        0.0
+    } else {
+        2.0 * t as f64 / (d * (d - 1)) as f64
     }
-    3.0 * triangle_count(g) as f64 / wedges as f64
+}
+
+/// `g` itself when undirected, else its underlying undirected graph: one
+/// edge per arc, antiparallel arcs merged.
+fn undirected(g: &CsrGraph) -> Cow<'_, CsrGraph> {
+    if !g.is_directed() {
+        return Cow::Borrowed(g);
+    }
+    let arcs = g.edges().map(|(_, u, v)| (u, v));
+    Cow::Owned(
+        GraphBuilder::undirected(g.num_vertices())
+            .add_edges(arcs)
+            .build(),
+    )
+}
+
+/// Triangles through every vertex of the undirected `g`, and how many
+/// vertices' out-lists were intersected before `budget` tripped.
+///
+/// The out-lists are built serially. Intersections run in parallel over
+/// vertex ranges, and each credits its three corners without atomics: `u`
+/// directly, `v` and `w` through a per-arc count on `u`'s own arcs
+/// `u → v` and `u → w`, scattered to their heads afterwards. Every count
+/// is an exact integer, so the thread count cannot change it. Each
+/// processed vertex charges `1 + Σ (|out(u)| + |out(v)|)`, the merge
+/// work; once the budget trips the remaining vertices are skipped, and
+/// the triangles they would have found are missing from all three
+/// corners.
+fn triangles(g: &CsrGraph, budget: &Budget) -> (Vec<u64>, usize) {
+    let n = g.num_vertices();
+    let rank = |v: VertexId| (g.degree(v), v);
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut out: Vec<VertexId> = Vec::with_capacity(g.num_edges());
+    for v in 0..n as VertexId {
+        out.extend(g.neighbor_slice(v).iter().filter(|&&w| rank(w) > rank(v)));
+        offsets.push(out.len());
+    }
+    let out_of = |v: usize| &out[offsets[v]..offsets[v + 1]];
+    // Per range: triangles whose lowest-ranked corner is each vertex,
+    // triangles through each out-arc (as `u → v` or `u → w`), and how
+    // many vertices ran.
+    let per = block_len(n);
+    let blocks: Vec<_> = (0..n)
+        .step_by(per)
+        .map(|lo| lo..(lo + per).min(n))
+        .collect();
+    let units: Vec<(Vec<u64>, Vec<u32>, usize)> = blocks
+        .par_chunks(1)
+        .map(|block| {
+            let range = block[0].clone();
+            let base = offsets[range.start];
+            let mut lowest = vec![0u64; range.len()];
+            let mut through = vec![0u32; offsets[range.end] - base];
+            let mut processed = 0;
+            for u in range.clone() {
+                if budget.is_exhausted() {
+                    break;
+                }
+                let (ou, arcs) = (out_of(u), offsets[u] - base);
+                let mut cost = 1;
+                for (k, &v) in ou.iter().enumerate() {
+                    let ov = out_of(v as usize);
+                    cost += (ou.len() + ov.len()) as u64;
+                    let (mut i, mut j, mut found) = (0, 0, 0);
+                    while i < ou.len() && j < ov.len() {
+                        let (a, b) = (ou[i], ov[j]);
+                        if a == b {
+                            through[arcs + i] += 1;
+                            found += 1;
+                        }
+                        i += usize::from(a <= b);
+                        j += usize::from(b <= a);
+                    }
+                    through[arcs + k] += found;
+                    lowest[u - range.start] += u64::from(found);
+                }
+                processed += 1;
+                let _ = budget.charge(cost);
+            }
+            (lowest, through, processed)
+        })
+        .collect();
+    let mut t = Vec::with_capacity(n);
+    for (lowest, _, _) in &units {
+        t.extend(lowest);
+    }
+    for (block, (_, through, _)) in blocks.iter().zip(&units) {
+        let heads = &out[offsets[block.start]..offsets[block.end]];
+        for (&head, &c) in heads.iter().zip(through) {
+            t[head as usize] += u64::from(c);
+        }
+    }
+    let used = units.iter().map(|&(_, _, processed)| processed).sum();
+    (t, used)
 }
 
 /// Clustering-coefficient estimates from a budgeted triangle sweep.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PartialClustering {
-    /// Average local clustering coefficient over the processed vertices.
+    /// Average local clustering coefficient over all vertices.
     pub average: f64,
-    /// Transitivity estimate `Σ t(v) / Σ wedges(v)` over the processed
-    /// vertices (exact when none were skipped).
+    /// Transitivity `Σ t(v) / Σ wedges(v)`.
     pub transitivity: f64,
-    /// Vertices whose triangles were actually counted.
+    /// Vertices whose out-lists were actually intersected.
     pub vertices_used: usize,
     /// Total vertex count.
     pub vertices_total: usize,
@@ -116,57 +172,30 @@ impl PartialClustering {
 }
 
 /// [`average_clustering`] and [`transitivity`] from one triangle sweep
-/// under `exec`'s compute budget: the sweep (the `O(Σ deg²)` cost) charges
-/// per adjacency-merge and skips remaining vertices once the budget
-/// trips. The estimates over the processed subset stay consistent; only
-/// their variance grows. With nothing skipped both values equal the two
-/// single-purpose functions bit for bit, at any thread count.
+/// under `exec`'s compute budget. Untripped, both are exact and
+/// bit-identical at any thread count: the per-vertex counts are integers
+/// and the coefficients are summed in vertex order. Tripped, the sweep
+/// skips the vertices it had not reached; their triangles are missing
+/// from every corner, so both values are lower bounds in `[0, 1]`.
 pub(crate) fn clustering_in(g: &CsrGraph, exec: &Exec) -> PartialClustering {
-    assert!(
-        !g.is_directed(),
-        "triangle counting assumes undirected input"
-    );
+    let g = undirected(g);
     let n = g.num_vertices();
-    let budget = &exec.budget;
-    // (local coefficient, triangles, wedges) of every processed vertex,
-    // in vertex order. Collected rather than folded per rayon chunk so
-    // the f64 coefficients are summed in one fixed order below: a
-    // per-chunk fold makes the low bits of `average` depend on the
-    // thread count.
-    let per_vertex: Vec<(f64, u64, u64)> = (0..n as VertexId)
-        .into_par_iter()
-        .filter_map(|u| {
-            if budget.is_exhausted() {
-                return None;
-            }
-            let nu = g.neighbor_slice(u);
-            let mut count = 0u64;
-            let mut cost = 1 + nu.len() as u64;
-            for &v in nu {
-                let nv = g.neighbor_slice(v);
-                cost += nv.len() as u64;
-                count += sorted_intersection_size(nu, nv);
-            }
-            budget.charge(cost).ok()?;
-            let t = count / 2;
-            let d = nu.len() as u64;
-            let coeff = if d < 2 {
-                0.0
-            } else {
-                2.0 * t as f64 / (d * (d - 1)) as f64
-            };
-            Some((coeff, t, d * d.saturating_sub(1) / 2))
-        })
-        .collect();
-    let used = per_vertex.len();
+    let (t, used) = triangles(&g, &exec.budget);
     if used < n {
         snap_obs::add("clustering_vertices_skipped", (n - used) as u64);
     }
-    let coeff: f64 = per_vertex.iter().map(|&(c, _, _)| c).sum();
-    let tri: u64 = per_vertex.iter().map(|&(_, t, _)| t).sum();
-    let wedges: u64 = per_vertex.iter().map(|&(_, _, w)| w).sum();
+    let degree = |v: usize| g.degree(v as VertexId) as u64;
+    let coeff: f64 = t
+        .iter()
+        .enumerate()
+        .map(|(v, &t)| coefficient(t, degree(v)))
+        .sum();
+    let tri: u64 = t.iter().sum();
+    let wedges: u64 = (0..n)
+        .map(|v| degree(v) * degree(v).saturating_sub(1) / 2)
+        .sum();
     PartialClustering {
-        average: if used == 0 { 0.0 } else { coeff / used as f64 },
+        average: if n == 0 { 0.0 } else { coeff / n as f64 },
         transitivity: if wedges == 0 {
             0.0
         } else {
@@ -222,14 +251,38 @@ mod tests {
         assert!((transitivity(&g) - 1.0).abs() < 1e-12);
     }
 
+    /// Triangles through each vertex by intersecting `N(u) ∩ N(v)` for
+    /// every arc, which finds each triangle six times.
+    fn six_way(g: &CsrGraph) -> Vec<u64> {
+        (0..g.num_vertices() as VertexId)
+            .map(|u| {
+                let nu = g.neighbor_slice(u);
+                let common = |v: VertexId| {
+                    let nv = g.neighbor_slice(v);
+                    nu.iter().filter(|w| nv.binary_search(w).is_ok()).count() as u64
+                };
+                nu.iter().map(|&v| common(v)).sum::<u64>() / 2
+            })
+            .collect()
+    }
+
     #[test]
     fn one_sweep_equals_the_oracles_bit_for_bit() {
         // 2048 vertices: above the size where the sweep is actually split
         // across workers, so a chunk-order-dependent sum would show.
         let g = snap_gen::rmat(&snap_gen::RmatConfig::small_world(11, 16384), 5);
-        let (average, trans) = (average_clustering(&g), transitivity(&g));
+        let t = six_way(&g);
+        let degree = |v: usize| g.degree(v as VertexId) as u64;
+        let average = (0..g.num_vertices())
+            .map(|v| coefficient(t[v], degree(v)))
+            .sum::<f64>()
+            / g.num_vertices() as f64;
+        let wedges: u64 = (0..g.num_vertices())
+            .map(|v| degree(v) * degree(v).saturating_sub(1) / 2)
+            .sum();
+        let trans = 3.0 * (t.iter().sum::<u64>() / 3) as f64 / wedges as f64;
         let untripped = Exec {
-            budget: snap_budget::Budget::with_deadline(std::time::Duration::from_secs(3600)),
+            budget: Budget::with_deadline(std::time::Duration::from_secs(3600)),
             ..Exec::default()
         };
         for threads in [1usize, 2, 8] {
@@ -237,6 +290,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap();
+            assert_eq!(pool.install(|| triangles_per_vertex(&g)), t);
             for exec in [&Exec::default(), &untripped] {
                 let c = pool.install(|| clustering_in(&g, exec));
                 assert!(!c.degraded());
@@ -248,6 +302,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn directed_graph_is_counted_on_its_symmetrised_copy() {
+        // Arcs 0→1, 1→2, 2→0 close a triangle; 2→3 and 3→2 are one
+        // undirected edge; 3→4, 4→1 and 1→3 close a second triangle, and
+        // 1→2, 2→3, 1→3 a third.
+        let arcs = [
+            (0, 1),
+            (1, 2),
+            (2, 0),
+            (2, 3),
+            (3, 2),
+            (3, 4),
+            (4, 1),
+            (1, 3),
+        ];
+        let directed = GraphBuilder::directed(5).add_edges(arcs).build();
+        let both = arcs.iter().flat_map(|&(u, v)| [(u, v), (v, u)]);
+        let symmetric = GraphBuilder::undirected(5).add_edges(both).build();
+        assert_eq!(triangles_per_vertex(&directed), vec![1, 3, 2, 2, 1]);
+        assert_eq!(
+            triangles_per_vertex(&directed),
+            triangles_per_vertex(&symmetric)
+        );
+        assert_eq!(local_clustering(&directed), local_clustering(&symmetric));
+        let (a, b) = (
+            clustering_in(&directed, &Exec::default()),
+            clustering_in(&symmetric, &Exec::default()),
+        );
+        assert_eq!(a.average.to_bits(), b.average.to_bits());
+        assert_eq!(a.transitivity.to_bits(), b.transitivity.to_bits());
+    }
+
+    #[test]
+    fn a_tripped_sweep_is_a_degraded_lower_bound() {
+        let g = snap_gen::rmat(&snap_gen::RmatConfig::small_world(10, 8192), 3);
+        let exact = clustering_in(&g, &Exec::default());
+        let tripped = Exec {
+            budget: Budget::with_work_cap(0),
+            ..Exec::default()
+        };
+        let c = clustering_in(&g, &tripped);
+        assert!(c.degraded());
+        assert!(c.vertices_used < c.vertices_total);
+        assert!((0.0..=exact.average).contains(&c.average));
+        assert!((0.0..=exact.transitivity).contains(&c.transitivity));
     }
 
     #[test]

@@ -28,3 +28,10 @@ pub use pathlen::{
 };
 pub use richclub::{rich_club_coefficient, rich_club_curve};
 pub use summary::{summarize, summarize_in, GraphSummary};
+
+/// Vertices per parallel work unit of a vertex-range loop: four units
+/// per thread, as the pool's element iterators make, but never under 256
+/// vertices.
+pub(crate) fn block_len(n: usize) -> usize {
+    n.div_ceil(4 * rayon::current_num_threads()).max(256)
+}

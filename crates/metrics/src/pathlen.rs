@@ -1,11 +1,18 @@
 //! Shortest-path-length statistics: average path length, diameter, and
 //! the sampled estimators the paper's exploratory workflow uses on large
 //! graphs (where all-pairs BFS is out of reach).
+//!
+//! Every entry point reads its statistics off one histogram of distance
+//! counts, filled by a multi-source BFS: up to 64 sources traverse
+//! together, one bit of a `u64` per source, so each adjacency is read
+//! once per level for the whole batch rather than once per source.
 
-use snap_graph::{Graph, TraversalWorkspace, VertexId};
-use snap_kernels::bfs::{bfs_levels_into, par_bfs, UNREACHABLE};
-use snap_kernels::sweep::{record_skipped, sample_sources, sweep};
+use crate::block_len;
+use rayon::prelude::*;
+use snap_graph::{Graph, VertexId};
+use snap_kernels::sweep::{record_skipped, sample_sources};
 use snap_kernels::Exec;
+use std::sync::Mutex;
 
 /// Path-length statistics over (a sample of) source vertices; all zero
 /// when no reachable pair was observed.
@@ -52,11 +59,11 @@ impl PartialPathStats {
     }
 }
 
-/// [`path_stats_sampled`] with `exec`'s budget and workspace pool:
-/// traverses sampled sources until the budget trips. The processed prefix
-/// of the shuffled sample is itself a uniform sample, so the averages
-/// stay unbiased — only the variance grows. Pass `k = n` for
-/// budget-degraded "exact" statistics.
+/// [`path_stats_sampled`] under `exec`'s budget: traverses batches of
+/// sampled sources until the budget trips. The processed prefix of the
+/// shuffled sample is itself a uniform sample, so the averages stay
+/// unbiased — only the variance grows. Pass `k = n` for budget-degraded
+/// "exact" statistics.
 pub fn path_stats_in<G: Graph>(g: &G, k: usize, seed: u64, exec: &Exec) -> PartialPathStats {
     let sources = sample_sources(g.num_vertices(), k.max(1), seed);
     let (hist, used) = distance_histogram(g, &sources, exec);
@@ -67,87 +74,144 @@ pub fn path_stats_in<G: Graph>(g: &G, k: usize, seed: u64, exec: &Exec) -> Parti
     }
 }
 
-/// Fold one source's distance array into the distance histogram.
-fn add_distances(acc: &mut Vec<u64>, s: VertexId, dist: &[u32]) {
-    for (v, &d) in dist.iter().enumerate() {
-        if d != UNREACHABLE && v as VertexId != s {
-            if d as usize >= acc.len() {
-                acc.resize(d as usize + 1, 0);
-            }
-            acc[d as usize] += 1;
-        }
-    }
-}
-
-/// [`add_distances`] over a finished [`bfs_levels_into`] traversal: each
-/// BFS level contributes its size to one histogram bucket, so the whole
-/// fold is `O(D log n)` dist reads (run boundaries by binary search over
-/// the depth-sorted discovery order). The depth-0 run is exactly the
-/// source, which the dense scan excludes. Histogram counts are
-/// order-independent, so the result is identical to the dense scan.
-fn add_distances_ws(acc: &mut Vec<u64>, ws: &TraversalWorkspace) {
-    for (d, run) in ws.depth_runs() {
-        if d == 0 {
-            continue;
-        }
-        let d = d as usize;
-        if d >= acc.len() {
-            acc.resize(d + 1, 0);
-        }
-        acc[d] += run.len() as u64;
-    }
-}
+/// Sources per MS-BFS batch: one bit of a `u64` each.
+const BATCH: usize = 64;
 
 /// Histogram of the distances from `sources` (small-world graphs have
 /// tiny diameters, so a growable histogram beats storing all pair
 /// distances), plus how many sources were traversed before the budget
-/// tripped.
+/// tripped. Sources run in batches of [`BATCH`]: the budget is checked
+/// before a batch and charged `n + 1` per source after it, so a batch
+/// that starts finishes, and a tripped sweep keeps a whole-batch prefix
+/// of `sources`. The counts are integers, so neither the batching nor
+/// the thread count can change them.
 fn distance_histogram<G: Graph>(g: &G, sources: &[VertexId], exec: &Exec) -> (Vec<u64>, usize) {
-    // Too few sources cannot saturate a source-parallel sweep, so below
-    // one source per worker each traversal runs on the parallel
-    // direction-optimizing engine instead. With plenty of sources, one
-    // sequential BFS per worker wins: no atomic traffic, no level
-    // barriers.
+    let budget = &exec.budget;
     let n = g.num_vertices();
-    if sources.len() < rayon::current_num_threads() {
-        let budget = &exec.budget;
-        let mut acc = Vec::new();
-        let mut used = 0;
-        for &s in sources {
-            if budget.check().is_err() {
+    let mut bits = Bitsets {
+        seen: vec![0u64; n],
+        frontier: vec![0u64; n],
+        next: vec![0u64; n],
+    };
+    let mut hist = Vec::new();
+    let mut used = 0;
+    for batch in sources.chunks(BATCH) {
+        if budget.check().is_err() {
+            break;
+        }
+        bits.traverse(g, batch, &mut hist);
+        used += batch.len();
+        let _ = budget.charge(batch.len() as u64 * (n as u64 + 1));
+    }
+    snap_obs::add("sources_processed", used as u64);
+    record_skipped(budget, sources.len(), used);
+    (hist, used)
+}
+
+/// The per-vertex source sets of a multi-source BFS (Then et al., "The
+/// More the Merrier", PVLDB 8(4), 2014), source `i` of a batch on bit
+/// `i`: the sources that have reached a vertex, those that reached it at
+/// the previous level, and those reaching it at this one. Reused from
+/// batch to batch.
+struct Bitsets {
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+}
+
+impl Bitsets {
+    /// Traverse from `batch` (at most [`BATCH`] sources), adding the
+    /// number of (source, vertex) pairs first reached at each level
+    /// `d >= 1` to `hist[d]`.
+    fn traverse<G: Graph>(&mut self, g: &G, batch: &[VertexId], hist: &mut Vec<u64>) {
+        let all = u64::MAX >> (BATCH - batch.len());
+        self.seen.fill(0);
+        for (i, &s) in batch.iter().enumerate() {
+            self.seen[s as usize] |= 1 << i;
+        }
+        self.frontier.copy_from_slice(&self.seen);
+        for level in 1.. {
+            let count = if g.is_directed() {
+                self.push(g)
+            } else {
+                self.pull(g, all)
+            };
+            if count == 0 {
                 break;
             }
-            let r = par_bfs(g, s);
-            let _ = budget.charge(n as u64 + 1);
-            used += 1;
-            add_distances(&mut acc, s, &r.dist);
+            if hist.len() <= level {
+                hist.resize(level + 1, 0);
+            }
+            hist[level] += count;
+            std::mem::swap(&mut self.frontier, &mut self.next);
         }
-        record_skipped(budget, sources.len(), used);
-        return (acc, used);
     }
-    // The counts are integers, so chunking cannot change them.
-    let (hist, used) = sweep(
-        exec,
-        sources,
-        "pathlen.source",
-        16,
-        |_| Vec::new(),
-        |acc, s, ws| {
-            bfs_levels_into(g, s, ws);
-            add_distances_ws(acc, ws);
-            n as u64 + 1
-        },
-        |mut a, b| {
-            if a.len() < b.len() {
-                a.resize(b.len(), 0);
+
+    /// One level on an undirected graph, as a pull over vertex ranges,
+    /// one work unit (and one `pathlen.level` trace task) each:
+    /// `next[v] = OR(frontier[u] for u in N(v)) & !seen[v]`, leaving the
+    /// scan of `N(v)` once every unseen source is covered. A unit writes
+    /// only its own range of `seen` and `next`, so no word is shared.
+    /// Returns the pairs reached.
+    fn pull<G: Graph>(&mut self, g: &G, all: u64) -> u64 {
+        let per = block_len(self.seen.len());
+        let frontier = &self.frontier;
+        let ranges: Vec<Mutex<(&mut [u64], &mut [u64])>> = self
+            .seen
+            .chunks_mut(per)
+            .zip(self.next.chunks_mut(per))
+            .map(Mutex::new)
+            .collect();
+        ranges
+            .par_chunks(1)
+            .enumerate()
+            .map(|(b, range)| {
+                let _task = snap_obs::task("pathlen.level");
+                let mut range = range[0]
+                    .lock()
+                    .expect("a range has one unit, so no lock is poisoned");
+                let (seen, next) = &mut *range;
+                let mut count = 0;
+                for (i, (s, x)) in seen.iter_mut().zip(next.iter_mut()).enumerate() {
+                    let unseen = !*s & all;
+                    let mut reached = 0;
+                    if unseen != 0 {
+                        for u in g.neighbors((b * per + i) as VertexId) {
+                            reached |= frontier[u as usize];
+                            if reached & unseen == unseen {
+                                break;
+                            }
+                        }
+                    }
+                    *x = reached & unseen;
+                    *s |= *x;
+                    count += u64::from(x.count_ones());
+                }
+                count
+            })
+            .reduce(|| 0, |a, b| a + b)
+    }
+
+    /// One level on a directed graph: pull needs in-arcs, so the frontier
+    /// pushes along out-arcs instead, serially (the rule the hybrid BFS's
+    /// direction switch follows). Returns the pairs reached.
+    fn push<G: Graph>(&mut self, g: &G) -> u64 {
+        self.next.fill(0);
+        for (u, &bits) in self.frontier.iter().enumerate() {
+            if bits != 0 {
+                for v in g.neighbors(u as VertexId) {
+                    self.next[v as usize] |= bits;
+                }
             }
-            for (i, y) in b.into_iter().enumerate() {
-                a[i] += y;
-            }
-            a
-        },
-    );
-    (hist.unwrap_or_default(), used)
+        }
+        let mut count = 0;
+        for (s, x) in self.seen.iter_mut().zip(&mut self.next) {
+            *x &= !*s;
+            *s |= *x;
+            count += u64::from(x.count_ones());
+        }
+        count
+    }
 }
 
 /// Read the statistics off a distance histogram.
@@ -187,7 +251,77 @@ fn stats_of(hist: &[u64]) -> PathStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use snap_graph::builder::from_edges;
+    use snap_graph::{CsrGraph, FilteredGraph};
+    use snap_kernels::bfs::{bfs, UNREACHABLE};
+
+    /// The histogram one sequential BFS per source builds.
+    fn oracle<G: Graph>(g: &G, sources: &[VertexId]) -> Vec<u64> {
+        let mut hist = Vec::new();
+        for &s in sources {
+            for (v, &d) in bfs(g, s).dist.iter().enumerate() {
+                if d != UNREACHABLE && v as VertexId != s {
+                    if d as usize >= hist.len() {
+                        hist.resize(d as usize + 1, 0);
+                    }
+                    hist[d as usize] += 1;
+                }
+            }
+        }
+        hist
+    }
+
+    fn check<G: Graph>(g: &G, k: usize, seed: u64, threads: usize) -> Result<(), TestCaseError> {
+        let sources = sample_sources(g.num_vertices(), k, seed);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
+        let (hist, used) = pool
+            .build()
+            .unwrap()
+            .install(|| distance_histogram(g, &sources, &Exec::default()));
+        prop_assert_eq!(used, sources.len());
+        prop_assert_eq!(hist, oracle(g, &sources));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// MS-BFS equals one BFS per source on every graph family, for
+        /// source counts on both sides of the 64-source batch edge.
+        #[test]
+        fn ms_bfs_equals_one_bfs_per_source(
+            family in 0usize..5,
+            which_k in 0usize..5,
+            seed in 0u64..1000,
+            threads in 1usize..3,
+        ) {
+            let k = [1, 63, 64, 65, 200][which_k];
+            let rmat = |directed| {
+                let mut cfg = snap_gen::RmatConfig::small_world(10, 3000);
+                cfg.directed = directed;
+                snap_gen::rmat(&cfg, seed)
+            };
+            let g: CsrGraph = match family {
+                0 | 3 => rmat(false),
+                1 => {
+                    let cfg = snap_gen::PlantedConfig::with_target_degrees(1024, 8, 6.0, 1.0);
+                    snap_gen::planted_partition(&cfg, seed).0
+                }
+                2 => snap_gen::erdos_renyi(1000, 1500, seed),
+                _ => rmat(true),
+            };
+            if family == 3 {
+                let mut holed = FilteredGraph::new(&g);
+                for e in g.edge_ids().step_by(3) {
+                    holed.delete_edge(e);
+                }
+                check(&holed, k, seed, threads)?;
+            } else {
+                check(&g, k, seed, threads)?;
+            }
+        }
+    }
 
     #[test]
     fn path_graph_stats() {

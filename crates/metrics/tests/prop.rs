@@ -19,16 +19,18 @@ fn arb_graph() -> impl Strategy<Value = snap_graph::CsrGraph> {
     })
 }
 
-/// Brute-force triangle count over vertex triples.
-fn triangles_brute(g: &snap_graph::CsrGraph) -> u64 {
+/// Brute-force triangles through each vertex, over vertex triples.
+fn triangles_brute(g: &snap_graph::CsrGraph) -> Vec<u64> {
     let n = g.num_vertices();
     let adj = |a: u32, b: u32| g.neighbors(a).any(|x| x == b);
-    let mut count = 0;
+    let mut count = vec![0; n];
     for a in 0..n as u32 {
         for b in a + 1..n as u32 {
             for c in b + 1..n as u32 {
                 if adj(a, b) && adj(b, c) && adj(a, c) {
-                    count += 1;
+                    for v in [a, b, c] {
+                        count[v as usize] += 1;
+                    }
                 }
             }
         }
@@ -37,10 +39,12 @@ fn triangles_brute(g: &snap_graph::CsrGraph) -> u64 {
 }
 
 proptest! {
-    /// Merge-based triangle counting equals brute force.
+    /// Oriented triangle counting equals brute force, vertex by vertex.
     #[test]
     fn triangle_count_exact(g in arb_graph()) {
-        prop_assert_eq!(triangle_count(&g), triangles_brute(&g));
+        let brute = triangles_brute(&g);
+        prop_assert_eq!(triangle_count(&g), brute.iter().sum::<u64>() / 3);
+        prop_assert_eq!(triangles_per_vertex(&g), brute);
     }
 
     /// Per-vertex triangles sum to 3x the total.

@@ -27,12 +27,12 @@ pub use fm::{bisection_cut, fm_refine};
 pub use kway::{kway_partition, KwayConfig};
 pub use matching::{heavy_edge_matching, is_valid_matching};
 pub use metrics::{conductance, edge_cut, imbalance, Partition};
-pub use spectral::{Eigensolver, SpectralConfig, SpectralError};
+pub use spectral::SpectralError;
 
 use kway::kway_partition_in;
 use snap_graph::CsrGraph;
 use snap_kernels::Exec;
-use spectral::spectral_partition;
+use spectral::{spectral_partition, SpectralConfig};
 
 /// The four partitioning methods of Table 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -42,7 +42,7 @@ impl std::error::Error for SpectralError {}
 
 /// Which eigensolver drives the bisection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Eigensolver {
+pub(crate) enum Eigensolver {
     /// Deflated power iteration on `cI - L` (RQI-flavored).
     Power,
     /// Lanczos tridiagonalization with Sturm-bisection Ritz extraction.
@@ -51,22 +51,22 @@ pub enum Eigensolver {
 
 /// Configuration for the spectral partitioner.
 #[derive(Clone, Copy, Debug)]
-pub struct SpectralConfig {
+pub(crate) struct SpectralConfig {
     /// Number of parts (recursive bisection).
-    pub parts: usize,
+    parts: usize,
     /// Eigensolver choice.
-    pub solver: Eigensolver,
+    solver: Eigensolver,
     /// Iteration budget per bisection.
-    pub max_iterations: usize,
+    max_iterations: usize,
     /// Relative eigenvalue-change tolerance for convergence.
-    pub tolerance: f64,
+    tolerance: f64,
     /// RNG seed for the start vector.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl SpectralConfig {
     /// The Chaco-RQI-flavored preset.
-    pub fn rqi(parts: usize, seed: u64) -> Self {
+    pub(crate) fn rqi(parts: usize, seed: u64) -> Self {
         SpectralConfig {
             parts,
             solver: Eigensolver::Power,
@@ -77,7 +77,7 @@ impl SpectralConfig {
     }
 
     /// The Chaco-Lanczos-flavored preset.
-    pub fn lanczos(parts: usize, seed: u64) -> Self {
+    pub(crate) fn lanczos(parts: usize, seed: u64) -> Self {
         SpectralConfig {
             parts,
             solver: Eigensolver::Lanczos,

@@ -116,6 +116,18 @@ fn generate_then_summary_then_communities() {
     std::fs::remove_file(&path).ok();
 }
 
+/// `summary --directed` reads arcs: triangles are counted on the
+/// underlying undirected graph and paths follow the arcs.
+#[test]
+fn summary_of_a_directed_graph() {
+    let graph = generate("dir.txt", "rmat", 9);
+    let out = run_ok(cli().arg("summary").arg(&graph).arg("--directed"));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let lines = text.lines().filter(|l| l.starts_with("clustering:"));
+    assert_eq!(lines.count(), 1, "{text}");
+    std::fs::remove_file(&graph).ok();
+}
+
 #[test]
 fn partition_reports_cut() {
     let path = scratch("p.txt");
@@ -426,7 +438,7 @@ fn trace_out_writes_loadable_chrome_trace() {
     let seen = check_chrome_trace(&timeline, 2);
     let has = |ph: &str, name: &str| seen.contains(&(ph.to_string(), name.to_string()));
     assert!(has("B", "brandes.source"), "worker task events missing");
-    assert!(has("B", "pathlen.source"), "worker task events missing");
+    assert!(has("B", "pathlen.level"), "worker task events missing");
 
     // The saved report of the same run covers every pipeline stage and
     // feeds the analyzers, which see the workers too.

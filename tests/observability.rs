@@ -404,7 +404,7 @@ fn sampled_sweeps_fan_out_across_threads() {
     });
     let report = snap::obs::finish().expect("collection was on");
     snap::obs::disable_tracing();
-    for task in ["pathlen.source", "closeness.source"] {
+    for task in ["pathlen.level", "closeness.source"] {
         let begun = report.trace.iter().filter(|e| e.begin && e.name == task);
         let tids: std::collections::BTreeSet<u32> = begun.map(|e| e.tid).collect();
         assert!(tids.len() >= 2, "{task} ran on thread id(s) {tids:?}");
