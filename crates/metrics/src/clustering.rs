@@ -9,7 +9,7 @@
 //! counted on their underlying undirected graph, as Stanford SNAP's
 //! `GetClustCf` does.
 
-use crate::block_len;
+use crate::blocks;
 use rayon::prelude::*;
 use snap_budget::Budget;
 use snap_graph::{CsrGraph, Graph, GraphBuilder, VertexId};
@@ -18,7 +18,7 @@ use std::borrow::Cow;
 
 /// Number of triangles through each vertex.
 pub fn triangles_per_vertex(g: &CsrGraph) -> Vec<u64> {
-    triangles(&undirected(g), &Budget::default()).0
+    triangles(&undirected(g), &Budget::default()).t
 }
 
 /// Total number of triangles in the graph.
@@ -31,7 +31,7 @@ pub fn triangle_count(g: &CsrGraph) -> u64 {
 pub fn local_clustering(g: &CsrGraph) -> Vec<f64> {
     let g = undirected(g);
     triangles(&g, &Budget::default())
-        .0
+        .t
         .into_iter()
         .enumerate()
         .map(|(v, t)| coefficient(t, g.degree(v as VertexId) as u64))
@@ -70,8 +70,17 @@ fn undirected(g: &CsrGraph) -> Cow<'_, CsrGraph> {
     )
 }
 
-/// Triangles through every vertex of the undirected `g`, and how many
-/// vertices' out-lists were intersected before `budget` tripped.
+/// What a triangle sweep found: the triangles through every vertex, how
+/// many vertices' out-lists were intersected before the budget tripped,
+/// and the share of all oriented wedges (pairs in one out-list, the
+/// triangles a vertex could find) that those out-lists hold.
+struct Sweep {
+    t: Vec<u64>,
+    owners: usize,
+    wedge_share: f64,
+}
+
+/// Triangles through every vertex of the undirected `g`.
 ///
 /// The out-lists are built serially. Intersections run in parallel over
 /// vertex ranges, and each credits its three corners without atomics: `u`
@@ -82,7 +91,7 @@ fn undirected(g: &CsrGraph) -> Cow<'_, CsrGraph> {
 /// work; once the budget trips the remaining vertices are skipped, and
 /// the triangles they would have found are missing from all three
 /// corners.
-fn triangles(g: &CsrGraph, budget: &Budget) -> (Vec<u64>, usize) {
+fn triangles(g: &CsrGraph, budget: &Budget) -> Sweep {
     let n = g.num_vertices();
     let rank = |v: VertexId| (g.degree(v), v);
     let mut offsets = Vec::with_capacity(n + 1);
@@ -96,11 +105,7 @@ fn triangles(g: &CsrGraph, budget: &Budget) -> (Vec<u64>, usize) {
     // Per range: triangles whose lowest-ranked corner is each vertex,
     // triangles through each out-arc (as `u → v` or `u → w`), and how
     // many vertices ran.
-    let per = block_len(n);
-    let blocks: Vec<_> = (0..n)
-        .step_by(per)
-        .map(|lo| lo..(lo + per).min(n))
-        .collect();
+    let blocks = blocks(n);
     let units: Vec<(Vec<u64>, Vec<u32>, usize)> = blocks
         .par_chunks(1)
         .map(|block| {
@@ -147,8 +152,25 @@ fn triangles(g: &CsrGraph, budget: &Budget) -> (Vec<u64>, usize) {
             t[head as usize] += u64::from(c);
         }
     }
-    let used = units.iter().map(|&(_, _, processed)| processed).sum();
-    (t, used)
+    let owners = units.iter().map(|&(_, _, processed)| processed).sum();
+    let mut wedge_share = 1.0;
+    if owners < n {
+        let wedges = |u: usize| {
+            let k = (offsets[u + 1] - offsets[u]) as u64;
+            k * k.saturating_sub(1) / 2
+        };
+        let processed = blocks.iter().zip(&units).flat_map(|(block, unit)| {
+            let &(_, _, processed) = unit;
+            block.start..block.start + processed
+        });
+        let all: u64 = (0..n).map(wedges).sum();
+        wedge_share = processed.map(wedges).sum::<u64>() as f64 / all.max(1) as f64;
+    }
+    Sweep {
+        t,
+        owners,
+        wedge_share,
+    }
 }
 
 /// Clustering-coefficient estimates from a budgeted triangle sweep.
@@ -174,32 +196,48 @@ impl PartialClustering {
 /// [`average_clustering`] and [`transitivity`] from one triangle sweep
 /// under `exec`'s compute budget. Untripped, both are exact and
 /// bit-identical at any thread count: the per-vertex counts are integers
-/// and the coefficients are summed in vertex order. Tripped, the sweep
-/// skips the vertices it had not reached; their triangles are missing
-/// from every corner, so both values are lower bounds in `[0, 1]`.
+/// and the coefficients are summed in vertex order.
+///
+/// Tripped, the sweep skips the vertices it had not reached, and their
+/// triangles are missing from every corner. The counts found are then
+/// scaled up by the share of oriented wedges the processed out-lists
+/// hold: each triangle is found by exactly one wedge, so the estimate is
+/// exact when every out-list closes the same fraction of its wedges.
+/// Both scaled values are capped at 1, so they stay in `[0, 1]`.
 pub(crate) fn clustering_in(g: &CsrGraph, exec: &Exec) -> PartialClustering {
     let g = undirected(g);
     let n = g.num_vertices();
-    let (t, used) = triangles(&g, &exec.budget);
+    let sweep = triangles(&g, &exec.budget);
+    let used = sweep.owners;
+    let scale = |x: f64| {
+        if used == n {
+            x
+        } else if sweep.wedge_share == 0.0 {
+            0.0
+        } else {
+            (x / sweep.wedge_share).min(1.0)
+        }
+    };
     if used < n {
         snap_obs::add("clustering_vertices_skipped", (n - used) as u64);
     }
     let degree = |v: usize| g.degree(v as VertexId) as u64;
-    let coeff: f64 = t
+    let coeff: f64 = sweep
+        .t
         .iter()
         .enumerate()
         .map(|(v, &t)| coefficient(t, degree(v)))
         .sum();
-    let tri: u64 = t.iter().sum();
+    let tri: u64 = sweep.t.iter().sum();
     let wedges: u64 = (0..n)
         .map(|v| degree(v) * degree(v).saturating_sub(1) / 2)
         .sum();
     PartialClustering {
-        average: if n == 0 { 0.0 } else { coeff / n as f64 },
+        average: if n == 0 { 0.0 } else { scale(coeff / n as f64) },
         transitivity: if wedges == 0 {
             0.0
         } else {
-            tri as f64 / wedges as f64
+            scale(tri as f64 / wedges as f64)
         },
         vertices_used: used,
         vertices_total: n,
@@ -337,18 +375,42 @@ mod tests {
     }
 
     #[test]
-    fn a_tripped_sweep_is_a_degraded_lower_bound() {
+    fn a_tripped_sweep_is_a_degraded_estimate_in_the_unit_interval() {
         let g = snap_gen::rmat(&snap_gen::RmatConfig::small_world(10, 8192), 3);
+        for cap in [0, 2000, 20_000] {
+            let tripped = Exec {
+                budget: Budget::with_work_cap(cap),
+                ..Exec::default()
+            };
+            let c = clustering_in(&g, &tripped);
+            assert!(c.degraded(), "cap {cap}");
+            assert!(c.vertices_used < c.vertices_total);
+            assert!((0.0..=1.0).contains(&c.average));
+            assert!((0.0..=1.0).contains(&c.transitivity));
+        }
+    }
+
+    #[test]
+    fn a_tripped_sweep_scales_by_the_wedges_it_processed() {
+        // A ring lattice with three neighbours a side: every vertex has
+        // the same local coefficient, 0.6, so the owners processed before
+        // the trip stand for all of them.
+        let g = snap_gen::watts_strogatz(3000, 3, 0.0, 1);
         let exact = clustering_in(&g, &Exec::default());
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
         let tripped = Exec {
-            budget: Budget::with_work_cap(0),
+            budget: Budget::with_work_cap(10_000),
             ..Exec::default()
         };
-        let c = clustering_in(&g, &tripped);
+        let c = pool.install(|| clustering_in(&g, &tripped));
         assert!(c.degraded());
-        assert!(c.vertices_used < c.vertices_total);
-        assert!((0.0..=exact.average).contains(&c.average));
-        assert!((0.0..=exact.transitivity).contains(&c.transitivity));
+        assert!(c.vertices_used < c.vertices_total / 2, "{c:?}");
+        assert!((exact.average - 0.6).abs() < 1e-3);
+        assert!((c.average - exact.average).abs() < 0.01, "{c:?}");
+        assert!((c.transitivity - exact.transitivity).abs() < 0.01, "{c:?}");
     }
 
     #[test]

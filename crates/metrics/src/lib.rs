@@ -29,9 +29,15 @@ pub use pathlen::{
 pub use richclub::{rich_club_coefficient, rich_club_curve};
 pub use summary::{summarize, summarize_in, GraphSummary};
 
-/// Vertices per parallel work unit of a vertex-range loop: four units
-/// per thread, as the pool's element iterators make, but never under 256
-/// vertices.
-pub(crate) fn block_len(n: usize) -> usize {
-    n.div_ceil(4 * rayon::current_num_threads()).max(256)
+/// `0..len` cut into the parallel work units of a range loop: as many
+/// units per thread as the pool's element iterators make, but never
+/// under 256 items each. Run them with `par_chunks(1)`.
+pub(crate) fn blocks(len: usize) -> Vec<std::ops::Range<usize>> {
+    let per = len
+        .div_ceil(rayon::UNITS_PER_THREAD * rayon::current_num_threads())
+        .max(256);
+    (0..len)
+        .step_by(per)
+        .map(|lo| lo..(lo + per).min(len))
+        .collect()
 }

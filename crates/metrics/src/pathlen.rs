@@ -4,15 +4,19 @@
 //!
 //! Every entry point reads its statistics off one histogram of distance
 //! counts, filled by a multi-source BFS: up to 64 sources traverse
-//! together, one bit of a `u64` per source, so each adjacency is read
-//! once per level for the whole batch rather than once per source.
+//! together, one bit of a `u64` per source. Where sources share levels,
+//! as on small-world graphs, a dense level reads each adjacency once for
+//! the whole batch rather than once per source; where they do not, a
+//! sparse level costs what its frontier touches, as one BFS per source
+//! would.
 
-use crate::block_len;
+use crate::blocks;
 use rayon::prelude::*;
+use snap_budget::Budget;
 use snap_graph::{Graph, VertexId};
 use snap_kernels::sweep::{record_skipped, sample_sources};
 use snap_kernels::Exec;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Path-length statistics over (a sample of) source vertices; all zero
 /// when no reachable pair was observed.
@@ -77,141 +81,230 @@ pub fn path_stats_in<G: Graph>(g: &G, k: usize, seed: u64, exec: &Exec) -> Parti
 /// Sources per MS-BFS batch: one bit of a `u64` each.
 const BATCH: usize = 64;
 
+/// A level whose frontier entries carry more than `arcs / DENSE_SHARE`
+/// arcs runs dense: the entries are merged into one word per vertex, and
+/// the level runs over vertex ranges — as a pull on an undirected graph,
+/// as a push from each vertex's merged word on a directed one. A pull
+/// reads every vertex and, until its unseen sources are all covered, its
+/// whole adjacency; a merged push reads each frontier vertex's arcs once
+/// however many entries listed it. Below the share a level pushes
+/// straight from the entries, so it costs what its frontier touches, not
+/// `n + m`: a small-world batch runs its few middle levels dense, a
+/// high-diameter graph's thin rings push.
+const DENSE_SHARE: u64 = 4;
+
 /// Histogram of the distances from `sources` (small-world graphs have
 /// tiny diameters, so a growable histogram beats storing all pair
 /// distances), plus how many sources were traversed before the budget
-/// tripped. Sources run in batches of [`BATCH`]: the budget is checked
-/// before a batch and charged `n + 1` per source after it, so a batch
-/// that starts finishes, and a tripped sweep keeps a whole-batch prefix
-/// of `sources`. The counts are integers, so neither the batching nor
-/// the thread count can change them.
+/// tripped. Sources run in batches of [`BATCH`]. The budget is checked
+/// before every level and charged each level's work (the vertices and
+/// arcs it read); a batch cut short by a trip adds nothing, so a tripped
+/// sweep keeps a whole-batch prefix of `sources`. The counts are
+/// integers, so neither the batching, the kind of a level nor the
+/// thread count can change them.
 fn distance_histogram<G: Graph>(g: &G, sources: &[VertexId], exec: &Exec) -> (Vec<u64>, usize) {
     let budget = &exec.budget;
-    let n = g.num_vertices();
-    let mut bits = Bitsets {
-        seen: vec![0u64; n],
-        frontier: vec![0u64; n],
-        next: vec![0u64; n],
-    };
+    let words = || (0..g.num_vertices()).map(|_| AtomicU64::new(0)).collect();
+    let (seen, frontier): (Vec<_>, Vec<_>) = (words(), words());
     let mut hist = Vec::new();
     let mut used = 0;
     for batch in sources.chunks(BATCH) {
-        if budget.check().is_err() {
+        let Some(counts) = traverse(g, &seen, &frontier, batch, budget) else {
             break;
+        };
+        if hist.len() < counts.len() {
+            hist.resize(counts.len(), 0);
         }
-        bits.traverse(g, batch, &mut hist);
+        for (h, c) in hist.iter_mut().zip(counts) {
+            *h += c;
+        }
         used += batch.len();
-        let _ = budget.charge(batch.len() as u64 * (n as u64 + 1));
     }
     snap_obs::add("sources_processed", used as u64);
     record_skipped(budget, sources.len(), used);
     (hist, used)
 }
 
-/// The per-vertex source sets of a multi-source BFS (Then et al., "The
-/// More the Merrier", PVLDB 8(4), 2014), source `i` of a batch on bit
-/// `i`: the sources that have reached a vertex, those that reached it at
-/// the previous level, and those reaching it at this one. Reused from
-/// batch to batch.
-struct Bitsets {
-    seen: Vec<u64>,
-    frontier: Vec<u64>,
-    next: Vec<u64>,
+/// A vertex and sources that reached it at the previous level.
+type Entry = (VertexId, u64);
+
+/// What one work unit of a level found: the vertices it reached, each
+/// with the sources that reached it first through this unit, the pairs
+/// reached and the work done.
+#[derive(Default)]
+struct Found {
+    entries: Vec<Entry>,
+    pairs: u64,
+    work: u64,
 }
 
-impl Bitsets {
-    /// Traverse from `batch` (at most [`BATCH`] sources), adding the
-    /// number of (source, vertex) pairs first reached at each level
-    /// `d >= 1` to `hist[d]`.
-    fn traverse<G: Graph>(&mut self, g: &G, batch: &[VertexId], hist: &mut Vec<u64>) {
-        let all = u64::MAX >> (BATCH - batch.len());
-        self.seen.fill(0);
-        for (i, &s) in batch.iter().enumerate() {
-            self.seen[s as usize] |= 1 << i;
+impl Found {
+    fn reach(&mut self, v: VertexId, sources: u64) {
+        self.entries.push((v, sources));
+        self.pairs += u64::from(sources.count_ones());
+    }
+
+    /// Offer `bits` to every out-neighbour of `u`: the `fetch_or` on the
+    /// neighbour's `seen` word says which sources are new, so each
+    /// (source, vertex) pair is found by exactly one unit.
+    fn offer<G: Graph>(&mut self, g: &G, seen: &[AtomicU64], u: VertexId, bits: u64) {
+        for v in g.neighbors(u) {
+            self.work += 1;
+            let w = &seen[v as usize];
+            if bits & !get(w) != 0 {
+                let new = bits & !w.fetch_or(bits, Relaxed);
+                if new != 0 {
+                    self.reach(v, new);
+                }
+            }
         }
-        self.frontier.copy_from_slice(&self.seen);
-        for level in 1.. {
-            let count = if g.is_directed() {
-                self.push(g)
-            } else {
-                self.pull(g, all)
+    }
+}
+
+fn get(w: &AtomicU64) -> u64 {
+    w.load(Relaxed)
+}
+
+fn set(w: &AtomicU64, x: u64) {
+    w.store(x, Relaxed)
+}
+
+/// Traverse from `batch` (at most [`BATCH`] distinct sources) as a
+/// multi-source BFS (Then et al., "The More the Merrier", PVLDB 8(4),
+/// 2014): source `i` of the batch is bit `i`, and `seen[v]` holds the
+/// sources that have reached `v`. Returns the number of (source, vertex)
+/// pairs first reached at each level `d >= 1` at index `d`, or `None`
+/// when the budget trips before the traversal ends. `frontier` is all
+/// zero on entry and on return; every access is `Relaxed`, as the
+/// pool's join orders one parallel call before the next.
+///
+/// A level's frontier is a list of entries. A push may list a vertex
+/// once per unit that reached it with new sources, but the sources of
+/// its entries are disjoint, so a batch lists at most `64 n` entries in
+/// all — one per (source, vertex) pair, as one BFS per source would.
+fn traverse<G: Graph>(
+    g: &G,
+    seen: &[AtomicU64],
+    frontier: &[AtomicU64],
+    batch: &[VertexId],
+    budget: &Budget,
+) -> Option<Vec<u64>> {
+    let all = u64::MAX >> (BATCH - batch.len());
+    let arcs = g.num_arcs() as u64;
+    seen.iter().for_each(|w| set(w, 0));
+    let mut active: Vec<Entry> = Vec::with_capacity(batch.len());
+    for (i, &s) in batch.iter().enumerate() {
+        set(&seen[s as usize], 1 << i);
+        active.push((s, 1 << i));
+    }
+    let mut counts = vec![0];
+    while !active.is_empty() {
+        budget.check().ok()?;
+        let frontier_arcs: u64 = active.iter().map(|&(u, _)| g.degree(u) as u64).sum();
+        let units = if frontier_arcs > arcs / DENSE_SHARE {
+            dense(g, seen, frontier, &active, all)
+        } else {
+            push(g, seen, &active)
+        };
+        let (mut pairs, mut work) = (0, 0);
+        active.clear();
+        for unit in units {
+            active.extend(unit.entries);
+            pairs += unit.pairs;
+            work += unit.work;
+        }
+        if pairs > 0 {
+            counts.push(pairs);
+        }
+        let _ = budget.charge(work);
+    }
+    Some(counts)
+}
+
+/// A dense level: the entries are merged into `frontier` words, then the
+/// level runs over vertex ranges, one work unit (and one `pathlen.level`
+/// trace task) each. On an undirected graph it pulls: `new(v) =
+/// OR(frontier[u] for u in N(v)) & !seen[v]`, leaving the scan of `N(v)`
+/// once every unseen source is covered; a unit writes only its own
+/// range's `seen` words and lists each vertex it reaches once, in id
+/// order. Pull needs in-arcs (the rule the hybrid BFS's direction switch
+/// follows), so on a directed graph each unit pushes its own range's
+/// merged words instead.
+fn dense<G: Graph>(
+    g: &G,
+    seen: &[AtomicU64],
+    frontier: &[AtomicU64],
+    active: &[Entry],
+    all: u64,
+) -> Vec<Found> {
+    let runs = blocks(active.len());
+    runs.par_chunks(1).for_each(|run| {
+        for &(u, bits) in &active[run[0].clone()] {
+            frontier[u as usize].fetch_or(bits, Relaxed);
+        }
+    });
+    let units = blocks(seen.len())
+        .par_chunks(1)
+        .map(|block| {
+            let _task = snap_obs::task("pathlen.level");
+            let mut found = Found {
+                work: block[0].len() as u64,
+                ..Found::default()
             };
-            if count == 0 {
-                break;
-            }
-            if hist.len() <= level {
-                hist.resize(level + 1, 0);
-            }
-            hist[level] += count;
-            std::mem::swap(&mut self.frontier, &mut self.next);
-        }
-    }
-
-    /// One level on an undirected graph, as a pull over vertex ranges,
-    /// one work unit (and one `pathlen.level` trace task) each:
-    /// `next[v] = OR(frontier[u] for u in N(v)) & !seen[v]`, leaving the
-    /// scan of `N(v)` once every unseen source is covered. A unit writes
-    /// only its own range of `seen` and `next`, so no word is shared.
-    /// Returns the pairs reached.
-    fn pull<G: Graph>(&mut self, g: &G, all: u64) -> u64 {
-        let per = block_len(self.seen.len());
-        let frontier = &self.frontier;
-        let ranges: Vec<Mutex<(&mut [u64], &mut [u64])>> = self
-            .seen
-            .chunks_mut(per)
-            .zip(self.next.chunks_mut(per))
-            .map(Mutex::new)
-            .collect();
-        ranges
-            .par_chunks(1)
-            .enumerate()
-            .map(|(b, range)| {
-                let _task = snap_obs::task("pathlen.level");
-                let mut range = range[0]
-                    .lock()
-                    .expect("a range has one unit, so no lock is poisoned");
-                let (seen, next) = &mut *range;
-                let mut count = 0;
-                for (i, (s, x)) in seen.iter_mut().zip(next.iter_mut()).enumerate() {
-                    let unseen = !*s & all;
-                    let mut reached = 0;
-                    if unseen != 0 {
-                        for u in g.neighbors((b * per + i) as VertexId) {
-                            reached |= frontier[u as usize];
-                            if reached & unseen == unseen {
-                                break;
-                            }
-                        }
+            for v in block[0].clone() {
+                if g.is_directed() {
+                    let bits = frontier[v].swap(0, Relaxed);
+                    if bits != 0 {
+                        found.offer(g, seen, v as VertexId, bits);
                     }
-                    *x = reached & unseen;
-                    *s |= *x;
-                    count += u64::from(x.count_ones());
+                    continue;
                 }
-                count
-            })
-            .reduce(|| 0, |a, b| a + b)
-    }
-
-    /// One level on a directed graph: pull needs in-arcs, so the frontier
-    /// pushes along out-arcs instead, serially (the rule the hybrid BFS's
-    /// direction switch follows). Returns the pairs reached.
-    fn push<G: Graph>(&mut self, g: &G) -> u64 {
-        self.next.fill(0);
-        for (u, &bits) in self.frontier.iter().enumerate() {
-            if bits != 0 {
-                for v in g.neighbors(u as VertexId) {
-                    self.next[v as usize] |= bits;
+                let was = get(&seen[v]);
+                let unseen = !was & all;
+                if unseen == 0 {
+                    continue;
+                }
+                let mut bits = 0;
+                for u in g.neighbors(v as VertexId) {
+                    found.work += 1;
+                    bits |= get(&frontier[u as usize]);
+                    if bits & unseen == unseen {
+                        break;
+                    }
+                }
+                let new = bits & unseen;
+                if new != 0 {
+                    set(&seen[v], was | new);
+                    found.reach(v as VertexId, new);
                 }
             }
-        }
-        let mut count = 0;
-        for (s, x) in self.seen.iter_mut().zip(&mut self.next) {
-            *x &= !*s;
-            *s |= *x;
-            count += u64::from(x.count_ones());
-        }
-        count
+            found
+        })
+        .collect();
+    if !g.is_directed() {
+        runs.par_chunks(1).for_each(|run| {
+            for &(u, _) in &active[run[0].clone()] {
+                set(&frontier[u as usize], 0);
+            }
+        });
     }
+    units
+}
+
+/// A sparse level: a push straight from the frontier entries, over runs
+/// of them, one work unit (and `pathlen.level` task) each.
+fn push<G: Graph>(g: &G, seen: &[AtomicU64], active: &[Entry]) -> Vec<Found> {
+    blocks(active.len())
+        .par_chunks(1)
+        .map(|run| {
+            let _task = snap_obs::task("pathlen.level");
+            let mut found = Found::default();
+            for &(u, bits) in &active[run[0].clone()] {
+                found.offer(g, seen, u, bits);
+            }
+            found
+        })
+        .collect()
 }
 
 /// Read the statistics off a distance histogram.
@@ -287,16 +380,19 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// MS-BFS equals one BFS per source on every graph family, for
-        /// source counts on both sides of the 64-source batch edge.
+        /// MS-BFS equals one BFS per source on every graph family —
+        /// small-world ones that run dense levels, a directed one, a
+        /// holed view and a high-diameter grid — for source counts on
+        /// both sides of the 64-source batch edge.
         #[test]
         fn ms_bfs_equals_one_bfs_per_source(
-            family in 0usize..5,
+            family in 0usize..6,
             which_k in 0usize..5,
             seed in 0u64..1000,
-            threads in 1usize..3,
+            which_threads in 0usize..3,
         ) {
             let k = [1, 63, 64, 65, 200][which_k];
+            let threads = [1, 2, 8][which_threads];
             let rmat = |directed| {
                 let mut cfg = snap_gen::RmatConfig::small_world(10, 3000);
                 cfg.directed = directed;
@@ -309,7 +405,9 @@ mod tests {
                     snap_gen::planted_partition(&cfg, seed).0
                 }
                 2 => snap_gen::erdos_renyi(1000, 1500, seed),
-                _ => rmat(true),
+                4 => rmat(true),
+                // High diameter: every level is a thin ring that pushes.
+                _ => snap_gen::road_grid(16, 64, 0.05, 0.3, seed),
             };
             if family == 3 {
                 let mut holed = FilteredGraph::new(&g);
@@ -321,6 +419,29 @@ mod tests {
                 check(&g, k, seed, threads)?;
             }
         }
+    }
+
+    /// The budget is checked before every level and charged each level's
+    /// work, so a cap far below one batch's work stops the batch part
+    /// way, and the tripped batch adds nothing to the histogram.
+    #[test]
+    fn a_trip_inside_a_batch_drops_the_batch() {
+        let n = 4000;
+        let edges: Vec<_> = (1..n).map(|v| (v - 1, v)).collect();
+        let g = from_edges(n as usize, &edges);
+        let sources = sample_sources(g.num_vertices(), 64, 1);
+        // One batch reads every arc once per source at least: 64 × 2n.
+        let exec = Exec {
+            budget: Budget::with_work_cap(1000),
+            ..Exec::default()
+        };
+        let (hist, used) = distance_histogram(&g, &sources, &exec);
+        assert!(exec.budget.is_exhausted());
+        assert_eq!(used, 0);
+        assert!(hist.is_empty());
+        let p = path_stats_in(&g, 64, 1, &exec);
+        assert!(p.degraded());
+        assert_eq!(p.stats.pairs, 0);
     }
 
     #[test]

@@ -48,9 +48,10 @@ pub fn summarize(g: &CsrGraph, seed: u64) -> GraphSummary {
 
 /// [`summarize`] with `exec`'s budget and workspace pool. The
 /// path-statistics BFS sweep — the dominant cost on large graphs —
-/// degrades to however many sampled sources the budget allows;
+/// degrades to however many whole 64-source batches the budget allows;
 /// `paths_sampled` is set whenever the sweep was cut short of an exact
-/// all-pairs pass. The triangle sweep degrades to the vertices it reached.
+/// all-pairs pass. The triangle sweep degrades to the vertices it
+/// reached, and scales its estimates up from them.
 pub fn summarize_in(g: &CsrGraph, seed: u64, exec: &Exec) -> GraphSummary {
     let _span = snap_obs::span("metrics.summary");
     snap_obs::meta("seed", seed);

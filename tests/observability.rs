@@ -387,11 +387,14 @@ fn trace_rings_are_bounded_by_the_pool() {
 }
 
 /// The 64-source sweeps behind `summary` and `sampled_closeness` fan out
-/// although 64 items is far below the pool's serial cutoff: every
-/// explicit source chunk is a work unit of its own, and a call's explicit
-/// units always reach at least two of the pool's threads, so under a pool
-/// of more than one thread the per-source tasks land on at least two
-/// trace thread ids — by construction, not by timing.
+/// although 64 items is far below the pool's serial cutoff, because
+/// each runs on explicit work units, and a call's explicit units always
+/// reach at least two of the pool's threads — by construction, not by
+/// timing. Closeness makes one unit per source chunk. The path sweep's
+/// units are per BFS level: vertex ranges of at least 256 vertices on a
+/// dense level, runs of at least 256 frontier entries on a sparse one.
+/// The 512-vertex graph is sized so that its dense middle levels split
+/// into two ranges, so `pathlen.level` tasks land on two thread ids.
 #[test]
 fn sampled_sweeps_fan_out_across_threads() {
     let _serial = serial();
