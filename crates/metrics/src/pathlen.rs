@@ -81,17 +81,17 @@ pub fn path_stats_in<G: Graph>(g: &G, k: usize, seed: u64, exec: &Exec) -> Parti
 /// Sources per MS-BFS batch: one bit of a `u64` each.
 const BATCH: usize = 64;
 
-/// A level whose frontier lists more than `n / DENSE_SHARE` entries runs
-/// dense: the entries are merged into one word per vertex, and the level
-/// runs over vertex ranges — as a pull on an undirected graph, as a push
-/// from each vertex's merged word on a directed one. A pull reads every
-/// vertex and, until its unseen sources are all covered, its whole
-/// adjacency; a merged push reads each frontier vertex's arcs once
+/// A level whose frontier entries carry more than `arcs / DENSE_SHARE`
+/// arcs runs dense: the entries are merged into one word per vertex, and
+/// the level runs over vertex ranges — as a pull on an undirected graph,
+/// as a push from each vertex's merged word on a directed one. A pull
+/// reads every vertex and, until its unseen sources are all covered, its
+/// whole adjacency; a merged push reads each frontier vertex's arcs once
 /// however many entries listed it. Below the share a level pushes
 /// straight from the entries, so it costs what its frontier touches, not
 /// `n + m`: a small-world batch runs its few middle levels dense, a
 /// high-diameter graph's thin rings push.
-const DENSE_SHARE: usize = 4;
+const DENSE_SHARE: u64 = 4;
 
 /// Histogram of the distances from `sources` (small-world graphs have
 /// tiny diameters, so a growable histogram beats storing all pair
@@ -148,8 +148,8 @@ impl Found {
     /// neighbour's `seen` word says which sources are new, so each
     /// (source, vertex) pair is found by exactly one unit.
     fn offer<G: Graph>(&mut self, g: &G, seen: &[AtomicU64], u: VertexId, bits: u64) {
-        self.work += g.degree(u) as u64;
         for v in g.neighbors(u) {
+            self.work += 1;
             let w = &seen[v as usize];
             if bits & !get(w) != 0 {
                 let new = bits & !w.fetch_or(bits, Relaxed);
@@ -190,6 +190,7 @@ fn traverse<G: Graph>(
     budget: &Budget,
 ) -> Option<Vec<u64>> {
     let all = u64::MAX >> (BATCH - batch.len());
+    let arcs = g.num_arcs() as u64;
     seen.iter().for_each(|w| set(w, 0));
     let mut active: Vec<Entry> = Vec::with_capacity(batch.len());
     for (i, &s) in batch.iter().enumerate() {
@@ -199,7 +200,8 @@ fn traverse<G: Graph>(
     let mut counts = vec![0];
     while !active.is_empty() {
         budget.check().ok()?;
-        let units = if active.len() > seen.len() / DENSE_SHARE {
+        let frontier_arcs: u64 = active.iter().map(|&(u, _)| g.degree(u) as u64).sum();
+        let units = if frontier_arcs > arcs / DENSE_SHARE {
             dense(g, seen, frontier, &active, all)
         } else {
             push(g, seen, &active)
@@ -296,11 +298,7 @@ fn push<G: Graph>(g: &G, seen: &[AtomicU64], active: &[Entry]) -> Vec<Found> {
         .par_chunks(1)
         .map(|run| {
             let _task = snap_obs::task("pathlen.level");
-            // About one new vertex per entry on a sparse level.
-            let mut found = Found {
-                entries: Vec::with_capacity(run[0].len()),
-                ..Found::default()
-            };
+            let mut found = Found::default();
             for &(u, bits) in &active[run[0].clone()] {
                 found.offer(g, seen, u, bits);
             }
