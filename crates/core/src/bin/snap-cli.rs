@@ -1,24 +1,7 @@
 //! `snap-cli` — command-line front end for the SNAP framework.
 //!
-//! ```text
-//! snap-cli summary      <graph> [--directed] [--seed S]
-//! snap-cli bfs          <graph> [--source V] [--alpha A] [--beta B] [--directed]
-//! snap-cli communities  <graph> [--algorithm gn|pbd|pma|pla|spectral] [--members]
-//! snap-cli partition    <graph> --parts K [--method kway|recursive|rqi|lanczos] [--seed S]
-//! snap-cli centrality   <graph> [--approx FRAC] [--top K] [--seed S]
-//! snap-cli kcore        <graph> [--backend csr|compressed] [--directed] [--top K]
-//! snap-cli run          <graph> [--source V] [--algorithm A] [--parts K] [--approx FRAC] [--seed S]
-//!                       [--backend csr|compressed]
-//! snap-cli stream       <opfile> [--base GRAPH] [--merge-every N] [--source V] [--check]
-//! snap-cli serve        <graph> [--workers N] [--cache-bytes B] [--cache-entries N]
-//!                       [--deadline-ms MS] [--max-pending N] [--socket PATH]
-//!                       [--stream OPFILE] [--merge-every N] [--churn-ms MS]
-//!                       [--slow-ms MS] [--trace-sample N] [--postmortem PATH]
-//! snap-cli generate     rmat|er|ws|grid|planted --out FILE [--scale S] [--edges M] [--seed S]
-//! snap-cli obs diff     BASE.json CURRENT.json [--fail-over-pct P] [--min-ms M]
-//!                       [--fail-mem-over-pct P] [--min-bytes B]
-//! snap-cli obs explain  REPORT.json [--limit N] [--json]
-//! ```
+//! Run it with no arguments for the synopsis of every command and option
+//! (`usage` below). What the commands do:
 //!
 //! `stream` replays an edge-op file (`+ u v` inserts, `- u v` deletes,
 //! bare `u v` inserts, `#` comments) through the streaming engine:
@@ -54,14 +37,11 @@
 //!
 //! `kcore` runs the parallel k-core decomposition (coreness of every
 //! vertex by bucket peeling) and prints the degeneracy plus a core-size
-//! table. `kcore` and `run` accept `--backend compressed` to execute
-//! the kernels over the delta/varint-compressed CSR representation
-//! (`CompressedCsrGraph`) instead of the flat adjacency arrays; with
-//! `--backend` the `run` pipeline switches to the
-//! representation-agnostic kernels (BFS, connected components, k-core,
-//! Δ-stepping SSSP) and prints a `fixture_hash` fingerprint of every
-//! kernel output — bit-identical across backends, which `tests/cli.rs`
-//! asserts.
+//! table. It is the one command with a backend choice: `--backend
+//! compressed` peels the delta/varint-compressed CSR
+//! (`CompressedCsrGraph`) instead of the flat adjacency arrays and
+//! prints both adjacency footprints. That every kernel reads the same
+//! on either backend is checked in-process by `tests/differential.rs`.
 //!
 //! Graph files may be whitespace edge lists (`u v [w]`, `#` comments,
 //! 0-based ids), DIMACS shortest-path files (`.gr`), or METIS files
@@ -136,7 +116,6 @@ commands:
   centrality   <graph> [--approx FRAC] [--top K] [--seed S]
   kcore        <graph> [--backend csr|compressed] [--directed] [--top K]
   run          <graph> [--source V] [--algorithm A] [--parts K] [--approx FRAC] [--seed S]
-               [--backend csr|compressed]
   stream       <opfile> [--base GRAPH] [--merge-every N] [--source V] [--check]
   serve        <graph> [--workers N] [--cache-bytes B] [--cache-entries N]
                [--deadline-ms MS] [--max-pending N] [--socket PATH]
@@ -204,20 +183,47 @@ impl Args {
         Args { positional, flags }
     }
 
+    /// The `i`th positional argument.
+    fn arg(&self, i: usize) -> Option<&str> {
+        self.positional.get(i).map(String::as_str)
+    }
+
     fn flag(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(|s| s.as_str())
     }
 
+    /// `--name` parsed and accepted by `ok`, exiting on any other value;
+    /// `None` when absent.
+    fn flag_where<T: std::str::FromStr>(&self, name: &str, ok: fn(&T) -> bool) -> Option<T> {
+        let v = self.flag(name)?;
+        let parsed = v.parse().ok().filter(ok);
+        Some(parsed.unwrap_or_else(|| fail(&format!("bad value for --{name}: {v}"))))
+    }
+
     /// `--name` parsed (exiting on a bad value); `None` when absent.
     fn flag_opt<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        let v = self.flag(name)?;
-        let parsed = v.parse().ok();
-        Some(parsed.unwrap_or_else(|| fail(&format!("bad value for --{name}: {v}"))))
+        self.flag_where(name, |_| true)
     }
 
     fn flag_parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         self.flag_opt(name).unwrap_or(default)
     }
+}
+
+/// A percentage: finite and not negative.
+fn finite_nonneg(x: &f64) -> bool {
+    x.is_finite() && *x >= 0.0
+}
+
+/// `--timeout SECS`: fractional seconds the clock can count to.
+fn timeout(secs: &f64) -> bool {
+    let limit = std::time::Duration::try_from_secs_f64(*secs);
+    limit.is_ok_and(|d| std::time::Instant::now().checked_add(d).is_some())
+}
+
+/// A count: at least one.
+fn positive<T: PartialOrd + From<u8>>(x: &T) -> bool {
+    *x >= T::from(1)
 }
 
 /// Where the structured report should go, if anywhere.
@@ -250,20 +256,15 @@ impl Obs {
             },
         };
         let trace_out = match args.flag("trace-out") {
-            None | Some("true") => None,
+            None => None,
+            Some("true") => fail("--trace-out needs a file path"),
             Some(path) => Some(path.to_string()),
         };
-        if args.flag("trace-out") == Some("true") {
-            fail("--trace-out needs a file path");
-        }
         let metrics = match args.flag("metrics-out") {
             None => None,
             Some("true") => fail("--metrics-out needs a file path"),
             Some(path) => {
-                let every_ms: u64 = args.flag_parse("stats-every", 100u64);
-                if every_ms == 0 {
-                    fail("--stats-every must be at least 1 (milliseconds)");
-                }
+                let every_ms = args.flag_where("stats-every", positive).unwrap_or(100);
                 Some(snap::obs::telemetry::SamplerConfig::new(
                     path,
                     std::time::Duration::from_millis(every_ms),
@@ -304,16 +305,10 @@ impl Obs {
         }
     }
 
-    /// True when the JSON report claims stdout, pushing human output to
-    /// stderr.
-    fn json_on_stdout(&self) -> bool {
-        matches!(self.report, Some(ReportSink::Stdout))
-    }
-
     /// Human-facing output line: stdout normally, stderr when stdout is
     /// reserved for the JSON report.
     fn say(&self, line: std::fmt::Arguments<'_>) {
-        if self.json_on_stdout() {
+        if matches!(self.report, Some(ReportSink::Stdout)) {
             eprintln!("{line}");
         } else {
             stdout_line(line);
@@ -362,63 +357,25 @@ macro_rules! say {
     ($obs:expr, $($arg:tt)*) => { $obs.say(format_args!($($arg)*)) };
 }
 
-/// Build the command's compute budget from `--timeout SECS` (fractional
-/// seconds accepted; absent = unlimited).
-fn parse_budget(args: &Args) -> snap::Budget {
-    match args.flag("timeout") {
-        None => snap::Budget::unlimited(),
-        Some(v) => {
-            let secs: f64 = v
-                .parse()
-                .ok()
-                .filter(|s: &f64| s.is_finite() && *s >= 0.0)
-                .unwrap_or_else(|| fail(&format!("bad value for --timeout: {v}")));
-            snap::Budget::with_deadline(std::time::Duration::from_secs_f64(secs))
-        }
-    }
-}
-
-/// Surface a tripped budget to the human-facing output.
-fn note_budget(obs: &Obs, budget: &snap::Budget) {
-    if let Some(why) = budget.exhaustion() {
-        say!(obs, "note: budget exhausted ({why}); results are degraded");
-    }
-}
-
-/// Input format for graph files.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    EdgeList,
-    Dimacs,
-    Metis,
-}
-
-impl Format {
-    fn detect(args: &Args, path: &str) -> Format {
-        match args.flag("format") {
-            Some("edgelist") => Format::EdgeList,
-            Some("dimacs") => Format::Dimacs,
-            Some("metis") => Format::Metis,
-            Some(other) => fail(&format!(
-                "unknown format {other} (expected edgelist, dimacs, or metis)"
-            )),
-            None => match path.rsplit('.').next() {
-                Some("gr") => Format::Dimacs,
-                Some("graph") | Some("metis") => Format::Metis,
-                _ => Format::EdgeList,
-            },
-        }
-    }
-}
-
+/// Read a graph file in the `--format` given, else the one its extension
+/// names (`.gr` DIMACS, `.graph` / `.metis` METIS, anything else an edge
+/// list).
 fn load(args: &Args, path: &str, directed: bool) -> CsrGraph {
     let file =
         std::fs::File::open(path).unwrap_or_else(|e| fail(&format!("cannot open {path}: {e}")));
     let reader = BufReader::new(file);
-    let parsed = match Format::detect(args, path) {
-        Format::EdgeList => snap::io::edgelist::read_edge_list(reader, directed, 0),
-        Format::Dimacs => snap::io::dimacs::read_dimacs(reader, directed),
-        Format::Metis => snap::io::metis::read_metis(reader),
+    let by_extension = match path.rsplit('.').next() {
+        Some("gr") => "dimacs",
+        Some("graph") | Some("metis") => "metis",
+        _ => "edgelist",
+    };
+    let parsed = match args.flag("format").unwrap_or(by_extension) {
+        "edgelist" => snap::io::edgelist::read_edge_list(reader, directed, 0),
+        "dimacs" => snap::io::dimacs::read_dimacs(reader, directed),
+        "metis" => snap::io::metis::read_metis(reader),
+        other => fail(&format!(
+            "unknown format {other} (expected edgelist, dimacs, or metis)"
+        )),
     };
     parsed.unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")))
 }
@@ -438,13 +395,17 @@ fn main() {
 
     // Event-ring capacity must be set before any ring is lazily created,
     // i.e. before the first traced span of the command.
-    if let Some(events) = args.flag_opt::<usize>("trace-buf") {
-        if events == 0 {
-            fail("bad value for --trace-buf: 0");
-        }
+    if let Some(events) = args.flag_where("trace-buf", positive) {
         snap::obs::set_trace_capacity(events);
     }
 
+    // Every other command runs over the flat CSR.
+    if args.flag("backend").is_some() && command != "kcore" {
+        fail(&format!(
+            "--backend is a kcore option, not a {command} one \
+             (snap-cli kcore <graph> --backend csr|compressed)"
+        ));
+    }
     let dispatch = || match command.as_str() {
         "summary" => cmd_summary(&args),
         "bfs" => cmd_bfs(&args),
@@ -459,15 +420,8 @@ fn main() {
         "obs" => cmd_obs(&args),
         _ => usage(),
     };
-    match args.flag("threads") {
-        Some(v) => {
-            let threads: usize = v
-                .parse()
-                .ok()
-                .filter(|&t: &usize| t >= 1)
-                .unwrap_or_else(|| fail(&format!("bad value for --threads: {v}")));
-            snap::with_threads(threads, dispatch)
-        }
+    match args.flag_where("threads", positive) {
+        Some(threads) => snap::with_threads(threads, dispatch),
         None => dispatch(),
     }
 }
@@ -480,72 +434,56 @@ fn load_report(path: &str) -> snap::obs::RunReport {
         .unwrap_or_else(|e| fail(&format!("cannot parse report {path}: {e}")))
 }
 
+/// `obs diff`'s gates: list the spans that crossed a `--fail-*-over-pct`
+/// threshold on stderr and exit 1, or return when there are none.
+fn fail_on(what: String, spans: impl ExactSizeIterator<Item = String>) {
+    if spans.len() > 0 {
+        eprintln!("obs diff: {} span(s) {what}:", spans.len());
+        for line in spans {
+            eprintln!("  {line}");
+        }
+        exit(1);
+    }
+}
+
 /// `obs diff` / `obs explain` — offline analysis of saved run reports.
 fn cmd_obs(args: &Args) {
-    match args.positional.first().map(|s| s.as_str()) {
+    match args.arg(0) {
         Some("diff") => {
-            let (base_path, cur_path) = match (args.positional.get(1), args.positional.get(2)) {
-                (Some(a), Some(b)) => (a.as_str(), b.as_str()),
-                _ => fail("obs diff needs BASE.json and CURRENT.json"),
+            let (Some(base), Some(cur)) = (args.arg(1), args.arg(2)) else {
+                fail("obs diff needs BASE.json and CURRENT.json");
             };
-            let base = load_report(base_path);
-            let cur = load_report(cur_path);
+            let (base, cur) = (load_report(base), load_report(cur));
             let entries = snap::obs::diff::diff(&base, &cur);
             print!("{}", snap::obs::diff::render(&entries));
-            if let Some(pct) = args.flag("fail-over-pct") {
-                let pct: f64 = pct
-                    .parse()
-                    .ok()
-                    .filter(|p: &f64| p.is_finite() && *p >= 0.0)
-                    .unwrap_or_else(|| fail("bad value for --fail-over-pct"));
+            if let Some(pct) = args.flag_where("fail-over-pct", finite_nonneg) {
                 let min_ms: f64 = args.flag_parse("min-ms", 0.0);
                 let min_us = (min_ms * 1000.0).max(0.0) as u64;
                 let slow = snap::obs::diff::regressions(&entries, pct, min_us);
-                if !slow.is_empty() {
-                    eprintln!(
-                        "obs diff: {} span(s) regressed more than {pct}% (and {min_ms}ms):",
-                        slow.len()
-                    );
-                    for r in &slow {
-                        eprintln!(
-                            "  {}  {} -> {} us",
-                            r.path,
-                            r.base_us.unwrap_or(0),
-                            r.cur_us.unwrap_or(0)
-                        );
-                    }
-                    exit(1);
-                }
+                let lines = slow.iter().map(|r| {
+                    let (base, cur) = (r.base_us.unwrap_or(0), r.cur_us.unwrap_or(0));
+                    format!("{}  {base} -> {cur} us", r.path)
+                });
+                fail_on(
+                    format!("regressed more than {pct}% (and {min_ms}ms)"),
+                    lines,
+                );
             }
-            if let Some(pct) = args.flag("fail-mem-over-pct") {
-                let pct: f64 = pct
-                    .parse()
-                    .ok()
-                    .filter(|p: &f64| p.is_finite() && *p >= 0.0)
-                    .unwrap_or_else(|| fail("bad value for --fail-mem-over-pct"));
+            if let Some(pct) = args.flag_where("fail-mem-over-pct", finite_nonneg) {
                 let min_bytes: u64 = args.flag_parse("min-bytes", 4096u64);
                 let grew = snap::obs::diff::mem_regressions(&entries, pct, min_bytes);
-                if !grew.is_empty() {
-                    eprintln!(
-                        "obs diff: {} span(s) grew memory more than {pct}% (and {min_bytes} bytes):",
-                        grew.len()
-                    );
-                    for r in &grew {
-                        eprintln!(
-                            "  {}  {}: {} -> {} bytes",
-                            r.path, r.metric, r.base_bytes, r.cur_bytes
-                        );
-                    }
-                    exit(1);
-                }
+                let lines = grew.iter().map(|r| {
+                    let (base, cur) = (r.base_bytes, r.cur_bytes);
+                    format!("{}  {}: {base} -> {cur} bytes", r.path, r.metric)
+                });
+                let what = format!("grew memory more than {pct}% (and {min_bytes} bytes)");
+                fail_on(what, lines);
             }
         }
         Some("explain") => {
-            let path = args
-                .positional
-                .get(1)
-                .map(|s| s.as_str())
-                .unwrap_or_else(|| fail("obs explain needs REPORT.json"));
+            let Some(path) = args.arg(1) else {
+                fail("obs explain needs REPORT.json");
+            };
             let explain = snap::obs::analyze::explain(&load_report(path));
             let limit: usize = args.flag_parse("limit", 20);
             if args.flag("json").is_some() {
@@ -559,10 +497,57 @@ fn cmd_obs(args: &Args) {
 }
 
 fn input_path(args: &Args) -> &str {
-    args.positional
-        .first()
-        .map(|s| s.as_str())
-        .unwrap_or_else(|| usage())
+    args.arg(0).unwrap_or_else(|| usage())
+}
+
+/// Load the command's `<graph>` argument.
+fn load_input(args: &Args, directed: bool) -> CsrGraph {
+    load(args, input_path(args), directed)
+}
+
+/// The frame of every analysis command, around a graph already loaded
+/// (so flags checked against it fail before any work starts): open the
+/// observability session, run `body` on the network under the
+/// `--timeout SECS` budget (fractional seconds; absent = unlimited),
+/// note a tripped budget and emit the report.
+fn analyze(args: &Args, command: &str, g: CsrGraph, body: impl FnOnce(&Obs, &Network)) {
+    let budget = match args.flag_where("timeout", timeout) {
+        None => snap::Budget::unlimited(),
+        Some(secs) => snap::Budget::with_deadline(std::time::Duration::from_secs_f64(secs)),
+    };
+    let obs = Obs::parse(args);
+    obs.begin(command, input_path(args));
+    let net = Network::new(g).with_budget(budget);
+    body(&obs, &net);
+    if let Some(why) = net.budget().exhaustion() {
+        say!(obs, "note: budget exhausted ({why}); results are degraded");
+    }
+    obs.emit();
+}
+
+/// `--source V` (default 0), refused unless `V < n`.
+fn source_flag(args: &Args, n: usize) -> u32 {
+    if n == 0 {
+        fail("graph has no vertices");
+    }
+    let source: u32 = args.flag_parse("source", 0u32);
+    if source as usize >= n {
+        fail(&format!("--source {source} out of range (n = {n})"));
+    }
+    source
+}
+
+/// `--parts K`, refused unless `2 <= K <= n`: the partitioner sizes its
+/// tables by K, so a K past n is an allocation failure, not a partition.
+fn parts_flag(args: &Args, default: usize, n: usize) -> usize {
+    let parts: usize = args.flag_parse("parts", default);
+    if parts < 2 {
+        fail("--parts K (>= 2) is required");
+    }
+    if parts > n {
+        fail(&format!("--parts {parts} out of range (n = {n})"));
+    }
+    parts
 }
 
 /// Parse an `--algorithm` / `--method` name (the spellings are owned by
@@ -571,496 +556,281 @@ fn parse_name<T: std::str::FromStr<Err = String>>(name: &str) -> T {
     name.parse().unwrap_or_else(|e: String| fail(&e))
 }
 
+/// The vertices a BFS reached.
+fn reached(r: &snap::kernels::BfsResult) -> usize {
+    r.dist
+        .iter()
+        .filter(|&&d| d != snap::kernels::UNREACHABLE)
+        .count()
+}
+
 fn cmd_summary(args: &Args) {
-    let path = input_path(args);
-    let g = load(args, path, args.flag("directed").is_some());
-    let budget = parse_budget(args);
-    let obs = Obs::parse(args);
-    obs.begin("summary", path);
-    let net = Network::new(g).with_budget(budget.clone());
-    let summary = net.summary_with_seed(args.flag_parse("seed", 0u64));
-    say!(obs, "{summary}");
-    note_budget(&obs, &budget);
-    obs.emit();
+    let g = load_input(args, args.flag("directed").is_some());
+    analyze(args, "summary", g, |obs, net| {
+        let summary = net.summary_with_seed(args.flag_parse("seed", 0u64));
+        say!(obs, "{summary}");
+    });
 }
 
 fn cmd_bfs(args: &Args) {
-    let path = input_path(args);
-    let g = load(args, path, args.flag("directed").is_some());
+    let g = load_input(args, args.flag("directed").is_some());
     let n = g.num_vertices();
-    if n == 0 {
-        fail("graph has no vertices");
-    }
-    let source: u32 = args.flag_parse("source", 0u32);
-    if source as usize >= n {
-        fail(&format!("--source {source} out of range (n = {n})"));
-    }
+    let source = source_flag(args, n);
     let defaults = snap::kernels::HybridConfig::default();
     let cfg = snap::kernels::HybridConfig {
         alpha: args.flag_parse("alpha", defaults.alpha),
         beta: args.flag_parse("beta", defaults.beta),
     };
-    let budget = parse_budget(args);
-    let obs = Obs::parse(args);
-    obs.begin("bfs", path);
-    let net = Network::new(g).with_budget(budget.clone());
-    let (r, stats) = match net.try_bfs_stats_with(source, &cfg) {
-        Ok(out) => out,
-        Err(why) => {
-            // A partial traversal is meaningless: report the cancellation
-            // and exit non-zero (but cleanly, with the report emitted).
-            say!(obs, "bfs cancelled: {why}");
-            obs.emit();
-            exit(3);
-        }
-    };
-    let reached = r
-        .dist
-        .iter()
-        .filter(|&&d| d != snap::kernels::UNREACHABLE)
-        .count();
-    say!(
-        obs,
-        "source {source}: reached {reached} of {n} vertices, depth {} (alpha {}, beta {})",
-        stats.depth(),
-        cfg.alpha,
-        cfg.beta
-    );
-    say!(
-        obs,
-        "{:>5} {:>9} {:>10} {:>10} {:>14}",
-        "level",
-        "direction",
-        "frontier",
-        "found",
-        "edges"
-    );
-    for l in &stats.levels {
+    analyze(args, "bfs", g, |obs, net| {
+        let (r, stats) = match net.try_bfs_stats_with(source, &cfg) {
+            Ok(out) => out,
+            Err(why) => {
+                // A partial traversal is meaningless: report the cancellation
+                // and exit non-zero (but cleanly, with the report emitted).
+                say!(obs, "bfs cancelled: {why}");
+                obs.emit();
+                exit(3);
+            }
+        };
+        say!(
+            obs,
+            "source {source}: reached {} of {n} vertices, depth {} (alpha {}, beta {})",
+            reached(&r),
+            stats.depth(),
+            cfg.alpha,
+            cfg.beta
+        );
         say!(
             obs,
             "{:>5} {:>9} {:>10} {:>10} {:>14}",
-            l.depth,
-            l.direction,
-            l.frontier,
-            l.discovered,
-            l.edges_examined
+            "level",
+            "direction",
+            "frontier",
+            "found",
+            "edges"
         );
-    }
-    say!(
-        obs,
-        "edges examined {} | pull levels {} | peak frontier {}",
-        stats.total_edges_examined(),
-        stats.pull_levels(),
-        stats.peak_frontier()
-    );
-    note_budget(&obs, &budget);
-    obs.emit();
+        for l in &stats.levels {
+            say!(
+                obs,
+                "{:>5} {:>9} {:>10} {:>10} {:>14}",
+                l.depth,
+                l.direction,
+                l.frontier,
+                l.discovered,
+                l.edges_examined
+            );
+        }
+        say!(
+            obs,
+            "edges examined {} | pull levels {} | peak frontier {}",
+            stats.total_edges_examined(),
+            stats.pull_levels(),
+            stats.peak_frontier()
+        );
+    });
 }
 
 fn cmd_communities(args: &Args) {
-    let path = input_path(args);
-    let g = load(args, path, false);
+    let g = load_input(args, false);
     let algorithm: CommunityAlgorithm = parse_name(args.flag("algorithm").unwrap_or("pma"));
-    let budget = parse_budget(args);
-    let obs = Obs::parse(args);
-    obs.begin("communities", path);
-    let net = Network::new(g).with_budget(budget.clone());
-    let result = net.communities(algorithm);
-    say!(
-        obs,
-        "{} communities, modularity {:.4}",
-        result.clustering.count,
-        result.modularity
-    );
-    if args.flag("members").is_some() {
-        for (c, members) in result.clustering.members().into_iter().enumerate() {
-            let ids: Vec<String> = members.iter().map(|v| v.to_string()).collect();
-            say!(obs, "community {c}: {}", ids.join(" "));
+    analyze(args, "communities", g, |obs, net| {
+        let result = net.communities(algorithm);
+        say!(
+            obs,
+            "{} communities, modularity {:.4}",
+            result.clustering.count,
+            result.modularity
+        );
+        if args.flag("members").is_some() {
+            for (c, members) in result.clustering.members().into_iter().enumerate() {
+                let ids: Vec<String> = members.iter().map(|v| v.to_string()).collect();
+                say!(obs, "community {c}: {}", ids.join(" "));
+            }
+        } else {
+            let mut sizes = result.clustering.sizes();
+            sizes.sort_unstable_by(|a, b| b.cmp(a));
+            let head: Vec<String> = sizes.iter().take(10).map(|s| s.to_string()).collect();
+            say!(obs, "largest sizes: {}", head.join(" "));
         }
-    } else {
-        let mut sizes = result.clustering.sizes();
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-        let head: Vec<String> = sizes.iter().take(10).map(|s| s.to_string()).collect();
-        say!(obs, "largest sizes: {}", head.join(" "));
-    }
-    note_budget(&obs, &budget);
-    obs.emit();
+    });
 }
 
 fn cmd_partition(args: &Args) {
-    let path = input_path(args);
-    let g = load(args, path, false);
-    let parts: usize = args.flag_parse("parts", 0);
-    if parts < 2 {
-        fail("--parts K (>= 2) is required");
-    }
+    let g = load_input(args, false);
+    let parts = parts_flag(args, 0, g.num_vertices());
     let method: PartitionMethod = parse_name(args.flag("method").unwrap_or("kway"));
     let seed = args.flag_parse("seed", 1u64);
-    let budget = parse_budget(args);
-    let obs = Obs::parse(args);
-    obs.begin("partition", path);
-    let net = Network::new(g).with_budget(budget.clone());
-    match net.partition(method, parts, seed) {
-        Ok(p) => {
-            say!(
-                obs,
-                "edge cut {} | imbalance {:.3} | sizes {:?}",
-                snap::partition::edge_cut(net.graph(), &p),
-                snap::partition::imbalance(&p, None),
-                p.sizes()
-            );
+    analyze(args, "partition", g, |obs, net| {
+        match net.partition(method, parts, seed) {
+            Ok(p) => {
+                say!(
+                    obs,
+                    "edge cut {} | imbalance {:.3} | sizes {:?}",
+                    snap::partition::edge_cut(net.graph(), &p),
+                    snap::partition::imbalance(&p, None),
+                    p.sizes()
+                );
+            }
+            Err(e) => fail(&format!("{e}")),
         }
-        Err(e) => fail(&format!("{e}")),
-    }
-    note_budget(&obs, &budget);
-    obs.emit();
+    });
 }
 
 fn cmd_centrality(args: &Args) {
-    let path = input_path(args);
-    let g = load(args, path, false);
+    let g = load_input(args, false);
     let top: usize = args.flag_parse("top", 10);
     let seed = args.flag_parse("seed", 7u64);
-    let budget = parse_budget(args);
-    let obs = Obs::parse(args);
-    obs.begin("centrality", path);
-    let net = Network::new(g).with_budget(budget.clone());
-    let bc = match args.flag("approx") {
-        Some(frac) => {
-            let frac: f64 = frac
-                .parse()
-                .unwrap_or_else(|_| fail("bad value for --approx"));
-            net.approx_betweenness(frac, seed)
-        }
-        None => net.betweenness(),
-    };
-    let g = net.graph();
-    let mut order: Vec<usize> = (0..g.num_vertices()).collect();
-    order.sort_by(|&a, &b| bc.vertex[b].partial_cmp(&bc.vertex[a]).unwrap());
-    say!(
-        obs,
-        "{:>10} {:>8} {:>14}",
-        "vertex",
-        "degree",
-        "betweenness"
-    );
-    for &v in order.iter().take(top) {
+    analyze(args, "centrality", g, |obs, net| {
+        let bc = match args.flag_opt("approx") {
+            Some(frac) => net.approx_betweenness(frac, seed),
+            None => net.betweenness(),
+        };
+        let g = net.graph();
+        let mut order: Vec<usize> = (0..g.num_vertices()).collect();
+        order.sort_by(|&a, &b| bc.vertex[b].partial_cmp(&bc.vertex[a]).unwrap());
         say!(
             obs,
-            "{:>10} {:>8} {:>14.1}",
-            v,
-            g.degree(v as u32),
-            bc.vertex[v]
+            "{:>10} {:>8} {:>14}",
+            "vertex",
+            "degree",
+            "betweenness"
         );
-    }
-    note_budget(&obs, &budget);
-    obs.emit();
-}
-
-/// FNV-1a over a stream of u64 words — the cross-backend fingerprint of
-/// the generic pipeline's kernel outputs (same constants as the
-/// `fixture_hash` bench binary).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        for &v in order.iter().take(top) {
+            say!(
+                obs,
+                "{:>10} {:>8} {:>14.1}",
+                v,
+                g.degree(v as u32),
+                bc.vertex[v]
+            );
         }
-    }
-
-    fn done(self) -> u64 {
-        self.0
-    }
+    });
 }
 
-/// Which adjacency representation the representation-agnostic commands
-/// run over.
-enum Backend {
-    Csr(CsrGraph),
-    Compressed(snap::graph::CompressedCsrGraph),
-}
-
-impl Backend {
-    /// Build from `--backend` (default `csr`). Compressed construction
-    /// reports the adjacency footprint next to the flat layout's.
-    fn select(args: &Args, obs: &Obs, g: CsrGraph) -> Backend {
-        match args.flag("backend").unwrap_or("csr") {
-            "csr" => Backend::Csr(g),
-            "compressed" => {
-                let flat_bytes = g.adjacency_bytes();
-                let c = snap::graph::CompressedCsrGraph::from_csr(&g);
-                drop(g);
-                say!(
-                    obs,
-                    "compressed adjacency: {} of {} bytes ({:.1}%), {} raw hub block(s)",
-                    c.adjacency_bytes(),
-                    flat_bytes,
-                    100.0 * c.adjacency_bytes() as f64 / flat_bytes.max(1) as f64,
-                    c.raw_blocks()
-                );
-                Backend::Compressed(c)
-            }
-            other => fail(&format!(
-                "unknown backend {other} (expected csr or compressed)"
-            )),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Backend::Csr(_) => "csr",
-            Backend::Compressed(_) => "compressed",
-        }
-    }
-}
-
-/// Dispatch a generic closure over the selected backend.
-macro_rules! with_backend {
-    ($backend:expr, |$g:ident| $body:expr) => {
-        match &$backend {
-            Backend::Csr($g) => $body,
-            Backend::Compressed($g) => $body,
-        }
-    };
-}
-
-/// `kcore` — parallel k-core decomposition by bucket peeling.
+/// `kcore` — parallel k-core decomposition by bucket peeling, over the
+/// flat adjacency or (`--backend compressed`) the compressed one.
 fn cmd_kcore(args: &Args) {
-    let path = input_path(args);
-    let g = load(args, path, args.flag("directed").is_some());
+    let g = load_input(args, args.flag("directed").is_some());
     if g.num_vertices() == 0 {
         fail("graph has no vertices");
     }
     let top: usize = args.flag_parse("top", 10);
-    let budget = parse_budget(args);
-    let obs = Obs::parse(args);
-    obs.begin("kcore", path);
-    let backend = Backend::select(args, &obs, g);
-    snap::obs::meta("backend", backend.name());
-    let exec = snap::Exec {
-        budget: budget.clone(),
-        ..Default::default()
-    };
-    let r = with_backend!(backend, |g| {
-        match snap::kernels::try_coreness(g, &exec) {
-            Ok(r) => r,
-            Err(why) => {
-                // A partial peel is not a decomposition; report the
-                // cancellation and exit non-zero (report still emitted).
-                say!(obs, "kcore cancelled: {why}");
-                obs.emit();
-                exit(3);
-            }
+    let backend = args.flag("backend").unwrap_or("csr");
+    if !matches!(backend, "csr" | "compressed") {
+        fail(&format!(
+            "unknown backend {backend} (expected csr or compressed)"
+        ));
+    }
+    analyze(args, "kcore", g, |obs, net| {
+        snap::obs::meta("backend", backend);
+        let peeled = if backend == "compressed" {
+            let flat_bytes = net.graph().adjacency_bytes();
+            let c = snap::graph::CompressedCsrGraph::from_csr(net.graph());
+            say!(
+                obs,
+                "compressed adjacency: {} of {} bytes ({:.1}%), {} raw hub block(s)",
+                c.adjacency_bytes(),
+                flat_bytes,
+                100.0 * c.adjacency_bytes() as f64 / flat_bytes.max(1) as f64,
+                c.raw_blocks()
+            );
+            let exec = snap::Exec {
+                budget: net.budget().clone(),
+                ..Default::default()
+            };
+            snap::kernels::try_coreness(&c, &exec)
+        } else {
+            net.try_coreness()
+        };
+        let r = peeled.unwrap_or_else(|why| {
+            // A partial peel is not a decomposition; report the
+            // cancellation and exit non-zero (report still emitted).
+            say!(obs, "kcore cancelled: {why}");
+            obs.emit();
+            exit(3);
+        });
+        say!(
+            obs,
+            "degeneracy {} | innermost core {} vertex(es) | {} peeling round(s)",
+            r.max_core,
+            r.core_size(r.max_core),
+            r.rounds
+        );
+        // Core-size table: |k-core| is monotone decreasing in k; show the
+        // innermost `top` levels where the interesting structure lives.
+        let lo = (r.max_core as usize + 1).saturating_sub(top) as u32;
+        say!(
+            obs,
+            "{:>6} {:>12} {:>12}",
+            "k",
+            "k-core size",
+            "coreness = k"
+        );
+        for k in lo..=r.max_core {
+            let exact = r.coreness.iter().filter(|&&c| c == k).count();
+            say!(obs, "{:>6} {:>12} {:>12}", k, r.core_size(k), exact);
         }
     });
-    say!(
-        obs,
-        "degeneracy {} | innermost core {} vertex(es) | {} peeling round(s)",
-        r.max_core,
-        r.core_size(r.max_core),
-        r.rounds
-    );
-    // Core-size table: |k-core| is monotone decreasing in k; show the
-    // innermost `top` levels where the interesting structure lives.
-    let lo = (r.max_core as usize + 1).saturating_sub(top) as u32;
-    say!(
-        obs,
-        "{:>6} {:>12} {:>12}",
-        "k",
-        "k-core size",
-        "coreness = k"
-    );
-    for k in lo..=r.max_core {
-        let exact = r.coreness.iter().filter(|&&c| c == k).count();
-        say!(obs, "{:>6} {:>12} {:>12}", k, r.core_size(k), exact);
-    }
-    note_budget(&obs, &budget);
-    obs.emit();
-}
-
-/// The representation-agnostic pipeline behind `run --backend`: BFS,
-/// connected components, k-core, and Δ-stepping SSSP over any `Graph`
-/// backend, fingerprinting every kernel output. The fingerprint must be
-/// bit-identical across backends (`tests/cli.rs` compares the two).
-fn run_generic_pipeline<G: snap::graph::WeightedGraph>(obs: &Obs, g: &G, source: u32) {
-    let n = g.num_vertices();
-
-    say!(obs, "— bfs (source {source}) —");
-    let cfg = snap::kernels::HybridConfig::default();
-    let (bfs, stats) = snap::kernels::par_bfs_hybrid_stats(g, source, &cfg);
-    let work_units = stats.total_edges_examined();
-    say!(
-        obs,
-        "reached {} of {n} vertices, depth {}, edges examined {work_units}",
-        bfs.dist
-            .iter()
-            .filter(|&&d| d != snap::kernels::UNREACHABLE)
-            .count(),
-        stats.depth()
-    );
-
-    say!(obs, "— components —");
-    let comps = snap::kernels::connected_components(g);
-    say!(obs, "{} component(s)", comps.count);
-
-    say!(obs, "— kcore —");
-    let core = snap::kernels::coreness(g);
-    say!(
-        obs,
-        "degeneracy {}, innermost core {} vertex(es), {} round(s)",
-        core.max_core,
-        core.core_size(core.max_core),
-        core.rounds
-    );
-
-    say!(obs, "— sssp (delta heuristic) —");
-    let sssp = snap::kernels::delta_stepping(g, source, 0);
-    let finite = sssp.dist.iter().filter(|&&d| d != snap::kernels::INF);
-    say!(
-        obs,
-        "reached {} vertex(es), max distance {}",
-        finite.clone().count(),
-        finite.max().copied().unwrap_or(0)
-    );
-
-    // One fingerprint over every kernel output, in a fixed order. The
-    // BFS edge-inspection count rides along: a backend that decodes a
-    // different adjacency would shift it even if distances agreed.
-    let mut h = Fnv::new();
-    for &d in &bfs.dist {
-        h.word(d as u64);
-    }
-    for &c in &comps.comp {
-        h.word(c as u64);
-    }
-    for &c in &core.coreness {
-        h.word(c as u64);
-    }
-    for &d in &sssp.dist {
-        h.word(d);
-    }
-    h.word(work_units);
-    let hash = format!("{:#018x}", h.done());
-    snap::obs::meta("fixture_hash", &hash);
-    snap::obs::add("work_units", work_units);
-    say!(obs, "fixture_hash {hash} | work_units {work_units}");
 }
 
 /// The whole instrumented pipeline in one shot: summary, BFS, community
 /// detection, approximate betweenness, and partitioning. With
-/// `--report json` the emitted report covers every kernel. With
-/// `--backend csr|compressed` the representation-agnostic pipeline runs
-/// instead (BFS + components + k-core + SSSP over the chosen adjacency
-/// representation, fingerprinted for cross-backend comparison).
+/// `--report json` the emitted report covers every kernel.
 fn cmd_run(args: &Args) {
-    if args.flag("backend").is_some() {
-        return cmd_run_backend(args);
-    }
-    let path = input_path(args);
-    let g = load(args, path, false);
+    let g = load_input(args, false);
     let n = g.num_vertices();
-    if n == 0 {
-        fail("graph has no vertices");
-    }
-    let source: u32 = args.flag_parse("source", 0u32);
-    if source as usize >= n {
-        fail(&format!("--source {source} out of range (n = {n})"));
-    }
+    let source = source_flag(args, n);
     let algorithm: CommunityAlgorithm = parse_name(args.flag("algorithm").unwrap_or("pma"));
-    let parts: usize = args.flag_parse("parts", 4);
-    if parts < 2 {
-        fail("--parts K (>= 2) is required");
-    }
+    let parts = parts_flag(args, 4, n);
     let method: PartitionMethod = parse_name(args.flag("method").unwrap_or("kway"));
     let frac: f64 = args.flag_parse("approx", 0.1);
     let seed = args.flag_parse("seed", 1u64);
-    let budget = parse_budget(args);
+    analyze(args, "run", g, |obs, net| {
+        say!(obs, "— summary —");
+        let summary = net.summary_with_seed(seed);
+        say!(obs, "{summary}");
 
-    let obs = Obs::parse(args);
-    obs.begin("run", path);
-
-    let net = Network::new(g).with_budget(budget.clone());
-    say!(obs, "— summary —");
-    let summary = net.summary_with_seed(seed);
-    say!(obs, "{summary}");
-
-    say!(obs, "— bfs (source {source}) —");
-    match net.try_bfs_stats(source) {
-        Ok((r, stats)) => {
-            let reached = r
-                .dist
-                .iter()
-                .filter(|&&d| d != snap::kernels::UNREACHABLE)
-                .count();
-            say!(
+        say!(obs, "— bfs (source {source}) —");
+        match net.try_bfs_stats(source) {
+            Ok((r, stats)) => say!(
                 obs,
-                "reached {reached} of {n} vertices, depth {}, edges examined {}",
+                "reached {} of {n} vertices, depth {}, edges examined {}",
+                reached(&r),
                 stats.depth(),
                 stats.total_edges_examined()
-            );
+            ),
+            // A cancelled traversal has no partial result; the rest of the
+            // pipeline still produces degraded output, so keep going.
+            Err(why) => say!(obs, "bfs cancelled: {why}"),
         }
-        // A cancelled traversal has no partial result; the rest of the
-        // pipeline still produces degraded output, so keep going.
-        Err(why) => say!(obs, "bfs cancelled: {why}"),
-    }
 
-    say!(obs, "— communities —");
-    let result = net.communities(algorithm);
-    say!(
-        obs,
-        "{} communities, modularity {:.4}",
-        result.clustering.count,
-        result.modularity
-    );
-
-    say!(obs, "— centrality (approx {frac}) —");
-    let bc = net.approx_betweenness(frac, seed);
-    let best = (0..n).max_by(|&a, &b| bc.vertex[a].partial_cmp(&bc.vertex[b]).unwrap());
-    if let Some(v) = best {
-        say!(obs, "top vertex {v}: betweenness {:.1}", bc.vertex[v]);
-    }
-
-    say!(obs, "— partition ({parts} parts) —");
-    match net.partition(method, parts, seed) {
-        Ok(p) => say!(
+        say!(obs, "— communities —");
+        let result = net.communities(algorithm);
+        say!(
             obs,
-            "edge cut {} | imbalance {:.3}",
-            snap::partition::edge_cut(net.graph(), &p),
-            snap::partition::imbalance(&p, None)
-        ),
-        Err(e) => fail(&format!("{e}")),
-    }
+            "{} communities, modularity {:.4}",
+            result.clustering.count,
+            result.modularity
+        );
 
-    note_budget(&obs, &budget);
-    obs.emit();
-}
+        say!(obs, "— centrality (approx {frac}) —");
+        let bc = net.approx_betweenness(frac, seed);
+        let best = (0..n).max_by(|&a, &b| bc.vertex[a].partial_cmp(&bc.vertex[b]).unwrap());
+        if let Some(v) = best {
+            say!(obs, "top vertex {v}: betweenness {:.1}", bc.vertex[v]);
+        }
 
-/// `run --backend csr|compressed`: the generic pipeline over an explicit
-/// adjacency representation.
-fn cmd_run_backend(args: &Args) {
-    let path = input_path(args);
-    let g = load(args, path, args.flag("directed").is_some());
-    let n = g.num_vertices();
-    if n == 0 {
-        fail("graph has no vertices");
-    }
-    let source: u32 = args.flag_parse("source", 0u32);
-    if source as usize >= n {
-        fail(&format!("--source {source} out of range (n = {n})"));
-    }
-    let obs = Obs::parse(args);
-    obs.begin("run", path);
-    let backend = Backend::select(args, &obs, g);
-    snap::obs::meta("backend", backend.name());
-    say!(obs, "backend {}", backend.name());
-    with_backend!(backend, |g| run_generic_pipeline(&obs, g, source));
-    obs.emit();
+        say!(obs, "— partition ({parts} parts) —");
+        match net.partition(method, parts, seed) {
+            Ok(p) => say!(
+                obs,
+                "edge cut {} | imbalance {:.3}",
+                snap::partition::edge_cut(net.graph(), &p),
+                snap::partition::imbalance(&p, None)
+            ),
+            Err(e) => fail(&format!("{e}")),
+        }
+    });
 }
 
 /// Read an edge-op file (`EdgeOp`'s `FromStr` spelling, one op per line,
@@ -1081,10 +851,7 @@ fn read_ops(path: &str) -> Vec<EdgeOp> {
 
 fn cmd_stream(args: &Args) {
     let path = input_path(args);
-    let merge_every: usize = args.flag_parse("merge-every", 1024usize);
-    if merge_every == 0 {
-        fail("--merge-every must be at least 1");
-    }
+    let merge_every = args.flag_where("merge-every", positive).unwrap_or(1024);
     let source: u32 = args.flag_parse("source", 0u32);
     let check = args.flag("check").is_some();
 
@@ -1110,7 +877,6 @@ fn cmd_stream(args: &Args) {
     let mut cc = DynamicComponents::new(sg.num_vertices());
     let mut bfs = IncrementalBfs::new(sg.live(), source);
 
-    let mut total = BatchStats::default();
     for chunk in ops.chunks(merge_every) {
         let _epoch_span = snap::obs::span("epoch");
         let mut stats = BatchStats::default();
@@ -1137,12 +903,15 @@ fn cmd_stream(args: &Args) {
             cc.count()
         );
         if check {
-            verify_epoch(&obs, g, &mut cc, &bfs, source, snapshot.epoch);
+            let epoch = snapshot.epoch;
+            match verify_epoch(g, &mut cc, &bfs, source) {
+                Ok(()) => say!(obs, "epoch {epoch}: check ok"),
+                Err(why) => {
+                    say!(obs, "check failed at epoch {epoch}: {why}");
+                    exit(1);
+                }
+            }
         }
-        total.ops += stats.ops;
-        total.inserted += stats.inserted;
-        total.deleted += stats.deleted;
-        total.rejected += stats.rejected;
     }
 
     drop(outer);
@@ -1150,7 +919,7 @@ fn cmd_stream(args: &Args) {
         obs,
         "replayed {} op(s) over {} epoch(s): n = {}, m = {}, components {}, \
          bfs reached {} from {source} | cc rebuilds {}, bfs recomputes {}",
-        total.ops,
+        ops.len(),
         sg.epoch(),
         sg.num_vertices(),
         sg.num_edges(),
@@ -1165,22 +934,18 @@ fn cmd_stream(args: &Args) {
 /// `--check`: the incremental kernels must agree with a full recompute
 /// on the published snapshot after every merge.
 fn verify_epoch(
-    obs: &Obs,
     g: &CsrGraph,
     cc: &mut DynamicComponents,
     bfs: &IncrementalBfs,
     source: u32,
-    epoch: u64,
-) {
+) -> Result<(), String> {
     let full = snap::kernels::connected_components(g);
     if full.count != cc.count() {
-        say!(
-            obs,
-            "check failed at epoch {epoch}: incremental components {} != full {}",
-            cc.count(),
+        let count = cc.count();
+        return Err(format!(
+            "incremental components {count} != full {}",
             full.count
-        );
-        exit(1);
+        ));
     }
     // Equal counts + every vertex connected to its full-recompute
     // representative ⇒ the partitions are identical.
@@ -1190,13 +955,10 @@ fn verify_epoch(
         if rep[label] == u32::MAX {
             rep[label] = v;
         } else if !cc.connected(rep[label], v) {
-            say!(
-                obs,
-                "check failed at epoch {epoch}: vertices {} and {v} split incrementally, \
-                 joined on full recompute",
+            return Err(format!(
+                "vertices {} and {v} split incrementally, joined on full recompute",
                 rep[label]
-            );
-            exit(1);
+            ));
         }
     }
     let full_bfs = if (source as usize) < g.num_vertices() {
@@ -1209,15 +971,10 @@ fn verify_epoch(
             .as_ref()
             .map_or(snap::kernels::UNREACHABLE, |r| r.dist[v]);
         if bfs.dist[v] != want {
-            say!(
-                obs,
-                "check failed at epoch {epoch}: bfs dist[{v}] = {} != full {want}",
-                bfs.dist[v]
-            );
-            exit(1);
+            return Err(format!("bfs dist[{v}] = {} != full {want}", bfs.dist[v]));
         }
     }
-    say!(obs, "epoch {epoch}: check ok");
+    Ok(())
 }
 
 /// `serve` — hold the graph resident and answer line-delimited JSON
@@ -1335,11 +1092,7 @@ fn cmd_serve(args: &Args) {
 }
 
 fn cmd_generate(args: &Args) {
-    let family = args
-        .positional
-        .first()
-        .map(|s| s.as_str())
-        .unwrap_or_else(|| usage());
+    let family = args.arg(0).unwrap_or_else(|| usage());
     let out = args
         .flag("out")
         .unwrap_or_else(|| fail("--out FILE is required"));
@@ -1352,14 +1105,32 @@ fn cmd_generate(args: &Args) {
     }
     let n = 1usize << scale;
     let edges: usize = args.flag_parse("edges", n * 8);
+    let max_edges = n * (n - 1) / 2;
+    // Each family's precondition is checked before its generator
+    // allocates or asserts, so a bad flag exits 1 and writes nothing.
     let g = match family {
+        "rmat" if edges > max_edges => fail(&format!(
+            "rmat needs --edges <= n(n-1)/2 = {max_edges} at --scale {scale}, got {edges}"
+        )),
         "rmat" => snap::gen::rmat(&snap::gen::RmatConfig::small_world(scale, edges), seed),
-        "er" => snap::gen::erdos_renyi(n, edges.min(n * (n - 1) / 2), seed),
-        "ws" => snap::gen::watts_strogatz(n, (edges / n).max(1), 0.1, seed),
+        "er" => snap::gen::erdos_renyi(n, edges.min(max_edges), seed),
+        "ws" => {
+            // The ring lattice links k neighbours on each side.
+            let k = (edges / n).max(1);
+            if 2 * k >= n {
+                fail(&format!(
+                    "ws needs 2k < n: --edges {edges} gives k = {k} on n = {n}"
+                ));
+            }
+            snap::gen::watts_strogatz(n, k, 0.1, seed)
+        }
         "grid" => {
             let side = (n as f64).sqrt() as usize;
             snap::gen::road_grid(side, side, 0.02, 1.0, seed)
         }
+        "planted" if n < 16 => fail(&format!(
+            "planted needs n >= 16 (one vertex per block): --scale {scale} gives n = {n}"
+        )),
         "planted" => {
             let cfg = snap::gen::PlantedConfig::with_target_degrees(n, 16, 8.0, 2.0);
             snap::gen::planted_partition(&cfg, seed).0

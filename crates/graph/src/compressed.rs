@@ -76,7 +76,7 @@ fn chunk_bounds(n: usize) -> Vec<(usize, usize)> {
 }
 
 /// Variable-length integer and zig-zag primitives for the adjacency
-/// stream. Public so the round-trip property tests exercise the codec
+/// stream. Public so the round-trip property tests exercise them
 /// directly.
 pub mod codec {
     /// Append `x` as an LEB128 varint (7 bits per byte, high bit =
@@ -122,51 +122,6 @@ pub mod codec {
     pub fn unzigzag(x: u64) -> i64 {
         ((x >> 1) as i64) ^ -((x & 1) as i64)
     }
-
-    /// Encode a sorted neighbor list relative to its owning vertex `v`:
-    /// zig-zag first delta, then plain gaps. Rejects gap 0 (a parallel
-    /// edge) and unsorted input. Round-trip partner of [`decode_sorted`].
-    pub fn encode_sorted(v: u32, neighbors: &[u32], out: &mut Vec<u8>) -> Result<(), String> {
-        for w in neighbors.windows(2) {
-            if w[1] == w[0] {
-                return Err(format!("parallel edge to {} in adjacency of {v}", w[0]));
-            }
-            if w[1] < w[0] {
-                return Err(format!(
-                    "unsorted adjacency of {v}: {} after {}",
-                    w[1], w[0]
-                ));
-            }
-        }
-        write_varint(out, neighbors.len() as u64);
-        let mut prev = 0u32;
-        for (i, &nb) in neighbors.iter().enumerate() {
-            if i == 0 {
-                write_varint(out, zigzag(i64::from(nb) - i64::from(v)));
-            } else {
-                write_varint(out, u64::from(nb - prev));
-            }
-            prev = nb;
-        }
-        Ok(())
-    }
-
-    /// Decode a list produced by [`encode_sorted`].
-    pub fn decode_sorted(v: u32, buf: &[u8], pos: &mut usize) -> Vec<u32> {
-        let d = read_varint(buf, pos) as usize;
-        let mut out = Vec::with_capacity(d);
-        let mut prev = 0u32;
-        for i in 0..d {
-            let nb = if i == 0 {
-                (i64::from(v) + unzigzag(read_varint(buf, pos))) as u32
-            } else {
-                prev + read_varint(buf, pos) as u32
-            };
-            out.push(nb);
-            prev = nb;
-        }
-        out
-    }
 }
 
 use codec::{read_varint, unzigzag, write_varint, zigzag};
@@ -197,10 +152,11 @@ impl DecodeScratch {
 /// Behaviorally identical to the [`CsrGraph`] it was built from: same
 /// vertices, same edges, same edge ids, same sorted neighbor order —
 /// every [`Graph`] kernel produces bit-identical output on either
-/// backend (enforced by the equivalence proptests and the `run
-/// --backend` fingerprint comparison in `tests/cli.rs`). Edge *payload* (canonical endpoints,
-/// weights) stays flat: `edge_endpoints(e)` must be O(1) for the
-/// edge-centric algorithms, and those arrays are per-edge, not per-arc.
+/// backend (enforced by the equivalence proptests and the workspace's
+/// differential table, `tests/differential.rs`). Edge *payload*
+/// (canonical endpoints, weights) stays flat: `edge_endpoints(e)` must be
+/// O(1) for the edge-centric algorithms, and those arrays are per-edge,
+/// not per-arc.
 #[derive(Clone, Debug)]
 pub struct CompressedCsrGraph {
     /// Block start of vertex `v` at `[v]`; `[n]` is the stream length.
@@ -684,12 +640,17 @@ mod tests {
         }
     }
 
+    /// Rows a simple graph cannot have are refused before anything is
+    /// written: a repeated neighbour is a parallel edge (its gap would be
+    /// 0), and a row out of order would need a negative gap.
     #[test]
-    fn encode_sorted_rejects_gap_zero() {
+    fn encode_block_rejects_parallel_and_unsorted_rows() {
         let mut buf = Vec::new();
-        let err = codec::encode_sorted(0, &[3, 3], &mut buf).unwrap_err();
-        assert!(err.contains("parallel edge"), "{err}");
-        assert!(codec::encode_sorted(0, &[5, 2], &mut buf).is_err());
+        let err = encode_block(0, &[3, 3], &[0, 1], false, usize::MAX, &mut buf).unwrap_err();
+        assert!(err.contains("parallel edge to 3"), "{err}");
+        let err = encode_block(1, &[5, 2], &[0, 1], false, usize::MAX, &mut buf).unwrap_err();
+        assert!(err.contains("unsorted adjacency of 1"), "{err}");
+        assert!(buf.is_empty(), "nothing is written before the check");
     }
 
     #[test]

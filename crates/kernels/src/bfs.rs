@@ -340,7 +340,8 @@ pub fn try_par_bfs_hybrid_stats<G: Graph>(
                 // Work units split frontier positions, not arcs: a hub's
                 // whole adjacency runs in the unit that holds it, and a
                 // frontier under the pool's serial cutoff is one unit.
-                // Cutting units by arc ranges is ROADMAP item 4.
+                // Cutting units by arc ranges (an edge-balanced push) is
+                // not done yet.
                 let next: Vec<VertexId> = members
                     .par_iter()
                     .flat_map_iter(|&u| g.neighbors(u).map(move |v| (u, v)))

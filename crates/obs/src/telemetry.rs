@@ -1,7 +1,7 @@
 //! Live telemetry export for long-lived runs.
 //!
 //! Spans answer "where did the time and memory go" *after* a run; a
-//! resident service (ROADMAP item 1) or a long stream ingest needs the
+//! resident service (`snap-cli serve`) or a long stream ingest needs the
 //! same counters *while* it runs. This module provides:
 //!
 //! * a **process-global export registry** — [`export_counter`] /

@@ -350,23 +350,47 @@ fn csr_is_filled_in_one_place() {
     );
 }
 
-/// More than 700 lines.
-fn over_long(text: &str) -> bool {
-    text.lines().count() > 700
+/// The binary's cap: a front end with one pipeline per command, one
+/// copy of the synopsis and of the analysis commands' frame. A ratchet:
+/// lower it when the file shrinks, never raise it past 1 150.
+const CLI_LINES: usize = 1149;
+
+/// A file's line cap: `CLI_LINES` for the binary, a front end over every
+/// library module; 700 for a library file of the facade crate, which
+/// holds one concept (`serve/` is protocol, cache, recorder, engine and
+/// transport, not one 1 654-line file).
+fn line_cap(path: &str) -> usize {
+    if path == "crates/core/src/bin/snap-cli.rs" {
+        CLI_LINES
+    } else {
+        700
+    }
 }
 
-/// A library file of the facade crate holds one concept (`serve/` is
-/// protocol, cache, recorder, engine and transport, not one 1 654-line
-/// file). The binary is a front end over all of them and is exempt.
+/// More lines than the file's cap.
+fn over_long(path: &str, text: &str) -> bool {
+    text.lines().count() > line_cap(path)
+}
+
 #[test]
 fn core_files_hold_one_concept() {
-    assert!(over_long(&"fn f() {}\n".repeat(701)));
-    assert!(!over_long(&"fn f() {}\n".repeat(700)));
-    let mut sources = rust_sources(&["crates/core/src"]);
-    sources.retain(|(path, _)| !path.starts_with("crates/core/src/bin/"));
-    let long = sources.iter().filter(|(_, text)| over_long(text));
+    let lines = |n: usize| "fn f() {}\n".repeat(n);
+    let (lib, cli) = (
+        "crates/core/src/session.rs",
+        "crates/core/src/bin/snap-cli.rs",
+    );
+    assert!(over_long(lib, &lines(701)));
+    assert!(!over_long(lib, &lines(700)));
+    assert!(over_long(cli, &lines(CLI_LINES + 1)));
+    assert!(!over_long(cli, &lines(CLI_LINES)));
+    const { assert!(CLI_LINES <= 1150, "the cap only goes down") };
+    let sources = rust_sources(&["crates/core/src"]);
+    let long = sources.iter().filter(|(path, text)| over_long(path, text));
     let long: Vec<&str> = long.map(|(path, _)| path.as_str()).collect();
-    assert!(long.is_empty(), "split by concept: {long:?}");
+    assert!(
+        long.is_empty(),
+        "split by concept, or below the cap: {long:?}"
+    );
 }
 
 /// A boxed iterator or a scoped thread: per-call machinery the shim's
