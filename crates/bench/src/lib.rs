@@ -160,8 +160,10 @@ fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
 
 /// FNV-1a hashes of every multi-source kernel's output on fixed
 /// instances (R-MAT scale 8, ER n = 500, Watts–Strogatz n = 256, and a
-/// filtered view of the first), and of pLA's labels on a planted 2^11
-/// graph and a filtered view of it: the "same numbers" invariant every
+/// filtered view of the first), of pLA's labels on a planted 2^11 graph
+/// and a filtered view of it, and of two multilevel partitions (k-way on
+/// a planted 2^12 graph, recursive on R-MAT scale 10): the "same
+/// numbers" invariant every
 /// refactor and optimisation of those kernels is held to. The values are
 /// pinned by this crate's `fixture_hashes_are_pinned` test, so any
 /// accumulation-order drift fails tier-1; the `fixture_hash` binary
@@ -172,7 +174,7 @@ fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
 /// and 4 sources one per chunk; pLA clusters its components one per
 /// work unit. The bits depend on the source count only, so the values do
 /// not depend on the host's core count.
-pub fn fixture_hashes() -> [(&'static str, u64); 11] {
+pub fn fixture_hashes() -> [(&'static str, u64); 13] {
     use snap::centrality::{
         betweenness_from_sources, brandes, closeness, sample_sources, sampled_closeness,
         weighted_betweenness,
@@ -182,6 +184,7 @@ pub fn fixture_hashes() -> [(&'static str, u64); 11] {
     use snap::gen::{PlantedConfig, RmatConfig};
     use snap::graph::{FilteredGraph, Graph};
     use snap::metrics::{path_stats_exact, path_stats_sampled};
+    use snap::partition::{kway_partition, KwayConfig};
 
     let g1 = rmat(&RmatConfig::small_world(8, 1024), 42);
     let g2 = erdos_renyi(500, 2000, 7);
@@ -225,6 +228,19 @@ pub fn fixture_hashes() -> [(&'static str, u64); 11] {
             labels.0,
         )
     });
+    let assignment = |g, cfg| {
+        let mut h = Fnv::new();
+        for &p in &kway_partition(g, &cfg).assignment {
+            h.word(p as u64);
+        }
+        h.0
+    };
+    let planted12 = planted_partition(
+        &PlantedConfig::with_target_degrees(1 << 12, 16, 8.0, 2.0),
+        3,
+    )
+    .0;
+    let rmat10 = rmat(&RmatConfig::small_world(10, 8 << 10), 5);
     [
         ("brandes_rmat8", hash_scores(&brandes(&g1))),
         ("closeness_rmat8", Fnv::new().f64s(&closeness(&g1)).0),
@@ -249,6 +265,14 @@ pub fn fixture_hashes() -> [(&'static str, u64); 11] {
         ("betweenness_k32_filtered_t2", filtered_t2),
         ("betweenness_k4_rmat8_t2", k4_t2),
         ("pla_planted_t2", pla_t2),
+        (
+            "kway4_planted12",
+            assignment(&planted12, KwayConfig::kway(4, 1)),
+        ),
+        (
+            "recursive8_rmat10",
+            assignment(&rmat10, KwayConfig::recursive(8, 3)),
+        ),
     ]
 }
 
@@ -278,6 +302,8 @@ mod tests {
             "betweenness_k32_filtered_t2 0xf5f87f051af9bf8f",
             "betweenness_k4_rmat8_t2 0xb9607997150eeb1d",
             "pla_planted_t2 0x5ac1504d70fb15c1",
+            "kway4_planted12 0x56ffd33a6722bf84",
+            "recursive8_rmat10 0x27264e048c48ed84",
         ];
         assert_eq!(got, pinned);
     }
