@@ -1,9 +1,10 @@
 //! CSR construction (`GraphBuilder::build`) on both sides of its
-//! sortedness check: edges in file order (as `snap-io` writes them), the
-//! same edges shuffled, and a `coarsen`-shaped input (weighted, shuffled,
-//! with the parallel edges a contraction makes). Each iteration also
-//! copies the 12 B/edge input into the builder, as `load_read`'s builder
-//! row does.
+//! sortedness check: edges in file order (as `snap-io` writes them) and
+//! the same edges shuffled. Each iteration also copies the 12 B/edge
+//! input into the builder, as `load_read`'s builder row does. A third
+//! row times one level of the multilevel partitioner's contraction,
+//! `snap::partition::coarsen` (matching, contraction and the build it
+//! ends in), on the same graph with unit vertex weights.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -23,23 +24,12 @@ fn bench_build(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let mut shuffled = file_order.clone();
     shuffled.shuffle(&mut rng);
-    // Contract random vertex pairs, as one level of the multilevel
-    // partitioner does: `map[v] = coarse id`, intra-pair edges dropped.
-    let mut map: Vec<VertexId> = (0..n as VertexId).map(|v| v / 2).collect();
-    map.shuffle(&mut rng);
-    let coarse: Edges = file_order
-        .iter()
-        .map(|&(u, v, w)| (map[u as usize], map[v as usize], w))
-        .filter(|&(cu, cv, _)| cu != cv)
-        .collect();
-    let coarse_n = n.div_ceil(2);
 
     let mut group = c.benchmark_group("build");
     group.sample_size(10);
-    for (name, n, edges) in [
-        ("rmat15-file-order", n, &file_order),
-        ("rmat15-shuffled", n, &shuffled),
-        ("coarsen-weighted", coarse_n, &coarse),
+    for (name, edges) in [
+        ("rmat15-file-order", &file_order),
+        ("rmat15-shuffled", &shuffled),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -49,6 +39,10 @@ fn bench_build(c: &mut Criterion) {
             })
         });
     }
+    let vwgt = vec![1u32; n];
+    group.bench_function("coarsen-rmat15", |b| {
+        b.iter(|| snap::partition::coarsen(&g, &vwgt, 1))
+    });
     group.finish();
 }
 

@@ -23,6 +23,14 @@ fn gain(g: &CsrGraph, side: &[u8], v: VertexId) -> i64 {
     ext - int
 }
 
+/// Lazy-heap key of `v` at gain `g`: the gain clamped to the `i32` range
+/// and offset to unsigned in the high half, `v` in the low half, so one
+/// `u64` comparison orders entries as `(gain, v)` does while `|g| < 2^31`.
+#[inline]
+fn key(g: i64, v: VertexId) -> u64 {
+    ((g.clamp(i32::MIN as i64, i32::MAX as i64) + (1 << 31)) as u64) << 32 | v as u64
+}
+
 /// Current cut weight of a bisection.
 pub fn bisection_cut(g: &CsrGraph, side: &[u8]) -> u64 {
     let mut cut = 0u64;
@@ -43,6 +51,10 @@ pub fn bisection_cut(g: &CsrGraph, side: &[u8]) -> u64 {
 /// * `max_passes` — FM passes (each pass is a greedy move sequence that
 ///   ends after `max(n/8, 100)` consecutive moves setting no new best
 ///   prefix, then rolls back to that prefix).
+///
+/// Each step moves the unlocked vertex of highest `(gain, id)`. Heap keys
+/// clamp gains to the `i32` range: once a weighted degree reaches 2^31,
+/// ties among clamped gains go to the higher id; moves add true gains.
 pub fn fm_refine(
     g: &CsrGraph,
     vwgt: &[u32],
@@ -95,8 +107,8 @@ pub(crate) fn fm_refine_budgeted(
     let bound = (n / 8).max(100);
     let mut gains = vec![0i64; n];
     let mut locked = vec![false; n];
-    // Lazy max-heap of (gain, vertex).
-    let mut heap: BinaryHeap<(i64, VertexId)> = BinaryHeap::with_capacity(n);
+    // Lazy max-heap of `key(gain, vertex)`.
+    let mut heap: BinaryHeap<u64> = BinaryHeap::with_capacity(n);
     let mut moves: Vec<VertexId> = Vec::new();
 
     let (mut obs_passes, mut obs_moves, mut obs_gain) = (0u64, 0u64, 0i64);
@@ -116,15 +128,17 @@ pub(crate) fn fm_refine_budgeted(
         }
         locked.fill(false);
         heap.clear();
-        heap.extend((0..n as VertexId).map(|v| (gains[v as usize], v)));
+        heap.extend((0..n as VertexId).map(|v| key(gains[v as usize], v)));
         moves.clear();
         let mut cum: i64 = 0;
         let mut best_cum: i64 = 0;
         let mut best_len = 0usize;
 
-        while let Some((gval, v)) = heap.pop() {
+        while let Some(k) = heap.pop() {
             obs_pops += 1;
-            if locked[v as usize] || gval != gains[v as usize] {
+            let v = k as VertexId;
+            let gval = gains[v as usize];
+            if locked[v as usize] || k != key(gval, v) {
                 obs_stale += 1;
                 continue; // stale entry
             }
@@ -168,7 +182,7 @@ pub(crate) fn fm_refine_budgeted(
                 } else {
                     gains[u as usize] += 2 * w;
                 }
-                heap.push((gains[u as usize], u));
+                heap.push(key(gains[u as usize], u));
             }
         }
 
@@ -198,6 +212,7 @@ pub(crate) fn fm_refine_budgeted(
 mod tests {
     use super::*;
     use snap_graph::builder::from_edges;
+    use snap_graph::Weight;
 
     #[test]
     fn improves_a_bad_bisection() {
@@ -239,5 +254,37 @@ mod tests {
         // tolerance 0 no move is legal from an exactly balanced state.
         fm_refine(&g, &[1; 4], &mut side, 2, 0.3, 8);
         assert_eq!(bisection_cut(&g, &side), 1);
+    }
+
+    #[test]
+    fn saturated_gains_still_refine_within_balance() {
+        // Two 4-cliques of weight-u32::MAX edges joined by a unit edge:
+        // every weighted degree is past 2^31, so heap keys saturate.
+        let heavy = Weight::MAX;
+        let mut edges = vec![(3, 4, 1)];
+        for base in [0, 4] {
+            for u in base..base + 4 {
+                for v in u + 1..base + 4 {
+                    edges.push((u, v, heavy));
+                }
+            }
+        }
+        let g = snap_graph::GraphBuilder::undirected(8)
+            .with_edges(edges)
+            .build();
+        assert!(
+            g.neighbors_with_eid(0)
+                .map(|(_, e)| g.edge_weight(e) as u64)
+                .sum::<u64>()
+                >= 1 << 31
+        );
+        let mut side = vec![0u8, 1, 0, 1, 0, 1, 0, 1];
+        let before = bisection_cut(&g, &side);
+        fm_refine(&g, &[1; 8], &mut side, 4, 0.1, 8);
+        let load0 = side.iter().filter(|&&s| s == 0).count();
+        assert!((3..=5).contains(&load0), "load {load0}");
+        let after = bisection_cut(&g, &side);
+        assert!(after <= before, "cut {before} -> {after}");
+        assert_eq!(after, 1); // the bridge
     }
 }
