@@ -163,17 +163,17 @@ fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
 /// filtered view of the first), of pLA's labels on a planted 2^11 graph
 /// and a filtered view of it, and of two multilevel partitions (k-way on
 /// a planted 2^12 graph, recursive on R-MAT scale 10): the "same
-/// numbers" invariant every
-/// refactor and optimisation of those kernels is held to. The values are
-/// pinned by this crate's `fixture_hashes_are_pinned` test, so any
-/// accumulation-order drift fails tier-1; the `fixture_hash` binary
-/// prints them.
+/// numbers" invariant every refactor and optimisation of those kernels
+/// is held to. The values are pinned by this crate's
+/// `fixture_hashes_are_pinned` test, so any accumulation-order drift
+/// fails tier-1; the `fixture_hash` binary prints them.
 ///
 /// The four `_t2` rows run under a 2-thread pool so they hash the
 /// chunked accumulate-and-reduce path: 32 sources in 16-source chunks,
 /// and 4 sources one per chunk; pLA clusters its components one per
 /// work unit. The bits depend on the source count only, so the values do
-/// not depend on the host's core count.
+/// not depend on the host's core count; the two partitions run on the
+/// default pool and are the same at every thread count.
 pub fn fixture_hashes() -> [(&'static str, u64); 13] {
     use snap::centrality::{
         betweenness_from_sources, brandes, closeness, sample_sources, sampled_closeness,

@@ -260,31 +260,21 @@ mod tests {
     fn saturated_gains_still_refine_within_balance() {
         // Two 4-cliques of weight-u32::MAX edges joined by a unit edge:
         // every weighted degree is past 2^31, so heap keys saturate.
-        let heavy = Weight::MAX;
         let mut edges = vec![(3, 4, 1)];
         for base in [0, 4] {
             for u in base..base + 4 {
                 for v in u + 1..base + 4 {
-                    edges.push((u, v, heavy));
+                    edges.push((u, v, Weight::MAX));
                 }
             }
         }
         let g = snap_graph::GraphBuilder::undirected(8)
             .with_edges(edges)
             .build();
-        assert!(
-            g.neighbors_with_eid(0)
-                .map(|(_, e)| g.edge_weight(e) as u64)
-                .sum::<u64>()
-                >= 1 << 31
-        );
         let mut side = vec![0u8, 1, 0, 1, 0, 1, 0, 1];
-        let before = bisection_cut(&g, &side);
         fm_refine(&g, &[1; 8], &mut side, 4, 0.1, 8);
         let load0 = side.iter().filter(|&&s| s == 0).count();
         assert!((3..=5).contains(&load0), "load {load0}");
-        let after = bisection_cut(&g, &side);
-        assert!(after <= before, "cut {before} -> {after}");
-        assert_eq!(after, 1); // the bridge
+        assert_eq!(bisection_cut(&g, &side), 1); // the bridge
     }
 }
