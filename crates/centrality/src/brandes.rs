@@ -399,6 +399,22 @@ mod tests {
     }
 
     #[test]
+    fn directed_predecessors_fit_in_degree_regions() {
+        // Vertex 0 has two in-arcs and one out-arc, vertex 3 one in-arc
+        // and none out: predecessor regions sized by out-degree overflow.
+        let g = snap_graph::GraphBuilder::directed(4)
+            .add_edges([(1, 0), (2, 0), (0, 3)])
+            .build();
+        let bc = par_brandes(&g);
+        assert_eq!(bc.vertex, [2.0, 0.0, 0.0, 0.0]);
+        let e03 = g
+            .edge_ids()
+            .find(|&e| g.edge_endpoints(e) == (0, 3))
+            .unwrap();
+        assert_eq!(bc.edge[e03 as usize], 3.0);
+    }
+
+    #[test]
     fn disconnected_graph_is_fine() {
         let g = from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
         let bc = brandes(&g);

@@ -8,6 +8,8 @@
 
 pub mod approx;
 pub mod brandes;
+#[cfg(test)]
+mod brandes_oracle;
 pub mod closeness;
 pub mod degree;
 pub mod weighted;

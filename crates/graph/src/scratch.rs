@@ -262,18 +262,33 @@ impl TraversalWorkspace {
 
     /// Size the packed Brandes slots for `g`, write each vertex's CSR
     /// predecessor offset into its slot, and size the flat buffer to the
-    /// graph's arc count. `O(n)` — call once per kernel call (the cost
-    /// amortizes over that call's sources), and again whenever the
-    /// kernel moves to a different graph or view.
+    /// graph's arc count. A vertex's region holds one slot per arc that
+    /// can enter it: its degree on an undirected adjacency, its in-degree
+    /// on a directed one. `O(n)` undirected, `O(n + m)` directed — call
+    /// once per kernel call (the cost amortizes over that call's
+    /// sources), and again whenever the kernel moves to a different
+    /// graph or view.
     pub fn bind_preds<G: Graph>(&mut self, g: &G) {
         let n = g.num_vertices();
         if self.bslot.len() < n {
             self.bslot.resize(n, BrandesSlot::default());
         }
+        let in_degree = g.is_directed().then(|| {
+            let mut d = vec![0u32; n];
+            for u in g.vertices() {
+                for v in g.neighbors(u) {
+                    d[v as usize] += 1;
+                }
+            }
+            d
+        });
         let mut off = 0u32;
         for v in 0..n {
             self.bslot[v].pred_off = off;
-            off += g.degree(v as VertexId) as u32;
+            off += match &in_degree {
+                Some(d) => d[v],
+                None => g.degree(v as VertexId) as u32,
+            };
         }
         if self.pred.len() < off as usize {
             self.pred.resize(off as usize, PredArc::default());
