@@ -291,16 +291,16 @@ mod tests {
     fn fixture_hashes_are_pinned() {
         let got = fixture_hashes().map(|(name, hash)| format!("{name} {hash:#018x}"));
         let pinned = [
-            "brandes_rmat8 0xcfdfe53d185d5fd5",
+            "brandes_rmat8 0x524946ceed636607",
             "closeness_rmat8 0xe39eae795028f9fb",
             "path_stats_exact_rmat8 0x34dc48ac574b50e9",
             "closeness_er500 0x4af0ca51af4db505",
             "path_stats_sampled_er500 0x378f7d192cd1ef1a",
             "weighted_betweenness_ws256 0x634ee6e8b26a79f3",
             "stcon_ws256 0x8f21a56e20180ee7",
-            "betweenness_k32_er500_t2 0xf7fecb8f661c52e1",
-            "betweenness_k32_filtered_t2 0xf5f87f051af9bf8f",
-            "betweenness_k4_rmat8_t2 0xb9607997150eeb1d",
+            "betweenness_k32_er500_t2 0x2f2854eed08826d6",
+            "betweenness_k32_filtered_t2 0x7bb67b92f8906a5b",
+            "betweenness_k4_rmat8_t2 0xe3abf78ea10519e7",
             "pla_planted_t2 0x5ac1504d70fb15c1",
             "kway4_planted12 0x56ffd33a6722bf84",
             "recursive8_rmat10 0x27264e048c48ed84",

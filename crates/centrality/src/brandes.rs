@@ -49,6 +49,8 @@ impl BetweennessScores {
 
 /// One Brandes accumulation from `s`: adds the dependencies of all
 /// shortest paths out of `s` into `vacc` (vertices) and `eacc` (edges).
+/// Returns the arcs the forward phase read and how many of its levels
+/// it pulled.
 ///
 /// `ws` must have its predecessor buffer bound to `g` (see
 /// [`TraversalWorkspace::bind_preds`]) — callers bind once per kernel
@@ -61,8 +63,9 @@ pub(crate) fn accumulate_source<G: Graph>(
     ws: &mut TraversalWorkspace,
     vacc: &mut [f64],
     eacc: &mut [f64],
-) {
-    let tag = ws.begin(g.num_vertices());
+) -> (u64, u64) {
+    let n = g.num_vertices();
+    let tag = ws.begin(n);
     let snap_graph::scratch::Slots {
         dist,
         bslot: slot,
@@ -76,52 +79,88 @@ pub(crate) fn accumulate_source<G: Graph>(
     slot[si].sigma = 1.0;
     slot[si].delta = 0.0;
     slot[si].pred_end = slot[si].pred_off;
-    // The discovery-order vector doubles as the FIFO queue (`head` chases
-    // the push end) — same level structure, no separate queue traffic.
-    // `level_end` marks where the current BFS level ends in `order`, so
-    // the expansion never re-reads dist[u]: the depth is a loop counter,
-    // and a same-level shortest-path arc is a whole-word compare against
-    // the precomputed next-level stamp. Every scanned arc probes the
-    // dense `dist` array; only shortest-path arcs touch the packed
-    // [`BrandesSlot`], where σ and the predecessor cursor share a line.
+    // Level-synchronous over the discovery order: `order[lo..hi]` is the
+    // frontier at stamp `dcur`, so the depth is a loop counter and a
+    // shortest-path arc is a whole-word compare against a precomputed
+    // stamp. Each level reads the smaller side's arcs (Beamer et al.,
+    // SC 2012): a push reads the frontier's `mf`, a pull every unstamped
+    // vertex's `unstamped` plus its `n` stamps. Brandes needs every
+    // parent, so a pull cannot stop at the first hit and the rule is the
+    // cost comparison itself. Out-arcs are not in-arcs, so directed
+    // graphs never pull. Every scanned arc probes the dense `dist`
+    // array; only shortest-path arcs touch the packed [`BrandesSlot`],
+    // where σ and the predecessor cursor share a line.
     order.push(s);
-    let mut head = 0usize;
-    let mut level_end = 1usize;
-    let mut dnext = tag | 1;
-    while head < order.len() {
-        if head == level_end {
-            level_end = order.len();
-            dnext += 1;
-        }
-        let u = order[head];
-        head += 1;
-        // σ(u) is loop-invariant over u's adjacency: a neighbor at
-        // distance du + 1 can never feed back into σ(u) mid-scan.
-        let su = slot[u as usize].sigma;
-        for (v, e) in g.neighbors_with_eid(u) {
-            let vi = v as usize;
-            let wv = dist[vi];
-            if wv == dnext {
-                // Already discovered at the next level: another shortest
-                // path; append this arc to v's predecessor list.
-                let sv = &mut slot[vi];
-                sv.sigma += su;
-                pred[sv.pred_end as usize] = PredArc { v: u, e };
-                sv.pred_end += 1;
-            } else if !stamped(wv, tag) {
-                // First touch this epoch: stamp and write the slot's
-                // live fields outright (σ = σ(u), first pred arc) —
-                // pure stores, no read-modify-write of stale state.
-                dist[vi] = dnext;
-                let sv = &mut slot[vi];
-                let off = sv.pred_off;
-                sv.sigma = su;
-                sv.delta = 0.0;
-                sv.pred_end = off + 1;
-                pred[off as usize] = PredArc { v: u, e };
-                order.push(v);
+    let pull_allowed = !g.is_directed();
+    let mut unstamped = g.num_arcs() as u64;
+    let (mut arcs, mut pull_levels) = (0u64, 0u64);
+    let (mut lo, mut dcur) = (0usize, tag);
+    while lo < order.len() {
+        let (hi, dnext) = (order.len(), dcur + 1);
+        let mf: u64 = order[lo..hi].iter().map(|&u| g.degree(u) as u64).sum();
+        unstamped = unstamped.saturating_sub(mf);
+        if pull_allowed && unstamped + (n as u64) < mf {
+            // Pull: every unstamped vertex sums σ over its frontier
+            // neighbours and appends their arcs into its own region in
+            // adjacency order, so the level lists its vertices by id.
+            pull_levels += 1;
+            for v in 0..n as VertexId {
+                let vi = v as usize;
+                if stamped(dist[vi], tag) {
+                    continue;
+                }
+                let (off, mut end, mut sigma) = (slot[vi].pred_off, slot[vi].pred_off, 0.0);
+                for (u, e) in g.neighbors_with_eid(v) {
+                    arcs += 1;
+                    if dist[u as usize] == dcur {
+                        sigma += slot[u as usize].sigma;
+                        pred[end as usize] = PredArc { v: u, e };
+                        end += 1;
+                    }
+                }
+                if end > off {
+                    dist[vi] = dnext;
+                    let sv = &mut slot[vi];
+                    sv.sigma = sigma;
+                    sv.delta = 0.0;
+                    sv.pred_end = end;
+                    order.push(v);
+                }
+            }
+        } else {
+            arcs += mf;
+            for i in lo..hi {
+                let u = order[i];
+                // σ(u) is loop-invariant over u's adjacency: a neighbor at
+                // distance du + 1 can never feed back into σ(u) mid-scan.
+                let su = slot[u as usize].sigma;
+                for (v, e) in g.neighbors_with_eid(u) {
+                    let vi = v as usize;
+                    let wv = dist[vi];
+                    if wv == dnext {
+                        // Already discovered at the next level: another
+                        // shortest path; append this arc to v's list.
+                        let sv = &mut slot[vi];
+                        sv.sigma += su;
+                        pred[sv.pred_end as usize] = PredArc { v: u, e };
+                        sv.pred_end += 1;
+                    } else if !stamped(wv, tag) {
+                        // First touch this epoch: stamp and write the
+                        // slot's live fields outright (σ = σ(u), first
+                        // pred arc) — pure stores, no read-modify-write.
+                        dist[vi] = dnext;
+                        let sv = &mut slot[vi];
+                        let off = sv.pred_off;
+                        sv.sigma = su;
+                        sv.delta = 0.0;
+                        sv.pred_end = off + 1;
+                        pred[off as usize] = PredArc { v: u, e };
+                        order.push(v);
+                    }
+                }
             }
         }
+        (lo, dcur) = (hi, dnext);
     }
     // Dependency accumulation in reverse BFS order, reading each
     // vertex's predecessor arcs from the flat CSR buffer.
@@ -145,6 +184,7 @@ pub(crate) fn accumulate_source<G: Graph>(
             vacc[wi] += dw;
         }
     }
+    (arcs, pull_levels)
 }
 
 /// Sum two per-chunk `(vertex, edge)` accumulators element-wise.

@@ -5,7 +5,7 @@
 //! the same order the two agree bit for bit.
 
 use crate::betweenness_from_sources;
-use crate::brandes::{add_accumulators, finalize, BetweennessScores};
+use crate::brandes::{accumulate_source, add_accumulators, finalize, BetweennessScores};
 use proptest::prelude::*;
 use snap_gen::{planted_partition, rmat, road_grid, PlantedConfig, RmatConfig};
 use snap_graph::scratch::{stamped, BrandesSlot, PredArc};
@@ -13,6 +13,7 @@ use snap_graph::view::FilteredGraph;
 use snap_graph::{CsrGraph, Graph, GraphBuilder, TraversalWorkspace, VertexId};
 use snap_kernels::sweep::{sample_sources, sweep};
 use snap_kernels::Exec;
+use std::cell::Cell;
 
 /// The per-source body before per-level direction choice: every level
 /// is a push over the frontier's arcs.
@@ -178,10 +179,24 @@ fn build(kind: Kind, arbitrary: CsrGraph, scale: u32, seed: u64) -> CsrGraph {
     }
 }
 
+thread_local! {
+    /// Traversals over every case that pulled no level, and that pulled one.
+    static PULLED: Cell<[usize; 2]> = const { Cell::new([0; 2]) };
+}
+
 /// Kernel and oracle on `g` from `sources`: bit for bit where `exact`,
 /// else within 1e-12 relative per score.
 fn compare<G: Graph>(g: &G, sources: &[VertexId], exact: bool) -> Result<(), TestCaseError> {
     let got = betweenness_from_sources(g, sources);
+    let mut ws = TraversalWorkspace::new();
+    ws.bind_preds(g);
+    let mut acc = (vec![0.0; g.num_vertices()], vec![0.0; g.edge_id_bound()]);
+    for &s in sources {
+        let (_, pull_levels) = accumulate_source(g, s, &mut ws, &mut acc.0, &mut acc.1);
+        let mut pulled = PULLED.get();
+        pulled[(pull_levels > 0) as usize] += 1;
+        PULLED.set(pulled);
+    }
     let want = oracle(g, sources);
     let pairs = got.vertex.iter().zip(&want.vertex);
     for (i, (&a, &b)) in pairs.chain(got.edge.iter().zip(&want.edge)).enumerate() {
@@ -201,8 +216,7 @@ proptest! {
     /// planted 2^10, R-MAT with every fifth edge deleted, directed R-MAT
     /// and a 32×32 grid from 24 sampled sources. Directed graphs and
     /// grids never pull, so they must match bit for bit.
-    #[test]
-    fn betweenness_equals_the_push_only_oracle(
+    fn oracle_cases(
         kind in 0usize..KINDS.len(),
         arbitrary in arb_graph(),
         scale in 6u32..11,
@@ -226,4 +240,14 @@ proptest! {
             compare(&g, &sources, exact)?;
         }
     }
+}
+
+#[test]
+fn betweenness_equals_the_push_only_oracle() {
+    oracle_cases();
+    let [pushed, pulled] = PULLED.get();
+    assert!(
+        pushed > 0 && pulled > 0,
+        "{pushed} push-only, {pulled} pulled"
+    );
 }
