@@ -299,6 +299,8 @@ pub fn betweenness_from_sources_in<G: Graph>(
     let (sums, used) = {
         let _span = snap_obs::span("centrality.betweenness");
         let frontier_vertices = snap_obs::counter("frontier_vertices");
+        let arcs_scanned = snap_obs::counter("arcs_scanned");
+        let pull_levels = snap_obs::counter("pull_levels");
         sweep(
             exec,
             sources,
@@ -311,8 +313,10 @@ pub fn betweenness_from_sources_in<G: Graph>(
                 (vec![0.0; n], vec![0.0; m])
             },
             |(vacc, eacc), s, ws| {
-                accumulate_source(g, s, ws, vacc, eacc);
+                let (arcs, pulls) = accumulate_source(g, s, ws, vacc, eacc);
                 frontier_vertices.add(ws.order.len() as u64);
+                arcs_scanned.add(arcs);
+                pull_levels.add(pulls);
                 ws.order.len() as u64 + 1
             },
             add_accumulators,

@@ -109,16 +109,44 @@ fn counters_agree_across_thread_counts() {
         });
         results.push((
             threads,
-            report.total_counter("edges_examined"),
-            report.total_counter("sources_processed"),
-            report.total_counter("frontier_vertices"),
-            report.total_counter("rounds"),
+            [
+                "edges_examined",
+                "sources_processed",
+                "frontier_vertices",
+                "rounds",
+                "pull_levels",
+                "arcs_scanned",
+            ]
+            .map(|name| report.total_counter(name)),
         ));
     }
     for pair in results.windows(2) {
-        let (_, a, b, c, d) = pair[0];
-        let (_, a2, b2, c2, d2) = pair[1];
-        assert_eq!((a, b, c, d), (a2, b2, c2, d2), "{results:?}");
+        assert_eq!(pair[0].1, pair[1].1, "{results:?}");
+    }
+}
+
+#[test]
+fn betweenness_counters_show_the_direction() {
+    let _serial = serial();
+    let undirected = snap::gen::RmatConfig::small_world(10, 8 << 10);
+    let directed = snap::gen::RmatConfig {
+        directed: true,
+        ..undirected
+    };
+    for (config, pulls) in [(undirected, true), (directed, false)] {
+        let net = Network::new(snap::gen::rmat(&config, 5));
+        let obs = net.observed();
+        let _ = obs.approx_betweenness(8.0 / 1024.0, 3);
+        let report = obs.finish();
+        let bc = report.find("centrality.betweenness").expect("span");
+        let sources = bc.counter("sources_processed").expect("sources");
+        let arcs = bc.counter("arcs_scanned").expect("arcs_scanned");
+        let pull_levels = bc.counter("pull_levels").unwrap_or(0);
+        assert!(sources > 0);
+        assert_eq!(pull_levels > 0, pulls, "directed: {}", config.directed);
+        if pulls {
+            assert!(arcs < sources * net.graph().num_arcs() as u64);
+        }
     }
 }
 
