@@ -95,6 +95,36 @@ mod tests {
     }
 
     #[test]
+    fn centrality_top_is_the_full_sort_prefix() {
+        // A star: the centre carries every path and the leaves tie at 0,
+        // so only the id order breaks their ties.
+        let n = 6;
+        let edges: Vec<(u32, u32)> = (1..n as u32).rev().map(|v| (0, v)).collect();
+        let net = crate::session::Network::from_edges(n, &edges);
+        let mut ranked: Vec<(usize, f64)> =
+            net.betweenness().vertex.into_iter().enumerate().collect();
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        for top in [0, 1, 3, n, n + 5] {
+            let entries: Vec<String> = ranked
+                .iter()
+                .take(top)
+                .map(|(v, s)| {
+                    let mut entry = format!("{{\"v\":{v},\"score\":");
+                    snap_obs::json::write_f64(&mut entry, *s);
+                    entry + "}"
+                })
+                .collect();
+            let want = format!("{{\"top\":[{}]}}", entries.join(","));
+            let query = Query::Centrality {
+                frac: None,
+                seed: 0,
+                top,
+            };
+            assert_eq!(compute_payload(&net, &query).payload, want, "top {top}");
+        }
+    }
+
+    #[test]
     fn out_of_range_parameters_are_refused_where_they_enter() {
         let source = |v: u64| Request::parse(&format!(r#"{{"query":"bfs","source":{v}}}"#));
         let max = source(u32::MAX as u64).unwrap();

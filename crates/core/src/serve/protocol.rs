@@ -355,8 +355,17 @@ pub fn compute_payload(net: &Network, query: &Query) -> QueryResult {
                 .enumerate()
                 .map(|(v, &s)| (v as u32, s))
                 .collect();
-            ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-            ranked.truncate(*top); // clamps `top` to n; nothing is sized by it
+            // Score descending, then id ascending: a total order, so
+            // selecting the first `top` and sorting only those gives the
+            // full sort's prefix. `top` is clamped to n; nothing is sized
+            // by it.
+            let order =
+                |a: &(u32, f64), b: &(u32, f64)| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0));
+            if *top < ranked.len() {
+                ranked.select_nth_unstable_by(*top, order);
+                ranked.truncate(*top);
+            }
+            ranked.sort_by(order);
             let mut out = String::with_capacity(32 + ranked.len() * 24);
             out.push_str("{\"top\":[");
             for (i, (v, s)) in ranked.iter().enumerate() {
