@@ -1,10 +1,15 @@
 //! Exact vs approximate betweenness — the core trade of the pBD
 //! algorithm (DESIGN.md ablation 1): sampling 5% of sources buys an
 //! order-of-magnitude speedup at bounded error on the high-centrality
-//! entities.
+//! entities. The `from-sources` rows time the call shape `serve` makes:
+//! 8 sampled sources at one thread, on R-MAT (where the forward phase
+//! pulls its middle levels) and on a road grid (where it never pulls).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use snap::centrality::{approx_betweenness, brandes, par_brandes};
+use snap::centrality::{
+    approx_betweenness, betweenness_from_sources, brandes, par_brandes, sample_sources,
+};
+use snap::graph::Graph;
 
 fn bench_betweenness(c: &mut Criterion) {
     let mut group = c.benchmark_group("betweenness");
@@ -21,6 +26,14 @@ fn bench_betweenness(c: &mut Criterion) {
             BenchmarkId::new("approx", format!("rmat-1k-f{frac}")),
             |b| b.iter(|| approx_betweenness(&g, frac, 9)),
         );
+    }
+    let rmat14 = snap::gen::rmat(&snap::gen::RmatConfig::small_world(14, 8 << 14), 3);
+    let grid = snap::gen::road_grid(128, 128, 0.0, 0.0, 3);
+    for (name, g) in [("rmat14-k8-t1", &rmat14), ("grid128-k8-t1", &grid)] {
+        let sources = sample_sources(g.num_vertices(), 8, 9);
+        group.bench_function(BenchmarkId::new("from-sources", name), |b| {
+            snap::with_threads(1, || b.iter(|| betweenness_from_sources(g, &sources)))
+        });
     }
     group.finish();
 }
