@@ -97,9 +97,14 @@ mod tests {
     #[test]
     fn centrality_top_is_the_full_sort_prefix() {
         // A star: the centre carries every path and the leaves tie at 0,
-        // so only the id order breaks their ties.
-        let n = 6;
-        let edges: Vec<(u32, u32)> = (1..n as u32).rev().map(|v| (0, v)).collect();
+        // so only the id order breaks their ties. The centre is not
+        // vertex 0, so vertex order is not the ranked order.
+        let (n, centre) = (64, 17);
+        let edges: Vec<(u32, u32)> = (0..n as u32)
+            .rev()
+            .filter(|&v| v != centre)
+            .map(|v| (centre, v))
+            .collect();
         let net = crate::session::Network::from_edges(n, &edges);
         let mut ranked: Vec<(usize, f64)> =
             net.betweenness().vertex.into_iter().enumerate().collect();
