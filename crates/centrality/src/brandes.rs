@@ -109,7 +109,8 @@ pub(crate) fn accumulate_source<G: Graph>(
                 if stamped(dist[vi], tag) {
                     continue;
                 }
-                let (off, mut end, mut sigma) = (slot[vi].pred_off, slot[vi].pred_off, 0.0);
+                let off = slot[vi].pred_off;
+                let (mut end, mut sigma) = (off, 0.0);
                 for (u, e) in g.neighbors_with_eid(v) {
                     arcs += 1;
                     if dist[u as usize] == dcur {
