@@ -443,6 +443,37 @@ fn rayon_shim_has_one_spawn_site() {
     );
 }
 
+/// A manifest table header that adds build dependencies:
+/// `[dependencies]`, `[dependencies.x]`, `[build-dependencies]` or a
+/// target's `[target.….dependencies]`.
+fn dependency_table(line: &str) -> bool {
+    let header = line
+        .trim()
+        .strip_prefix('[')
+        .and_then(|h| h.strip_suffix(']'));
+    header.is_some_and(|h| {
+        h.split('.')
+            .any(|part| part == "dependencies" || part == "build-dependencies")
+    })
+}
+
+/// `snap-obs` reaches the shim's workers through one context hook
+/// (DESIGN.md §18). A shim that depended on `snap-obs` could call it
+/// directly instead, and every scheduler change would become an
+/// observability change; so the shim's manifest declares no dependencies.
+#[test]
+fn rayon_shim_has_no_dependencies() {
+    assert!(dependency_table("[dependencies]"));
+    assert!(dependency_table(" [dependencies.snap-obs]"));
+    assert!(dependency_table("[target.'cfg(unix)'.dependencies]"));
+    assert!(!dependency_table("[dev-dependencies]"));
+    assert!(!dependency_table("# [dependencies]"));
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let manifest = std::fs::read_to_string(repo.join("vendor/rayon/Cargo.toml")).unwrap();
+    let tables: Vec<&str> = manifest.lines().filter(|l| dependency_table(l)).collect();
+    assert!(tables.is_empty(), "the shim depends on nothing: {tables:?}");
+}
+
 /// A `Mutex<Vec<(String, Arc<…>)>>` name-keyed cell list outside a comment.
 fn cell_list(line: &str) -> bool {
     !line.trim_start().starts_with("//") && line.contains("Mutex<Vec<(String, Arc<")
