@@ -299,9 +299,6 @@ pub fn betweenness_from_sources_in<G: Graph>(
     let m = g.edge_id_bound();
     let (sums, used) = {
         let _span = snap_obs::span("centrality.betweenness");
-        let frontier_vertices = snap_obs::counter("frontier_vertices");
-        let arcs_scanned = snap_obs::counter("arcs_scanned");
-        let pull_levels = snap_obs::counter("pull_levels");
         sweep(
             exec,
             sources,
@@ -315,9 +312,9 @@ pub fn betweenness_from_sources_in<G: Graph>(
             },
             |(vacc, eacc), s, ws| {
                 let (arcs, pulls) = accumulate_source(g, s, ws, vacc, eacc);
-                frontier_vertices.add(ws.order.len() as u64);
-                arcs_scanned.add(arcs);
-                pull_levels.add(pulls);
+                snap_obs::add("frontier_vertices", ws.order.len() as u64);
+                snap_obs::add("arcs_scanned", arcs);
+                snap_obs::add("pull_levels", pulls);
                 ws.order.len() as u64 + 1
             },
             add_accumulators,

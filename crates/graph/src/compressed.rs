@@ -43,14 +43,14 @@
 //! Whole-graph sweeps use [`CompressedCsrGraph::par_for_each_adjacency`]:
 //! vertices are split into fixed chunks, each chunk decoded by one rayon
 //! worker into per-thread scratch acquired from a
-//! [`ScratchPool<DecodeScratch>`] (the checkout shape of
-//! [`crate::WorkspacePool`]), and the callback sees plain `&[VertexId]` /
+//! [`ScratchPool<DecodeScratch>`] (the pool the traversal workspaces
+//! come from), and the callback sees plain `&[VertexId]` /
 //! `&[EdgeId]` slices. Decoded chunks are counted on the `decode_chunks`
 //! obs counter; resident adjacency bytes surface as the `ccsr_bytes`
 //! gauge.
 
 use crate::csr::CsrGraph;
-use crate::scratch::ScratchPool;
+use crate::scratch::{Scratch, ScratchPool};
 use crate::traits::{Graph, WeightedGraph};
 use crate::{EdgeId, VertexId, Weight};
 use rayon::prelude::*;
@@ -134,6 +134,8 @@ pub struct DecodeScratch {
     targets: Vec<VertexId>,
     eids: Vec<EdgeId>,
 }
+
+impl Scratch for DecodeScratch {}
 
 impl DecodeScratch {
     /// Fresh empty scratch (buffers grow to the max decoded degree).

@@ -50,9 +50,7 @@ pub use compressed::{CompressedCsrGraph, DecodeScratch, DEFAULT_HUB_THRESHOLD};
 pub use csr::CsrGraph;
 pub use dynamic::DynGraph;
 pub use frontier::Frontier;
-pub use scratch::{
-    PooledScratch, PooledWorkspace, ScratchPool, TraversalWorkspace, WorkspacePool, WorkspaceStats,
-};
+pub use scratch::{PooledScratch, Scratch, ScratchPool, TraversalWorkspace, WorkspaceStats};
 pub use stream::{BatchStats, EdgeOp, Snapshot, SnapshotReader, StreamingGraph};
 pub use subgraph::InducedSubgraph;
 pub use traits::{Graph, WeightedGraph};

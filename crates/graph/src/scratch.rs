@@ -52,7 +52,6 @@
 
 use crate::traits::Graph;
 use crate::VertexId;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Mask selecting the distance half of a packed `dist` word.
@@ -109,7 +108,7 @@ pub struct PredArc {
     pub e: u32,
 }
 
-/// Lifetime counters for a workspace (or a pool of them).
+/// Lifetime counters for a workspace (or the workspaces of a pool).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
     /// Traversals that reused existing allocations (every
@@ -171,7 +170,7 @@ pub struct TraversalWorkspace {
     /// vertex `v`'s slots are `pred[off .. end]` for its
     /// [`BrandesSlot`] cursors `off`/`end`.
     pub pred: Vec<PredArc>,
-    /// Counters not yet absorbed by a pool / flushed to snap-obs.
+    /// Counters not yet emitted to snap-obs.
     pending: WorkspaceStats,
     /// Lifetime totals (for tests and direct owners).
     totals: WorkspaceStats,
@@ -329,21 +328,27 @@ impl TraversalWorkspace {
         s
     }
 
-    /// Move the un-flushed counters out (they land in `totals` so
-    /// [`stats`](Self::stats) stays cumulative).
-    fn take_pending(&mut self) -> WorkspaceStats {
+    /// Emit the pending counters and `workspace_bytes` to snap-obs on the
+    /// current span (on a rayon worker, the span its job was published
+    /// from), and return them; they land in `totals`, so
+    /// [`stats`](Self::stats) stays cumulative.
+    fn flush_obs(&mut self) -> WorkspaceStats {
         let p = std::mem::take(&mut self.pending);
         self.totals.absorb(p);
+        if snap_obs::is_enabled() {
+            if !p.is_zero() {
+                snap_obs::add("workspace_reuses", p.reuses);
+                snap_obs::add("epoch_resets", p.epoch_resets);
+                snap_obs::add("full_clears", p.full_clears);
+            }
+            if self.bytes() > 0 {
+                // Peak semantics: several workspaces (or several flushes
+                // under the same coalesced span) may report concurrently,
+                // and the gauge keeps the largest footprint seen.
+                snap_obs::gauge_max("workspace_bytes", self.bytes() as f64);
+            }
+        }
         p
-    }
-
-    /// Emit pending counters to snap-obs on the *current thread* (they
-    /// attach to the active span). Call from the thread that owns the
-    /// kernel's span; worker threads should return workspaces to a
-    /// [`WorkspacePool`] instead, and the kernel flushes the pool.
-    pub fn flush_obs(&mut self) {
-        let p = self.take_pending();
-        emit(p, self.bytes() as f64);
     }
 }
 
@@ -353,20 +358,13 @@ impl Drop for TraversalWorkspace {
     }
 }
 
-fn emit(p: WorkspaceStats, bytes: f64) {
-    if !snap_obs::is_enabled() {
-        return;
-    }
-    if !p.is_zero() {
-        snap_obs::add("workspace_reuses", p.reuses);
-        snap_obs::add("epoch_resets", p.epoch_resets);
-        snap_obs::add("full_clears", p.full_clears);
-    }
-    if bytes > 0.0 {
-        // Peak semantics: several workspaces (or several flushes of the
-        // same coalesced span) may report concurrently, and the gauge
-        // should keep the largest footprint seen, not the last one.
-        snap_obs::gauge_max("workspace_bytes", bytes);
+impl Scratch for TraversalWorkspace {
+    /// Flush, and record the traversals this checkout ran as a
+    /// `checkout_traversals` sample: a skewed distribution means chunked
+    /// work is unbalanced across workers.
+    fn check_in(&mut self) {
+        let p = self.flush_obs();
+        snap_obs::hist("checkout_traversals").record(p.epoch_resets + p.full_clears);
     }
 }
 
@@ -388,148 +386,29 @@ pub struct Slots<'w> {
     pub pred: &'w mut [PredArc],
 }
 
-/// A checkout pool of [`TraversalWorkspace`]s for source-parallel
-/// kernels: each source chunk acquires one workspace for its whole run,
+/// Per-thread scratch a [`ScratchPool`] hands out.
+pub trait Scratch: Default {
+    /// Runs when a checkout ends, on the thread that held it, before the
+    /// value goes back to the pool.
+    fn check_in(&mut self) {}
+}
+
+/// A checkout pool of per-thread scratch values: [`TraversalWorkspace`]s
+/// for the source-parallel sweeps, the decode buffers of the compressed
+/// CSR backend. Each parallel chunk acquires one value for its whole run,
 /// so a k-source sweep allocates at most one workspace per concurrently
-/// running chunk regardless of `k` — and a pool held across kernel calls
-/// (pBD rounds, the `Network` session) allocates none at all after
-/// warm-up. A chunk is one work unit of the rayon pool, which runs one
-/// unit per thread at a time and takes the workspace back when the unit
-/// ends, so at most one workspace per taking-part thread is checked out
-/// at once.
-#[derive(Debug, Default)]
-pub struct WorkspacePool {
-    free: Mutex<Vec<TraversalWorkspace>>,
-    // Counters absorbed from returned workspaces. Worker threads have no
-    // snap-obs context, so the stats ride back on the pool and the
-    // kernel's owning thread emits them from inside its span.
-    reuses: AtomicU64,
-    epoch_resets: AtomicU64,
-    full_clears: AtomicU64,
-    // Same totals, monotonic (never drained by flush) — for stats().
-    total: [AtomicU64; 3],
-    // Concurrency high-water mark: workspaces checked out right now, and
-    // the peak since the last flush. The peak is the pool's actual memory
-    // footprint driver (each outstanding checkout owns its slot arrays),
-    // so it surfaces as the `workspace_pool_peak` gauge.
-    outstanding: AtomicU64,
-    peak: AtomicU64,
-    // Traversals each returned checkout performed, drained into the
-    // `checkout_traversals` histogram at flush: a skewed distribution
-    // means chunked work is unbalanced across workers.
-    checkout_begins: Mutex<Vec<u64>>,
-}
-
-impl WorkspacePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Check a workspace out (reusing a returned one when available).
-    /// The guard returns it — and its counters — on drop.
-    pub fn acquire(&self) -> PooledWorkspace<'_> {
-        let ws = self
-            .free
-            .lock()
-            .expect("workspace pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        let now = self.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-        PooledWorkspace {
-            pool: self,
-            ws: Some(ws),
-        }
-    }
-
-    fn absorb(&self, p: WorkspaceStats) {
-        self.outstanding.fetch_sub(1, Ordering::Relaxed);
-        if let Ok(mut begins) = self.checkout_begins.lock() {
-            begins.push(p.epoch_resets + p.full_clears);
-        }
-        self.reuses.fetch_add(p.reuses, Ordering::Relaxed);
-        self.epoch_resets
-            .fetch_add(p.epoch_resets, Ordering::Relaxed);
-        self.full_clears.fetch_add(p.full_clears, Ordering::Relaxed);
-        self.total[0].fetch_add(p.reuses, Ordering::Relaxed);
-        self.total[1].fetch_add(p.epoch_resets, Ordering::Relaxed);
-        self.total[2].fetch_add(p.full_clears, Ordering::Relaxed);
-    }
-
-    /// Counters absorbed over the pool's lifetime (checked-out
-    /// workspaces contribute when returned).
-    pub fn stats(&self) -> WorkspaceStats {
-        WorkspaceStats {
-            reuses: self.total[0].load(Ordering::Relaxed),
-            epoch_resets: self.total[1].load(Ordering::Relaxed),
-            full_clears: self.total[2].load(Ordering::Relaxed),
-        }
-    }
-
-    /// Bytes held by the workspaces currently checked in.
-    fn bytes_held(&self) -> usize {
-        self.free
-            .lock()
-            .expect("workspace pool poisoned")
-            .iter()
-            .map(|w| w.bytes())
-            .sum()
-    }
-
-    /// Emit the counters accumulated since the last flush to snap-obs on
-    /// the current thread (no-op when nothing accumulated). Kernels call
-    /// this after their parallel section, inside their span.
-    pub fn flush_obs(&self) {
-        let p = WorkspaceStats {
-            reuses: self.reuses.swap(0, Ordering::Relaxed),
-            epoch_resets: self.epoch_resets.swap(0, Ordering::Relaxed),
-            full_clears: self.full_clears.swap(0, Ordering::Relaxed),
-        };
-        emit(p, self.bytes_held() as f64);
-        let peak = self.peak.swap(0, Ordering::Relaxed);
-        // Workspaces still checked out seed the next flush window.
-        self.peak
-            .fetch_max(self.outstanding.load(Ordering::Relaxed), Ordering::Relaxed);
-        if !snap_obs::is_enabled() {
-            // Reset the window anyway so a later enabled run does not
-            // inherit stale checkout stats.
-            if let Ok(mut begins) = self.checkout_begins.lock() {
-                begins.clear();
-            }
-            return;
-        }
-        if peak > 0 {
-            // fetch_max semantics: concurrent flushes (or repeated
-            // flushes under a coalesced span) must never regress the
-            // recorded concurrency high-water mark.
-            snap_obs::gauge_max("workspace_pool_peak", peak as f64);
-        }
-        let begins = match self.checkout_begins.lock() {
-            Ok(mut b) => std::mem::take(&mut *b),
-            Err(_) => Vec::new(),
-        };
-        if !begins.is_empty() {
-            let hist = snap_obs::hist("checkout_traversals");
-            for b in begins {
-                hist.record(b);
-            }
-        }
-    }
-}
-
-/// A checkout pool of arbitrary per-thread scratch values — the
-/// [`WorkspacePool`] shape generalized for scratch that is not a
-/// traversal workspace (e.g. the decode buffers of the compressed CSR
-/// backend). Each parallel chunk acquires one value for its whole run;
-/// returned values keep their grown allocations, so a pool held across
-/// sweeps allocates nothing after warm-up.
+/// running chunk, whatever `k`. Returned values keep their grown
+/// allocations, so a pool held across calls (pBD rounds, the `Network`
+/// session) allocates nothing after warm-up. A chunk is one work unit of
+/// the rayon pool, which runs one unit per thread at a time, so at most
+/// one value per taking-part thread is checked out at once, and the
+/// values the pool holds are the most that were ever out together.
 #[derive(Debug, Default)]
 pub struct ScratchPool<T> {
     free: Mutex<Vec<T>>,
 }
 
-impl<T: Default> ScratchPool<T> {
+impl<T: Scratch> ScratchPool<T> {
     /// An empty pool.
     pub fn new() -> Self {
         ScratchPool {
@@ -558,15 +437,26 @@ impl<T: Default> ScratchPool<T> {
     }
 }
 
+impl ScratchPool<TraversalWorkspace> {
+    /// Lifetime counters of the workspaces checked in.
+    pub fn stats(&self) -> WorkspaceStats {
+        let free = self.free.lock().expect("scratch pool poisoned");
+        free.iter().fold(WorkspaceStats::default(), |mut s, w| {
+            s.absorb(w.stats());
+            s
+        })
+    }
+}
+
 /// Checkout guard for a pooled scratch value (see
 /// [`ScratchPool::acquire`]).
 #[derive(Debug)]
-pub struct PooledScratch<'p, T> {
+pub struct PooledScratch<'p, T: Scratch> {
     pool: &'p ScratchPool<T>,
     item: Option<T>,
 }
 
-impl<T> std::ops::Deref for PooledScratch<'_, T> {
+impl<T: Scratch> std::ops::Deref for PooledScratch<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
@@ -574,49 +464,18 @@ impl<T> std::ops::Deref for PooledScratch<'_, T> {
     }
 }
 
-impl<T> std::ops::DerefMut for PooledScratch<'_, T> {
+impl<T: Scratch> std::ops::DerefMut for PooledScratch<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.item.as_mut().expect("scratch checked out")
     }
 }
 
-impl<T> Drop for PooledScratch<'_, T> {
+impl<T: Scratch> Drop for PooledScratch<'_, T> {
     fn drop(&mut self) {
-        if let Some(item) = self.item.take() {
+        if let Some(mut item) = self.item.take() {
+            item.check_in();
             if let Ok(mut free) = self.pool.free.lock() {
                 free.push(item);
-            }
-        }
-    }
-}
-
-/// Checkout guard for a pooled workspace (see [`WorkspacePool::acquire`]).
-#[derive(Debug)]
-pub struct PooledWorkspace<'p> {
-    pool: &'p WorkspacePool,
-    ws: Option<TraversalWorkspace>,
-}
-
-impl std::ops::Deref for PooledWorkspace<'_> {
-    type Target = TraversalWorkspace;
-
-    fn deref(&self) -> &TraversalWorkspace {
-        self.ws.as_ref().expect("workspace checked out")
-    }
-}
-
-impl std::ops::DerefMut for PooledWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut TraversalWorkspace {
-        self.ws.as_mut().expect("workspace checked out")
-    }
-}
-
-impl Drop for PooledWorkspace<'_> {
-    fn drop(&mut self) {
-        if let Some(mut ws) = self.ws.take() {
-            self.pool.absorb(ws.take_pending());
-            if let Ok(mut free) = self.pool.free.lock() {
-                free.push(ws);
             }
         }
     }
@@ -685,7 +544,7 @@ mod tests {
 
     #[test]
     fn pool_round_trips_and_counts() {
-        let pool = WorkspacePool::new();
+        let pool = ScratchPool::<TraversalWorkspace>::new();
         {
             let mut ws = pool.acquire();
             ws.begin(4);
@@ -698,42 +557,38 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.full_clears, 1);
         assert_eq!(s.reuses, 2);
-        assert!(pool.bytes_held() > 0);
+        assert_eq!(pool.available(), 1);
     }
 
     #[test]
     fn pool_tracks_checkout_high_water_mark() {
-        let pool = WorkspacePool::new();
+        let pool = ScratchPool::<TraversalWorkspace>::new();
         {
             let _a = pool.acquire();
             let _b = pool.acquire();
-            assert_eq!(pool.outstanding.load(Ordering::Relaxed), 2);
-            assert_eq!(pool.peak.load(Ordering::Relaxed), 2);
+            assert_eq!(pool.available(), 0);
         }
-        assert_eq!(pool.outstanding.load(Ordering::Relaxed), 0);
-        // Peak survives the returns until a flush drains the window.
-        assert_eq!(pool.peak.load(Ordering::Relaxed), 2);
-        pool.flush_obs();
-        assert_eq!(pool.peak.load(Ordering::Relaxed), 0);
+        // The pool keeps what was out at once, and reuses it.
+        assert_eq!(pool.available(), 2);
         let _c = pool.acquire();
-        assert_eq!(pool.peak.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.available(), 1);
     }
 
     #[test]
     fn pool_records_traversals_per_checkout() {
-        let pool = WorkspacePool::new();
-        {
+        let pool = ScratchPool::<TraversalWorkspace>::new();
+        snap_obs::enable();
+        for begins in [3, 1] {
             let mut ws = pool.acquire();
-            ws.begin(4);
-            ws.begin(4);
-            ws.begin(4);
+            for _ in 0..begins {
+                ws.begin(4);
+            }
         }
-        {
-            let mut ws = pool.acquire();
-            ws.begin(4);
-        }
-        let begins = pool.checkout_begins.lock().unwrap();
-        assert_eq!(*begins, vec![3, 1]);
+        let report = snap_obs::finish().expect("collecting");
+        let hist = report.root.hist("checkout_traversals").expect("samples");
+        assert_eq!((hist.count, hist.sum, hist.max), (2, 4, 3));
+        assert_eq!(report.root.counter("epoch_resets"), Some(3));
+        assert_eq!(report.root.counter("full_clears"), Some(1));
     }
 
     #[test]

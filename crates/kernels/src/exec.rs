@@ -1,11 +1,11 @@
 //! The execution context: the resources a kernel call runs with.
 
 use snap_budget::Budget;
-use snap_graph::WorkspacePool;
+use snap_graph::{ScratchPool, TraversalWorkspace};
 use std::sync::Arc;
 
 /// What a kernel is handed besides its input: the compute [`Budget`] it
-/// must honour and the [`WorkspacePool`] its traversals draw scratch
+/// must honour and the [`ScratchPool`] its traversals draw workspaces
 /// from. Every kernel has a plain entry point that runs under
 /// `Exec::default()` — unlimited budget, fresh pool — and at most one
 /// `*_in` / `try_*` form taking `&Exec`; callers that issue many calls
@@ -22,5 +22,5 @@ pub struct Exec {
     pub budget: Budget,
     /// Traversal scratch shared by every call made with this context (a
     /// cache, not state: results never depend on its history).
-    pub pool: Arc<WorkspacePool>,
+    pub pool: Arc<ScratchPool<TraversalWorkspace>>,
 }

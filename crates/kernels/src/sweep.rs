@@ -41,9 +41,10 @@ const FEW_SOURCES: usize = 16;
 /// * **Budget**: one relaxed `is_exhausted` load per source, then
 ///   `per_source`'s return value is charged as work units. A sweep cut
 ///   short is noted by [`record_skipped`].
-/// * **Records**, on the caller's span: a `task_name` trace task and a
-///   `source_us` sample per source, `sources_processed`, and the pool's
-///   workspace counters (workers have no `snap-obs` context of their own).
+/// * **Records**, on the caller's span, since a unit records where its
+///   job was published: a `task_name` trace task and a `source_us`
+///   sample per source, `sources_processed`, each checkout's workspace
+///   counters (emitted as it is checked in), and `workspace_pool_peak`.
 pub fn sweep<A, I, S, M>(
     exec: &Exec,
     sources: &[VertexId],
@@ -60,8 +61,6 @@ where
     M: Fn(A, A) -> A + Sync,
 {
     let (budget, pool) = (&exec.budget, &*exec.pool);
-    let sources_processed = snap_obs::counter("sources_processed");
-    let source_us = snap_obs::hist("source_us");
     let used = AtomicUsize::new(0);
     let per = if sources.len() <= FEW_SOURCES && rayon::current_num_threads() > 1 {
         1
@@ -82,10 +81,11 @@ where
                     (ws, acc)
                 });
                 let _task = snap_obs::task(task_name);
+                let source_us = snap_obs::hist("source_us");
                 let timer = source_us.start();
                 let work = per_source(acc, s, ws);
                 source_us.stop_us(timer);
-                sources_processed.incr();
+                snap_obs::add("sources_processed", 1);
                 used.fetch_add(1, Ordering::Relaxed);
                 let _ = budget.charge(work);
             }
@@ -98,8 +98,11 @@ where
                 (a, b) => a.or(b),
             },
         );
-    pool.flush_obs();
     let used = used.load(Ordering::Relaxed);
+    if used > 0 {
+        // The pool keeps every workspace it made: the most ever out at once.
+        snap_obs::gauge_max("workspace_pool_peak", pool.available() as f64);
+    }
     record_skipped(budget, sources.len(), used);
     (merged, used)
 }

@@ -224,8 +224,9 @@ impl HistSnapshot {
 }
 
 /// Cheap cloneable handle to a [`Histogram`] on a report node, or a no-op
-/// when collection is disabled. Capture one on the coordinating thread and
-/// share it with workers; [`start`](HistHandle::start) /
+/// when collection is disabled. Fetch one in any unit of a parallel call:
+/// a unit records where its job was published. Hold it across a loop to
+/// save the by-name lookup; [`start`](HistHandle::start) /
 /// [`stop_us`](HistHandle::stop_us) time a section without ever calling
 /// `Instant::now` on the disabled path.
 #[derive(Clone, Debug, Default)]

@@ -9,10 +9,13 @@
 //!
 //! Collection is **per coordinating thread**: [`enable`] installs a fresh
 //! report tree on the calling thread, and spans/counters opened by that
-//! thread attach to it. Kernels running parallel sections share counters
-//! with their workers through [`CounterHandle`] (a cheap `Arc` over a
-//! relaxed `AtomicU64`), so counts from 1, 4 or 8 rayon workers land in
-//! the same cell. Spans opened on threads *without* a context are no-ops,
+//! thread attach to it. **A unit records where its job was published**:
+//! this crate registers one hook with `vendor/rayon`, so every parallel
+//! call carries its caller's current span, and a worker installs it
+//! around the units it runs. [`add`], [`record_max`], [`gauge`],
+//! [`gauge_max`], [`hist()`] and [`meta`] from any unit land on that span,
+//! so counts from 1, 4 or 8 rayon workers land in the same cell. Spans
+//! opened on a worker (or on any thread without a context) are no-ops,
 //! which keeps the tree well-formed: only the coordinator narrates.
 //!
 //! Repeated spans with the same name under the same parent **coalesce**
@@ -98,6 +101,23 @@ static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static CONTEXT: RefCell<Option<Ctx>> = const { RefCell::new(None) };
+    /// On a rayon worker running units: the span that was current where
+    /// their job was published.
+    static PUBLISHED: RefCell<Option<Arc<Node>>> = const { RefCell::new(None) };
+}
+
+/// The rayon hook's capture: this thread's current span, if collecting.
+fn capture() -> Option<rayon::Context> {
+    if ACTIVE.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    CONTEXT.with(|c| Some(Arc::clone(c.borrow().as_ref()?.current()) as rayon::Context))
+}
+
+/// The rayon hook's install: record on a published span, or on none.
+fn install(ctx: Option<&rayon::Context>) {
+    let node = ctx.and_then(|c| Arc::clone(c).downcast::<Node>().ok());
+    PUBLISHED.with(|p| *p.borrow_mut() = node);
 }
 
 /// Shared cells of one kind, keyed by name in insertion order: a span's
@@ -135,10 +155,11 @@ impl<T: Default> Cells<T> {
     }
 }
 
-/// Cheap cloneable handle to a relaxed-atomic counter on a report node
-/// (or in the [`telemetry`] registry), or a no-op when collection is
-/// disabled. Capture one before a parallel section and share it with the
-/// workers: counts from 1, 4 or 8 rayon workers land in the same cell.
+/// Cheap cloneable handle to a relaxed-atomic counter in the
+/// [`telemetry`] registry (or on a report node, inside this crate), or a
+/// no-op when collection is disabled. A span counter needs no handle: a
+/// unit records where its job was published, so a plain [`add`] works in
+/// any unit of a parallel call.
 #[derive(Clone, Debug, Default)]
 pub struct CounterHandle(Option<Arc<AtomicU64>>);
 
@@ -346,6 +367,8 @@ struct Ctx {
 
 impl Ctx {
     fn new() -> Ctx {
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| rayon::set_context_hook(capture, install));
         ACTIVE.fetch_add(1, Ordering::SeqCst);
         Ctx {
             epoch: Instant::now(),
@@ -369,13 +392,17 @@ impl Drop for Ctx {
     }
 }
 
-/// `f` applied to this thread's current span; `None` without a context.
+/// `f` applied to this thread's current span, or on a rayon worker to the
+/// span its job was published from; `None` without either.
 fn with_current<R>(f: impl FnOnce(&Node) -> R) -> Option<R> {
-    CONTEXT.with(|c| c.borrow().as_ref().map(|ctx| f(ctx.current())))
+    CONTEXT.with(|c| match c.borrow().as_ref() {
+        Some(ctx) => Some(f(ctx.current())),
+        None => PUBLISHED.with(|p| p.borrow().as_deref().map(f)),
+    })
 }
 
 /// Start collecting on this thread. Subsequent [`span`]/[`add`]/[`gauge`]
-/// calls from this thread — and [`CounterHandle`]s it passes to workers —
+/// calls from this thread — and from the units of its parallel calls —
 /// record into the tree.
 ///
 /// Enable/disable pairs are **depth-counted**: the outermost `enable`
@@ -408,10 +435,11 @@ pub fn disable() {
     });
 }
 
-/// Whether this thread is collecting.
+/// Whether this thread's records land in a report: it is collecting, or
+/// it runs units of a job published by a thread that is.
 #[inline]
 pub fn is_enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0 && CONTEXT.with(|c| c.borrow().is_some())
+    ACTIVE.load(Ordering::Relaxed) != 0 && with_current(|_| ()).is_some()
 }
 
 /// Snapshot the tree collected so far and start a fresh one (collection
@@ -627,9 +655,8 @@ pub fn task(name: &str) -> TaskGuard {
 }
 
 /// Handle to counter `name` on the current span (no-op when disabled).
-/// Capture once, then `add`/`incr` freely from parallel workers.
 #[inline]
-pub fn counter(name: &str) -> CounterHandle {
+fn counter(name: &str) -> CounterHandle {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return CounterHandle(None);
     }
@@ -637,10 +664,9 @@ pub fn counter(name: &str) -> CounterHandle {
 }
 
 /// Handle to latency histogram `name` on the current span (no-op when
-/// disabled). Capture once on the coordinator, then
-/// [`record`](HistHandle::record) / [`start`](HistHandle::start) /
-/// [`stop_us`](HistHandle::stop_us) freely from parallel workers;
-/// per-thread observations merge by relaxed bucket addition.
+/// disabled). Fetch once, then [`record`](HistHandle::record) /
+/// [`start`](HistHandle::start) / [`stop_us`](HistHandle::stop_us)
+/// freely; per-thread observations merge by relaxed bucket addition.
 #[inline]
 pub fn hist(name: &str) -> HistHandle {
     if ACTIVE.load(Ordering::Relaxed) == 0 {

@@ -36,8 +36,8 @@ static COUNTERS: Cells<AtomicU64> = Cells::new();
 static GAUGES: Cells<Gauge> = Cells::new();
 
 /// Handle to process-global exported counter `name`, created on first
-/// use. Unlike [`crate::counter`], the cell is always live (no span
-/// context needed) and is sampled by any running [`Sampler`].
+/// use. Unlike a span counter ([`crate::add`]), the cell is always live
+/// (no span context needed) and is sampled by any running [`Sampler`].
 pub fn export_counter(name: &str) -> CounterHandle {
     CounterHandle(Some(COUNTERS.get(name)))
 }

@@ -125,6 +125,83 @@ fn counters_agree_across_thread_counts() {
     }
 }
 
+/// A unit records where its job was published: a plain `add` inside
+/// `par_chunks(1)` units lands on the caller's span, whichever thread
+/// ran the unit, so the total is the same at every thread count.
+#[test]
+fn a_units_counter_lands_on_the_callers_span() {
+    use rayon::prelude::*;
+    let _serial = serial();
+    let units: Vec<u64> = (1..=64).collect();
+    for threads in [1usize, 2, 8] {
+        let ran_on = Mutex::new(std::collections::HashSet::new());
+        snap::obs::enable();
+        snap::with_threads(threads, || {
+            let _span = snap::obs::span("caller");
+            units.par_chunks(1).for_each(|unit| {
+                ran_on.lock().unwrap().insert(std::thread::current().id());
+                snap::obs::add("unit_sum", unit[0]);
+            });
+        });
+        let report = snap::obs::finish().expect("collection was on");
+        let caller = report.find("caller").expect("caller span");
+        assert_eq!(
+            caller.counter("unit_sum"),
+            Some(64 * 65 / 2),
+            "{threads} threads"
+        );
+        assert!(report.root.well_formed(), "{}", report.render());
+        let ran_on = ran_on.into_inner().unwrap().len();
+        assert!(
+            ran_on >= threads.min(2),
+            "{threads} threads ran on {ran_on}"
+        );
+    }
+}
+
+/// Two observed callers and one unobserved caller share the pool at
+/// once: each report holds exactly its own caller's betweenness counts.
+#[test]
+fn concurrent_callers_each_report_their_own_counts() {
+    use rayon::prelude::*;
+    let _serial = serial();
+    let g = snap::gen::rmat(&snap::gen::RmatConfig::small_world(9, 4096), 13);
+    let sources: Vec<u32> = (0..64).collect();
+    let calls = 4;
+    let observed = || {
+        snap::obs::enable();
+        for _ in 0..calls {
+            let _ = snap::centrality::betweenness_from_sources(&g, &sources);
+        }
+        snap::obs::finish().expect("collection was on")
+    };
+    let counts = |report: &snap::obs::RunReport| {
+        let bc = report.find("centrality.betweenness").expect("span");
+        ["sources_processed", "frontier_vertices", "arcs_scanned"].map(|c| bc.counter(c))
+    };
+    let alone = counts(&snap::with_threads(4, observed));
+    assert_eq!(alone[0], Some(calls * 64));
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| snap::with_threads(4, observed));
+        let b = s.spawn(|| snap::with_threads(4, observed));
+        s.spawn(|| {
+            snap::with_threads(4, || {
+                for _ in 0..calls {
+                    let _ = snap::centrality::betweenness_from_sources(&g, &sources);
+                    sources
+                        .par_chunks(1)
+                        .for_each(|_| snap::obs::add("unobserved", 1));
+                }
+            })
+        });
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    for report in [&a, &b] {
+        assert_eq!(counts(report), alone, "{}", report.render());
+        assert_eq!(report.total_counter("unobserved"), 0);
+    }
+}
+
 #[test]
 fn betweenness_counters_show_the_direction() {
     let _serial = serial();
