@@ -120,11 +120,7 @@ impl GraphBuilder {
 
         // Canonical order so duplicates become adjacent. Files snap-io
         // wrote, METIS rows, subgraphs and view rebuilds arrive in it.
-        let sorted = edges.is_sorted_by_key(|&(u, v, _)| (u, v));
-        if !sorted {
-            edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        }
-        snap_obs::add("build_sorted_input", sorted as u64);
+        snap_obs::add("build_sorted_input", sort_edges(&mut edges, n) as u64);
 
         // Drop self-loops unless kept, then deduplicate in place, merging
         // weights. Any merge makes the graph weighted even if every input
@@ -144,6 +140,35 @@ impl GraphBuilder {
         snap_obs::add("build_edges_kept", edges.len() as u64);
         CsrGraph::fill(n, directed, edges, weighted)
     }
+}
+
+/// Put `(u, v, weight or edge id)` rows, endpoints below `n`, in `(u, v)`
+/// order, which defines edge ids, and say if they arrived in it. If not,
+/// two stable counting passes (by `v`, then by `u`) through one staging
+/// buffer sort them in `O(m + n)`; equal keys keep their input order.
+pub(crate) fn sort_edges(edges: &mut Vec<(u32, u32, u32)>, n: usize) -> bool {
+    if edges.is_sorted_by_key(|&(u, v, _)| (u, v)) {
+        return true;
+    }
+    let mut staged = vec![(0, 0, 0); edges.len()];
+    let mut starts = vec![0usize; n];
+    for key in [|e: &(u32, u32, u32)| e.1, |e: &(u32, u32, u32)| e.0] {
+        starts.fill(0);
+        for edge in edges.iter() {
+            starts[key(edge) as usize] += 1;
+        }
+        let mut start = 0;
+        for s in &mut starts {
+            (*s, start) = (start, start + *s);
+        }
+        for edge in edges.iter() {
+            let slot = &mut starts[key(edge) as usize];
+            staged[*slot] = *edge;
+            *slot += 1;
+        }
+        std::mem::swap(edges, &mut staged);
+    }
+    false
 }
 
 /// Convenience: build an undirected graph straight from an edge list.

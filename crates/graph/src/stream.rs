@@ -14,8 +14,8 @@
 //! * **Writers never rebuild from scratch.** [`StreamingGraph::merge`]
 //!   produces the next CSR by a linear merge-walk of the previous
 //!   snapshot's (sorted) edge list against the sorted *net* delta —
-//!   `O(m + n + d log d)` for `d` net-changed edges, versus the
-//!   `O(m log m)` sort a full [`DynGraph::to_csr`] rebuild pays.
+//!   `O(m + n + d log d)` for `d` net-changed edges; a full
+//!   [`DynGraph::to_csr`] rebuild gathers and counting-sorts all `m`.
 //! * **Readers never block writers.** A published [`Snapshot`] is an
 //!   `Arc<CsrGraph>` behind a pointer-sized swap; readers clone the `Arc`
 //!   (a [`SnapshotReader`] can do so from any thread) and keep analyzing
@@ -311,11 +311,11 @@ impl StreamingGraph {
     /// bumping the epoch.
     ///
     /// Cost: `O(d log d)` to sort the net delta of `d` edges plus one
-    /// linear merge-walk over the previous snapshot — the previous edge
-    /// list is already sorted, so unlike [`DynGraph::to_csr`] no global
-    /// sort is paid. Counters (`delta_edges`, `merge_edges_out`), the
-    /// `merge_us` histogram, and the `snapshot_epoch` gauge ride on the
-    /// enclosing snap-obs span when collection is enabled.
+    /// linear merge-walk over the previous snapshot's sorted edge list,
+    /// where [`DynGraph::to_csr`] sorts all `m`. Counters (`delta_edges`,
+    /// `merge_edges_out`), the `merge_us` histogram, and the
+    /// `snapshot_epoch` gauge ride on the enclosing snap-obs span when
+    /// collection is enabled.
     pub fn merge(&mut self) -> Snapshot {
         let merge_us = snap_obs::hist("merge_us");
         let timer = merge_us.start();
@@ -347,6 +347,7 @@ impl StreamingGraph {
                 _ => {}
             }
         }
+        // Comparison sorts: a counting sort would cost O(n) per merge for d ≪ n.
         added.sort_unstable();
         removed.sort_unstable();
         snap_obs::add("delta_edges", (added.len() + removed.len()) as u64);

@@ -7,7 +7,7 @@
 //! local→global vertex and edge mappings needed to report results in the
 //! original id space.
 
-use crate::builder::GraphBuilder;
+use crate::builder::{sort_edges, GraphBuilder};
 use crate::csr::CsrGraph;
 use crate::traits::{Graph, WeightedGraph};
 use crate::{EdgeId, VertexId};
@@ -53,10 +53,9 @@ impl InducedSubgraph {
                 edge_keys.push((lu, lv, e));
             }
         }
-        // The builder assigns edge ids in (u, v) order, so sort the key
-        // list the same way to align local edge ids with globals; the
-        // builder then finds it sorted and does not sort again.
-        edge_keys.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        // Local edge ids follow (u, v) order, so sort the keys the builder's
+        // way to align them with `edge_to_global`; it then skips its sort.
+        sort_edges(&mut edge_keys, to_global.len());
         edge_keys.dedup_by_key(|&mut (u, v, _)| (u, v));
         let edge_to_global = edge_keys.iter().map(|&(_, _, e)| e).collect();
         let edges = edge_keys.iter().map(|&(u, v, e)| (u, v, g.edge_weight(e)));

@@ -57,7 +57,7 @@ impl<'g, G: WeightedGraph> FilteredGraph<'g, G> {
         self.live.clear(e as usize);
         let (u, v) = self.base.edge_endpoints(e);
         self.degrees[u as usize] -= 1;
-        if u != v {
+        if u != v && !self.base.is_directed() {
             self.degrees[v as usize] -= 1;
         }
         self.live_edges -= 1;
@@ -72,7 +72,7 @@ impl<'g, G: WeightedGraph> FilteredGraph<'g, G> {
         self.live.set(e as usize);
         let (u, v) = self.base.edge_endpoints(e);
         self.degrees[u as usize] += 1;
-        if u != v {
+        if u != v && !self.base.is_directed() {
             self.degrees[v as usize] += 1;
         }
         self.live_edges += 1;

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use snap_graph::{
-    DynGraph, EdgeOp, FilteredGraph, Graph, GraphBuilder, StreamingGraph, Treap, VertexId,
+    CsrGraph, DynGraph, EdgeId, EdgeOp, FilteredGraph, Graph, GraphBuilder, InducedSubgraph,
+    StreamingGraph, Treap, VertexId, Weight, WeightedGraph,
 };
 use std::collections::{BTreeSet, HashSet};
 
@@ -228,6 +229,102 @@ proptest! {
         let rebuilt = view.rebuild();
         prop_assert_eq!(rebuilt.num_edges(), view.num_edges());
         prop_assert_eq!(rebuilt.edge_ids().count(), view.edge_ids().count());
+    }
+}
+
+/// A graph as its accessors show it: per-vertex adjacency with edge ids,
+/// then per-edge endpoints and weights.
+type Shape = (
+    Vec<(Vec<VertexId>, Vec<EdgeId>)>,
+    Vec<(VertexId, VertexId, Weight)>,
+    bool,
+);
+
+fn shape(g: &CsrGraph) -> Shape {
+    let rows = g.vertices();
+    let rows = rows.map(|v| (g.neighbor_slice(v).to_vec(), g.eid_slice(v).to_vec()));
+    let edges = g.edges().map(|(e, u, v)| (u, v, g.edge_weight(e)));
+    (rows.collect(), edges.collect(), g.is_weighted())
+}
+
+/// Extract the subgraph of `src` induced by `picks` and check it against
+/// the builder's graph of the live edges it should keep, mapped to local
+/// ids, and against `src` edge by edge.
+fn check_subgraph<G: Graph + WeightedGraph>(
+    src: &G,
+    picks: &[VertexId],
+) -> Result<(), TestCaseError> {
+    let sub = InducedSubgraph::extract(src, picks);
+    let mut first_seen = Vec::new();
+    for &v in picks {
+        if !first_seen.contains(&v) {
+            first_seen.push(v);
+        }
+    }
+    prop_assert_eq!(&sub.to_global, &first_seen);
+    let local = |g: VertexId| sub.to_global.iter().position(|&x| x == g);
+    let mapped = src.edge_ids().filter_map(|e| {
+        let (u, v) = src.edge_endpoints(e);
+        Some((
+            local(u)? as VertexId,
+            local(v)? as VertexId,
+            src.edge_weight(e),
+        ))
+    });
+    let k = sub.to_global.len();
+    let builder = match src.is_directed() {
+        true => GraphBuilder::directed(k),
+        false => GraphBuilder::undirected(k),
+    };
+    prop_assert_eq!(
+        shape(&sub.graph),
+        shape(&builder.add_weighted_edges(mapped).build())
+    );
+    prop_assert_eq!(sub.edge_to_global.len(), sub.graph.num_edges());
+    for (le, &ge) in (0..).zip(&sub.edge_to_global) {
+        let (lu, lv) = sub.graph.edge_endpoints(le);
+        let (gu, gv) = (sub.to_global[lu as usize], sub.to_global[lv as usize]);
+        let global = src.edge_endpoints(ge);
+        let same = global == (gu, gv) || (!src.is_directed() && global == (gv, gu));
+        prop_assert!(
+            same,
+            "local edge {le} is ({gu}, {gv}), global {ge} is {global:?}"
+        );
+        prop_assert_eq!(sub.graph.edge_weight(le), src.edge_weight(ge));
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Subgraphs drawn from vertex lists in random order with repeats, so
+    /// the edge keys reach the sort unsorted, from directed and undirected
+    /// graphs with weights, some behind a view with deleted edges.
+    #[test]
+    fn subgraph_extraction_matches_a_build_of_its_live_edges(
+        (n, edges) in edge_list(),
+        weights in prop::collection::vec(1u32..4, 64),
+        directed in 0u8..2,
+        picks in prop::collection::vec(0u32..24, 0..32),
+        dels in prop::collection::vec(0usize..64, 0..16),
+    ) {
+        let edges = edges.iter().zip(&weights).map(|(&(u, v), &w)| (u, v, w));
+        let builder = match directed {
+            1 => GraphBuilder::directed(n),
+            _ => GraphBuilder::undirected(n),
+        };
+        let g = builder.add_weighted_edges(edges).build();
+        let picks: Vec<VertexId> = picks.into_iter().filter(|&v| (v as usize) < n).collect();
+        check_subgraph(&g, &picks)?;
+        let mut view = FilteredGraph::new(&g);
+        for d in dels {
+            if g.num_edges() > 0 {
+                view.delete_edge((d % g.num_edges()) as EdgeId);
+            }
+        }
+        for v in view.vertices() {
+            prop_assert_eq!(view.degree(v), view.neighbors(v).count());
+        }
+        check_subgraph(&view, &picks)?;
     }
 }
 

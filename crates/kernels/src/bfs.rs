@@ -484,26 +484,23 @@ pub fn bfs_limited<G: Graph>(g: &G, source: VertexId, limit: usize) -> Vec<(Vert
     if limit == 0 {
         return Vec::new();
     }
-    let n = g.num_vertices();
-    let mut dist = vec![UNREACHABLE; n];
-    let mut queue = std::collections::VecDeque::new();
-    let mut order = Vec::with_capacity(limit.min(n));
-    dist[source as usize] = 0;
-    queue.push_back(source);
+    // State covers only what the search touches, so a short probe costs
+    // O(limit + arcs scanned), not O(n); `order` is also the queue.
+    let reach = limit.min(g.num_vertices());
+    let mut seen = std::collections::HashSet::with_capacity(reach);
+    let mut order = Vec::with_capacity(reach);
+    seen.insert(source);
     order.push((source, 0));
-    'outer: while let Some(u) = queue.pop_front() {
-        if order.len() >= limit {
-            break;
-        }
-        let du = dist[u as usize];
+    let mut head = 0;
+    while head < order.len() && order.len() < limit {
+        let (u, du) = order[head];
+        head += 1;
         for v in g.neighbors(u) {
-            if dist[v as usize] == UNREACHABLE {
-                dist[v as usize] = du + 1;
+            if seen.insert(v) {
                 order.push((v, du + 1));
                 if order.len() >= limit {
-                    break 'outer;
+                    break;
                 }
-                queue.push_back(v);
             }
         }
     }

@@ -44,39 +44,14 @@ pub fn coarsen(g: &CsrGraph, vwgt: &[u32], seed: u64) -> CoarseLevel {
         cw[map[v] as usize] += vwgt[v];
     }
 
-    // Surviving edges as canonical (cu, cv, w), cu < cv, counted per
-    // coarse endpoint so two stable counting passes (by cv, then by cu)
-    // hand the builder (u, v)-sorted input and it skips its sort.
+    // Surviving edges as canonical (cu, cv, w), cu < cv; the builder sorts.
     let mut edges = Vec::with_capacity(g.num_edges());
-    let mut by_u = vec![0usize; cn];
-    let mut by_v = vec![0usize; cn];
     for (e, u, v) in g.edges() {
         let (cu, cv) = (map[u as usize], map[v as usize]);
         if cu != cv {
-            let (cu, cv) = (cu.min(cv), cu.max(cv));
-            by_u[cu as usize] += 1;
-            by_v[cv as usize] += 1;
-            edges.push((cu, cv, g.edge_weight(e)));
+            edges.push((cu.min(cv), cu.max(cv), g.edge_weight(e)));
         }
     }
-    for counts in [&mut by_u, &mut by_v] {
-        let mut start = 0;
-        for c in counts.iter_mut() {
-            (*c, start) = (start, start + *c);
-        }
-    }
-    let mut staged = vec![(0, 0, 0); edges.len()];
-    for &edge in &edges {
-        let slot = &mut by_v[edge.1 as usize];
-        staged[*slot] = edge;
-        *slot += 1;
-    }
-    for &edge in &staged {
-        let slot = &mut by_u[edge.0 as usize];
-        edges[*slot] = edge;
-        *slot += 1;
-    }
-    drop(staged);
     CoarseLevel {
         graph: GraphBuilder::undirected(cn).with_edges(edges).build(),
         vwgt: cw,

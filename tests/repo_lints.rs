@@ -350,6 +350,51 @@ fn csr_is_filled_in_one_place() {
     );
 }
 
+/// A sort of an edge list keyed on its `(u, v)` pair, outside a comment
+/// line.
+fn edge_sort(line: &str) -> bool {
+    !line.trim_start().starts_with("//")
+        && ["sort_unstable_by_key(|&(u, v", "sort_by_key(|&(u, v"]
+            .iter()
+            .any(|call| line.contains(call))
+}
+
+/// Edge lists are put in `(u, v)` order, the order that defines edge
+/// ids, in one place: the builder's counting sort, which the builder, the
+/// multilevel contraction and subgraph extraction all go through
+/// (DESIGN.md §2). A second sort is how the contraction once carried a
+/// private copy of it. Unit tests (below a file's `#[cfg(test)]`) are
+/// not swept.
+#[test]
+fn edges_are_ordered_in_one_place() {
+    assert!(edge_sort(
+        "            edges.sort_unstable_by_key(|&(u, v, _)| (u, v));"
+    ));
+    assert!(edge_sort(
+        "        edge_keys.sort_unstable_by_key(|&(u, v, _)| (u, v));"
+    ));
+    assert!(edge_sort("    pairs.sort_by_key(|&(u, v)| (v, u));"));
+    assert!(!edge_sort(
+        "            row.sort_unstable_by_key(|&(c, _)| c);"
+    ));
+    assert!(!edge_sort("        added.sort_unstable();"));
+    assert!(!edge_sort(
+        "    // edges.sort_unstable_by_key(|&(u, v, _)| (u, v))"
+    ));
+    let mut sources = rust_sources(&["crates"]);
+    sources.retain(|(path, _)| path.split('/').nth(2) == Some("src"));
+    for (_, text) in &mut sources {
+        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+        text.truncate(end);
+    }
+    let hits = flagged(&sources, edge_sort);
+    assert!(
+        hits.is_empty(),
+        "order edges through the builder:\n{}",
+        hits.join("\n")
+    );
+}
+
 /// The binary's cap: a front end with one pipeline per command, one
 /// copy of the synopsis and of the analysis commands' frame. A ratchet:
 /// lower it when the file shrinks, never raise it past 1 150.
