@@ -149,6 +149,21 @@ fn hash_scores(s: &snap::centrality::BetweennessScores) -> u64 {
     Fnv::new().f64s(&s.vertex).f64s(&s.edge).0
 }
 
+/// A divisive run's removal sequence (edge id and `q` bits), then its
+/// assignment and `q` bits.
+fn hash_divisive(r: &snap::community::DivisiveResult) -> u64 {
+    let mut h = Fnv::new();
+    for &(e, q) in &r.removals {
+        h.word(e as u64);
+        h.word(q.to_bits());
+    }
+    for &c in &r.clustering.assignment {
+        h.word(c as u64);
+    }
+    h.word(r.q.to_bits());
+    h.0
+}
+
 fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
     let mut h = Fnv::new();
     h.word(p.average.to_bits());
@@ -161,8 +176,11 @@ fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
 /// FNV-1a hashes of every multi-source kernel's output on fixed
 /// instances (R-MAT scale 8, ER n = 500, Watts–Strogatz n = 256, and a
 /// filtered view of the first), of pLA's labels on a planted 2^11 graph
-/// and a filtered view of it, and of two multilevel partitions (k-way on
-/// a planted 2^12 graph, recursive on R-MAT scale 10): the "same
+/// and a filtered view of it, of two multilevel partitions (k-way on a
+/// planted 2^12 graph, recursive on R-MAT scale 10), and of four
+/// divisive runs (GN's full schedule and default pBD on Karate; pBD at
+/// `exact_threshold` 48 on a planted 2^8 graph, which runs the bridge,
+/// fine and coarse phases, and on R-MAT scale 7): the "same
 /// numbers" invariant every refactor and optimisation of those kernels
 /// is held to. The values are pinned by this crate's
 /// `fixture_hashes_are_pinned` test, so any accumulation-order drift
@@ -172,14 +190,15 @@ fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
 /// chunked accumulate-and-reduce path: 32 sources in 16-source chunks,
 /// and 4 sources one per chunk; pLA clusters its components one per
 /// work unit. The bits depend on the source count only, so the values do
-/// not depend on the host's core count; the two partitions run on the
-/// default pool and are the same at every thread count.
-pub fn fixture_hashes() -> [(&'static str, u64); 13] {
+/// not depend on the host's core count; the two partitions and the four
+/// divisive runs use the default pool and are the same at every thread
+/// count.
+pub fn fixture_hashes() -> [(&'static str, u64); 17] {
     use snap::centrality::{
         betweenness_from_sources, brandes, closeness, sample_sources, sampled_closeness,
         weighted_betweenness,
     };
-    use snap::community::{pla, pla_view, PlaConfig};
+    use snap::community::{girvan_newman, pbd, pla, pla_view, GnConfig, PbdConfig, PlaConfig};
     use snap::gen::{erdos_renyi, planted_partition, rmat, watts_strogatz};
     use snap::gen::{PlantedConfig, RmatConfig};
     use snap::graph::{FilteredGraph, Graph};
@@ -241,6 +260,17 @@ pub fn fixture_hashes() -> [(&'static str, u64); 13] {
     )
     .0;
     let rmat10 = rmat(&RmatConfig::small_world(10, 8 << 10), 5);
+    let karate = snap::io::karate_club();
+    let pbd48 = |g| {
+        let cfg = PbdConfig {
+            exact_threshold: 48,
+            ..PbdConfig::default()
+        };
+        hash_divisive(&pbd(g, &cfg))
+    };
+    let planted8 =
+        planted_partition(&PlantedConfig::with_target_degrees(1 << 8, 16, 8.0, 2.0), 3).0;
+    let rmat7 = rmat(&RmatConfig::small_world(7, 8 << 7), 5);
     [
         ("brandes_rmat8", hash_scores(&brandes(&g1))),
         ("closeness_rmat8", Fnv::new().f64s(&closeness(&g1)).0),
@@ -273,6 +303,16 @@ pub fn fixture_hashes() -> [(&'static str, u64); 13] {
             "recursive8_rmat10",
             assignment(&rmat10, KwayConfig::recursive(8, 3)),
         ),
+        (
+            "gn_karate",
+            hash_divisive(&girvan_newman(&karate, &GnConfig::default())),
+        ),
+        (
+            "pbd_karate",
+            hash_divisive(&pbd(&karate, &PbdConfig::default())),
+        ),
+        ("pbd_planted8", pbd48(&planted8)),
+        ("pbd_rmat7", pbd48(&rmat7)),
     ]
 }
 
@@ -304,6 +344,10 @@ mod tests {
             "pla_planted_t2 0x5ac1504d70fb15c1",
             "kway4_planted12 0x56ffd33a6722bf84",
             "recursive8_rmat10 0x27264e048c48ed84",
+            "gn_karate 0x6457da3396057d5f",
+            "pbd_karate 0xe333e041dd489517",
+            "pbd_planted8 0x27df5a3310792471",
+            "pbd_rmat7 0x281ef9d5c99575be",
         ];
         assert_eq!(got, pinned);
     }
