@@ -32,7 +32,6 @@ fn bench_bridges(c: &mut Criterion) {
         group.bench_function(name, |b| {
             let cfg = PbdConfig {
                 bridge_preprocess: preprocess,
-                patience: Some(40),
                 ..Default::default()
             };
             b.iter(|| pbd(&g, &cfg))

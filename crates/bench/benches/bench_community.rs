@@ -13,7 +13,6 @@ fn bench_community(c: &mut Criterion) {
     );
     group.bench_function("pbd-2k", |b| {
         let cfg = PbdConfig {
-            patience: Some(25),
             batch: 8,
             ..Default::default()
         };

@@ -346,8 +346,8 @@ mod tests {
             "recursive8_rmat10 0x27264e048c48ed84",
             "gn_karate 0x6457da3396057d5f",
             "pbd_karate 0xe333e041dd489517",
-            "pbd_planted8 0x27df5a3310792471",
-            "pbd_rmat7 0x281ef9d5c99575be",
+            "pbd_planted8 0xfb01c5430f632592",
+            "pbd_rmat7 0x2af1f85783c004bb",
         ];
         assert_eq!(got, pinned);
     }

@@ -1,16 +1,42 @@
 //! Shared engine for the divisive (edge-cutting) clustering algorithms.
 //!
 //! Both Girvan–Newman and the paper's pBD repeat the same inner loop:
-//! delete an edge from a filtered view, detect whether its component
+//! score the live edges, cut the top one(s), detect whether a component
 //! split, and update the modularity of the partition induced by the
-//! current components — always measured against the *base* graph. The
-//! engine keeps that bookkeeping incremental: a deletion costs a
-//! connectivity check plus work proportional to the smaller split side,
-//! not O(m).
+//! current components — always measured against the *base* graph. That
+//! loop is written once, [`DivisiveEngine::cut_rounds`], and its
+//! bookkeeping is incremental: a deletion costs a connectivity check plus
+//! work proportional to the smaller split side, not O(m), and a round
+//! rescores only the components the previous round's cuts changed.
 
 use crate::clustering::Clustering;
-use snap_graph::{CsrGraph, EdgeId, FilteredGraph, Graph, VertexId};
-use snap_kernels::connected_components;
+use snap_centrality::betweenness_from_sources_in;
+use snap_graph::perm::sample_sources;
+use snap_graph::{CsrGraph, EdgeId, FilteredGraph, Graph, InducedSubgraph, VertexId};
+use snap_kernels::{connected_components, Exec};
+
+/// Lower bound on sampled sources per component: on small components a
+/// bare percentage gives too noisy a ranking to cut by.
+const MIN_SOURCES: usize = 96;
+
+/// How [`DivisiveEngine::cut_rounds`] scores edges and when it stops.
+pub(crate) struct CutRule {
+    /// `None` scores exactly: every vertex of a component is a source.
+    /// `Some((frac, seed))` draws a seeded sample of
+    /// `k_C = min(|C|, max(⌈frac·|C|⌉, MIN_SOURCES))` sources from each
+    /// component `C`.
+    pub(crate) sample: Option<(f64, u64)>,
+    /// Only edges of components with more vertices than this are scored
+    /// and cut.
+    pub(crate) threshold: usize,
+    /// Edges cut per round.
+    pub(crate) batch: usize,
+    /// Stop once the removal list holds this many cuts.
+    pub(crate) cap: usize,
+    /// Stop after this many rounds in a row that did not raise the best
+    /// modularity.
+    pub(crate) patience: Option<usize>,
+}
 
 /// Incremental divisive-clustering state over a base graph.
 pub(crate) struct DivisiveEngine<'g> {
@@ -23,6 +49,8 @@ pub(crate) struct DivisiveEngine<'g> {
     intra: Vec<f64>,
     /// Per-label base-degree sum.
     degsum: Vec<f64>,
+    /// Per-label vertex count.
+    size: Vec<usize>,
     /// Effective degree per vertex: base degree plus any external bonus
     /// (edges to vertices outside this engine's base graph, when refining
     /// an extracted component of a larger graph).
@@ -66,12 +94,14 @@ impl<'g> DivisiveEngine<'g> {
             .collect();
         let mut intra = vec![0.0; k];
         let mut degsum = vec![0.0; k];
+        let mut size = vec![0; k];
         for e in base.edge_ids() {
             let (u, _) = base.edge_endpoints(e);
             intra[comps.comp[u as usize] as usize] += 1.0;
         }
         for v in 0..n {
             degsum[comps.comp[v] as usize] += deg[v];
+            size[comps.comp[v] as usize] += 1;
         }
         let q = if m_norm == 0.0 {
             0.0
@@ -89,6 +119,7 @@ impl<'g> DivisiveEngine<'g> {
             comp: comps.comp,
             intra,
             degsum,
+            size,
             deg,
             m_norm,
             q,
@@ -116,34 +147,77 @@ impl<'g> DivisiveEngine<'g> {
         self.best_q
     }
 
-    /// Number of still-live edges in the view.
-    pub(crate) fn live_edges(&self) -> usize {
-        self.view.num_edges()
-    }
-
-    /// Current cluster labels (not renumbered).
-    pub(crate) fn labels(&self) -> &[u32] {
-        &self.comp
-    }
-
     /// The best clustering seen, renumbered consecutively.
     pub(crate) fn best_clustering(&self) -> Clustering {
         Clustering::from_labels(&self.best_comp)
     }
 
-    /// The current clustering, renumbered consecutively.
-    pub(crate) fn current_clustering(&self) -> Clustering {
-        Clustering::from_labels(&self.comp)
+    /// The members of every current cluster whose raw label and size
+    /// pass `keep`, as `(label, vertices)` in label order, vertices
+    /// ascending.
+    pub(crate) fn members_where(
+        &self,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Vec<(usize, Vec<VertexId>)> {
+        let mut slot = vec![usize::MAX; self.size.len()];
+        let mut groups = Vec::new();
+        for (label, &size) in self.size.iter().enumerate() {
+            if keep(label, size) {
+                slot[label] = groups.len();
+                groups.push((label, Vec::with_capacity(size)));
+            }
+        }
+        if !groups.is_empty() {
+            for (v, &c) in self.comp.iter().enumerate() {
+                if let Some((_, verts)) = groups.get_mut(slot[c as usize]) {
+                    verts.push(v as VertexId);
+                }
+            }
+        }
+        groups
     }
 
-    /// Members of each current cluster, keyed by raw label.
-    pub(crate) fn cluster_members(&self) -> std::collections::HashMap<u32, Vec<VertexId>> {
-        let mut map: std::collections::HashMap<u32, Vec<VertexId>> =
-            std::collections::HashMap::new();
-        for (v, &c) in self.comp.iter().enumerate() {
-            map.entry(c).or_default().push(v as VertexId);
+    /// Run the divisive cut loop: each round scores the candidate edges,
+    /// cuts the top `rule.batch` of them (score descending, then edge id
+    /// ascending), and appends each cut as `(edge, q after it)` to
+    /// `removals`. Candidates are the live edges of components with more
+    /// than `rule.threshold` vertices.
+    ///
+    /// The loop stops at `rule.cap` removals, when no candidate is left,
+    /// on `rule.patience`, or when `exec`'s budget cuts a round's sweep
+    /// short: that round cuts nothing, and the best prefix of the cuts
+    /// made so far is the answer ([`Self::best_clustering`]). Each round
+    /// adds to the `rounds` counter and the `round_us` histogram.
+    pub(crate) fn cut_rounds(
+        &mut self,
+        rule: &CutRule,
+        exec: &Exec,
+        removals: &mut Vec<(EdgeId, f64)>,
+    ) {
+        let mut rounds = CutLoop::new(self, rule);
+        // Per-round latency: rounds that rescore a giant component dwarf
+        // the rest, so the spread is the signal.
+        let round_us = snap_obs::hist("round_us");
+        let mut since_best = 0usize;
+        loop {
+            let timer = round_us.start();
+            let before = self.best_q;
+            if !rounds.round(self, exec, removals) {
+                break;
+            }
+            round_us.stop_us(timer);
+            snap_obs::add("rounds", 1);
+            if let Some(p) = rule.patience {
+                since_best = if self.best_q > before {
+                    0
+                } else {
+                    since_best + 1
+                };
+                if since_best >= p {
+                    break;
+                }
+            }
         }
-        map
     }
 
     /// Delete edge `e`; returns the modularity after the deletion (which
@@ -189,15 +263,12 @@ impl<'g> DivisiveEngine<'g> {
 
         self.mark[u as usize] = true;
         self.mark2[v as usize] = true;
-        let mut side_u: Vec<VertexId> = vec![u];
-        let mut side_v: Vec<VertexId> = vec![v];
-        let mut front_u: Vec<VertexId> = vec![u];
-        let mut front_v: Vec<VertexId> = vec![v];
-        let mut connected = false;
-        // `None` until a side exhausts; then Some(true) = u-side split off.
-        let mut u_side_split: Option<bool> = None;
-        loop {
-            // Expand the side that has explored less so far.
+        let (mut side_u, mut side_v) = (vec![u], vec![v]);
+        let (mut front_u, mut front_v) = (vec![u], vec![v]);
+        // Expand the side that has explored less so far, until the
+        // searches meet (`None`: still connected) or a side exhausts
+        // (`Some(true)`: the u side split off).
+        let split_u = loop {
             if side_u.len() <= side_v.len() {
                 if expand_level(
                     &self.view,
@@ -206,12 +277,10 @@ impl<'g> DivisiveEngine<'g> {
                     &mut self.mark,
                     &self.mark2,
                 ) {
-                    connected = true;
-                    break;
+                    break None;
                 }
                 if front_u.is_empty() {
-                    u_side_split = Some(true);
-                    break;
+                    break Some(true);
                 }
             } else {
                 if expand_level(
@@ -221,39 +290,24 @@ impl<'g> DivisiveEngine<'g> {
                     &mut self.mark2,
                     &self.mark,
                 ) {
-                    connected = true;
-                    break;
+                    break None;
                 }
                 if front_v.is_empty() {
-                    u_side_split = Some(false);
-                    break;
+                    break Some(false);
                 }
             }
-        }
-        if connected {
-            for &x in &side_u {
-                self.mark[x as usize] = false;
-            }
-            for &x in &side_v {
-                self.mark2[x as usize] = false;
-            }
-            return self.q;
-        }
+        };
 
-        // Component split: the exhausted side becomes a new cluster. Use
-        // its (complete) explored set; membership tests go through its
-        // mark array.
-        let split_u = u_side_split.expect("loop exits via connected or exhaustion");
+        // On a split the exhausted side becomes a new cluster. Its
+        // explored set is complete; membership tests go through its mark
+        // array.
         let old = self.comp[u as usize];
         debug_assert_eq!(old, self.comp[v as usize]);
-        let mut part_intra = 0.0f64;
-        let mut part_degsum = 0.0f64;
-        let mut cut = 0.0f64;
-        {
-            let (side, own): (&[VertexId], &[bool]) = if split_u {
-                (&side_u, &self.mark)
-            } else {
-                (&side_v, &self.mark2)
+        let (mut part_intra, mut part_degsum, mut cut) = (0.0f64, 0.0f64, 0.0f64);
+        if let Some(split_u) = split_u {
+            let (side, own) = match split_u {
+                true => (&side_u, &self.mark),
+                false => (&side_v, &self.mark2),
             };
             for &x in side {
                 part_degsum += self.deg[x as usize];
@@ -266,12 +320,6 @@ impl<'g> DivisiveEngine<'g> {
                 }
             }
         }
-        part_intra /= 2.0;
-        let side: Vec<VertexId> = if split_u {
-            side_u.clone()
-        } else {
-            side_v.clone()
-        };
         // Clear both mark arrays now that membership queries are done.
         for &x in &side_u {
             self.mark[x as usize] = false;
@@ -279,6 +327,11 @@ impl<'g> DivisiveEngine<'g> {
         for &x in &side_v {
             self.mark2[x as usize] = false;
         }
+        let Some(split_u) = split_u else {
+            return self.q;
+        };
+        part_intra /= 2.0;
+        let side = if split_u { side_u } else { side_v };
 
         let new_label = self.intra.len() as u32;
         // Remove old term, add the two new terms.
@@ -297,6 +350,8 @@ impl<'g> DivisiveEngine<'g> {
         self.degsum[old as usize] = rem_degsum;
         self.intra.push(part_intra);
         self.degsum.push(part_degsum);
+        self.size[old as usize] -= side.len();
+        self.size.push(side.len());
         self.q += term(rem_intra, rem_degsum) + term(part_intra, part_degsum);
 
         for &x in &side {
@@ -310,11 +365,137 @@ impl<'g> DivisiveEngine<'g> {
     }
 }
 
+/// The state [`DivisiveEngine::cut_rounds`] keeps between rounds.
+///
+/// Betweenness in a component `C` gets contributions only from sources
+/// in `C`, so the scores of a component no cut has touched since they
+/// were computed are still what a fresh pass would give, and are kept.
+struct CutLoop<'r> {
+    rule: &'r CutRule,
+    /// Per edge id: the score it was last given, on the scale of its
+    /// component's exact betweenness (`sums × |C| / k_C`), so scores of
+    /// different components and rounds compare.
+    score: Vec<f64>,
+    /// Per label: whether a cut has changed the component since its
+    /// scores were computed (every label before the first round).
+    stale: Vec<bool>,
+    round: u64,
+}
+
+impl<'r> CutLoop<'r> {
+    fn new(engine: &DivisiveEngine<'_>, rule: &'r CutRule) -> Self {
+        CutLoop {
+            rule,
+            score: vec![0.0; engine.base.edge_id_bound()],
+            stale: vec![true; engine.intra.len()],
+            round: 0,
+        }
+    }
+
+    /// One round: rescore the stale candidate components, then cut.
+    /// Returns `false`, having cut nothing, at the removal cap, when no
+    /// candidate is left, or when the budget cut the sweep short.
+    fn round(
+        &mut self,
+        engine: &mut DivisiveEngine<'_>,
+        exec: &Exec,
+        removals: &mut Vec<(EdgeId, f64)>,
+    ) -> bool {
+        let rule = self.rule;
+        if removals.len() >= rule.cap || !self.rescore(engine, exec) {
+            return false;
+        }
+        self.round += 1;
+
+        let mut cand: Vec<EdgeId> = engine
+            .view
+            .live_edge_ids()
+            .filter(|&e| {
+                let label = engine.comp[engine.base.edge_endpoints(e).0 as usize];
+                engine.size[label as usize] > rule.threshold
+            })
+            .collect();
+        if cand.is_empty() {
+            return false;
+        }
+        let score = &self.score;
+        let by_score = |a: &EdgeId, b: &EdgeId| {
+            score[*b as usize]
+                .partial_cmp(&score[*a as usize])
+                .unwrap()
+                .then(a.cmp(b))
+        };
+        let batch = rule.batch.clamp(1, cand.len());
+        if batch < cand.len() {
+            cand.select_nth_unstable_by(batch - 1, by_score);
+            cand.truncate(batch);
+        }
+        cand.sort_unstable_by(by_score);
+        let first = removals.len();
+        for e in cand {
+            if removals.len() >= rule.cap {
+                break;
+            }
+            let q = engine.delete_edge(e);
+            removals.push((e, q));
+        }
+        // Every component a cut changed holds one of its endpoints: mark
+        // both sides of every cut, split or not.
+        self.stale.resize(engine.intra.len(), false);
+        for &(e, _) in &removals[first..] {
+            let (u, v) = engine.base.edge_endpoints(e);
+            self.stale[engine.comp[u as usize] as usize] = true;
+            self.stale[engine.comp[v as usize] as usize] = true;
+        }
+        true
+    }
+
+    /// Score every stale component above the threshold, in label order,
+    /// and clear its mark. Each is scored on its own extracted live
+    /// subgraph, so `betweenness_from_sources_in`'s `n / sources` scaling
+    /// is the component's `|C| / k_C`: exactly 1 for an exact pass.
+    /// Returns `false` when the budget cut a sweep short.
+    fn rescore(&mut self, engine: &DivisiveEngine<'_>, exec: &Exec) -> bool {
+        let rule = self.rule;
+        let stale = engine.members_where(|c, size| self.stale[c] && size > rule.threshold);
+        for (label, verts) in stale {
+            let size = verts.len();
+            self.stale[label] = false;
+            let sub = InducedSubgraph::extract(&engine.view, &verts);
+            let sources = match rule.sample {
+                Some((frac, seed)) => {
+                    let k = ((frac * size as f64).ceil() as usize).max(MIN_SOURCES);
+                    let seed = seed ^ (self.round << 32) ^ label as u64;
+                    (k < size).then(|| sample_sources(size, k, seed))
+                }
+                None => None,
+            }
+            .unwrap_or_else(|| (0..size as VertexId).collect());
+            let partial = betweenness_from_sources_in(&sub.graph, &sources, exec);
+            if partial.degraded() {
+                return false;
+            }
+            for (local, &e) in sub.edge_to_global.iter().enumerate() {
+                self.score[e as usize] = partial.scores.edge[local];
+            }
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::modularity::modularity;
+    use proptest::prelude::*;
     use snap_graph::builder::from_edges;
+
+    impl DivisiveEngine<'_> {
+        /// The current clustering, renumbered consecutively.
+        fn current_clustering(&self) -> Clustering {
+            Clustering::from_labels(&self.comp)
+        }
+    }
 
     fn barbell() -> CsrGraph {
         from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
@@ -400,5 +581,62 @@ mod tests {
         let q1 = eng.delete_edge(0);
         let q2 = eng.delete_edge(0);
         assert_eq!(q1, q2);
+    }
+
+    /// Blocks of the given sizes, each a random spanning tree plus each
+    /// other pair with probability `p`: a graph of several components.
+    fn blocks(sizes: &[usize], p: f64, seed: u64) -> CsrGraph {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (mut edges, mut first) = (Vec::new(), 0u32);
+        for &size in sizes {
+            for v in 1..size as u32 {
+                edges.push((first + rng.gen_range(0..v), first + v));
+            }
+            for u in 0..size as u32 {
+                for v in u + 1..size as u32 {
+                    if rng.gen_bool(p) {
+                        edges.push((first + u, first + v));
+                    }
+                }
+            }
+            first += size as u32;
+        }
+        from_edges(first as usize, &edges)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every round of an exact run, with the stale components
+        /// rescored, every live edge's kept score equals a fresh exact
+        /// betweenness pass over the whole view: the components the loop
+        /// did not mark are exactly the ones no cut changed.
+        #[test]
+        fn kept_scores_equal_a_fresh_exact_pass(
+            sizes in prop::collection::vec(1usize..14, 2usize..6),
+            p in 0.0f64..0.6,
+            seed in 0u64..u64::MAX,
+            batch in 1usize..4,
+        ) {
+            let g = blocks(&sizes, p, seed);
+            let mut eng = DivisiveEngine::new(&g, g.num_edges() as f64);
+            let rule = CutRule { sample: None, threshold: 0, batch, cap: usize::MAX, patience: None };
+            let exec = Exec::default();
+            let mut rounds = CutLoop::new(&eng, &rule);
+            let mut removals = Vec::new();
+            while rounds.round(&mut eng, &exec, &mut removals) {
+                prop_assert!(rounds.rescore(&eng, &exec));
+                let exact = snap_centrality::brandes(&eng.view);
+                for e in eng.view.live_edge_ids() {
+                    let (kept, fresh) = (rounds.score[e as usize], exact.edge[e as usize]);
+                    prop_assert!(
+                        (kept - fresh).abs() <= 1e-12 * fresh.abs().max(1.0),
+                        "edge {} after {} cuts: kept {} fresh {}", e, removals.len(), kept, fresh
+                    );
+                }
+            }
+            prop_assert_eq!(removals.len(), g.num_edges());
+        }
     }
 }

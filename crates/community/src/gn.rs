@@ -8,9 +8,8 @@
 //! the expensive exact baseline pBD is measured against.
 
 use crate::clustering::Clustering;
-use crate::divisive::DivisiveEngine;
-use snap_centrality::betweenness_from_sources_in;
-use snap_graph::{CsrGraph, EdgeId, Graph, VertexId};
+use crate::divisive::{CutRule, DivisiveEngine};
+use snap_graph::{CsrGraph, EdgeId, Graph};
 use snap_kernels::Exec;
 
 /// Configuration for [`girvan_newman`].
@@ -42,54 +41,23 @@ pub fn girvan_newman(g: &CsrGraph, cfg: &GnConfig) -> DivisiveResult {
     girvan_newman_in(g, cfg, &Exec::default())
 }
 
-/// Run Girvan–Newman with `exec`'s budget and workspace pool. The pool
-/// serves all removal rounds: each round's betweenness pass rebinds the
-/// predecessor offsets to the mutated view but reuses every slot array.
-/// When the budget trips the schedule stops cutting, and the
-/// best-modularity prefix of the removals made so far is the answer.
+/// Run Girvan–Newman with `exec`'s budget and workspace pool. Each round
+/// rescores, exactly, only the components the previous cut changed; the
+/// pool serves every round's betweenness pass. When the budget cuts a
+/// pass short the schedule stops cutting, and the best-modularity prefix
+/// of the removals made so far is the answer.
 pub fn girvan_newman_in(g: &CsrGraph, cfg: &GnConfig, exec: &Exec) -> DivisiveResult {
     let m = g.num_edges();
     let mut engine = DivisiveEngine::new(g, m as f64);
     let mut removals = Vec::new();
-    let max_removals = cfg.max_removals.unwrap_or(m).min(m);
-    let all_sources: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-    let mut since_best = 0usize;
-
-    while removals.len() < max_removals && engine.live_edges() > 0 {
-        // Exact edge betweenness on the current filtered view,
-        // parallelized over sources. A pass the budget cut short would
-        // rank edges by a biased partial sum (the source order is not
-        // shuffled): stop cutting instead.
-        let partial = betweenness_from_sources_in(&engine.view, &all_sources, exec);
-        if partial.degraded() {
-            break;
-        }
-        let bc = partial.scores;
-        let best_edge = engine
-            .view
-            .live_edge_ids()
-            .max_by(|&a, &b| {
-                bc.edge[a as usize]
-                    .partial_cmp(&bc.edge[b as usize])
-                    .unwrap()
-                    .then(b.cmp(&a))
-            })
-            .expect("live edges exist");
-        let before = engine.best_q();
-        let q = engine.delete_edge(best_edge);
-        removals.push((best_edge, q));
-        if let Some(p) = cfg.patience {
-            if engine.best_q() > before {
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if since_best >= p {
-                    break;
-                }
-            }
-        }
-    }
-
+    let rule = CutRule {
+        sample: None,
+        threshold: 0,
+        batch: 1,
+        cap: cfg.max_removals.unwrap_or(m).min(m),
+        patience: cfg.patience,
+    };
+    engine.cut_rounds(&rule, exec, &mut removals);
     DivisiveResult {
         clustering: engine.best_clustering(),
         q: engine.best_q(),

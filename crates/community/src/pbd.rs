@@ -5,7 +5,8 @@
 //!
 //! 1. **Approximate betweenness** (adaptive/sampled, Bader et al. WAW
 //!    2007) replaces the exact recomputation of Girvan–Newman: each round
-//!    samples a small fraction of sources and cuts the top-scoring edges.
+//!    samples a fraction of each changed component's vertices as sources
+//!    and cuts the top-scoring edges.
 //! 2. **Biconnected-components preprocessing** (optional step 1):
 //!    bridges separating two non-trivial sides are provably the
 //!    highest-betweenness edges of their neighborhoods; cutting them up
@@ -16,21 +17,14 @@
 //!    (components refined independently in parallel, with *exact*
 //!    betweenness, since each component is now small).
 //! 4. `O(m)`-work steps (modularity updates, component updates) stay
-//!    incremental via `DivisiveEngine` (`divisive.rs`).
+//!    incremental via `DivisiveEngine` (`divisive.rs`), whose one cut
+//!    loop runs both phases.
 
-use crate::divisive::DivisiveEngine;
+use crate::divisive::{CutRule, DivisiveEngine};
 use crate::gn::DivisiveResult;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use rayon::prelude::*;
-use snap_budget::Budget;
-use snap_centrality::{approx_betweenness_in, betweenness_from_sources_in};
 use snap_graph::{CsrGraph, Graph, InducedSubgraph, VertexId};
 use snap_kernels::{bfs_limited, biconnected_components, Exec};
-
-/// Lower bound on sampled sources per round: on small graphs a bare
-/// percentage gives too noisy a ranking to cut by.
-const MIN_SOURCES: usize = 96;
 
 /// Bridges are pre-cut only when both sides have at least this many
 /// vertices (pendant-edge bridges stay, as cutting them only strands
@@ -40,8 +34,9 @@ const MIN_BRIDGE_SIDE: usize = 4;
 /// Configuration for [`pbd`].
 #[derive(Clone, Debug)]
 pub struct PbdConfig {
-    /// Fraction of vertices sampled as betweenness sources per round
-    /// (the paper's finding: 5% suffices for the top-centrality edges).
+    /// Fraction of a component's vertices sampled as betweenness sources
+    /// when it is rescored, at least 96 (the paper's finding: 5% suffices
+    /// for the top-centrality edges).
     pub sample_frac: f64,
     /// Edges cut per betweenness recomputation. 1 reproduces the paper's
     /// schedule exactly; larger batches trade fidelity for speed on
@@ -53,9 +48,6 @@ pub struct PbdConfig {
     pub bridge_preprocess: bool,
     /// Hard cap on total edge removals (`None` = no cap).
     pub max_removals: Option<usize>,
-    /// Stop the fine-grained phase after this many rounds without a
-    /// modularity improvement (`None` = run until the exact phase).
-    pub patience: Option<usize>,
     /// RNG seed for source sampling.
     pub seed: u64,
 }
@@ -68,7 +60,6 @@ impl Default for PbdConfig {
             exact_threshold: 220,
             bridge_preprocess: true,
             max_removals: None,
-            patience: None,
             seed: 0x5bad,
         }
     }
@@ -79,18 +70,19 @@ pub fn pbd(g: &CsrGraph, cfg: &PbdConfig) -> DivisiveResult {
     pbd_in(g, cfg, &Exec::default())
 }
 
-/// Run pBD with `exec`'s budget and workspace pool. Every phase checks
-/// the budget cooperatively: the fine and bridge phases stop cutting when
-/// it trips (the engine's best-modularity prefix is the answer), and the
-/// coarse phase leaves remaining components unrefined. The pool serves
-/// every betweenness round of the fine and granularity-bridge phases:
-/// each round rebinds the predecessor offsets to the mutated view, the
-/// slot arrays warm up once.
+/// Run pBD with `exec`'s budget and workspace pool, in three phases: the
+/// bridge pre-cut; the fine phase, which cuts by sampled betweenness
+/// until every component has at most `exact_threshold` vertices; and the
+/// coarse phase, which runs exact Girvan–Newman on each component to
+/// completion, in parallel, and composes the components' optima. Every
+/// round in either phase rescores only the components the last cut
+/// changed. One budget rule holds throughout: a betweenness pass the
+/// budget cuts short ends its loop without cutting, the best-modularity
+/// prefix stands, and components not yet reached stay unrefined.
 pub fn pbd_in(g: &CsrGraph, cfg: &PbdConfig, exec: &Exec) -> DivisiveResult {
     let _span = snap_obs::span("community.pbd");
     let budget = &exec.budget;
     let m = g.num_edges();
-    let n = g.num_vertices();
     let mut engine = DivisiveEngine::new(g, m as f64);
     let mut removals = Vec::new();
     let cap = cfg.max_removals.unwrap_or(usize::MAX);
@@ -98,7 +90,6 @@ pub fn pbd_in(g: &CsrGraph, cfg: &PbdConfig, exec: &Exec) -> DivisiveResult {
     // --- Step 1 (optional): bridge preprocessing. ---
     if cfg.bridge_preprocess && m > 0 {
         let _phase = snap_obs::span("bridge_preprocess");
-        let before = removals.len();
         let bicc = biconnected_components(g);
         for &e in &bicc.bridges {
             if removals.len() >= cap {
@@ -123,167 +114,27 @@ pub fn pbd_in(g: &CsrGraph, cfg: &PbdConfig, exec: &Exec) -> DivisiveResult {
                 removals.push((e, q));
             }
         }
-        snap_obs::add("bridges_cut", (removals.len() - before) as u64);
+        snap_obs::add("bridges_cut", removals.len() as u64);
     }
 
-    // --- Fine-grained phase: sampled betweenness, cut the top edges. ---
-    let fine_phase = snap_obs::span("fine_phase");
-    // Per-round latency: early rounds run betweenness on the giant
-    // component and dwarf later rounds, so the spread is the signal.
-    let round_us = snap_obs::hist("round_us");
-    let mut round = 0u64;
-    let mut since_best = 0usize;
-    loop {
-        if removals.len() >= cap || engine.live_edges() == 0 {
-            break;
-        }
-        let round_timer = round_us.start();
-        // Granularity switch: all components small → coarse phase.
-        let giant = engine
-            .current_clustering()
-            .sizes()
-            .into_iter()
-            .max()
-            .unwrap_or(0);
-        if giant <= cfg.exact_threshold {
-            break;
-        }
-
-        if budget.check().is_err() {
-            break;
-        }
-        let frac = cfg
-            .sample_frac
-            .max(MIN_SOURCES as f64 / n.max(1) as f64)
-            .min(1.0);
-        let partial = approx_betweenness_in(&engine.view, frac, cfg.seed ^ round, exec);
-        if partial.sources_used == 0 {
-            break; // no traversal completed: no ranking to cut by
-        }
-        let bc = partial.scores;
-        round += 1;
-        snap_obs::add("rounds", 1);
-        let mut live: Vec<u32> = engine.view.live_edge_ids().collect();
-        let batch = cfg.batch.max(1).min(live.len());
-        // Partial selection: only the top `batch` edges need ordering.
-        let cmp = |a: &u32, b: &u32| {
-            bc.edge[*b as usize]
-                .partial_cmp(&bc.edge[*a as usize])
-                .unwrap()
-                .then(a.cmp(b))
+    // --- Fine-grained phase: sampled betweenness per component, cutting
+    // until every component fits the exact phase. ---
+    {
+        let _phase = snap_obs::span("fine_phase");
+        let rule = CutRule {
+            sample: Some((cfg.sample_frac, cfg.seed)),
+            threshold: cfg.exact_threshold,
+            batch: cfg.batch,
+            cap,
+            patience: None,
         };
-        if batch < live.len() {
-            live.select_nth_unstable_by(batch - 1, cmp);
-            live.truncate(batch);
-        }
-        live.sort_by(cmp);
-        let before_best = engine.best_q();
-        for &e in live.iter().take(batch) {
-            if removals.len() >= cap {
-                break;
-            }
-            let q = engine.delete_edge(e);
-            removals.push((e, q));
-        }
-        round_us.stop_us(round_timer);
-        if let Some(p) = cfg.patience {
-            if engine.best_q() > before_best {
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if since_best >= p {
-                    break;
-                }
-            }
-        }
+        engine.cut_rounds(&rule, exec, &mut removals);
     }
-    drop(fine_phase);
-    let bridge_phase = snap_obs::span("granularity_bridge");
-
-    // --- Granularity bridge: patience (or the removal cap) can stop the
-    // fine phase while components larger than the exact threshold remain.
-    // The coarse phase cannot afford exact betweenness on those, and
-    // leaving them be degenerates the answer into one monolithic cluster
-    // holding most of the graph. Keep decomposing the largest oversized
-    // component with sampled betweenness — sources drawn from that
-    // component only, so each round costs work proportional to it — until
-    // every piece fits the exact phase, the cap is reached, or its edges
-    // run out.
-    loop {
-        if removals.len() >= cap || budget.check().is_err() {
-            break;
-        }
-        let members = engine.cluster_members();
-        let biggest = members
-            .iter()
-            .max_by_key(|(&label, verts)| (verts.len(), std::cmp::Reverse(label)))
-            .map(|(&label, verts)| (label, verts.clone()));
-        let Some((label, verts)) = biggest else {
-            break;
-        };
-        if verts.len() <= cfg.exact_threshold {
-            break;
-        }
-        let size = verts.len();
-        let frac = cfg
-            .sample_frac
-            .max(MIN_SOURCES as f64 / size as f64)
-            .min(1.0);
-        let k = ((size as f64 * frac).ceil() as usize).clamp(1, size);
-        let mut sources = verts;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0x6272_6467 ^ round);
-        sources.shuffle(&mut rng);
-        sources.truncate(k);
-        let partial = betweenness_from_sources_in(&engine.view, &sources, exec);
-        if partial.sources_used == 0 {
-            break;
-        }
-        let bc = partial.scores;
-        round += 1;
-        snap_obs::add("activations", 1);
-        snap_obs::add("betweenness_samples", k as u64);
-        // Only edges internal to the oversized component are candidates;
-        // paths from its sources never leave it, so other components'
-        // scores are all zero anyway.
-        let labels = engine.labels();
-        let mut cand: Vec<u32> = engine
-            .view
-            .live_edge_ids()
-            .filter(|&e| {
-                let (u, v) = g.edge_endpoints(e);
-                labels[u as usize] == label && labels[v as usize] == label
-            })
-            .collect();
-        if cand.is_empty() {
-            break;
-        }
-        let batch = cfg.batch.max(1).min(cand.len());
-        let cmp = |a: &u32, b: &u32| {
-            bc.edge[*b as usize]
-                .partial_cmp(&bc.edge[*a as usize])
-                .unwrap()
-                .then(a.cmp(b))
-        };
-        if batch < cand.len() {
-            cand.select_nth_unstable_by(batch - 1, cmp);
-            cand.truncate(batch);
-        }
-        cand.sort_by(cmp);
-        for &e in cand.iter().take(batch) {
-            if removals.len() >= cap {
-                break;
-            }
-            let q = engine.delete_edge(e);
-            removals.push((e, q));
-        }
-    }
-
-    drop(bridge_phase);
 
     // --- Coarse-grained phase: exact refinement per component.
     // Components still larger than the threshold (possible only when the
-    // removal cap stopped the bridge loop above) are left as-is: the
-    // exact pass is only affordable on small components.
+    // removal cap or the budget stopped the fine phase) are left as-is:
+    // the exact pass is only affordable on small components.
     let coarse_phase = snap_obs::span("coarse_refine");
     let refined = refine_components(
         g,
@@ -291,7 +142,7 @@ pub fn pbd_in(g: &CsrGraph, cfg: &PbdConfig, exec: &Exec) -> DivisiveResult {
         m as f64,
         cap.saturating_sub(removals.len()),
         cfg.exact_threshold.max(8),
-        budget,
+        exec,
     );
     drop(coarse_phase);
     let (labels, q) = match refined {
@@ -325,21 +176,16 @@ fn refine_components(
     m_norm: f64,
     removal_budget: usize,
     max_component: usize,
-    budget: &Budget,
+    exec: &Exec,
 ) -> Option<(Vec<u32>, f64)> {
     let n = g.num_vertices();
     if n == 0 || removal_budget == 0 {
         return None;
     }
-    let members = engine.cluster_members();
-    let components: Vec<&Vec<VertexId>> = members
-        .values()
-        .filter(|verts| verts.len() <= max_component)
-        .collect();
-    let skipped: Vec<&Vec<VertexId>> = members
-        .values()
-        .filter(|verts| verts.len() > max_component)
-        .collect();
+    let (components, skipped): (Vec<_>, Vec<_>) = engine
+        .members_where(|_, _| true)
+        .into_iter()
+        .partition(|(_, verts)| verts.len() <= max_component);
     snap_obs::add("components_refined", components.len() as u64);
     snap_obs::add("components_skipped", skipped.len() as u64);
 
@@ -347,11 +193,18 @@ fn refine_components(
     // components, so per-component optima compose into the global optimum
     // of this refinement step. Each component is its own work unit; when
     // several share the threads, each one's betweenness sweeps run inline.
+    let exact = CutRule {
+        sample: None,
+        threshold: 0,
+        batch: 1,
+        cap: usize::MAX,
+        patience: None,
+    };
     let results: Vec<(Vec<VertexId>, Vec<u32>, f64, f64)> = components
         .par_chunks(1)
         .map(|unit| {
-            let verts = unit[0];
-            if budget.is_exhausted() {
+            let verts = &unit[0].1;
+            if exec.budget.is_exhausted() {
                 // Leave the component unrefined: one cluster, zero
                 // modularity delta — same shape as a skipped component.
                 return (verts.to_vec(), vec![0u32; verts.len()], 0.0, 0.0);
@@ -380,33 +233,9 @@ fn refine_components(
             }
             local.reset_best();
             let q_before = local.q();
-            // Exact divisive run to completion on this small component,
-            // on a pool of its own that persists across its whole
-            // dendrogram. Each round is charged up front and then runs
-            // unbudgeted: a round cut short would rank edges by a
-            // partial sum.
-            let unbudgeted = Exec::default();
-            let sources: Vec<VertexId> = (0..base_sub.graph.num_vertices() as VertexId).collect();
-            while local.live_edges() > 0 {
-                if budget
-                    .charge(sources.len() as u64 * (1 + local.live_edges() as u64))
-                    .is_err()
-                {
-                    break; // best prefix of the dendrogram still stands
-                }
-                let bc = betweenness_from_sources_in(&local.view, &sources, &unbudgeted).scores;
-                let best_edge = local
-                    .view
-                    .live_edge_ids()
-                    .max_by(|&a, &b| {
-                        bc.edge[a as usize]
-                            .partial_cmp(&bc.edge[b as usize])
-                            .unwrap()
-                            .then(b.cmp(&a))
-                    })
-                    .unwrap();
-                local.delete_edge(best_edge);
-            }
+            // Exact divisive run to completion on this small component;
+            // its local cuts are not part of the global removal list.
+            local.cut_rounds(&exact, exec, &mut Vec::new());
             let best = local.best_clustering();
             (
                 base_sub.to_global.clone(),
@@ -430,8 +259,8 @@ fn refine_components(
         }
         next += k;
     }
-    for verts in skipped {
-        for &gv in verts {
+    for (_, verts) in skipped {
+        for &gv in &verts {
             labels[gv as usize] = next;
         }
         next += 1;

@@ -48,7 +48,6 @@ fn main() {
         let (count, q) = if let CommunityAlgorithm::Divisive = alg {
             let cfg = PbdConfig {
                 batch: (net.num_edges() / 200).max(1),
-                patience: Some(40),
                 ..Default::default()
             };
             let r = snap::community::pbd(net.graph(), &cfg);

@@ -64,7 +64,6 @@ fn figure2_algorithms_run_on_rmat_sf() {
 
     let cfg = snap::community::PbdConfig {
         batch: (g.num_edges() / 100).max(1),
-        patience: Some(20),
         ..Default::default()
     };
     let pbd = snap::community::pbd(&g, &cfg);
@@ -94,7 +93,6 @@ fn figure3_pbd_faster_than_gn() {
 
     let t0 = std::time::Instant::now();
     let cfg = snap::community::PbdConfig {
-        patience: Some(30),
         ..Default::default()
     };
     let pbd = snap::community::pbd(&g, &cfg);
