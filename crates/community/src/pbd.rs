@@ -15,7 +15,9 @@
 //!    components, the algorithm flips from fine-grained parallelism
 //!    (parallel betweenness inside one big traversal) to coarse-grained
 //!    (components refined independently in parallel, with *exact*
-//!    betweenness, since each component is now small).
+//!    betweenness, since each component is now small). The largest
+//!    component, whose exact pass sets the phase's critical path, is
+//!    refined first with its sweeps on every thread.
 //! 4. `O(m)`-work steps (modularity updates, component updates) stay
 //!    incremental via `DivisiveEngine` (`divisive.rs`), whose one cut
 //!    loop runs both phases.
@@ -25,6 +27,7 @@ use crate::gn::DivisiveResult;
 use rayon::prelude::*;
 use snap_graph::{CsrGraph, Graph, InducedSubgraph, VertexId};
 use snap_kernels::{bfs_limited, biconnected_components, Exec};
+use std::cmp::Reverse;
 
 /// Bridges are pre-cut only when both sides have at least this many
 /// vertices (pendant-edge bridges stay, as cutting them only strands
@@ -191,8 +194,7 @@ fn refine_components(
 
     // Refine each component independently; modularity is separable across
     // components, so per-component optima compose into the global optimum
-    // of this refinement step. Each component is its own work unit; when
-    // several share the threads, each one's betweenness sweeps run inline.
+    // of this refinement step.
     let exact = CutRule {
         sample: None,
         threshold: 0,
@@ -200,51 +202,60 @@ fn refine_components(
         cap: usize::MAX,
         patience: None,
     };
-    let results: Vec<(Vec<VertexId>, Vec<u32>, f64, f64)> = components
-        .par_chunks(1)
-        .map(|unit| {
-            let verts = &unit[0].1;
-            if exec.budget.is_exhausted() {
-                // Leave the component unrefined: one cluster, zero
-                // modularity delta — same shape as a skipped component.
-                return (verts.to_vec(), vec![0u32; verts.len()], 0.0, 0.0);
+    let refine = |verts: &[VertexId]| {
+        if exec.budget.is_exhausted() {
+            // Leave the component unrefined: one cluster, zero
+            // modularity delta — same shape as a skipped component.
+            return (verts.to_vec(), vec![0u32; verts.len()], 0.0, 0.0);
+        }
+        // Base-graph subgraph (includes edges already cut from the
+        // view — they still count toward modularity); the cut edges
+        // are replayed into the local engine below so its live
+        // structure matches the global view.
+        let base_sub = InducedSubgraph::extract(g, verts);
+        let bonus: Vec<f64> = base_sub
+            .to_global
+            .iter()
+            .enumerate()
+            .map(|(local, &gv)| {
+                g.degree(gv) as f64 - base_sub.graph.degree(local as VertexId) as f64
+            })
+            .collect();
+        let mut local = DivisiveEngine::with_degree_bonus(&base_sub.graph, m_norm, Some(&bonus));
+        // Replay the historic deletions so the local live structure
+        // matches the global view.
+        for (le, &ge) in base_sub.edge_to_global.iter().enumerate() {
+            if !engine.view.is_live(ge) {
+                local.delete_edge(le as u32);
             }
-            // Base-graph subgraph (includes edges already cut from the
-            // view — they still count toward modularity); the cut edges
-            // are replayed into the local engine below so its live
-            // structure matches the global view.
-            let base_sub = InducedSubgraph::extract(g, verts);
-            let bonus: Vec<f64> = base_sub
-                .to_global
-                .iter()
-                .enumerate()
-                .map(|(local, &gv)| {
-                    g.degree(gv) as f64 - base_sub.graph.degree(local as VertexId) as f64
-                })
-                .collect();
-            let mut local =
-                DivisiveEngine::with_degree_bonus(&base_sub.graph, m_norm, Some(&bonus));
-            // Replay the historic deletions so the local live structure
-            // matches the global view.
-            for (le, &ge) in base_sub.edge_to_global.iter().enumerate() {
-                if !engine.view.is_live(ge) {
-                    local.delete_edge(le as u32);
-                }
-            }
-            local.reset_best();
-            let q_before = local.q();
-            // Exact divisive run to completion on this small component;
-            // its local cuts are not part of the global removal list.
-            local.cut_rounds(&exact, exec, &mut Vec::new());
-            let best = local.best_clustering();
-            (
-                base_sub.to_global.clone(),
-                best.assignment,
-                local.best_q(),
-                q_before,
-            )
-        })
+        }
+        local.reset_best();
+        let q_before = local.q();
+        // Exact divisive run to completion on this small component;
+        // its local cuts are not part of the global removal list.
+        local.cut_rounds(&exact, exec, &mut Vec::new());
+        let best = local.best_clustering();
+        (
+            base_sub.to_global,
+            best.assignment,
+            local.best_q(),
+            q_before,
+        )
+    };
+    // Exact GN's cost grows steeply with the component, so the largest
+    // one sets this phase's critical path: it runs first and alone, its
+    // sweeps on every thread. The others run one work unit each, their
+    // sweeps inline. Results stay in label order.
+    let largest = (0..components.len()).max_by_key(|&i| (components[i].1.len(), Reverse(i)));
+    let first = largest.map(|i| refine(&components[i].1));
+    let others: Vec<&[VertexId]> = (0..components.len())
+        .filter(|&i| Some(i) != largest)
+        .map(|i| components[i].1.as_slice())
         .collect();
+    let mut results: Vec<_> = others.par_chunks(1).map(|unit| refine(unit[0])).collect();
+    if let (Some(i), Some(r)) = (largest, first) {
+        results.insert(i, r);
+    }
 
     // Stitch local labels into a global labeling; skipped (oversized)
     // components keep one label each.
