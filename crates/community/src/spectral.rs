@@ -40,8 +40,22 @@ pub struct SpectralCommunityResult {
     pub splits: usize,
 }
 
-/// Detect communities by recursive leading-eigenvector splitting.
+/// Why a split attempt found no split.
+#[derive(Debug)]
+enum NoSplit {
+    /// The community is indivisible: spectrally, or because the refined
+    /// split gains nothing.
+    Indivisible,
+    /// The power iteration ran out of steps before it converged.
+    Unconverged,
+}
+
+/// Detect communities by recursive leading-eigenvector splitting. A
+/// community whose split attempt ran out of power-iteration steps is kept
+/// whole, and counted as `unconverged` on the `community.spectral` span,
+/// which then carries the `degraded` meta.
 pub fn spectral_communities(g: &CsrGraph) -> SpectralCommunityResult {
+    let _span = snap_obs::span("community.spectral");
     let n = g.num_vertices();
     let m2 = 2.0 * g.num_edges() as f64; // 2m
     if n == 0 || g.num_edges() == 0 {
@@ -55,7 +69,7 @@ pub fn spectral_communities(g: &CsrGraph) -> SpectralCommunityResult {
 
     let mut labels = vec![0u32; n];
     let mut next_label = 1u32;
-    let mut splits = 0usize;
+    let (mut splits, mut unconverged) = (0usize, 0u64);
     // Work queue of communities to attempt splitting.
     let mut queue: Vec<Vec<VertexId>> = vec![(0..n as VertexId).collect()];
 
@@ -63,8 +77,13 @@ pub fn spectral_communities(g: &CsrGraph) -> SpectralCommunityResult {
         if members.len() < 2 {
             continue;
         }
-        let Some(signs) = split(g, &deg, m2, &members, FINE_TUNE) else {
-            continue; // indivisible (or no convergence)
+        let signs = match split(g, &deg, m2, &members, FINE_TUNE) {
+            Ok(signs) => signs,
+            Err(NoSplit::Indivisible) => continue,
+            Err(NoSplit::Unconverged) => {
+                unconverged += 1;
+                continue;
+            }
         };
         let mut a = Vec::new();
         let mut b = Vec::new();
@@ -88,6 +107,14 @@ pub fn spectral_communities(g: &CsrGraph) -> SpectralCommunityResult {
         queue.push(b);
     }
 
+    snap_obs::add("splits", splits as u64);
+    snap_obs::add("unconverged", unconverged);
+    if unconverged > 0 {
+        snap_obs::meta(
+            "degraded",
+            format!("{unconverged} split attempts ran out of power-iteration steps"),
+        );
+    }
     let clustering = Clustering::from_labels(&labels);
     let q = modularity(g, &clustering);
     SpectralCommunityResult {
@@ -98,21 +125,22 @@ pub fn spectral_communities(g: &CsrGraph) -> SpectralCommunityResult {
 }
 
 /// One split attempt on `members`: the sign vector of the leading
-/// eigenvector, fine-tuned when `fine_tune` is set. `None` when the
-/// community is indivisible — spectrally, for want of convergence, or
-/// because the refined split gains nothing.
+/// eigenvector, fine-tuned when `fine_tune` is set.
 fn split(
     g: &CsrGraph,
     deg: &[f64],
     m2: f64,
     members: &[VertexId],
     fine_tune: bool,
-) -> Option<Vec<bool>> {
+) -> Result<Vec<bool>, NoSplit> {
     let mut signs = leading_split(g, deg, m2, members)?;
     if fine_tune {
         self::fine_tune(g, deg, m2, members, &mut signs);
     }
-    (split_gain(g, deg, m2, members, &signs) > 1e-12).then_some(signs)
+    match split_gain(g, deg, m2, members, &signs) > 1e-12 {
+        true => Ok(signs),
+        false => Err(NoSplit::Indivisible),
+    }
 }
 
 /// `y = (B^(S) + σI) x` for the generalized modularity matrix of the
@@ -147,10 +175,15 @@ fn modularity_matvec(
 }
 
 /// Attempt a spectral split of `members`; returns the sign vector of the
-/// leading eigenvector, or `None` when the leading eigenvalue is
-/// non-positive (community is spectrally indivisible) or the iteration
-/// fails to converge.
-fn leading_split(g: &CsrGraph, deg: &[f64], m2: f64, members: &[VertexId]) -> Option<Vec<bool>> {
+/// leading eigenvector, [`NoSplit::Indivisible`] when the leading
+/// eigenvalue is non-positive, or [`NoSplit::Unconverged`] when the
+/// iteration runs out of steps.
+fn leading_split(
+    g: &CsrGraph,
+    deg: &[f64],
+    m2: f64,
+    members: &[VertexId],
+) -> Result<Vec<bool>, NoSplit> {
     let k = members.len();
     let local_of: std::collections::HashMap<VertexId, usize> =
         members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
@@ -173,7 +206,7 @@ fn leading_split(g: &CsrGraph, deg: &[f64], m2: f64, members: &[VertexId]) -> Op
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(SEED ^ (k as u64) << 1);
     let mut x: Vec<f64> = (0..k).map(|_| rng.gen::<f64>() - 0.5).collect();
-    normalize(&mut x)?;
+    normalize(&mut x).ok_or(NoSplit::Indivisible)?;
     let mut y = vec![0.0; k];
     let mut lambda_shifted = 0.0;
     let mut converged = false;
@@ -181,7 +214,7 @@ fn leading_split(g: &CsrGraph, deg: &[f64], m2: f64, members: &[VertexId]) -> Op
         modularity_matvec(g, deg, m2, members, &local_of, &rowsum, sigma, &x, &mut y);
         let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
         if norm == 0.0 {
-            return None;
+            return Err(NoSplit::Indivisible);
         }
         for v in y.iter_mut() {
             *v /= norm;
@@ -196,14 +229,14 @@ fn leading_split(g: &CsrGraph, deg: &[f64], m2: f64, members: &[VertexId]) -> Op
         lambda_shifted = new_lambda;
     }
     if !converged {
-        return None;
+        return Err(NoSplit::Unconverged);
     }
     // Leading eigenvalue of B^(S) itself.
     let lambda = lambda_shifted - sigma;
     if lambda <= 1e-12 {
-        return None; // indivisible
+        return Err(NoSplit::Indivisible);
     }
-    Some(x.iter().map(|&v| v >= 0.0).collect())
+    Ok(x.iter().map(|&v| v >= 0.0).collect())
 }
 
 fn normalize(x: &mut [f64]) -> Option<()> {

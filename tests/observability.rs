@@ -519,3 +519,34 @@ fn sampled_sweeps_fan_out_across_threads() {
         assert!(tids.len() >= 2, "{task} ran on thread id(s) {tids:?}");
     }
 }
+
+/// A spectral split attempt whose power iteration runs out of steps is
+/// reported: counted as `unconverged` on `community.spectral`, which
+/// carries the `degraded` meta. A graph that splits cleanly reports none.
+#[test]
+fn spectral_reports_split_attempts_that_ran_out_of_steps() {
+    let _serial = serial();
+    let cfg = snap::gen::PlantedConfig::with_target_degrees(1 << 8, 16, 8.0, 2.0);
+    let planted = snap::gen::planted_partition(&cfg, 42).0;
+    let barbell = snap::graph::builder::from_edges(
+        6,
+        &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)],
+    );
+    let spectral = |g: CsrGraph| {
+        let net = Network::new(g);
+        let obs = net.observed();
+        let _ = obs.communities(CommunityAlgorithm::Spectral);
+        let report = obs.finish();
+        let span = report.find("community.spectral").expect("spectral span");
+        let counter = |name| span.counter(name).unwrap_or(0);
+        let degraded = span.meta_value("degraded").map(str::to_string);
+        (counter("splits"), counter("unconverged"), degraded)
+    };
+
+    let (_, unconverged, degraded) = spectral(planted);
+    assert!(unconverged >= 1, "planted 2^8: {unconverged} unconverged");
+    assert!(degraded.is_some());
+
+    let (splits, unconverged, degraded) = spectral(barbell);
+    assert_eq!((splits, unconverged, degraded), (1, 0, None));
+}

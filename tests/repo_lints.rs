@@ -395,6 +395,49 @@ fn edges_are_ordered_in_one_place() {
     );
 }
 
+/// A betweenness pass (`betweenness_from_sources_in(` or
+/// `approx_betweenness_in(`) outside a comment line.
+fn betweenness_pass(line: &str) -> bool {
+    !line.trim_start().starts_with("//")
+        && ["betweenness_from_sources_in(", "approx_betweenness_in("]
+            .iter()
+            .any(|call| line.contains(call))
+}
+
+/// The divisive algorithms score edges in one place: the cut loop on
+/// `DivisiveEngine` in `crates/community/src/divisive.rs`, which
+/// rescores only the components the last round's cuts changed. GN and
+/// every phase of pBD run through it; a betweenness pass elsewhere in
+/// the crate is a second copy of that loop. Unit tests (below a file's
+/// `#[cfg(test)]`) are not swept.
+#[test]
+fn divisive_rounds_run_in_one_place() {
+    assert!(betweenness_pass(
+        "        let partial = betweenness_from_sources_in(&engine.view, &all_sources, exec);"
+    ));
+    assert!(betweenness_pass(
+        "        let partial = approx_betweenness_in(&engine.view, frac, cfg.seed ^ round, exec);"
+    ));
+    assert!(!betweenness_pass(
+        "use snap_centrality::{approx_betweenness_in, betweenness_from_sources_in};"
+    ));
+    assert!(!betweenness_pass(
+        "    // approx_betweenness_in(&view, frac, seed, exec) samples all n"
+    ));
+    let mut sources = rust_sources(&["crates/community/src"]);
+    sources.retain(|(path, _)| path != "crates/community/src/divisive.rs");
+    for (_, text) in &mut sources {
+        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+        text.truncate(end);
+    }
+    let hits = flagged(&sources, betweenness_pass);
+    assert!(
+        hits.is_empty(),
+        "score edges through DivisiveEngine::cut_rounds:\n{}",
+        hits.join("\n")
+    );
+}
+
 /// The binary's cap: a front end with one pipeline per command, one
 /// copy of the synopsis and of the analysis commands' frame. A ratchet:
 /// lower it when the file shrinks, never raise it past 1 150.
