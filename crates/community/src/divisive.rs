@@ -185,7 +185,8 @@ impl<'g> DivisiveEngine<'g> {
     ///
     /// The loop stops at `rule.cap` removals, when no candidate is left,
     /// on `rule.patience`, or when `exec`'s budget cuts a round's sweep
-    /// short: that round cuts nothing, and the best prefix of the cuts
+    /// short: that round cuts nothing, since a partial sum ranks edges by
+    /// whichever sources happened to run, and the best prefix of the cuts
     /// made so far is the answer ([`Self::best_clustering`]). Each round
     /// adds to the `rounds` counter and the `round_us` histogram.
     pub(crate) fn cut_rounds(
@@ -305,9 +306,10 @@ impl<'g> DivisiveEngine<'g> {
         debug_assert_eq!(old, self.comp[v as usize]);
         let (mut part_intra, mut part_degsum, mut cut) = (0.0f64, 0.0f64, 0.0f64);
         if let Some(split_u) = split_u {
-            let (side, own) = match split_u {
-                true => (&side_u, &self.mark),
-                false => (&side_v, &self.mark2),
+            let (side, own) = if split_u {
+                (&side_u, &self.mark)
+            } else {
+                (&side_v, &self.mark2)
             };
             for &x in side {
                 part_degsum += self.deg[x as usize];
@@ -422,7 +424,7 @@ impl<'r> CutLoop<'r> {
         let by_score = |a: &EdgeId, b: &EdgeId| {
             score[*b as usize]
                 .partial_cmp(&score[*a as usize])
-                .unwrap()
+                .expect("betweenness scores are never NaN")
                 .then(a.cmp(b))
         };
         let batch = rule.batch.clamp(1, cand.len());

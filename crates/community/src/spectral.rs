@@ -137,9 +137,10 @@ fn split(
     if fine_tune {
         self::fine_tune(g, deg, m2, members, &mut signs);
     }
-    match split_gain(g, deg, m2, members, &signs) > 1e-12 {
-        true => Ok(signs),
-        false => Err(NoSplit::Indivisible),
+    if split_gain(g, deg, m2, members, &signs) > 1e-12 {
+        Ok(signs)
+    } else {
+        Err(NoSplit::Indivisible)
     }
 }
 
