@@ -164,6 +164,16 @@ fn hash_divisive(r: &snap::community::DivisiveResult) -> u64 {
     h.0
 }
 
+/// A clustering's assignment, then its `q` bits.
+fn hash_clustering(c: &snap::community::Clustering, q: f64) -> u64 {
+    let mut h = Fnv::new();
+    for &l in &c.assignment {
+        h.word(l as u64);
+    }
+    h.word(q.to_bits());
+    h.0
+}
+
 fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
     let mut h = Fnv::new();
     h.word(p.average.to_bits());
@@ -180,8 +190,8 @@ fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
 /// planted 2^12 graph, recursive on R-MAT scale 10), and of four
 /// divisive runs (GN's full schedule and default pBD on Karate; pBD at
 /// `exact_threshold` 48 on a planted 2^8 graph, which runs the bridge,
-/// fine and coarse phases, and on R-MAT scale 7): the "same
-/// numbers" invariant every refactor and optimisation of those kernels
+/// fine and coarse phases, and on R-MAT scale 7), and of pMA on a
+/// planted 2^10 graph: the "same numbers" invariant every refactor and optimisation of those kernels
 /// is held to. The values are pinned by this crate's
 /// `fixture_hashes_are_pinned` test, so any accumulation-order drift
 /// fails tier-1; the `fixture_hash` binary prints them.
@@ -192,13 +202,15 @@ fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
 /// work unit. The bits depend on the source count only, so the values do
 /// not depend on the host's core count; the two partitions and the four
 /// divisive runs use the default pool and are the same at every thread
-/// count.
-pub fn fixture_hashes() -> [(&'static str, u64); 17] {
+/// count, as is pMA.
+pub fn fixture_hashes() -> [(&'static str, u64); 18] {
     use snap::centrality::{
         betweenness_from_sources, brandes, closeness, sample_sources, sampled_closeness,
         weighted_betweenness,
     };
-    use snap::community::{girvan_newman, pbd, pla, pla_view, GnConfig, PbdConfig, PlaConfig};
+    use snap::community::{
+        girvan_newman, pbd, pla, pla_view, pma, GnConfig, PbdConfig, PlaConfig, PmaConfig,
+    };
     use snap::gen::{erdos_renyi, planted_partition, rmat, watts_strogatz};
     use snap::gen::{PlantedConfig, RmatConfig};
     use snap::graph::{FilteredGraph, Graph};
@@ -271,6 +283,12 @@ pub fn fixture_hashes() -> [(&'static str, u64); 17] {
     let planted8 =
         planted_partition(&PlantedConfig::with_target_degrees(1 << 8, 16, 8.0, 2.0), 3).0;
     let rmat7 = rmat(&RmatConfig::small_world(7, 8 << 7), 5);
+    let planted10 = planted_partition(
+        &PlantedConfig::with_target_degrees(1 << 10, 16, 8.0, 2.0),
+        42,
+    )
+    .0;
+    let pma10 = pma(&planted10, &PmaConfig::default());
     [
         ("brandes_rmat8", hash_scores(&brandes(&g1))),
         ("closeness_rmat8", Fnv::new().f64s(&closeness(&g1)).0),
@@ -313,6 +331,7 @@ pub fn fixture_hashes() -> [(&'static str, u64); 17] {
         ),
         ("pbd_planted8", pbd48(&planted8)),
         ("pbd_rmat7", pbd48(&rmat7)),
+        ("pma_planted10", hash_clustering(&pma10.clustering, pma10.q)),
     ]
 }
 
@@ -348,6 +367,7 @@ mod tests {
             "pbd_karate 0xe333e041dd489517",
             "pbd_planted8 0xfb01c5430f632592",
             "pbd_rmat7 0x2af1f85783c004bb",
+            "pma_planted10 0x8a55e4c3acf673ed",
         ];
         assert_eq!(got, pinned);
     }
