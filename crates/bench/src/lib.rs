@@ -190,8 +190,9 @@ fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
 /// planted 2^12 graph, recursive on R-MAT scale 10), and of four
 /// divisive runs (GN's full schedule and default pBD on Karate; pBD at
 /// `exact_threshold` 48 on a planted 2^8 graph, which runs the bridge,
-/// fine and coarse phases, and on R-MAT scale 7), and of pMA on a
-/// planted 2^10 graph: the "same numbers" invariant every refactor and optimisation of those kernels
+/// fine and coarse phases, and on R-MAT scale 7), of pMA on a planted
+/// 2^10 graph, and of spectral modularity on Karate and a planted 2^8
+/// graph: the "same numbers" invariant every refactor and optimisation of those kernels
 /// is held to. The values are pinned by this crate's
 /// `fixture_hashes_are_pinned` test, so any accumulation-order drift
 /// fails tier-1; the `fixture_hash` binary prints them.
@@ -202,14 +203,15 @@ fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
 /// work unit. The bits depend on the source count only, so the values do
 /// not depend on the host's core count; the two partitions and the four
 /// divisive runs use the default pool and are the same at every thread
-/// count, as is pMA.
-pub fn fixture_hashes() -> [(&'static str, u64); 18] {
+/// count, as are pMA and spectral modularity.
+pub fn fixture_hashes() -> [(&'static str, u64); 20] {
     use snap::centrality::{
         betweenness_from_sources, brandes, closeness, sample_sources, sampled_closeness,
         weighted_betweenness,
     };
     use snap::community::{
-        girvan_newman, pbd, pla, pla_view, pma, GnConfig, PbdConfig, PlaConfig, PmaConfig,
+        girvan_newman, pbd, pla, pla_view, pma, spectral_communities, GnConfig, PbdConfig,
+        PlaConfig, PmaConfig,
     };
     use snap::gen::{erdos_renyi, planted_partition, rmat, watts_strogatz};
     use snap::gen::{PlantedConfig, RmatConfig};
@@ -289,6 +291,15 @@ pub fn fixture_hashes() -> [(&'static str, u64); 18] {
     )
     .0;
     let pma10 = pma(&planted10, &PmaConfig::default());
+    let spectral = |g| {
+        let r = spectral_communities(g);
+        hash_clustering(&r.clustering, r.q)
+    };
+    let planted8_42 = planted_partition(
+        &PlantedConfig::with_target_degrees(1 << 8, 16, 8.0, 2.0),
+        42,
+    )
+    .0;
     [
         ("brandes_rmat8", hash_scores(&brandes(&g1))),
         ("closeness_rmat8", Fnv::new().f64s(&closeness(&g1)).0),
@@ -332,6 +343,8 @@ pub fn fixture_hashes() -> [(&'static str, u64); 18] {
         ("pbd_planted8", pbd48(&planted8)),
         ("pbd_rmat7", pbd48(&rmat7)),
         ("pma_planted10", hash_clustering(&pma10.clustering, pma10.q)),
+        ("spectral_karate", spectral(&karate)),
+        ("spectral_planted8", spectral(&planted8_42)),
     ]
 }
 
@@ -368,6 +381,8 @@ mod tests {
             "pbd_planted8 0xfb01c5430f632592",
             "pbd_rmat7 0x2af1f85783c004bb",
             "pma_planted10 0x8a55e4c3acf673ed",
+            "spectral_karate 0xe4221aac072345fe",
+            "spectral_planted8 0x375514f82c9390e9",
         ];
         assert_eq!(got, pinned);
     }

@@ -44,4 +44,4 @@ pub use modularity::{modularity, weighted_modularity, ModularityTracker};
 pub use pbd::{pbd, pbd_in, PbdConfig};
 pub use pla::{pla, pla_in, pla_view, PlaConfig, PlaResult};
 pub use pma::{pma, pma_in, AgglomerativeResult, PmaConfig};
-pub use spectral::{spectral_communities, SpectralCommunityResult};
+pub use spectral::{spectral_communities, spectral_communities_in, SpectralCommunityResult};

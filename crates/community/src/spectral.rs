@@ -4,24 +4,31 @@
 //! implementations of spectral algorithms that optimize modularity."
 //!
 //! The method recursively splits communities along the sign of the
-//! leading eigenvector of the (generalized) modularity matrix
-//! `B_ij = A_ij − d_i d_j / 2m`, with a Kernighan–Lin-style fine-tuning
-//! sweep after each split, stopping when no split increases modularity.
-//! `B` is never materialized: the matvec needs one adjacency scan plus
-//! two dot products (`O(m + n)`), parallelized with rayon.
+//! leading eigenvector of the generalized modularity matrix
+//! `B^(S)_ij = A_ij − d_i d_j / 2m − δ_ij Σ_{l∈S} B_il`, with a
+//! Kernighan–Lin-style fine-tuning sweep after each split, stopping when
+//! no split increases modularity. `B^(S)` has zero row sums, so its
+//! leading eigenpair is the smallest eigenpair of `−B^(S)` off the
+//! all-ones vector: the Lanczos solver of [`snap_kernels::lanczos`] that
+//! spectral bisection uses, handed the negated matvec, with no shift.
+//! Each split attempt extracts its community once
+//! ([`InducedSubgraph::extract`]); `B^(S)` is never materialized: the
+//! matvec is one scan of the community's adjacency plus one dot product
+//! (`O(m_S + n_S)`), parallel over rows.
 
 use crate::clustering::Clustering;
 use crate::modularity::modularity;
 use rand::Rng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use snap_graph::{CsrGraph, Graph, VertexId};
+use snap_graph::{CsrGraph, Graph, InducedSubgraph, VertexId};
+use snap_kernels::Exec;
 
-/// Power-iteration budget per split attempt.
-const MAX_ITERATIONS: usize = 400;
+/// Lanczos step cap per split attempt (Table 1's Lanczos preset).
+const LANCZOS_STEPS: usize = 300;
 
-/// Relative eigenvalue tolerance.
-const TOLERANCE: f64 = 1e-9;
+/// Relative tolerance of the Ritz-value bisection.
+const LANCZOS_TOLERANCE: f64 = 1e-8;
 
 /// Run the KL-style fine-tuning sweep after each spectral split.
 const FINE_TUNE: bool = true;
@@ -46,16 +53,26 @@ enum NoSplit {
     /// The community is indivisible: spectrally, or because the refined
     /// split gains nothing.
     Indivisible,
-    /// The power iteration ran out of steps before it converged.
+    /// The eigensolver found no eigenpair.
     Unconverged,
 }
 
-/// Detect communities by recursive leading-eigenvector splitting. A
-/// community whose split attempt ran out of power-iteration steps is kept
-/// whole, and counted as `unconverged` on the `community.spectral` span,
-/// which then carries the `degraded` meta.
+/// Detect communities by recursive leading-eigenvector splitting, with
+/// an unlimited budget.
 pub fn spectral_communities(g: &CsrGraph) -> SpectralCommunityResult {
+    spectral_communities_in(g, &Exec::default())
+}
+
+/// Detect communities by recursive leading-eigenvector splitting under
+/// `exec`'s compute budget, charged one unit per matvec: a split attempt
+/// pays for its Lanczos steps before it runs, and probes the deadline.
+/// When the budget runs out, the communities still queued stay whole and
+/// the `community.spectral` span carries the `degraded` meta, as pMA's
+/// does. A split attempt whose eigensolve fails also keeps its community
+/// whole, counted as `unconverged` (and `degraded`).
+pub fn spectral_communities_in(g: &CsrGraph, exec: &Exec) -> SpectralCommunityResult {
     let _span = snap_obs::span("community.spectral");
+    let budget = &exec.budget;
     let n = g.num_vertices();
     let m2 = 2.0 * g.num_edges() as f64; // 2m
     if n == 0 || g.num_edges() == 0 {
@@ -76,6 +93,12 @@ pub fn spectral_communities(g: &CsrGraph) -> SpectralCommunityResult {
     while let Some(members) = queue.pop() {
         if members.len() < 2 {
             continue;
+        }
+        let matvecs = LANCZOS_STEPS.min(members.len() - 1) as u64;
+        if let Err(why) = budget.charge(matvecs).and_then(|()| budget.check()) {
+            snap_obs::meta("degraded", why);
+            snap_obs::add("budget_cancellations", 1);
+            break; // every queued community keeps its label: a valid clustering
         }
         let signs = match split(g, &deg, m2, &members, FINE_TUNE) {
             Ok(signs) => signs,
@@ -112,7 +135,7 @@ pub fn spectral_communities(g: &CsrGraph) -> SpectralCommunityResult {
     if unconverged > 0 {
         snap_obs::meta(
             "degraded",
-            format!("{unconverged} split attempts ran out of power-iteration steps"),
+            format!("{unconverged} split attempts found no eigenpair"),
         );
     }
     let clustering = Clustering::from_labels(&labels);
@@ -124,8 +147,12 @@ pub fn spectral_communities(g: &CsrGraph) -> SpectralCommunityResult {
     }
 }
 
-/// One split attempt on `members`: the sign vector of the leading
-/// eigenvector, fine-tuned when `fine_tune` is set.
+/// One split attempt on `members` of `g`: the sign vector of the leading
+/// eigenvector, fine-tuned when `fine_tune` is set. The helpers below
+/// take the community as `s`, the subgraph induced by `members` (local
+/// vertex `i` is `members[i]`), with `deg` and `m2` the whole graph's
+/// degrees and twice its edge count; a whole graph is its own `s` over
+/// `0..n`.
 fn split(
     g: &CsrGraph,
     deg: &[f64],
@@ -133,161 +160,74 @@ fn split(
     members: &[VertexId],
     fine_tune: bool,
 ) -> Result<Vec<bool>, NoSplit> {
-    let mut signs = leading_split(g, deg, m2, members)?;
+    let s = InducedSubgraph::extract(g, members).graph;
+    let mut signs = leading_split(&s, deg, m2, members)?;
     if fine_tune {
-        self::fine_tune(g, deg, m2, members, &mut signs);
+        self::fine_tune(&s, deg, m2, members, &mut signs);
     }
-    if split_gain(g, deg, m2, members, &signs) > 1e-12 {
+    if split_gain(&s, deg, m2, members, &signs) > 1e-12 {
         Ok(signs)
     } else {
         Err(NoSplit::Indivisible)
     }
 }
 
-/// `y = (B^(S) + σI) x` for the generalized modularity matrix of the
-/// subset, where `local_of` maps global→local indices.
-#[allow(clippy::too_many_arguments)]
-fn modularity_matvec(
-    g: &CsrGraph,
-    deg: &[f64],
-    m2: f64,
-    members: &[VertexId],
-    local_of: &std::collections::HashMap<VertexId, usize>,
-    rowsum: &[f64],
-    sigma: f64,
-    x: &[f64],
-    y: &mut [f64],
-) {
-    let dsum: f64 = members
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| deg[v as usize] * x[i])
-        .sum();
-    y.par_iter_mut().enumerate().for_each(|(i, yi)| {
-        let v = members[i];
-        let mut adj = 0.0;
-        for u in g.neighbor_slice(v) {
-            if let Some(&j) = local_of.get(u) {
-                adj += x[j];
-            }
-        }
-        *yi = adj - deg[v as usize] * dsum / m2 - rowsum[i] * x[i] + sigma * x[i];
-    });
-}
-
-/// Attempt a spectral split of `members`; returns the sign vector of the
-/// leading eigenvector, [`NoSplit::Indivisible`] when the leading
-/// eigenvalue is non-positive, or [`NoSplit::Unconverged`] when the
-/// iteration runs out of steps.
+/// The sign vector of the leading eigenvector of `B^(S)`,
+/// [`NoSplit::Indivisible`] when its eigenvalue is not positive, or
+/// [`NoSplit::Unconverged`] when the eigensolver fails.
 fn leading_split(
-    g: &CsrGraph,
+    s: &CsrGraph,
     deg: &[f64],
     m2: f64,
     members: &[VertexId],
 ) -> Result<Vec<bool>, NoSplit> {
     let k = members.len();
-    let local_of: std::collections::HashMap<VertexId, usize> =
-        members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    // Row sums of B restricted to S (the generalized-matrix correction).
-    let d_s: f64 = members.iter().map(|&v| deg[v as usize]).sum();
-    let rowsum: Vec<f64> = members
-        .iter()
-        .map(|&v| {
-            let deg_in_s = g
-                .neighbor_slice(v)
-                .iter()
-                .filter(|u| local_of.contains_key(u))
-                .count() as f64;
-            deg_in_s - deg[v as usize] * d_s / m2
-        })
-        .collect();
-    // Shift so the leading eigenvalue of B + σI is dominant in magnitude:
-    // σ = max row absolute sum bound of -B (degrees suffice).
-    let sigma = members.iter().map(|&v| deg[v as usize]).fold(0.0, f64::max) * 2.0 + 1.0;
-
+    let d: Vec<f64> = members.iter().map(|&v| deg[v as usize]).collect();
+    let d_s: f64 = d.iter().sum();
+    // `y = −B^(S) x`; row i of `B^(S)` sums to zero once the diagonal
+    // carries `−(k_i^(S) − d_i d_S / 2m)`.
+    let matvec = |x: &[f64], y: &mut [f64]| {
+        let dx: f64 = d.iter().zip(x).map(|(a, b)| a * b).sum();
+        y.par_iter_mut().enumerate().for_each(|(i, yi)| {
+            let v = i as VertexId;
+            let adj: f64 = s.neighbor_slice(v).iter().map(|&j| x[j as usize]).sum();
+            let rowsum = s.degree(v) as f64 - d[i] * d_s / m2;
+            *yi = rowsum * x[i] - adj + d[i] * dx / m2;
+        });
+    };
     let mut rng = rand::rngs::StdRng::seed_from_u64(SEED ^ (k as u64) << 1);
-    let mut x: Vec<f64> = (0..k).map(|_| rng.gen::<f64>() - 0.5).collect();
-    normalize(&mut x).ok_or(NoSplit::Indivisible)?;
-    let mut y = vec![0.0; k];
-    let mut lambda_shifted = 0.0;
-    let mut converged = false;
-    for _ in 0..MAX_ITERATIONS {
-        modularity_matvec(g, deg, m2, members, &local_of, &rowsum, sigma, &x, &mut y);
-        let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if norm == 0.0 {
-            return Err(NoSplit::Indivisible);
-        }
-        for v in y.iter_mut() {
-            *v /= norm;
-        }
-        std::mem::swap(&mut x, &mut y);
-        let new_lambda = norm;
-        if (new_lambda - lambda_shifted).abs() <= TOLERANCE * new_lambda.abs().max(1e-30) {
-            converged = true;
-            lambda_shifted = new_lambda;
-            break;
-        }
-        lambda_shifted = new_lambda;
-    }
-    if !converged {
-        return Err(NoSplit::Unconverged);
-    }
-    // Leading eigenvalue of B^(S) itself.
-    let lambda = lambda_shifted - sigma;
-    if lambda <= 1e-12 {
+    let start = (0..k).map(|_| rng.gen::<f64>() - 0.5).collect();
+    let (lambda, x) =
+        snap_kernels::smallest_eigenpair(matvec, start, LANCZOS_STEPS, LANCZOS_TOLERANCE)
+            .map_err(|_| NoSplit::Unconverged)?;
+    // `−λ` is the leading eigenvalue of `B^(S)` itself.
+    if -lambda <= 1e-12 {
         return Err(NoSplit::Indivisible);
     }
     Ok(x.iter().map(|&v| v >= 0.0).collect())
 }
 
-fn normalize(x: &mut [f64]) -> Option<()> {
-    let norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if norm == 0.0 {
-        return None;
-    }
-    for v in x.iter_mut() {
-        *v /= norm;
-    }
-    Some(())
-}
-
-/// ΔQ of splitting `members` along `signs`:
-/// `ΔQ = (1/2m) [ Σ_within-same-side B_ij ... ]` evaluated directly as
-/// `sᵀ B^(S) s / (2·2m)` with `s ∈ {±1}`.
-fn split_gain(g: &CsrGraph, deg: &[f64], m2: f64, members: &[VertexId], signs: &[bool]) -> f64 {
-    let local_of: std::collections::HashMap<VertexId, usize> =
-        members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let s = |i: usize| if signs[i] { 1.0 } else { -1.0 };
-    let d_s: f64 = members.iter().map(|&v| deg[v as usize]).sum();
+/// ΔQ of splitting the community along `signs`: `sᵀ B^(S) s / (2·2m)`
+/// with `s ∈ {±1}`.
+fn split_gain(s: &CsrGraph, deg: &[f64], m2: f64, members: &[VertexId], signs: &[bool]) -> f64 {
+    let sign = |i: usize| if signs[i] { 1.0 } else { -1.0 };
     // sᵀ A^(S) s
     let mut sas = 0.0;
-    for (i, &v) in members.iter().enumerate() {
-        for u in g.neighbor_slice(v) {
-            if let Some(&j) = local_of.get(u) {
-                sas += s(i) * s(j);
-            }
+    for i in 0..members.len() {
+        for &j in s.neighbor_slice(i as VertexId) {
+            sas += sign(i) * sign(j as usize);
         }
     }
     // sᵀ (d dᵀ/2m) s
     let sd: f64 = members
         .iter()
         .enumerate()
-        .map(|(i, &v)| deg[v as usize] * s(i))
+        .map(|(i, &v)| deg[v as usize] * sign(i))
         .sum();
-    // Generalized correction: Σ_i rowsum_i (s_i² − s_i·s_i) vanishes for
-    // ±1 vectors against the diagonal only through the constant shift;
-    // B^(S) = B − diag(rowsum), and s_i² = 1, so subtract Σ rowsum.
-    let rowsum_total: f64 = members
-        .iter()
-        .map(|&v| {
-            let deg_in_s = g
-                .neighbor_slice(v)
-                .iter()
-                .filter(|u| local_of.contains_key(u))
-                .count() as f64;
-            deg_in_s - deg[v as usize] * d_s / m2
-        })
-        .sum();
+    // B^(S) = B − diag(rowsum) and s_i² = 1, so the diagonal costs
+    // Σ rowsum = 2m_S − d_S² / 2m.
+    let d_s: f64 = members.iter().map(|&v| deg[v as usize]).sum();
+    let rowsum_total = 2.0 * s.num_edges() as f64 - d_s * d_s / m2;
     let stbs = sas - sd * sd / m2 - rowsum_total;
     stbs / (2.0 * m2)
 }
@@ -299,20 +239,16 @@ fn split_gain(g: &CsrGraph, deg: &[f64], m2: f64, members: &[VertexId], signs: &
 /// For `s ∈ {±1}`, flipping vertex i changes `sᵀ B^(S) s` by
 /// `−4 s_i w_i` with `w_i = (A^(S) s)_i − d_i (d·s)/2m + d_i² s_i / 2m`
 /// (the last term removes B's diagonal, which is invariant under flips).
-fn fine_tune(g: &CsrGraph, deg: &[f64], m2: f64, members: &[VertexId], signs: &mut [bool]) {
+fn fine_tune(s: &CsrGraph, deg: &[f64], m2: f64, members: &[VertexId], signs: &mut [bool]) {
     let k = members.len();
-    let local_of: std::collections::HashMap<VertexId, usize> =
-        members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
     let s_val = |signs: &[bool], i: usize| if signs[i] { 1.0 } else { -1.0 };
 
     // adj_s[i] = Σ_{j∈S, j~i} s_j ; dsum = Σ_{j∈S} d_j s_j.
-    let mut adj_s: Vec<f64> = members
-        .iter()
-        .map(|&v| {
-            g.neighbor_slice(v)
+    let mut adj_s: Vec<f64> = (0..k as VertexId)
+        .map(|i| {
+            s.neighbor_slice(i)
                 .iter()
-                .filter_map(|u| local_of.get(u))
-                .map(|&j| s_val(signs, j))
+                .map(|&j| s_val(signs, j as usize))
                 .sum()
         })
         .collect();
@@ -352,10 +288,8 @@ fn fine_tune(g: &CsrGraph, deg: &[f64], m2: f64, members: &[VertexId], signs: &m
         moved[i] = true;
         let new_s = -old_s;
         dsum += deg[members[i] as usize] * (new_s - old_s);
-        for u in g.neighbor_slice(members[i]) {
-            if let Some(&j) = local_of.get(u) {
-                adj_s[j] += new_s - old_s;
-            }
+        for &j in s.neighbor_slice(i as VertexId) {
+            adj_s[j as usize] += new_s - old_s;
         }
         gain_running += delta / (2.0 * m2); // convert to ΔQ units
         sequence.push(i);

@@ -294,7 +294,7 @@ impl Network {
                 (r.clustering, r.q)
             }
             CommunityAlgorithm::Spectral => {
-                let r = snap_community::spectral_communities(g);
+                let r = snap_community::spectral_communities_in(g, exec);
                 (r.clustering, r.q)
             }
         };

@@ -20,6 +20,8 @@
 //!   Δ-stepping SSSP and k-core decomposition ([`kcore::coreness`]).
 //! * **Coarse-grained source parallelism** written once
 //!   ([`sweep::sweep`]) for the centrality and path-length crates.
+//! * **One eigensolver** ([`lanczos::smallest_eigenpair`]) for spectral
+//!   bisection and spectral modularity: the caller passes the matvec.
 //!
 //! Parallel kernels use the ambient rayon thread pool; callers control
 //! parallelism by installing a pool (`ThreadPool::install`).
@@ -33,6 +35,7 @@ pub mod dynbfs;
 pub mod dyncc;
 mod exec;
 pub mod kcore;
+pub mod lanczos;
 pub mod spanning;
 pub mod sssp;
 pub mod stcon;
@@ -52,6 +55,7 @@ pub use dynbfs::IncrementalBfs;
 pub use dyncc::{DynamicComponents, IncrementalComponents};
 pub use exec::Exec;
 pub use kcore::{coreness, try_coreness, CorenessResult};
+pub use lanczos::{smallest_eigenpair, NoConvergence};
 pub use spanning::{par_spanning_forest, spanning_forest, SpanningForest};
 pub use sssp::{delta_stepping, dijkstra, try_delta_stepping, SsspResult, INF};
 pub use stcon::{st_connectivity, st_connectivity_into, StResult};

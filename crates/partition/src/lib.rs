@@ -10,7 +10,8 @@
 //!   recursive-bisection ("pmetis") and direct-k-way-refined ("kmetis")
 //!   variants.
 //! * **Spectral** (Chaco-style): Fiedler-vector recursive bisection via
-//!   deflated power iteration ("RQI") or a Lanczos process; either can
+//!   CG inverse iteration ("RQI") or the Lanczos solver of
+//!   `snap_kernels::lanczos`; either can
 //!   legitimately fail to converge on hub-dominated small-world spectra,
 //!   matching the "-" entries of Table 1.
 

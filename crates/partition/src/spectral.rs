@@ -1,7 +1,8 @@
 //! Spectral bisection: split along the Fiedler vector (the eigenvector of
 //! the graph Laplacian's second-smallest eigenvalue), computed either by
-//! deflated power iteration (the RQI-flavored variant) or by a Lanczos
-//! process — the two Chaco heuristics of Table 1.
+//! inverse iteration with conjugate-gradient solves (the RQI-flavored
+//! variant) or by the Lanczos process of [`snap_kernels::lanczos`] — the
+//! two Chaco heuristics of Table 1.
 //!
 //! The paper's point stands in the numerics: small-world graphs have
 //! near-degenerate leading eigenvalues dominated by hub neighborhoods
@@ -43,7 +44,7 @@ impl std::error::Error for SpectralError {}
 /// Which eigensolver drives the bisection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Eigensolver {
-    /// Deflated power iteration on `cI - L` (RQI-flavored).
+    /// Inverse iteration with conjugate-gradient solves (RQI-flavored).
     Power,
     /// Lanczos tridiagonalization with Sturm-bisection Ritz extraction.
     Lanczos,
@@ -231,254 +232,25 @@ fn cg_solve_projected(g: &CsrGraph, b: &[f64], max_iters: usize, rtol: f64) -> (
     (x, used)
 }
 
-/// Fiedler vector by Lanczos: build a Krylov basis orthogonal to the
-/// all-ones vector, extract the smallest Ritz pair of the tridiagonal
-/// matrix by Sturm-sequence bisection.
+/// Fiedler vector by Lanczos ([`snap_kernels::smallest_eigenpair`] on
+/// the Laplacian, from a seeded random start vector).
 fn fiedler_lanczos(
     g: &CsrGraph,
     max_steps: usize,
     tolerance: f64,
     seed: u64,
 ) -> Result<Vec<f64>, SpectralError> {
-    let n = g.num_vertices();
-    let steps = max_steps.min(n.saturating_sub(1)).max(1);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-
-    let mut alphas: Vec<f64> = Vec::with_capacity(steps);
-    let mut betas: Vec<f64> = Vec::with_capacity(steps);
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(steps);
-
-    let mut q: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
-    project_out_ones(&mut q);
-    if normalize(&mut q) == 0.0 {
-        return Err(SpectralError::NoConvergence {
-            method: "lanczos",
-            iterations: 0,
-        });
-    }
-    let mut q_prev = vec![0.0; n];
-    let mut w = vec![0.0; n];
-    let mut beta_prev = 0.0f64;
-
-    for _ in 0..steps {
-        laplacian_matvec(g, &q, &mut w);
-        let alpha: f64 = q.iter().zip(&w).map(|(a, b)| a * b).sum();
-        for v in 0..n {
-            w[v] -= alpha * q[v] + beta_prev * q_prev[v];
-        }
-        // Full reorthogonalization (against ones and the basis) keeps the
-        // small problem numerically clean.
-        project_out_ones(&mut w);
-        for b in &basis {
-            let dot: f64 = w.iter().zip(b).map(|(a, c)| a * c).sum();
-            for v in 0..n {
-                w[v] -= dot * b[v];
-            }
-        }
-        alphas.push(alpha);
-        basis.push(q.clone());
-        let beta = w.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if beta < 1e-12 {
-            break; // invariant subspace found — exact Ritz values
-        }
-        betas.push(beta);
-        q_prev.clone_from(&q);
-        for v in 0..n {
-            q[v] = w[v] / beta;
-        }
-        beta_prev = beta;
-    }
-
-    let k = alphas.len();
-    if k == 0 {
-        return Err(SpectralError::NoConvergence {
-            method: "lanczos",
-            iterations: 0,
-        });
-    }
-    betas.truncate(k.saturating_sub(1));
-
-    // Smallest Ritz value by Sturm bisection.
-    let lambda = tridiag_smallest_eig(&alphas, &betas, tolerance);
-    // Ritz vector: eigenvector of T by inverse-iteration-free recurrence
-    // with a tiny shift for numerical safety.
-    let w_t = tridiag_eigvec(&alphas, &betas, lambda);
-    // Residual check: ‖T w - λ w‖ must be small, else report failure
-    // (this is where hub-dominated small-world spectra break down).
-    let mut resid = 0.0f64;
-    for i in 0..k {
-        let mut t = alphas[i] * w_t[i] - lambda * w_t[i];
-        if i > 0 {
-            t += betas[i - 1] * w_t[i - 1];
-        }
-        if i + 1 < k {
-            t += betas[i] * w_t[i + 1];
-        }
-        resid += t * t;
-    }
-    if resid.sqrt() > 3e-3 {
-        return Err(SpectralError::NoConvergence {
-            method: "lanczos",
-            iterations: k,
-        });
-    }
-
-    let mut fiedler = vec![0.0; n];
-    for (i, b) in basis.iter().enumerate() {
-        for v in 0..n {
-            fiedler[v] += w_t[i] * b[v];
-        }
-    }
-    project_out_ones(&mut fiedler);
-    if normalize(&mut fiedler) == 0.0 {
-        return Err(SpectralError::NoConvergence {
-            method: "lanczos",
-            iterations: k,
-        });
-    }
-    Ok(fiedler)
-}
-
-/// Number of eigenvalues of the tridiagonal `(alphas, betas)` below `x`
-/// (Sturm sequence count).
-fn sturm_count(alphas: &[f64], betas: &[f64], x: f64) -> usize {
-    let mut count = 0usize;
-    let mut d = 1.0f64;
-    for i in 0..alphas.len() {
-        let b2 = if i > 0 {
-            betas[i - 1] * betas[i - 1]
-        } else {
-            0.0
-        };
-        d = alphas[i]
-            - x
-            - b2 / if d.abs() < 1e-300 {
-                1e-300f64.copysign(d)
-            } else {
-                d
-            };
-        if d < 0.0 {
-            count += 1;
-        }
-    }
-    count
-}
-
-fn tridiag_smallest_eig(alphas: &[f64], betas: &[f64], tol: f64) -> f64 {
-    // Gershgorin bounds.
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for i in 0..alphas.len() {
-        let mut r = 0.0;
-        if i > 0 {
-            r += betas[i - 1].abs();
-        }
-        if i < betas.len() {
-            r += betas[i].abs();
-        }
-        lo = lo.min(alphas[i] - r);
-        hi = hi.max(alphas[i] + r);
-    }
-    let (mut lo, mut hi) = (lo, hi);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if sturm_count(alphas, betas, mid) >= 1 {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        if hi - lo <= tol * hi.abs().max(1.0) {
-            break;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// Eigenvector of the tridiagonal `(alphas, betas)` for eigenvalue
-/// `lambda`, by two rounds of inverse iteration with a partially pivoted
-/// tridiagonal LU solve (the forward three-term recurrence is
-/// exponentially unstable for long recurrences).
-fn tridiag_eigvec(alphas: &[f64], betas: &[f64], lambda: f64) -> Vec<f64> {
-    let k = alphas.len();
-    // Small shift keeps (T - λI) invertible at machine precision.
-    let shift = lambda - 1e-10 * lambda.abs().max(1.0);
-    let mut w = vec![1.0 / (k as f64).sqrt(); k];
-    for _ in 0..2 {
-        w = tridiag_solve_shifted(alphas, betas, shift, &w);
-        let norm = w.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if norm == 0.0 || !norm.is_finite() {
-            // Degenerate solve; fall back to the unnormalized iterate.
-            return vec![1.0 / (k as f64).sqrt(); k];
-        }
-        for v in w.iter_mut() {
-            *v /= norm;
-        }
-    }
-    w
-}
-
-/// Solve `(T - shift·I) x = b` for tridiagonal `T` by Gaussian
-/// elimination with partial pivoting (introduces one extra superdiagonal
-/// of fill-in).
-fn tridiag_solve_shifted(alphas: &[f64], betas: &[f64], shift: f64, b: &[f64]) -> Vec<f64> {
-    let k = alphas.len();
-    // Band storage: sub[i] (row i, col i-1), diag[i], sup1[i] (col i+1),
-    // sup2[i] (col i+2, fill-in).
-    let mut sub: Vec<f64> = (0..k)
-        .map(|i| if i > 0 { betas[i - 1] } else { 0.0 })
+    let start = (0..g.num_vertices())
+        .map(|_| rng.gen::<f64>() - 0.5)
         .collect();
-    let mut diag: Vec<f64> = alphas.iter().map(|&a| a - shift).collect();
-    let mut sup1: Vec<f64> = (0..k)
-        .map(|i| if i + 1 < k { betas[i] } else { 0.0 })
-        .collect();
-    let mut sup2 = vec![0.0f64; k];
-    let mut rhs = b.to_vec();
-
-    for i in 0..k - 1 {
-        if sub[i + 1].abs() > diag[i].abs() {
-            // Pivot: swap row i and i+1.
-            let (a, b2) = diag.split_at_mut(i + 1);
-            std::mem::swap(&mut a[i], &mut sub[i + 1]);
-            // careful: after swap, diag[i] holds old sub[i+1]; we must
-            // also swap the remaining row entries.
-            std::mem::swap(&mut sup1[i], &mut b2[0]);
-            if i + 2 < k {
-                std::mem::swap(&mut sup2[i], &mut sup1[i + 1]);
-            }
-            rhs.swap(i, i + 1);
-        }
-        let d = if diag[i].abs() < 1e-300 {
-            1e-300f64.copysign(diag[i])
-        } else {
-            diag[i]
-        };
-        let factor = sub[i + 1] / d;
-        sub[i + 1] = 0.0;
-        diag[i + 1] -= factor * sup1[i];
-        if i + 2 < k {
-            sup1[i + 1] -= factor * sup2[i];
-        }
-        rhs[i + 1] -= factor * rhs[i];
-    }
-
-    // Back substitution.
-    let mut x = vec![0.0f64; k];
-    for i in (0..k).rev() {
-        let mut acc = rhs[i];
-        if i + 1 < k {
-            acc -= sup1[i] * x[i + 1];
-        }
-        if i + 2 < k {
-            acc -= sup2[i] * x[i + 2];
-        }
-        let d = if diag[i].abs() < 1e-300 {
-            1e-300f64.copysign(diag[i])
-        } else {
-            diag[i]
-        };
-        x[i] = acc / d;
-    }
-    x
+    let matvec = |x: &[f64], y: &mut [f64]| laplacian_matvec(g, x, y);
+    snap_kernels::smallest_eigenpair(matvec, start, max_steps, tolerance)
+        .map(|(_, fiedler)| fiedler)
+        .map_err(|e| SpectralError::NoConvergence {
+            method: "lanczos",
+            iterations: e.steps,
+        })
 }
 
 /// Spectral recursive bisection into `cfg.parts` parts.
@@ -672,17 +444,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn sturm_count_on_known_matrix() {
-        // T = [[2,1],[1,2]] has eigenvalues 1 and 3.
-        let alphas = [2.0, 2.0];
-        let betas = [1.0];
-        assert_eq!(sturm_count(&alphas, &betas, 0.5), 0);
-        assert_eq!(sturm_count(&alphas, &betas, 2.0), 1);
-        assert_eq!(sturm_count(&alphas, &betas, 3.5), 2);
-        let smallest = tridiag_smallest_eig(&alphas, &betas, 1e-12);
-        assert!((smallest - 1.0).abs() < 1e-9);
     }
 }

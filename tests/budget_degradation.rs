@@ -192,6 +192,30 @@ fn degradations_surface_in_run_report() {
     assert!(report.total_counter("budget_cancellations") >= 2);
 }
 
+/// Spectral modularity pays one unit per matvec before each split
+/// attempt: on a spent budget it keeps the whole graph as one community,
+/// a valid clustering, and says so.
+#[test]
+fn spectral_degrades_on_an_exhausted_budget() {
+    let g = planted();
+    let n = g.num_vertices();
+    let budget = Budget::with_work_cap(0);
+    assert!(budget.charge(1).is_err());
+    let net = Network::new(g).with_budget(budget);
+    let obs = net.observed();
+    let c = obs.communities(CommunityAlgorithm::Spectral);
+    let report = obs.finish();
+    c.clustering.validate().unwrap();
+    assert_eq!(c.clustering.assignment.len(), n);
+    assert_eq!(c.clustering.count, 1);
+    let spectral = report.find("community.spectral").expect("spectral span");
+    assert_eq!(
+        spectral.meta_value("degraded"),
+        Some("budget exhausted: work cap consumed")
+    );
+    assert_eq!(spectral.counter("splits"), Some(0));
+}
+
 #[test]
 fn budget_handle_is_shared_across_clones() {
     let budget = Budget::with_work_cap(100);

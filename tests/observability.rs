@@ -520,9 +520,11 @@ fn sampled_sweeps_fan_out_across_threads() {
     }
 }
 
-/// A spectral split attempt whose power iteration runs out of steps is
-/// reported: counted as `unconverged` on `community.spectral`, which
-/// carries the `degraded` meta. A graph that splits cleanly reports none.
+/// A spectral split attempt whose eigensolve fails is counted as
+/// `unconverged` on `community.spectral`, with the `degraded` meta. The
+/// Lanczos solver converges on planted 2^8 (a shifted power iteration
+/// ran out of steps there on every attempt) and on the barbell, so both
+/// report splits and neither reports a failed attempt.
 #[test]
 fn spectral_reports_split_attempts_that_ran_out_of_steps() {
     let _serial = serial();
@@ -543,9 +545,9 @@ fn spectral_reports_split_attempts_that_ran_out_of_steps() {
         (counter("splits"), counter("unconverged"), degraded)
     };
 
-    let (_, unconverged, degraded) = spectral(planted);
-    assert!(unconverged >= 1, "planted 2^8: {unconverged} unconverged");
-    assert!(degraded.is_some());
+    let (splits, unconverged, degraded) = spectral(planted);
+    assert!(splits >= 15, "planted 2^8: {splits} splits");
+    assert_eq!((unconverged, degraded), (0, None));
 
     let (splits, unconverged, degraded) = spectral(barbell);
     assert_eq!((splits, unconverged, degraded), (1, 0, None));

@@ -438,6 +438,57 @@ fn divisive_rounds_run_in_one_place() {
     );
 }
 
+/// A definition of a Sturm count or a tridiagonal eigen-step
+/// (`fn sturm_count(` or `fn tridiag_`) outside a comment line.
+fn eigensolver_step(line: &str) -> bool {
+    !line.trim_start().starts_with("//")
+        && ["fn sturm_count(", "fn tridiag_"]
+            .iter()
+            .any(|def| line.contains(def))
+}
+
+/// Eigenpairs are solved in one place: the Lanczos process in
+/// `crates/kernels/src/lanczos.rs`, which spectral bisection and
+/// spectral modularity both call with their own matvec. A second
+/// tridiagonal solver is how spectral modularity once ran a shifted
+/// power iteration that never converged. Unit tests (below a file's
+/// `#[cfg(test)]`) are not swept.
+#[test]
+fn eigenpairs_are_solved_in_one_place() {
+    assert!(eigensolver_step(
+        "fn sturm_count(alphas: &[f64], betas: &[f64], x: f64) -> usize {"
+    ));
+    assert!(eigensolver_step(
+        "fn tridiag_smallest_eig(alphas: &[f64], betas: &[f64], tol: f64) -> f64 {"
+    ));
+    assert!(eigensolver_step(
+        "    pub(crate) fn tridiag_eigvec(alphas: &[f64], betas: &[f64], lambda: f64) -> Vec<f64> {"
+    ));
+    assert!(!eigensolver_step(
+        "        if sturm_count(alphas, betas, mid) >= 1 {"
+    ));
+    assert!(!eigensolver_step(
+        "    let w_t = tridiag_eigvec(&alphas, &betas, lambda);"
+    ));
+    assert!(!eigensolver_step(
+        "    // fn tridiag_solve_shifted lives in kernels"
+    ));
+    let mut sources = rust_sources(&["crates"]);
+    sources.retain(|(path, _)| {
+        path.split('/').nth(2) == Some("src") && path != "crates/kernels/src/lanczos.rs"
+    });
+    for (_, text) in &mut sources {
+        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+        text.truncate(end);
+    }
+    let hits = flagged(&sources, eigensolver_step);
+    assert!(
+        hits.is_empty(),
+        "solve eigenpairs through snap_kernels::smallest_eigenpair:\n{}",
+        hits.join("\n")
+    );
+}
+
 /// The binary's cap: a front end with one pipeline per command, one
 /// copy of the synopsis and of the analysis commands' frame. A ratchet:
 /// lower it when the file shrinks, never raise it past 1 150.
