@@ -192,8 +192,8 @@ fn hash_path_stats(p: &snap::metrics::PathStats) -> u64 {
 /// `exact_threshold` 48 on a planted 2^8 graph, which runs the bridge,
 /// fine and coarse phases, and on R-MAT scale 7), of pMA on a planted
 /// 2^10 graph, and of spectral modularity on Karate and a planted 2^8
-/// graph: the "same numbers" invariant every refactor and optimisation of those kernels
-/// is held to. The values are pinned by this crate's
+/// graph: the "same numbers" invariant every refactor and optimisation
+/// of those kernels is held to. The values are pinned by this crate's
 /// `fixture_hashes_are_pinned` test, so any accumulation-order drift
 /// fails tier-1; the `fixture_hash` binary prints them.
 ///
