@@ -194,6 +194,7 @@ fn leading_split(
             let rowsum = s.degree(v) as f64 - d[i] * d_s / m2;
             *yi = rowsum * x[i] - adj + d[i] * dx / m2;
         });
+        Ok(())
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(SEED ^ (k as u64) << 1);
     let start = (0..k).map(|_| rng.gen::<f64>() - 0.5).collect();

@@ -11,10 +11,14 @@
 //! `B^(S)`, with no shift.
 //!
 //! The caller owns the operator (a matvec closure) and the start vector,
-//! so the solver needs neither a graph nor a random source.
+//! so the solver needs neither a graph nor a random source. The matvec
+//! may refuse (a budget that tripped), which stops the process at once.
 
-/// The tridiagonal Ritz problem was not solved to the residual bound
-/// (or the start vector had no component off the constant vector).
+use snap_budget::Exhausted;
+
+/// The tridiagonal Ritz problem was not solved to the residual bound,
+/// the start vector had no component off the constant vector, or the
+/// matvec refused a step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NoConvergence {
     /// Lanczos steps taken.
@@ -27,9 +31,10 @@ pub struct NoConvergence {
 /// to relative tolerance `tol`. `x` is unit length and orthogonal to the
 /// all-ones vector; `M` must map that complement into itself (zero row
 /// sums). Full reorthogonalization keeps the basis clean, so a run of
-/// `len − 1` steps is exact.
+/// `len − 1` steps is exact. A matvec that returns `Err` ends the solve
+/// with [`NoConvergence`].
 pub fn smallest_eigenpair(
-    mut matvec: impl FnMut(&[f64], &mut [f64]),
+    mut matvec: impl FnMut(&[f64], &mut [f64]) -> Result<(), Exhausted>,
     start: Vec<f64>,
     max_steps: usize,
     tol: f64,
@@ -51,7 +56,11 @@ pub fn smallest_eigenpair(
     let mut beta_prev = 0.0f64;
 
     for _ in 0..steps {
-        matvec(&q, &mut w);
+        if matvec(&q, &mut w).is_err() {
+            return Err(NoConvergence {
+                steps: alphas.len(),
+            });
+        }
         let alpha: f64 = q.iter().zip(&w).map(|(a, b)| a * b).sum();
         for v in 0..n {
             w[v] -= alpha * q[v] + beta_prev * q_prev[v];
@@ -281,7 +290,7 @@ mod tests {
     use super::*;
 
     /// `y = L x` for the path 0 – 1 – … – (n−1).
-    fn path_laplacian(x: &[f64], y: &mut [f64]) {
+    fn path_laplacian(x: &[f64], y: &mut [f64]) -> Result<(), Exhausted> {
         let n = x.len();
         for v in 0..n {
             let mut acc = 0.0;
@@ -293,6 +302,7 @@ mod tests {
             }
             y[v] = acc;
         }
+        Ok(())
     }
 
     /// The indicator of vertex 0, which overlaps every eigenvector of
@@ -328,6 +338,21 @@ mod tests {
         // the tridiagonal residual check fails after all seven steps.
         let err = smallest_eigenpair(path_laplacian, start(8), 50, 1.0).unwrap_err();
         assert_eq!(err, NoConvergence { steps: 7 });
+    }
+
+    #[test]
+    fn a_refused_matvec_stops_the_solve() {
+        let mut calls = 0;
+        let refuse_third = |x: &[f64], y: &mut [f64]| {
+            calls += 1;
+            if calls == 3 {
+                return Err(Exhausted::Deadline);
+            }
+            path_laplacian(x, y)
+        };
+        let err = smallest_eigenpair(refuse_third, start(8), 50, 1e-12).unwrap_err();
+        assert_eq!(err, NoConvergence { steps: 2 });
+        assert_eq!(calls, 3);
     }
 
     #[test]

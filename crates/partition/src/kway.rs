@@ -107,12 +107,7 @@ fn rb(
         return;
     }
     if budget.is_exhausted() {
-        // Degraded split: round-robin keeps every part balanced and
-        // non-empty without any further multilevel work.
-        for (i, &v) in vertices.iter().enumerate() {
-            out[v as usize] = *next_label + (i % parts) as u32;
-        }
-        *next_label += parts as u32;
+        round_robin(vertices, parts, next_label, out);
         return;
     }
     let sub = {
@@ -155,6 +150,21 @@ fn rb(
     );
     rb(g, vwgt, &left, kl, seed_l, next_label, out, budget);
     rb(g, vwgt, &right, kr, seed_r, next_label, out, budget);
+}
+
+/// The degraded split of a recursive bisection whose budget has run out:
+/// `vertices` dealt round-robin onto `parts` labels from `*next_label`,
+/// which keeps every part balanced and non-empty with no further work.
+pub(crate) fn round_robin(
+    vertices: &[VertexId],
+    parts: usize,
+    next_label: &mut u32,
+    out: &mut [u32],
+) {
+    for (i, &v) in vertices.iter().enumerate() {
+        out[v as usize] = *next_label + (i % parts) as u32;
+    }
+    *next_label += parts as u32;
 }
 
 /// Greedy direct k-way refinement: boundary vertices move to the adjacent

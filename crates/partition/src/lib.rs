@@ -118,10 +118,10 @@ pub fn partition(
     partition_in(g, method, parts, seed, &Exec::default())
 }
 
-/// [`partition`] under `exec`'s compute budget. The multilevel methods
-/// degrade gracefully (budgeted FM / k-way refinement, round-robin
-/// fallback splits); the spectral solvers are bounded by their own
-/// iteration caps and run to completion.
+/// [`partition`] under `exec`'s compute budget. Every method degrades
+/// gracefully: once the budget trips, the bisections still to run fall
+/// back to round-robin splits, the multilevel methods' FM and k-way
+/// refinement stop early, and a spectral solve stops at its next matvec.
 pub fn partition_in(
     g: &CsrGraph,
     method: Method,
@@ -140,8 +140,10 @@ pub fn partition_in(
             &KwayConfig::recursive(parts, seed),
             exec,
         )),
-        Method::SpectralRqi => spectral_partition(g, &SpectralConfig::rqi(parts, seed)),
-        Method::SpectralLanczos => spectral_partition(g, &SpectralConfig::lanczos(parts, seed)),
+        Method::SpectralRqi => spectral_partition(g, &SpectralConfig::rqi(parts, seed), exec),
+        Method::SpectralLanczos => {
+            spectral_partition(g, &SpectralConfig::lanczos(parts, seed), exec)
+        }
     };
     // The cut is a derived quantity: only pay the O(m) sweep when someone
     // is actually collecting a report.

@@ -10,11 +10,14 @@
 //! hub-indicator (useless cut) or fails to converge within the budget —
 //! which Table 1 renders as "–" for Chaco on the small-world instance.
 
+use crate::kway::round_robin;
 use crate::metrics::Partition;
 use rand::Rng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use snap_budget::{Budget, Exhausted};
 use snap_graph::{CsrGraph, Graph, InducedSubgraph, VertexId, WeightedGraph};
+use snap_kernels::Exec;
 
 /// Why a spectral partition attempt failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,8 +92,16 @@ impl SpectralConfig {
     }
 }
 
-/// `y = L x` for the weighted Laplacian `L = D - A` (parallel over rows).
-fn laplacian_matvec(g: &CsrGraph, x: &[f64], y: &mut [f64]) {
+/// `y = L x` for the weighted Laplacian `L = D - A` (parallel over rows),
+/// charged to `budget` one unit per arc; refused, with `y` untouched,
+/// once the budget has tripped.
+fn laplacian_matvec(
+    g: &CsrGraph,
+    x: &[f64],
+    y: &mut [f64],
+    budget: &Budget,
+) -> Result<(), Exhausted> {
+    budget.charge(g.num_arcs() as u64 + 1)?;
     y.par_iter_mut().enumerate().for_each(|(v, yv)| {
         let v = v as VertexId;
         let mut acc = 0.0;
@@ -102,6 +113,7 @@ fn laplacian_matvec(g: &CsrGraph, x: &[f64], y: &mut [f64]) {
         }
         *yv = deg_w * x[v as usize] - acc;
     });
+    Ok(())
 }
 
 fn project_out_ones(x: &mut [f64]) {
@@ -129,12 +141,14 @@ fn normalize(x: &mut [f64]) -> f64 {
 /// after a few steps) this converges in a handful of outer iterations; on
 /// hub-dominated small-world spectra the leading eigenvalues are
 /// near-degenerate (Mihail & Papadimitriou) and the iteration stalls —
-/// reported as [`SpectralError::NoConvergence`], the paper's "-".
+/// reported as [`SpectralError::NoConvergence`], the paper's "-". So is
+/// a solve that `budget` stops.
 fn fiedler_power(
     g: &CsrGraph,
     max_iterations: usize,
     tolerance: f64,
     seed: u64,
+    budget: &Budget,
 ) -> Result<Vec<f64>, SpectralError> {
     let n = g.num_vertices();
     if n < 2 {
@@ -158,39 +172,45 @@ fn fiedler_power(
     let mut spent = 0usize;
     let mut scratch = vec![0.0; n];
     let mut prev_lambda = f64::INFINITY;
+    let stopped = |iterations| SpectralError::NoConvergence {
+        method: "power",
+        iterations,
+    };
     loop {
         if spent >= max_iterations {
             break;
         }
-        let budget = cg_budget_per_solve.min(max_iterations - spent);
-        let (mut y, used) = cg_solve_projected(g, &x, budget, 1e-8);
+        let cap = cg_budget_per_solve.min(max_iterations - spent);
+        let (mut y, used) =
+            cg_solve_projected(g, &x, cap, 1e-8, budget).map_err(|_| stopped(spent))?;
         spent += used.max(1); // guard: a degenerate solve must still make progress toward the budget
         project_out_ones(&mut y);
         if normalize(&mut y) == 0.0 {
-            return Err(SpectralError::NoConvergence {
-                method: "power",
-                iterations: spent,
-            });
+            return Err(stopped(spent));
         }
         x = y;
-        laplacian_matvec(g, &x, &mut scratch);
+        laplacian_matvec(g, &x, &mut scratch, budget).map_err(|_| stopped(spent))?;
         let lambda: f64 = x.iter().zip(&scratch).map(|(a, b)| a * b).sum();
         if (lambda - prev_lambda).abs() <= tolerance * lambda.abs().max(1e-30) {
             return Ok(x);
         }
         prev_lambda = lambda;
     }
-    Err(SpectralError::NoConvergence {
-        method: "power",
-        iterations: spent.max(1),
-    })
+    Err(stopped(spent.max(1)))
 }
 
 /// Approximately solve `L y = b` on the complement of the constant vector
-/// with conjugate gradient; returns the iterate and the matvecs spent.
-/// The solve need not be accurate — inverse iteration only needs enough
-/// amplification of the low end of the spectrum.
-fn cg_solve_projected(g: &CsrGraph, b: &[f64], max_iters: usize, rtol: f64) -> (Vec<f64>, usize) {
+/// with conjugate gradient; returns the iterate and the matvecs spent,
+/// or `Err` when `budget` refuses a matvec. The solve need not be
+/// accurate — inverse iteration only needs enough amplification of the
+/// low end of the spectrum.
+fn cg_solve_projected(
+    g: &CsrGraph,
+    b: &[f64],
+    max_iters: usize,
+    rtol: f64,
+    budget: &Budget,
+) -> Result<(Vec<f64>, usize), Exhausted> {
     let n = g.num_vertices();
     let mut x = vec![0.0; n];
     let mut r = b.to_vec();
@@ -199,12 +219,12 @@ fn cg_solve_projected(g: &CsrGraph, b: &[f64], max_iters: usize, rtol: f64) -> (
     let mut ap = vec![0.0; n];
     let b_norm2: f64 = r.iter().map(|v| v * v).sum();
     if b_norm2 == 0.0 {
-        return (x, 0);
+        return Ok((x, 0));
     }
     let mut rs_old: f64 = b_norm2;
     let mut used = 0usize;
     for _ in 0..max_iters {
-        laplacian_matvec(g, &p, &mut ap);
+        laplacian_matvec(g, &p, &mut ap, budget)?;
         used += 1;
         let p_ap: f64 = p.iter().zip(&ap).map(|(a, c)| a * c).sum();
         if p_ap <= 1e-300 {
@@ -229,22 +249,24 @@ fn cg_solve_projected(g: &CsrGraph, b: &[f64], max_iters: usize, rtol: f64) -> (
         }
         rs_old = rs_new;
     }
-    (x, used)
+    Ok((x, used))
 }
 
 /// Fiedler vector by Lanczos ([`snap_kernels::smallest_eigenpair`] on
-/// the Laplacian, from a seeded random start vector).
+/// the Laplacian, from a seeded random start vector), stopped by `budget`
+/// at its next matvec.
 fn fiedler_lanczos(
     g: &CsrGraph,
     max_steps: usize,
     tolerance: f64,
     seed: u64,
+    budget: &Budget,
 ) -> Result<Vec<f64>, SpectralError> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let start = (0..g.num_vertices())
         .map(|_| rng.gen::<f64>() - 0.5)
         .collect();
-    let matvec = |x: &[f64], y: &mut [f64]| laplacian_matvec(g, x, y);
+    let matvec = |x: &[f64], y: &mut [f64]| laplacian_matvec(g, x, y, budget);
     snap_kernels::smallest_eigenpair(matvec, start, max_steps, tolerance)
         .map(|(_, fiedler)| fiedler)
         .map_err(|e| SpectralError::NoConvergence {
@@ -253,10 +275,14 @@ fn fiedler_lanczos(
         })
 }
 
-/// Spectral recursive bisection into `cfg.parts` parts.
+/// Spectral recursive bisection into `cfg.parts` parts under `exec`'s
+/// budget: a bisection whose solve the budget stops falls back to a
+/// round-robin split, as the multilevel methods' do, and the result is
+/// marked `degraded`.
 pub(crate) fn spectral_partition(
     g: &CsrGraph,
     cfg: &SpectralConfig,
+    exec: &Exec,
 ) -> Result<Partition, SpectralError> {
     assert!(cfg.parts >= 1);
     let n = g.num_vertices();
@@ -272,7 +298,11 @@ pub(crate) fn spectral_partition(
             cfg.seed,
             &mut next,
             &mut assignment,
+            &exec.budget,
         )?;
+    }
+    if let Some(why) = exec.budget.exhaustion() {
+        snap_obs::meta("degraded", why);
     }
     Ok(Partition {
         assignment,
@@ -280,6 +310,7 @@ pub(crate) fn spectral_partition(
     })
 }
 
+#[allow(clippy::too_many_arguments)]
 fn spectral_rb(
     g: &CsrGraph,
     vertices: &[VertexId],
@@ -288,6 +319,7 @@ fn spectral_rb(
     seed: u64,
     next_label: &mut u32,
     out: &mut [u32],
+    budget: &Budget,
 ) -> Result<(), SpectralError> {
     if parts == 1 || vertices.len() <= 1 {
         let label = *next_label;
@@ -298,56 +330,18 @@ fn spectral_rb(
         return Ok(());
     }
     let sub = InducedSubgraph::extract(g, vertices);
-    // Disconnected subgraphs have λ2 = 0 with component-indicator
-    // eigenvectors, which iterative solvers cannot resolve. Handle them
-    // the way production spectral partitioners do: solve the Fiedler
-    // vector on the *largest* component and pack the remaining
-    // components (kept whole, ordered by component) onto the low end of
-    // the value axis, so the median split separates dust from one flank
-    // of the giant rather than bisecting by vertex id.
-    let comps = snap_kernels::connected_components(&sub.graph);
-    let solve = |graph: &CsrGraph| -> Result<Vec<f64>, SpectralError> {
-        match cfg.solver {
-            Eigensolver::Power => fiedler_power(graph, cfg.max_iterations, cfg.tolerance, seed),
-            Eigensolver::Lanczos => fiedler_lanczos(graph, cfg.max_iterations, cfg.tolerance, seed),
+    let solve = |graph: &CsrGraph| match cfg.solver {
+        Eigensolver::Power => fiedler_power(graph, cfg.max_iterations, cfg.tolerance, seed, budget),
+        Eigensolver::Lanczos => {
+            fiedler_lanczos(graph, cfg.max_iterations, cfg.tolerance, seed, budget)
         }
     };
-    let fiedler: Vec<f64> = if comps.count > 1 {
-        let sizes = comps.sizes();
-        let giant = sizes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &s)| s)
-            .map(|(c, _)| c as u32)
-            .expect("at least one component");
-        let giant_members: Vec<VertexId> = (0..sub.graph.num_vertices() as VertexId)
-            .filter(|&v| comps.comp[v as usize] == giant)
-            .collect();
-        let giant_fiedler = if giant_members.len() >= 2 {
-            let gsub = InducedSubgraph::extract(&sub.graph, &giant_members);
-            let f = solve(&gsub.graph)?;
-            let mut map = std::collections::HashMap::new();
-            for (local, &gv) in gsub.to_global.iter().enumerate() {
-                map.insert(gv, f[local]);
-            }
-            map
-        } else {
-            std::collections::HashMap::new()
-        };
-        (0..sub.graph.num_vertices() as VertexId)
-            .map(|v| {
-                let c = comps.comp[v as usize];
-                if c == giant {
-                    giant_fiedler.get(&v).copied().unwrap_or(0.0)
-                } else {
-                    // Dust components stay grouped, far below any
-                    // normalized Fiedler value (|f| <= 1).
-                    -1e6 - c as f64
-                }
-            })
-            .collect()
-    } else {
-        solve(&sub.graph)?
+    let fiedler = match fiedler_values(&sub.graph, solve) {
+        Err(_) if budget.is_exhausted() => {
+            round_robin(vertices, parts, next_label, out);
+            return Ok(());
+        }
+        solved => solved?,
     };
     // Balanced split at the weighted median of the Fiedler values.
     let kl = parts / 2;
@@ -369,9 +363,61 @@ fn spectral_rb(
         seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(11),
         seed.wrapping_mul(0xc2b2ae3d27d4eb4f).wrapping_add(13),
     );
-    spectral_rb(g, &left, kl, cfg, seed_l, next_label, out)?;
-    spectral_rb(g, &right, kr, cfg, seed_r, next_label, out)?;
+    spectral_rb(g, &left, kl, cfg, seed_l, next_label, out, budget)?;
+    spectral_rb(g, &right, kr, cfg, seed_r, next_label, out, budget)?;
     Ok(())
+}
+
+/// The values a bisection of `sub` splits at the median: `solve`'s
+/// Fiedler vector when `sub` is connected. Disconnected subgraphs have
+/// λ2 = 0 with component-indicator eigenvectors, which iterative solvers
+/// cannot resolve. Handle them the way production spectral partitioners
+/// do: solve the Fiedler vector on the *largest* component and pack the
+/// remaining components (kept whole, ordered by component) onto the low
+/// end of the value axis, so the median split separates dust from one
+/// flank of the giant rather than bisecting by vertex id.
+fn fiedler_values(
+    sub: &CsrGraph,
+    solve: impl Fn(&CsrGraph) -> Result<Vec<f64>, SpectralError>,
+) -> Result<Vec<f64>, SpectralError> {
+    let comps = snap_kernels::connected_components(sub);
+    if comps.count > 1 {
+        let sizes = comps.sizes();
+        let giant = sizes
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &s)| s)
+            .map(|(c, _)| c as u32)
+            .expect("at least one component");
+        let giant_members: Vec<VertexId> = (0..sub.num_vertices() as VertexId)
+            .filter(|&v| comps.comp[v as usize] == giant)
+            .collect();
+        let giant_fiedler = if giant_members.len() >= 2 {
+            let gsub = InducedSubgraph::extract(sub, &giant_members);
+            let f = solve(&gsub.graph)?;
+            let mut map = std::collections::HashMap::new();
+            for (local, &gv) in gsub.to_global.iter().enumerate() {
+                map.insert(gv, f[local]);
+            }
+            map
+        } else {
+            std::collections::HashMap::new()
+        };
+        Ok((0..sub.num_vertices() as VertexId)
+            .map(|v| {
+                let c = comps.comp[v as usize];
+                if c == giant {
+                    giant_fiedler.get(&v).copied().unwrap_or(0.0)
+                } else {
+                    // Dust components stay grouped, far below any
+                    // normalized Fiedler value (|f| <= 1).
+                    -1e6 - c as f64
+                }
+            })
+            .collect())
+    } else {
+        solve(sub)
+    }
 }
 
 #[cfg(test)]
@@ -387,7 +433,7 @@ mod tests {
     #[test]
     fn power_fiedler_splits_barbell() {
         let g = barbell();
-        let f = fiedler_power(&g, 5_000, 1e-10, 1).unwrap();
+        let f = fiedler_power(&g, 5_000, 1e-10, 1, &Budget::unlimited()).unwrap();
         // Fiedler sign separates the triangles.
         assert_eq!(f[0].signum(), f[1].signum());
         assert_eq!(f[3].signum(), f[4].signum());
@@ -397,7 +443,7 @@ mod tests {
     #[test]
     fn lanczos_fiedler_splits_barbell() {
         let g = barbell();
-        let f = fiedler_lanczos(&g, 50, 1e-10, 1).unwrap();
+        let f = fiedler_lanczos(&g, 50, 1e-10, 1, &Budget::unlimited()).unwrap();
         assert_eq!(f[0].signum(), f[1].signum());
         assert_ne!(f[0].signum(), f[3].signum());
     }
@@ -405,8 +451,8 @@ mod tests {
     #[test]
     fn power_and_lanczos_agree_on_path() {
         let g = from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]);
-        let a = fiedler_power(&g, 20_000, 1e-12, 3).unwrap();
-        let b = fiedler_lanczos(&g, 50, 1e-12, 3).unwrap();
+        let a = fiedler_power(&g, 20_000, 1e-12, 3, &Budget::unlimited()).unwrap();
+        let b = fiedler_lanczos(&g, 50, 1e-12, 3, &Budget::unlimited()).unwrap();
         // Same up to sign.
         let dot: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         assert!(dot.abs() > 0.99, "dot {dot}");
@@ -427,7 +473,7 @@ mod tests {
             }
         }
         let g = from_edges(64, &edges);
-        let p = spectral_partition(&g, &SpectralConfig::rqi(4, 7)).unwrap();
+        let p = spectral_partition(&g, &SpectralConfig::rqi(4, 7), &Exec::default()).unwrap();
         p.validate().unwrap();
         assert!(imbalance(&p, None) < 1.10);
         assert!(edge_cut(&g, &p) <= 40, "cut {}", edge_cut(&g, &p));
@@ -436,7 +482,7 @@ mod tests {
     #[test]
     fn tiny_budget_reports_no_convergence() {
         let g = barbell();
-        let err = fiedler_power(&g, 1, 1e-14, 0).unwrap_err();
+        let err = fiedler_power(&g, 1, 1e-14, 0, &Budget::unlimited()).unwrap_err();
         assert!(matches!(
             err,
             SpectralError::NoConvergence {

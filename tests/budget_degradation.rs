@@ -216,6 +216,36 @@ fn spectral_degrades_on_an_exhausted_budget() {
     assert_eq!(spectral.counter("splits"), Some(0));
 }
 
+/// Spectral bisection charges its budget for every matvec: a budget that
+/// trips inside the first solve stops it there, and the bisections still
+/// to run fall back to the multilevel methods' round-robin split, so the
+/// partition is balanced, valid and marked degraded.
+#[test]
+fn spectral_partition_stops_inside_its_first_solve() {
+    let g = planted();
+    let n = g.num_vertices();
+    let matvec = g.num_arcs() as u64 + 1;
+    for method in [
+        PartitionMethod::SpectralLanczos,
+        PartitionMethod::SpectralRqi,
+    ] {
+        let net = Network::new(g.clone()).with_budget(Budget::with_work_cap(5 * matvec));
+        let obs = net.observed();
+        let p = obs
+            .partition(method, 4, 1)
+            .expect("a tripped solve is not a failure");
+        let report = obs.finish();
+        p.validate().unwrap();
+        assert_eq!(p.sizes(), vec![n / 4; 4], "{method:?}");
+        let span = report.find("partition").expect("partition span");
+        assert_eq!(
+            span.meta_value("degraded"),
+            Some("budget exhausted: work cap consumed"),
+            "{method:?}"
+        );
+    }
+}
+
 #[test]
 fn budget_handle_is_shared_across_clones() {
     let budget = Budget::with_work_cap(100);
