@@ -11,13 +11,7 @@ fn bench_community(c: &mut Criterion) {
         &snap::gen::PlantedConfig::with_target_degrees(2_000, 20, 8.0, 2.0),
         5,
     );
-    group.bench_function("pbd-2k", |b| {
-        let cfg = PbdConfig {
-            batch: 8,
-            ..Default::default()
-        };
-        b.iter(|| pbd(&g, &cfg))
-    });
+    group.bench_function("pbd-2k", |b| b.iter(|| pbd(&g, &PbdConfig::default())));
     group.bench_function("pma-2k", |b| b.iter(|| pma(&g, &PmaConfig::default())));
     group.bench_function("pla-2k", |b| b.iter(|| pla(&g, &PlaConfig::default())));
     group.bench_function("spectral-2k", |b| b.iter(|| spectral_communities(&g)));

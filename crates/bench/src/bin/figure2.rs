@@ -38,12 +38,10 @@ fn main() {
     );
     println!();
 
-    // pBD at figure-2 scale runs the quick schedule: 1% sampling and
-    // batched cuts (the per-edge schedule is the paper-faithful setting
-    // but rescores a component after every single cut).
+    // pBD at figure-2 scale samples 1% of each component's vertices as
+    // sources (at least 96); its cuts per pass follow the graph.
     let pbd_cfg = PbdConfig {
         sample_frac: 0.01,
-        batch: (g.num_edges() / 100).max(1),
         ..Default::default()
     };
 

@@ -70,7 +70,6 @@ fn main() {
                     &g,
                     &GnConfig {
                         max_removals: Some(removals),
-                        patience: None,
                     },
                 )
             })

@@ -61,18 +61,7 @@ fn main() {
             None
         };
 
-        // pBD: the faithful per-edge schedule up to a few thousand
-        // vertices; small batched cuts beyond (4 edges per betweenness
-        // recomputation) keep the 10.7k-vertex instance to minutes.
-        let pbd_cfg = if n <= 2_000 {
-            PbdConfig::default()
-        } else {
-            PbdConfig {
-                batch: 4,
-                ..Default::default()
-            }
-        };
-        let (pbd_r, t_pbd) = time(|| pbd(g, &pbd_cfg));
+        let (pbd_r, t_pbd) = time(|| pbd(g, &PbdConfig::default()));
         eprintln!(
             "[{label}] pBD: q = {:.3} in {}",
             pbd_r.q,

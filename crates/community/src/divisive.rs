@@ -19,6 +19,19 @@ use snap_kernels::{connected_components, Exec};
 /// bare percentage gives too noisy a ranking to cut by.
 const MIN_SOURCES: usize = 96;
 
+/// Candidate count at which a sampled round's cuts start to grow: see
+/// [`cuts_per_round`].
+const CUT_SCALE: usize = 4096;
+
+/// Edges a sampled round cuts, from its candidate count:
+/// `max(1, ⌊(cand / CUT_SCALE)²⌋)`, so 1 up to 5 792 candidates. A
+/// round's pass costs about `k·cand`, so cutting `(cand / CUT_SCALE)²`
+/// edges per pass brings the phase from `O(k·m²)` to
+/// `O(k·CUT_SCALE²·log(m / CUT_SCALE))` for `m` edges.
+fn cuts_per_round(cand: usize) -> usize {
+    (cand.saturating_mul(cand) / (CUT_SCALE * CUT_SCALE)).max(1)
+}
+
 /// How [`DivisiveEngine::cut_rounds`] scores edges and when it stops.
 pub(crate) struct CutRule {
     /// `None` scores exactly: every vertex of a component is a source.
@@ -29,13 +42,8 @@ pub(crate) struct CutRule {
     /// Only edges of components with more vertices than this are scored
     /// and cut.
     pub(crate) threshold: usize,
-    /// Edges cut per round.
-    pub(crate) batch: usize,
     /// Stop once the removal list holds this many cuts.
     pub(crate) cap: usize,
-    /// Stop after this many rounds in a row that did not raise the best
-    /// modularity.
-    pub(crate) patience: Option<usize>,
 }
 
 /// Incremental divisive-clustering state over a base graph.
@@ -178,17 +186,18 @@ impl<'g> DivisiveEngine<'g> {
     }
 
     /// Run the divisive cut loop: each round scores the candidate edges,
-    /// cuts the top `rule.batch` of them (score descending, then edge id
+    /// cuts the top-scoring ones (score descending, then edge id
     /// ascending), and appends each cut as `(edge, q after it)` to
     /// `removals`. Candidates are the live edges of components with more
-    /// than `rule.threshold` vertices.
+    /// than `rule.threshold` vertices. An exact rule cuts one edge per
+    /// round; a sampled rule cuts [`cuts_per_round`] of them.
     ///
     /// The loop stops at `rule.cap` removals, when no candidate is left,
-    /// on `rule.patience`, or when `exec`'s budget cuts a round's sweep
-    /// short: that round cuts nothing, since a partial sum ranks edges by
-    /// whichever sources happened to run, and the best prefix of the cuts
-    /// made so far is the answer ([`Self::best_clustering`]). Each round
-    /// adds to the `rounds` counter and the `round_us` histogram.
+    /// or when `exec`'s budget cuts a round's sweep short: that round cuts
+    /// nothing, since a partial sum ranks edges by whichever sources
+    /// happened to run, and the best prefix of the cuts made so far is
+    /// the answer ([`Self::best_clustering`]). Each round adds to the
+    /// `rounds` counter and the `round_us` histogram.
     pub(crate) fn cut_rounds(
         &mut self,
         rule: &CutRule,
@@ -199,25 +208,13 @@ impl<'g> DivisiveEngine<'g> {
         // Per-round latency: rounds that rescore a giant component dwarf
         // the rest, so the spread is the signal.
         let round_us = snap_obs::hist("round_us");
-        let mut since_best = 0usize;
         loop {
             let timer = round_us.start();
-            let before = self.best_q;
             if !rounds.round(self, exec, removals) {
                 break;
             }
             round_us.stop_us(timer);
             snap_obs::add("rounds", 1);
-            if let Some(p) = rule.patience {
-                since_best = if self.best_q > before {
-                    0
-                } else {
-                    since_best + 1
-                };
-                if since_best >= p {
-                    break;
-                }
-            }
         }
     }
 
@@ -427,10 +424,13 @@ impl<'r> CutLoop<'r> {
                 .expect("betweenness scores are never NaN")
                 .then(a.cmp(b))
         };
-        let batch = rule.batch.clamp(1, cand.len());
-        if batch < cand.len() {
-            cand.select_nth_unstable_by(batch - 1, by_score);
-            cand.truncate(batch);
+        let cuts = match rule.sample {
+            Some(_) => cuts_per_round(cand.len()),
+            None => 1,
+        };
+        if cuts < cand.len() {
+            cand.select_nth_unstable_by(cuts - 1, by_score);
+            cand.truncate(cuts);
         }
         cand.sort_unstable_by(by_score);
         let first = removals.len();
@@ -607,38 +607,87 @@ mod tests {
         from_edges(first as usize, &edges)
     }
 
+    /// Run `rule` on `g` to its end and check, after every round with the
+    /// stale components rescored, that every live edge's kept score
+    /// equals a fresh exact betweenness pass over the whole view: the
+    /// components the loop did not mark are exactly the ones no cut
+    /// changed. `rule` must score exactly. Returns the rounds that cut
+    /// and the cuts.
+    fn check_kept_scores(g: &CsrGraph, rule: &CutRule) -> Result<(usize, usize), TestCaseError> {
+        let mut eng = DivisiveEngine::new(g, g.num_edges() as f64);
+        let exec = Exec::default();
+        let mut rounds = CutLoop::new(&eng, rule);
+        let (mut removals, mut cut_rounds) = (Vec::new(), 0);
+        while rounds.round(&mut eng, &exec, &mut removals) {
+            cut_rounds += 1;
+            prop_assert!(rounds.rescore(&eng, &exec));
+            let exact = snap_centrality::brandes(&eng.view);
+            for e in eng.view.live_edge_ids() {
+                let (kept, fresh) = (rounds.score[e as usize], exact.edge[e as usize]);
+                prop_assert!(
+                    (kept - fresh).abs() <= 1e-12 * fresh.abs().max(1.0),
+                    "edge {} after {} cuts: kept {} fresh {}",
+                    e,
+                    removals.len(),
+                    kept,
+                    fresh
+                );
+            }
+        }
+        Ok((cut_rounds, removals.len()))
+    }
+
+    #[test]
+    fn cuts_per_round_is_one_up_to_5500_candidates_and_monotone() {
+        assert!((0..=5_500).all(|cand| cuts_per_round(cand) == 1));
+        let mut prev = 1;
+        for cand in 0..=1 << 18 {
+            let cuts = cuts_per_round(cand);
+            assert!(cuts >= prev, "{cand} candidates: {cuts} < {prev}");
+            prev = cuts;
+        }
+        assert!(cuts_per_round(32_052) > 1);
+        assert!(cuts_per_round(usize::MAX) >= prev);
+    }
+
+    /// A sampled rule cuts several edges per round on a large candidate
+    /// set; with every vertex a source its scores are exact, and the
+    /// kept ones stay fresh across multi-edge rounds. The three blocks
+    /// are copies of one, so a round's top scores tie across blocks and
+    /// its cuts land in different components.
+    #[test]
+    fn multi_cut_rounds_keep_scores_fresh() {
+        let block = blocks(&[70], 0.85, 3);
+        let copies: Vec<(u32, u32)> = (0..3u32)
+            .flat_map(|c| block.edges().map(move |(_, u, v)| (u + 70 * c, v + 70 * c)))
+            .collect();
+        let g = from_edges(210, &copies);
+        assert!(g.num_edges() > 6_000, "{} edges", g.num_edges());
+        let rule = CutRule {
+            sample: Some((1.0, 7)),
+            threshold: 0,
+            cap: 60,
+        };
+        let (rounds, cuts) = check_kept_scores(&g, &rule).unwrap();
+        assert_eq!(cuts, 60);
+        assert!(rounds < 60, "{rounds} rounds for {cuts} cuts");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// After every round of an exact run, with the stale components
-        /// rescored, every live edge's kept score equals a fresh exact
-        /// betweenness pass over the whole view: the components the loop
-        /// did not mark are exactly the ones no cut changed.
+        /// An exact run's kept scores stay fresh through every round.
         #[test]
         fn kept_scores_equal_a_fresh_exact_pass(
             sizes in prop::collection::vec(1usize..14, 2usize..6),
             p in 0.0f64..0.6,
             seed in 0u64..u64::MAX,
-            batch in 1usize..4,
         ) {
             let g = blocks(&sizes, p, seed);
-            let mut eng = DivisiveEngine::new(&g, g.num_edges() as f64);
-            let rule = CutRule { sample: None, threshold: 0, batch, cap: usize::MAX, patience: None };
-            let exec = Exec::default();
-            let mut rounds = CutLoop::new(&eng, &rule);
-            let mut removals = Vec::new();
-            while rounds.round(&mut eng, &exec, &mut removals) {
-                prop_assert!(rounds.rescore(&eng, &exec));
-                let exact = snap_centrality::brandes(&eng.view);
-                for e in eng.view.live_edge_ids() {
-                    let (kept, fresh) = (rounds.score[e as usize], exact.edge[e as usize]);
-                    prop_assert!(
-                        (kept - fresh).abs() <= 1e-12 * fresh.abs().max(1.0),
-                        "edge {} after {} cuts: kept {} fresh {}", e, removals.len(), kept, fresh
-                    );
-                }
-            }
-            prop_assert_eq!(removals.len(), g.num_edges());
+            let rule = CutRule { sample: None, threshold: 0, cap: usize::MAX };
+            let (rounds, cuts) = check_kept_scores(&g, &rule)?;
+            prop_assert_eq!(cuts, g.num_edges());
+            prop_assert_eq!(rounds, cuts);
         }
     }
 }

@@ -18,10 +18,6 @@ pub struct GnConfig {
     /// Stop after this many edge removals (`None` = remove every edge,
     /// the full Newman–Girvan schedule).
     pub max_removals: Option<usize>,
-    /// Stop once modularity has not improved for this many removals
-    /// (`None` = no early stop). The full schedule is exact but wasteful
-    /// once the partition has disintegrated past the modularity peak.
-    pub patience: Option<usize>,
 }
 
 /// Result of a divisive clustering run.
@@ -42,7 +38,7 @@ pub fn girvan_newman(g: &CsrGraph, cfg: &GnConfig) -> DivisiveResult {
 }
 
 /// Run Girvan–Newman with `exec`'s budget and workspace pool. Each round
-/// rescores, exactly, only the components the previous cut changed; the
+/// cuts one edge and rescores, exactly, only the components it changed; the
 /// pool serves every round's betweenness pass. When the budget cuts a
 /// pass short the schedule stops cutting, and the best-modularity prefix
 /// of the removals made so far is the answer.
@@ -53,9 +49,7 @@ pub fn girvan_newman_in(g: &CsrGraph, cfg: &GnConfig, exec: &Exec) -> DivisiveRe
     let rule = CutRule {
         sample: None,
         threshold: 0,
-        batch: 1,
         cap: cfg.max_removals.unwrap_or(m).min(m),
-        patience: cfg.patience,
     };
     engine.cut_rounds(&rule, exec, &mut removals);
     DivisiveResult {
@@ -102,25 +96,9 @@ mod tests {
             &g,
             &GnConfig {
                 max_removals: Some(2),
-                patience: None,
             },
         );
         assert_eq!(r.removals.len(), 2);
-    }
-
-    #[test]
-    fn patience_stops_early() {
-        let g = barbell();
-        let r = girvan_newman(
-            &g,
-            &GnConfig {
-                max_removals: None,
-                patience: Some(2),
-            },
-        );
-        assert!(r.removals.len() < g.num_edges());
-        // The best split is still found before the early stop.
-        assert_eq!(r.clustering.count, 2);
     }
 
     #[test]

@@ -41,10 +41,6 @@ pub struct PbdConfig {
     /// when it is rescored, at least 96 (the paper's finding: 5% suffices
     /// for the top-centrality edges).
     pub sample_frac: f64,
-    /// Edges cut per betweenness recomputation. 1 reproduces the paper's
-    /// schedule exactly; larger batches trade fidelity for speed on
-    /// million-edge graphs.
-    pub batch: usize,
     /// Component size at which the coarse-grained exact phase takes over.
     pub exact_threshold: usize,
     /// Run the biconnected-components bridge preprocessing (step 1).
@@ -59,7 +55,6 @@ impl Default for PbdConfig {
     fn default() -> Self {
         PbdConfig {
             sample_frac: 0.05,
-            batch: 1,
             exact_threshold: 220,
             bridge_preprocess: true,
             max_removals: None,
@@ -75,10 +70,12 @@ pub fn pbd(g: &CsrGraph, cfg: &PbdConfig) -> DivisiveResult {
 
 /// Run pBD with `exec`'s budget and workspace pool, in three phases: the
 /// bridge pre-cut; the fine phase, which cuts by sampled betweenness
-/// until every component has at most `exact_threshold` vertices; and the
+/// until every component has at most `exact_threshold` vertices (one edge
+/// per pass up to 5 792 candidate edges, `⌊(candidates / 4096)²⌋` beyond:
+/// the schedule follows the graph, with no setting); and the
 /// coarse phase, which runs exact Girvan–Newman on each component to
 /// completion, in parallel, and composes the components' optima. Every
-/// round in either phase rescores only the components the last cut
+/// round in either phase rescores only the components the last cuts
 /// changed. One budget rule holds throughout: a betweenness pass the
 /// budget cuts short ends its loop without cutting, the best-modularity
 /// prefix stands, and components not yet reached stay unrefined.
@@ -127,9 +124,7 @@ pub fn pbd_in(g: &CsrGraph, cfg: &PbdConfig, exec: &Exec) -> DivisiveResult {
         let rule = CutRule {
             sample: Some((cfg.sample_frac, cfg.seed)),
             threshold: cfg.exact_threshold,
-            batch: cfg.batch,
             cap,
-            patience: None,
         };
         engine.cut_rounds(&rule, exec, &mut removals);
     }
@@ -198,9 +193,7 @@ fn refine_components(
     let exact = CutRule {
         sample: None,
         threshold: 0,
-        batch: 1,
         cap: usize::MAX,
-        patience: None,
     };
     let refine = |verts: &[VertexId]| {
         if exec.budget.is_exhausted() {

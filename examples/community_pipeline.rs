@@ -42,25 +42,13 @@ fn main() {
             CommunityAlgorithm::LocalAggregation,
         ),
     ] {
-        // pBD on larger graphs: loosen the schedule so the demo stays
-        // interactive (the bench harness runs the faithful settings).
         let start = Instant::now();
-        let (count, q) = if let CommunityAlgorithm::Divisive = alg {
-            let cfg = PbdConfig {
-                batch: (net.num_edges() / 200).max(1),
-                ..Default::default()
-            };
-            let r = snap::community::pbd(net.graph(), &cfg);
-            (r.clustering.count, r.q)
-        } else {
-            let c = net.communities(alg);
-            (c.clustering.count, c.modularity)
-        };
+        let c = net.communities(alg);
         println!(
             "{:<26} {:>9} {:>11.4} {:>8.2?}",
             name,
-            count,
-            q,
+            c.clustering.count,
+            c.modularity,
             start.elapsed()
         );
     }

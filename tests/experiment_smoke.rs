@@ -62,11 +62,7 @@ fn figure2_algorithms_run_on_rmat_sf() {
     let g = inst.build_scaled(400, 2); // ~1k vertices
     assert!(g.num_vertices() >= 500);
 
-    let cfg = snap::community::PbdConfig {
-        batch: (g.num_edges() / 100).max(1),
-        ..Default::default()
-    };
-    let pbd = snap::community::pbd(&g, &cfg);
+    let pbd = snap::community::pbd(&g, &snap::community::PbdConfig::default());
     let pma = snap::community::pma(&g, &snap::community::PmaConfig::default());
     let pla = snap::community::pla(&g, &snap::community::PlaConfig::default());
     // R-MAT graphs have weak but nonzero community structure.
@@ -82,13 +78,7 @@ fn figure3_pbd_faster_than_gn() {
     let inst = &snap::gen::table3_instances(false)[0]; // PPI
     let g = inst.build_scaled(24, 5); // few hundred vertices
     let t0 = std::time::Instant::now();
-    let gn = snap::community::girvan_newman(
-        &g,
-        &snap::community::GnConfig {
-            max_removals: None,
-            patience: Some(60),
-        },
-    );
+    let gn = snap::community::girvan_newman(&g, &snap::community::GnConfig::default());
     let t_gn = t0.elapsed();
 
     let t0 = std::time::Instant::now();

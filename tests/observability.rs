@@ -552,3 +552,26 @@ fn spectral_reports_split_attempts_that_ran_out_of_steps() {
     let (splits, unconverged, degraded) = spectral(barbell);
     assert_eq!((splits, unconverged, degraded), (1, 0, None));
 }
+
+/// pBD's fine phase cuts more than one edge per betweenness pass once
+/// its candidate set is large: on R-MAT 2^11 (about 16 k edges) sixty
+/// cuts take fewer than sixty rounds.
+#[test]
+fn pbd_cuts_several_edges_per_round_on_a_large_graph() {
+    let _serial = serial();
+    let g = snap::gen::rmat(&snap::gen::RmatConfig::small_world(11, 16_384), 42);
+    let cfg = snap::community::PbdConfig {
+        bridge_preprocess: false,
+        max_removals: Some(60),
+        ..Default::default()
+    };
+    snap::obs::enable();
+    let r = snap::community::pbd(&g, &cfg);
+    let report = snap::obs::finish().expect("collection was on");
+    assert_eq!(r.removals.len(), 60);
+    let rounds = report
+        .find("fine_phase")
+        .and_then(|span| span.counter("rounds"))
+        .expect("fine_phase counts its rounds");
+    assert!(rounds < 60, "{rounds} rounds for 60 cuts");
+}
