@@ -1,9 +1,10 @@
-//! Connected-components kernels: sequential BFS sweep vs parallel label
-//! propagation vs Shiloach–Vishkin, on a low-diameter small-world graph
-//! and a high-diameter road grid (where LP crawls and SV wins).
+//! Connected-components kernels: the sequential BFS sweep against the
+//! parallel hybrid (direction-optimizing BFS over the giant component,
+//! then a sweep of the rest), on a low-diameter small-world graph and a
+//! high-diameter road grid.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use snap::kernels::{connected_components, par_components_lp, par_components_sv};
+use snap::kernels::{connected_components, par_components_hybrid};
 
 fn bench_components(c: &mut Criterion) {
     let mut group = c.benchmark_group("components");
@@ -14,11 +15,8 @@ fn bench_components(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sequential", label), g, |b, g| {
             b.iter(|| connected_components(g))
         });
-        group.bench_with_input(BenchmarkId::new("label-propagation", label), g, |b, g| {
-            b.iter(|| par_components_lp(g))
-        });
-        group.bench_with_input(BenchmarkId::new("shiloach-vishkin", label), g, |b, g| {
-            b.iter(|| par_components_sv(g))
+        group.bench_with_input(BenchmarkId::new("hybrid", label), g, |b, g| {
+            b.iter(|| par_components_hybrid(g))
         });
     }
     group.finish();

@@ -28,6 +28,7 @@ fn main() {
         }
     }
     println!("=== Hybrid BFS work ablation (R-MAT, m = 8n) ===");
+    println!("threads: {}", rayon::current_num_threads());
     println!();
     println!(
         "{:>6} {:>9} {:>10} | {:>14} {:>5} {:>9} | {:>14} {:>9} | {:>7} {:>9}",

@@ -1,13 +1,20 @@
-//! Approximate betweenness centrality by source sampling, including the
+//! Approximate betweenness centrality by source sampling, and the
 //! adaptive-sampling estimator of Bader, Kintali, Madduri & Mihail
-//! (WAW 2007) that the paper's pBD algorithm is built on.
+//! (WAW 2007).
 //!
 //! The paper's empirical finding: sampling ~5% of the vertices estimates
 //! the betweenness of the top-1% entities within ~20% error. The fixed-
-//! fraction estimator below is the pBD workhorse; the adaptive variant
-//! stops early once the accumulated dependency of the target entity
-//! crosses `alpha * n`, spending fewer traversals on high-centrality
-//! targets (exactly the entities pBD cares about).
+//! fraction estimator below samples a uniform fraction of the sources;
+//! the adaptive variant stops early once the accumulated dependency of
+//! the target entity crosses `alpha * n`, spending fewer traversals on
+//! high-centrality targets.
+//!
+//! pBD calls neither. Its fine phase samples a fixed fraction of each
+//! component's vertices (at least `MIN_SOURCES`) in
+//! `DivisiveEngine::cut_rounds` (`snap-community`'s `divisive.rs`) and
+//! scores those sources with [`crate::betweenness_from_sources_in`].
+//! EXPERIMENTS.md, "Adaptive sampling on the top edge", records how many
+//! sources the adaptive rule spends on pBD-sized graphs.
 
 use crate::brandes::{
     accumulate_source, betweenness_from_sources_in, BetweennessScores, PartialBetweenness,
@@ -27,9 +34,8 @@ pub fn approx_betweenness<G: Graph>(g: &G, frac: f64, seed: u64) -> BetweennessS
 /// accumulates sampled sources until the budget trips and rescales by the
 /// sources actually processed. Because the sample order is already a
 /// uniform shuffle, the processed prefix is itself a uniform sample — the
-/// estimate stays unbiased, only its variance grows. pBD holds one `Exec`
-/// across its betweenness rounds so each round's traversals reuse the
-/// previous round's slot arrays.
+/// estimate stays unbiased, only its variance grows. A caller that holds
+/// one `Exec` across calls reuses the pool's slot arrays.
 pub fn approx_betweenness_in<G: Graph>(
     g: &G,
     frac: f64,

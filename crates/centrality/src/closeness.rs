@@ -71,7 +71,7 @@ pub fn closeness_of<G: Graph>(g: &G, v: VertexId) -> f64 {
 /// queries pays no per-query allocation — the traversal state, queue,
 /// and discovery order all live in `ws` (no per-call `Frontier` or
 /// dense distance vector is built at all).
-pub fn closeness_of_into<G: Graph>(g: &G, v: VertexId, ws: &mut TraversalWorkspace) -> f64 {
+fn closeness_of_into<G: Graph>(g: &G, v: VertexId, ws: &mut TraversalWorkspace) -> f64 {
     let n = g.num_vertices();
     if n <= 1 {
         return 0.0;
@@ -228,5 +228,34 @@ mod tests {
         let g = from_edges(0, &[]);
         assert!(closeness(&g).is_empty());
         assert!(sampled_closeness(&g, 3, 0).is_empty());
+    }
+
+    /// The workspace-history contract (DESIGN.md §11): one workspace
+    /// driven across 50 differing graphs, every 5th a filtered view,
+    /// gives what a fresh workspace gives on every call.
+    #[test]
+    fn a_reused_workspace_matches_a_fresh_one() {
+        fn check<G: Graph>(g: &G, ws: &mut TraversalWorkspace, round: u64) {
+            let s = (round % g.num_vertices() as u64) as u32;
+            assert_eq!(
+                closeness_of(g, s),
+                closeness_of_into(g, s, ws),
+                "closeness_of, round {round}"
+            );
+        }
+        let mut ws = TraversalWorkspace::new();
+        for round in 0..50u64 {
+            let scale = 5 + (round % 3) as u32;
+            let base = snap_gen::rmat(&snap_gen::RmatConfig::small_world(scale, 4 << scale), round);
+            if round % 5 == 4 {
+                let mut view = snap_graph::FilteredGraph::new(&base);
+                for e in (0..base.edge_id_bound() as u32).step_by(3) {
+                    view.delete_edge(e);
+                }
+                check(&view, &mut ws, round);
+            } else {
+                check(&base, &mut ws, round);
+            }
+        }
     }
 }

@@ -22,7 +22,7 @@ pub use brandes::{
     betweenness_from_sources, betweenness_from_sources_in, brandes, par_brandes, BetweennessScores,
     PartialBetweenness,
 };
-pub use closeness::{closeness, closeness_in, closeness_of, closeness_of_into, sampled_closeness};
+pub use closeness::{closeness, closeness_in, closeness_of, sampled_closeness};
 pub use degree::{degree_centrality, normalized_degree_centrality, top_degree_vertices};
 pub use snap_kernels::sweep::sample_sources;
 pub use weighted::weighted_betweenness;

@@ -55,7 +55,7 @@ impl Clustering {
 
     /// Cluster of vertex `v`.
     #[inline]
-    pub fn cluster_of(&self, v: VertexId) -> u32 {
+    pub(crate) fn cluster_of(&self, v: VertexId) -> u32 {
         self.assignment[v as usize]
     }
 

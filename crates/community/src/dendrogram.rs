@@ -70,7 +70,7 @@ impl Dendrogram {
 
     /// Replay the first `steps` merges and return the resulting
     /// clustering.
-    pub fn clustering_at(&self, steps: usize) -> Clustering {
+    pub(crate) fn clustering_at(&self, steps: usize) -> Clustering {
         assert!(steps <= self.merges.len());
         // Union-find over original singleton labels.
         let mut parent: Vec<u32> = (0..self.n as u32).collect();
@@ -106,6 +106,9 @@ impl Dendrogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{pma, PmaConfig};
+    use proptest::prelude::*;
+    use snap_graph::{Graph, GraphBuilder};
 
     #[test]
     fn best_step_tracks_peak() {
@@ -154,5 +157,34 @@ mod tests {
         d.push(2, 3, 0.15);
         let best = d.best_clustering();
         assert_eq!(best.count, 3); // after first merge only
+    }
+
+    fn arb_graph() -> impl Strategy<Value = snap_graph::CsrGraph> {
+        (4usize..24).prop_flat_map(|n| {
+            prop::collection::vec((0..n as u32, 0..n as u32), 2..60).prop_map(move |edges| {
+                let mut uniq: Vec<(u32, u32)> = edges
+                    .into_iter()
+                    .filter(|&(u, v)| u != v)
+                    .map(|(u, v)| (u.min(v), u.max(v)))
+                    .collect();
+                uniq.sort_unstable();
+                uniq.dedup();
+                GraphBuilder::undirected(n).add_edges(uniq).build()
+            })
+        })
+    }
+
+    proptest! {
+        /// Dendrogram replay: clustering_at(k) has exactly n - k clusters
+        /// when all merges join distinct clusters.
+        #[test]
+        fn dendrogram_counts(g in arb_graph()) {
+            let r = pma(&g, &PmaConfig::default());
+            let n = g.num_vertices();
+            for steps in 0..=r.dendrogram.merges.len() {
+                let c = r.dendrogram.clustering_at(steps);
+                prop_assert_eq!(c.count, n - steps);
+            }
+        }
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Engineering moves reproduced from the paper:
 //!
-//! 1. **Approximate betweenness** (adaptive/sampled, Bader et al. WAW
-//!    2007) replaces the exact recomputation of Girvan–Newman: each round
+//! 1. **Approximate betweenness** (source sampling, after Bader et al.
+//!    WAW 2007) replaces the exact recomputation of Girvan–Newman: each round
 //!    samples a fraction of each changed component's vertices as sources
 //!    and cuts the top-scoring edges.
 //! 2. **Biconnected-components preprocessing** (optional step 1):

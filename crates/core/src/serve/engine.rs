@@ -271,7 +271,7 @@ impl Engine {
     }
 
     /// Slow-query exemplars, slowest first.
-    pub fn slow_queries(&self) -> Vec<SlowQuery> {
+    pub(crate) fn slow_queries(&self) -> Vec<SlowQuery> {
         self.slow.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 

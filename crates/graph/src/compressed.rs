@@ -76,13 +76,12 @@ fn chunk_bounds(n: usize) -> Vec<(usize, usize)> {
 }
 
 /// Variable-length integer and zig-zag primitives for the adjacency
-/// stream. Public so the round-trip property tests exercise them
-/// directly.
-pub mod codec {
+/// stream.
+pub(crate) mod codec {
     /// Append `x` as an LEB128 varint (7 bits per byte, high bit =
     /// continuation).
     #[inline]
-    pub fn write_varint(out: &mut Vec<u8>, mut x: u64) {
+    pub(crate) fn write_varint(out: &mut Vec<u8>, mut x: u64) {
         loop {
             let byte = (x & 0x7f) as u8;
             x >>= 7;
@@ -96,7 +95,7 @@ pub mod codec {
 
     /// Read a varint at `*pos`, advancing it past the encoding.
     #[inline]
-    pub fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
+    pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
         let mut x = 0u64;
         let mut shift = 0u32;
         loop {
@@ -113,13 +112,13 @@ pub mod codec {
     /// Zig-zag map a signed delta to an unsigned varint payload
     /// (`0, -1, 1, -2, ... -> 0, 1, 2, 3, ...`).
     #[inline]
-    pub fn zigzag(x: i64) -> u64 {
+    pub(crate) fn zigzag(x: i64) -> u64 {
         ((x << 1) ^ (x >> 63)) as u64
     }
 
     /// Inverse of [`zigzag`].
     #[inline]
-    pub fn unzigzag(x: u64) -> i64 {
+    pub(crate) fn unzigzag(x: u64) -> i64 {
         ((x >> 1) as i64) ^ -((x & 1) as i64)
     }
 }
@@ -190,7 +189,7 @@ impl CompressedCsrGraph {
     ///
     /// On a malformed adjacency (duplicate neighbor = parallel edge,
     /// or unsorted rows) — impossible for builder-produced graphs.
-    pub fn from_csr_with_threshold(g: &CsrGraph, hub_threshold: usize) -> Self {
+    pub(crate) fn from_csr_with_threshold(g: &CsrGraph, hub_threshold: usize) -> Self {
         Self::try_from_csr(g, hub_threshold).expect("valid CSR adjacency")
     }
 
@@ -608,6 +607,7 @@ impl WeightedGraph for CompressedCsrGraph {
 mod tests {
     use super::*;
     use crate::builder::{from_edges, GraphBuilder};
+    use proptest::prelude::*;
 
     fn assert_equivalent(g: &CsrGraph, c: &CompressedCsrGraph) {
         assert_eq!(g.num_vertices(), c.num_vertices());
@@ -780,5 +780,64 @@ mod tests {
             g.num_arcs()
         );
         assert_equivalent(&g, &c);
+    }
+
+    /// Strategy: a random undirected edge list over `n <= 24` vertices.
+    fn edge_list() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>)> {
+        (2usize..24).prop_flat_map(|n| {
+            let edges = prop::collection::vec((0..n as u32, 0..n as u32), 0..64);
+            (Just(n), edges)
+        })
+    }
+
+    proptest! {
+        /// The compressed backend is observationally identical to the
+        /// `CsrGraph` it was built from — counts, degrees, sorted adjacency
+        /// with edge ids, endpoints, and the edge-id contract — at every
+        /// hub-threshold regime (0 = everything raw, small = mixed,
+        /// `usize::MAX` = everything delta/varint).
+        #[test]
+        fn compressed_matches_csr((n, edges) in edge_list(), threshold_pick in 0usize..3) {
+            let g = GraphBuilder::undirected(n).add_edges(edges).build();
+            let threshold = [0, 4, usize::MAX][threshold_pick];
+            let c = CompressedCsrGraph::from_csr_with_threshold(&g, threshold);
+            c.validate().unwrap();
+            prop_assert_eq!(c.num_vertices(), g.num_vertices());
+            prop_assert_eq!(c.num_edges(), g.num_edges());
+            prop_assert_eq!(c.num_arcs(), g.num_arcs());
+            prop_assert_eq!(c.is_directed(), g.is_directed());
+            for v in g.vertices() {
+                prop_assert_eq!(c.degree(v), g.degree(v));
+                let a: Vec<_> = g.neighbors_with_eid(v).collect();
+                let b: Vec<_> = c.neighbors_with_eid(v).collect();
+                prop_assert_eq!(a, b, "adjacency of {}", v);
+            }
+            for e in g.edge_ids() {
+                prop_assert_eq!(c.edge_endpoints(e), g.edge_endpoints(e));
+            }
+            prop_assert_eq!(c.edge_ids().count(), c.num_edges());
+            prop_assert!(c.edge_ids().all(|e| (e as usize) < c.edge_id_bound()));
+            prop_assert_eq!(c.edge_ids().collect::<Vec<_>>(), g.edge_ids().collect::<Vec<_>>());
+        }
+
+        /// varint round-trips arbitrary u64s (plus 0, u32::MAX, u64::MAX)
+        /// and zig-zag round-trips arbitrary i64s.
+        #[test]
+        fn varint_zigzag_round_trip(
+            xs in prop::collection::vec(0u64..u64::MAX, 1..64),
+            s in i64::MIN..i64::MAX,
+        ) {
+            let mut buf = Vec::new();
+            for &x in xs.iter().chain(&[0, u64::from(u32::MAX), u64::MAX]) {
+                buf.clear();
+                codec::write_varint(&mut buf, x);
+                let mut pos = 0;
+                prop_assert_eq!(codec::read_varint(&buf, &mut pos), x);
+                prop_assert_eq!(pos, buf.len());
+            }
+            prop_assert_eq!(codec::unzigzag(codec::zigzag(s)), s);
+            prop_assert_eq!(codec::unzigzag(codec::zigzag(i64::MIN)), i64::MIN);
+            prop_assert_eq!(codec::unzigzag(codec::zigzag(i64::MAX)), i64::MAX);
+        }
     }
 }

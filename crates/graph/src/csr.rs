@@ -146,7 +146,7 @@ impl CsrGraph {
     /// Slice of edge ids of the out-arcs of `v`, parallel to
     /// [`Self::neighbor_slice`].
     #[inline]
-    pub fn eid_slice(&self, v: VertexId) -> &[EdgeId] {
+    pub(crate) fn eid_slice(&self, v: VertexId) -> &[EdgeId] {
         &self.arc_edge_ids[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
@@ -171,14 +171,6 @@ impl CsrGraph {
             .iter()
             .enumerate()
             .map(|(e, &(u, v))| (e as EdgeId, u, v))
-    }
-
-    /// Maximum out-degree over all vertices (0 for the empty graph).
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_vertices())
-            .map(|v| self.degree(v as VertexId))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Check structural invariants. Used by tests and debug assertions; cost
@@ -307,7 +299,7 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.num_arcs(), 0);
         assert_eq!(g.degree(0), 0);
-        assert_eq!(g.max_degree(), 0);
+        assert_eq!(g.vertices().map(|v| g.degree(v)).max(), Some(0));
         g.validate().unwrap();
     }
 

@@ -219,7 +219,8 @@ impl<T: Ord> Treap<T> {
 
     /// Verify heap order on priorities, BST order on keys, and size
     /// bookkeeping. Test helper; O(n).
-    pub fn check_invariants(&self) -> bool {
+    #[cfg(test)]
+    fn check_invariants(&self) -> bool {
         fn check<T: Ord>(link: &Link<T>) -> Option<usize> {
             let node = match link {
                 None => return Some(0),
@@ -441,6 +442,8 @@ fn diff_link<T: Ord>(a: Link<T>, b: Link<T>) -> Link<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn insert_contains_remove() {
@@ -544,5 +547,27 @@ mod tests {
             t.remove(&((i * 2_654_435_761u64) % 65_536));
         }
         assert!(t.check_invariants());
+    }
+
+    proptest! {
+        /// Treap behaves exactly like a BTreeSet model under a random
+        /// insert/remove/contains workload.
+        #[test]
+        fn treap_matches_btreeset(ops in prop::collection::vec((0u8..3, 0u16..64), 1..200)) {
+            let mut treap = Treap::with_seed(99);
+            let mut model = BTreeSet::new();
+            for (op, key) in ops {
+                match op {
+                    0 => prop_assert_eq!(treap.insert(key), model.insert(key)),
+                    1 => prop_assert_eq!(treap.remove(&key), model.remove(&key)),
+                    _ => prop_assert_eq!(treap.contains(&key), model.contains(&key)),
+                }
+                prop_assert_eq!(treap.len(), model.len());
+            }
+            prop_assert!(treap.check_invariants());
+            let a: Vec<u16> = treap.iter().copied().collect();
+            let b: Vec<u16> = model.iter().copied().collect();
+            prop_assert_eq!(a, b);
+        }
     }
 }

@@ -26,7 +26,7 @@ fn fields(g: &CsrGraph) -> Fields {
     let (mut targets, mut arc_edge_ids) = (Vec::new(), Vec::new());
     for v in g.vertices() {
         targets.extend_from_slice(g.neighbor_slice(v));
-        arc_edge_ids.extend_from_slice(g.eid_slice(v));
+        arc_edge_ids.extend(g.neighbors_with_eid(v).map(|(_, e)| e));
         offsets.push(targets.len());
     }
     let endpoints = g.edges().map(|(_, u, v)| (u, v)).collect();

@@ -170,7 +170,7 @@ pub fn bfs<G: Graph>(g: &G, source: VertexId) -> BfsResult {
 /// vertices in discovery order — which is what lets multi-source callers
 /// (closeness, path statistics) aggregate over the *touched* set instead
 /// of scanning all `n` slots.
-pub fn bfs_into<G: Graph>(g: &G, source: VertexId, ws: &mut TraversalWorkspace) -> u64 {
+fn bfs_into<G: Graph>(g: &G, source: VertexId, ws: &mut TraversalWorkspace) -> u64 {
     let tag = ws.begin(g.num_vertices());
     ws.ensure_parent();
     let slots = ws.slots();
@@ -205,10 +205,11 @@ pub fn bfs_into<G: Graph>(g: &G, source: VertexId, ws: &mut TraversalWorkspace) 
     tag
 }
 
-/// [`bfs_into`] without parent tracking: distances and discovery order
-/// only. The per-source engine for aggregate metrics (closeness, path
-/// statistics) that never look at the BFS tree — skipping the parent
-/// writes removes one random store per discovered vertex.
+/// The sequential BFS behind [`bfs`], without parent tracking:
+/// distances and discovery order only. The per-source engine for
+/// aggregate metrics (closeness, path statistics) that never look at
+/// the BFS tree — skipping the parent writes removes one random store
+/// per discovered vertex.
 pub fn bfs_levels_into<G: Graph>(g: &G, source: VertexId, ws: &mut TraversalWorkspace) -> u64 {
     let tag = ws.begin(g.num_vertices());
     let slots = ws.slots();
@@ -239,7 +240,7 @@ pub fn bfs_levels_into<G: Graph>(g: &G, source: VertexId, ws: &mut TraversalWork
 /// Densify a [`bfs_into`] traversal into the classic [`BfsResult`]
 /// layout (`UNREACHABLE` / `NO_PARENT` fills, then touched slots copied
 /// over in discovery order).
-pub fn export_bfs(n: usize, ws: &TraversalWorkspace, tag: u64) -> BfsResult {
+fn export_bfs(n: usize, ws: &TraversalWorkspace, tag: u64) -> BfsResult {
     debug_assert_eq!(ws.tag(), tag, "workspace was re-begun since bfs_into");
     let mut dist = vec![UNREACHABLE; n];
     let mut parent = vec![NO_PARENT; n];
@@ -740,5 +741,43 @@ mod tests {
         assert_eq!(r.dist, vec![0]);
         let p = par_bfs(&g, 0);
         assert_eq!(p.dist, vec![0]);
+    }
+
+    /// The workspace-history contract (DESIGN.md §11): one workspace
+    /// driven across 50 differing graphs, every 5th a filtered view, by
+    /// BFS and st-connectivity in turn, gives what a fresh workspace
+    /// gives on every call.
+    #[test]
+    fn a_reused_workspace_matches_a_fresh_one() {
+        use crate::stcon::{st_connectivity, st_connectivity_into};
+        fn check<G: Graph>(g: &G, ws: &mut TraversalWorkspace, round: u64) {
+            let n = g.num_vertices();
+            let s = (round % n as u64) as u32;
+            let fresh = bfs(g, s);
+            let tag = bfs_into(g, s, ws);
+            let reused = export_bfs(n, ws, tag);
+            assert_eq!(fresh.dist, reused.dist, "bfs dist, round {round}");
+            assert_eq!(fresh.parent, reused.parent, "bfs parent, round {round}");
+            let t = ((round * 7 + 3) % n as u64) as u32;
+            assert_eq!(
+                st_connectivity(g, s, t),
+                st_connectivity_into(g, s, t, ws),
+                "st-con, round {round}"
+            );
+        }
+        let mut ws = TraversalWorkspace::new();
+        for round in 0..50u64 {
+            let scale = 5 + (round % 3) as u32;
+            let base = snap_gen::rmat(&snap_gen::RmatConfig::small_world(scale, 4 << scale), round);
+            if round % 5 == 4 {
+                let mut view = snap_graph::FilteredGraph::new(&base);
+                for e in (0..base.edge_id_bound() as u32).step_by(3) {
+                    view.delete_edge(e);
+                }
+                check(&view, &mut ws, round);
+            } else {
+                check(&base, &mut ws, round);
+            }
+        }
     }
 }

@@ -1,15 +1,14 @@
-//! Connected components: sequential BFS sweep, parallel label
-//! propagation, and Shiloach–Vishkin.
+//! Connected components: the sequential BFS sweep, which is the oracle,
+//! and the parallel hybrid, which sweeps the giant component with the
+//! direction-optimizing BFS.
 //!
 //! Connected components are the inner loop of the divisive clustering
 //! algorithms (run after every edge cut) and of the preprocessing pipeline
-//! (decompose, then analyze components concurrently), so all three
-//! variants are tuned and cross-checked against each other.
+//! (decompose, then analyze components concurrently). Every parallel
+//! caller runs the hybrid; tests check it against the sweep.
 
 use crate::bfs::{par_bfs, UNREACHABLE};
-use rayon::prelude::*;
 use snap_graph::{Graph, VertexId};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// A labeling of vertices by connected component.
 #[derive(Clone, Debug)]
@@ -43,28 +42,10 @@ impl Components {
     pub fn giant_size(&self) -> usize {
         self.sizes().into_iter().max().unwrap_or(0)
     }
-
-    /// Renumber arbitrary labels to consecutive `0..count`.
-    fn from_raw_labels(mut labels: Vec<u32>) -> Self {
-        let mut remap = std::collections::HashMap::new();
-        let mut next = 0u32;
-        for l in labels.iter_mut() {
-            let id = *remap.entry(*l).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            });
-            *l = id;
-        }
-        Components {
-            comp: labels,
-            count: next as usize,
-        }
-    }
 }
 
 /// Sequential connected components via repeated BFS. Ground truth for the
-/// parallel variants.
+/// parallel hybrid.
 pub fn connected_components<G: Graph>(g: &G) -> Components {
     label_remaining(g, vec![u32::MAX; g.num_vertices()], 0)
 }
@@ -119,88 +100,6 @@ pub fn par_components_hybrid<G: Graph>(g: &G) -> Components {
     label_remaining(g, comp, 1)
 }
 
-/// Parallel label propagation: every vertex repeatedly adopts the minimum
-/// label in its closed neighborhood until a fixpoint. Converges in
-/// O(diameter) rounds — fast on low-diameter small-world graphs, which is
-/// exactly the optimization the paper leans on.
-pub fn par_components_lp<G: Graph>(g: &G) -> Components {
-    let n = g.num_vertices();
-    let labels: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let changed = AtomicBool::new(true);
-    while changed.swap(false, Ordering::Relaxed) {
-        (0..n).into_par_iter().for_each(|u| {
-            let mut best = labels[u].load(Ordering::Relaxed);
-            for v in g.neighbors(u as VertexId) {
-                let lv = labels[v as usize].load(Ordering::Relaxed);
-                if lv < best {
-                    best = lv;
-                }
-            }
-            let cur = labels[u].load(Ordering::Relaxed);
-            if best < cur {
-                labels[u].store(best, Ordering::Relaxed);
-                changed.store(true, Ordering::Relaxed);
-            }
-        });
-    }
-    Components::from_raw_labels(labels.into_iter().map(|l| l.into_inner()).collect())
-}
-
-/// Shiloach–Vishkin connected components with atomic hooking and pointer
-/// jumping. `O(log n)` rounds independent of diameter, which wins on
-/// high-diameter inputs (road networks) where label propagation crawls.
-pub fn par_components_sv<G: Graph>(g: &G) -> Components {
-    let n = g.num_vertices();
-    if n == 0 {
-        return Components {
-            comp: Vec::new(),
-            count: 0,
-        };
-    }
-    let parent: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    loop {
-        // Hook: for each edge (u, v), attach the root of the larger label
-        // to the smaller. Grafting onto roots only keeps trees shallow.
-        let hooked = AtomicBool::new(false);
-        (0..n).into_par_iter().for_each(|u| {
-            for v in g.neighbors(u as VertexId) {
-                let pu = parent[u].load(Ordering::Relaxed);
-                let pv = parent[v as usize].load(Ordering::Relaxed);
-                if pu == pv {
-                    continue;
-                }
-                let (hi, lo) = if pu > pv { (pu, pv) } else { (pv, pu) };
-                // Only hook roots (star roots point to themselves).
-                if parent[hi as usize]
-                    .compare_exchange(hi, lo, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    hooked.store(true, Ordering::Relaxed);
-                }
-            }
-        });
-        // Pointer jumping until every tree is a star.
-        loop {
-            let jumped = AtomicBool::new(false);
-            (0..n).into_par_iter().for_each(|u| {
-                let p = parent[u].load(Ordering::Relaxed);
-                let gp = parent[p as usize].load(Ordering::Relaxed);
-                if p != gp {
-                    parent[u].store(gp, Ordering::Relaxed);
-                    jumped.store(true, Ordering::Relaxed);
-                }
-            });
-            if !jumped.load(Ordering::Relaxed) {
-                break;
-            }
-        }
-        if !hooked.load(Ordering::Relaxed) {
-            break;
-        }
-    }
-    Components::from_raw_labels(parent.into_iter().map(|p| p.into_inner()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,35 +129,6 @@ mod tests {
         let total: usize = members.iter().map(|m| m.len()).sum();
         assert_eq!(total, 7);
         assert_eq!(members.len(), 3);
-    }
-
-    #[test]
-    fn lp_matches_seq() {
-        let g = two_triangles();
-        let a = connected_components(&g);
-        let b = par_components_lp(&g);
-        assert_eq!(a.count, b.count);
-        // Same partition up to relabeling.
-        for (u, v) in [(0usize, 1usize), (3, 4), (0, 3), (6, 0)] {
-            assert_eq!(
-                a.comp[u] == a.comp[v],
-                b.comp[u] == b.comp[v],
-                "pair ({u}, {v})"
-            );
-        }
-    }
-
-    #[test]
-    fn sv_matches_seq() {
-        let g = two_triangles();
-        let a = connected_components(&g);
-        let b = par_components_sv(&g);
-        assert_eq!(a.count, b.count);
-        for u in 0..7usize {
-            for v in 0..7usize {
-                assert_eq!(a.comp[u] == a.comp[v], b.comp[u] == b.comp[v]);
-            }
-        }
     }
 
     #[test]
@@ -293,28 +163,19 @@ mod tests {
         f.delete_edge(1); // cut (1, 2)
         let c = connected_components(&f);
         assert_eq!(c.count, 2);
-        let c2 = par_components_sv(&f);
-        assert_eq!(c2.count, 2);
     }
 
     #[test]
     fn empty_graph() {
         let g = from_edges(0, &[]);
         assert_eq!(connected_components(&g).count, 0);
-        assert_eq!(par_components_sv(&g).count, 0);
-        assert_eq!(par_components_lp(&g).count, 0);
     }
 
     #[test]
     fn labels_are_consecutive() {
         let g = two_triangles();
-        for c in [
-            connected_components(&g),
-            par_components_lp(&g),
-            par_components_sv(&g),
-        ] {
-            let max = *c.comp.iter().max().unwrap() as usize;
-            assert_eq!(max + 1, c.count);
-        }
+        let c = connected_components(&g);
+        let max = *c.comp.iter().max().unwrap() as usize;
+        assert_eq!(max + 1, c.count);
     }
 }

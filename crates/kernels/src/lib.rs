@@ -42,20 +42,18 @@ pub mod stcon;
 pub mod sweep;
 
 pub use bfs::{
-    bfs, bfs_into, bfs_limited, export_bfs, par_bfs, par_bfs_hybrid_stats,
-    par_bfs_vertex_partitioned, try_par_bfs_hybrid_stats, BfsResult, Direction, HybridConfig,
-    LevelStats, TraversalStats, NO_PARENT, UNREACHABLE,
+    bfs, bfs_limited, par_bfs, par_bfs_hybrid_stats, par_bfs_vertex_partitioned,
+    try_par_bfs_hybrid_stats, BfsResult, Direction, HybridConfig, LevelStats, TraversalStats,
+    NO_PARENT, UNREACHABLE,
 };
 pub use bicc::{biconnected_components, Bicc};
 pub use boruvka::{boruvka_msf, Msf};
-pub use components::{
-    connected_components, par_components_hybrid, par_components_lp, par_components_sv, Components,
-};
+pub use components::{connected_components, par_components_hybrid, Components};
 pub use dynbfs::IncrementalBfs;
 pub use dyncc::{DynamicComponents, IncrementalComponents};
 pub use exec::Exec;
 pub use kcore::{coreness, try_coreness, CorenessResult};
 pub use lanczos::{smallest_eigenpair, NoConvergence};
 pub use spanning::{par_spanning_forest, spanning_forest, SpanningForest};
-pub use sssp::{delta_stepping, dijkstra, try_delta_stepping, SsspResult, INF};
-pub use stcon::{st_connectivity, st_connectivity_into, StResult};
+pub use sssp::{delta_stepping, dijkstra, SsspResult, INF};
+pub use stcon::{st_connectivity, StResult};

@@ -18,13 +18,6 @@ pub struct SpanningForest {
     pub trees: usize,
 }
 
-impl SpanningForest {
-    /// A forest over `n` vertices with `t` trees has `n - t` edges.
-    pub fn edge_count_consistent(&self) -> bool {
-        self.tree_edges.len() == self.parent.len() - self.trees
-    }
-}
-
 fn forest_from_parents<G: Graph>(g: &G, parent: Vec<VertexId>, trees: usize) -> SpanningForest {
     let mut tree_edges = Vec::with_capacity(parent.len().saturating_sub(trees));
     for (v, &p) in parent.iter().enumerate() {
@@ -108,7 +101,7 @@ mod tests {
         let f = spanning_forest(&g);
         assert_eq!(f.trees, 1);
         assert_eq!(f.tree_edges.len(), 4);
-        assert!(f.edge_count_consistent());
+        assert_eq!(f.tree_edges.len(), f.parent.len() - f.trees);
     }
 
     #[test]
@@ -117,7 +110,7 @@ mod tests {
         let f = spanning_forest(&g);
         assert_eq!(f.trees, 3); // two trees + isolated vertex 5
         assert_eq!(f.tree_edges.len(), 3);
-        assert!(f.edge_count_consistent());
+        assert_eq!(f.tree_edges.len(), f.parent.len() - f.trees);
     }
 
     #[test]

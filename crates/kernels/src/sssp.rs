@@ -85,7 +85,7 @@ fn pick_delta<G: WeightedGraph>(g: &G, delta: u64) -> u64 {
 /// and per light-edge phase, charged per relaxation request. Partial
 /// tentative distances are not shortest paths, so exhaustion aborts with
 /// `Err` rather than degrading.
-pub fn try_delta_stepping<G: WeightedGraph>(
+fn try_delta_stepping<G: WeightedGraph>(
     g: &G,
     source: VertexId,
     delta: u64,
@@ -377,5 +377,16 @@ mod tests {
         let g = snap_graph::builder::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let d = delta_stepping(&g, 0, 1);
         assert_eq!(d.dist, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn an_expired_deadline_cancels_cleanly() {
+        let cfg = snap_gen::PlantedConfig::uniform(4, 30, 0.4, 0.02);
+        let g = snap_gen::planted_partition(&cfg, 5).0;
+        let exec = Exec {
+            budget: snap_budget::Budget::with_deadline(std::time::Duration::ZERO),
+            ..Exec::default()
+        };
+        assert!(try_delta_stepping(&g, 0, 0, &exec).is_err());
     }
 }

@@ -39,7 +39,7 @@ const DEPTH: u32 = !(T_SIDE as u32);
 /// ownership and per-vertex depth both live in the epoch-stamped `dist`
 /// word (unvisited ⇔ stale slot, side ⇔ bit 31), so a batch of queries
 /// pays no per-query allocation or clear for the per-vertex state.
-pub fn st_connectivity_into<G: Graph>(
+pub(crate) fn st_connectivity_into<G: Graph>(
     g: &G,
     s: VertexId,
     t: VertexId,

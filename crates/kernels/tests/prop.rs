@@ -68,20 +68,18 @@ proptest! {
         }
     }
 
-    /// All three component algorithms produce the same partition.
+    /// The parallel hybrid and the sequential sweep produce the same
+    /// partition.
     #[test]
     fn component_algorithms_agree(g in arb_graph()) {
         let seq = connected_components(&g);
-        let lp = par_components_lp(&g);
-        let sv = par_components_sv(&g);
-        prop_assert_eq!(seq.count, lp.count);
-        prop_assert_eq!(seq.count, sv.count);
+        let hybrid = par_components_hybrid(&g);
+        prop_assert_eq!(seq.count, hybrid.count);
         let n = g.num_vertices();
         for u in 0..n {
             for v in (u + 1)..n {
                 let same = seq.comp[u] == seq.comp[v];
-                prop_assert_eq!(same, lp.comp[u] == lp.comp[v]);
-                prop_assert_eq!(same, sv.comp[u] == sv.comp[v]);
+                prop_assert_eq!(same, hybrid.comp[u] == hybrid.comp[v]);
             }
         }
     }
@@ -111,7 +109,7 @@ proptest! {
         let f = spanning_forest(&g);
         let c = connected_components(&g);
         prop_assert_eq!(f.trees, c.count);
-        prop_assert!(f.edge_count_consistent());
+        prop_assert_eq!(f.tree_edges.len(), f.parent.len() - f.trees);
     }
 
     /// Delta-stepping equals Dijkstra for arbitrary graphs and deltas.
@@ -188,8 +186,8 @@ fn bfs_variants_agree_across_generators_and_thread_counts() {
 fn rmat_kernels_agree() {
     let g = snap_gen::rmat(&snap_gen::RmatConfig::small_world(10, 4096), 99);
     let seq = connected_components(&g);
-    let sv = par_components_sv(&g);
-    assert_eq!(seq.count, sv.count);
+    let hybrid = par_components_hybrid(&g);
+    assert_eq!(seq.count, hybrid.count);
     let a = bfs(&g, 0);
     let b = par_bfs(&g, 0);
     assert_eq!(a.dist, b.dist);
@@ -202,5 +200,5 @@ fn par_forest_same_shape() {
     let b = par_spanning_forest(&g);
     assert_eq!(a.trees, b.trees);
     assert_eq!(a.tree_edges.len(), b.tree_edges.len());
-    assert!(b.edge_count_consistent());
+    assert_eq!(b.tree_edges.len(), b.parent.len() - b.trees);
 }

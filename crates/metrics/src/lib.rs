@@ -23,9 +23,7 @@ pub use clustering::{
     average_clustering, local_clustering, transitivity, triangle_count, triangles_per_vertex,
 };
 pub use degree_dist::{degree_ccdf, degree_histogram, DegreeStats};
-pub use pathlen::{
-    path_stats_exact, path_stats_in, path_stats_sampled, PartialPathStats, PathStats,
-};
+pub use pathlen::{path_stats_exact, path_stats_sampled, PartialPathStats, PathStats};
 pub use richclub::{rich_club_coefficient, rich_club_curve};
 pub use summary::{summarize, summarize_in, GraphSummary};
 

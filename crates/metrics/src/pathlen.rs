@@ -68,7 +68,7 @@ impl PartialPathStats {
 /// shuffled sample is itself a uniform sample, so the averages stay
 /// unbiased — only the variance grows. Pass `k = n` for budget-degraded
 /// "exact" statistics.
-pub fn path_stats_in<G: Graph>(g: &G, k: usize, seed: u64, exec: &Exec) -> PartialPathStats {
+pub(crate) fn path_stats_in<G: Graph>(g: &G, k: usize, seed: u64, exec: &Exec) -> PartialPathStats {
     let sources = sample_sources(g.num_vertices(), k.max(1), seed);
     let (hist, used) = distance_histogram(g, &sources, exec);
     PartialPathStats {
@@ -494,5 +494,33 @@ mod tests {
         let g = from_edges(8, &[(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6), (6, 7)]);
         let s = path_stats_exact(&g);
         assert!(s.effective_diameter < s.max as f64);
+    }
+
+    /// The workspace-history contract (DESIGN.md §11) for the pooled
+    /// sweep: one `Exec` driven across 50 differing graphs, every 5th a
+    /// filtered view, gives what a fresh pool gives on every call.
+    #[test]
+    fn a_reused_pool_matches_a_fresh_one() {
+        fn check<G: Graph>(g: &G, exec: &Exec, round: u64) {
+            let pa = path_stats_sampled(g, 8, round);
+            let pb = path_stats_in(g, 8, round, exec).stats;
+            assert_eq!(pa.average.to_bits(), pb.average.to_bits(), "round {round}");
+            assert_eq!(pa.max, pb.max, "round {round}");
+            assert_eq!(pa.pairs, pb.pairs, "round {round}");
+        }
+        let exec = Exec::default();
+        for round in 0..50u64 {
+            let scale = 5 + (round % 3) as u32;
+            let base = snap_gen::rmat(&snap_gen::RmatConfig::small_world(scale, 4 << scale), round);
+            if round % 5 == 4 {
+                let mut view = snap_graph::FilteredGraph::new(&base);
+                for e in (0..base.edge_id_bound() as u32).step_by(3) {
+                    view.delete_edge(e);
+                }
+                check(&view, &exec, round);
+            } else {
+                check(&base, &exec, round);
+            }
+        }
     }
 }

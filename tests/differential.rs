@@ -17,8 +17,7 @@ use snap::graph::{CompressedCsrGraph, CsrGraph, FilteredGraph, Graph, GraphBuild
 use snap::graph::{VertexId, WeightedGraph};
 use snap::kernels::{
     bfs, boruvka_msf, connected_components, coreness, delta_stepping, dijkstra,
-    par_bfs_hybrid_stats, par_components_hybrid, par_components_lp, par_components_sv,
-    HybridConfig, UNREACHABLE,
+    par_bfs_hybrid_stats, par_components_hybrid, HybridConfig, UNREACHABLE,
 };
 use snap::metrics::path_stats_sampled;
 use snap::with_threads;
@@ -110,7 +109,7 @@ struct Outputs {
     bfs: Vec<(Vec<u32>, u32, u64)>,
     /// Canonical labels from the hybrid, label-propagation and
     /// Shiloach–Vishkin kernels.
-    components: [Vec<u32>; 3],
+    components: Vec<u32>,
     /// Coreness, degeneracy, rounds, decrements.
     coreness: (Vec<u32>, u32, u64, u64),
     /// Per source, for each Δ of `DELTAS`.
@@ -147,11 +146,7 @@ fn run_kernels<G: WeightedGraph + Sync>(g: &G) -> Outputs {
                 (r.dist, stats.depth(), stats.total_edges_examined())
             })
             .collect(),
-        components: [
-            canonical(&par_components_hybrid(g).comp),
-            canonical(&par_components_lp(g).comp),
-            canonical(&par_components_sv(g).comp),
-        ],
+        components: canonical(&par_components_hybrid(g).comp),
         coreness: (core.coreness, core.max_core, core.rounds, core.decrements),
         sssp: sources_of(g)
             .iter()
@@ -195,9 +190,11 @@ fn check<G: WeightedGraph + Sync>(what: &str, g: &G) -> Outputs {
         assert_eq!(Some(depth), deepest, "{what}: bfs depth from {s}");
     }
     let cc = connected_components(g);
-    for (labels, kernel) in out.components.iter().zip(["hybrid", "lp", "sv"]) {
-        assert_eq!(*labels, canonical(&cc.comp), "{what}: components_{kernel}");
-    }
+    assert_eq!(
+        out.components,
+        canonical(&cc.comp),
+        "{what}: components_hybrid"
+    );
     assert_eq!(out.coreness.0, coreness_oracle(g), "{what}: coreness");
     assert_eq!(Some(&out.coreness.1), out.coreness.0.iter().max());
     for (&s, by_delta) in sources_of(g).iter().zip(&out.sssp) {

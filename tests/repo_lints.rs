@@ -691,16 +691,101 @@ fn library_of(path: &str) -> Option<String> {
     (next != "bin").then(|| format!("crates/{krate}/src/"))
 }
 
-/// Every `pub fn` in a library of `sources` whose name appears in no file
-/// outside that library, as `path: name`.
-fn uncalled_public_functions(sources: &[(String, String)]) -> Vec<String> {
+/// Whether `path` holds tests only: `tests/` or a crate's `tests/`.
+fn is_test_file(path: &str) -> bool {
+    let parts: Vec<&str> = path.split('/').collect();
+    parts[0] == "tests" || (parts[0] == "crates" && parts.get(2) == Some(&"tests"))
+}
+
+/// `text` above its first `#[cfg(test)]` line: what builds outside tests.
+fn above_cfg_test(text: &str) -> &str {
+    let mut end = 0;
+    for line in text.split_inclusive('\n') {
+        if line.trim() == "#[cfg(test)]" {
+            break;
+        }
+        end += line.len();
+    }
+    &text[..end]
+}
+
+/// Public functions that no non-test code calls and that stay public,
+/// one `name: reason` line each (`#` starts a comment). Two kinds of name belong here: an analysis of
+/// the paper (DESIGN.md §19), tested from its crate's `tests/`, and a
+/// test seam that several integration-test binaries share to force a
+/// condition or read a report. The third block is not a kind: it is the
+/// names whose tests still sit in a `tests/` directory, each public
+/// only until its tests move into its crate. It may only shrink.
+const TEST_ONLY_SURFACE: &str = "
+# The paper's analyses (PAPER.md §1).
+degree_centrality: degree centrality
+normalized_degree_centrality: degree centrality, normalised by n - 1
+top_degree_vertices: degree centrality: the top-k hubs
+closeness_of: closeness centrality of one vertex
+adaptive_edge_betweenness: adaptive-sampling betweenness of one edge
+triangle_count: triangles
+triangles_per_vertex: triangles through each vertex
+local_clustering: clustering coefficient per vertex
+average_clustering: average clustering coefficient
+degree_assortativity: assortativity
+average_neighbor_degree: neighbour connectivity per vertex
+neighbor_connectivity: neighbour connectivity per degree
+rich_club_coefficient: rich-club coefficient at one degree
+rich_club_curve: rich-club coefficient over degrees
+degree_histogram: degree distribution
+degree_ccdf: degree distribution, complementary CDF
+spanning_forest: spanning forest
+par_spanning_forest: spanning forest, parallel
+boruvka_msf: Borůvka minimum spanning forest
+is_bridge: bridges: whether one edge is a bridge
+conductance: conductance of each part
+weighted_modularity: modularity of a weighted graph
+difference: treap set operations: difference
+write_dimacs: the DIMACS writer
+# Test seams several integration-test binaries share.
+with_work_cap: forces budget exhaustion at a chosen work count
+well_formed: reads a run report: checks its structure
+total_counter: reads a run report: sums a counter over spans
+meta_value: reads a run report: one metadata value
+disable_mem_tracking: snap_obs::alloc probe: switches tracking off
+reset_peak_live: snap_obs::alloc probe: restarts the peak window
+mem_snapshot: snap_obs::alloc probe: the global counters
+thread_mem: snap_obs::alloc probe: the calling thread's counters
+trace_capacity: reads the trace ring size a test has set
+# Public until their tests move into their crates.
+to_csr: DynGraph freeze: graph tests/prop.rs dyngraph_csr_roundtrip
+with_self_loops: builder option: graph tests/build_prop.rs, all four tests
+is_weighted: graph, io and partition tests/prop.rs compare it
+apply_merge: community tests/prop.rs tracker_merge_consistency
+heavy_edge_matching: partition tests/prop.rs matching_valid and the coarsen oracle
+is_valid_matching: partition tests/prop.rs matching_valid
+fm_refine: partition tests/prop.rs FM proptests and tests/refinement.rs
+bisection_cut: partition tests/prop.rs fm_never_worsens and tests/refinement.rs
+merge_from: obs tests/hist_props.rs merge proptests
+put: serve cache: tests/serve.rs eviction_honors_byte_budget_by_allocator_ground_truth
+";
+
+/// A `pub fn` of a library that no non-test code outside the library
+/// names: its file, its name and the test files that name it.
+struct Uncalled<'a> {
+    path: &'a str,
+    name: &'a str,
+    tests: Vec<&'a str>,
+}
+
+/// Every `pub fn` in a library of `sources` whose name appears in no
+/// non-test code outside that library. Non-test code is another crate's
+/// library above its `#[cfg(test)]`, a binary, a bench, an example or
+/// the benchmark; a test file or a unit-test module is never a caller.
+fn uncalled_public_functions(sources: &[(String, String)]) -> Vec<Uncalled<'_>> {
     use std::collections::{BTreeMap, BTreeSet, HashSet};
     let texts: Vec<(Option<String>, String)> = sources
         .iter()
-        .map(|(path, text)| (library_of(path), without_reexports(text)))
+        .filter(|(path, _)| !is_test_file(path))
+        .map(|(path, text)| (library_of(path), without_reexports(above_cfg_test(text))))
         .collect();
     let libraries: BTreeSet<&String> = texts.iter().filter_map(|(lib, _)| lib.as_ref()).collect();
-    // Per library, every identifier the files outside it name.
+    // Per library, every identifier the non-test code outside it names.
     let named_outside: BTreeMap<&String, HashSet<&str>> = libraries
         .into_iter()
         .map(|lib| {
@@ -717,19 +802,38 @@ fn uncalled_public_functions(sources: &[(String, String)]) -> Vec<String> {
             continue;
         };
         for name in text.lines().filter_map(pub_fn_name) {
-            if !named_outside[&lib].contains(name) {
-                uncalled.push(format!("{path}: {name}"));
+            if named_outside[&lib].contains(name) {
+                continue;
             }
+            // Outside the library, only test code can still name it.
+            let tests = sources
+                .iter()
+                .filter(|(p, t)| {
+                    library_of(p).as_ref() != Some(&lib) && names(&without_reexports(t), name)
+                })
+                .map(|(p, _)| p.as_str())
+                .collect();
+            uncalled.push(Uncalled { path, name, tests });
         }
     }
     uncalled
 }
 
-/// Every public function of every crate has a caller outside the
-/// crate's library sources: another crate, a binary, a crate's
-/// integration tests, the benches, `tests/`, `examples/` or the
-/// benchmark. One that only its own crate calls is crate-private; one
-/// that only its own unit tests call is gone. A surface nothing uses is
+/// The entries of `uncalled` whose name is not in `kept`, as
+/// `path: name (test files)`.
+fn unlisted(uncalled: &[Uncalled], kept: &[&str]) -> Vec<String> {
+    uncalled
+        .iter()
+        .filter(|u| !kept.contains(&u.name))
+        .map(|u| format!("{}: {} ({})", u.path, u.name, u.tests.join(", ")))
+        .collect()
+}
+
+/// Every public function of every crate has a caller in non-test code
+/// outside the crate's library sources: another crate, a binary, the
+/// benches, `examples/` or the benchmark. A test is not a caller: a
+/// function only tests reach is crate-private, tested in its crate, or
+/// on `TEST_ONLY_SURFACE` with its reason. A surface nothing uses is
 /// code to read, document and keep compiling for nobody.
 #[test]
 fn public_functions_have_callers() {
@@ -755,29 +859,61 @@ fn public_functions_have_callers() {
     ));
     assert!(!names("obs explain_all", "explain"));
     assert!(!names("fn is_active_now()", "is_active"));
+    assert!(is_test_file("tests/t.rs") && is_test_file("crates/b/tests/t.rs"));
+    assert!(!is_test_file("crates/bench/benches/x.rs") && !is_test_file("examples/q.rs"));
+    assert_eq!(
+        above_cfg_test("pub fn f() {}\n#[cfg(test)]\nmod tests {}\n"),
+        "pub fn f() {}\n"
+    );
     let file = |path: &str, text: &str| (path.to_string(), text.to_string());
     let planted = [
         file(
             "crates/a/src/lib.rs",
-            "pub fn used() {}\npub fn unused() { used() }\n",
+            "pub fn by_bin() {}\npub fn by_bench() {}\npub fn by_root_test() {}\n\
+             pub fn by_crate_test() {}\npub fn by_unit_test() {}\npub fn listed() {}\n",
         ),
-        file("crates/a/src/bin/tool.rs", "fn main() { a::used() }\n"),
+        file(
+            "crates/a/src/bin/tool.rs",
+            "fn main() { a::by_bin(); b::run() }\n",
+        ),
+        file("crates/bench/benches/x.rs", "fn main() { a::by_bench() }\n"),
         file(
             "crates/b/src/lib.rs",
-            "pub use a::unused;\npub fn run() {}\n",
+            "pub use a::by_unit_test;\npub fn run() {}\n\
+             #[cfg(test)]\nmod tests { fn t() { a::by_unit_test() } }\n",
         ),
-        file("tests/t.rs", "fn t() { b::run() }\n"),
+        file("crates/b/tests/t.rs", "fn t() { a::by_crate_test() }\n"),
+        file("tests/t.rs", "fn t() { a::by_root_test(); a::listed() }\n"),
     ];
     assert_eq!(
-        uncalled_public_functions(&planted),
-        ["crates/a/src/lib.rs: unused"]
+        unlisted(&uncalled_public_functions(&planted), &["listed"]),
+        [
+            "crates/a/src/lib.rs: by_root_test (tests/t.rs)",
+            "crates/a/src/lib.rs: by_crate_test (crates/b/tests/t.rs)",
+            "crates/a/src/lib.rs: by_unit_test (crates/b/src/lib.rs)",
+        ]
     );
     let mut sources = rust_sources(&["crates", "tests", "examples", "benchmark/src"]);
     sources.retain(|(path, _)| path != "tests/repo_lints.rs");
     let uncalled = uncalled_public_functions(&sources);
+    let kept: Vec<&str> = TEST_ONLY_SURFACE
+        .lines()
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .map(|line| line.split_once(": ").expect("name: reason").0)
+        .collect();
+    let flagged = unlisted(&uncalled, &kept);
     assert!(
-        uncalled.is_empty(),
-        "call from outside the crate, make pub(crate), or delete:\n{}",
-        uncalled.join("\n")
+        flagged.is_empty(),
+        "call from non-test code outside the crate, make pub(crate) and move \
+         its tests into the crate, or delete (test files that name it in brackets):\n{}",
+        flagged.join("\n")
+    );
+    let stale: Vec<&str> = kept
+        .into_iter()
+        .filter(|name| !uncalled.iter().any(|u| u.name == *name))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "on TEST_ONLY_SURFACE but not an uncalled pub fn: {stale:?}"
     );
 }

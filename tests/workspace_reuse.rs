@@ -7,16 +7,20 @@
 //!
 //! Floating-point outputs are compared with `==` on purpose: the epoch
 //! layer claims exact reuse, not "close enough" reuse.
+//!
+//! This file drives the pooled kernels through their public entry
+//! points. The single-workspace forms behind `bfs`, `st_connectivity`,
+//! `closeness_of` and `path_stats_sampled` are private; the same
+//! contract is checked on them by `a_reused_workspace_matches_a_fresh_one`
+//! in `snap-kernels`' `bfs.rs` and `snap-centrality`'s `closeness.rs`,
+//! and `a_reused_pool_matches_a_fresh_one` in `snap-metrics`' `pathlen.rs`.
 
 use proptest::prelude::*;
 use snap::centrality::{
-    betweenness_from_sources, betweenness_from_sources_in, closeness, closeness_in, closeness_of,
-    closeness_of_into,
+    betweenness_from_sources, betweenness_from_sources_in, closeness, closeness_in,
 };
 use snap::gen::{rmat, RmatConfig};
-use snap::graph::{FilteredGraph, Graph, TraversalWorkspace};
-use snap::kernels::{bfs, bfs_into, export_bfs, st_connectivity, st_connectivity_into};
-use snap::metrics::{path_stats_in, path_stats_sampled};
+use snap::graph::{FilteredGraph, Graph};
 use snap::{with_threads, Exec, Network};
 
 /// A small connected-ish small-world instance; `seed` varies the shape.
@@ -31,11 +35,10 @@ fn all_sources<G: Graph>(g: &G) -> Vec<u32> {
 }
 
 /// 50 sequential kernel calls on differing graphs (every 5th one a
-/// filtered view), all through ONE workspace and ONE `Exec` (so one
-/// pool), each compared bit-exactly against a fresh-scratch run.
+/// filtered view), all through ONE `Exec` (so one pool), each compared
+/// bit-exactly against a fresh-scratch run.
 #[test]
 fn fifty_calls_one_workspace_bit_identical() {
-    let mut ws = TraversalWorkspace::new();
     let exec = Exec::default();
     for i in 0..50u64 {
         let base = graph(i);
@@ -46,9 +49,9 @@ fn fifty_calls_one_workspace_bit_identical() {
             for e in (0..base.edge_id_bound() as u32).step_by(3) {
                 fg.delete_edge(e);
             }
-            check_all(&fg, &mut ws, &exec, i);
+            check_all(&fg, &exec, i);
         } else {
-            check_all(&base, &mut ws, &exec, i);
+            check_all(&base, &exec, i);
         }
     }
     // 50 rounds × several kernels: the shared scratch must have been
@@ -60,31 +63,8 @@ fn fifty_calls_one_workspace_bit_identical() {
     );
 }
 
-fn check_all<G: Graph>(g: &G, ws: &mut TraversalWorkspace, exec: &Exec, round: u64) {
-    let n = g.num_vertices();
-    let s = (round % n as u64) as u32;
-    let t = ((round * 7 + 3) % n as u64) as u32;
-
-    // BFS: distances and parents.
-    let fresh = bfs(g, s);
-    let tag = bfs_into(g, s, ws);
-    let reused = export_bfs(n, ws, tag);
-    assert_eq!(fresh.dist, reused.dist, "bfs dist, round {round}");
-    assert_eq!(fresh.parent, reused.parent, "bfs parent, round {round}");
-
-    // st-connectivity.
-    assert_eq!(
-        st_connectivity(g, s, t),
-        st_connectivity_into(g, s, t, ws),
-        "st-con, round {round}"
-    );
-
-    // Closeness: single-vertex (shared workspace) and full pass (pool).
-    assert_eq!(
-        closeness_of(g, s),
-        closeness_of_into(g, s, ws),
-        "closeness_of, round {round}"
-    );
+fn check_all<G: Graph>(g: &G, exec: &Exec, round: u64) {
+    // Closeness: full pass through the pool.
     assert_eq!(
         closeness(g),
         closeness_in(g, exec),
@@ -97,13 +77,6 @@ fn check_all<G: Graph>(g: &G, ws: &mut TraversalWorkspace, exec: &Exec, round: u
     let b = betweenness_from_sources_in(g, &sources, exec).scores;
     assert_eq!(a.vertex, b.vertex, "betweenness vertex, round {round}");
     assert_eq!(a.edge, b.edge, "betweenness edge, round {round}");
-
-    // Sampled path statistics.
-    let pa = path_stats_sampled(g, 8, round);
-    let pb = path_stats_in(g, 8, round, exec).stats;
-    assert_eq!(pa.average.to_bits(), pb.average.to_bits(), "round {round}");
-    assert_eq!(pa.max, pb.max, "round {round}");
-    assert_eq!(pa.pairs, pb.pairs, "round {round}");
 }
 
 proptest! {
@@ -113,11 +86,10 @@ proptest! {
     /// next call's results are exactly those of a fresh workspace.
     #[test]
     fn reuse_is_invisible(seeds in prop::collection::vec(0u64..1000, 2..6)) {
-        let mut ws = TraversalWorkspace::new();
         let exec = Exec::default();
         for (i, &seed) in seeds.iter().enumerate() {
             let g = graph(seed);
-            check_all(&g, &mut ws, &exec, i as u64 + seed);
+            check_all(&g, &exec, i as u64 + seed);
         }
     }
 }
