@@ -825,7 +825,10 @@ fn unlisted(uncalled: &[Uncalled], kept: &[&str]) -> Vec<String> {
     uncalled
         .iter()
         .filter(|u| !kept.contains(&u.name))
-        .map(|u| format!("{}: {} ({})", u.path, u.name, u.tests.join(", ")))
+        .map(|u| match u.tests.is_empty() {
+            true => format!("{}: {} (named by no test)", u.path, u.name),
+            false => format!("{}: {} ({})", u.path, u.name, u.tests.join(", ")),
+        })
         .collect()
 }
 
@@ -870,7 +873,8 @@ fn public_functions_have_callers() {
         file(
             "crates/a/src/lib.rs",
             "pub fn by_bin() {}\npub fn by_bench() {}\npub fn by_root_test() {}\n\
-             pub fn by_crate_test() {}\npub fn by_unit_test() {}\npub fn listed() {}\n",
+             pub fn by_crate_test() {}\npub fn by_unit_test() {}\npub fn listed() {}\n\
+             pub fn by_nobody() {}\n",
         ),
         file(
             "crates/a/src/bin/tool.rs",
@@ -891,6 +895,7 @@ fn public_functions_have_callers() {
             "crates/a/src/lib.rs: by_root_test (tests/t.rs)",
             "crates/a/src/lib.rs: by_crate_test (crates/b/tests/t.rs)",
             "crates/a/src/lib.rs: by_unit_test (crates/b/src/lib.rs)",
+            "crates/a/src/lib.rs: by_nobody (named by no test)",
         ]
     );
     let mut sources = rust_sources(&["crates", "tests", "examples", "benchmark/src"]);
