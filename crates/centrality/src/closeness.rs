@@ -155,6 +155,7 @@ pub fn sampled_closeness<G: Graph>(g: &G, k: usize, seed: u64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use snap_graph::builder::from_edges;
 
     #[test]
@@ -230,31 +231,51 @@ mod tests {
         assert!(sampled_closeness(&g, 3, 0).is_empty());
     }
 
+    /// A small small-world instance; `seed` varies the shape.
+    fn reuse_graph(seed: u64) -> snap_graph::CsrGraph {
+        let scale = 5 + (seed % 3) as u32;
+        snap_gen::rmat(&snap_gen::RmatConfig::small_world(scale, 4 << scale), seed)
+    }
+
+    fn check_reuse<G: Graph>(g: &G, ws: &mut TraversalWorkspace, round: u64) {
+        let s = (round % g.num_vertices() as u64) as u32;
+        assert_eq!(
+            closeness_of(g, s),
+            closeness_of_into(g, s, ws),
+            "closeness_of, round {round}"
+        );
+    }
+
     /// The workspace-history contract (DESIGN.md §11): one workspace
     /// driven across 50 differing graphs, every 5th a filtered view,
     /// gives what a fresh workspace gives on every call.
     #[test]
     fn a_reused_workspace_matches_a_fresh_one() {
-        fn check<G: Graph>(g: &G, ws: &mut TraversalWorkspace, round: u64) {
-            let s = (round % g.num_vertices() as u64) as u32;
-            assert_eq!(
-                closeness_of(g, s),
-                closeness_of_into(g, s, ws),
-                "closeness_of, round {round}"
-            );
-        }
         let mut ws = TraversalWorkspace::new();
         for round in 0..50u64 {
-            let scale = 5 + (round % 3) as u32;
-            let base = snap_gen::rmat(&snap_gen::RmatConfig::small_world(scale, 4 << scale), round);
+            let base = reuse_graph(round);
             if round % 5 == 4 {
                 let mut view = snap_graph::FilteredGraph::new(&base);
                 for e in (0..base.edge_id_bound() as u32).step_by(3) {
                     view.delete_edge(e);
                 }
-                check(&view, &mut ws, round);
+                check_reuse(&view, &mut ws, round);
             } else {
-                check(&base, &mut ws, round);
+                check_reuse(&base, &mut ws, round);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Random interleavings: whatever graph the workspace saw last,
+        /// the next call's result is exactly that of a fresh one.
+        #[test]
+        fn reuse_is_invisible(seeds in prop::collection::vec(0u64..1000, 2..6)) {
+            let mut ws = TraversalWorkspace::new();
+            for (i, &seed) in seeds.iter().enumerate() {
+                check_reuse(&reuse_graph(seed), &mut ws, i as u64 + seed);
             }
         }
     }

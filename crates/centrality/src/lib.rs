@@ -4,7 +4,9 @@
 //! §2.1): degree, closeness, exact betweenness (Brandes, vertices and
 //! edges, with the paper's coarse-grained source-parallel scheme), and the
 //! adaptive-sampling approximate betweenness (Bader, Kintali, Madduri &
-//! Mihail, WAW 2007) that powers the pBD divisive clustering algorithm.
+//! Mihail, WAW 2007). The pBD divisive clustering algorithm scores a
+//! fixed fraction of sources with the exact kernel, not the adaptive
+//! estimator.
 
 pub mod approx;
 pub mod brandes;

@@ -511,6 +511,7 @@ pub fn bfs_limited<G: Graph>(g: &G, source: VertexId, limit: usize) -> Vec<(Vert
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use snap_graph::builder::from_edges;
 
     fn path5() -> snap_graph::CsrGraph {
@@ -743,40 +744,72 @@ mod tests {
         assert_eq!(p.dist, vec![0]);
     }
 
+    /// A small small-world instance; `seed` varies the shape.
+    fn reuse_graph(seed: u64) -> snap_graph::CsrGraph {
+        let scale = 5 + (seed % 3) as u32;
+        snap_gen::rmat(&snap_gen::RmatConfig::small_world(scale, 4 << scale), seed)
+    }
+
+    /// BFS, the level-only BFS under closeness and path statistics, and
+    /// st-connectivity in turn on one workspace, each against a fresh one.
+    fn check_reuse<G: Graph>(g: &G, ws: &mut TraversalWorkspace, round: u64) {
+        use crate::stcon::{st_connectivity, st_connectivity_into};
+        let n = g.num_vertices();
+        let s = (round % n as u64) as u32;
+        let t = ((round * 7 + 3) % n as u64) as u32;
+
+        let fresh = bfs(g, s);
+        let tag = bfs_into(g, s, ws);
+        let reused = export_bfs(n, ws, tag);
+        assert_eq!(fresh.dist, reused.dist, "bfs dist, round {round}");
+        assert_eq!(fresh.parent, reused.parent, "bfs parent, round {round}");
+
+        let mut fresh_ws = TraversalWorkspace::new();
+        bfs_levels_into(g, s, &mut fresh_ws);
+        bfs_levels_into(g, s, ws);
+        assert_eq!(fresh_ws.order, ws.order, "bfs levels order, round {round}");
+        assert!(
+            fresh_ws.depth_runs().eq(ws.depth_runs()),
+            "bfs levels, round {round}"
+        );
+
+        assert_eq!(
+            st_connectivity(g, s, t),
+            st_connectivity_into(g, s, t, ws),
+            "st-con, round {round}"
+        );
+    }
+
     /// The workspace-history contract (DESIGN.md §11): one workspace
-    /// driven across 50 differing graphs, every 5th a filtered view, by
-    /// BFS and st-connectivity in turn, gives what a fresh workspace
-    /// gives on every call.
+    /// driven across 50 differing graphs, every 5th a filtered view,
+    /// gives what a fresh workspace gives on every call.
     #[test]
     fn a_reused_workspace_matches_a_fresh_one() {
-        use crate::stcon::{st_connectivity, st_connectivity_into};
-        fn check<G: Graph>(g: &G, ws: &mut TraversalWorkspace, round: u64) {
-            let n = g.num_vertices();
-            let s = (round % n as u64) as u32;
-            let fresh = bfs(g, s);
-            let tag = bfs_into(g, s, ws);
-            let reused = export_bfs(n, ws, tag);
-            assert_eq!(fresh.dist, reused.dist, "bfs dist, round {round}");
-            assert_eq!(fresh.parent, reused.parent, "bfs parent, round {round}");
-            let t = ((round * 7 + 3) % n as u64) as u32;
-            assert_eq!(
-                st_connectivity(g, s, t),
-                st_connectivity_into(g, s, t, ws),
-                "st-con, round {round}"
-            );
-        }
         let mut ws = TraversalWorkspace::new();
         for round in 0..50u64 {
-            let scale = 5 + (round % 3) as u32;
-            let base = snap_gen::rmat(&snap_gen::RmatConfig::small_world(scale, 4 << scale), round);
+            let base = reuse_graph(round);
             if round % 5 == 4 {
                 let mut view = snap_graph::FilteredGraph::new(&base);
                 for e in (0..base.edge_id_bound() as u32).step_by(3) {
                     view.delete_edge(e);
                 }
-                check(&view, &mut ws, round);
+                check_reuse(&view, &mut ws, round);
             } else {
-                check(&base, &mut ws, round);
+                check_reuse(&base, &mut ws, round);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Random interleavings: whatever graph the workspace saw last,
+        /// the next call's results are exactly those of a fresh one.
+        #[test]
+        fn reuse_is_invisible(seeds in prop::collection::vec(0u64..1000, 2..6)) {
+            let mut ws = TraversalWorkspace::new();
+            for (i, &seed) in seeds.iter().enumerate() {
+                check_reuse(&reuse_graph(seed), &mut ws, i as u64 + seed);
             }
         }
     }

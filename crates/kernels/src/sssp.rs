@@ -13,9 +13,7 @@
 //! [`dijkstra`] is the reference every Δ-stepping test compares against.
 
 use crate::buckets::Buckets;
-use crate::Exec;
 use rayon::prelude::*;
-use snap_budget::Exhausted;
 use snap_graph::{VertexId, WeightedGraph};
 
 /// Distance assigned to unreachable vertices.
@@ -55,13 +53,6 @@ pub fn dijkstra<G: WeightedGraph>(g: &G, source: VertexId) -> SsspResult {
     SsspResult { dist }
 }
 
-/// Δ-stepping SSSP. `delta = 0` selects a heuristic Δ (average edge
-/// weight, clamped to ≥ 1).
-pub fn delta_stepping<G: WeightedGraph>(g: &G, source: VertexId, delta: u64) -> SsspResult {
-    try_delta_stepping(g, source, delta, &Exec::default())
-        .expect("unlimited budget cannot be exhausted")
-}
-
 /// Heuristic Δ when the caller passes 0: average weight over live arcs,
 /// clamped to ≥ 1. A flat sweep over `0..num_edges()` would be wrong on
 /// filtered views, whose live edge ids are an arbitrary subset of
@@ -81,21 +72,13 @@ fn pick_delta<G: WeightedGraph>(g: &G, delta: u64) -> u64 {
     total.checked_div(arcs).map_or(1, |avg| avg.max(1))
 }
 
-/// [`delta_stepping`] under `exec`'s compute budget: probed once per bucket
-/// and per light-edge phase, charged per relaxation request. Partial
-/// tentative distances are not shortest paths, so exhaustion aborts with
-/// `Err` rather than degrading.
-fn try_delta_stepping<G: WeightedGraph>(
-    g: &G,
-    source: VertexId,
-    delta: u64,
-    exec: &Exec,
-) -> Result<SsspResult, Exhausted> {
+/// Δ-stepping SSSP. `delta = 0` selects a heuristic Δ (average edge
+/// weight, clamped to ≥ 1).
+pub fn delta_stepping<G: WeightedGraph>(g: &G, source: VertexId, delta: u64) -> SsspResult {
     let _span = snap_obs::span("sssp.delta_stepping");
-    let budget = &exec.budget;
     let n = g.num_vertices();
     if n == 0 {
-        return Ok(SsspResult { dist: Vec::new() });
+        return SsspResult { dist: Vec::new() };
     }
     let delta = pick_delta(g, delta);
 
@@ -120,11 +103,6 @@ fn try_delta_stepping<G: WeightedGraph>(
     let bucket_us = snap_obs::hist("bucket_us");
 
     while bk.next_bucket().is_some() {
-        if let Err(why) = budget.check() {
-            snap_obs::meta("cancelled", why);
-            snap_obs::add("budget_cancellations", 1);
-            return Err(why);
-        }
         obs_buckets += 1;
         let bucket_timer = bucket_us.start();
         let mut settled: Vec<VertexId> = Vec::new();
@@ -133,12 +111,6 @@ fn try_delta_stepping<G: WeightedGraph>(
             let current = bk.pop_current();
             if current.is_empty() {
                 break;
-            }
-            if budget.is_exhausted() {
-                let why = budget.exhaustion().unwrap_or(Exhausted::Deadline);
-                snap_obs::meta("cancelled", why);
-                snap_obs::add("budget_cancellations", 1);
-                return Err(why);
             }
             obs_phases += 1;
             // Generate relaxation requests for light edges in parallel;
@@ -165,7 +137,6 @@ fn try_delta_stepping<G: WeightedGraph>(
                 }
             }
             obs_light_requests += requests.len() as u64;
-            let _ = budget.charge(requests.len() as u64 + 1);
             let (relaxed, re_relaxed) = apply_requests(requests, &mut dist, &mut bk, delta);
             obs_relaxations += relaxed;
             obs_re_relaxations += re_relaxed;
@@ -186,7 +157,6 @@ fn try_delta_stepping<G: WeightedGraph>(
             })
             .collect();
         obs_heavy_requests += requests.len() as u64;
-        let _ = budget.charge(requests.len() as u64 + 1);
         let (relaxed, re_relaxed) = apply_requests(requests, &mut dist, &mut bk, delta);
         obs_relaxations += relaxed;
         obs_re_relaxations += re_relaxed;
@@ -203,7 +173,7 @@ fn try_delta_stepping<G: WeightedGraph>(
         snap_obs::gauge("delta", delta as f64);
     }
     bk.flush_obs();
-    Ok(SsspResult { dist })
+    SsspResult { dist }
 }
 
 /// Apply relaxation requests; returns `(relaxations, re_relaxations)` —
@@ -377,16 +347,5 @@ mod tests {
         let g = snap_graph::builder::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let d = delta_stepping(&g, 0, 1);
         assert_eq!(d.dist, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn an_expired_deadline_cancels_cleanly() {
-        let cfg = snap_gen::PlantedConfig::uniform(4, 30, 0.4, 0.02);
-        let g = snap_gen::planted_partition(&cfg, 5).0;
-        let exec = Exec {
-            budget: snap_budget::Budget::with_deadline(std::time::Duration::ZERO),
-            ..Exec::default()
-        };
-        assert!(try_delta_stepping(&g, 0, 0, &exec).is_err());
     }
 }

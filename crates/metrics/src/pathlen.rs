@@ -496,30 +496,50 @@ mod tests {
         assert!(s.effective_diameter < s.max as f64);
     }
 
+    /// A small small-world instance; `seed` varies the shape.
+    fn reuse_graph(seed: u64) -> CsrGraph {
+        let scale = 5 + (seed % 3) as u32;
+        snap_gen::rmat(&snap_gen::RmatConfig::small_world(scale, 4 << scale), seed)
+    }
+
+    fn check_reuse<G: Graph>(g: &G, exec: &Exec, round: u64) {
+        let pa = path_stats_sampled(g, 8, round);
+        let pb = path_stats_in(g, 8, round, exec).stats;
+        assert_eq!(pa.average.to_bits(), pb.average.to_bits(), "round {round}");
+        assert_eq!(pa.max, pb.max, "round {round}");
+        assert_eq!(pa.pairs, pb.pairs, "round {round}");
+    }
+
     /// The workspace-history contract (DESIGN.md §11) for the pooled
     /// sweep: one `Exec` driven across 50 differing graphs, every 5th a
     /// filtered view, gives what a fresh pool gives on every call.
     #[test]
     fn a_reused_pool_matches_a_fresh_one() {
-        fn check<G: Graph>(g: &G, exec: &Exec, round: u64) {
-            let pa = path_stats_sampled(g, 8, round);
-            let pb = path_stats_in(g, 8, round, exec).stats;
-            assert_eq!(pa.average.to_bits(), pb.average.to_bits(), "round {round}");
-            assert_eq!(pa.max, pb.max, "round {round}");
-            assert_eq!(pa.pairs, pb.pairs, "round {round}");
-        }
         let exec = Exec::default();
         for round in 0..50u64 {
-            let scale = 5 + (round % 3) as u32;
-            let base = snap_gen::rmat(&snap_gen::RmatConfig::small_world(scale, 4 << scale), round);
+            let base = reuse_graph(round);
             if round % 5 == 4 {
-                let mut view = snap_graph::FilteredGraph::new(&base);
+                let mut view = FilteredGraph::new(&base);
                 for e in (0..base.edge_id_bound() as u32).step_by(3) {
                     view.delete_edge(e);
                 }
-                check(&view, &exec, round);
+                check_reuse(&view, &exec, round);
             } else {
-                check(&base, &exec, round);
+                check_reuse(&base, &exec, round);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Random interleavings: whatever graph the pool saw last, the
+        /// next call's statistics are exactly those of a fresh pool.
+        #[test]
+        fn reuse_is_invisible(seeds in prop::collection::vec(0u64..1000, 2..6)) {
+            let exec = Exec::default();
+            for (i, &seed) in seeds.iter().enumerate() {
+                check_reuse(&reuse_graph(seed), &exec, i as u64 + seed);
             }
         }
     }

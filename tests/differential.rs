@@ -107,8 +107,7 @@ fn path_oracle<G: Graph>(g: &G) -> (u64, u32, f64) {
 struct Outputs {
     /// Per source: distances, depth, edges examined.
     bfs: Vec<(Vec<u32>, u32, u64)>,
-    /// Canonical labels from the hybrid, label-propagation and
-    /// Shiloach–Vishkin kernels.
+    /// Canonical labels from the parallel hybrid kernel.
     components: Vec<u32>,
     /// Coreness, degeneracy, rounds, decrements.
     coreness: (Vec<u32>, u32, u64, u64),

@@ -697,16 +697,62 @@ fn is_test_file(path: &str) -> bool {
     parts[0] == "tests" || (parts[0] == "crates" && parts.get(2) == Some(&"tests"))
 }
 
-/// `text` above its first `#[cfg(test)]` line: what builds outside tests.
-fn above_cfg_test(text: &str) -> &str {
-    let mut end = 0;
-    for line in text.split_inclusive('\n') {
-        if line.trim() == "#[cfg(test)]" {
-            break;
+/// `text` without its `#[cfg(test)]` items: what builds outside tests.
+/// A `mod x {` under the attribute is the unit-test module and runs to
+/// the end of the file; a `mod x;` names a test file (see
+/// [`test_module_files`]); any other item runs to the `}` that closes
+/// its first `{`, or to its `;`.
+fn non_test_code(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut lines = text.split_inclusive('\n');
+    while let Some(line) = lines.next() {
+        if line.trim() != "#[cfg(test)]" {
+            out.push_str(line);
+            continue;
         }
-        end += line.len();
+        let mut depth = 0i64;
+        let mut opened = false;
+        for item in lines.by_ref() {
+            let code = item.split("//").next().unwrap().trim();
+            if code.starts_with("mod ") && code.ends_with('{') {
+                return out;
+            }
+            for c in code.chars() {
+                depth += (c == '{') as i64 - (c == '}') as i64;
+                opened |= c == '{';
+            }
+            if depth == 0 && (opened || code.ends_with(';')) {
+                break;
+            }
+        }
     }
-    &text[..end]
+    out
+}
+
+/// The files of the modules `sources` declare as `#[cfg(test)] mod x;`:
+/// they build only for tests.
+fn test_module_files(sources: &[(String, String)]) -> Vec<String> {
+    let mut files = Vec::new();
+    for (path, text) in sources {
+        let dir = match path.rsplit_once('/') {
+            Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir.to_string(),
+            _ => path.trim_end_matches(".rs").to_string(),
+        };
+        let mut lines = text.lines().map(str::trim);
+        while let Some(line) = lines.next() {
+            if line != "#[cfg(test)]" {
+                continue;
+            }
+            let declared = lines
+                .next()
+                .and_then(|l| l.strip_prefix("mod ")?.strip_suffix(';'));
+            if let Some(name) = declared {
+                files.push(format!("{dir}/{name}.rs"));
+                files.push(format!("{dir}/{name}/mod.rs"));
+            }
+        }
+    }
+    files
 }
 
 /// Public functions that no non-test code calls and that stay public,
@@ -775,14 +821,17 @@ struct Uncalled<'a> {
 
 /// Every `pub fn` in a library of `sources` whose name appears in no
 /// non-test code outside that library. Non-test code is another crate's
-/// library above its `#[cfg(test)]`, a binary, a bench, an example or
-/// the benchmark; a test file or a unit-test module is never a caller.
+/// library without its `#[cfg(test)]` items, a binary, a bench, an
+/// example or the benchmark; a test file, a unit-test module or a module
+/// declared under `#[cfg(test)]` is never a caller.
 fn uncalled_public_functions(sources: &[(String, String)]) -> Vec<Uncalled<'_>> {
     use std::collections::{BTreeMap, BTreeSet, HashSet};
+    let test_modules = test_module_files(sources);
+    let builds = |path: &String| !is_test_file(path) && !test_modules.contains(path);
     let texts: Vec<(Option<String>, String)> = sources
         .iter()
-        .filter(|(path, _)| !is_test_file(path))
-        .map(|(path, text)| (library_of(path), without_reexports(above_cfg_test(text))))
+        .filter(|(path, _)| builds(path))
+        .map(|(path, text)| (library_of(path), without_reexports(&non_test_code(text))))
         .collect();
     let libraries: BTreeSet<&String> = texts.iter().filter_map(|(lib, _)| lib.as_ref()).collect();
     // Per library, every identifier the non-test code outside it names.
@@ -797,7 +846,7 @@ fn uncalled_public_functions(sources: &[(String, String)]) -> Vec<Uncalled<'_>> 
         })
         .collect();
     let mut uncalled = Vec::new();
-    for (path, text) in sources {
+    for (path, text) in sources.iter().filter(|(path, _)| builds(path)) {
         let Some(lib) = library_of(path) else {
             continue;
         };
@@ -865,15 +914,20 @@ fn public_functions_have_callers() {
     assert!(is_test_file("tests/t.rs") && is_test_file("crates/b/tests/t.rs"));
     assert!(!is_test_file("crates/bench/benches/x.rs") && !is_test_file("examples/q.rs"));
     assert_eq!(
-        above_cfg_test("pub fn f() {}\n#[cfg(test)]\nmod tests {}\n"),
+        non_test_code("pub fn f() {}\n#[cfg(test)]\nmod tests {\n}\nfn g() {}\n"),
         "pub fn f() {}\n"
+    );
+    assert_eq!(
+        non_test_code("#[cfg(test)]\n#[inline]\nfn t() {\n    {}\n}\nfn f() {}\n"),
+        "fn f() {}\n"
     );
     let file = |path: &str, text: &str| (path.to_string(), text.to_string());
     let planted = [
         file(
             "crates/a/src/lib.rs",
             "pub fn by_bin() {}\npub fn by_bench() {}\npub fn by_root_test() {}\n\
-             pub fn by_crate_test() {}\npub fn by_unit_test() {}\npub fn listed() {}\n\
+             pub fn by_crate_test() {}\npub fn by_unit_test() {}\npub fn by_test_module() {}\n\
+             pub fn by_test_item() {}\npub fn below_test_item() {}\npub fn listed() {}\n\
              pub fn by_nobody() {}\n",
         ),
         file(
@@ -883,8 +937,14 @@ fn public_functions_have_callers() {
         file("crates/bench/benches/x.rs", "fn main() { a::by_bench() }\n"),
         file(
             "crates/b/src/lib.rs",
-            "pub use a::by_unit_test;\npub fn run() {}\n\
-             #[cfg(test)]\nmod tests { fn t() { a::by_unit_test() } }\n",
+            "pub use a::by_unit_test;\n#[cfg(test)]\nmod oracle;\n\
+             #[cfg(test)]\nfn helper() {\n    a::by_test_item()\n}\n\
+             pub fn run() {\n    a::below_test_item()\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { a::by_unit_test() }\n}\n",
+        ),
+        file(
+            "crates/b/src/oracle.rs",
+            "pub fn o() { a::by_test_module() }\n",
         ),
         file("crates/b/tests/t.rs", "fn t() { a::by_crate_test() }\n"),
         file("tests/t.rs", "fn t() { a::by_root_test(); a::listed() }\n"),
@@ -895,6 +955,8 @@ fn public_functions_have_callers() {
             "crates/a/src/lib.rs: by_root_test (tests/t.rs)",
             "crates/a/src/lib.rs: by_crate_test (crates/b/tests/t.rs)",
             "crates/a/src/lib.rs: by_unit_test (crates/b/src/lib.rs)",
+            "crates/a/src/lib.rs: by_test_module (crates/b/src/oracle.rs)",
+            "crates/a/src/lib.rs: by_test_item (crates/b/src/lib.rs)",
             "crates/a/src/lib.rs: by_nobody (named by no test)",
         ]
     );

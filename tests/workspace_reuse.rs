@@ -9,22 +9,25 @@
 //! layer claims exact reuse, not "close enough" reuse.
 //!
 //! This file drives the pooled kernels through their public entry
-//! points. The single-workspace forms behind `bfs`, `st_connectivity`,
-//! `closeness_of` and `path_stats_sampled` are private; the same
-//! contract is checked on them by `a_reused_workspace_matches_a_fresh_one`
-//! in `snap-kernels`' `bfs.rs` and `snap-centrality`'s `closeness.rs`,
-//! and `a_reused_pool_matches_a_fresh_one` in `snap-metrics`' `pathlen.rs`.
+//! points: closeness, betweenness and the summary's path and clustering
+//! sweeps share one pool. The single-workspace forms behind `bfs`,
+//! `st_connectivity`, `closeness_of` and `path_stats_sampled` are
+//! private; `snap-kernels`' `bfs.rs` runs BFS, the level-only BFS under
+//! closeness and st-connectivity on one workspace, and `closeness.rs`
+//! and `pathlen.rs` check their own forms, each over 50 rounds and the
+//! same random seeds as `reuse_is_invisible`.
 
 use proptest::prelude::*;
 use snap::centrality::{
     betweenness_from_sources, betweenness_from_sources_in, closeness, closeness_in,
 };
 use snap::gen::{rmat, RmatConfig};
-use snap::graph::{FilteredGraph, Graph};
+use snap::graph::{CsrGraph, FilteredGraph, Graph};
+use snap::metrics::{summarize, summarize_in};
 use snap::{with_threads, Exec, Network};
 
 /// A small connected-ish small-world instance; `seed` varies the shape.
-fn graph(seed: u64) -> snap::graph::CsrGraph {
+fn graph(seed: u64) -> CsrGraph {
     let scale = 5 + (seed % 3) as u32; // 32..128 vertices
     rmat(&RmatConfig::small_world(scale, 4 << scale), seed)
 }
@@ -52,6 +55,7 @@ fn fifty_calls_one_workspace_bit_identical() {
             check_all(&fg, &exec, i);
         } else {
             check_all(&base, &exec, i);
+            check_summary(&base, &exec, i);
         }
     }
     // 50 rounds × several kernels: the shared scratch must have been
@@ -79,6 +83,19 @@ fn check_all<G: Graph>(g: &G, exec: &Exec, round: u64) {
     assert_eq!(a.edge, b.edge, "betweenness edge, round {round}");
 }
 
+/// The summary's path-statistics and clustering sweeps through the
+/// pool vs a fresh pool.
+fn check_summary(g: &CsrGraph, exec: &Exec, round: u64) {
+    let a = summarize(g, round);
+    let b = summarize_in(g, round, exec);
+    let (pa, pb) = (a.paths, b.paths);
+    assert_eq!(pa.average.to_bits(), pb.average.to_bits(), "round {round}");
+    assert_eq!(pa.max, pb.max, "round {round}");
+    assert_eq!(pa.pairs, pb.pairs, "round {round}");
+    let bits = |s: &snap::metrics::GraphSummary| (s.clustering.to_bits(), s.transitivity.to_bits());
+    assert_eq!(bits(&a), bits(&b), "clustering, round {round}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -90,6 +107,7 @@ proptest! {
         for (i, &seed) in seeds.iter().enumerate() {
             let g = graph(seed);
             check_all(&g, &exec, i as u64 + seed);
+            check_summary(&g, &exec, i as u64 + seed);
         }
     }
 }
