@@ -20,14 +20,14 @@
 //!   threshold and the fallback for non-canonical edge-id layouts):
 //!   `degree` little-endian `u32` targets, then `degree` little-endian
 //!   `u32` edge ids — byte-aligned slices decoded with zero arithmetic;
-//! * **compressed block** (`raw_flag == 0`): a varint `forward_base`
-//!   (the edge id of `v`'s first *forward* arc), then per neighbor in
-//!   sorted order the neighbor delta — zig-zag varint `first - v` for
-//!   the first neighbor (the sign carries whether `v`'s list starts
-//!   below or above it), plain varint gap (`≥ 1`; a gap of `0` would be
-//!   a parallel edge, rejected at encode time) for the rest — followed,
-//!   for *backward* arcs only, by the arc's edge-id delta (first
-//!   backward id raw, subsequent as gaps).
+//! * **compressed block** (`raw_flag == 0`): a varint holding the byte
+//!   length of the targets section, then the **targets**: zig-zag varint
+//!   `first - v` for the first neighbor (the sign carries whether `v`'s
+//!   list starts below or above it), plain varint gap (`≥ 1`; a gap of
+//!   `0` would be a parallel edge, rejected at encode time) for the
+//!   rest; then the **edge-id material**: a varint `forward_base` (the
+//!   edge id of `v`'s first *forward* arc) and, for the *backward* arcs
+//!   in order, their edge-id gaps (the first from 0).
 //!
 //! Edge ids are not stored per forward arc at all: the builder (and the
 //! streaming merge) assign edge ids in sorted canonical `(u, v)` order,
@@ -37,14 +37,22 @@
 //! material. This is what pushes the stream under ~2 bytes/arc where the
 //! flat arrays pay 8.
 //!
-//! # Chunked parallel decode
+//! # Decoding
 //!
-//! Kernels run unchanged through the streaming [`Graph`] iterators.
+//! Targets come first so that [`Graph::neighbors`] — BFS pull steps,
+//! k-core, every caller that needs no edge id — reads the header, skips
+//! the length and decodes gaps, never touching an edge id; a pull step
+//! that stops after one target reads three varints. The length varint
+//! lets [`Graph::neighbors_with_eid`] walk the targets and the edge-id
+//! material side by side. Both iterators share one varint reader whose
+//! one-byte case returns without a loop.
+//!
 //! Whole-graph sweeps use [`CompressedCsrGraph::par_for_each_adjacency`]:
 //! vertices are split into fixed chunks, each chunk decoded by one rayon
 //! worker into per-thread scratch acquired from a
 //! [`ScratchPool<DecodeScratch>`] (the pool the traversal workspaces
-//! come from), and the callback sees plain `&[VertexId]` /
+//! come from), a whole block at a time: the targets section in one loop,
+//! then the edge ids. The callback sees plain `&[VertexId]` /
 //! `&[EdgeId]` slices. Decoded chunks are counted on the `decode_chunks`
 //! obs counter; resident adjacency bytes surface as the `ccsr_bytes`
 //! gauge.
@@ -93,11 +101,32 @@ pub(crate) mod codec {
         }
     }
 
-    /// Read a varint at `*pos`, advancing it past the encoding.
+    /// Bytes [`write_varint`] takes for `x`.
     #[inline]
+    pub(crate) fn varint_len(x: u64) -> usize {
+        (64 - (x | 1).leading_zeros() as usize).div_ceil(7)
+    }
+
+    /// Read a varint at `*pos`, advancing it past the encoding. A
+    /// one-byte varint (most headers and lengths, a dense row's gaps)
+    /// returns without entering the loop.
+    #[inline(always)]
     pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
-        let mut x = 0u64;
-        let mut shift = 0u32;
+        let byte = buf[*pos];
+        *pos += 1;
+        if byte & 0x80 == 0 {
+            return u64::from(byte);
+        }
+        read_varint_tail(buf, pos, byte)
+    }
+
+    /// The bytes after a varint's first byte `first`, which had the
+    /// continuation bit set. Inlined: most R-MAT gaps take two bytes, and
+    /// a call here costs more than the loop.
+    #[inline(always)]
+    fn read_varint_tail(buf: &[u8], pos: &mut usize, first: u8) -> u64 {
+        let mut x = u64::from(first & 0x7f);
+        let mut shift = 7u32;
         loop {
             let byte = buf[*pos];
             *pos += 1;
@@ -107,6 +136,13 @@ pub(crate) mod codec {
             }
             shift += 7;
         }
+    }
+
+    /// The little-endian `u32` at `buf[pos..pos + 4]` (a raw block's
+    /// target or edge id).
+    #[inline]
+    pub(crate) fn read_u32_le(buf: &[u8], pos: usize) -> u32 {
+        u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("a 4-byte slice"))
     }
 
     /// Zig-zag map a signed delta to an unsigned varint payload
@@ -123,7 +159,7 @@ pub(crate) mod codec {
     }
 }
 
-use codec::{read_varint, unzigzag, write_varint, zigzag};
+use codec::{read_u32_le, read_varint, unzigzag, varint_len, write_varint, zigzag};
 
 /// Per-thread decode target for the chunked parallel decoder: the
 /// neighbor/edge-id slices of one vertex at a time, reused across every
@@ -290,21 +326,39 @@ impl CompressedCsrGraph {
     }
 
     /// Decode vertex `v`'s adjacency into `scratch`, returning the
-    /// neighbor and edge-id slices. The single-vertex primitive under
-    /// [`Self::par_for_each_adjacency`]; also the fast path for callers
-    /// that re-scan one row many times.
+    /// neighbor and edge-id slices: the single-vertex primitive under
+    /// [`Self::par_for_each_adjacency`]. It decodes the whole block at
+    /// once — the targets section in one loop, then the edge ids — where
+    /// the streaming iterator interleaves the two.
     fn decode_into<'s>(
         &self,
         v: VertexId,
         scratch: &'s mut DecodeScratch,
     ) -> (&'s [VertexId], &'s [EdgeId]) {
-        scratch.targets.clear();
-        scratch.eids.clear();
-        for (nb, e) in self.neighbors_with_eid(v) {
-            scratch.targets.push(nb);
-            scratch.eids.push(e);
+        let DecodeScratch { targets, eids } = scratch;
+        targets.clear();
+        eids.clear();
+        let (row, mut eid_pos) = CcsrTargets::open(self, v);
+        let (d, raw) = (row.remaining, row.raw);
+        targets.extend(row);
+        let s = &self.stream[..];
+        if raw {
+            eids.extend((0..d).map(|i| read_u32_le(s, eid_pos + 4 * i)));
+        } else if d > 0 {
+            let forward_base = read_varint(s, &mut eid_pos) as EdgeId;
+            let split = if self.directed {
+                0
+            } else {
+                targets.partition_point(|&nb| nb < v)
+            };
+            let mut e = 0;
+            eids.extend((0..split).map(|_| {
+                e += read_varint(s, &mut eid_pos) as EdgeId;
+                e
+            }));
+            eids.extend(forward_base..forward_base + (d - split) as EdgeId);
         }
-        (&scratch.targets, &scratch.eids)
+        (targets, eids)
     }
 
     /// Decode every vertex's adjacency in fixed-size vertex chunks, in
@@ -390,13 +444,23 @@ fn encode_block(
     out: &mut Vec<u8>,
 ) -> Result<bool, String> {
     let d = targets.len();
-    for w in targets.windows(2) {
-        if w[1] == w[0] {
-            return Err(format!("parallel edge to {} in adjacency of {v}", w[0]));
-        }
-        if w[1] < w[0] {
-            return Err(format!("unsorted adjacency of {v}"));
-        }
+    // One pass checks the row and sizes its targets section, so the
+    // length can be written before the targets without a scratch buffer.
+    let mut targets_len = 0usize;
+    for (i, &nb) in targets.iter().enumerate() {
+        let code = if i == 0 {
+            zigzag(i64::from(nb) - i64::from(v))
+        } else {
+            let prev = targets[i - 1];
+            if nb == prev {
+                return Err(format!("parallel edge to {prev} in adjacency of {v}"));
+            }
+            if nb < prev {
+                return Err(format!("unsorted adjacency of {v}"));
+            }
+            u64::from(nb - prev)
+        };
+        targets_len += varint_len(code);
     }
     // Split point: arcs at or after `split` are forward (neighbor >= v;
     // every arc of a digraph), whose edge ids the canonical layout makes
@@ -427,75 +491,127 @@ fn encode_block(
         }
         return Ok(true);
     }
+    write_varint(out, targets_len as u64);
+    let start = out.len();
+    write_varint(out, zigzag(i64::from(targets[0]) - i64::from(v)));
+    for w in targets.windows(2) {
+        write_varint(out, u64::from(w[1] - w[0]));
+    }
+    debug_assert_eq!(out.len() - start, targets_len);
     write_varint(out, u64::from(forward_base));
-    let mut prev_nb = 0u32;
-    let mut prev_back_eid: Option<EdgeId> = None;
-    for (i, (&nb, &e)) in targets.iter().zip(eids).enumerate() {
-        if i == 0 {
-            write_varint(out, zigzag(i64::from(nb) - i64::from(v)));
-        } else {
-            write_varint(out, u64::from(nb - prev_nb));
-        }
-        prev_nb = nb;
-        if i < split {
-            match prev_back_eid {
-                None => write_varint(out, u64::from(e)),
-                Some(p) => write_varint(out, u64::from(e - p)),
-            }
-            prev_back_eid = Some(e);
-        }
+    let mut prev_back_eid = 0;
+    for &e in &eids[..split] {
+        write_varint(out, u64::from(e - prev_back_eid));
+        prev_back_eid = e;
     }
     Ok(false)
 }
 
-/// Streaming decoder over one adjacency block, yielding
-/// `(neighbor, edge_id)` in sorted neighbor order.
-pub struct CcsrArcs<'g> {
+/// Streaming decoder over the targets of one adjacency block, in sorted
+/// order. It never reads an edge id: [`Graph::neighbors`] is this
+/// iterator, and [`CcsrArcs`] walks the edge-id material beside it.
+struct CcsrTargets<'g> {
     stream: &'g [u8],
     pos: usize,
     remaining: usize,
-    v: VertexId,
-    directed: bool,
     raw: bool,
-    /// Raw blocks: cursor into the edge-id half (targets at `pos`).
-    raw_eid_pos: usize,
-    /// Compressed blocks: running decode state.
-    forward_base: EdgeId,
-    forward_seen: EdgeId,
-    prev_nb: VertexId,
-    prev_back_eid: Option<EdgeId>,
+    /// Compressed blocks: the last target decoded (`v` before the first,
+    /// which is zig-zag coded from it).
+    prev: VertexId,
     first: bool,
 }
 
-impl<'g> CcsrArcs<'g> {
-    fn new(g: &'g CompressedCsrGraph, v: VertexId) -> Self {
-        let stream = &g.stream;
+impl<'g> CcsrTargets<'g> {
+    /// The targets of `v`'s block and the stream offset of its edge-id
+    /// material.
+    #[inline]
+    fn open(g: &'g CompressedCsrGraph, v: VertexId) -> (Self, usize) {
+        let stream = &g.stream[..];
         let mut pos = g.byte_offsets[v as usize];
         let header = read_varint(stream, &mut pos);
         let raw = header & 1 == 1;
         let d = (header >> 1) as usize;
-        let mut it = CcsrArcs {
+        let eid_pos = match (d, raw) {
+            (0, _) => pos,
+            (_, true) => pos + 4 * d,
+            (_, false) => {
+                let targets_len = read_varint(stream, &mut pos) as usize;
+                pos + targets_len
+            }
+        };
+        let it = CcsrTargets {
             stream,
             pos,
             remaining: d,
-            v,
-            directed: g.directed,
             raw,
-            raw_eid_pos: 0,
-            forward_base: 0,
-            forward_seen: 0,
-            prev_nb: 0,
-            prev_back_eid: None,
+            prev: v,
             first: true,
         };
-        if d > 0 {
-            if raw {
-                it.raw_eid_pos = pos + 4 * d;
-            } else {
-                it.forward_base = read_varint(stream, &mut it.pos) as EdgeId;
-            }
+        (it, eid_pos)
+    }
+}
+
+impl Iterator for CcsrTargets<'_> {
+    type Item = VertexId;
+
+    #[inline]
+    fn next(&mut self) -> Option<VertexId> {
+        if self.remaining == 0 {
+            return None;
         }
-        it
+        self.remaining -= 1;
+        if self.raw {
+            let nb = read_u32_le(self.stream, self.pos);
+            self.pos += 4;
+            return Some(nb);
+        }
+        let code = read_varint(self.stream, &mut self.pos);
+        self.prev = if self.first {
+            self.first = false;
+            (i64::from(self.prev) + unzigzag(code)) as VertexId
+        } else {
+            self.prev + code as VertexId
+        };
+        Some(self.prev)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for CcsrTargets<'_> {}
+
+/// Streaming decoder over one adjacency block, yielding
+/// `(neighbor, edge_id)` in sorted neighbor order.
+pub struct CcsrArcs<'g> {
+    targets: CcsrTargets<'g>,
+    /// Cursor into the block's edge-id material: the raw block's id half,
+    /// or the compressed block's backward-id gaps.
+    eid_pos: usize,
+    v: VertexId,
+    directed: bool,
+    /// Compressed blocks: the id of the next forward arc.
+    forward_next: EdgeId,
+    prev_back_eid: EdgeId,
+}
+
+impl<'g> CcsrArcs<'g> {
+    fn new(g: &'g CompressedCsrGraph, v: VertexId) -> Self {
+        let (targets, mut eid_pos) = CcsrTargets::open(g, v);
+        let forward_next = if targets.remaining > 0 && !targets.raw {
+            read_varint(targets.stream, &mut eid_pos) as EdgeId
+        } else {
+            0
+        };
+        CcsrArcs {
+            targets,
+            eid_pos,
+            v,
+            directed: g.directed,
+            forward_next,
+            prev_back_eid: 0,
+        }
     }
 }
 
@@ -504,46 +620,25 @@ impl Iterator for CcsrArcs<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(VertexId, EdgeId)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        if self.raw {
-            let nb = u32::from_le_bytes(self.stream[self.pos..self.pos + 4].try_into().unwrap());
-            let e = u32::from_le_bytes(
-                self.stream[self.raw_eid_pos..self.raw_eid_pos + 4]
-                    .try_into()
-                    .unwrap(),
-            );
-            self.pos += 4;
-            self.raw_eid_pos += 4;
-            return Some((nb, e));
-        }
-        let nb = if self.first {
-            self.first = false;
-            (i64::from(self.v) + unzigzag(read_varint(self.stream, &mut self.pos))) as VertexId
-        } else {
-            self.prev_nb + read_varint(self.stream, &mut self.pos) as VertexId
-        };
-        self.prev_nb = nb;
-        let e = if !self.directed && nb < self.v {
-            let delta = read_varint(self.stream, &mut self.pos) as EdgeId;
-            let e = match self.prev_back_eid {
-                None => delta,
-                Some(p) => p + delta,
-            };
-            self.prev_back_eid = Some(e);
+        let nb = self.targets.next()?;
+        let stream = self.targets.stream;
+        let e = if self.targets.raw {
+            let e = read_u32_le(stream, self.eid_pos);
+            self.eid_pos += 4;
             e
+        } else if !self.directed && nb < self.v {
+            self.prev_back_eid += read_varint(stream, &mut self.eid_pos) as EdgeId;
+            self.prev_back_eid
         } else {
-            let e = self.forward_base + self.forward_seen;
-            self.forward_seen += 1;
+            let e = self.forward_next;
+            self.forward_next += 1;
             e
         };
         Some((nb, e))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        self.targets.size_hint()
     }
 }
 
@@ -578,7 +673,7 @@ impl Graph for CompressedCsrGraph {
 
     #[inline]
     fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        CcsrArcs::new(self, v).map(|(nb, _)| nb)
+        CcsrTargets::open(self, v).0
     }
 
     #[inline]
@@ -608,6 +703,7 @@ mod tests {
     use super::*;
     use crate::builder::{from_edges, GraphBuilder};
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn assert_equivalent(g: &CsrGraph, c: &CompressedCsrGraph) {
         assert_eq!(g.num_vertices(), c.num_vertices());
@@ -790,6 +886,53 @@ mod tests {
         })
     }
 
+    /// Strategy: a graph whose edges join a pool of up to 24 vertex ids —
+    /// directed or not, self-loops kept or not, weighted or not. The id
+    /// range is small, about 2^15 or about 2^20, and the pool is drawn
+    /// near 0, near the top of the range and anywhere in it, so that
+    /// first-target zig-zags and gaps take one to four bytes.
+    fn spread_graph() -> impl Strategy<Value = CsrGraph> {
+        let shape = (0u8..2, 0u8..2, 0u8..2);
+        // A 2^20 range costs ~1 s a case in a debug build: one case in
+        // sixteen. A 2^15 range already takes three-byte codes.
+        let n = (0usize..16, 2usize..48).prop_map(|(p, n)| match p {
+            0 => (1 << 20) + n,
+            1..=4 => (1 << 15) + n,
+            _ => n,
+        });
+        (shape, n)
+            .prop_flat_map(|(shape, n)| {
+                let top = n as u32;
+                let near = top.min(64);
+                let id = (0u8..3, 0..top).prop_map(move |(kind, x)| match kind {
+                    0 => x % near,
+                    1 => top - 1 - x % near,
+                    _ => x,
+                });
+                let pool = prop::collection::vec(id, 1..24);
+                let picks = prop::collection::vec((0usize..1024, 0usize..1024, 1u32..100), 0..96);
+                (Just((shape, n)), pool, picks)
+            })
+            .prop_map(|(((directed, loops, weighted), n), pool, picks)| {
+                let mut b = if directed == 1 {
+                    GraphBuilder::directed(n)
+                } else {
+                    GraphBuilder::undirected(n)
+                };
+                if loops == 1 {
+                    b = b.with_self_loops();
+                }
+                let edges = picks
+                    .iter()
+                    .map(|&(a, c, w)| (pool[a % pool.len()], pool[c % pool.len()], w));
+                if weighted == 1 {
+                    b.add_weighted_edges(edges).build()
+                } else {
+                    b.add_edges(edges.map(|(u, v, _)| (u, v))).build()
+                }
+            })
+    }
+
     proptest! {
         /// The compressed backend is observationally identical to the
         /// `CsrGraph` it was built from — counts, degrees, sorted adjacency
@@ -818,6 +961,44 @@ mod tests {
             prop_assert_eq!(c.edge_ids().count(), c.num_edges());
             prop_assert!(c.edge_ids().all(|e| (e as usize) < c.edge_id_bound()));
             prop_assert_eq!(c.edge_ids().collect::<Vec<_>>(), g.edge_ids().collect::<Vec<_>>());
+        }
+
+        /// The targets-only path (`neighbors`), the paired path
+        /// (`neighbors_with_eid`) and the whole-block decoder under
+        /// `par_for_each_adjacency` (at 1, 2 and 8 threads) each return
+        /// exactly the CSR's rows, with raw and delta-coded blocks mixed
+        /// by the hub threshold.
+        #[test]
+        fn targets_path_matches_csr(g in spread_graph(), pick in 0usize..4) {
+            let threshold = [0, 1, 4, usize::MAX][pick];
+            let c = CompressedCsrGraph::from_csr_with_threshold(&g, threshold);
+            c.validate().unwrap();
+            for v in g.vertices() {
+                prop_assert_eq!(c.degree(v), g.degree(v), "degree of {}", v);
+                let row = g.neighbor_slice(v).iter().copied();
+                prop_assert!(c.neighbors(v).eq(row), "neighbors of {}", v);
+                let arcs = g.neighbors_with_eid(v);
+                prop_assert!(c.neighbors_with_eid(v).eq(arcs), "arcs of {}", v);
+            }
+            let pool = ScratchPool::<DecodeScratch>::new();
+            for threads in [1, 2, 8] {
+                let (rows, wrong) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                let run = || {
+                    c.par_for_each_adjacency(&pool, |v, targets, eids| {
+                        let ok = targets == g.neighbor_slice(v)
+                            && eids.iter().copied().eq(g.neighbors_with_eid(v).map(|(_, e)| e));
+                        rows.fetch_add(1, Ordering::Relaxed);
+                        wrong.fetch_add(usize::from(!ok), Ordering::Relaxed);
+                    })
+                };
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(run);
+                prop_assert_eq!(rows.into_inner(), g.num_vertices(), "{} threads", threads);
+                prop_assert_eq!(wrong.into_inner(), 0, "{} threads", threads);
+            }
         }
 
         /// varint round-trips arbitrary u64s (plus 0, u32::MAX, u64::MAX)

@@ -115,18 +115,15 @@ pub fn delta_stepping<G: WeightedGraph>(g: &G, source: VertexId, delta: u64) -> 
             obs_phases += 1;
             // Generate relaxation requests for light edges in parallel;
             // `is_pending` skips entries made stale by lazy relocation.
+            let dist_now = &dist;
             let requests: Vec<(VertexId, u64)> = current
                 .par_iter()
                 .filter(|&&u| bk.is_pending(u))
                 .flat_map_iter(|&u| {
-                    let du = dist[u as usize];
+                    let du = dist_now[u as usize];
                     g.neighbors_weighted(u).filter_map(move |(v, _, w)| {
                         let w = w as u64;
-                        if w <= delta {
-                            Some((v, du + w))
-                        } else {
-                            None
-                        }
+                        relaxing(dist_now, v, du + w, w <= delta)
                     })
                 })
                 .collect();
@@ -142,17 +139,14 @@ pub fn delta_stepping<G: WeightedGraph>(g: &G, source: VertexId, delta: u64) -> 
             obs_re_relaxations += re_relaxed;
         }
         // Heavy edges of settled vertices, relaxed once.
+        let dist_now = &dist;
         let requests: Vec<(VertexId, u64)> = settled
             .par_iter()
             .flat_map_iter(|&u| {
-                let du = dist[u as usize];
+                let du = dist_now[u as usize];
                 g.neighbors_weighted(u).filter_map(move |(v, _, w)| {
                     let w = w as u64;
-                    if w > delta {
-                        Some((v, du + w))
-                    } else {
-                        None
-                    }
+                    relaxing(dist_now, v, du + w, w > delta)
                 })
             })
             .collect();
@@ -174,6 +168,16 @@ pub fn delta_stepping<G: WeightedGraph>(g: &G, source: VertexId, delta: u64) -> 
     }
     bk.flush_obs();
     SsspResult { dist }
+}
+
+/// The request `(v, nd)` if it is of the kind being generated and can
+/// still relax `v`. `dist` is read-only while requests are generated and
+/// only falls while they are applied, so a request dropped here would
+/// have been a no-op in [`apply_requests`]: relaxations, distances and
+/// bucket moves are those of the unfiltered request set.
+#[inline]
+fn relaxing(dist: &[u64], v: VertexId, nd: u64, kind: bool) -> Option<(VertexId, u64)> {
+    (kind && nd < dist[v as usize]).then_some((v, nd))
 }
 
 /// Apply relaxation requests; returns `(relaxations, re_relaxations)` —

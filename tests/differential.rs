@@ -17,7 +17,7 @@ use snap::graph::{CompressedCsrGraph, CsrGraph, FilteredGraph, Graph, GraphBuild
 use snap::graph::{VertexId, WeightedGraph};
 use snap::kernels::{
     bfs, boruvka_msf, connected_components, coreness, delta_stepping, dijkstra,
-    par_bfs_hybrid_stats, par_components_hybrid, HybridConfig, UNREACHABLE,
+    par_bfs_hybrid_stats, par_components_hybrid, Direction, HybridConfig, UNREACHABLE,
 };
 use snap::metrics::path_stats_sampled;
 use snap::with_threads;
@@ -101,10 +101,10 @@ fn path_oracle<G: Graph>(g: &G) -> (u64, u32, f64) {
     (pairs, max, total as f64 / pairs as f64)
 }
 
-/// Everything the kernels under test return for one graph at one thread
-/// count; f64 outputs as their bit patterns, so `==` is bit-identity.
+/// What the traversal kernels return for one graph at one thread count:
+/// they read every row from a few sources, so they stay cheap at any `n`.
 #[derive(PartialEq)]
-struct Outputs {
+struct Traversals {
     /// Per source: distances, depth, edges examined.
     bfs: Vec<(Vec<u32>, u32, u64)>,
     /// Canonical labels from the parallel hybrid kernel.
@@ -113,6 +113,13 @@ struct Outputs {
     coreness: (Vec<u32>, u32, u64, u64),
     /// Per source, for each Δ of `DELTAS`.
     sssp: Vec<[Vec<u64>; 4]>,
+}
+
+/// Everything the kernels under test return for one graph at one thread
+/// count; f64 outputs as their bit patterns, so `==` is bit-identity.
+#[derive(PartialEq)]
+struct Outputs {
+    traversals: Traversals,
     /// Vertex then edge scores.
     betweenness: Vec<u64>,
     closeness: Vec<u64>,
@@ -131,13 +138,9 @@ fn sources_of<G: Graph>(g: &G) -> [VertexId; 3] {
     [0, n / 2, n - 1]
 }
 
-fn run_kernels<G: WeightedGraph + Sync>(g: &G) -> Outputs {
-    let all: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-    let bc = betweenness_from_sources(g, &all);
+fn run_traversals<G: WeightedGraph + Sync>(g: &G) -> Traversals {
     let core = coreness(g);
-    let paths = path_stats_sampled(g, PATH_SAMPLES, PATH_SEED);
-    let msf = boruvka_msf(g);
-    Outputs {
+    Traversals {
         bfs: sources_of(g)
             .iter()
             .map(|&s| {
@@ -151,6 +154,16 @@ fn run_kernels<G: WeightedGraph + Sync>(g: &G) -> Outputs {
             .iter()
             .map(|&s| DELTAS.map(|delta| delta_stepping(g, s, delta).dist))
             .collect(),
+    }
+}
+
+fn run_kernels<G: WeightedGraph + Sync>(g: &G) -> Outputs {
+    let all: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+    let bc = betweenness_from_sources(g, &all);
+    let paths = path_stats_sampled(g, PATH_SAMPLES, PATH_SEED);
+    let msf = boruvka_msf(g);
+    Outputs {
+        traversals: run_traversals(g),
         betweenness: bits(&[bc.vertex, bc.edge].concat()),
         closeness: bits(&closeness(g)),
         paths: (
@@ -161,6 +174,17 @@ fn run_kernels<G: WeightedGraph + Sync>(g: &G) -> Outputs {
         ),
         msf: (msf.edges, msf.total_weight, msf.trees),
     }
+}
+
+/// `run()` at one thread, after checking that 2 and 8 threads return the
+/// same.
+fn same_at_every_thread_count<T: PartialEq + Send>(what: &str, run: impl Fn() -> T + Sync) -> T {
+    let out = with_threads(1, &run);
+    for threads in [2usize, 8] {
+        let again = with_threads(threads, &run);
+        assert!(again == out, "{what}: {threads} threads differ from 1");
+    }
+    out
 }
 
 fn assert_close(what: &str, got: &[u64], want: &[f64]) {
@@ -174,24 +198,17 @@ fn assert_close(what: &str, got: &[u64], want: &[f64]) {
     }
 }
 
-/// The rows of one representation: thread-count identity, then the
-/// 1-thread outputs against the sequential oracles.
-fn check<G: WeightedGraph + Sync>(what: &str, g: &G) -> Outputs {
-    let out = with_threads(1, || run_kernels(g));
-    for threads in [2usize, 8] {
-        let again = with_threads(threads, || run_kernels(g));
-        assert!(again == out, "{what}: {threads} threads differ from 1");
-    }
-
+/// The traversal outputs of one representation against the sequential
+/// oracles.
+fn check_traversals<G: WeightedGraph + Sync>(what: &str, g: &G, out: &Traversals) {
     for (&s, (dist, depth, _)) in sources_of(g).iter().zip(&out.bfs) {
         assert_eq!(*dist, bfs(g, s).dist, "{what}: bfs from {s}");
         let deepest = dist.iter().filter(|&&d| d != UNREACHABLE).max();
         assert_eq!(Some(depth), deepest, "{what}: bfs depth from {s}");
     }
-    let cc = connected_components(g);
     assert_eq!(
         out.components,
-        canonical(&cc.comp),
+        canonical(&connected_components(g).comp),
         "{what}: components_hybrid"
     );
     assert_eq!(out.coreness.0, coreness_oracle(g), "{what}: coreness");
@@ -202,6 +219,13 @@ fn check<G: WeightedGraph + Sync>(what: &str, g: &G) -> Outputs {
             assert_eq!(*dist, reference, "{what}: delta_stepping from {s}");
         }
     }
+}
+
+/// The rows of one representation: thread-count identity, then the
+/// 1-thread outputs against the sequential oracles.
+fn check<G: WeightedGraph + Sync>(what: &str, g: &G) -> Outputs {
+    let out = same_at_every_thread_count(what, || run_kernels(g));
+    check_traversals(what, g, &out.traversals);
     let bc = brandes(g);
     let want = [bc.vertex, bc.edge].concat();
     assert_close(&format!("{what}: betweenness"), &out.betweenness, &want);
@@ -219,7 +243,7 @@ fn check<G: WeightedGraph + Sync>(what: &str, g: &G) -> Outputs {
         "{what}: path_stats_sampled"
     );
     let (edges, _, trees) = &out.msf;
-    assert_eq!(*trees, cc.count, "{what}: msf trees");
+    assert_eq!(*trees, connected_components(g).count, "{what}: msf trees");
     assert_eq!(edges.len() + trees, g.num_vertices(), "{what}: msf size");
     out
 }
@@ -273,6 +297,58 @@ fn erdos_renyi_400() {
 fn watts_strogatz_256() {
     let g = snap::gen::watts_strogatz(256, 6, 0.1, 11);
     check_every_representation("ws256", &g, |e| e % 4 == 1);
+}
+
+/// A hub beside ordinary rows. No row above reaches
+/// `DEFAULT_HUB_THRESHOLD` (1 024; rmat10's largest degree is 22), so
+/// only here does the compressed backend keep a raw row among delta-coded
+/// ones. `HUB` has degree 1 040 and hangs on a path with `MID` (degree
+/// 503): from source 0 the second level pulls while the hub is still
+/// unvisited, so one pull level scans the raw row beside compressed ones,
+/// and the hub's coreness is the path's, so k-core settles it in the
+/// rounds that peel delta-coded rows. The all-source kernels of `check`
+/// would cost `n·m` here, so this row runs the traversal kernels only,
+/// on the CSR, the compressed graph and a view of it.
+#[test]
+fn hub_row_beside_compressed_rows() {
+    const N: u32 = 1100;
+    const HUB: u32 = 7;
+    const MID: u32 = 13;
+    let mut edges: Vec<(u32, u32)> = (0..N - 1)
+        .filter(|&i| i != HUB && i + 1 != HUB)
+        .map(|i| (i, i + 1))
+        .collect();
+    edges.push((HUB - 1, HUB + 1));
+    edges.extend((60..N).map(|v| (HUB, v)));
+    edges.push((0, MID));
+    edges.extend((20..520).map(|v| (MID, v)));
+    let csr = weighted(
+        &GraphBuilder::undirected(N as usize)
+            .add_edges(edges)
+            .build(),
+    );
+    let ccsr = CompressedCsrGraph::from_csr(&csr);
+    assert_eq!(ccsr.raw_blocks(), 1, "only the hub row is raw");
+
+    let full = same_at_every_thread_count("hub/csr", || run_traversals(&csr));
+    check_traversals("hub/csr", &csr, &full);
+    let compressed = same_at_every_thread_count("hub/compressed", || run_traversals(&ccsr));
+    let view = FilteredGraph::new(&ccsr);
+    let viewed = same_at_every_thread_count("hub/view(compressed)", || run_traversals(&view));
+    assert!(compressed == full, "hub: compressed differs from csr");
+    assert!(viewed == full, "hub: view(compressed) differs from csr");
+
+    let (r, stats) = par_bfs_hybrid_stats(&ccsr, 0, &HybridConfig::default());
+    let hub_depth = r.dist[HUB as usize];
+    assert!(
+        stats
+            .levels
+            .iter()
+            .any(|l| l.direction == Direction::Pull && l.depth < hub_depth),
+        "a pull level runs while the hub is unvisited"
+    );
+    let core = &full.coreness.0;
+    assert_eq!(core[HUB as usize], core[100], "the hub peels with the path");
 }
 
 /// pMA's and pLA's labels, pLA's flip count and both modularities, on a
