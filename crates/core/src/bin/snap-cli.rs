@@ -874,8 +874,8 @@ fn cmd_stream(args: &Args) {
         }
         None => StreamingGraph::new(0),
     };
-    let mut cc = DynamicComponents::new(sg.num_vertices());
-    let mut bfs = IncrementalBfs::new(sg.live(), source);
+    let mut cc = DynamicComponents::new(&sg.snapshot().graph);
+    let mut bfs = IncrementalBfs::new(&sg.snapshot().graph, source);
 
     for chunk in ops.chunks(merge_every) {
         let _epoch_span = snap::obs::span("epoch");
@@ -883,14 +883,14 @@ fn cmd_stream(args: &Args) {
         for &op in chunk {
             let changed = sg.apply(op);
             cc.apply(op, changed);
-            bfs.apply(sg.live(), op, changed);
+            bfs.apply(op, changed);
             stats.note(op, changed);
         }
         snap::obs::add("stream_ops", chunk.len() as u64);
         let snapshot = sg.merge();
-        cc.end_batch(sg.live());
-        bfs.end_batch(sg.live());
         let g = &*snapshot.graph;
+        cc.end_batch(g);
+        bfs.end_batch(g);
         say!(
             obs,
             "epoch {}: +{} -{} ({} rejected) | n = {}, m = {}, components {}",

@@ -56,7 +56,7 @@ pub mod prelude {
         StreamingGraph, VertexId, WeightedGraph,
     };
     pub use snap_kernels::{BfsResult, Direction, HybridConfig, LevelStats, TraversalStats};
-    pub use snap_kernels::{DynamicComponents, IncrementalBfs, IncrementalComponents};
+    pub use snap_kernels::{DynamicComponents, IncrementalBfs};
     pub use snap_obs::{ReportNode, RunReport};
     pub use snap_partition::Method as PartitionMethod;
 }

@@ -7,7 +7,6 @@
 //! queries logarithmic. The crossover degree is configurable.
 
 use crate::csr::CsrGraph;
-use crate::traits::Graph;
 use crate::treap::Treap;
 use crate::{GraphBuilder, VertexId};
 
@@ -70,42 +69,14 @@ impl DynGraph {
         }
     }
 
-    /// Import a static graph into the dynamic representation.
-    ///
-    /// `DynGraph` models a *simple* graph: self-loops and parallel edges of
-    /// the source CSR are stripped. This wrapper discards the drop count;
-    /// [`crate::StreamingGraph::from_csr`] returns it, for callers that
-    /// must know whether `num_edges()` can disagree with the source.
-    pub fn from_csr(g: &CsrGraph) -> Self {
-        Self::from_csr_counted(g).0
-    }
-
-    /// Import a static graph, reporting how many source edges were
-    /// deliberately stripped (self-loops, and duplicates of an edge already
-    /// inserted) because the dynamic representation is a simple graph.
-    /// `from_csr(g).num_edges() == g.num_edges() - dropped` always holds.
-    pub(crate) fn from_csr_counted(g: &CsrGraph) -> (Self, usize) {
-        assert!(!g.is_directed(), "DynGraph is undirected");
-        let mut d = DynGraph::new(g.num_vertices());
-        let mut dropped = 0usize;
-        for (_, u, v) in g.edges() {
-            if !d.insert_edge(u, v) {
-                dropped += 1;
-            }
-        }
-        (d, dropped)
-    }
-
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.adj.len()
     }
 
     /// Grow the vertex set so that `v` is a valid vertex id. New vertices
-    /// start isolated. No-op when `v` is already in range — safe to call
-    /// on every op of a stream whose vertex universe is discovered as it
-    /// arrives.
-    pub fn ensure_vertex(&mut self, v: VertexId) {
+    /// start isolated. No-op when `v` is already in range.
+    fn ensure_vertex(&mut self, v: VertexId) {
         if v as usize >= self.adj.len() {
             self.adj
                 .resize_with(v as usize + 1, || Adjacency::Array(Vec::new()));
@@ -123,22 +94,23 @@ impl DynGraph {
     }
 
     /// Membership test; `O(deg)` for array vertices, `O(log deg)` for
-    /// treap vertices.
+    /// treap vertices. An id beyond the vertex set has no edges.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.adj[a as usize].contains(b)
+        match (self.adj.get(u as usize), self.adj.get(v as usize)) {
+            (Some(a), Some(b)) if a.len() <= b.len() => a.contains(v),
+            (Some(_), Some(b)) => b.contains(u),
+            _ => false,
+        }
     }
 
     /// Insert edge `{u, v}`; returns `false` if it already existed or is a
-    /// self-loop.
+    /// self-loop. An id beyond the vertex set grows it, so a stream whose
+    /// vertex universe is discovered as it arrives can be replayed as is.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         if u == v || self.has_edge(u, v) {
             return false;
         }
+        self.ensure_vertex(u.max(v));
         self.push_arc(u, v);
         self.push_arc(v, u);
         self.num_edges += 1;
@@ -205,7 +177,8 @@ impl DynGraph {
     }
 
     /// True if `v`'s adjacency has been promoted to a treap.
-    pub fn is_treap_backed(&self, v: VertexId) -> bool {
+    #[cfg(test)]
+    fn is_treap_backed(&self, v: VertexId) -> bool {
         matches!(self.adj[v as usize], Adjacency::Tree(_))
     }
 
@@ -225,6 +198,7 @@ impl DynGraph {
 mod tests {
     use super::*;
     use crate::builder::from_edges;
+    use crate::traits::Graph;
 
     #[test]
     fn insert_and_query() {
@@ -280,7 +254,10 @@ mod tests {
     #[test]
     fn csr_round_trip() {
         let g0 = from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]);
-        let dynamic = DynGraph::from_csr(&g0);
+        let mut dynamic = DynGraph::new(g0.num_vertices());
+        for (_, u, v) in g0.edges() {
+            dynamic.insert_edge(u, v);
+        }
         let g1 = dynamic.to_csr();
         assert_eq!(g0.num_edges(), g1.num_edges());
         for v in g0.vertices() {
@@ -351,31 +328,6 @@ mod tests {
             }
         }
         assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn from_csr_counted_reports_dropped_self_loops() {
-        // A multigraph fixture: self-loops survive the builder when asked
-        // for; the dynamic representation strips them *deliberately* and
-        // says so.
-        let g0 = crate::GraphBuilder::undirected(4)
-            .with_self_loops()
-            .add_edges([(0, 0), (0, 1), (1, 2), (2, 2), (2, 3)])
-            .build();
-        assert_eq!(g0.num_edges(), 5);
-        let (d, dropped) = DynGraph::from_csr_counted(&g0);
-        assert_eq!(dropped, 2, "both self-loops stripped");
-        assert_eq!(d.num_edges(), g0.num_edges() - dropped);
-        // Round trip: the simple part of the graph survives exactly.
-        let g1 = d.to_csr();
-        assert_eq!(g1.num_edges(), 3);
-        for v in 0..4u32 {
-            let mut a: Vec<_> = g0.neighbors(v).filter(|&w| w != v).collect();
-            let mut b: Vec<_> = g1.neighbors(v).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "vertex {v}");
-        }
     }
 
     #[test]

@@ -15,17 +15,20 @@
 //! * a **dynamic representation** ([`DynGraph`]) with resizable adjacency
 //!   arrays for low-degree vertices and **treaps** ([`Treap`]) for
 //!   high-degree vertices, so that insertions/deletions and set operations
-//!   on large adjacency lists stay logarithmic;
+//!   on large adjacency lists stay logarithmic (the streaming engine's
+//!   tests replay their ops into one as the oracle);
 //! * **filtered views** ([`FilteredGraph`]) that support cheap edge
 //!   deletion via an edge-liveness bitmap — the workhorse of the divisive
 //!   community-detection algorithms, which repeatedly cut edges;
 //! * **induced subgraphs** ([`subgraph::InducedSubgraph`]) used when the
 //!   coarse-grained phase of the divisive algorithms processes connected
 //!   components independently;
-//! * a **streaming engine** ([`StreamingGraph`]) that ingests batched
-//!   edge insert/delete ops into the dynamic delta layer and delta-merges
-//!   them into epoch-versioned immutable `Arc<CsrGraph>` snapshots, so
-//!   readers analyze complete frozen epochs while writers keep ingesting.
+//! * a **streaming engine** ([`StreamingGraph`]): the last published
+//!   `Arc<CsrGraph>` snapshot plus a net delta of the edges whose
+//!   liveness differs from it. It ingests batched edge insert/delete ops
+//!   into the delta and delta-merges them into epoch-versioned immutable
+//!   snapshots, so readers analyze complete frozen epochs while writers
+//!   keep ingesting.
 //!
 //! All representations implement the [`Graph`] trait so the kernels in
 //! `snap-kernels` and above remain representation-agnostic.

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use snap_graph::{
-    CsrGraph, EdgeId, EdgeOp, Graph, GraphBuilder, StreamingGraph, VertexId, Weight, WeightedGraph,
+    CsrGraph, DynGraph, EdgeId, EdgeOp, Graph, GraphBuilder, StreamingGraph, VertexId, Weight,
+    WeightedGraph,
 };
 
 /// The six CSR fields, as plain vectors.
@@ -238,7 +239,17 @@ proptest! {
             let seeded_edges = seeded.edges().find(|&(_, a, b)| (a, b) == (u, v));
             seeded_edges.map_or(1, |(e, _, _)| seeded.edge_weight(e))
         };
-        let live = sg.live();
+        // The oracle: the base's simple edges, then the same ops.
+        let mut live = DynGraph::new(n);
+        for (_, u, v) in base.edges() {
+            live.insert_edge(u, v);
+        }
+        for op in ops {
+            match op {
+                EdgeOp::Insert(u, v) => live.insert_edge(u, v),
+                EdgeOp::Delete(u, v) => live.delete_edge(u, v),
+            };
+        }
         let mut want_edges = Vec::new();
         for u in 0..live.num_vertices() as VertexId {
             for v in live.neighbors(u).filter(|&v| u < v) {

@@ -2,20 +2,28 @@
 //! edge insertions, falling back to full recompute only when a deletion
 //! invalidates the shortest-path tree.
 //!
-//! The repair rule for an arriving edge `{u, v}` is the classic dynamic
+//! The structure follows the streaming engine's published snapshots: it
+//! is built from one, [`IncrementalBfs::apply`] records each effective op
+//! of a batch without looking at any graph, and
+//! [`IncrementalBfs::end_batch`] repairs against the snapshot the batch
+//! merged into. `dist` and `parent` are valid after `end_batch`.
+//!
+//! The repair rule for an inserted edge `{u, v}` is the classic dynamic
 //! relaxation: if `dist[u] + 1 < dist[v]` the edge opens a shorter path,
 //! so `v` is re-labeled and the improvement is propagated by a BFS
 //! restricted to vertices that actually improve — `O(affected)` instead
-//! of `O(n + m)`. Deletions are asymmetric: removing a *non-tree* edge
-//! can only remove alternative shortest paths, never shorten or lengthen
-//! the tree paths the labels were derived from, so distances stay valid;
-//! removing a **tree** edge orphans a subtree, and the structure marks
-//! itself stale and recomputes at the next [`IncrementalBfs::end_batch`].
-//! That split matches the streaming engine's accrete-mostly workload:
-//! batches without tree-edge deletions repair in place.
+//! of `O(n + m)`. Only the inserts the snapshot still holds are relaxed:
+//! one deleted again in the same batch never existed for the labels.
+//! Deletions are asymmetric: removing a *non-tree* edge can only remove
+//! alternative shortest paths, never shorten or lengthen the tree paths
+//! the labels were derived from, so distances stay valid; removing a
+//! **tree** edge orphans a subtree, and the structure marks itself stale
+//! and recomputes at the next `end_batch`. That split matches the
+//! streaming engine's accrete-mostly workload: batches without tree-edge
+//! deletions repair in place.
 
 use snap_graph::stream::EdgeOp;
-use snap_graph::{DynGraph, VertexId};
+use snap_graph::{CsrGraph, Graph, VertexId};
 use std::collections::VecDeque;
 
 use crate::bfs::{NO_PARENT, UNREACHABLE};
@@ -29,28 +37,25 @@ pub struct IncrementalBfs {
     /// BFS-tree parent (`NO_PARENT` for the source and unreached
     /// vertices).
     pub parent: Vec<VertexId>,
+    /// Effective inserts since the last `end_batch`, to relax then.
+    inserted: Vec<(VertexId, VertexId)>,
     stale: bool,
     recomputes: u64,
 }
 
 impl IncrementalBfs {
     /// Run the initial traversal of `g` from `source`.
-    pub fn new(g: &DynGraph, source: VertexId) -> Self {
+    pub fn new(g: &CsrGraph, source: VertexId) -> Self {
         let mut b = IncrementalBfs {
             source,
             dist: Vec::new(),
             parent: Vec::new(),
+            inserted: Vec::new(),
             stale: false,
             recomputes: 0,
         };
         b.recompute(g);
-        b.recomputes = 0;
         b
-    }
-
-    /// The fixed source vertex.
-    pub fn source(&self) -> VertexId {
-        self.source
     }
 
     /// Full recomputes performed so far (initial construction excluded).
@@ -79,22 +84,17 @@ impl IncrementalBfs {
     }
 
     /// Record one applied stream op. `changed` is the op's effect on the
-    /// graph (see [`snap_graph::StreamingGraph::apply`]); `g` is the
-    /// graph *after* the op.
-    pub fn apply(&mut self, g: &DynGraph, op: EdgeOp, changed: bool) {
-        self.grow(g.num_vertices());
+    /// graph (see [`snap_graph::StreamingGraph::apply`]).
+    pub fn apply(&mut self, op: EdgeOp, changed: bool) {
         if !changed || self.stale {
             return;
         }
         match op {
-            EdgeOp::Insert(u, v) => {
-                self.relax(g, u, v);
-                self.relax(g, v, u);
-            }
+            EdgeOp::Insert(u, v) => self.inserted.push((u, v)),
             EdgeOp::Delete(u, v) => {
                 // Tree edge iff one endpoint is the other's BFS parent.
-                let (ui, vi) = (u as usize, v as usize);
-                if self.parent[vi] == u || self.parent[ui] == v {
+                let parent = |x: VertexId| self.parent.get(x as usize).copied();
+                if parent(v) == Some(u) || parent(u) == Some(v) {
                     self.stale = true;
                 }
             }
@@ -103,7 +103,7 @@ impl IncrementalBfs {
 
     /// If `{u, v}` improves `v`, propagate the improvement through every
     /// vertex whose distance drops.
-    fn relax(&mut self, g: &DynGraph, u: VertexId, v: VertexId) {
+    fn relax(&mut self, g: &CsrGraph, u: VertexId, v: VertexId) {
         let du = self.dist[u as usize];
         if du == UNREACHABLE || du + 1 >= self.dist[v as usize] {
             return;
@@ -114,7 +114,7 @@ impl IncrementalBfs {
         queue.push_back(v);
         while let Some(x) = queue.pop_front() {
             let dx = self.dist[x as usize];
-            for y in g.neighbors(x) {
+            for &y in g.neighbor_slice(x) {
                 if dx + 1 < self.dist[y as usize] {
                     self.dist[y as usize] = dx + 1;
                     self.parent[y as usize] = x;
@@ -124,21 +124,29 @@ impl IncrementalBfs {
         }
     }
 
-    /// Repair after a batch: recompute from scratch iff a tree-edge
-    /// deletion invalidated the labels. Returns `true` when a full
-    /// recompute ran.
-    pub fn end_batch(&mut self, g: &DynGraph) -> bool {
-        self.grow(g.num_vertices());
-        if !self.stale {
-            return false;
+    /// Repair after a batch against `g`, the snapshot the batch merged
+    /// into: recompute from scratch iff a tree-edge deletion invalidated
+    /// the labels, else relax the batch's inserts that `g` holds.
+    /// Returns `true` when a full recompute ran.
+    pub fn end_batch(&mut self, g: &CsrGraph) -> bool {
+        let inserted = std::mem::take(&mut self.inserted);
+        if self.stale {
+            self.recompute(g);
+            self.recomputes += 1;
+            snap_obs::add("bfs_recomputes", 1);
+            return true;
         }
-        self.recompute(g);
-        self.recomputes += 1;
-        snap_obs::add("bfs_recomputes", 1);
-        true
+        self.grow(g.num_vertices());
+        for (u, v) in inserted {
+            if g.neighbor_slice(u).binary_search(&v).is_ok() {
+                self.relax(g, u, v);
+                self.relax(g, v, u);
+            }
+        }
+        false
     }
 
-    fn recompute(&mut self, g: &DynGraph) {
+    fn recompute(&mut self, g: &CsrGraph) {
         let n = g.num_vertices();
         self.dist = vec![UNREACHABLE; n];
         self.parent = vec![NO_PARENT; n];
@@ -151,7 +159,7 @@ impl IncrementalBfs {
         queue.push_back(self.source);
         while let Some(x) = queue.pop_front() {
             let dx = self.dist[x as usize];
-            for y in g.neighbors(x) {
+            for &y in g.neighbor_slice(x) {
                 if self.dist[y as usize] == UNREACHABLE {
                     self.dist[y as usize] = dx + 1;
                     self.parent[y as usize] = x;
@@ -165,6 +173,7 @@ impl IncrementalBfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snap_graph::DynGraph;
 
     /// Reference: fresh sequential BFS over the dynamic graph.
     fn full_bfs(g: &DynGraph, source: VertexId) -> Vec<u32> {
@@ -172,17 +181,18 @@ mod tests {
             source,
             dist: Vec::new(),
             parent: Vec::new(),
+            inserted: Vec::new(),
             stale: false,
             recomputes: 0,
         };
-        b.recompute(g);
+        b.recompute(&g.to_csr());
         b.dist
     }
 
     fn check_parents(b: &IncrementalBfs, g: &DynGraph) {
         for v in 0..g.num_vertices() as VertexId {
             let p = b.parent[v as usize];
-            if v == b.source() || b.dist[v as usize] == UNREACHABLE {
+            if v == b.source || b.dist[v as usize] == UNREACHABLE {
                 assert_eq!(p, NO_PARENT);
             } else {
                 assert!(g.has_edge(p, v), "parent edge {p}-{v} must exist");
@@ -197,19 +207,20 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4)] {
             g.insert_edge(u, v);
         }
-        let mut b = IncrementalBfs::new(&g, 0);
+        let mut b = IncrementalBfs::new(&g.to_csr(), 0);
         assert_eq!(b.dist, vec![0, 1, 2, 3, 4, UNREACHABLE]);
 
         // A shortcut: 0-4 directly.
         g.insert_edge(0, 4);
-        b.apply(&g, EdgeOp::Insert(0, 4), true);
-        assert!(!b.end_batch(&g), "insertion repaired in place");
+        b.apply(EdgeOp::Insert(0, 4), true);
+        assert!(!b.end_batch(&g.to_csr()), "insertion repaired in place");
         assert_eq!(b.dist, vec![0, 1, 2, 2, 1, UNREACHABLE]);
         check_parents(&b, &g);
 
         // Reaching an unreached vertex.
         g.insert_edge(4, 5);
-        b.apply(&g, EdgeOp::Insert(4, 5), true);
+        b.apply(EdgeOp::Insert(4, 5), true);
+        b.end_batch(&g.to_csr());
         assert_eq!(b.dist[5], 2);
         assert_eq!(b.recomputes(), 0);
     }
@@ -220,14 +231,14 @@ mod tests {
         for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
             g.insert_edge(u, v);
         }
-        let mut b = IncrementalBfs::new(&g, 0);
+        let mut b = IncrementalBfs::new(&g.to_csr(), 0);
         // 3's parent is one of {1, 2}; deleting the *other* path's edge is
         // a non-tree deletion.
         let non_tree = if b.parent[3] == 1 { (2, 3) } else { (1, 3) };
         g.delete_edge(non_tree.0, non_tree.1);
-        b.apply(&g, EdgeOp::Delete(non_tree.0, non_tree.1), true);
+        b.apply(EdgeOp::Delete(non_tree.0, non_tree.1), true);
         assert!(!b.stale);
-        assert!(!b.end_batch(&g));
+        assert!(!b.end_batch(&g.to_csr()));
         assert_eq!(b.dist, full_bfs(&g, 0));
         check_parents(&b, &g);
     }
@@ -238,12 +249,12 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 3), (0, 3)] {
             g.insert_edge(u, v);
         }
-        let mut b = IncrementalBfs::new(&g, 0);
+        let mut b = IncrementalBfs::new(&g.to_csr(), 0);
         // (0, 1) is certainly a tree edge (dist[1] == 1).
         g.delete_edge(0, 1);
-        b.apply(&g, EdgeOp::Delete(0, 1), true);
+        b.apply(EdgeOp::Delete(0, 1), true);
         assert!(b.stale);
-        assert!(b.end_batch(&g));
+        assert!(b.end_batch(&g.to_csr()));
         assert_eq!(b.dist, full_bfs(&g, 0));
         assert_eq!(b.dist, vec![0, 3, 2, 1]);
         check_parents(&b, &g);
@@ -254,16 +265,16 @@ mod tests {
     fn unseen_vertices_grow_unreachable() {
         let mut g = DynGraph::new(2);
         g.insert_edge(0, 1);
-        let mut b = IncrementalBfs::new(&g, 0);
-        g.ensure_vertex(5);
+        let mut b = IncrementalBfs::new(&g.to_csr(), 0);
         g.insert_edge(4, 5);
-        b.apply(&g, EdgeOp::Insert(4, 5), true);
-        b.end_batch(&g);
+        b.apply(EdgeOp::Insert(4, 5), true);
+        b.end_batch(&g.to_csr());
         assert_eq!(b.dist.len(), 6);
         assert_eq!(b.dist[5], UNREACHABLE);
         // Later the island connects.
         g.insert_edge(1, 4);
-        b.apply(&g, EdgeOp::Insert(1, 4), true);
+        b.apply(EdgeOp::Insert(1, 4), true);
+        b.end_batch(&g.to_csr());
         assert_eq!(b.dist, vec![0, 1, UNREACHABLE, UNREACHABLE, 2, 3]);
     }
 
@@ -272,12 +283,11 @@ mod tests {
         // Stream starting from an *empty* graph: the source does not
         // exist yet at construction time.
         let mut g = DynGraph::new(0);
-        let mut b = IncrementalBfs::new(&g, 0);
+        let mut b = IncrementalBfs::new(&g.to_csr(), 0);
         assert_eq!(b.reached(), 0);
-        g.ensure_vertex(1);
         g.insert_edge(0, 1);
-        b.apply(&g, EdgeOp::Insert(0, 1), true);
-        assert!(!b.end_batch(&g));
+        b.apply(EdgeOp::Insert(0, 1), true);
+        assert!(!b.end_batch(&g.to_csr()));
         assert_eq!(b.dist, vec![0, 1]);
         check_parents(&b, &g);
     }
@@ -285,7 +295,7 @@ mod tests {
     #[test]
     fn source_beyond_graph_is_all_unreachable() {
         let g = DynGraph::new(2);
-        let b = IncrementalBfs::new(&g, 9);
+        let b = IncrementalBfs::new(&g.to_csr(), 9);
         assert_eq!(b.reached(), 0);
     }
 }

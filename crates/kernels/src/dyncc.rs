@@ -5,60 +5,75 @@
 //!
 //! Insertions are `O(α(n))` amortized via union-find; deletions are not
 //! supported incrementally (fully dynamic connectivity needs heavier
-//! machinery). [`DynamicComponents`] wraps the union-find with the
+//! machinery). [`DynamicComponents`] pairs the union-find with the
 //! repair-don't-recompute policy the streaming engine needs: insertions
 //! update in place, a deletion of a real edge marks the structure stale,
-//! and [`DynamicComponents::end_batch`] rebuilds from the live
-//! [`snap_graph::DynGraph`] only when a batch actually contained such a
-//! deletion — which matches the paper's stream model of mostly accreting
-//! interaction data.
+//! and [`DynamicComponents::end_batch`] rebuilds from the published
+//! snapshot only when a batch actually contained such a deletion — which
+//! matches the paper's stream model of mostly accreting interaction data.
 //!
-//! Vertex ids beyond the tracked range grow the structure on demand
-//! ([`IncrementalComponents::ensure_vertex`]), so a stream over a vertex
-//! universe discovered on the fly never indexes out of bounds.
+//! Vertex ids beyond the tracked range grow the structure on demand, so
+//! a stream over a vertex universe discovered on the fly never indexes
+//! out of bounds.
 
 use snap_graph::stream::EdgeOp;
-use snap_graph::{DynGraph, VertexId};
+use snap_graph::{CsrGraph, Graph, VertexId};
 
-/// Union-find connectivity over a growing edge stream.
+/// Batch-aware incremental connected components for the streaming
+/// engine: a union-find that repairs on insertion and rebuilds only when
+/// a deletion invalidates it.
+///
+/// Drive it alongside a [`snap_graph::StreamingGraph`]: build it from a
+/// published snapshot, feed every op through [`Self::apply`], then call
+/// [`Self::end_batch`] with the snapshot the batch merged into. Between
+/// `end_batch` calls the labels may over-merge (union-find cannot
+/// split), so queries go through `end_batch`'s repaired state.
 #[derive(Clone, Debug)]
-pub struct IncrementalComponents {
+pub struct DynamicComponents {
     parent: Vec<u32>,
     rank: Vec<u8>,
     components: usize,
+    /// A real edge left the graph since the last rebuild: components may
+    /// have split, so the union-find is an over-approximation.
+    stale: bool,
+    rebuilds: u64,
 }
 
-impl IncrementalComponents {
-    /// `n` isolated vertices.
-    pub fn new(n: usize) -> Self {
-        IncrementalComponents {
-            parent: (0..n as u32).collect(),
-            rank: vec![0; n],
-            components: n,
+impl DynamicComponents {
+    /// The components of `g`.
+    pub fn new(g: &CsrGraph) -> Self {
+        let mut cc = DynamicComponents {
+            parent: Vec::new(),
+            rank: Vec::new(),
+            components: 0,
+            stale: false,
+            rebuilds: 0,
+        };
+        cc.rebuild(g);
+        cc
+    }
+
+    /// Union-find over `g`'s edges, from scratch.
+    fn rebuild(&mut self, g: &CsrGraph) {
+        let n = g.num_vertices();
+        self.parent = (0..n as u32).collect();
+        self.rank = vec![0; n];
+        self.components = n;
+        for (_, u, v) in g.edges() {
+            self.union(u, v);
         }
+        self.stale = false;
     }
 
-    /// Number of vertices tracked.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True when no vertices are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Current number of components.
-    pub fn count(&self) -> usize {
-        self.components
+    /// Full recomputes performed so far.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
     }
 
     /// Grow the tracked vertex set so that `v` is a valid id; new
     /// vertices arrive as isolated singleton components. No-op when `v`
-    /// is already tracked. Called automatically by
-    /// [`Self::insert_edge`] / [`Self::connected`], so a stream of
-    /// previously unseen vertex ids is safe.
-    pub fn ensure_vertex(&mut self, v: VertexId) {
+    /// is already tracked.
+    fn ensure_vertex(&mut self, v: VertexId) {
         let need = v as usize + 1;
         if need > self.parent.len() {
             let old = self.parent.len();
@@ -84,7 +99,7 @@ impl IncrementalComponents {
 
     /// Record edge `{u, v}`; returns `true` if it merged two components.
     /// Ids beyond the tracked range grow the structure first.
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+    fn union(&mut self, u: VertexId, v: VertexId) -> bool {
         self.ensure_vertex(u.max(v));
         let (ru, rv) = (self.find(u), self.find(v));
         if ru == rv {
@@ -103,16 +118,59 @@ impl IncrementalComponents {
         true
     }
 
-    /// Are `u` and `v` currently connected? Ids beyond the tracked range
-    /// grow the structure (and are trivially disconnected singletons).
+    /// Record one applied stream op. `changed` is the op's effect on the
+    /// graph (the return of [`snap_graph::StreamingGraph::apply`]); no-op
+    /// mutations cost nothing here either.
+    pub fn apply(&mut self, op: EdgeOp, changed: bool) {
+        if !changed {
+            return;
+        }
+        match op {
+            EdgeOp::Insert(u, v) => {
+                self.union(u, v);
+            }
+            // The deleted edge was intra-component by definition; whether
+            // an alternative path survives is exactly the question
+            // union-find cannot answer, so flag for rebuild.
+            EdgeOp::Delete(..) => self.stale = true,
+        }
+    }
+
+    /// Repair after a batch: rebuild from `g`, the snapshot the batch
+    /// merged into, iff a deletion invalidated the structure. Returns
+    /// `true` when a full recompute ran.
+    pub fn end_batch(&mut self, g: &CsrGraph) -> bool {
+        if !self.stale {
+            // Pure-insertion batches still need the vertex set to track
+            // graph growth so every vertex is counted.
+            if g.num_vertices() > 0 {
+                self.ensure_vertex(g.num_vertices() as u32 - 1);
+            }
+            return false;
+        }
+        self.rebuild(g);
+        self.rebuilds += 1;
+        snap_obs::add("cc_rebuilds", 1);
+        true
+    }
+
+    /// Number of components (valid after [`Self::end_batch`]).
+    pub fn count(&self) -> usize {
+        self.components
+    }
+
+    /// Connectivity query (valid after [`Self::end_batch`]). Ids beyond
+    /// the tracked range grow the structure (and are trivially
+    /// disconnected singletons).
     pub fn connected(&mut self, u: VertexId, v: VertexId) -> bool {
         self.ensure_vertex(u.max(v));
         self.find(u) == self.find(v)
     }
 
     /// Materialize consecutive component labels.
-    pub fn labels(&mut self) -> crate::components::Components {
-        let n = self.len();
+    #[cfg(test)]
+    fn labels(&mut self) -> crate::components::Components {
+        let n = self.parent.len();
         let raw: Vec<u32> = (0..n as u32).map(|v| self.find(v)).collect();
         let mut remap = std::collections::HashMap::new();
         let mut next = 0u32;
@@ -133,115 +191,25 @@ impl IncrementalComponents {
     }
 }
 
-/// Batch-aware incremental connected components for the streaming
-/// engine: repairs on insertion, recomputes only when a deletion
-/// invalidates the union-find.
-///
-/// Drive it alongside a [`DynGraph`] (typically the live layer of a
-/// [`snap_graph::StreamingGraph`]): feed every op through
-/// [`Self::apply`], then call [`Self::end_batch`] with the post-batch
-/// graph. Between `end_batch` calls the labels may over-merge (union-find
-/// cannot split), so queries go through `end_batch`'s repaired state.
-#[derive(Clone, Debug)]
-pub struct DynamicComponents {
-    inc: IncrementalComponents,
-    /// A real edge left the graph since the last rebuild: components may
-    /// have split, so the union-find is an over-approximation.
-    stale: bool,
-    rebuilds: u64,
-}
-
-impl DynamicComponents {
-    /// Track `n` isolated vertices.
-    pub fn new(n: usize) -> Self {
-        DynamicComponents {
-            inc: IncrementalComponents::new(n),
-            stale: false,
-            rebuilds: 0,
-        }
-    }
-
-    /// Full recomputes performed so far.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-
-    /// Record one applied stream op. `changed` is the op's effect on the
-    /// graph (the return of [`snap_graph::StreamingGraph::apply`] /
-    /// [`DynGraph::insert_edge`] / [`DynGraph::delete_edge`]); no-op
-    /// mutations cost nothing here either.
-    pub fn apply(&mut self, op: EdgeOp, changed: bool) {
-        if !changed {
-            return;
-        }
-        match op {
-            EdgeOp::Insert(u, v) => {
-                self.inc.insert_edge(u, v);
-            }
-            // The deleted edge was intra-component by definition; whether
-            // an alternative path survives is exactly the question
-            // union-find cannot answer, so flag for rebuild.
-            EdgeOp::Delete(..) => self.stale = true,
-        }
-    }
-
-    /// Repair after a batch: rebuild from `g` iff a deletion invalidated
-    /// the structure. Returns `true` when a full recompute ran.
-    pub fn end_batch(&mut self, g: &DynGraph) -> bool {
-        if !self.stale {
-            // Pure-insertion batches still need the vertex set to track
-            // graph growth so `labels()` covers every vertex.
-            if g.num_vertices() > 0 {
-                self.inc.ensure_vertex(g.num_vertices() as u32 - 1);
-            }
-            return false;
-        }
-        let mut inc = IncrementalComponents::new(g.num_vertices());
-        for u in 0..g.num_vertices() as VertexId {
-            for v in g.neighbors(u) {
-                if u < v {
-                    inc.insert_edge(u, v);
-                }
-            }
-        }
-        self.inc = inc;
-        self.stale = false;
-        self.rebuilds += 1;
-        snap_obs::add("cc_rebuilds", 1);
-        true
-    }
-
-    /// Number of components (valid after [`Self::end_batch`]).
-    pub fn count(&self) -> usize {
-        self.inc.count()
-    }
-
-    /// Connectivity query (valid after [`Self::end_batch`]).
-    pub fn connected(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.inc.connected(u, v)
-    }
-
-    /// Materialize consecutive component labels (valid after
-    /// [`Self::end_batch`]).
-    pub fn labels(&mut self) -> crate::components::Components {
-        self.inc.labels()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::components::connected_components;
     use snap_graph::builder::from_edges;
-    use snap_graph::Graph;
+    use snap_graph::DynGraph;
+
+    /// `n` isolated vertices.
+    fn isolated(n: usize) -> DynamicComponents {
+        DynamicComponents::new(&CsrGraph::empty(n, false))
+    }
 
     #[test]
     fn insertions_merge_components() {
-        let mut cc = IncrementalComponents::new(5);
+        let mut cc = isolated(5);
         assert_eq!(cc.count(), 5);
-        assert!(cc.insert_edge(0, 1));
-        assert!(cc.insert_edge(1, 2));
-        assert!(!cc.insert_edge(0, 2)); // already connected
+        assert!(cc.union(0, 1));
+        assert!(cc.union(1, 2));
+        assert!(!cc.union(0, 2)); // already connected
         assert_eq!(cc.count(), 3);
         assert!(cc.connected(0, 2));
         assert!(!cc.connected(0, 3));
@@ -251,9 +219,9 @@ mod tests {
     fn matches_batch_components() {
         let edges = [(0u32, 1u32), (2, 3), (4, 5), (1, 2), (6, 7)];
         let g = from_edges(9, &edges);
-        let mut cc = IncrementalComponents::new(9);
+        let mut cc = isolated(9);
         for &(u, v) in &edges {
-            cc.insert_edge(u, v);
+            cc.union(u, v);
         }
         let batch = connected_components(&g);
         let inc = cc.labels();
@@ -272,10 +240,10 @@ mod tests {
     #[test]
     fn merge_count_identity() {
         // #merges = n - #components at all times.
-        let mut cc = IncrementalComponents::new(10);
+        let mut cc = isolated(10);
         let mut merges = 0;
         for (u, v) in [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (6, 5), (4, 3)] {
-            if cc.insert_edge(u, v) {
+            if cc.union(u, v) {
                 merges += 1;
             }
             assert_eq!(merges, 10 - cc.count());
@@ -284,9 +252,9 @@ mod tests {
 
     #[test]
     fn empty_tracker() {
-        let mut cc = IncrementalComponents::new(0);
+        let mut cc = isolated(0);
         assert_eq!(cc.count(), 0);
-        assert!(cc.is_empty());
+        assert!(cc.parent.is_empty());
         assert_eq!(cc.labels().count, 0);
     }
 
@@ -294,16 +262,16 @@ mod tests {
     fn empty_then_grow_on_unseen_vertices() {
         // The fixed-capacity bug: a stream of previously unseen ids used
         // to panic with index-out-of-bounds. Now it grows.
-        let mut cc = IncrementalComponents::new(0);
-        assert!(cc.insert_edge(3, 7));
-        assert_eq!(cc.len(), 8);
+        let mut cc = isolated(0);
+        assert!(cc.union(3, 7));
+        assert_eq!(cc.parent.len(), 8);
         assert_eq!(cc.count(), 7, "6 singletons + {{3,7}}");
         assert!(cc.connected(3, 7));
         assert!(!cc.connected(0, 3));
         // `connected` on a fresh id also grows (to a singleton).
         assert!(!cc.connected(7, 11));
-        assert_eq!(cc.len(), 12);
-        assert!(cc.insert_edge(11, 3));
+        assert_eq!(cc.parent.len(), 12);
+        assert!(cc.union(11, 3));
         assert!(cc.connected(7, 11));
         assert_eq!(cc.labels().comp.len(), 12);
     }
@@ -311,24 +279,27 @@ mod tests {
     #[test]
     fn dynamic_components_rebuild_only_after_real_deletions() {
         let mut g = DynGraph::new(5);
-        let mut cc = DynamicComponents::new(5);
+        let mut cc = DynamicComponents::new(&g.to_csr());
         for (u, v) in [(0, 1), (1, 2), (3, 4)] {
             let changed = g.insert_edge(u, v);
             cc.apply(EdgeOp::Insert(u, v), changed);
         }
-        assert!(!cc.end_batch(&g), "insert-only batch needs no rebuild");
+        assert!(
+            !cc.end_batch(&g.to_csr()),
+            "insert-only batch needs no rebuild"
+        );
         assert_eq!(cc.count(), 2);
 
         // Deleting an absent edge is a no-op and must not force a rebuild.
         let changed = g.delete_edge(0, 4);
         cc.apply(EdgeOp::Delete(0, 4), changed);
-        assert!(!cc.end_batch(&g));
+        assert!(!cc.end_batch(&g.to_csr()));
 
         // A real deletion splits {0,1,2}: the wrapper must recompute.
         let changed = g.delete_edge(1, 2);
         cc.apply(EdgeOp::Delete(1, 2), changed);
         assert!(cc.stale);
-        assert!(cc.end_batch(&g));
+        assert!(cc.end_batch(&g.to_csr()));
         assert_eq!(cc.count(), 3);
         assert!(!cc.connected(0, 2));
         assert_eq!(cc.rebuilds(), 1);
@@ -337,7 +308,7 @@ mod tests {
     #[test]
     fn dynamic_components_match_batch_recompute() {
         let mut g = DynGraph::new(0);
-        let mut cc = DynamicComponents::new(0);
+        let mut cc = DynamicComponents::new(&g.to_csr());
         let ops = [
             EdgeOp::Insert(0, 1),
             EdgeOp::Insert(2, 3),
@@ -349,14 +320,11 @@ mod tests {
         ];
         for op in ops {
             let changed = match op {
-                EdgeOp::Insert(u, v) => {
-                    g.ensure_vertex(u.max(v));
-                    g.insert_edge(u, v)
-                }
+                EdgeOp::Insert(u, v) => g.insert_edge(u, v),
                 EdgeOp::Delete(u, v) => g.delete_edge(u, v),
             };
             cc.apply(op, changed);
-            cc.end_batch(&g); // batch size 1: repair after every op
+            cc.end_batch(&g.to_csr()); // batch size 1: repair after every op
             let expect = connected_components(&g.to_csr());
             assert_eq!(cc.count(), expect.count, "after {op:?}");
         }

@@ -50,7 +50,7 @@ pub use bicc::{biconnected_components, Bicc};
 pub use boruvka::{boruvka_msf, Msf};
 pub use components::{connected_components, par_components_hybrid, Components};
 pub use dynbfs::IncrementalBfs;
-pub use dyncc::{DynamicComponents, IncrementalComponents};
+pub use dyncc::DynamicComponents;
 pub use exec::Exec;
 pub use kcore::{coreness, try_coreness, CorenessResult};
 pub use lanczos::{smallest_eigenpair, NoConvergence};

@@ -32,19 +32,19 @@ fn assert_partitions_equal(
 
 fn replay_and_check(ops: &[EdgeOp], n: usize, batch: usize, source: u32) {
     let mut sg = StreamingGraph::new(n);
-    let mut cc = DynamicComponents::new(n);
-    let mut inc_bfs = IncrementalBfs::new(sg.live(), source);
+    let mut cc = DynamicComponents::new(&sg.snapshot().graph);
+    let mut inc_bfs = IncrementalBfs::new(&sg.snapshot().graph, source);
     for (round, chunk) in ops.chunks(batch).enumerate() {
         for &op in chunk {
             let changed = sg.apply(op);
             cc.apply(op, changed);
-            inc_bfs.apply(sg.live(), op, changed);
+            inc_bfs.apply(op, changed);
         }
         let snap = sg.merge();
-        cc.end_batch(sg.live());
-        inc_bfs.end_batch(sg.live());
-
         let g = &*snap.graph;
+        cc.end_batch(g);
+        inc_bfs.end_batch(g);
+
         let context = format!("round {round}, epoch {}", snap.epoch);
         let full_cc = connected_components(g);
         assert_partitions_equal(&mut cc, &full_cc, &context);

@@ -28,8 +28,9 @@ fn main() {
     let k = 10;
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let mut stream = StreamingGraph::new(n);
-    let mut components = DynamicComponents::new(n);
-    let mut distances = IncrementalBfs::new(stream.live(), 0);
+    let empty = stream.snapshot().graph;
+    let mut components = DynamicComponents::new(&empty);
+    let mut distances = IncrementalBfs::new(&empty, 0);
 
     println!("streaming {events} interaction events over {n} entities ({k} latent groups)");
     println!();
@@ -58,16 +59,17 @@ fn main() {
                 EdgeOp::Insert(u, v)
             });
         }
-        // Ingest the batch op by op, repairing the incremental kernels
-        // as the edges land; then publish the epoch's snapshot.
+        // Ingest the batch op by op, recording each effective op in the
+        // incremental kernels; then publish the epoch's snapshot and
+        // repair them against it.
         for &op in &ops {
             let changed = stream.apply(op);
             components.apply(op, changed);
-            distances.apply(stream.live(), op, changed);
+            distances.apply(op, changed);
         }
         let snapshot = stream.merge();
-        components.end_batch(stream.live());
-        distances.end_batch(stream.live());
+        components.end_batch(&snapshot.graph);
+        distances.end_batch(&snapshot.graph);
 
         // Heavyweight analysis runs on the immutable snapshot — readers
         // like this never block ingestion of the next batch.
@@ -86,15 +88,10 @@ fn main() {
 
     println!();
     let last = stream.snapshot();
-    let treap_backed = (0..n as u32)
-        .filter(|&v| stream.live().is_treap_backed(v))
-        .count();
     println!(
-        "final epoch {}: {} edges; {} hub adjacencies promoted to treaps; \
-         {} cc rebuilds, {} bfs recomputes",
+        "final epoch {}: {} edges; {} cc rebuilds, {} bfs recomputes",
         last.epoch,
         last.graph.num_edges(),
-        treap_backed,
         components.rebuilds(),
         distances.recomputes()
     );

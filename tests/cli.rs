@@ -916,6 +916,28 @@ fn stream_replays_fixture_and_checks_every_epoch() {
     assert!(text.contains("components 1"), "{text}");
 }
 
+/// A stream seeded with `--base` starts its incremental components from
+/// the base graph's edges, so `--check` agrees with a full recompute.
+#[test]
+fn stream_check_holds_over_a_base_graph() {
+    let base = generate("stream-base.txt", "rmat", 6);
+    // Inserts only: no deletion forces a rebuild from the snapshot.
+    let ops = scratch("stream-inserts.txt");
+    std::fs::write(&ops, "+ 0 1\n+ 2 70\n").unwrap();
+    let out = run_ok(
+        cli()
+            .arg("stream")
+            .arg(&ops)
+            .args(["--check", "--base"])
+            .arg(&base),
+    );
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert_eq!(text.matches("check ok").count(), 1, "{text}");
+    assert!(text.contains("cc rebuilds 0"), "{text}");
+    std::fs::remove_file(base).ok();
+    std::fs::remove_file(ops).ok();
+}
+
 #[test]
 fn stream_report_carries_per_epoch_observability() {
     let out = cli()

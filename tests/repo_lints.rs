@@ -395,6 +395,50 @@ fn edges_are_ordered_in_one_place() {
     );
 }
 
+/// A line that names the dynamic representation (`DynGraph` or
+/// `Treap`) outside a comment line.
+fn dynamic_representation(line: &str) -> bool {
+    !line.trim_start().starts_with("//") && (names(line, "DynGraph") || names(line, "Treap"))
+}
+
+/// The streaming engine and its incremental kernels hold one live graph:
+/// the published CSR snapshot plus the net delta (DESIGN.md §13). A
+/// second copy of every edge in the dynamic representation is how the
+/// stream once held the graph three times over. Unit tests (below a
+/// file's `#[cfg(test)]`) replay their ops into a `DynGraph` oracle and
+/// are not swept. Reports the first line per file.
+#[test]
+fn stream_holds_one_live_graph() {
+    assert!(dynamic_representation("use crate::dynamic::DynGraph;"));
+    assert!(dynamic_representation("    live: DynGraph,"));
+    assert!(dynamic_representation(
+        "    pub fn end_batch(&mut self, g: &DynGraph) -> bool {"
+    ));
+    assert!(dynamic_representation("    by_degree: Treap<VertexId>,"));
+    assert!(!dynamic_representation(
+        "//! edge insert/delete ops into the [`DynGraph`] delta layer"
+    ));
+    assert!(!dynamic_representation("    /// see `DynGraph::to_csr`"));
+    assert!(!dynamic_representation("    let treap = TreapNode::new();"));
+    let hits: Vec<String> = rust_sources(&[
+        "crates/graph/src/stream.rs",
+        "crates/kernels/src/dynbfs.rs",
+        "crates/kernels/src/dyncc.rs",
+    ])
+    .iter()
+    .filter_map(|(path, text)| {
+        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+        let line = text[..end].lines().position(dynamic_representation)?;
+        Some(format!("{path}:{}", line + 1))
+    })
+    .collect();
+    assert!(
+        hits.is_empty(),
+        "the stream is its snapshot plus a net delta:\n{}",
+        hits.join("\n")
+    );
+}
+
 /// A betweenness pass (`betweenness_from_sources_in(` or
 /// `approx_betweenness_in(`) outside a comment line.
 fn betweenness_pass(line: &str) -> bool {

@@ -1,16 +1,21 @@
 //! Integration tests for the streaming engine: snapshot isolation under
 //! a concurrent reader, and end-to-end analysis of published epochs.
 
+use snap::graph::DynGraph;
 use snap::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The no-torn-reads acceptance gate: a reader hammering the published
 /// snapshot while the writer churns and merges must only ever observe
-/// complete epochs — a structurally valid CSR whose edge count is the
-/// one the writer published under that epoch, with epochs monotone.
+/// complete epochs — a structurally valid CSR holding exactly the edges
+/// an independent oracle holds at that epoch, with epochs monotone and
+/// the snapshot's epoch between the epochs read just before and just
+/// after it (ROADMAP item 13's linearizable snapshot).
 #[test]
 fn concurrent_reader_sees_only_complete_epochs() {
+    type Edges = Vec<(u32, u32)>;
+    let edges_of = |g: &CsrGraph| -> Edges { g.edges().map(|(_, u, v)| (u, v)).collect() };
     let n = 64u32;
     let mut sg = StreamingGraph::new(n as usize);
     let reader = sg.reader();
@@ -19,22 +24,37 @@ fn concurrent_reader_sees_only_complete_epochs() {
     let stop_r = stop.clone();
     let observer = std::thread::spawn(move || {
         let mut last_epoch = 0u64;
-        let mut observations = 0u64;
+        // (epoch before, snapshot epoch, epoch after, index into `seen`);
+        // a snapshot read twice is one immutable `Arc`, kept once.
+        let mut observations = Vec::new();
+        let mut seen: Vec<(Arc<CsrGraph>, Edges)> = Vec::new();
         while !stop_r.load(Ordering::Relaxed) {
+            let before = reader.epoch();
             let snap = reader.snapshot();
+            let after = reader.epoch();
             assert!(snap.epoch >= last_epoch, "epochs must be monotone");
             last_epoch = snap.epoch;
             // A torn publication would fail structural validation or
             // leave the arc arrays inconsistent with the offsets.
             snap.graph.validate().unwrap();
             assert_eq!(snap.graph.num_arcs(), snap.graph.total_degree());
-            observations += 1;
+            if !seen
+                .last()
+                .is_some_and(|(g, _)| Arc::ptr_eq(g, &snap.graph))
+            {
+                let edges = edges_of(&snap.graph);
+                seen.push((snap.graph, edges));
+            }
+            observations.push((before, snap.epoch, after, seen.len() - 1));
         }
-        observations
+        (observations, seen)
     });
 
     // Deterministic churn: waves of inserts and deletes, merging after
-    // every wave.
+    // every wave. The oracle replays the same waves into a `DynGraph`;
+    // its epoch advances exactly when a wave changes its edge set.
+    let mut live = DynGraph::new(n as usize);
+    let mut oracle: Vec<Edges> = vec![Vec::new()];
     let mut published = Vec::new();
     for wave in 0..200u32 {
         let mut ops = Vec::new();
@@ -50,10 +70,28 @@ fn concurrent_reader_sees_only_complete_epochs() {
         sg.apply_batch(&ops);
         let snap = sg.merge();
         published.push((snap.epoch, snap.graph.num_edges()));
+        for op in ops {
+            match op {
+                EdgeOp::Insert(u, v) => live.insert_edge(u, v),
+                EdgeOp::Delete(u, v) => live.delete_edge(u, v),
+            };
+        }
+        let edges = edges_of(&live.to_csr());
+        if oracle.last() != Some(&edges) {
+            oracle.push(edges);
+        }
+        assert_eq!(snap.epoch as usize, oracle.len() - 1, "wave {wave}");
     }
     stop.store(true, Ordering::Relaxed);
-    let observations = observer.join().unwrap();
-    assert!(observations > 0, "the reader must have run");
+    let (observations, seen) = observer.join().unwrap();
+    assert!(!observations.is_empty(), "the reader must have run");
+    for &(before, epoch, after, graph) in &observations {
+        assert!(
+            before <= epoch && epoch <= after,
+            "{before} ≤ {epoch} ≤ {after}"
+        );
+        assert_eq!(seen[graph].1, oracle[epoch as usize], "epoch {epoch}");
+    }
 
     // Epochs never go backwards; waves whose net delta cancelled out
     // (e.g. deleting absent edges) legitimately keep the old epoch.
@@ -108,8 +146,8 @@ fn snapshots_feed_network_analysis_zero_copy() {
 #[test]
 fn incremental_kernels_follow_the_stream() {
     let mut sg = StreamingGraph::new(6);
-    let mut cc = DynamicComponents::new(6);
-    let mut inc = IncrementalBfs::new(sg.live(), 0);
+    let mut cc = DynamicComponents::new(&sg.snapshot().graph);
+    let mut inc = IncrementalBfs::new(&sg.snapshot().graph, 0);
 
     let batches: &[&[EdgeOp]] = &[
         &[
@@ -125,11 +163,11 @@ fn incremental_kernels_follow_the_stream() {
         for &op in *batch {
             let changed = sg.apply(op);
             cc.apply(op, changed);
-            inc.apply(sg.live(), op, changed);
+            inc.apply(op, changed);
         }
-        sg.merge();
-        cc.end_batch(sg.live());
-        inc.end_batch(sg.live());
+        let snap = sg.merge();
+        cc.end_batch(&snap.graph);
+        inc.end_batch(&snap.graph);
         assert_eq!(cc.count(), want);
     }
     assert_eq!(cc.rebuilds(), 1, "only the real deletion forces a rebuild");
