@@ -728,11 +728,10 @@ fn cmd_kcore(args: &Args) {
             let c = snap::graph::CompressedCsrGraph::from_csr(net.graph());
             say!(
                 obs,
-                "compressed adjacency: {} of {} bytes ({:.1}%), {} raw hub block(s)",
+                "compressed adjacency: {} of {} bytes ({:.1}%)",
                 c.adjacency_bytes(),
                 flat_bytes,
-                100.0 * c.adjacency_bytes() as f64 / flat_bytes.max(1) as f64,
-                c.raw_blocks()
+                100.0 * c.adjacency_bytes() as f64 / flat_bytes.max(1) as f64
             );
             let exec = snap::Exec {
                 budget: net.budget().clone(),

@@ -1,5 +1,5 @@
 //! Compressed CSR: delta/varint-encoded adjacency with chunked parallel
-//! encode/decode and a degree-threshold hybrid mode.
+//! encode/decode.
 //!
 //! The paper's target instances (small-world networks with hundreds of
 //! millions of edges) make the flat `u32` adjacency arrays of
@@ -15,19 +15,16 @@
 //! One contiguous byte stream plus an `n + 1` byte-offset array. Vertex
 //! `v`'s block starts at `byte_offsets[v]`:
 //!
-//! * **header** varint: `(degree << 1) | raw_flag`;
-//! * **raw block** (`raw_flag == 1`, hub vertices at or above the degree
-//!   threshold and the fallback for non-canonical edge-id layouts):
-//!   `degree` little-endian `u32` targets, then `degree` little-endian
-//!   `u32` edge ids — byte-aligned slices decoded with zero arithmetic;
-//! * **compressed block** (`raw_flag == 0`): a varint holding the byte
-//!   length of the targets section, then the **targets**: zig-zag varint
-//!   `first - v` for the first neighbor (the sign carries whether `v`'s
-//!   list starts below or above it), plain varint gap (`≥ 1`; a gap of
-//!   `0` would be a parallel edge, rejected at encode time) for the
-//!   rest; then the **edge-id material**: a varint `forward_base` (the
-//!   edge id of `v`'s first *forward* arc) and, for the *backward* arcs
-//!   in order, their edge-id gaps (the first from 0).
+//! * **header** varint: the degree (an isolated vertex's block ends
+//!   here);
+//! * a varint holding the byte length of the targets section;
+//! * the **targets**: zig-zag varint `first - v` for the first neighbor
+//!   (the sign carries whether `v`'s list starts below or above it),
+//!   plain varint gap (`≥ 1`; a gap of `0` would be a parallel edge,
+//!   rejected at encode time) for the rest;
+//! * the **edge-id material**: a varint `forward_base` (the edge id of
+//!   `v`'s first *forward* arc) and, for the *backward* arcs in order,
+//!   their edge-id gaps (the first from 0).
 //!
 //! Edge ids are not stored per forward arc at all: the builder (and the
 //! streaming merge) assign edge ids in sorted canonical `(u, v)` order,
@@ -35,7 +32,8 @@
 //! digraph) carry *consecutive* ids `forward_base + i`, and the backward
 //! arcs' ids are strictly increasing in the neighbor — varint-gap
 //! material. This is what pushes the stream under ~2 bytes/arc where the
-//! flat arrays pay 8.
+//! flat arrays pay 8. A row whose ids break that layout cannot be
+//! encoded: like a parallel edge or an unsorted row, it is an error.
 //!
 //! # Decoding
 //!
@@ -62,13 +60,6 @@ use crate::scratch::{Scratch, ScratchPool};
 use crate::traits::{Graph, WeightedGraph};
 use crate::{EdgeId, VertexId, Weight};
 use rayon::prelude::*;
-
-/// Degree at or above which a vertex's block stays uncompressed by
-/// default: hubs are exactly the rows hot traversals scan most, and a
-/// raw block decodes as a slice copy instead of per-arc arithmetic,
-/// while contributing near-zero compression loss (skewed graphs have
-/// few hubs, each already near the varint break-even density).
-pub const DEFAULT_HUB_THRESHOLD: usize = 1024;
 
 /// Vertices per parallel encode/decode chunk.
 const CHUNK: usize = 1024;
@@ -138,13 +129,6 @@ pub(crate) mod codec {
         }
     }
 
-    /// The little-endian `u32` at `buf[pos..pos + 4]` (a raw block's
-    /// target or edge id).
-    #[inline]
-    pub(crate) fn read_u32_le(buf: &[u8], pos: usize) -> u32 {
-        u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("a 4-byte slice"))
-    }
-
     /// Zig-zag map a signed delta to an unsigned varint payload
     /// (`0, -1, 1, -2, ... -> 0, 1, 2, 3, ...`).
     #[inline]
@@ -159,7 +143,7 @@ pub(crate) mod codec {
     }
 }
 
-use codec::{read_u32_le, read_varint, unzigzag, varint_len, write_varint, zigzag};
+use codec::{read_varint, unzigzag, varint_len, write_varint, zigzag};
 
 /// Per-thread decode target for the chunked parallel decoder: the
 /// neighbor/edge-id slices of one vertex at a time, reused across every
@@ -171,18 +155,6 @@ pub struct DecodeScratch {
 }
 
 impl Scratch for DecodeScratch {}
-
-impl DecodeScratch {
-    /// Fresh empty scratch (buffers grow to the max decoded degree).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bytes currently held by the scratch buffers.
-    pub fn bytes(&self) -> usize {
-        (self.targets.capacity() + self.eids.capacity()) * 4
-    }
-}
 
 /// Immutable graph stored as delta/varint-compressed adjacency blocks.
 ///
@@ -206,74 +178,54 @@ pub struct CompressedCsrGraph {
     weights: Vec<Weight>,
     directed: bool,
     num_arcs: usize,
-    /// How many vertices ended up with raw blocks.
-    raw_blocks: usize,
 }
 
 impl CompressedCsrGraph {
-    /// Compress `g` with the [`DEFAULT_HUB_THRESHOLD`].
-    pub fn from_csr(g: &CsrGraph) -> Self {
-        Self::from_csr_with_threshold(g, DEFAULT_HUB_THRESHOLD)
-    }
-
-    /// Compress `g`, keeping vertices of degree `>= hub_threshold` as
-    /// raw (uncompressed) blocks. `usize::MAX` compresses everything;
-    /// `0` stores every vertex raw (useful to isolate decode overhead
-    /// in A/B benches).
+    /// Compress `g`.
     ///
     /// # Panics
     ///
     /// On a malformed adjacency (duplicate neighbor = parallel edge,
-    /// or unsorted rows) — impossible for builder-produced graphs.
-    pub(crate) fn from_csr_with_threshold(g: &CsrGraph, hub_threshold: usize) -> Self {
-        Self::try_from_csr(g, hub_threshold).expect("valid CSR adjacency")
+    /// unsorted rows, or edge ids out of canonical order) — impossible
+    /// for builder-produced graphs.
+    pub fn from_csr(g: &CsrGraph) -> Self {
+        Self::try_from_csr(g).expect("valid CSR adjacency")
     }
 
-    /// Fallible [`Self::from_csr_with_threshold`]: chunked parallel
-    /// encode, `Err` on adjacencies no simple graph can have.
-    fn try_from_csr(g: &CsrGraph, hub_threshold: usize) -> Result<Self, String> {
+    /// Fallible [`Self::from_csr`]: chunked parallel encode, `Err` on
+    /// adjacencies no simple graph can have.
+    fn try_from_csr(g: &CsrGraph) -> Result<Self, String> {
         let _span = snap_obs::span("ccsr.encode");
         let n = g.num_vertices();
         let directed = g.is_directed();
         // Encode each chunk into its own buffer in parallel, tracking
         // per-vertex block lengths for the offset prefix sum.
-        type EncodedChunk = (Vec<u8>, Vec<u32>, usize);
+        type EncodedChunk = (Vec<u8>, Vec<u32>);
         let encoded: Vec<Result<EncodedChunk, String>> = chunk_bounds(n)
             .par_chunks(1)
             .map(|unit| {
                 let mut buf = Vec::new();
                 let mut lens = Vec::with_capacity(CHUNK);
-                let mut raw_blocks = 0usize;
                 for v in unit.iter().flat_map(|&(lo, hi)| lo..hi) {
                     let before = buf.len();
                     let v = v as VertexId;
-                    let raw = encode_block(
-                        v,
-                        g.neighbor_slice(v),
-                        g.eid_slice(v),
-                        directed,
-                        hub_threshold,
-                        &mut buf,
-                    )?;
-                    raw_blocks += raw as usize;
+                    encode_block(v, g.neighbor_slice(v), g.eid_slice(v), directed, &mut buf)?;
                     lens.push((buf.len() - before) as u32);
                 }
-                Ok((buf, lens, raw_blocks))
+                Ok((buf, lens))
             })
             .collect();
         let encoded = encoded.into_iter().collect::<Result<Vec<_>, String>>()?;
 
         let mut byte_offsets = Vec::with_capacity(n + 1);
         byte_offsets.push(0usize);
-        let total: usize = encoded.iter().map(|(buf, _, _)| buf.len()).sum();
+        let total: usize = encoded.iter().map(|(buf, _)| buf.len()).sum();
         let mut stream = Vec::with_capacity(total);
-        let mut raw_blocks = 0usize;
-        for (buf, lens, raws) in &encoded {
+        for (buf, lens) in &encoded {
             for &len in lens {
                 byte_offsets.push(byte_offsets.last().unwrap() + len as usize);
             }
             stream.extend_from_slice(buf);
-            raw_blocks += raws;
         }
         debug_assert_eq!(*byte_offsets.last().unwrap(), stream.len());
 
@@ -290,7 +242,6 @@ impl CompressedCsrGraph {
             },
             directed,
             num_arcs: g.num_arcs(),
-            raw_blocks,
         };
         if snap_obs::is_enabled() {
             snap_obs::gauge_max("ccsr_bytes", ccsr.adjacency_bytes() as f64);
@@ -304,25 +255,6 @@ impl CompressedCsrGraph {
     /// is identical on both and excluded from both.
     pub fn adjacency_bytes(&self) -> usize {
         self.byte_offsets.len() * std::mem::size_of::<usize>() + self.stream.len()
-    }
-
-    /// How many vertices kept raw (uncompressed) blocks.
-    pub fn raw_blocks(&self) -> usize {
-        self.raw_blocks
-    }
-
-    /// True if the graph carries non-unit weights.
-    pub fn is_weighted(&self) -> bool {
-        !self.weights.is_empty()
-    }
-
-    /// Iterate over all edges as `(edge_id, u, v)` with canonical
-    /// endpoints (mirror of [`CsrGraph::edges`]).
-    pub fn edges(&self) -> impl Iterator<Item = (EdgeId, VertexId, VertexId)> + '_ {
-        self.endpoints
-            .iter()
-            .enumerate()
-            .map(|(e, &(u, v))| (e as EdgeId, u, v))
     }
 
     /// Decode vertex `v`'s adjacency into `scratch`, returning the
@@ -339,12 +271,10 @@ impl CompressedCsrGraph {
         targets.clear();
         eids.clear();
         let (row, mut eid_pos) = CcsrTargets::open(self, v);
-        let (d, raw) = (row.remaining, row.raw);
+        let d = row.remaining;
         targets.extend(row);
         let s = &self.stream[..];
-        if raw {
-            eids.extend((0..d).map(|i| read_u32_le(s, eid_pos + 4 * i)));
-        } else if d > 0 {
+        if d > 0 {
             let forward_base = read_varint(s, &mut eid_pos) as EdgeId;
             let split = if self.directed {
                 0
@@ -381,68 +311,19 @@ impl CompressedCsrGraph {
         });
         snap_obs::add("decode_chunks", chunks.len() as u64);
     }
-
-    /// Check structural invariants against the flat edge payload:
-    /// every decoded arc's edge id must map back to its canonical
-    /// endpoint pair, arc count must match, rows must be sorted.
-    /// `O(n + m)`; used by tests.
-    pub fn validate(&self) -> Result<(), String> {
-        let n = self.num_vertices();
-        if self.byte_offsets.len() != n + 1 {
-            return Err("byte_offsets length mismatch".into());
-        }
-        if *self.byte_offsets.last().unwrap() != self.stream.len() {
-            return Err("final byte offset != stream length".into());
-        }
-        let mut arcs = 0usize;
-        for v in self.vertices() {
-            let mut prev: Option<VertexId> = None;
-            for (nb, e) in self.neighbors_with_eid(v) {
-                if (nb as usize) >= n {
-                    return Err(format!("arc target {nb} out of range"));
-                }
-                if (e as usize) >= self.endpoints.len() {
-                    return Err(format!("edge id {e} out of range"));
-                }
-                if let Some(p) = prev {
-                    if nb <= p {
-                        return Err(format!("adjacency of {v} not strictly increasing"));
-                    }
-                }
-                let (a, b) = self.endpoints[e as usize];
-                let ok = if self.directed {
-                    (a, b) == (v, nb)
-                } else {
-                    (a.min(b), a.max(b)) == (v.min(nb), v.max(nb))
-                };
-                if !ok {
-                    return Err(format!(
-                        "arc {v}->{nb} disagrees with endpoints of edge {e}"
-                    ));
-                }
-                prev = Some(nb);
-                arcs += 1;
-            }
-        }
-        if arcs != self.num_arcs {
-            return Err(format!("decoded {arcs} arcs, expected {}", self.num_arcs));
-        }
-        Ok(())
-    }
 }
 
-/// Encode one vertex's adjacency block; returns whether it was stored
-/// raw. Raw is chosen for hub rows (`degree >= hub_threshold`) and as a
-/// correctness fallback when the edge ids do not follow the canonical
-/// builder layout (consecutive forward ids, increasing backward ids).
+/// Encode one vertex's adjacency block. `Err`, with nothing written, on
+/// a row no simple graph built by the builder can have: a parallel edge,
+/// an unsorted row, or edge ids out of the canonical layout (consecutive
+/// forward ids, increasing backward ids).
 fn encode_block(
     v: VertexId,
     targets: &[VertexId],
     eids: &[EdgeId],
     directed: bool,
-    hub_threshold: usize,
     out: &mut Vec<u8>,
-) -> Result<bool, String> {
+) -> Result<(), String> {
     let d = targets.len();
     // One pass checks the row and sizes its targets section, so the
     // length can be written before the targets without a scratch buffer.
@@ -476,20 +357,13 @@ fn encode_block(
         .enumerate()
         .all(|(i, &e)| e == forward_base + i as EdgeId)
         && eids[..split].windows(2).all(|w| w[0] < w[1]);
-    let raw = d >= hub_threshold || !canonical;
-
-    write_varint(out, ((d as u64) << 1) | u64::from(raw));
-    if d == 0 {
-        return Ok(false);
+    if !canonical {
+        return Err(format!("non-canonical edge ids of {v}"));
     }
-    if raw {
-        for &nb in targets {
-            out.extend_from_slice(&nb.to_le_bytes());
-        }
-        for &e in eids {
-            out.extend_from_slice(&e.to_le_bytes());
-        }
-        return Ok(true);
+
+    write_varint(out, d as u64);
+    if d == 0 {
+        return Ok(());
     }
     write_varint(out, targets_len as u64);
     let start = out.len();
@@ -504,7 +378,7 @@ fn encode_block(
         write_varint(out, u64::from(e - prev_back_eid));
         prev_back_eid = e;
     }
-    Ok(false)
+    Ok(())
 }
 
 /// Streaming decoder over the targets of one adjacency block, in sorted
@@ -514,9 +388,8 @@ struct CcsrTargets<'g> {
     stream: &'g [u8],
     pos: usize,
     remaining: usize,
-    raw: bool,
-    /// Compressed blocks: the last target decoded (`v` before the first,
-    /// which is zig-zag coded from it).
+    /// The last target decoded (`v` before the first, which is zig-zag
+    /// coded from it).
     prev: VertexId,
     first: bool,
 }
@@ -528,22 +401,17 @@ impl<'g> CcsrTargets<'g> {
     fn open(g: &'g CompressedCsrGraph, v: VertexId) -> (Self, usize) {
         let stream = &g.stream[..];
         let mut pos = g.byte_offsets[v as usize];
-        let header = read_varint(stream, &mut pos);
-        let raw = header & 1 == 1;
-        let d = (header >> 1) as usize;
-        let eid_pos = match (d, raw) {
-            (0, _) => pos,
-            (_, true) => pos + 4 * d,
-            (_, false) => {
-                let targets_len = read_varint(stream, &mut pos) as usize;
-                pos + targets_len
-            }
+        let d = read_varint(stream, &mut pos) as usize;
+        let eid_pos = if d == 0 {
+            pos
+        } else {
+            let targets_len = read_varint(stream, &mut pos) as usize;
+            pos + targets_len
         };
         let it = CcsrTargets {
             stream,
             pos,
             remaining: d,
-            raw,
             prev: v,
             first: true,
         };
@@ -560,11 +428,6 @@ impl Iterator for CcsrTargets<'_> {
             return None;
         }
         self.remaining -= 1;
-        if self.raw {
-            let nb = read_u32_le(self.stream, self.pos);
-            self.pos += 4;
-            return Some(nb);
-        }
         let code = read_varint(self.stream, &mut self.pos);
         self.prev = if self.first {
             self.first = false;
@@ -586,12 +449,11 @@ impl ExactSizeIterator for CcsrTargets<'_> {}
 /// `(neighbor, edge_id)` in sorted neighbor order.
 pub struct CcsrArcs<'g> {
     targets: CcsrTargets<'g>,
-    /// Cursor into the block's edge-id material: the raw block's id half,
-    /// or the compressed block's backward-id gaps.
+    /// Cursor into the block's backward-id gaps.
     eid_pos: usize,
     v: VertexId,
     directed: bool,
-    /// Compressed blocks: the id of the next forward arc.
+    /// The id of the next forward arc.
     forward_next: EdgeId,
     prev_back_eid: EdgeId,
 }
@@ -599,7 +461,7 @@ pub struct CcsrArcs<'g> {
 impl<'g> CcsrArcs<'g> {
     fn new(g: &'g CompressedCsrGraph, v: VertexId) -> Self {
         let (targets, mut eid_pos) = CcsrTargets::open(g, v);
-        let forward_next = if targets.remaining > 0 && !targets.raw {
+        let forward_next = if targets.remaining > 0 {
             read_varint(targets.stream, &mut eid_pos) as EdgeId
         } else {
             0
@@ -622,11 +484,7 @@ impl Iterator for CcsrArcs<'_> {
     fn next(&mut self) -> Option<(VertexId, EdgeId)> {
         let nb = self.targets.next()?;
         let stream = self.targets.stream;
-        let e = if self.targets.raw {
-            let e = read_u32_le(stream, self.eid_pos);
-            self.eid_pos += 4;
-            e
-        } else if !self.directed && nb < self.v {
+        let e = if !self.directed && nb < self.v {
             self.prev_back_eid += read_varint(stream, &mut self.eid_pos) as EdgeId;
             self.prev_back_eid
         } else {
@@ -668,7 +526,7 @@ impl Graph for CompressedCsrGraph {
     #[inline]
     fn degree(&self, v: VertexId) -> usize {
         let mut pos = self.byte_offsets[v as usize];
-        (read_varint(&self.stream, &mut pos) >> 1) as usize
+        read_varint(&self.stream, &mut pos) as usize
     }
 
     #[inline]
@@ -720,7 +578,54 @@ mod tests {
             assert_eq!(g.edge_endpoints(e), c.edge_endpoints(e));
             assert_eq!(g.edge_weight(e), c.edge_weight(e));
         }
-        c.validate().unwrap();
+        validate(c).unwrap();
+    }
+
+    /// Check `c`'s structural invariants against its flat edge payload:
+    /// every decoded arc's edge id must map back to its canonical
+    /// endpoint pair, arc count must match, rows must be sorted.
+    fn validate(c: &CompressedCsrGraph) -> Result<(), String> {
+        let n = c.num_vertices();
+        if c.byte_offsets.len() != n + 1 {
+            return Err("byte_offsets length mismatch".into());
+        }
+        if *c.byte_offsets.last().unwrap() != c.stream.len() {
+            return Err("final byte offset != stream length".into());
+        }
+        let mut arcs = 0usize;
+        for v in c.vertices() {
+            let mut prev: Option<VertexId> = None;
+            for (nb, e) in c.neighbors_with_eid(v) {
+                if (nb as usize) >= n {
+                    return Err(format!("arc target {nb} out of range"));
+                }
+                if (e as usize) >= c.endpoints.len() {
+                    return Err(format!("edge id {e} out of range"));
+                }
+                if let Some(p) = prev {
+                    if nb <= p {
+                        return Err(format!("adjacency of {v} not strictly increasing"));
+                    }
+                }
+                let (a, b) = c.endpoints[e as usize];
+                let ok = if c.directed {
+                    (a, b) == (v, nb)
+                } else {
+                    (a.min(b), a.max(b)) == (v.min(nb), v.max(nb))
+                };
+                if !ok {
+                    return Err(format!(
+                        "arc {v}->{nb} disagrees with endpoints of edge {e}"
+                    ));
+                }
+                prev = Some(nb);
+                arcs += 1;
+            }
+        }
+        if arcs != c.num_arcs {
+            return Err(format!("decoded {arcs} arcs, expected {}", c.num_arcs));
+        }
+        Ok(())
     }
 
     #[test]
@@ -740,14 +645,18 @@ mod tests {
 
     /// Rows a simple graph cannot have are refused before anything is
     /// written: a repeated neighbour is a parallel edge (its gap would be
-    /// 0), and a row out of order would need a negative gap.
+    /// 0), a row out of order would need a negative gap, and forward
+    /// arcs whose ids are not consecutive break the layout that lets the
+    /// block omit them.
     #[test]
     fn encode_block_rejects_parallel_and_unsorted_rows() {
         let mut buf = Vec::new();
-        let err = encode_block(0, &[3, 3], &[0, 1], false, usize::MAX, &mut buf).unwrap_err();
+        let err = encode_block(0, &[3, 3], &[0, 1], false, &mut buf).unwrap_err();
         assert!(err.contains("parallel edge to 3"), "{err}");
-        let err = encode_block(1, &[5, 2], &[0, 1], false, usize::MAX, &mut buf).unwrap_err();
+        let err = encode_block(1, &[5, 2], &[0, 1], false, &mut buf).unwrap_err();
         assert!(err.contains("unsorted adjacency of 1"), "{err}");
+        let err = encode_block(0, &[1, 2], &[5, 3], false, &mut buf).unwrap_err();
+        assert!(err.contains("non-canonical edge ids of 0"), "{err}");
         assert!(buf.is_empty(), "nothing is written before the check");
     }
 
@@ -755,11 +664,6 @@ mod tests {
     fn round_trip_small_graphs() {
         let g = from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]);
         assert_equivalent(&g, &CompressedCsrGraph::from_csr(&g));
-        // Everything raw and everything compressed must also agree.
-        assert_equivalent(&g, &CompressedCsrGraph::from_csr_with_threshold(&g, 0));
-        let all = CompressedCsrGraph::from_csr_with_threshold(&g, usize::MAX);
-        assert_equivalent(&g, &all);
-        assert_eq!(all.raw_blocks(), 0);
     }
 
     #[test]
@@ -767,15 +671,12 @@ mod tests {
         let d = GraphBuilder::directed(5)
             .add_edges([(2, 0), (0, 1), (4, 2), (1, 4), (0, 3)])
             .build();
-        assert_equivalent(
-            &d,
-            &CompressedCsrGraph::from_csr_with_threshold(&d, usize::MAX),
-        );
+        assert_equivalent(&d, &CompressedCsrGraph::from_csr(&d));
         let w = GraphBuilder::undirected(4)
             .add_weighted_edges([(0, 1, 7), (1, 2, 3), (2, 3, 9), (0, 3, 2)])
             .build();
         let cw = CompressedCsrGraph::from_csr(&w);
-        assert!(cw.is_weighted());
+        assert!(!cw.weights.is_empty());
         assert_equivalent(&w, &cw);
     }
 
@@ -785,22 +686,9 @@ mod tests {
             .with_self_loops()
             .add_edges([(0, 0), (0, 1), (2, 2), (1, 3)])
             .build();
-        assert_equivalent(
-            &g,
-            &CompressedCsrGraph::from_csr_with_threshold(&g, usize::MAX),
-        );
+        assert_equivalent(&g, &CompressedCsrGraph::from_csr(&g));
         let empty = CsrGraph::empty(4, false);
         assert_equivalent(&empty, &CompressedCsrGraph::from_csr(&empty));
-    }
-
-    #[test]
-    fn hub_threshold_splits_blocks() {
-        // Star: the center has degree 32, leaves degree 1.
-        let edges: Vec<(u32, u32)> = (1..=32).map(|i| (0, i)).collect();
-        let g = from_edges(33, &edges);
-        let c = CompressedCsrGraph::from_csr_with_threshold(&g, 32);
-        assert_eq!(c.raw_blocks(), 1);
-        assert_equivalent(&g, &c);
     }
 
     #[test]
@@ -810,7 +698,7 @@ mod tests {
         // itself far under the flat 8 bytes/arc.
         let edges: Vec<(u32, u32)> = (0..512u32).map(|i| (i, (i + 1) % 512)).collect();
         let g = from_edges(512, &edges);
-        let c = CompressedCsrGraph::from_csr_with_threshold(&g, usize::MAX);
+        let c = CompressedCsrGraph::from_csr(&g);
         assert!(
             c.adjacency_bytes() < g.adjacency_bytes(),
             "compressed {} vs flat {}",
@@ -868,7 +756,7 @@ mod tests {
         // stream must be far smaller than 4 bytes/arc of id storage.
         let edges: Vec<(u32, u32)> = (0..1000u32).map(|i| (i, i + 1)).collect();
         let g = from_edges(1001, &edges);
-        let c = CompressedCsrGraph::from_csr_with_threshold(&g, usize::MAX);
+        let c = CompressedCsrGraph::from_csr(&g);
         let stream_bytes = c.adjacency_bytes() - (c.num_vertices() + 1) * 8;
         assert!(
             stream_bytes < g.num_arcs() * 4,
@@ -936,15 +824,12 @@ mod tests {
     proptest! {
         /// The compressed backend is observationally identical to the
         /// `CsrGraph` it was built from — counts, degrees, sorted adjacency
-        /// with edge ids, endpoints, and the edge-id contract — at every
-        /// hub-threshold regime (0 = everything raw, small = mixed,
-        /// `usize::MAX` = everything delta/varint).
+        /// with edge ids, endpoints, and the edge-id contract.
         #[test]
-        fn compressed_matches_csr((n, edges) in edge_list(), threshold_pick in 0usize..3) {
+        fn compressed_matches_csr((n, edges) in edge_list()) {
             let g = GraphBuilder::undirected(n).add_edges(edges).build();
-            let threshold = [0, 4, usize::MAX][threshold_pick];
-            let c = CompressedCsrGraph::from_csr_with_threshold(&g, threshold);
-            c.validate().unwrap();
+            let c = CompressedCsrGraph::from_csr(&g);
+            validate(&c).unwrap();
             prop_assert_eq!(c.num_vertices(), g.num_vertices());
             prop_assert_eq!(c.num_edges(), g.num_edges());
             prop_assert_eq!(c.num_arcs(), g.num_arcs());
@@ -966,13 +851,11 @@ mod tests {
         /// The targets-only path (`neighbors`), the paired path
         /// (`neighbors_with_eid`) and the whole-block decoder under
         /// `par_for_each_adjacency` (at 1, 2 and 8 threads) each return
-        /// exactly the CSR's rows, with raw and delta-coded blocks mixed
-        /// by the hub threshold.
+        /// exactly the CSR's rows.
         #[test]
-        fn targets_path_matches_csr(g in spread_graph(), pick in 0usize..4) {
-            let threshold = [0, 1, 4, usize::MAX][pick];
-            let c = CompressedCsrGraph::from_csr_with_threshold(&g, threshold);
-            c.validate().unwrap();
+        fn targets_path_matches_csr(g in spread_graph()) {
+            let c = CompressedCsrGraph::from_csr(&g);
+            validate(&c).unwrap();
             for v in g.vertices() {
                 prop_assert_eq!(c.degree(v), g.degree(v), "degree of {}", v);
                 let row = g.neighbor_slice(v).iter().copied();

@@ -9,9 +9,9 @@
 //! * a **static, cache-friendly adjacency-array (CSR) representation**
 //!   ([`CsrGraph`]) — the preferred choice for static graph algorithms;
 //! * a **compressed CSR** ([`CompressedCsrGraph`]) with delta/varint
-//!   difference-encoded adjacency, chunked parallel decode, and a
-//!   degree-threshold hybrid mode — the same graph resident at a
-//!   fraction of the flat adjacency bytes (see `compressed`);
+//!   difference-encoded adjacency, one block format for every row, and
+//!   chunked parallel decode — the same graph resident at a fraction of
+//!   the flat adjacency bytes (see `compressed`);
 //! * a **dynamic representation** ([`DynGraph`]) with resizable adjacency
 //!   arrays for low-degree vertices and **treaps** ([`Treap`]) for
 //!   high-degree vertices, so that insertions/deletions and set operations
@@ -49,7 +49,7 @@ pub mod view;
 
 pub use bitset::{AtomicBitmap, Bitmap};
 pub use builder::GraphBuilder;
-pub use compressed::{CompressedCsrGraph, DecodeScratch, DEFAULT_HUB_THRESHOLD};
+pub use compressed::{CompressedCsrGraph, DecodeScratch};
 pub use csr::CsrGraph;
 pub use dynamic::DynGraph;
 pub use frontier::Frontier;

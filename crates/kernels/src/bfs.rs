@@ -3,11 +3,11 @@
 //!
 //! The parallel BFS follows the paper's design (and [Bader & Madduri,
 //! ICPP 2006]): vertices of the current frontier are expanded in parallel,
-//! a shared atomic visited bitmap arbitrates ownership without locks, and
-//! work is assigned degree-aware — each frontier vertex contributes work
-//! proportional to its degree, so the skewed degree distributions of
-//! small-world graphs do not serialize a level on whichever worker drew
-//! the hub.
+//! and a shared atomic visited bitmap arbitrates ownership without locks.
+//! A push level's work units split frontier positions, not arcs: a hub's
+//! whole adjacency runs in the unit that holds it, so on skewed degree
+//! distributions one unit can carry most of a level. The paper's
+//! degree-aware (edge-balanced) split is not implemented.
 //!
 //! On low-diameter small-world graphs most of the edge examinations of a
 //! push-only BFS are wasted: once the frontier covers a sizable fraction
@@ -266,8 +266,8 @@ pub fn par_bfs<G: Graph>(g: &G, source: VertexId) -> BfsResult {
 
 /// Direction-optimizing BFS returning per-level [`TraversalStats`].
 ///
-/// Each level is expanded either top-down (sparse frontier, degree-aware
-/// work splitting, atomic claims) or bottom-up (dense frontier bitmap;
+/// Each level is expanded either top-down (sparse frontier split into
+/// units by frontier position, atomic claims) or bottom-up (dense frontier bitmap;
 /// every unvisited vertex scans its adjacency for a frontier parent and
 /// stops at the first hit — no synchronization needed, each vertex is
 /// owned by exactly one task). Directed graphs never switch to pull: the
@@ -431,8 +431,9 @@ pub fn try_par_bfs_hybrid_stats<G: Graph>(
 /// Naive parallel BFS: the frontier is split per *vertex* (one task per
 /// frontier vertex, adjacency scanned serially inside the task). On
 /// skewed degree distributions one worker draws the hub and serializes
-/// the level — this is the ablation baseline showing why the
-/// degree-aware assignment in the hybrid's push step matters.
+/// the level. The hybrid's push step splits the frontier by position
+/// too, so this baseline differs from it in engine overhead, not in how
+/// a hub's arcs are assigned (`results/hybrid_bfs.txt`).
 pub fn par_bfs_vertex_partitioned<G: Graph>(g: &G, source: VertexId) -> BfsResult {
     let n = g.num_vertices();
     let visited = AtomicBitmap::new(n);

@@ -8,9 +8,10 @@
 //!
 //! Design notes, following the paper:
 //!
-//! * **Level-synchronous traversal** with lock-free visited claims and
-//!   degree-aware work splitting ([`bfs::par_bfs`]) — the building block
-//!   for centrality and the divisive clustering algorithms.
+//! * **Level-synchronous traversal** with lock-free visited claims
+//!   ([`bfs::par_bfs`]; a push level splits its frontier by position,
+//!   not by degree) — the building block for centrality and the divisive
+//!   clustering algorithms.
 //! * **Fine-grained synchronization kept cheap**: atomic bitmaps and
 //!   label arrays instead of locks throughout.
 //! * Everything is generic over [`snap_graph::Graph`], so the same kernel

@@ -439,6 +439,59 @@ fn stream_holds_one_live_graph() {
     );
 }
 
+/// A line that names the compressed backend's second block format — an
+/// identifier holding `raw_blocks`, `hub_threshold`, `HUB_THRESHOLD` or
+/// `read_u32_le` — outside a comment line.
+fn second_block_format(line: &str) -> bool {
+    const WORDS: [&str; 4] = [
+        "raw_blocks",
+        "hub_threshold",
+        "HUB_THRESHOLD",
+        "read_u32_le",
+    ];
+    !line.trim_start().starts_with("//")
+        && identifiers(line).any(|id| WORDS.iter().any(|w| id.contains(w)))
+}
+
+/// Every compressed row has one format: a degree header, then the
+/// targets-first delta block (DESIGN.md §16). Fixed-width raw rows for
+/// hubs above a degree threshold were a second format that no input
+/// reached. Unit tests (below a file's `#[cfg(test)]`) are not swept.
+#[test]
+fn compressed_rows_have_one_format() {
+    assert!(second_block_format(
+        "pub const DEFAULT_HUB_THRESHOLD: usize = 1024;"
+    ));
+    assert!(second_block_format("    raw_blocks: usize,"));
+    assert!(second_block_format(
+        "        Self::try_from_csr(g, hub_threshold).expect(\"valid CSR adjacency\")"
+    ));
+    assert!(second_block_format(
+        "            let nb = read_u32_le(self.stream, self.pos);"
+    ));
+    assert!(second_block_format(
+        "pub use compressed::{CompressedCsrGraph, DecodeScratch, DEFAULT_HUB_THRESHOLD};"
+    ));
+    assert!(!second_block_format(
+        "    /// How many vertices kept raw_blocks."
+    ));
+    assert!(!second_block_format("        let raw = header & 1 == 1;"));
+    assert!(!second_block_format(
+        "        let d = read_varint(stream, &mut pos) as usize;"
+    ));
+    let mut sources = rust_sources(&["crates/graph/src"]);
+    for (_, text) in &mut sources {
+        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+        text.truncate(end);
+    }
+    let hits = flagged(&sources, second_block_format);
+    assert!(
+        hits.is_empty(),
+        "compressed rows have one block format:\n{}",
+        hits.join("\n")
+    );
+}
+
 /// A betweenness pass (`betweenness_from_sources_in(` or
 /// `approx_betweenness_in(`) outside a comment line.
 fn betweenness_pass(line: &str) -> bool {
