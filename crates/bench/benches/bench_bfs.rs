@@ -1,7 +1,7 @@
-//! BFS kernel micro-benchmarks, including the degree-aware vs naive
-//! work-assignment ablation (DESIGN.md ablation 3) and the
-//! direction-optimizing hybrid vs push-only comparison on low-diameter
-//! R-MAT instances.
+//! BFS kernel micro-benchmarks, including the per-vertex-task baseline
+//! (DESIGN.md ablation 3; neither it nor the hybrid's push step splits a
+//! hub's arcs) and the direction-optimizing hybrid vs push-only
+//! comparison on low-diameter R-MAT instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snap::kernels::{bfs, par_bfs, par_bfs_hybrid_stats, par_bfs_vertex_partitioned, HybridConfig};

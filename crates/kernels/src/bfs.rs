@@ -267,10 +267,10 @@ pub fn par_bfs<G: Graph>(g: &G, source: VertexId) -> BfsResult {
 /// Direction-optimizing BFS returning per-level [`TraversalStats`].
 ///
 /// Each level is expanded either top-down (sparse frontier split into
-/// units by frontier position, atomic claims) or bottom-up (dense frontier bitmap;
-/// every unvisited vertex scans its adjacency for a frontier parent and
-/// stops at the first hit — no synchronization needed, each vertex is
-/// owned by exactly one task). Directed graphs never switch to pull: the
+/// units by frontier position, atomic claims) or bottom-up (dense
+/// frontier bitmap; every unvisited vertex scans its adjacency for a
+/// frontier parent and stops at the first hit — no synchronization
+/// needed, each vertex is owned by exactly one task). Directed graphs never switch to pull: the
 /// bottom-up scan walks out-arcs, which only coincide with in-arcs on
 /// undirected CSR.
 pub fn par_bfs_hybrid_stats<G: Graph>(
